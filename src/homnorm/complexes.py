@@ -364,7 +364,8 @@ def load_complex(document: str) -> WeightedComplex:
     """
     try:
         obj = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit.
         raise ComplexFormatError(f"parse error: {exc}")
     return complex_from_json(obj)
 
@@ -402,6 +403,9 @@ def complex_from_json(obj) -> WeightedComplex:
         if raw is None:
             weights.append([Fraction(1)] * len(levels[k]))
             continue
+        if not isinstance(raw, list) or not all(isinstance(w, str) for w in raw):
+            raise ComplexFormatError(
+                f'degree {k}: weights must be a list of "p/q" strings')
         if len(raw) != len(levels[k]):
             raise ComplexFormatError(
                 f"degree {k}: {len(raw)} weights for {len(levels[k])} simplices")

@@ -69,11 +69,6 @@ class IntMatrix:
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if other.rows != self.rows:
             raise ShapeMismatchError("hstack needs equal row counts")

@@ -318,19 +318,18 @@ def min_real(K: WeightedComplex, d: int, c: ClassCoords,
     n_rows = K.n_simplices(d)
     B = K.boundary_matrix_or_empty(d + 1)
     m = B.cols
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for i in range(n_rows):
-        row = [Fraction(0)] * (2 * n_rows + 2 * m)
-        row[i] = Fraction(1)
-        row[n_rows + i] = Fraction(-1)
-        for j in range(m):
-            bij = B.data[i][j]
+        row = [0] * (2 * n_rows + 2 * m)
+        row[i] = 1
+        row[n_rows + i] = -1
+        for j, bij in enumerate(B.data[i]):
             if bij:
-                row[2 * n_rows + j] = Fraction(-bij)
-                row[2 * n_rows + m + j] = Fraction(bij)
+                row[2 * n_rows + j] = -bij
+                row[2 * n_rows + m + j] = bij
         rows.append(row)
-    weights = [Fraction(w) for w in K.weights[d]]
-    costs = weights + weights + [Fraction(0)] * (2 * m)
+    weights = list(K.weights[d])
+    costs = weights + weights + [0] * (2 * m)
     res = solve_standard_lp(rows, z0, costs)
     x = [res.x[i] - res.x[n_rows + i] for i in range(n_rows)]
     minimizer = Chain.from_vector(K, d, RAT, x)

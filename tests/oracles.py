@@ -3,7 +3,9 @@
 The searches here enumerate bounded coefficient boxes outright (no lattice
 parametrization, no pruning beyond the mass budget) and decide class
 membership through sympy's Hermite normal form, so they share no nontrivial
-code path with the engines they check.
+code path with the engines they check.  ``reference_solve_standard_lp`` is
+the dense Fraction-tableau simplex the integer-tableau LP must agree with
+pivot for pivot.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from homnorm.complexes import Chain, mass
 from homnorm.homology import homology_decomposition
+from homnorm.lp import LPInfeasibleError, LPResult
 from homnorm.rings import INT, canonical_lift
 
 
@@ -164,3 +167,124 @@ def brute_force_min_real(K, d, c):
         if v < best:
             best = v
     return best
+
+
+def reference_solve_standard_lp(A, b, c) -> LPResult:
+    """The dense ``Fraction``-tableau two-phase simplex with Bland's rule.
+
+    Reference for ``homnorm.lp.solve_standard_lp``, which must take the same
+    pivots and return the same value, vertex and duals.
+    Minimize c.x subject to A x = b, x >= 0 (all entries exact rationals).
+
+    Returns the optimal basic solution and the exact dual vector y with
+    y.b = value and y.A <= c componentwise.  Raises LPInfeasibleError when
+    the constraints admit no nonnegative solution; the objectives used in
+    this package are bounded below by zero, so unboundedness is a bug.
+    """
+    m = len(A)
+    n = len(A[0]) if m else len(c)
+    if len(b) != m or len(c) != n:
+        raise ValueError("LP shape mismatch")
+    if m == 0:
+        return LPResult(Fraction(0), [Fraction(0)] * n, [], 0)
+
+    width = n + m + 1  # structural | artificial | rhs
+    flipped = [False] * m
+    tableau: list[list[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(v) for v in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+            flipped[i] = True
+        row.extend(Fraction(0) for _ in range(m))
+        row[n + i] = Fraction(1)
+        row.append(rhs)
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+    pivots = 0
+
+    def pivot(t: int, j: int) -> None:
+        nonlocal pivots
+        pivots += 1
+        row = tableau[t]
+        pv = row[j]
+        tableau[t] = row = [v / pv for v in row]
+        for rr in tableau:
+            if rr is row:
+                continue
+            f = rr[j]
+            if f:
+                for k in range(width):
+                    rr[k] -= f * row[k]
+        f = cost[j]
+        if f:
+            for k in range(width):
+                cost[k] -= f * row[k]
+        basis[t] = j
+
+    def run(allowed: int) -> None:
+        # Bland's rule: smallest eligible entering index; leaving row by
+        # minimum ratio, ties by smallest basic variable index.
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if cost[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return
+            leave = -1
+            best = None
+            for i in range(m):
+                a = tableau[i][enter]
+                if a > 0:
+                    ratio = tableau[i][width - 1] / a
+                    if best is None or ratio < best or (
+                            ratio == best and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                raise AssertionError("LP unbounded; objective should be >= 0")
+            pivot(leave, enter)
+
+    # Phase 1: minimize the artificial sum.
+    cost = [Fraction(0)] * width
+    for j in range(width):
+        total = Fraction(0)
+        for i in range(m):
+            total += tableau[i][j]
+        cost[j] = (Fraction(1) if n <= j < n + m else Fraction(0)) - total
+    run(n + m)
+    if -cost[width - 1] != 0:
+        raise LPInfeasibleError("constraints admit no nonnegative solution")
+    # Drive artificials out of the basis where possible.
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if tableau[i][j] != 0:
+                    pivot(i, j)
+                    break
+
+    # Phase 2: the real objective (artificials barred from entering).
+    cost = [Fraction(0)] * width
+    for j in range(width):
+        cj = Fraction(c[j]) if j < n else Fraction(0)
+        total = Fraction(0)
+        for i in range(m):
+            cb = Fraction(c[basis[i]]) if basis[i] < n else Fraction(0)
+            if cb:
+                total += cb * tableau[i][j]
+        cost[j] = cj - total
+    run(n)
+
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = tableau[i][width - 1]
+    duals = []
+    for i in range(m):
+        y = -cost[n + i]
+        duals.append(-y if flipped[i] else y)
+    return LPResult(-cost[width - 1], x, duals, pivots)

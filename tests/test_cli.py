@@ -183,6 +183,15 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
     code, _, err = run_cli(capsys, ["homology", str(broken), "--dim", "1"])
     assert code == 1 and "error:" in err
 
+    # nesting past the JSON decoder's recursion limit, and a numeric weight
+    for text in ("[" * 5000,
+                 json.dumps({"name": "w", "dimension": 1,
+                             "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
+                             "weights": {"1": [5]}})):
+        broken.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, ["homology", str(broken), "--dim", "1"])
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
     # a chain that is not a cycle
     code, _, err = run_cli(capsys, [
         "norm", paths["tc"], "--dim", "1", "--chain", "0=1", "--ring", "Z"])

@@ -64,9 +64,21 @@ def test_load_rejects_duplicates_and_unsorted():
 def test_load_rejects_garbage():
     with pytest.raises(ComplexFormatError, match="parse error"):
         load_complex("{not json")
+    with pytest.raises(ComplexFormatError, match="parse error"):
+        load_complex("[" * 5000)  # deeper than the decoder's recursion limit
     with pytest.raises(ComplexFormatError):
         load_complex(json.dumps({"name": "x", "dimension": 1,
                                  "simplices": {"0": [[0]]}}))
+
+
+@pytest.mark.parametrize("weights", [{"1": [5]}, {"1": [0.5]}, {"1": [None]},
+                                     {"1": "7"}, {"1": 5}])
+def test_load_rejects_weights_that_are_not_rational_strings(weights):
+    doc = json.dumps({"name": "w", "dimension": 1,
+                      "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
+                      "weights": weights})
+    with pytest.raises(ComplexFormatError, match="p/q"):
+        load_complex(doc)
 
 
 def test_document_round_trip(torus, mobius):
