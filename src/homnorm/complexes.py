@@ -370,15 +370,22 @@ def load_complex(document: str) -> WeightedComplex:
     return complex_from_json(obj)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: bools and floats are rejected, not truncated."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def complex_from_json(obj) -> WeightedComplex:
     if not isinstance(obj, dict):
         raise ComplexFormatError("document root must be an object")
     try:
         name = str(obj["name"])
-        dim = int(obj["dimension"])
+        dim = obj["dimension"]
         simp = obj["simplices"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ComplexFormatError(f"missing or malformed field: {exc}")
+    if not _is_int(dim):
+        raise ComplexFormatError(f"'dimension' must be an integer, got {dim!r}")
     if not isinstance(simp, dict):
         raise ComplexFormatError("'simplices' must map degree -> list")
     levels: list[list[Simplex]] = []
@@ -386,10 +393,10 @@ def complex_from_json(obj) -> WeightedComplex:
         raw = simp.get(str(k))
         if raw is None:
             raise ComplexFormatError(f"no simplices listed for degree {k}")
-        try:
-            levels.append([tuple(int(v) for v in s) for s in raw])
-        except (TypeError, ValueError):
+        if not isinstance(raw, list) or not all(
+                isinstance(s, list) and all(map(_is_int, s)) for s in raw):
             raise ComplexFormatError(f"degree {k}: malformed vertex list")
+        levels.append([tuple(s) for s in raw])
     extra = set(simp) - {str(k) for k in range(dim + 1)}
     if extra:
         raise ComplexFormatError(

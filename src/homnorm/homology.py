@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -341,15 +342,23 @@ class ModDecomposition:
             cols.append(e_col)
         self._coord_solver = smith_normal_form(
             IntMatrix.from_columns(cols, j_count))
-        # Solver for membership in the reduction image: [kernel | B | nI].
+
+    @cached_property
+    def _image_solver(self) -> SNFResult:
+        """Solver for membership in the reduction image: [kernel | B | nI].
+
+        Only :meth:`in_image` reads it, so it is built on first use.
+        """
+        dec = self.dec
+        n_simp = dec.complex.n_simplices(dec.degree)
+        B = dec.complex.boundary_matrix_or_empty(dec.degree + 1)
         img_cols = ([dec._kernel.column(j) for j in range(dec._kernel.cols)]
                     + [B.column(j) for j in range(B.cols)])
         for k in range(n_simp):
             e_col = [0] * n_simp
-            e_col[k] = n
+            e_col[k] = self.n
             img_cols.append(e_col)
-        self._image_solver = smith_normal_form(
-            IntMatrix.from_columns(img_cols, n_simp))
+        return smith_normal_form(IntMatrix.from_columns(img_cols, n_simp))
 
     # -- raw presentation helpers -------------------------------------------
 

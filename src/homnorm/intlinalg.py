@@ -1,20 +1,32 @@
 """Exact linear algebra over Z, Q and Z/nZ: Smith normal form and solving.
 
-Everything is dense arbitrary-precision integer arithmetic on small
-matrices (boundary operators of desk-scale complexes).  The Smith normal
-form tracks both unimodular transforms and their inverses so callers can
-change basis in either direction without re-inverting.
+Matrices are stored densely as lists of arbitrary-precision integer rows,
+but the work skips zeros: boundary operators of desk-scale complexes have
+d + 2 nonzero entries per column, mostly units, and the unimodular
+transforms built from them stay sparse.  The Smith normal form tracks both
+transforms and their inverses so callers can change basis in either
+direction without re-inverting.  U and V^-1 change by row operations;
+U^-1 and V, which change by column operations, are held transposed while
+the reduction runs, so every transform update is a row ``axpy`` over the
+nonzero entries of its source row, and a column operation on D touches only
+the rows whose source entry is nonzero.  They are transposed back once at
+the end.  ``IntMatrix.mul_vec`` likewise visits only the vector's nonzeros.
 
 The pivot rule is fixed (smallest nonzero absolute value, ties broken by
 lowest row then column index) so that every basis derived downstream is
-reproducible run to run.
+reproducible run to run.  The search stops at the first unit entry, which
+is already the minimum, and a unit pivot skips the divisibility fix-up it
+cannot need; the pivots, and so all five matrices, are those of the plain
+dense reduction (``tests/oracles.py`` keeps it as the reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .rings import RingElem, RingSpec
@@ -25,7 +37,7 @@ class ShapeMismatchError(ValueError):
 
 
 class IntMatrix:
-    """Dense matrix of arbitrary-precision integers."""
+    """Matrix of arbitrary-precision integers, stored as a list of rows."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -55,13 +67,11 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
-        m = cls.zeros(rows, len(cols))
-        for j, col in enumerate(cols):
-            if len(col) != rows:
-                raise ShapeMismatchError("column length mismatch")
-            for i, v in enumerate(col):
-                m.data[i][j] = int(v)
-        return m
+        if any(len(col) != rows for col in cols):
+            raise ShapeMismatchError("column length mismatch")
+        if not cols:
+            return cls.zeros(rows, 0)
+        return cls(rows, len(cols), [list(map(int, r)) for r in zip(*cols)])
 
     def copy(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [row[:] for row in self.data])
@@ -92,9 +102,13 @@ class IntMatrix:
     __matmul__ = matmul
 
     def mul_vec(self, v: Sequence) -> list:
+        """The product with v (ints or Fractions), over v's nonzeros."""
         if len(v) != self.cols:
             raise ShapeMismatchError("vector length mismatch")
-        return [sum(a * x for a, x in zip(row, v) if a) for row in self.data]
+        support = list(compress(range(len(v)), v))
+        values = [v[k] for k in support]
+        return [sum(map(mul, map(row.__getitem__, support), values))
+                for row in self.data]
 
     def is_zero(self) -> bool:
         return all(not v for row in self.data for v in row)
@@ -128,6 +142,12 @@ class SNFResult:
         return sum(1 for d in self.diag if d)
 
 
+def _axpy(dst: list[int], src: list[int], q: int) -> None:
+    """dst += q * src, visiting only the nonzero entries of src."""
+    for j in compress(range(len(src)), src):
+        dst[j] += q * src[j]
+
+
 def smith_normal_form(A: IntMatrix) -> SNFResult:
     """Smith normal form by unimodular row/column reduction.
 
@@ -136,69 +156,62 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     """
     D = A.copy()
     rows, cols = D.rows, D.cols
-    U = IntMatrix.identity(rows)
-    Ui = IntMatrix.identity(rows)
-    V = IntMatrix.identity(cols)
-    Vi = IntMatrix.identity(cols)
     d = D.data
+    # ui_t and v_t hold U^-1 and V transposed.
+    u = IntMatrix.identity(rows).data
+    ui_t = IntMatrix.identity(rows).data
+    v_t = IntMatrix.identity(cols).data
+    vi = IntMatrix.identity(cols).data
 
     def swap_rows(i: int, j: int) -> None:
         if i == j:
             return
         d[i], d[j] = d[j], d[i]
-        U.data[i], U.data[j] = U.data[j], U.data[i]
-        for row in Ui.data:
-            row[i], row[j] = row[j], row[i]
+        u[i], u[j] = u[j], u[i]
+        ui_t[i], ui_t[j] = ui_t[j], ui_t[i]
 
     def swap_cols(i: int, j: int) -> None:
         if i == j:
             return
         for row in d:
             row[i], row[j] = row[j], row[i]
-        for row in V.data:
-            row[i], row[j] = row[j], row[i]
-        Vi.data[i], Vi.data[j] = Vi.data[j], Vi.data[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
+        vi[i], vi[j] = vi[j], vi[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
         # row_dst += q * row_src
         if not q:
             return
-        drow, srow = d[dst], d[src]
-        for j in range(cols):
-            drow[j] += q * srow[j]
-        drow, srow = U.data[dst], U.data[src]
-        for j in range(rows):
-            drow[j] += q * srow[j]
-        for row in Ui.data:
-            row[src] -= q * row[dst]
+        _axpy(d[dst], d[src], q)
+        _axpy(u[dst], u[src], q)
+        _axpy(ui_t[src], ui_t[dst], -q)
 
     def add_col(dst: int, src: int, q: int) -> None:
         if not q:
             return
         for row in d:
-            row[dst] += q * row[src]
-        for row in V.data:
-            row[dst] += q * row[src]
-        srow, drow = Vi.data[src], Vi.data[dst]
-        for j in range(cols):
-            srow[j] -= q * drow[j]
+            if row[src]:
+                row[dst] += q * row[src]
+        _axpy(v_t[dst], v_t[src], q)
+        _axpy(vi[src], vi[dst], -q)
 
     def negate_row(i: int) -> None:
         d[i] = [-v for v in d[i]]
-        U.data[i] = [-v for v in U.data[i]]
-        for row in Ui.data:
-            row[i] = -row[i]
+        u[i] = [-v for v in u[i]]
+        ui_t[i] = [-v for v in ui_t[i]]
 
     def find_pivot(t: int) -> Optional[tuple[int, int]]:
         best = None
-        best_abs = None
+        best_abs = 0
         for i in range(t, rows):
             row = d[i]
-            for j in range(t, cols):
-                v = row[j]
-                if v and (best_abs is None or abs(v) < best_abs):
+            for j in compress(range(t, cols), row[t:]):
+                a = abs(row[j])
+                if a == 1:
+                    return i, j
+                if best is None or a < best_abs:
                     best = (i, j)
-                    best_abs = abs(v)
+                    best_abs = a
         return best
 
     t = 0
@@ -221,7 +234,8 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
                         if d[i][t]:
                             swap_rows(t, i)
                             changed = True
-            # Clear row t; may dirty the column again.
+            # Column t is now clear below the pivot.  Clear row t; only a
+            # column swap can dirty the column again.
             dirty = False
             changed = True
             while changed:
@@ -234,27 +248,28 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
                             swap_cols(t, j)
                             changed = True
                             dirty = True
-            if not dirty and all(not d[i][t] for i in range(t + 1, rows)):
+            if not dirty:
                 break
         if d[t][t] < 0:
             negate_row(t)
-        # Divisibility fix-up: the pivot must divide the rest of the block.
-        offender = None
+        # Divisibility fix-up: the pivot must divide the rest of the block
+        # (a unit pivot always does).
         p = d[t][t]
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % p:
-                    offender = i
-                    break
+        if p != 1:
+            offender = next((i for i in range(t + 1, rows)
+                             if any(v % p for v in d[i][t + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
+                add_row(t, offender, 1)
+                continue
         t += 1
 
     diag = tuple(d[i][i] for i in range(limit))
-    return SNFResult(U, D, V, diag, Ui, Vi)
+    return SNFResult(IntMatrix(rows, rows, u), D, _transpose(cols, v_t), diag,
+                     _transpose(rows, ui_t), IntMatrix(cols, cols, vi))
+
+
+def _transpose(n: int, data: list[list[int]]) -> IntMatrix:
+    return IntMatrix(n, n, [list(col) for col in zip(*data)])
 
 
 def solve_with_snf(res: SNFResult, b: Sequence[int]) -> Optional[list[int]]:

@@ -89,6 +89,36 @@ def corpus():
     return small_corpus()
 
 
+def torus_grid(k: int, seed=None, weights=(1, 1, 1),
+               name: str = "") -> WeightedComplex:
+    """The k x k flat-torus grid, each square cut on its main diagonal.
+
+    Horizontal, vertical and diagonal edges weigh ``weights``.  With a
+    ``seed`` the vertices are relabelled by a permutation drawn from it,
+    which reorders the simplices and so the boundary matrices.
+    """
+    perm = list(range(k * k))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+
+    def v(i, j):
+        return perm[(i % k) * k + (j % k)]
+
+    weight, faces = {}, []
+    for i in range(k):
+        for j in range(k):
+            for (di, dj), w in zip(((0, 1), (1, 0), (1, 1)), weights):
+                weight[tuple(sorted((v(i, j), v(i + di, j + dj))))] = \
+                    Fraction(w)
+            faces.append(tuple(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1)))))
+            faces.append(tuple(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1)))))
+    edges = sorted(weight)
+    return WeightedComplex(name or f"T{k}",
+                           [[(u,) for u in range(k * k)], edges, sorted(faces)],
+                           [[Fraction(1)] * k * k, [weight[e] for e in edges],
+                            [Fraction(1)] * len(faces)])
+
+
 def random_complex(rng: random.Random, max_vertices: int = 8):
     """Random face-closed weighted complex with b_1 >= 1 (for class tests)."""
     while True:

@@ -5,17 +5,20 @@ parametrization, no pruning beyond the mass budget) and decide class
 membership through sympy's Hermite normal form, so they share no nontrivial
 code path with the engines they check.  ``reference_solve_standard_lp`` is
 the dense Fraction-tableau simplex the integer-tableau LP must agree with
-pivot for pivot.
+pivot for pivot, and ``reference_smith_normal_form`` the dense Smith normal
+form whose transforms the sparse one must reproduce exactly.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
 from homnorm.complexes import Chain, mass
 from homnorm.homology import homology_decomposition
+from homnorm.intlinalg import IntMatrix, SNFResult
 from homnorm.lp import LPInfeasibleError, LPResult
 from homnorm.rings import INT, canonical_lift
 
@@ -288,3 +291,135 @@ def reference_solve_standard_lp(A, b, c) -> LPResult:
         y = -cost[n + i]
         duals.append(-y if flipped[i] else y)
     return LPResult(-cost[width - 1], x, duals, pivots)
+
+
+def reference_smith_normal_form(A: IntMatrix) -> SNFResult:
+    """The dense Smith normal form by unimodular row/column reduction.
+
+    Reference for ``homnorm.intlinalg.smith_normal_form``, which must return
+    the same U, D, V, inverses and diagonal entry for entry.
+
+    Pivot selection: smallest nonzero |entry| in the active submatrix,
+    ties by lowest row then lowest column index.
+    """
+    D = A.copy()
+    rows, cols = D.rows, D.cols
+    U = IntMatrix.identity(rows)
+    Ui = IntMatrix.identity(rows)
+    V = IntMatrix.identity(cols)
+    Vi = IntMatrix.identity(cols)
+    d = D.data
+
+    def swap_rows(i: int, j: int) -> None:
+        if i == j:
+            return
+        d[i], d[j] = d[j], d[i]
+        U.data[i], U.data[j] = U.data[j], U.data[i]
+        for row in Ui.data:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        if i == j:
+            return
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in V.data:
+            row[i], row[j] = row[j], row[i]
+        Vi.data[i], Vi.data[j] = Vi.data[j], Vi.data[i]
+
+    def add_row(dst: int, src: int, q: int) -> None:
+        # row_dst += q * row_src
+        if not q:
+            return
+        drow, srow = d[dst], d[src]
+        for j in range(cols):
+            drow[j] += q * srow[j]
+        drow, srow = U.data[dst], U.data[src]
+        for j in range(rows):
+            drow[j] += q * srow[j]
+        for row in Ui.data:
+            row[src] -= q * row[dst]
+
+    def add_col(dst: int, src: int, q: int) -> None:
+        if not q:
+            return
+        for row in d:
+            row[dst] += q * row[src]
+        for row in V.data:
+            row[dst] += q * row[src]
+        srow, drow = Vi.data[src], Vi.data[dst]
+        for j in range(cols):
+            srow[j] -= q * drow[j]
+
+    def negate_row(i: int) -> None:
+        d[i] = [-v for v in d[i]]
+        U.data[i] = [-v for v in U.data[i]]
+        for row in Ui.data:
+            row[i] = -row[i]
+
+    def find_pivot(t: int) -> Optional[tuple[int, int]]:
+        best = None
+        best_abs = None
+        for i in range(t, rows):
+            row = d[i]
+            for j in range(t, cols):
+                v = row[j]
+                if v and (best_abs is None or abs(v) < best_abs):
+                    best = (i, j)
+                    best_abs = abs(v)
+        return best
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        while True:
+            # Clear column t below the pivot (gcd descent via floor division).
+            changed = True
+            while changed:
+                changed = False
+                for i in range(t + 1, rows):
+                    if d[i][t]:
+                        q = d[i][t] // d[t][t]
+                        add_row(i, t, -q)
+                        if d[i][t]:
+                            swap_rows(t, i)
+                            changed = True
+            # Clear row t; may dirty the column again.
+            dirty = False
+            changed = True
+            while changed:
+                changed = False
+                for j in range(t + 1, cols):
+                    if d[t][j]:
+                        q = d[t][j] // d[t][t]
+                        add_col(j, t, -q)
+                        if d[t][j]:
+                            swap_cols(t, j)
+                            changed = True
+                            dirty = True
+            if not dirty and all(not d[i][t] for i in range(t + 1, rows)):
+                break
+        if d[t][t] < 0:
+            negate_row(t)
+        # Divisibility fix-up: the pivot must divide the rest of the block.
+        offender = None
+        p = d[t][t]
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if d[i][j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        t += 1
+
+    diag = tuple(d[i][i] for i in range(limit))
+    return SNFResult(U, D, V, diag, Ui, Vi)

@@ -1,6 +1,7 @@
 """CLI behavior: dispatch, payloads, exit codes, determinism, CSV output."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -183,11 +184,18 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
     code, _, err = run_cli(capsys, ["homology", str(broken), "--dim", "1"])
     assert code == 1 and "error:" in err
 
-    # nesting past the JSON decoder's recursion limit, and a numeric weight
+    # nesting past the JSON decoder's recursion limit, a numeric weight, a
+    # string in place of a vertex list and a non-integral or boolean dimension
     for text in ("[" * 5000,
                  json.dumps({"name": "w", "dimension": 1,
                              "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
-                             "weights": {"1": [5]}})):
+                             "weights": {"1": [5]}}),
+                 json.dumps({"name": "s", "dimension": 1,
+                             "simplices": {"0": "012", "1": [[0, 1]]}}),
+                 json.dumps({"name": "d", "dimension": 1.9,
+                             "simplices": {"0": [[0], [1]], "1": [[0, 1]]}}),
+                 json.dumps({"name": "d", "dimension": True,
+                             "simplices": {"0": [[0], [1]], "1": [[0, 1]]}})):
         broken.write_text(text, encoding="utf-8")
         code, _, err = run_cli(capsys, ["homology", str(broken), "--dim", "1"])
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1
@@ -217,3 +225,21 @@ def test_console_entry_point(paths):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["torsion_factors"] == [[2, 1]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "klein", "--dim", "1"],
+    ["homology", "torus", "--dim", "2"],
+    ["norm", "rp2", "--dim", "2", "--class", "c:1", "--ring", "Z/2"],
+    ["norm", "torus", "--dim", "1", "--class", "f:1,1", "--ring", "Z/2"],
+], ids=lambda argv: " ".join(argv))
+def test_output_does_not_depend_on_hash_seed(paths, argv):
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "homnorm.cli", argv[0], paths[argv[1]]]
+            + argv[2:],
+            capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -69,6 +69,20 @@ def test_load_rejects_garbage():
     with pytest.raises(ComplexFormatError):
         load_complex(json.dumps({"name": "x", "dimension": 1,
                                  "simplices": {"0": [[0]]}}))
+    # a string in place of a vertex list, and a dimension that is not an
+    # integer: rejected rather than read as vertices or truncated
+    with pytest.raises(ComplexFormatError, match="vertex list"):
+        load_complex(json.dumps({"name": "s", "dimension": 1,
+                                 "simplices": {"0": "012", "1": [[0, 1]]}}))
+    with pytest.raises(ComplexFormatError, match="vertex list"):
+        load_complex(json.dumps({"name": "s", "dimension": 1,
+                                 "simplices": {"0": ["0", "1"],
+                                               "1": [[0, 1]]}}))
+    for dim in (1.9, True, "1"):
+        with pytest.raises(ComplexFormatError, match="dimension"):
+            load_complex(json.dumps({"name": "d", "dimension": dim,
+                                     "simplices": {"0": [[0], [1]],
+                                                   "1": [[0, 1]]}}))
 
 
 @pytest.mark.parametrize("weights", [{"1": [5]}, {"1": [0.5]}, {"1": [None]},

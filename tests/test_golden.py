@@ -1,9 +1,15 @@
-"""Byte-identical CLI output of the real-norm engine on every fixture.
+"""Byte-identical CLI output on every fixture.
 
 ``golden_real.json`` maps each case id to the exact stdout of ``certify`` or
 ``norm --ring Q`` on that case.  It pins the reported LP vertex and the dual
 certificate, not only the value, so any change to the simplex (pivot rule,
 arithmetic, row or column order) that moves either one shows up here.
+
+``golden_integral.json`` does the same for the integral and mod-n side:
+``homology`` in every degree, ``norm`` over Z, Z/2 and Z/3 (cotorsion
+classes included), and ``scan`` and ``bijection``.  Every reported basis
+cycle, cotorsion generator and minimizer is read off Smith normal form
+transforms, so any change to the SNF that moves a transform shows up here.
 """
 
 import json
@@ -17,28 +23,17 @@ from homnorm.complexes import WeightedComplex, dump_complex
 from homnorm.fixtures import (klein8, mobius_band, rp2_6, torus7,
                               triangle_circle)
 
+from conftest import torus_grid
+
 GOLDEN = Path(__file__).with_name("golden_real.json")
+GOLDEN_INTEGRAL = Path(__file__).with_name("golden_integral.json")
 
 
 def grid4a() -> WeightedComplex:
     """4 x 4 flat-torus grid cut on the main diagonal, with horizontal,
     vertical and diagonal edges weighing 1, 2 and 3/2: a larger, degenerate
     LP than the fixtures give."""
-    k = 4
-    weight = {}
-    faces = []
-    for i in range(k):
-        for j in range(k):
-            a, b, c, d = (i * k + j, i * k + (j + 1) % k,
-                          ((i + 1) % k) * k + j, ((i + 1) % k) * k + (j + 1) % k)
-            for (u, v), w in (((a, b), 1), ((a, c), 2), ((a, d), Fraction(3, 2))):
-                weight[tuple(sorted((u, v)))] = Fraction(w)
-            faces += [tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))]
-    edges = sorted(weight)
-    return WeightedComplex("grid4a", [[(u,) for u in range(k * k)], edges,
-                                      sorted(faces)],
-                           [[Fraction(1)] * k * k, [weight[e] for e in edges],
-                            [Fraction(1)] * len(faces)])
+    return torus_grid(4, weights=(1, 2, Fraction(3, 2)), name="grid4a")
 
 
 FIXTURES = {"tc": triangle_circle, "torus": torus7, "rp2": rp2_6,
@@ -67,6 +62,46 @@ CLASSES = [
 ]
 
 
+# Integral and mod-n commands, as argv after the command's fixture name.
+INTEGRAL = (
+    [f"homology {name} --dim {d}"
+     for name, top in (("tc", 1), ("torus", 2), ("rp2", 2), ("klein", 2),
+                       ("mobius", 2), ("grid4a", 2))
+     for d in range(top + 1)]
+    + [f"norm {name} --dim {d} {payload} --ring {ring}"
+       for name, d, payload, rings in [
+           ("tc", 1, "--class f:1", ("Z", "Z/2", "Z/3")),
+           ("tc", 1, "--chain 0=1,2=1,1=-1", ("Z/3",)),
+           ("torus", 1, "--class f:1,0", ("Z", "Z/2", "Z/3")),
+           ("torus", 1, "--class f:1,1", ("Z", "Z/2", "Z/3")),
+           ("torus", 2, "--class f:1", ("Z", "Z/2")),
+           ("rp2", 1, "--class t:1", ("Z", "Z/2", "Z/3")),
+           ("rp2", 2, "--class c:1", ("Z/2",)),
+           ("klein", 1, "--class f:1;t:0", ("Z", "Z/2", "Z/3")),
+           ("klein", 1, "--class f:0;t:1", ("Z", "Z/2")),
+           ("klein", 2, "--class c:1", ("Z/2",)),
+           ("mobius", 1, "--class f:1", ("Z", "Z/2", "Z/3")),
+           ("mobius", 1, "--class f:2", ("Z", "Z/2")),
+           ("grid4a", 1, "--class f:1,0", ("Z", "Z/2")),
+       ]
+       for ring in rings]
+    + [f"scan {name} --dim {d} --class {klass} --n {n}{fmt}"
+       for name, d, klass, n in [
+           ("tc", 1, "f:1", "2..5"),
+           ("mobius", 1, "f:1", "2..8"),
+           ("torus", 1, "f:1,0", "2..6"),
+           ("torus", 2, "f:1", "2..5"),
+           ("rp2", 1, "t:1", "2..6"),
+           ("klein", 1, "f:1;t:0", "2..6"),
+           ("grid4a", 2, "f:1", "2..4"),
+       ]
+       for fmt in ("", " --format report")]
+    + [f"bijection {name} --dim 1 --class {klass} --n {n}"
+       for name, klass, n in [("rp2", "t:1", 2), ("klein", "f:1;t:0", 2),
+                              ("torus", "f:1,0", 3), ("mobius", "f:1", 2)]]
+)
+
+
 def cases():
     for name, dim, flag, payload in CLASSES:
         for command in ("certify", "norm"):
@@ -91,11 +126,23 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def test_golden_covers_every_case(golden):
+@pytest.fixture(scope="module")
+def golden_integral():
+    return json.loads(GOLDEN_INTEGRAL.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case(golden, golden_integral):
     assert sorted(golden) == sorted(case for case, _ in cases())
+    assert sorted(golden_integral) == sorted(INTEGRAL)
 
 
 @pytest.mark.parametrize("case,argv", list(cases()),
                          ids=[case for case, _ in cases()])
 def test_real_output_is_byte_identical(case, argv, golden, tmp_path, capsys):
     assert run_case(argv, tmp_path, capsys) == golden[case]
+
+
+@pytest.mark.parametrize("case", INTEGRAL)
+def test_integral_output_is_byte_identical(case, golden_integral, tmp_path,
+                                           capsys):
+    assert run_case(case.split(), tmp_path, capsys) == golden_integral[case]

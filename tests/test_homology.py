@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 
 from homnorm.complexes import Chain, NotACycleError, WeightedComplex, reduce_chain
-from homnorm.fixtures import MOBIUS_CORE_EDGES
+from homnorm.fixtures import MOBIUS_CORE_EDGES, torus7
+from homnorm.hasse import scan_moduli
 from homnorm.homology import (InfeasibleClassError, class_of_cycle,
                               homology_decomposition, in_reduction_image,
                               kernel_witness, reduce_class)
@@ -175,6 +176,23 @@ def test_in_reduction_image_matches_cotorsion_flag(rp2, klein):
                         c = dec.class_coords(ring, free, torsion, cot)
                         assert in_reduction_image(K, d, c) == \
                             all(v == 0 for v in c.cotorsion_part)
+
+
+def test_image_solver_is_built_only_by_in_reduction_image():
+    K = torus7()  # a fresh complex, so no other test has filled its caches
+    dec = homology_decomposition(K, 1)
+    scan_moduli(K, 1, dec.class_coords(INT, (1, 0)), 2, 8)
+    assert sorted(dec._mod_cache) == list(range(2, 9))
+    assert all("_image_solver" not in md.__dict__
+               for md in dec._mod_cache.values())
+    md = dec.mod(3)
+    ring = mod_ring(3)
+    assert in_reduction_image(K, 1, dec.class_coords(ring, (1, 2)))
+    solver = md.__dict__["_image_solver"]
+    assert in_reduction_image(K, 1, dec.zero_class(ring))
+    assert md.__dict__["_image_solver"] is solver
+    assert all("_image_solver" not in other.__dict__
+               for n, other in dec._mod_cache.items() if n != 3)
 
 
 def test_mod_decomposition_group_order_matches_uct(tc, torus, rp2, klein, mobius):

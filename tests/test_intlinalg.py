@@ -1,4 +1,5 @@
-"""Smith normal form and exact solving, cross-checked against sympy oracles."""
+"""Smith normal form and exact solving, cross-checked against sympy oracles
+and against the dense reference Smith normal form."""
 
 import itertools
 import random
@@ -11,6 +12,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from homnorm.intlinalg import (IntMatrix, ShapeMismatchError, kernel_basis,
                                smith_normal_form, solve_linear)
 from homnorm.rings import INT, RAT, mod_ring
+
+from conftest import torus_grid
+from oracles import reference_smith_normal_form
 
 
 def _check_snf(A):
@@ -74,6 +78,78 @@ def test_snf_matches_sympy_and_is_unimodular_invariant():
         P = _random_unimodular(rng, rows)
         Q = _random_unimodular(rng, cols)
         assert smith_normal_form(P.matmul(A).matmul(Q)).diag == res.diag
+
+
+def _assert_same_snf(A):
+    got = smith_normal_form(A)
+    ref = reference_smith_normal_form(A)
+    assert got.U == ref.U
+    assert got.D == ref.D
+    assert got.V == ref.V
+    assert got.u_inv == ref.u_inv
+    assert got.v_inv == ref.v_inv
+    assert got.diag == ref.diag
+
+
+# Pivots that are not units, pivots that fail to divide the rest of their
+# block (the divisibility fix-up) and empty shapes, on fixed inputs.
+FIXED_CASES = [IntMatrix.from_rows(rows) for rows in [
+    [[2, 0], [0, 3]],
+    [[4, 0, 0], [0, 6, 0], [0, 0, 9]],
+    [[2, 4], [6, 8]],
+    [[6, 10, 15], [10, 15, 6]],
+    [[0, 0], [0, 0], [0, 5]],
+]] + [IntMatrix.zeros(0, 4), IntMatrix.zeros(4, 0), IntMatrix.zeros(0, 0)]
+
+
+@pytest.mark.parametrize("A", FIXED_CASES, ids=repr)
+def test_snf_matches_reference_on_fixed_cases(A):
+    _assert_same_snf(A)
+
+
+def test_snf_matches_reference_on_random_matrices():
+    rng = random.Random("snf-reference")
+    for _ in range(1500):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.random()
+        bound = rng.choice([1, 2, 6, 40])
+        scale = rng.choice([1, 1, 2, 3])  # no unit pivots when scale > 1
+        _assert_same_snf(IntMatrix(rows, cols, [
+            [scale * rng.randint(-bound, bound) if rng.random() < density
+             else 0 for _ in range(cols)] for _ in range(rows)]))
+        # A scrambled diagonal with coprime entries needs the fix-up.
+        n = rng.randint(2, 5)
+        diag = IntMatrix.zeros(n, n)
+        for i in range(n):
+            diag.data[i][i] = rng.choice([2, 3, 4, 5, 6, 9])
+        _assert_same_snf(_random_unimodular(rng, n).matmul(diag).matmul(
+            _random_unimodular(rng, n)))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_snf_matches_reference_on_grid_boundaries(k):
+    for seed in range(2):
+        K = torus_grid(k, f"snf-{k}-{seed}")
+        for degree in (1, 2):
+            _assert_same_snf(K.boundary_matrix(degree))
+
+
+def test_mul_vec_matches_dense_product():
+    rng = random.Random("mul-vec")
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        M = IntMatrix(rows, cols, [[rng.choice([0, 0, 1, -1, 3])
+                                    for _ in range(cols)]
+                                   for _ in range(rows)])
+        ints = [rng.choice([0, 0, 2, -1]) for _ in range(cols)]
+        fracs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 for _ in range(cols)]
+        for v in (ints, fracs, [0] * cols, [Fraction(0)] * cols):
+            dense = [sum((a * x for a, x in zip(row, v)), 0)
+                     for row in M.data]
+            assert M.mul_vec(v) == dense
+    with pytest.raises(ShapeMismatchError):
+        IntMatrix.identity(2).mul_vec([1])
 
 
 def test_solve_examples():
