@@ -238,13 +238,14 @@ class Chain:
 
     def boundary_vector(self) -> list[RingElem]:
         """Boundary coefficients over the ambient ring (degree-1 vector)."""
-        A = self.complex.boundary_matrix_or_empty(self.degree)
-        out: list[RingElem] = [0] * A.rows
-        for idx, v in self.coeffs:
-            for i in range(A.rows):
-                a = A.data[i][idx]
-                if a:
-                    out[i] += a * v
+        K, d = self.complex, self.degree
+        out: list[RingElem] = [0] * K.n_simplices(d - 1)
+        if d > 0:
+            faces = K._index[d - 1]
+            for idx, v in self.coeffs:
+                s = K.simplices[d][idx]
+                for i in range(d + 1):
+                    out[faces[s[:i] + s[i + 1:]]] += -v if i % 2 else v
         if self.ring.is_mod:
             return [x % self.ring.modulus for x in out]
         return out
@@ -312,13 +313,15 @@ class Cochain:
 
     def is_closed(self) -> bool:
         """True iff the cochain vanishes on every (d+1)-simplex boundary."""
-        B = self.complex.boundary_matrix_or_empty(self.degree + 1)
-        for j in range(B.cols):
+        K, d = self.complex, self.degree
+        if d >= K.dim:
+            return True
+        faces = K._index[d]
+        for s in K.simplices[d + 1]:
             total = Fraction(0)
-            for i in range(B.rows):
-                a = B.data[i][j]
-                if a:
-                    total += a * self.values[i]
+            for i in range(d + 2):
+                a = self.values[faces[s[:i] + s[i + 1:]]]
+                total += -a if i % 2 else a
             if total:
                 return False
         return True

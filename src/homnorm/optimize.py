@@ -10,6 +10,10 @@
   i.e. over the full-rank lattice spanned by boundaries and n times the
   standard basis, restricted to canonical residue ranges.
 
+Both run one coset search.  Every box contains 0, so the candidates at a
+pivot row are merged outward from 0, cheapest first, with no per-node sort;
+each move touches only the nonzeros of its pivot column.
+
 Values are exact rationals; minimizer sets are enumerated completely up to
 the configured cap and reported in a fixed deterministic order.
 """
@@ -19,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .complexes import Chain, Cochain, WeightedComplex, lift_chain, mass
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        class_of_cycle, homology_decomposition)
 from .lp import solve_standard_lp
-from .rings import INT, RAT, RingSpec, canonical_lift
+from .rings import RAT, RingSpec, canonical_lift
 
 DEFAULT_MINIMIZER_CAP = 10_000
 
@@ -144,18 +148,27 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     cap_mass: int, cap_count: int):
     """Enumerate all lattice-coset points of minimal weighted l1 mass.
 
-    The coset is z0 + span(pivot columns); candidates at each pivot row are
-    scanned in order of increasing contribution so incumbents improve fast
-    and the per-candidate break below stays sound.
+    The coset is z0 + span(pivot columns), searched depth first over the
+    pivots.  Every box must contain 0 (lo[r] <= 0 <= hi[r]); the candidates
+    at a pivot row, its congruence class inside [lo, hi], are then merged
+    outward from 0 by two cursors, cheapest first with t before -t, so
+    incumbents improve fast and the first candidate over budget ends the
+    row.  A move and its undo touch only the (row, coeff) nonzeros of the
+    pivot column, and the rows between two pivots are checked against
+    precomputed (row, lo, hi, weight) tuples.
     """
+    if any(l > 0 or h < 0 for l, h in zip(lo, hi)):
+        raise ValueError("every search box must contain 0")
+    depth = len(pivots)
     pos_in_order = {r: i for i, r in enumerate(row_order)}
-    pivot_positions = [pos_in_order[r] for r, _ in pivots]
-    segments: list[list[int]] = []
-    prefix = [row_order[i] for i in range(
-        pivot_positions[0] if pivots else len(row_order))]
-    for k in range(len(pivots)):
-        end = pivot_positions[k + 1] if k + 1 < len(pivots) else len(row_order)
-        segments.append([row_order[i] for i in range(pivot_positions[k] + 1, end)])
+    # Positions of the pivot rows in the order, then the end of the order.
+    bounds = [pos_in_order[r] for r, _ in pivots] + [len(row_order)]
+    prefix = row_order[:bounds[0]]
+    levels = [(r, col[r], wnum[r], lo[r], hi[r],
+               [(i, cv) for i, cv in enumerate(col) if cv],
+               [(rr, lo[rr], hi[rr], wnum[rr])
+                for rr in row_order[bounds[k] + 1:bounds[k + 1]]])
+              for k, (r, col) in enumerate(pivots)]
 
     cur = list(z0)
     best = cap_mass
@@ -186,47 +199,43 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
 
     def dfs(k: int, acc: int) -> None:
         nonlocal nodes
-        if k == len(pivots):
+        if k == depth:
             record(acc)
             return
-        r, col = pivots[k]
-        g = col[r]
+        r, g, w, lo_r, hi_r, move, segment = levels[k]
         base = cur[r]
-        w = wnum[r]
-        # Candidate values at the pivot row: the congruence class of the
-        # base value inside [lo, hi], scanned cheapest first.
-        residue = base % g
-        first = lo[r] + ((residue - lo[r]) % g)
-        vals = list(range(first, hi[r] + 1, g))
-        vals.sort(key=lambda t: (abs(t), t < 0))
-        for v in vals:
-            contrib = w * abs(v)
-            if acc + contrib > best:
+        p = base % g  # smallest nonnegative candidate
+        q = p - g     # largest negative candidate
+        while True:
+            if p <= hi_r and (q < lo_r or p <= -q):
+                v = p
+                p += g
+                total = acc + w * v
+            elif q >= lo_r:
+                v = q
+                q -= g
+                total = acc - w * v
+            else:
+                break
+            if total > best:
                 break  # later candidates only cost more at this row
             nodes += 1
             t = (v - base) // g
             if t:
-                for i, cv in enumerate(col):
-                    if cv:
-                        cur[i] += t * cv
-            total = acc + contrib
-            feasible = True
-            for rr in segments[k]:
+                for i, cv in move:
+                    cur[i] += t * cv
+            for rr, l, h, wr in segment:
                 x = cur[rr]
-                if x < lo[rr] or x > hi[rr]:
-                    feasible = False
+                if x < l or x > h:
                     break
-                total += wnum[rr] * abs(x)
+                total += wr * abs(x)
                 if total > best:
-                    feasible = False
                     break
-            if feasible:
+            else:
                 dfs(k + 1, total)
             if t:
-                for i, cv in enumerate(col):
-                    if cv:
-                        cur[i] -= t * cv
-        return
+                for i, cv in move:
+                    cur[i] -= t * cv
 
     dfs(0, base_mass)
     return best, sols, exact, nodes
@@ -238,29 +247,46 @@ def _sorted_chains(K: WeightedComplex, d: int, ring: RingSpec,
     return tuple(sorted(chains, key=lambda ch: ch.coeffs))
 
 
-def min_int(K: WeightedComplex, d: int, c: ClassCoords,
-            cap: int = DEFAULT_MINIMIZER_CAP) -> OptReport:
-    """Exact minimum mass over the integral cycles in class ``c``.
+def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
+                    lift: Callable[[Fraction], int], cap: int) -> OptReport:
+    """Exact minimum mass over x = z0 + boundaries, plus n*u over Z/n, where
+    z0 is the class representative with each coefficient lifted by ``lift``.
 
-    Complete branch-and-bound over x = z0 + (boundary-lattice moves); any
-    optimal chain obeys |x_s| * w_s <= mass(z0), which bounds the search box.
+    Any optimal chain obeys |x_s| * w_s <= mass(z0), which bounds the search
+    box; over Z/n the box is also cut to the residue range (-n/2, n/2].
     """
-    dec = _validate_coords(K, d, c, "Z")
+    dec = _validate_coords(K, d, c, kind)
     if c.is_zero():
         return _zero_report(K, d, c, False)
-    z0 = [int(v) for v in dec.representative_vector(c)]
+    z0 = [lift(v) for v in dec.representative_vector(c)]
     n_rows = K.n_simplices(d)
     scale, wnum = _weight_scale(K, d)
     m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
     B = K.boundary_matrix_or_empty(d + 1)
-    row_order = sorted(range(n_rows), key=lambda r: (-wnum[r], r))
-    pivots = _echelon_columns([B.column(j) for j in range(B.cols)], row_order)
+    columns = [B.column(j) for j in range(B.cols)]
     lo = [-(m0 // w) for w in wnum]
     hi = [m0 // w for w in wnum]
+    n = c.ring.modulus
+    if n is not None:
+        columns += [[n if i == k else 0 for i in range(n_rows)]
+                    for k in range(n_rows)]
+        lo = [max(v, -((n - 1) // 2)) for v in lo]
+        hi = [min(v, n // 2) for v in hi]
+    row_order = sorted(range(n_rows), key=lambda r: (-wnum[r], r))
+    pivots = _echelon_columns(columns, row_order)
     best, sols, exact, nodes = _search_lattice(
         wnum, z0, pivots, row_order, lo, hi, m0, cap)
     return OptReport(c.ring, c, Fraction(best, scale),
-                     _sorted_chains(K, d, INT, sols), exact, None, nodes)
+                     _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
+
+
+def min_int(K: WeightedComplex, d: int, c: ClassCoords,
+            cap: int = DEFAULT_MINIMIZER_CAP) -> OptReport:
+    """Exact minimum mass over the integral cycles in class ``c``.
+
+    Complete branch-and-bound over x = z0 + (boundary-lattice moves).
+    """
+    return _coset_minimize(K, d, c, "Z", int, cap)
 
 
 def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
@@ -270,34 +296,12 @@ def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
     Searches integer lifts x = z0 + boundary + n*u over canonical residue
     ranges (-n/2, n/2]; every feasible residue chain appears exactly once.
     """
-    if not c.ring.is_mod:
+    n = c.ring.modulus
+    if n is None:
         raise InfeasibleClassError(
             f"expected Z/n class coordinates, got {c.ring.tag}")
-    dec = _validate_coords(K, d, c, "Z/n")
-    n = c.ring.modulus
-    assert n is not None
-    if c.is_zero():
-        return _zero_report(K, d, c, False)
-    z0 = [canonical_lift(int(v) % n, n)
-          for v in dec.representative_vector(c)]
-    n_rows = K.n_simplices(d)
-    scale, wnum = _weight_scale(K, d)
-    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
-    B = K.boundary_matrix_or_empty(d + 1)
-    columns = [B.column(j) for j in range(B.cols)]
-    for k in range(n_rows):
-        col = [0] * n_rows
-        col[k] = n
-        columns.append(col)
-    row_order = sorted(range(n_rows), key=lambda r: (-wnum[r], r))
-    pivots = _echelon_columns(columns, row_order)
-    lo_n, hi_n = -((n - 1) // 2), n // 2
-    lo = [max(-(m0 // w), lo_n) for w in wnum]
-    hi = [min(m0 // w, hi_n) for w in wnum]
-    best, sols, exact, nodes = _search_lattice(
-        wnum, z0, pivots, row_order, lo, hi, m0, cap)
-    return OptReport(c.ring, c, Fraction(best, scale),
-                     _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
+    return _coset_minimize(K, d, c, "Z/n",
+                           lambda v: canonical_lift(int(v) % n, n), cap)
 
 
 def min_real(K: WeightedComplex, d: int, c: ClassCoords,

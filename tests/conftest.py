@@ -89,6 +89,13 @@ def corpus():
     return small_corpus()
 
 
+def _relabelling(k: int, seed) -> list[int]:
+    perm = list(range(k * k))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    return perm
+
+
 def torus_grid(k: int, seed=None, weights=(1, 1, 1),
                name: str = "") -> WeightedComplex:
     """The k x k flat-torus grid, each square cut on its main diagonal.
@@ -97,9 +104,7 @@ def torus_grid(k: int, seed=None, weights=(1, 1, 1),
     ``seed`` the vertices are relabelled by a permutation drawn from it,
     which reorders the simplices and so the boundary matrices.
     """
-    perm = list(range(k * k))
-    if seed is not None:
-        random.Random(seed).shuffle(perm)
+    perm = _relabelling(k, seed)
 
     def v(i, j):
         return perm[(i % k) * k + (j % k)]
@@ -117,6 +122,17 @@ def torus_grid(k: int, seed=None, weights=(1, 1, 1),
                            [[(u,) for u in range(k * k)], edges, sorted(faces)],
                            [[Fraction(1)] * k * k, [weight[e] for e in edges],
                             [Fraction(1)] * len(faces)])
+
+
+def horizontal_loop(K: WeightedComplex, k: int, seed=None) -> str:
+    """``--chain`` payload of the grid row i = 0 of ``torus_grid(k, seed)``,
+    traversed in increasing j, each coefficient carrying the edge's sign."""
+    perm = _relabelling(k, seed)
+    items = []
+    for j in range(k):
+        a, b = perm[j], perm[(j + 1) % k]
+        items.append((K.index_of(1, tuple(sorted((a, b)))), 1 if a < b else -1))
+    return ",".join(f"{i}={c}" for i, c in sorted(items))
 
 
 def random_complex(rng: random.Random, max_vertices: int = 8):

@@ -5,13 +5,15 @@ parametrization, no pruning beyond the mass budget) and decide class
 membership through sympy's Hermite normal form, so they share no nontrivial
 code path with the engines they check.  ``reference_solve_standard_lp`` is
 the dense Fraction-tableau simplex the integer-tableau LP must agree with
-pivot for pivot, and ``reference_smith_normal_form`` the dense Smith normal
-form whose transforms the sparse one must reproduce exactly.
+pivot for pivot, ``reference_smith_normal_form`` the dense Smith normal
+form whose transforms the sparse one must reproduce exactly, and
+``reference_search_lattice`` the sorting, dense-column branch-and-bound whose
+nodes, minimizers and order the engines' search must reproduce.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
+from typing import Optional, Sequence
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
@@ -423,3 +425,103 @@ def reference_smith_normal_form(A: IntMatrix) -> SNFResult:
 
     diag = tuple(d[i][i] for i in range(limit))
     return SNFResult(U, D, V, diag, Ui, Vi)
+
+
+def reference_search_lattice(wnum: Sequence[int], z0: Sequence[int],
+                              pivots: list[tuple[int, list[int]]],
+                              row_order: Sequence[int],
+                              lo: Sequence[int], hi: Sequence[int],
+                              cap_mass: int, cap_count: int):
+    """Enumerate all lattice-coset points of minimal weighted l1 mass.
+
+    Reference for ``homnorm.optimize._search_lattice``, which must visit the
+    same nodes in the same order and return the same (best, sols, exact,
+    nodes).  Candidates at each pivot row are built as a list and sorted,
+    and every move walks the whole dense pivot column.
+
+    The coset is z0 + span(pivot columns); candidates at each pivot row are
+    scanned in order of increasing contribution so incumbents improve fast
+    and the per-candidate break below stays sound.
+    """
+    pos_in_order = {r: i for i, r in enumerate(row_order)}
+    pivot_positions = [pos_in_order[r] for r, _ in pivots]
+    segments: list[list[int]] = []
+    prefix = [row_order[i] for i in range(
+        pivot_positions[0] if pivots else len(row_order))]
+    for k in range(len(pivots)):
+        end = pivot_positions[k + 1] if k + 1 < len(pivots) else len(row_order)
+        segments.append([row_order[i] for i in range(pivot_positions[k] + 1, end)])
+
+    cur = list(z0)
+    best = cap_mass
+    sols: list[tuple[int, ...]] = []
+    exact = True
+    nodes = 0
+
+    base_mass = 0
+    for r in prefix:
+        v = cur[r]
+        if v < lo[r] or v > hi[r]:
+            return best, sols, exact, nodes
+        base_mass += wnum[r] * abs(v)
+    if base_mass > best:
+        return best, sols, exact, nodes
+
+    def record(total: int) -> None:
+        nonlocal best, sols, exact
+        if total < best:
+            best = total
+            sols = [tuple(cur)]
+            exact = True
+        elif total == best:
+            if len(sols) < cap_count:
+                sols.append(tuple(cur))
+            else:
+                exact = False
+
+    def dfs(k: int, acc: int) -> None:
+        nonlocal nodes
+        if k == len(pivots):
+            record(acc)
+            return
+        r, col = pivots[k]
+        g = col[r]
+        base = cur[r]
+        w = wnum[r]
+        # Candidate values at the pivot row: the congruence class of the
+        # base value inside [lo, hi], scanned cheapest first.
+        residue = base % g
+        first = lo[r] + ((residue - lo[r]) % g)
+        vals = list(range(first, hi[r] + 1, g))
+        vals.sort(key=lambda t: (abs(t), t < 0))
+        for v in vals:
+            contrib = w * abs(v)
+            if acc + contrib > best:
+                break  # later candidates only cost more at this row
+            nodes += 1
+            t = (v - base) // g
+            if t:
+                for i, cv in enumerate(col):
+                    if cv:
+                        cur[i] += t * cv
+            total = acc + contrib
+            feasible = True
+            for rr in segments[k]:
+                x = cur[rr]
+                if x < lo[rr] or x > hi[rr]:
+                    feasible = False
+                    break
+                total += wnum[rr] * abs(x)
+                if total > best:
+                    feasible = False
+                    break
+            if feasible:
+                dfs(k + 1, total)
+            if t:
+                for i, cv in enumerate(col):
+                    if cv:
+                        cur[i] -= t * cv
+        return
+
+    dfs(0, base_mass)
+    return best, sols, exact, nodes

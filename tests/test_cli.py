@@ -232,6 +232,10 @@ def test_console_entry_point(paths):
     ["homology", "torus", "--dim", "2"],
     ["norm", "rp2", "--dim", "2", "--class", "c:1", "--ring", "Z/2"],
     ["norm", "torus", "--dim", "1", "--class", "f:1,1", "--ring", "Z/2"],
+    ["norm", "klein", "--dim", "1", "--class", "f:1;t:0", "--ring", "Z/3"],
+    ["scan", "rp2", "--dim", "1", "--class", "t:1", "--n", "2..6"],
+    ["federer", "mobius", "--dim", "1", "--class", "f:1", "--k-max", "3"],
+    ["bijection", "torus", "--dim", "1", "--class", "f:1,0", "--n", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_output_does_not_depend_on_hash_seed(paths, argv):
     outputs = []

@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_complex, torus_grid
+
 from homnorm.complexes import (Chain, Cochain, ComplexFormatError,
                                WeightedComplex, complex_to_json, dump_complex,
                                lift_chain, load_complex, mass, reduce_chain)
+from homnorm.fixtures import (klein8, mobius_band, rp2_6, torus7,
+                              triangle_circle)
 from homnorm.rings import INT, RAT, mod_ring
 
 TRIANGLE_DOC = json.dumps({
@@ -204,6 +208,58 @@ def test_cochain_closed_and_pairing(mobius):
     z = Chain.make(mobius, 1, INT, {0: 1, 3: -2})
     assert phi.evaluate(z) == Fraction(1, 3) - 2 * Fraction(4, 3)
     assert Cochain.zero(mobius, 1).is_closed()
+
+
+def _dense_boundary(T: Chain) -> list:
+    A = T.complex.boundary_matrix_or_empty(T.degree)
+    v = T.vector()
+    out = [sum((A.data[i][j] * v[j] for j in range(A.cols)), 0)
+           for i in range(A.rows)]
+    return [x % T.ring.modulus for x in out] if T.ring.is_mod else out
+
+
+def _dense_is_closed(phi: Cochain) -> bool:
+    B = phi.complex.boundary_matrix_or_empty(phi.degree + 1)
+    return all(sum((B.data[i][j] * phi.values[i] for i in range(B.rows)),
+                   Fraction(0)) == 0 for j in range(B.cols))
+
+
+def test_face_walks_match_dense_boundary_matrices():
+    """``boundary_vector`` and ``is_closed`` visit only faces; both must
+    equal the dense boundary-matrix product in every degree, ends included."""
+    rng = random.Random("face-walks")
+    complexes = [triangle_circle(), torus7(), rp2_6(), klein8(), mobius_band(),
+                 torus_grid(4, seed=3)] + [random_complex(rng) for _ in range(3)]
+    closed_seen = {True: 0, False: 0}
+    for K in complexes:
+        for d in range(K.dim + 1):
+            n = K.n_simplices(d)
+            for ring in (INT, RAT, mod_ring(2), mod_ring(3), mod_ring(4)):
+                for _ in range(3):
+                    support = rng.sample(range(n), rng.randint(0, n))
+                    coeffs = {i: (Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                  if ring.is_rat else rng.randint(-5, 5))
+                              for i in support}
+                    T = Chain.make(K, d, ring, coeffs)
+                    dense = _dense_boundary(T)
+                    assert T.boundary_vector() == dense, (K.name, d, ring)
+                    assert T.is_cycle() == (not any(dense))
+            cochains = [Cochain.make(K, d, [Fraction(rng.randint(-3, 3),
+                                                     rng.randint(1, 3))
+                                            for _ in range(n)])
+                        for _ in range(3)]
+            if d > 0:
+                # coboundaries of random (d-1)-cochains are closed
+                A = K.boundary_matrix(d)
+                psi = [Fraction(rng.randint(-3, 3)) for _ in range(A.rows)]
+                cochains.append(Cochain.make(K, d, [
+                    sum((A.data[i][j] * psi[i] for i in range(A.rows)),
+                        Fraction(0)) for j in range(A.cols)]))
+            for phi in cochains:
+                closed = phi.is_closed()
+                assert closed == _dense_is_closed(phi), (K.name, d)
+                closed_seen[closed] += 1
+    assert closed_seen[True] and closed_seen[False]
 
 
 def test_scaled_weights_sibling(mobius):

@@ -6,8 +6,9 @@ certificate, not only the value, so any change to the simplex (pivot rule,
 arithmetic, row or column order) that moves either one shows up here.
 
 ``golden_integral.json`` does the same for the integral and mod-n side:
-``homology`` in every degree, ``norm`` over Z, Z/2 and Z/3 (cotorsion
-classes included), and ``scan`` and ``bijection``.  Every reported basis
+``homology`` in every degree, ``norm`` over Z, Z/2, Z/3 and Z/4 (cotorsion
+classes included, and the horizontal loop of a relabelled grid given as a
+chain), and ``scan`` and ``bijection``.  Every reported basis
 cycle, cotorsion generator and minimizer is read off Smith normal form
 transforms, so any change to the SNF that moves a transform shows up here.
 """
@@ -23,7 +24,7 @@ from homnorm.complexes import WeightedComplex, dump_complex
 from homnorm.fixtures import (klein8, mobius_band, rp2_6, torus7,
                               triangle_circle)
 
-from conftest import torus_grid
+from conftest import horizontal_loop, torus_grid
 
 GOLDEN = Path(__file__).with_name("golden_real.json")
 GOLDEN_INTEGRAL = Path(__file__).with_name("golden_integral.json")
@@ -36,8 +37,16 @@ def grid4a() -> WeightedComplex:
     return torus_grid(4, weights=(1, 2, Fraction(3, 2)), name="grid4a")
 
 
+def grid3r() -> WeightedComplex:
+    """3 x 3 unit flat-torus grid with its vertices relabelled by seed 7."""
+    return torus_grid(3, seed=7, name="grid3r")
+
+
+GRID3R_LOOP = horizontal_loop(grid3r(), 3, seed=7)
+
 FIXTURES = {"tc": triangle_circle, "torus": torus7, "rp2": rp2_6,
-            "klein": klein8, "mobius": mobius_band, "grid4a": grid4a}
+            "klein": klein8, "mobius": mobius_band, "grid4a": grid4a,
+            "grid3r": grid3r}
 
 # (fixture, degree, payload flag, payload); each runs under both commands.
 CLASSES = [
@@ -72,17 +81,18 @@ INTEGRAL = (
        for name, d, payload, rings in [
            ("tc", 1, "--class f:1", ("Z", "Z/2", "Z/3")),
            ("tc", 1, "--chain 0=1,2=1,1=-1", ("Z/3",)),
-           ("torus", 1, "--class f:1,0", ("Z", "Z/2", "Z/3")),
-           ("torus", 1, "--class f:1,1", ("Z", "Z/2", "Z/3")),
+           ("torus", 1, "--class f:1,0", ("Z", "Z/2", "Z/3", "Z/4")),
+           ("torus", 1, "--class f:1,1", ("Z", "Z/2", "Z/3", "Z/4")),
            ("torus", 2, "--class f:1", ("Z", "Z/2")),
            ("rp2", 1, "--class t:1", ("Z", "Z/2", "Z/3")),
            ("rp2", 2, "--class c:1", ("Z/2",)),
            ("klein", 1, "--class f:1;t:0", ("Z", "Z/2", "Z/3")),
            ("klein", 1, "--class f:0;t:1", ("Z", "Z/2")),
            ("klein", 2, "--class c:1", ("Z/2",)),
-           ("mobius", 1, "--class f:1", ("Z", "Z/2", "Z/3")),
-           ("mobius", 1, "--class f:2", ("Z", "Z/2")),
+           ("mobius", 1, "--class f:1", ("Z", "Z/2", "Z/3", "Z/4")),
+           ("mobius", 1, "--class f:2", ("Z", "Z/2", "Z/4")),
            ("grid4a", 1, "--class f:1,0", ("Z", "Z/2")),
+           ("grid3r", 1, f"--chain {GRID3R_LOOP}", ("Z", "Z/3", "Z/4")),
        ]
        for ring in rings]
     + [f"scan {name} --dim {d} --class {klass} --n {n}{fmt}"

@@ -6,15 +6,18 @@ from math import gcd
 
 import pytest
 
-from conftest import random_class, random_complex
-from oracles import brute_force_min_int, brute_force_min_mod, brute_force_min_real
+from conftest import horizontal_loop, random_class, random_complex, torus_grid
+from oracles import (brute_force_min_int, brute_force_min_mod,
+                     brute_force_min_real, reference_search_lattice)
 
+from homnorm import optimize
 from homnorm.complexes import Chain, Cochain, mass, reduce_chain
 from homnorm.fixtures import mobius_band
 from homnorm.homology import (InfeasibleClassError, class_of_cycle,
                               homology_decomposition, reduce_class)
-from homnorm.optimize import (comass, lift_minimizer, min_int, min_mod,
-                              min_real, verify_certificate)
+from homnorm.optimize import (_echelon_columns, _search_lattice, comass,
+                              lift_minimizer, min_int, min_mod, min_real,
+                              verify_certificate)
 from homnorm.rings import INT, RAT, canonical_lift, mod_inverse, mod_ring
 
 
@@ -335,3 +338,81 @@ def test_oracle_equivalence_randomized_small():
             repm = min_mod(K, 1, cm)
             vm, chm = brute_force_min_mod(K, 1, cm)
             assert repm.value == vm and set(repm.minimizers) == chm
+
+
+# -- the search against the sorting, dense-column reference -----------------
+
+
+def _both_searches(*args):
+    """Run the search and its reference; they must agree on the optimum,
+    the minimizer vectors in order, exactness and the node count."""
+    got = _search_lattice(*args)
+    assert got == reference_search_lattice(*args)
+    return got
+
+
+def _random_search_instance(rng: random.Random, clip_zero: bool):
+    n_rows = rng.randint(2, 7)
+    columns = []
+    for _ in range(rng.randint(1, n_rows + 1)):
+        col = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n_rows)]
+        columns.append([rng.choice((1, 2, 3)) * x for x in col])
+    row_order = rng.sample(range(n_rows), n_rows)
+    pivots = _echelon_columns(columns, row_order)
+    wnum = [rng.randint(1, 4) for _ in range(n_rows)]
+    z0 = [rng.randint(-3, 3) for _ in range(n_rows)]
+    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+    lo = [-(m0 // w) for w in wnum]
+    hi = [m0 // w for w in wnum]
+    if rng.random() < 0.5:  # intersect a residue range, as min_mod does
+        n = rng.randint(2, 5)
+        lo = [max(l, -((n - 1) // 2)) for l in lo]
+        hi = [min(h, n // 2) for h in hi]
+    if clip_zero:
+        for r in rng.sample(range(n_rows), rng.randint(1, n_rows)):
+            lo[r] = hi[r] = 0
+    return wnum, z0, pivots, row_order, lo, hi, m0
+
+
+def test_search_matches_reference_on_random_lattices():
+    rng = random.Random("search-differential")
+    seen = {"g>1": 0, "clipped": 0, "found": 0, "capped": 0}
+    for trial in range(300):
+        clip = trial % 3 == 0
+        wnum, z0, pivots, order, lo, hi, m0 = _random_search_instance(rng, clip)
+        seen["g>1"] += any(col[r] > 1 for r, col in pivots)
+        seen["clipped"] += clip
+        best, sols, exact, _ = _both_searches(
+            wnum, z0, pivots, order, lo, hi, m0, 10_000)
+        seen["found"] += bool(sols)
+        for cap in (1, 2):
+            got = _both_searches(wnum, z0, pivots, order, lo, hi, m0, cap)
+            seen["capped"] += not got[2]
+    assert all(seen.values()), seen
+
+
+def test_search_without_pivots_matches_reference():
+    wnum, z0 = [2, 1, 3], [1, -2, 0]
+    for lo, hi in (([-3, -6, -2], [3, 6, 2]), ([0, 0, 0], [0, 0, 0])):
+        for cap_mass in (4, 3):
+            _both_searches(wnum, z0, [], [2, 0, 1], lo, hi, cap_mass, 5)
+
+
+def test_search_rejects_boxes_without_zero():
+    with pytest.raises(ValueError):
+        _search_lattice([1], [1], [], [0], [1], [2], 1, 5)
+
+
+@pytest.mark.parametrize("k,seed", [(3, 1), (3, 2), (4, 5)])
+def test_search_matches_reference_on_grid_echelons(monkeypatch, k, seed):
+    """Every search ``min_int`` and ``min_mod`` make on relabelled grids,
+    over Z, Z/2, Z/3 and Z/4, agrees with the reference."""
+    monkeypatch.setattr(optimize, "_search_lattice", _both_searches)
+    K = torus_grid(k, seed=seed)
+    loop = class_of_cycle(K, 1, Chain.make(K, 1, INT, {
+        int(i): int(c) for i, c in (item.split("=") for item in
+                                     horizontal_loop(K, k, seed).split(","))}))
+    assert min_int(K, 1, loop).value == k
+    for n in (2, 3, 4):
+        assert min_mod(K, 1, reduce_class(loop, mod_ring(n))).value == k
+
