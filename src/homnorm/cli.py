@@ -39,12 +39,6 @@ def _read_complex(path: str) -> WeightedComplex:
     return load_complex(text)
 
 
-def _parse_ring(tag: Optional[str]) -> RingSpec:
-    if tag is None:
-        raise ValueError("--ring is required for this command")
-    return ring_from_tag(tag)
-
-
 def _parse_class(spec: str, dec: HomologyDecomposition,
                  ring: RingSpec) -> ClassCoords:
     """Payload ``f:a1,a2;t:b1;c:g1`` in the reported basis (missing
@@ -143,54 +137,17 @@ def _basis_json(dec: HomologyDecomposition, ring: RingSpec) -> dict:
     return out
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _scan_row_json(row) -> dict:
-    return {
-        "n": row.n,
-        "value_mod": format_rational(row.value_mod),
-        "value_int": format_rational(row.value_int),
-        "equal": row.equal,
-        "tau_divides": row.tau_divides,
-        "bijection": row.bijection,
-        "lift_all_cycles": row.lift_all_cycles,
-    }
-
-
-def _federer_row_json(row) -> dict:
-    return {
-        "k": row.k,
-        "value_int": format_rational(row.value_int),
-        "ratio": format_rational(row.ratio),
-        "value_real": format_rational(row.value_real),
-    }
-
-
-def _gap_row_json(row) -> dict:
-    return {
-        "shrink_factor": format_rational(row.shrink_factor),
-        "value_int": format_rational(row.value_int),
-        "value_real": format_rational(row.value_real),
-        "value_mod": {str(n): format_rational(v)
-                      for n, v in sorted(row.value_mod.items())},
-        "gap_ratio_real": format_rational(row.gap_ratio_real),
-        "gap_ratio_mod": {str(n): format_rational(v)
-                          for n, v in sorted(row.gap_ratio_mod.items())},
-        "in_lavrentiev_real": row.in_lavrentiev_real,
-        "in_lavrentiev_mod": {str(n): v
-                              for n, v in sorted(row.in_lavrentiev_mod.items())},
-    }
+def _report(args, K: WeightedComplex, body: dict) -> str:
+    """The JSON report of a command: which command ran on which complex and
+    degree, then ``body``."""
+    return json.dumps({"command": args.command, "complex": K.name,
+                       "degree": args.dim, **body}, indent=2) + "\n"
 
 
 def _cmd_homology(args) -> str:
     K = _read_complex(args.input)
     dec = homology_decomposition(K, args.dim)
-    return _json_text({
-        "command": "homology",
-        "complex": K.name,
-        "degree": args.dim,
+    return _report(args, K, {
         "betti": dec.betti,
         "torsion_factors": [list(t) for t in dec.torsion_factors],
         "torsion_number": dec.torsion_number,
@@ -200,14 +157,11 @@ def _cmd_homology(args) -> str:
 
 def _cmd_norm(args) -> str:
     K = _read_complex(args.input)
-    ring = _parse_ring(args.ring)
+    ring = ring_from_tag(args.ring)
     dec = homology_decomposition(K, args.dim)
     c = _class_for(args, K, dec, ring)
     report = minimize(K, args.dim, c, args.cap)
-    return _json_text({
-        "command": "norm",
-        "complex": K.name,
-        "degree": args.dim,
+    return _report(args, K, {
         "basis": _basis_json(dec, ring),
         "report": report.to_json(),
     })
@@ -220,10 +174,7 @@ def _cmd_certify(args) -> str:
     report = min_real(K, args.dim, c, args.cap)
     verified = verify_certificate(K, args.dim, c, report.certificate,
                                   report.value)
-    return _json_text({
-        "command": "certify",
-        "complex": K.name,
-        "degree": args.dim,
+    return _report(args, K, {
         "basis": _basis_json(dec, RAT),
         "value": format_rational(report.value),
         "certificate": [format_rational(v) for v in report.certificate.values],
@@ -243,30 +194,22 @@ def _cmd_scan(args) -> str:
     if args.format == "csv":
         return scan_rows_to_csv(rows)
     threshold = empirical_threshold(rows, dec.torsion_number)
-    return _json_text({
-        "command": "scan",
-        "complex": K.name,
-        "degree": args.dim,
+    return _report(args, K, {
         "class": c.to_json(),
         "basis": _basis_json(dec, INT),
-        "rows": [_scan_row_json(r) for r in rows],
+        "rows": [r.to_json() for r in rows],
         "empirical_threshold": threshold,
     })
 
 
 def _cmd_lift(args) -> str:
     K = _read_complex(args.input)
-    ring = _parse_ring(args.ring)
+    ring = ring_from_tag(args.ring)
     if not ring.is_mod:
         raise ValueError("lift expects --ring Z/n")
     chain = _parse_chain(args.chain, K, args.dim, ring)
     report = lift_minimizer(chain)
-    return _json_text({
-        "command": "lift",
-        "complex": K.name,
-        "degree": args.dim,
-        "report": report.to_json(),
-    })
+    return _report(args, K, {"report": report.to_json()})
 
 
 def _cmd_federer(args) -> str:
@@ -276,13 +219,10 @@ def _cmd_federer(args) -> str:
     rows = federer_sequence(K, args.dim, c, args.k_max, args.cap)
     if args.format == "csv":
         return federer_rows_to_csv(rows)
-    return _json_text({
-        "command": "federer",
-        "complex": K.name,
-        "degree": args.dim,
+    return _report(args, K, {
         "class": c.to_json(),
         "basis": _basis_json(dec, INT),
-        "rows": [_federer_row_json(r) for r in rows],
+        "rows": [r.to_json() for r in rows],
         "min_ratio": format_rational(min_federer_ratio(rows)),
     })
 
@@ -297,13 +237,10 @@ def _cmd_sweep(args) -> str:
     rows = gap_sweep(K, args.dim, c, shrink, factors, moduli, args.cap)
     if args.format == "csv":
         return gap_rows_to_csv(rows, moduli)
-    return _json_text({
-        "command": "sweep",
-        "complex": K.name,
-        "degree": args.dim,
+    return _report(args, K, {
         "class": c.to_json(),
         "basis": _basis_json(dec, INT),
-        "rows": [_gap_row_json(r) for r in rows],
+        "rows": [r.to_json() for r in rows],
     })
 
 
@@ -315,10 +252,7 @@ def _cmd_bijection(args) -> str:
     if len(moduli) != 1:
         raise ValueError("bijection expects a single modulus")
     report = bijection_check(K, args.dim, c, moduli[0], args.cap)
-    return _json_text({
-        "command": "bijection",
-        "complex": K.name,
-        "degree": args.dim,
+    return _report(args, K, {
         "class": c.to_json(),
         "basis": _basis_json(dec, INT),
         "report": report.to_json(),
@@ -420,8 +354,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

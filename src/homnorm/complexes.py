@@ -95,9 +95,6 @@ class WeightedComplex:
     def n_simplices(self, d: int) -> int:
         return len(self.simplices[d]) if 0 <= d <= self.dim else 0
 
-    def simplex(self, d: int, i: int) -> Simplex:
-        return self.simplices[d][i]
-
     def index_of(self, d: int, s: Simplex) -> int:
         try:
             return self._index[d][tuple(s)]
@@ -204,12 +201,6 @@ class Chain:
             out[idx] = v
         return out
 
-    def coefficient(self, idx: int) -> RingElem:
-        for i, v in self.coeffs:
-            if i == idx:
-                return v
-        return 0
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -252,9 +243,6 @@ class Chain:
 
     def is_cycle(self) -> bool:
         return all(not v for v in self.boundary_vector())
-
-    def mass(self) -> Fraction:
-        return mass(self.complex, self)
 
     def to_json(self) -> dict:
         return {

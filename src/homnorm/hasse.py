@@ -2,18 +2,22 @@
 Lavrentiev weight sweeps and minimizer-set bijection checks.
 
 Each operation re-solves the requested norms exactly and emits rows that
-carry their own invariants (value_mod <= value_int, ratios >= 1).  Rows
-serialize to CSV with one fixed header per operation; rationals print as
-"p/q", booleans as "true"/"false", absent optionals as empty fields.
+carry their own invariants (value_mod <= value_int, ratios >= 1).  A row's
+dataclass fields, in declaration order, are its format: its JSON keys and
+its CSV columns.  A ``dict[int, ...]`` field keyed by modulus becomes a JSON
+object with keys in ascending n and one ``<field>_<n>`` CSV column per
+modulus, ascending; rationals print as "p/q", booleans as "true"/"false",
+absent optionals as empty CSV fields.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cache
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 from .complexes import Chain, WeightedComplex, reduce_chain
 from .homology import ClassCoords, homology_decomposition, reduce_class
@@ -26,8 +30,80 @@ class EnumerationInexactError(RuntimeError):
     """A check that needs complete minimizer sets saw a capped enumeration."""
 
 
+# -- row format ------------------------------------------------------------
+
+def _bool_str(v: Optional[bool]) -> str:
+    if v is None:
+        return ""
+    return "true" if v else "false"
+
+
+def _parse_bool(text: str) -> Optional[bool]:
+    if text == "":
+        return None
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(f"bad boolean field: {text!r}")
+
+
+def _parse_required_bool(text: str) -> bool:
+    v = _parse_bool(text)
+    if v is None:
+        raise ValueError("missing required boolean field")
+    return v
+
+
+# declared field type -> (CSV text of a value, value of a CSV field)
+_CODECS = {
+    int: (str, int),
+    Fraction: (format_rational, parse_rational),
+    bool: (_bool_str, _parse_required_bool),
+    Optional[bool]: (_bool_str, _parse_bool),
+}
+
+
+@cache
+def _layout(cls: type) -> tuple[tuple[str, type, bool], ...]:
+    """(name, value type, keyed by modulus) of each field, in order."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        keyed = get_origin(kind) is dict
+        out.append((f.name, get_args(kind)[1] if keyed else kind, keyed))
+    return tuple(out)
+
+
+def _header(cls: type, moduli: Sequence[int]) -> list[str]:
+    out: list[str] = []
+    for name, _, keyed in _layout(cls):
+        out += [f"{name}_{n}" for n in moduli] if keyed else [name]
+    return out
+
+
+def _json_value(kind: type, v):
+    return format_rational(v) if kind is Fraction else v
+
+
+class _Row:
+    """A harness row: its dataclass fields, in order, are its JSON keys and
+    its CSV columns.  Subclasses define ``_check``, which the CSV reader runs
+    on every parsed row."""
+
+    def to_json(self) -> dict:
+        out = {}
+        for name, kind, keyed in _layout(type(self)):
+            v = getattr(self, name)
+            out[name] = ({str(n): _json_value(kind, x)
+                          for n, x in sorted(v.items())}
+                         if keyed else _json_value(kind, v))
+        return out
+
+
 @dataclass
-class ScanRow:
+class ScanRow(_Row):
     n: int
     value_mod: Fraction
     value_int: Fraction
@@ -36,17 +112,27 @@ class ScanRow:
     bijection: Optional[bool]
     lift_all_cycles: Optional[bool]
 
+    def _check(self) -> None:
+        if self.value_mod > self.value_int:
+            raise ValueError("scan row violates value_mod <= value_int")
+        if self.equal != (self.value_mod == self.value_int):
+            raise ValueError("scan row 'equal' flag is inconsistent")
+
 
 @dataclass
-class FedererRow:
+class FedererRow(_Row):
     k: int
     value_int: Fraction
     ratio: Fraction
     value_real: Fraction
 
+    def _check(self) -> None:
+        if self.ratio * self.k != self.value_int:
+            raise ValueError("federer row ratio is inconsistent")
+
 
 @dataclass
-class GapRow:
+class GapRow(_Row):
     shrink_factor: Fraction
     value_int: Fraction
     value_real: Fraction
@@ -55,6 +141,10 @@ class GapRow:
     gap_ratio_mod: dict[int, Fraction]
     in_lavrentiev_real: bool
     in_lavrentiev_mod: dict[int, bool]
+
+    def _check(self) -> None:
+        if self.gap_ratio_real < 1 or any(v < 1 for v in self.gap_ratio_mod.values()):
+            raise ValueError("gap row violates ratio >= 1")
 
 
 @dataclass
@@ -248,141 +338,65 @@ def bijection_check(K: WeightedComplex, d: int, c: ClassCoords, n: int,
 
 # -- CSV emission / parsing -------------------------------------------------
 
-SCAN_HEADER = ["n", "value_mod", "value_int", "equal", "tau_divides",
-               "bijection", "lift_all_cycles"]
-FEDERER_HEADER = ["k", "value_int", "ratio", "value_real"]
-
-
-def _bool_str(v: Optional[bool]) -> str:
-    if v is None:
-        return ""
-    return "true" if v else "false"
-
-
-def _parse_bool(text: str) -> Optional[bool]:
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"bad boolean field: {text!r}")
-
-
-def _csv_writer():
+def _rows_to_csv(cls: type, rows: Sequence, moduli: Sequence[int] = ()) -> str:
+    moduli = sorted(set(moduli))
+    plan = [(name, _CODECS[kind][0], keyed) for name, kind, keyed in _layout(cls)]
     buf = io.StringIO()
-    return buf, csv.writer(buf, lineterminator="\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(_header(cls, moduli))
+    for r in rows:
+        cells = []
+        for name, fmt, keyed in plan:
+            v = getattr(r, name)
+            cells += [fmt(v[n]) for n in moduli] if keyed else [fmt(v)]
+        w.writerow(cells)
+    return buf.getvalue()
+
+
+def _rows_from_csv(cls: type, text: str, moduli: Sequence[int] = ()) -> list:
+    """Parse rows written by ``_rows_to_csv``, checking each with ``_check``."""
+    moduli = sorted(set(moduli))
+    header = _header(cls, moduli)
+    plan = [(name, _CODECS[kind][1], keyed) for name, kind, keyed in _layout(cls)]
+    reader = csv.reader(io.StringIO(text))
+    got = next(reader, None)
+    if got != header:
+        raise ValueError(f"unexpected {cls.__name__} header: {got}")
+    out = []
+    for rec in reader:
+        if not rec:
+            continue
+        if len(rec) != len(header):
+            raise ValueError(f"{cls.__name__} record has {len(rec)} fields, "
+                             f"the header {len(header)}")
+        cells = iter(rec)
+        row = cls(**{name: ({n: parse(next(cells)) for n in moduli} if keyed
+                            else parse(next(cells)))
+                     for name, parse, keyed in plan})
+        row._check()
+        out.append(row)
+    return out
 
 
 def scan_rows_to_csv(rows: Sequence[ScanRow]) -> str:
-    buf, w = _csv_writer()
-    w.writerow(SCAN_HEADER)
-    for r in rows:
-        w.writerow([r.n, format_rational(r.value_mod),
-                    format_rational(r.value_int), _bool_str(r.equal),
-                    _bool_str(r.tau_divides), _bool_str(r.bijection),
-                    _bool_str(r.lift_all_cycles)])
-    return buf.getvalue()
+    return _rows_to_csv(ScanRow, rows)
 
 
 def scan_rows_from_csv(text: str) -> list[ScanRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != SCAN_HEADER:
-        raise ValueError(f"unexpected scan header: {header}")
-    out = []
-    for rec in reader:
-        if not rec:
-            continue
-        row = ScanRow(
-            n=int(rec[0]), value_mod=parse_rational(rec[1]),
-            value_int=parse_rational(rec[2]), equal=_parse_bool(rec[3]),
-            tau_divides=_parse_bool(rec[4]), bijection=_parse_bool(rec[5]),
-            lift_all_cycles=_parse_bool(rec[6]))
-        if row.equal is None or row.tau_divides is None:
-            raise ValueError("scan row is missing required booleans")
-        if row.value_mod > row.value_int:
-            raise ValueError("scan row violates value_mod <= value_int")
-        if row.equal != (row.value_mod == row.value_int):
-            raise ValueError("scan row 'equal' flag is inconsistent")
-        out.append(row)
-    return out
+    return _rows_from_csv(ScanRow, text)
 
 
 def federer_rows_to_csv(rows: Sequence[FedererRow]) -> str:
-    buf, w = _csv_writer()
-    w.writerow(FEDERER_HEADER)
-    for r in rows:
-        w.writerow([r.k, format_rational(r.value_int), format_rational(r.ratio),
-                    format_rational(r.value_real)])
-    return buf.getvalue()
+    return _rows_to_csv(FedererRow, rows)
 
 
 def federer_rows_from_csv(text: str) -> list[FedererRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != FEDERER_HEADER:
-        raise ValueError(f"unexpected federer header: {header}")
-    out = []
-    for rec in reader:
-        if not rec:
-            continue
-        row = FedererRow(k=int(rec[0]), value_int=parse_rational(rec[1]),
-                         ratio=parse_rational(rec[2]),
-                         value_real=parse_rational(rec[3]))
-        if row.ratio * row.k != row.value_int:
-            raise ValueError("federer row ratio is inconsistent")
-        out.append(row)
-    return out
-
-
-def gap_header(moduli: Sequence[int]) -> list[str]:
-    moduli = sorted(set(moduli))
-    return (["shrink_factor", "value_int", "value_real"]
-            + [f"value_mod_{n}" for n in moduli]
-            + ["gap_ratio_real"] + [f"gap_ratio_mod_{n}" for n in moduli]
-            + ["in_lavrentiev_real"] + [f"in_lavrentiev_mod_{n}" for n in moduli])
+    return _rows_from_csv(FedererRow, text)
 
 
 def gap_rows_to_csv(rows: Sequence[GapRow], moduli: Sequence[int]) -> str:
-    moduli = sorted(set(moduli))
-    buf, w = _csv_writer()
-    w.writerow(gap_header(moduli))
-    for r in rows:
-        w.writerow([format_rational(r.shrink_factor),
-                    format_rational(r.value_int), format_rational(r.value_real)]
-                   + [format_rational(r.value_mod[n]) for n in moduli]
-                   + [format_rational(r.gap_ratio_real)]
-                   + [format_rational(r.gap_ratio_mod[n]) for n in moduli]
-                   + [_bool_str(r.in_lavrentiev_real)]
-                   + [_bool_str(r.in_lavrentiev_mod[n]) for n in moduli])
-    return buf.getvalue()
+    return _rows_to_csv(GapRow, rows, moduli)
 
 
 def gap_rows_from_csv(text: str, moduli: Sequence[int]) -> list[GapRow]:
-    moduli = sorted(set(moduli))
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != gap_header(moduli):
-        raise ValueError(f"unexpected gap header: {header}")
-    k = len(moduli)
-    out = []
-    for rec in reader:
-        if not rec:
-            continue
-        vals = [parse_rational(v) for v in rec[3:3 + k]]
-        ratios = [parse_rational(v) for v in rec[4 + k:4 + 2 * k]]
-        lavs = [_parse_bool(v) for v in rec[5 + 2 * k:5 + 3 * k]]
-        row = GapRow(
-            shrink_factor=parse_rational(rec[0]),
-            value_int=parse_rational(rec[1]),
-            value_real=parse_rational(rec[2]),
-            value_mod=dict(zip(moduli, vals)),
-            gap_ratio_real=parse_rational(rec[3 + k]),
-            gap_ratio_mod=dict(zip(moduli, ratios)),
-            in_lavrentiev_real=_parse_bool(rec[4 + 2 * k]),
-            in_lavrentiev_mod=dict(zip(moduli, lavs)))
-        if row.gap_ratio_real < 1 or any(v < 1 for v in row.gap_ratio_mod.values()):
-            raise ValueError("gap row violates ratio >= 1")
-        out.append(row)
-    return out
+    return _rows_from_csv(GapRow, text, moduli)

@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 
 from .complexes import Chain, NotACycleError, WeightedComplex
 from .intlinalg import IntMatrix, SNFResult, smith_normal_form, solve_with_snf
-from .rings import INT, RAT, RingElem, RingSpec, factorize, mod_ring
+from .rings import (INT, RAT, RingElem, RingSpec, factorize, format_element,
+                    mod_ring)
 
 
 class InfeasibleClassError(ValueError):
@@ -96,7 +97,6 @@ class ClassCoords:
             tuple(k * g for g in self.cotorsion_part))
 
     def to_json(self) -> dict:
-        from .rings import format_element
         out = {
             "degree": self.degree,
             "ring": self.ring.tag,

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .complexes import Chain, Cochain, WeightedComplex, lift_chain, mass
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        class_of_cycle, homology_decomposition)
 from .lp import solve_standard_lp
-from .rings import RAT, RingSpec, canonical_lift
+from .rings import RAT, RingSpec, canonical_lift, format_rational
 
 DEFAULT_MINIMIZER_CAP = 10_000
 
@@ -47,7 +47,6 @@ class OptReport:
     nodes_explored: int
 
     def to_json(self) -> dict:
-        from .rings import format_rational
         out = {
             "ring": self.ring.tag,
             "class": self.coords.to_json(),
@@ -103,9 +102,7 @@ def _zero_report(K: WeightedComplex, d: int, c: ClassCoords,
 
 def _weight_scale(K: WeightedComplex, d: int) -> tuple[int, list[int]]:
     weights = K.weights[d]
-    scale = 1
-    for w in weights:
-        scale = scale * w.denominator // gcd(scale, w.denominator)
+    scale = lcm(*(w.denominator for w in weights))
     return scale, [int(w * scale) for w in weights]
 
 

@@ -11,7 +11,6 @@ All arithmetic is exact; nothing here ever touches floating point.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,11 +187,4 @@ def factorize(n: int) -> list[tuple[int, int]]:
         p += 1 if p == 2 else 2
     if rest > 1:
         out.append((rest, 1))
-    return out
-
-
-def lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
     return out

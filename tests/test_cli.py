@@ -15,6 +15,9 @@ from homnorm.hasse import (federer_rows_from_csv, gap_rows_from_csv,
                            scan_rows_from_csv)
 from homnorm.rings import parse_rational
 
+MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
+RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
+
 
 @pytest.fixture()
 def paths(tmp_path):
@@ -216,6 +219,14 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
         "scan", paths["tc"], "--dim", "1", "--class", "f:1", "--n", "2,5"])
     assert code == 1
 
+    # an --out path that cannot be written
+    target = tmp_path / "no" / "such" / "dir" / "report.json"
+    code, out, err = run_cli(capsys, [
+        "homology", paths["tc"], "--dim", "1", "--out", str(target)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
 
 def test_console_entry_point(paths):
     proc = subprocess.run(
@@ -236,6 +247,12 @@ def test_console_entry_point(paths):
     ["scan", "rp2", "--dim", "1", "--class", "t:1", "--n", "2..6"],
     ["federer", "mobius", "--dim", "1", "--class", "f:1", "--k-max", "3"],
     ["bijection", "torus", "--dim", "1", "--class", "f:1,0", "--n", "3"],
+    ["certify", "torus", "--dim", "1", "--class", "f:1,1"],
+    ["lift", "rp2", "--dim", "2", "--chain", RP2_FUNDAMENTAL, "--ring", "Z/2"],
+    ["sweep", "mobius", "--dim", "1", "--class", "f:1", "--shrink", MOBIUS_RIM,
+     "--factors", "1/1,1/2", "--n", "5,3"],
+    ["sweep", "mobius", "--dim", "1", "--class", "f:1", "--shrink", MOBIUS_RIM,
+     "--factors", "1/1,1/2", "--n", "5,3", "--format", "report"],
 ], ids=lambda argv: " ".join(argv))
 def test_output_does_not_depend_on_hash_seed(paths, argv):
     outputs = []

@@ -8,7 +8,9 @@ arithmetic, row or column order) that moves either one shows up here.
 ``golden_integral.json`` does the same for the integral and mod-n side:
 ``homology`` in every degree, ``norm`` over Z, Z/2, Z/3 and Z/4 (cotorsion
 classes included, and the horizontal loop of a relabelled grid given as a
-chain), and ``scan`` and ``bijection``.  Every reported basis
+chain), ``scan``, ``federer`` and ``sweep`` in both formats (a sweep with an
+unsorted, repeated modulus list and one with no factors included),
+``bijection`` and ``lift``.  Every reported basis
 cycle, cotorsion generator and minimizer is read off Smith normal form
 transforms, so any change to the SNF that moves a transform shows up here.
 """
@@ -21,8 +23,8 @@ import pytest
 
 from homnorm.cli import main
 from homnorm.complexes import WeightedComplex, dump_complex
-from homnorm.fixtures import (klein8, mobius_band, rp2_6, torus7,
-                              triangle_circle)
+from homnorm.fixtures import (klein8, mobius_band, mobius_boundary_indices,
+                              rp2_6, torus7, triangle_circle)
 
 from conftest import horizontal_loop, torus_grid
 
@@ -43,6 +45,8 @@ def grid3r() -> WeightedComplex:
 
 
 GRID3R_LOOP = horizontal_loop(grid3r(), 3, seed=7)
+MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
+RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
 
 FIXTURES = {"tc": triangle_circle, "torus": torus7, "rp2": rp2_6,
             "klein": klein8, "mobius": mobius_band, "grid4a": grid4a,
@@ -109,6 +113,16 @@ INTEGRAL = (
     + [f"bijection {name} --dim 1 --class {klass} --n {n}"
        for name, klass, n in [("rp2", "t:1", 2), ("klein", "f:1;t:0", 2),
                               ("torus", "f:1,0", 3), ("mobius", "f:1", 2)]]
+    + [f"federer {name} --dim 1 --class {klass} --k-max {k}{fmt}"
+       for name, klass, k in [("tc", "f:1", 3), ("mobius", "f:1", 4),
+                              ("torus", "f:1,0", 2), ("klein", "f:1;t:0", 2)]
+       for fmt in ("", " --format report")]
+    + [f"sweep mobius --dim 1 --class f:1 --shrink {MOBIUS_RIM}"
+       f" --factors {factors} --n {n}{fmt}"
+       for factors, n in [("1/1,1/2,1/4", "3"), ("1/1,1/2", "5,3,3"),
+                          (",", "3")]
+       for fmt in ("", " --format report")]
+    + [f"lift rp2 --dim 2 --chain {RP2_FUNDAMENTAL} --ring Z/2"]
 )
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from homnorm.fixtures import mobius_band, mobius_boundary_indices
-from homnorm.hasse import (EnumerationInexactError, bijection_check,
-                           empirical_threshold, federer_rows_from_csv,
+from homnorm.hasse import (EnumerationInexactError, FedererRow, GapRow,
+                           ScanRow, bijection_check, empirical_threshold, federer_rows_from_csv,
                            federer_rows_to_csv, federer_sequence,
                            gap_rows_from_csv, gap_rows_to_csv, gap_sweep,
                            scan_moduli, scan_rows_from_csv, scan_rows_to_csv)
@@ -202,3 +202,86 @@ def test_gap_csv_round_trip(mobius):
                      [Fraction(1), Fraction(1, 2)], [3, 5])
     text = gap_rows_to_csv(rows, [3, 5])
     assert gap_rows_from_csv(text, [3, 5]) == rows
+
+
+SCAN_CSV = "n,value_mod,value_int,equal,tau_divides,bijection,lift_all_cycles\n"
+FEDERER_CSV = "k,value_int,ratio,value_real\n"
+GAP_CSV = ("shrink_factor,value_int,value_real,value_mod_3,gap_ratio_real,"
+           "gap_ratio_mod_3,in_lavrentiev_real,in_lavrentiev_mod_3\n")
+
+
+def _gap_from_csv(text):
+    return gap_rows_from_csv(text, [3])
+
+
+MALFORMED = {
+    # a record shorter or longer than the header, and no header at all
+    "scan-short": (scan_rows_from_csv, SCAN_CSV + "3,1/1,1/1,true,true\n"),
+    "scan-long": (scan_rows_from_csv, SCAN_CSV + "3,1/1,1/1,true,true,,,x\n"),
+    "scan-empty": (scan_rows_from_csv, ""),
+    "federer-short": (federer_rows_from_csv, FEDERER_CSV + "1,3/1,3/1\n"),
+    "federer-long": (federer_rows_from_csv,
+                     FEDERER_CSV + "1,3/1,3/1,3/1,3/1\n"),
+    "federer-empty": (federer_rows_from_csv, ""),
+    "gap-short": (_gap_from_csv,
+                  GAP_CSV + "1/1,3/2,5/8,5/4,12/5,6/5,true\n"),
+    "gap-long": (_gap_from_csv,
+                 GAP_CSV + "1/1,3/2,5/8,5/4,12/5,6/5,true,true,true\n"),
+    "gap-empty": (_gap_from_csv, ""),
+    # a header that does not match the row type or the moduli
+    "scan-header": (scan_rows_from_csv, FEDERER_CSV),
+    "federer-header": (federer_rows_from_csv, "k,value_real,ratio,value_int\n"),
+    "gap-header": (lambda text: gap_rows_from_csv(text, [3, 5]), GAP_CSV),
+    # bad fields: a boolean, a required boolean left empty, a rational, an int
+    "scan-bool": (scan_rows_from_csv, SCAN_CSV + "3,1/1,1/1,yes,true,,\n"),
+    "scan-no-bool": (scan_rows_from_csv, SCAN_CSV + "3,1/1,1/1,,true,,\n"),
+    "gap-no-bool": (_gap_from_csv,
+                    GAP_CSV + "1/1,3/2,5/8,5/4,12/5,6/5,,true\n"),
+    "federer-rational": (federer_rows_from_csv,
+                         FEDERER_CSV + "1,3/0,3/1,3/1\n"),
+    "federer-int": (federer_rows_from_csv, FEDERER_CSV + "one,3/1,3/1,3/1\n"),
+    # broken row invariants
+    "scan-mod-above-int": (scan_rows_from_csv,
+                           SCAN_CSV + "3,2/1,1/1,false,true,,\n"),
+    "scan-equal-flag": (scan_rows_from_csv,
+                        SCAN_CSV + "3,1/1,2/1,true,true,,\n"),
+    "federer-ratio": (federer_rows_from_csv, FEDERER_CSV + "2,6/1,2/1,3/1\n"),
+    "gap-real-ratio": (_gap_from_csv,
+                       GAP_CSV + "1/1,3/2,5/8,5/4,1/2,6/5,true,true\n"),
+    "gap-mod-ratio": (_gap_from_csv,
+                      GAP_CSV + "1/1,3/2,5/8,5/4,12/5,5/6,true,true\n"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_csv_readers_reject_malformed_input(case):
+    reader, text = MALFORMED[case]
+    with pytest.raises(ValueError):
+        reader(text)
+
+
+def test_csv_readers_accept_header_only_blank_lines_and_absent_optionals():
+    assert scan_rows_from_csv(SCAN_CSV) == []
+    assert scan_rows_from_csv(SCAN_CSV + "3,1/1,1/1,true,false,,\n") == [
+        ScanRow(3, Fraction(1), Fraction(1), True, False, None, None)]
+    assert federer_rows_from_csv(FEDERER_CSV + "\n1,3/1,3/1,3/1\n\n") == [
+        FedererRow(1, Fraction(3), Fraction(3), Fraction(3))]
+    assert gap_rows_to_csv([], [3, 3]) == GAP_CSV
+    assert _gap_from_csv(GAP_CSV) == []
+
+
+def test_row_json_keys_follow_fields_and_ascending_moduli():
+    row = GapRow(Fraction(1, 2), Fraction(3), Fraction(2),
+                 {5: Fraction(3), 3: Fraction(2)}, Fraction(3, 2),
+                 {5: Fraction(1), 3: Fraction(3, 2)}, True, {5: False, 3: True})
+    doc = row.to_json()
+    assert list(doc) == ["shrink_factor", "value_int", "value_real",
+                         "value_mod", "gap_ratio_real", "gap_ratio_mod",
+                         "in_lavrentiev_real", "in_lavrentiev_mod"]
+    assert doc["shrink_factor"] == "1/2" and doc["value_int"] == "3/1"
+    assert list(doc["value_mod"].items()) == [("3", "2/1"), ("5", "3/1")]
+    assert list(doc["in_lavrentiev_mod"].items()) == [("3", True), ("5", False)]
+    assert ScanRow(7, Fraction(1), Fraction(1), True, True, None,
+                   False).to_json() == {
+        "n": 7, "value_mod": "1/1", "value_int": "1/1", "equal": True,
+        "tau_divides": True, "bijection": None, "lift_all_cycles": False}
