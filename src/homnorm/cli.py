@@ -57,10 +57,7 @@ def _parse_class(spec: str, dec: HomologyDecomposition,
         if tag in parts:
             raise ValueError(f"duplicate class payload tag: {tag!r}")
         parts[tag] = [v for v in body.split(",") if v.strip()]
-    if ring.is_rat:
-        free = [parse_rational(v) for v in parts.get("f", [])]
-    else:
-        free = [int(parse_rational(v)) for v in parts.get("f", [])]
+    free = [parse_element(ring, v) for v in parts.get("f", [])]
     torsion = [int(v) for v in parts.get("t", [])]
     cotorsion = [int(v) for v in parts.get("c", [])]
     if not free:

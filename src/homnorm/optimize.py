@@ -6,13 +6,17 @@
 * min_int: complete branch-and-bound enumeration of the integral chains in
   a class, organized as a DFS over an echelonized basis of the boundary
   lattice with per-simplex boxes derived from the initial feasible mass.
+  It first solves the real LP and also prunes on its dual certificate, a
+  calibration phi: mass(x) >= phi(z0) + sum of w_s|x_s| - phi_s x_s over
+  the simplices assigned so far.
 * min_mod: the same search over integer lifts with x = z0 + boundary + n*u,
   i.e. over the full-rank lattice spanned by boundaries and n times the
   standard basis, restricted to canonical residue ranges.
 
 Both run one coset search.  Every box contains 0, so the candidates at a
 pivot row are merged outward from 0, cheapest first, with no per-node sort;
-each move touches only the nonzeros of its pivot column.
+each move touches only the nonzeros of its pivot column.  min_mod does not
+prune on a calibration: phi(x) is not constant on x + n*e_s.
 
 Values are exact rationals; minimizer sets are enumerated completely up to
 the configured cap and reported in a fixed deterministic order.
@@ -27,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 from .complexes import Chain, Cochain, WeightedComplex, lift_chain, mass
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
-                       class_of_cycle, homology_decomposition)
+                       class_of_cycle, homology_decomposition, reduce_class)
 from .lp import solve_standard_lp
 from .rings import RAT, RingSpec, canonical_lift, format_rational
 
@@ -100,12 +104,6 @@ def _zero_report(K: WeightedComplex, d: int, c: ClassCoords,
                      (Chain.zero(K, d, c.ring),), True, cert, 0)
 
 
-def _weight_scale(K: WeightedComplex, d: int) -> tuple[int, list[int]]:
-    weights = K.weights[d]
-    scale = lcm(*(w.denominator for w in weights))
-    return scale, [int(w * scale) for w in weights]
-
-
 def _echelon_columns(columns: list[list[int]],
                      row_order: Sequence[int]) -> list[tuple[int, list[int]]]:
     """Unimodular column reduction to echelon form along ``row_order``.
@@ -142,7 +140,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     pivots: list[tuple[int, list[int]]],
                     row_order: Sequence[int],
                     lo: Sequence[int], hi: Sequence[int],
-                    cap_mass: int, cap_count: int):
+                    cap_mass: int, cap_count: int,
+                    phi: Optional[Sequence[int]] = None):
     """Enumerate all lattice-coset points of minimal weighted l1 mass.
 
     The coset is z0 + span(pivot columns), searched depth first over the
@@ -153,6 +152,16 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     row.  A move and its undo touch only the (row, coeff) nonzeros of the
     pivot column, and the rows between two pivots are checked against
     precomputed (row, lo, hi, weight) tuples.
+
+    ``phi``, if given, is a calibration on the scale of ``wnum``: it
+    vanishes on every pivot column and |phi[s]| <= wnum[s].  Every coset
+    point x then has mass(x) = phi(z0) + sum_s (wnum[s] |x_s| - phi[s] x_s)
+    with no negative term, so the terms of the rows assigned so far plus
+    phi(z0) bound the mass of every completion from below, and a candidate
+    whose bound exceeds the incumbent is dropped (ties are kept).  At a
+    pivot row the term only grows outward on each side of 0, so the first
+    such candidate closes its cursor; the rows after it are not monotone,
+    so there only the candidate is dropped.
     """
     if any(l > 0 or h < 0 for l, h in zip(lo, hi)):
         raise ValueError("every search box must contain 0")
@@ -161,11 +170,15 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     # Positions of the pivot rows in the order, then the end of the order.
     bounds = [pos_in_order[r] for r, _ in pivots] + [len(row_order)]
     prefix = row_order[:bounds[0]]
-    levels = [(r, col[r], wnum[r], lo[r], hi[r],
-               [(i, cv) for i, cv in enumerate(col) if cv],
-               [(rr, lo[rr], hi[rr], wnum[rr])
-                for rr in row_order[bounds[k] + 1:bounds[k + 1]]])
-              for k, (r, col) in enumerate(pivots)]
+    calibrated = phi is not None
+    fvec = phi if calibrated else [0] * len(wnum)
+    levels = []
+    for k, (r, col) in enumerate(pivots):
+        rows = row_order[bounds[k] + 1:bounds[k + 1]]
+        levels.append((r, col[r], wnum[r], lo[r], hi[r], fvec[r],
+                       [(i, cv) for i, cv in enumerate(col) if cv],
+                       [(rr, lo[rr], hi[rr], wnum[rr]) for rr in rows],
+                       [(rr, fvec[rr]) for rr in rows if fvec[rr]]))
 
     cur = list(z0)
     best = cap_mass
@@ -181,6 +194,9 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
         base_mass += wnum[r] * abs(v)
     if base_mass > best:
         return best, sols, exact, nodes
+    # The bound is acc - f, with f = phi(assigned rows) - phi(z0); the
+    # prefix rows keep their z0 values.
+    f0 = -sum(fvec[r] * z0[r] for r in row_order[bounds[0]:])
 
     def record(total: int) -> None:
         nonlocal best, sols, exact
@@ -194,12 +210,12 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
             else:
                 exact = False
 
-    def dfs(k: int, acc: int) -> None:
+    def dfs(k: int, acc: int, f: int) -> None:
         nonlocal nodes
         if k == depth:
             record(acc)
             return
-        r, g, w, lo_r, hi_r, move, segment = levels[k]
+        r, g, w, lo_r, hi_r, f_r, move, segment, segment_phi = levels[k]
         base = cur[r]
         p = base % g  # smallest nonnegative candidate
         q = p - g     # largest negative candidate
@@ -216,6 +232,14 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 break
             if total > best:
                 break  # later candidates only cost more at this row
+            if calibrated:
+                fv = f + f_r * v
+                if total - fv > best:
+                    if v >= 0:
+                        p = hi_r + 1
+                    else:
+                        q = lo_r - 1
+                    continue
             nodes += 1
             t = (v - base) // g
             if t:
@@ -229,12 +253,18 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 if total > best:
                     break
             else:
-                dfs(k + 1, total)
+                if calibrated:
+                    for rr, fr in segment_phi:
+                        fv += fr * cur[rr]
+                    if total - fv <= best:
+                        dfs(k + 1, total, fv)
+                else:
+                    dfs(k + 1, total, 0)
             if t:
                 for i, cv in move:
                     cur[i] -= t * cv
 
-    dfs(0, base_mass)
+    dfs(0, base_mass, f0)
     return best, sols, exact, nodes
 
 
@@ -251,28 +281,43 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
 
     Any optimal chain obeys |x_s| * w_s <= mass(z0), which bounds the search
     box; over Z/n the box is also cut to the residue range (-n/2, n/2].
+    Over Z the search also prunes on the dual certificate of ``min_real``,
+    a calibration of the class; over Z/n phi(x) changes along x + n*e_s, so
+    there is no such bound.  With no boundary moves the coset is z0 alone
+    and the LP is skipped.
     """
     dec = _validate_coords(K, d, c, kind)
     if c.is_zero():
         return _zero_report(K, d, c, False)
     z0 = [lift(v) for v in dec.representative_vector(c)]
     n_rows = K.n_simplices(d)
-    scale, wnum = _weight_scale(K, d)
-    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+    weights = K.weights[d]
     B = K.boundary_matrix_or_empty(d + 1)
     columns = [B.column(j) for j in range(B.cols)]
-    lo = [-(m0 // w) for w in wnum]
-    hi = [m0 // w for w in wnum]
     n = c.ring.modulus
     if n is not None:
         columns += [[n if i == k else 0 for i in range(n_rows)]
                     for k in range(n_rows)]
+    row_order = sorted(range(n_rows), key=lambda r: (-weights[r], r))
+    pivots = _echelon_columns(columns, row_order)
+    phi: Sequence[Fraction] = ()
+    if n is None and pivots:
+        cert = min_real(K, d, reduce_class(c, RAT)).certificate
+        if not cert.is_closed() or comass(K, cert) > 1:
+            raise AssertionError(
+                "the real certificate must be closed with comass <= 1")
+        phi = cert.values
+    scale = lcm(*(v.denominator for v in (*weights, *phi)))
+    wnum = [int(w * scale) for w in weights]
+    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+    lo = [-(m0 // w) for w in wnum]
+    hi = [m0 // w for w in wnum]
+    if n is not None:
         lo = [max(v, -((n - 1) // 2)) for v in lo]
         hi = [min(v, n // 2) for v in hi]
-    row_order = sorted(range(n_rows), key=lambda r: (-wnum[r], r))
-    pivots = _echelon_columns(columns, row_order)
     best, sols, exact, nodes = _search_lattice(
-        wnum, z0, pivots, row_order, lo, hi, m0, cap)
+        wnum, z0, pivots, row_order, lo, hi, m0, cap,
+        phi=[int(v * scale) for v in phi] if phi else None)
     return OptReport(c.ring, c, Fraction(best, scale),
                      _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
 
@@ -281,7 +326,11 @@ def min_int(K: WeightedComplex, d: int, c: ClassCoords,
             cap: int = DEFAULT_MINIMIZER_CAP) -> OptReport:
     """Exact minimum mass over the integral cycles in class ``c``.
 
-    Complete branch-and-bound over x = z0 + (boundary-lattice moves).
+    Complete branch-and-bound over x = z0 + (boundary-lattice moves).  It
+    first solves the real LP of ``min_real`` (unless there are no moves)
+    and prunes on its dual certificate, checked to be a calibration; ties
+    are kept, so the value and the minimizers are those of the unpruned
+    search.
     """
     return _coset_minimize(K, d, c, "Z", int, cap)
 

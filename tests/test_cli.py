@@ -15,7 +15,10 @@ from homnorm.hasse import (federer_rows_from_csv, gap_rows_from_csv,
                            scan_rows_from_csv)
 from homnorm.rings import parse_rational
 
+from conftest import horizontal_loop, torus_grid
+
 MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
+GRID4R_LOOP = horizontal_loop(torus_grid(4, seed=5), 4, seed=5)
 RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
 
 
@@ -24,7 +27,8 @@ def paths(tmp_path):
     out = {}
     for name, builder in (("torus", torus7), ("rp2", rp2_6),
                           ("klein", klein8), ("mobius", mobius_band),
-                          ("tc", triangle_circle)):
+                          ("tc", triangle_circle),
+                          ("grid4r", lambda: torus_grid(4, seed=5))):
         p = tmp_path / f"{name}.cplx"
         p.write_text(dump_complex(builder()), encoding="utf-8")
         out[name] = str(p)
@@ -214,6 +218,14 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
         "--ring", "Z"])
     assert code == 1
 
+    # a non-integral free coordinate over Z or Z/n is not truncated
+    for ring, klass in (("Z", "f:1/2"), ("Z/3", "f:3/2")):
+        code, out, err = run_cli(capsys, [
+            "norm", paths["mobius"], "--dim", "1", "--class", klass,
+            "--ring", ring])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     # non-contiguous scan range
     code, _, err = run_cli(capsys, [
         "scan", paths["tc"], "--dim", "1", "--class", "f:1", "--n", "2,5"])
@@ -244,6 +256,7 @@ def test_console_entry_point(paths):
     ["norm", "rp2", "--dim", "2", "--class", "c:1", "--ring", "Z/2"],
     ["norm", "torus", "--dim", "1", "--class", "f:1,1", "--ring", "Z/2"],
     ["norm", "klein", "--dim", "1", "--class", "f:1;t:0", "--ring", "Z/3"],
+    ["norm", "grid4r", "--dim", "1", "--chain", GRID4R_LOOP, "--ring", "Z"],
     ["scan", "rp2", "--dim", "1", "--class", "t:1", "--n", "2..6"],
     ["federer", "mobius", "--dim", "1", "--class", "f:1", "--k-max", "3"],
     ["bijection", "torus", "--dim", "1", "--class", "f:1,0", "--n", "3"],

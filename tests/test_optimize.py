@@ -15,6 +15,7 @@ from homnorm.complexes import Chain, Cochain, mass, reduce_chain
 from homnorm.fixtures import mobius_band
 from homnorm.homology import (InfeasibleClassError, class_of_cycle,
                               homology_decomposition, reduce_class)
+from homnorm.intlinalg import IntMatrix, kernel_basis
 from homnorm.optimize import (_echelon_columns, _search_lattice, comass,
                               lift_minimizer, min_int, min_mod, min_real,
                               verify_certificate)
@@ -343,11 +344,16 @@ def test_oracle_equivalence_randomized_small():
 # -- the search against the sorting, dense-column reference -----------------
 
 
-def _both_searches(*args):
+def _both_searches(*args, phi=None):
     """Run the search and its reference; they must agree on the optimum,
-    the minimizer vectors in order, exactness and the node count."""
-    got = _search_lattice(*args)
-    assert got == reference_search_lattice(*args)
+    the minimizer vectors in order and exactness.  Without a calibration
+    they also visit the same nodes; with one the search visits no more."""
+    got = _search_lattice(*args, phi=phi)
+    want = reference_search_lattice(*args)
+    if phi is None:
+        assert got == want
+    else:
+        assert got[:3] == want[:3] and got[3] <= want[3]
     return got
 
 
@@ -391,6 +397,43 @@ def test_search_matches_reference_on_random_lattices():
     assert all(seen.values()), seen
 
 
+def _random_calibration(rng: random.Random, wnum, pivots, m0):
+    """A random calibration of a search instance: an integer phi orthogonal
+    to every pivot column, with the weights and the mass cap rescaled so
+    that |phi_s| <= w_s holds with equality on some row."""
+    n_rows = len(wnum)
+    kernel = (kernel_basis(IntMatrix.from_rows([c for _, c in pivots]), INT)
+              if pivots else [[int(i == j) for i in range(n_rows)]
+                              for j in range(n_rows)])
+    h = [0] * n_rows
+    for vec in kernel:
+        a = rng.randint(-2, 2)
+        h = [x + a * y for x, y in zip(h, vec)]
+    if not any(h):
+        return wnum, h, m0
+    lam = min(Fraction(w, abs(x)) for w, x in zip(wnum, h) if x)
+    return ([w * lam.denominator for w in wnum],
+            [lam.numerator * x for x in h], m0 * lam.denominator)
+
+
+def test_calibrated_search_matches_reference_on_random_lattices():
+    """With a calibration the search finds the reference's optimum, the
+    same minimizers in the same order and the same exactness, in no more
+    nodes; here the calibration is tight on some row, so it prunes."""
+    rng = random.Random("search-calibrated")
+    pruned = 0
+    for trial in range(150):
+        wnum, z0, pivots, order, lo, hi, m0 = _random_search_instance(
+            rng, trial % 3 == 0)
+        wnum, phi, m0 = _random_calibration(rng, wnum, pivots, m0)
+        args = (wnum, z0, pivots, order, lo, hi, m0)
+        nodes = _both_searches(*args, 10_000, phi=phi)[3]
+        pruned += nodes < _search_lattice(*args, 10_000)[3]
+        for cap in (1, 2):
+            _both_searches(*args, cap, phi=phi)
+    assert pruned
+
+
 def test_search_without_pivots_matches_reference():
     wnum, z0 = [2, 1, 3], [1, -2, 0]
     for lo, hi in (([-3, -6, -2], [3, 6, 2]), ([0, 0, 0], [0, 0, 0])):
@@ -403,16 +446,78 @@ def test_search_rejects_boxes_without_zero():
         _search_lattice([1], [1], [], [0], [1], [2], 1, 5)
 
 
-@pytest.mark.parametrize("k,seed", [(3, 1), (3, 2), (4, 5)])
-def test_search_matches_reference_on_grid_echelons(monkeypatch, k, seed):
-    """Every search ``min_int`` and ``min_mod`` make on relabelled grids,
-    over Z, Z/2, Z/3 and Z/4, agrees with the reference."""
-    monkeypatch.setattr(optimize, "_search_lattice", _both_searches)
-    K = torus_grid(k, seed=seed)
-    loop = class_of_cycle(K, 1, Chain.make(K, 1, INT, {
+def _loop_class(K, k: int, seed):
+    """Integral class of the horizontal loop of ``torus_grid(k, seed)``."""
+    return class_of_cycle(K, 1, Chain.make(K, 1, INT, {
         int(i): int(c) for i, c in (item.split("=") for item in
                                      horizontal_loop(K, k, seed).split(","))}))
-    assert min_int(K, 1, loop).value == k
+
+
+@pytest.mark.parametrize("k,seed,weights", [
+    (3, 1, (1, 1, 1)), (3, 2, (1, 1, 1)), (4, 5, (1, 1, 1)),
+    (3, 4, (1, 2, Fraction(3, 2))), (4, 6, (Fraction(1, 3), 1, 1))],
+    ids=["3-1", "3-2", "4-5", "3-4-weighted", "4-6-weighted"])
+def test_search_matches_reference_on_grid_echelons(monkeypatch, k, seed,
+                                                   weights):
+    """Every search ``min_int`` and ``min_mod`` make on relabelled grids,
+    over Z, Z/2, Z/3 and Z/4, agrees with the reference; over Z the search
+    prunes on the real calibration, over Z/n it runs without one."""
+    calibrated = []
+
+    def search(*args, phi=None):
+        calibrated.append(phi is not None)
+        return _both_searches(*args, phi=phi)
+
+    monkeypatch.setattr(optimize, "_search_lattice", search)
+    K = torus_grid(k, seed=seed, weights=weights)
+    loop = _loop_class(K, k, seed)
+    assert min_int(K, 1, loop).value == k * weights[0]
     for n in (2, 3, 4):
-        assert min_mod(K, 1, reduce_class(loop, mod_ring(n))).value == k
+        assert min_mod(K, 1, reduce_class(loop, mod_ring(n))).value == \
+            k * weights[0]
+    assert calibrated == [True, False, False, False]
+
+
+def test_min_int_checks_its_calibration(monkeypatch, torus):
+    """A certificate that is not closed, or has comass above 1, is refused
+    before it can prune."""
+    c = _gen(homology_decomposition(torus, 1))
+    real = optimize.min_real
+    tamperings = (lambda vs: [2 * v for v in vs],
+                  lambda vs: [v / 2 + Fraction(int(i == 0), 100)
+                              for i, v in enumerate(vs)])
+    for tamper in tamperings:
+        def fake(K, d, cr, cap=optimize.DEFAULT_MINIMIZER_CAP):
+            rep = real(K, d, cr, cap)
+            rep.certificate = Cochain.make(K, d, tamper(rep.certificate.values))
+            return rep
+        monkeypatch.setattr(optimize, "min_real", fake)
+        with pytest.raises(AssertionError):
+            min_int(torus, 1, c)
+
+
+# -- invariants beyond the reach of the oracles -----------------------------
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_min_int_horizontal_loop_on_large_grids(k):
+    """On a relabelled unit k x k grid the horizontal loop's class has
+    value k and exactly k minimizers, the k grid rows."""
+    K = torus_grid(k, seed=k)
+    rep = min_int(K, 1, _loop_class(K, k, k))
+    assert rep.value == k and len(rep.minimizers) == k
+    assert rep.minimizer_count_exact
+
+
+def test_min_int_invariants_on_t5_diagonal_class():
+    """Every minimizer of T5 ``f:1,1`` is a cycle in the class with mass
+    equal to the value, and the real norm does not exceed it."""
+    K = torus_grid(5)
+    c = homology_decomposition(K, 1).class_coords(INT, (1, 1))
+    rep = min_int(K, 1, c)
+    assert rep.minimizer_count_exact and len(rep.minimizers) == 630
+    for T in rep.minimizers:
+        assert T.is_cycle() and mass(K, T) == rep.value
+        assert class_of_cycle(K, 1, T) == c
+    assert min_real(K, 1, reduce_class(c, RAT)).value <= rep.value
 
