@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
-from .complexes import Chain, WeightedComplex, reduce_chain
+from .complexes import Chain, WeightedComplex, lift_chain, reduce_chain
 from .homology import ClassCoords, homology_decomposition, reduce_class
 from .optimize import (DEFAULT_MINIMIZER_CAP, OptReport, lift_minimizer,
                        min_int, min_mod, min_real)
@@ -221,7 +221,7 @@ def scan_moduli(K: WeightedComplex, d: int, c: ClassCoords,
                 and mod_report.minimizer_count_exact:
             injective, surjective = _reduction_bijection(int_report, mod_report, n)
             bijection = injective and surjective
-            lift_all = all(lift_minimizer(T).is_cycle
+            lift_all = all(lift_chain(T).is_cycle()
                            for T in mod_report.minimizers)
         rows.append(ScanRow(
             n=n, value_mod=mod_report.value, value_int=int_report.value,

@@ -8,24 +8,25 @@ non-canonical but reproducible: the pivot rule in :mod:`homnorm.intlinalg`
 is fixed, so identical complexes always report identical bases.
 
 Mod-n homology is represented concretely as integer-lifted cycles modulo
-(boundaries + n * chains).  Its coordinate system is aligned with the
+(boundaries + n * chains) and read off the same two Smith normal forms, so
+a modulus costs only gcds.  Its coordinate system is aligned with the
 reduction map from integral homology: the first coordinates are the mod-n
 images of the integral free and torsion basis, and the remaining
 "cotorsion" coordinates span a complement of that image (the Tor summand
-of the universal-coefficient sequence), constructed by lifting quotient
-generators and correcting them inside the image subgroup.
+of the universal-coefficient sequence), one generator n/gcd(D_jj, n) times
+a column of V_A for each invariant factor D_jj of the degree-d boundary
+that shares a factor with n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
 from .complexes import Chain, NotACycleError, WeightedComplex
-from .intlinalg import IntMatrix, SNFResult, smith_normal_form, solve_with_snf
+from .intlinalg import IntMatrix, SNFResult, smith_normal_form
 from .rings import (INT, RAT, RingElem, RingSpec, factorize, format_element,
                     mod_ring)
 
@@ -288,154 +289,33 @@ class HomologyDecomposition:
 class ModDecomposition:
     """Mod-n homology with a basis aligned to the integral reduction map.
 
-    Generators, in order: the reductions of the integral free basis (order
-    n each), the reductions of the integral torsion basis (order
-    gcd(p^nu, n)), then cotorsion generators spanning a complement of the
-    reduction image.  Coordinates of a class are unique modulo those
-    orders because the three blocks form a direct sum.
+    Read off the integral Smith normal forms with no further one.  For an
+    integer lift x of a mod-n cycle let y = V_A^-1 x.  Boundaries have
+    y_j = 0 for j < r_A and n * chains are a product in y, so by the
+    universal coefficient theorem
+
+        H_d(Z/n) = (+)_{j < r_A} Z/g_j  (+)  Z^z / (n Z^z + im C),
+
+    with g_j = gcd(D_jj, n).  Generators, in order: the reductions of the
+    integral free basis (order n each), the reductions of the integral
+    torsion basis (order gcd(p^nu, n)), then one cotorsion generator
+    (n/g_j) * V_A[:, j] of order g_j for each j < r_A with g_j > 1.  The
+    cotorsion generators span a complement of the reduction image, so a
+    class has unique coordinates modulo those orders.
     """
 
     def __init__(self, dec: HomologyDecomposition, n: int):
         self.dec = dec
         self.n = n
-        K = dec.complex
-        d = dec.degree
-        n_simp = K.n_simplices(d)
-        B = K.boundary_matrix_or_empty(d + 1)
-        diagA = dec._snfA.diag
-        # Lifted mod-n cycle lattice: columns of V_A scaled by n/gcd(diag, n).
-        self._scales = [n // gcd(diagA[j] if j < len(diagA) else 0, n)
-                        for j in range(n_simp)]
-        relation_cols: list[list[int]] = []
-        for j in range(B.cols):
-            relation_cols.append(self._cycle_lattice_coords(B.column(j)))
-        for k in range(n_simp):
-            col = [n * v for v in dec._snfA.v_inv.column(k)]
-            relation_cols.append([c // s for c, s in zip(col, self._scales)])
-        Cn = IntMatrix.from_columns(relation_cols, n_simp)
-        self._snfCn = smith_normal_form(Cn)
-        diag = self._snfCn.diag
-        if len(diag) != n_simp or any(e == 0 for e in diag):
-            raise AssertionError("mod-n relation lattice must have full rank")
-        self._factor_indices = [i for i, e in enumerate(diag) if e > 1]
-        self._factor_orders = [diag[i] for i in self._factor_indices]
-        for e in self._factor_orders:
-            if n % e:
-                raise AssertionError("mod-n invariant factor must divide n")
-        # Images of the integral basis in raw coordinates.
-        self._phi = [self._raw_coords(f.vector()) for f in dec.free_basis]
-        self._psi = [self._raw_coords(tf.cycle.vector()) for tf in dec.torsion]
-        for g in self._phi:
-            if self._order(g) != n:
-                raise AssertionError("free basis image must have order n mod n")
-        for g, tf in zip(self._psi, dec.torsion):
-            if self._order(g) != gcd(tf.order, n):
-                raise AssertionError("torsion image has unexpected order")
-        self.cotorsion = self._build_cotorsion()
-        # Solver for coordinates: [phi | psi | w | diag(orders)] over Z.
-        j_count = len(self._factor_indices)
-        cols = ([list(g) for g in self._phi] + [list(g) for g in self._psi]
-                + [list(w) for (_, w, _) in self.cotorsion])
-        for i in range(j_count):
-            e_col = [0] * j_count
-            e_col[i] = self._factor_orders[i]
-            cols.append(e_col)
-        self._coord_solver = smith_normal_form(
-            IntMatrix.from_columns(cols, j_count))
-
-    @cached_property
-    def _image_solver(self) -> SNFResult:
-        """Solver for membership in the reduction image: [kernel | B | nI].
-
-        Only :meth:`in_image` reads it, so it is built on first use.
-        """
-        dec = self.dec
-        n_simp = dec.complex.n_simplices(dec.degree)
-        B = dec.complex.boundary_matrix_or_empty(dec.degree + 1)
-        img_cols = ([dec._kernel.column(j) for j in range(dec._kernel.cols)]
-                    + [B.column(j) for j in range(B.cols)])
-        for k in range(n_simp):
-            e_col = [0] * n_simp
-            e_col[k] = self.n
-            img_cols.append(e_col)
-        return smith_normal_form(IntMatrix.from_columns(img_cols, n_simp))
-
-    # -- raw presentation helpers -------------------------------------------
-
-    def _cycle_lattice_coords(self, vec: Sequence[int]) -> list[int]:
-        y = self.dec._snfA.v_inv.mul_vec(vec)
-        out = []
-        for v, s in zip(y, self._scales):
-            if v % s:
-                raise NotACycleError("vector is not a mod-n cycle lift")
-            out.append(v // s)
-        return out
-
-    def _raw_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
-        s = self._cycle_lattice_coords([int(v) for v in vec])
-        g = self._snfCn.U.mul_vec(s)
-        return tuple(g[i] % self._snfCn.diag[i] for i in self._factor_indices)
-
-    def _order(self, g: Sequence[int]) -> int:
-        out = 1
-        for v, e in zip(g, self._factor_orders):
-            o = e // gcd(e, v % e)
-            out = out * o // gcd(out, o)
-        return out
-
-    def _build_cotorsion(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-        j_count = len(self._factor_indices)
-        gens = self._phi + self._psi
-        cols = [list(g) for g in gens]
-        for i in range(j_count):
-            e_col = [0] * j_count
-            e_col[i] = self._factor_orders[i]
-            cols.append(e_col)
-        quotient = smith_normal_form(IntMatrix.from_columns(cols, j_count))
-        out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        for l in range(j_count):
-            m_l = quotient.diag[l] if l < len(quotient.diag) else 0
-            if m_l <= 1:
-                continue
-            u_l = quotient.u_inv.column(l)
-            # Correct the lift inside the image subgroup so that its order
-            # in the full group equals its order in the quotient.
-            corr_cols = ([[m_l * v for v in g] for g in gens])
-            for i in range(j_count):
-                e_col = [0] * j_count
-                e_col[i] = self._factor_orders[i]
-                corr_cols.append(e_col)
-            rhs = [m_l * v for v in u_l]
-            sol = solve_with_snf(
-                smith_normal_form(IntMatrix.from_columns(corr_cols, j_count)), rhs)
-            if sol is None:
-                raise AssertionError("universal-coefficient splitting failed")
-            t = sol[:len(gens)]
-            w = list(u_l)
-            for coeff, g in zip(t, gens):
-                for i in range(j_count):
-                    w[i] -= coeff * g[i]
-            w = [v % e for v, e in zip(w, self._factor_orders)]
-            if self._order(w) != m_l:
-                raise AssertionError("cotorsion generator has wrong order")
-            wvec = self._element_chain_vector(w)
-            out.append((m_l, tuple(w), tuple(wvec)))
-        return out
-
-    def _element_chain_vector(self, g: Sequence[int]) -> list[int]:
-        """Integer chain lift of the group element with raw coordinates g."""
-        n_simp = self.dec.complex.n_simplices(self.dec.degree)
-        out = [0] * n_simp
-        for coord, idx in zip(g, self._factor_indices):
-            if coord:
-                s = self._snfCn.u_inv.column(idx)
-                scaled = [v * sc for v, sc in zip(s, self._scales)]
-                col = self.dec._snfA.V.mul_vec(scaled)
-                for i in range(n_simp):
-                    out[i] += coord * col[i]
-        return out
-
-    # -- public API -----------------------------------------------------------
+        diag = dec._snfA.diag
+        # Order of each summand Z/g_j; a lift has n/g_j | y_j.
+        self._gcds = tuple(gcd(diag[j], n) for j in range(dec._rankA))
+        cot = [j for j, g in enumerate(self._gcds) if g > 1]
+        self.cotorsion = tuple(
+            (self._gcds[j],
+             tuple(int(k == i) for k in range(len(cot))),
+             tuple(n // self._gcds[j] * v for v in dec._snfA.V.column(j)))
+            for i, j in enumerate(cot))
 
     @property
     def cotorsion_orders(self) -> tuple[int, ...]:
@@ -444,23 +324,26 @@ class ModDecomposition:
     def coords_of_cycle(self, vec: Sequence[int]) -> tuple[tuple[int, ...],
                                                            tuple[int, ...],
                                                            tuple[int, ...]]:
-        g = self._raw_coords(vec)
-        sol = solve_with_snf(self._coord_solver, list(g))
-        if sol is None:
-            raise AssertionError("mod-n basis does not span; this is a bug")
-        b = self.dec.betti
-        t = len(self.dec.torsion)
-        alpha = tuple(a % self.n for a in sol[:b])
-        beta = tuple(v % gcd(tf.order, self.n)
-                     for v, tf in zip(sol[b:b + t], self.dec.torsion))
-        gamma = tuple(v % order
-                      for v, (order, _, _) in zip(sol[b + t:], self.cotorsion))
-        return alpha, beta, gamma
+        dec, n = self.dec, self.n
+        y = dec._snfA.v_inv.mul_vec([int(v) for v in vec])
+        gamma = []
+        for v, g in zip(y, self._gcds):
+            s = n // g
+            if v % s:
+                raise NotACycleError("vector is not a mod-n cycle lift")
+            if g > 1:
+                gamma.append(v // s % g)
+        sp = dec._snfC.U.mul_vec(y[dec._rankA:])
+        alpha = tuple(v % n for v in sp[dec._rankC:])
+        beta = tuple(sp[tf.column] % gcd(tf.order, n) for tf in dec.torsion)
+        return alpha, beta, tuple(gamma)
 
     def in_image(self, vec: Sequence[int]) -> bool:
         """True iff the lifted chain is congruent to an integral cycle mod
-        (boundaries + n*chains), i.e. the class is a reduction."""
-        return solve_with_snf(self._image_solver, [int(v) for v in vec]) is not None
+        (boundaries + n*chains), i.e. the class is a reduction: n divides
+        y_j for every j < r_A, so every cotorsion coordinate is 0."""
+        y = self.dec._snfA.v_inv.mul_vec([int(v) for v in vec])
+        return all(v % self.n == 0 for v in y[:self.dec._rankA])
 
 
 def homology_decomposition(K: WeightedComplex, d: int) -> HomologyDecomposition:

@@ -135,6 +135,31 @@ def horizontal_loop(K: WeightedComplex, k: int, seed=None) -> str:
     return ",".join(f"{i}={c}" for i, c in sorted(items))
 
 
+def moore_space(*orders: int) -> WeightedComplex:
+    """Disjoint union of 2-complexes M_m with H_1 = Z/m and H_2 = 0, one for
+    each m in ``orders``, all weights 1.
+
+    M_m is a cone over a 3m-gon whose rim winds m times round a triangle,
+    with an annulus of triangles between the rim and the triangle.
+    """
+    verts, triangles = [], set()
+    for m in orders:
+        c = [len(verts) + i for i in range(3)]
+        b = [len(verts) + 3 + i for i in range(3 * m)]
+        o = len(verts) + 3 + 3 * m
+        verts += [(v,) for v in range(len(verts), o + 1)]
+        for i in range(3 * m):
+            bi, bj = b[i], b[(i + 1) % (3 * m)]
+            ci, cj = c[i % 3], c[(i + 1) % 3]
+            triangles |= {(bi, bj, cj), (bi, ci, cj), (o, bi, bj)}
+    triangles = sorted(tuple(sorted(t)) for t in triangles)
+    edges = sorted({e for t in triangles for e in itertools.combinations(t, 2)})
+    levels = [verts, edges, triangles]
+    name = "moore-" + "-".join(map(str, orders))
+    return WeightedComplex(name, levels,
+                           [[Fraction(1)] * len(lv) for lv in levels])
+
+
 def random_complex(rng: random.Random, max_vertices: int = 8):
     """Random face-closed weighted complex with b_1 >= 1 (for class tests)."""
     while True:

@@ -254,10 +254,12 @@ def test_console_entry_point(paths):
     ["homology", "klein", "--dim", "1"],
     ["homology", "torus", "--dim", "2"],
     ["norm", "rp2", "--dim", "2", "--class", "c:1", "--ring", "Z/2"],
+    ["norm", "rp2", "--dim", "2", "--class", "c:1", "--ring", "Z/4"],
     ["norm", "torus", "--dim", "1", "--class", "f:1,1", "--ring", "Z/2"],
     ["norm", "klein", "--dim", "1", "--class", "f:1;t:0", "--ring", "Z/3"],
     ["norm", "grid4r", "--dim", "1", "--chain", GRID4R_LOOP, "--ring", "Z"],
     ["scan", "rp2", "--dim", "1", "--class", "t:1", "--n", "2..6"],
+    ["scan", "grid4r", "--dim", "1", "--class", "f:1,0", "--n", "2..4"],
     ["federer", "mobius", "--dim", "1", "--class", "f:1", "--k-max", "3"],
     ["bijection", "torus", "--dim", "1", "--class", "f:1,0", "--n", "3"],
     ["certify", "torus", "--dim", "1", "--class", "f:1,1"],

@@ -6,13 +6,14 @@ certificate, not only the value, so any change to the simplex (pivot rule,
 arithmetic, row or column order) that moves either one shows up here.
 
 ``golden_integral.json`` does the same for the integral and mod-n side:
-``homology`` in every degree, ``norm`` over Z, Z/2, Z/3 and Z/4 (cotorsion
-classes included, and the horizontal loop of a relabelled grid given as a
-chain), ``scan``, ``federer`` and ``sweep`` in both formats (a sweep with an
-unsorted, repeated modulus list and one with no factors included),
-``bijection`` and ``lift``.  Every reported basis
-cycle, cotorsion generator and minimizer is read off Smith normal form
-transforms, so any change to the SNF that moves a transform shows up here.
+``homology`` in every degree, ``norm`` over Z, Z/2, Z/3, Z/4 and Z/6
+(cotorsion classes included, twice the rp2 fundamental chain, which is a
+mod-4 cycle in the cotorsion class, and the horizontal loop of a relabelled
+grid, both given as chains), ``scan``, ``federer`` and ``sweep`` in both
+formats (a sweep with an unsorted, repeated modulus list and one with no
+factors included), ``bijection`` and ``lift``.  Every reported basis cycle,
+cotorsion generator and minimizer is read off Smith normal form transforms,
+so any change to the SNF that moves a transform shows up here.
 """
 
 import json
@@ -47,6 +48,7 @@ def grid3r() -> WeightedComplex:
 GRID3R_LOOP = horizontal_loop(grid3r(), 3, seed=7)
 MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
 RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
+RP2_TWICE_FUNDAMENTAL = ",".join(f"{i}=2" for i in range(10))
 
 FIXTURES = {"tc": triangle_circle, "torus": torus7, "rp2": rp2_6,
             "klein": klein8, "mobius": mobius_band, "grid4a": grid4a,
@@ -89,10 +91,11 @@ INTEGRAL = (
            ("torus", 1, "--class f:1,1", ("Z", "Z/2", "Z/3", "Z/4")),
            ("torus", 2, "--class f:1", ("Z", "Z/2")),
            ("rp2", 1, "--class t:1", ("Z", "Z/2", "Z/3")),
-           ("rp2", 2, "--class c:1", ("Z/2",)),
+           ("rp2", 2, "--class c:1", ("Z/2", "Z/4", "Z/6")),
+           ("rp2", 2, f"--chain {RP2_TWICE_FUNDAMENTAL}", ("Z/4",)),
            ("klein", 1, "--class f:1;t:0", ("Z", "Z/2", "Z/3")),
            ("klein", 1, "--class f:0;t:1", ("Z", "Z/2")),
-           ("klein", 2, "--class c:1", ("Z/2",)),
+           ("klein", 2, "--class c:1", ("Z/2", "Z/4", "Z/6")),
            ("mobius", 1, "--class f:1", ("Z", "Z/2", "Z/3", "Z/4")),
            ("mobius", 1, "--class f:2", ("Z", "Z/2", "Z/4")),
            ("grid4a", 1, "--class f:1,0", ("Z", "Z/2")),

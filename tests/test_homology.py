@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from homnorm.complexes import Chain, NotACycleError, WeightedComplex, reduce_chain
-from homnorm.fixtures import MOBIUS_CORE_EDGES, torus7
-from homnorm.hasse import scan_moduli
+from homnorm.fixtures import MOBIUS_CORE_EDGES, rp2_6, torus7
 from homnorm.homology import (InfeasibleClassError, class_of_cycle,
                               homology_decomposition, in_reduction_image,
                               kernel_witness, reduce_class)
 from homnorm.rings import INT, RAT, mod_ring
+
+from conftest import moore_space, torus_grid
+from oracles import ReferenceModDecomposition
 
 
 def test_fixture_decompositions(tc, torus, rp2, klein):
@@ -178,21 +180,27 @@ def test_in_reduction_image_matches_cotorsion_flag(rp2, klein):
                             all(v == 0 for v in c.cotorsion_part)
 
 
-def test_image_solver_is_built_only_by_in_reduction_image():
-    K = torus7()  # a fresh complex, so no other test has filled its caches
-    dec = homology_decomposition(K, 1)
-    scan_moduli(K, 1, dec.class_coords(INT, (1, 0)), 2, 8)
-    assert sorted(dec._mod_cache) == list(range(2, 9))
-    assert all("_image_solver" not in md.__dict__
-               for md in dec._mod_cache.values())
-    md = dec.mod(3)
-    ring = mod_ring(3)
-    assert in_reduction_image(K, 1, dec.class_coords(ring, (1, 2)))
-    solver = md.__dict__["_image_solver"]
-    assert in_reduction_image(K, 1, dec.zero_class(ring))
-    assert md.__dict__["_image_solver"] is solver
-    assert all("_image_solver" not in other.__dict__
-               for n, other in dec._mod_cache.items() if n != 3)
+def test_mod_decomposition_runs_no_smith_normal_form(monkeypatch):
+    import homnorm.homology as homology
+    calls = []
+    real_snf = homology.smith_normal_form
+    monkeypatch.setattr(homology, "smith_normal_form",
+                        lambda A: calls.append(A) or real_snf(A))
+    # Fresh complexes, so no other test has filled their caches.
+    for K in (torus7(), rp2_6()):
+        decs = [homology_decomposition(K, d) for d in range(K.dim + 1)]
+        calls.clear()
+        for dec in decs:
+            for n in range(2, 51):
+                md = dec.mod(n)
+                c = dec.class_coords(
+                    mod_ring(n), (1,) * dec.betti, (1,) * len(dec.torsion),
+                    (1,) * len(md.cotorsion))
+                rep = dec.representative(c)
+                assert class_of_cycle(K, dec.degree, rep) == c
+                assert in_reduction_image(K, dec.degree, c) == \
+                    (not md.cotorsion)
+        assert calls == []
 
 
 def test_mod_decomposition_group_order_matches_uct(tc, torus, rp2, klein, mobius):
@@ -203,9 +211,11 @@ def test_mod_decomposition_group_order_matches_uct(tc, torus, rp2, klein, mobius
                              if d >= 1 else ())
             for n in range(2, 10):
                 md = dec.mod(n)
-                size = 1
-                for e in md._factor_orders:
-                    size *= e
+                size = n ** dec.betti
+                for tf in dec.torsion:
+                    size *= gcd(tf.order, n)
+                for order in md.cotorsion_orders:
+                    size *= order
                 expected = n ** dec.betti
                 for tf in dec.torsion:
                     expected *= gcd(tf.order, n)
@@ -258,26 +268,114 @@ def test_naturality_of_reduction(torus, klein, mobius):
                 assert left == right
 
 
+def permuted_copy(K: WeightedComplex, rng: random.Random) -> WeightedComplex:
+    """``K`` with its edges and triangles shuffled by ``rng``."""
+    perm1 = list(range(K.n_simplices(1)))
+    perm2 = list(range(K.n_simplices(2)))
+    rng.shuffle(perm1)
+    rng.shuffle(perm2)
+    return WeightedComplex(
+        K.name + "-perm",
+        [K.simplices[0],
+         [K.simplices[1][i] for i in perm1],
+         [K.simplices[2][i] for i in perm2]],
+        [K.weights[0],
+         [K.weights[1][i] for i in perm1],
+         [K.weights[2][i] for i in perm2]])
+
+
 def test_decomposition_invariants_under_permutation(rp2, klein):
     rng = random.Random("permute")
     for K in (rp2, klein):
         for _ in range(3):
-            perm1 = list(range(K.n_simplices(1)))
-            perm2 = list(range(K.n_simplices(2)))
-            rng.shuffle(perm1)
-            rng.shuffle(perm2)
-            K2 = WeightedComplex(
-                K.name + "-perm",
-                [K.simplices[0],
-                 [K.simplices[1][i] for i in perm1],
-                 [K.simplices[2][i] for i in perm2]],
-                [K.weights[0],
-                 [K.weights[1][i] for i in perm1],
-                 [K.weights[2][i] for i in perm2]])
+            K2 = permuted_copy(K, rng)
             for d in range(3):
                 a = homology_decomposition(K, d)
                 b = homology_decomposition(K2, d)
                 assert (a.betti, a.torsion_factors) == (b.betti, b.torsion_factors)
+
+
+def test_mod_decomposition_matches_reference(tc, torus, rp2, klein, mobius):
+    rng = random.Random("mod-reference")
+    complexes = [tc, torus, rp2, klein, mobius]
+    complexes += [permuted_copy(K, rng) for K in (rp2, klein) for _ in range(2)]
+    complexes += [torus_grid(3, seed=7), torus_grid(4, seed=5)]
+    # Cotorsion of order 3 and 4 pins the sign of the generators.
+    complexes += [moore_space(3), moore_space(4)]
+    for K in complexes:
+        for d in range(K.dim + 1):
+            dec = homology_decomposition(K, d)
+            n_simp = K.n_simplices(d)
+            B = K.boundary_matrix_or_empty(d + 1)
+            for n in range(2, 13):
+                md = dec.mod(n)
+                ref = ReferenceModDecomposition(dec, n)
+                assert md.cotorsion_orders == ref.cotorsion_orders
+                for (_, _, w), (_, _, w_ref) in zip(md.cotorsion, ref.cotorsion):
+                    assert [v % n for v in w] == [v % n for v in w_ref]
+                ring = mod_ring(n)
+                for _ in range(4):
+                    c = dec.class_coords(
+                        ring,
+                        tuple(rng.randrange(n) for _ in range(dec.betti)),
+                        tuple(rng.randrange(gcd(tf.order, n))
+                              for tf in dec.torsion),
+                        tuple(rng.randrange(order)
+                              for order in md.cotorsion_orders))
+                    vec = dec.representative_vector(c)
+                    vec_ref = dec.representative_vector(dec.class_coords(
+                        ring, c.free_part, c.torsion_part,
+                        (0,) * len(md.cotorsion)))
+                    for g, (_, _, w_ref) in zip(c.cotorsion_part,
+                                                ref.cotorsion):
+                        vec_ref = [a + g * b for a, b in zip(vec_ref, w_ref)]
+                    assert [v % n for v in vec] == [v % n for v in vec_ref]
+                    # Another lift of the same class: add a random boundary
+                    # and n times a random chain.
+                    bnd = B.mul_vec([rng.randint(-2, 2) for _ in range(B.cols)])
+                    x = [a + b + n * rng.randint(-2, 2)
+                         for a, b in zip(vec, bnd)]
+                    coords = (c.free_part, c.torsion_part, c.cotorsion_part)
+                    assert md.coords_of_cycle(x) == ref.coords_of_cycle(x) \
+                        == coords
+                    assert md.in_image(x) == ref.in_image(x) \
+                        == (not any(c.cotorsion_part))
+                    # A random chain, in higher degrees rarely a cycle.
+                    junk = [rng.randint(-n, n) for _ in range(n_simp)]
+                    assert md.in_image(junk) == ref.in_image(junk)
+                    try:
+                        expected = ref.coords_of_cycle(junk)
+                    except NotACycleError:
+                        with pytest.raises(NotACycleError):
+                            md.coords_of_cycle(junk)
+                    else:
+                        assert md.coords_of_cycle(junk) == expected
+
+
+def test_mod_decomposition_with_two_cotorsion_generators():
+    # H_1 = Z/2 + Z/4 + Z/3, so H_2 mod n has up to two cotorsion
+    # generators.  The closed form and the reference may pick different
+    # bases of that summand, so only basis-free facts are compared.
+    K = moore_space(4, 6)
+    dec = homology_decomposition(K, 2)
+    rng = random.Random("two-cotorsion")
+    for n in range(2, 25):
+        md = dec.mod(n)
+        ref = ReferenceModDecomposition(dec, n)
+        orders = md.cotorsion_orders
+        assert orders == ref.cotorsion_orders
+        assert len(orders) == (n % 2 == 0) + (n % 2 == 0 or n % 3 == 0)
+        for order, _, w_ref in ref.cotorsion:
+            gamma = md.coords_of_cycle(w_ref)[2]
+            assert lcm(*(e // gcd(e, g) for e, g in zip(orders, gamma))) \
+                == order
+        for _ in range(4):
+            cot = tuple(rng.randrange(e) for e in orders)
+            vec = dec.representative_vector(
+                dec.class_coords(mod_ring(n), (), (), cot))
+            x = [v + n * rng.randint(-2, 2) for v in vec]
+            assert md.coords_of_cycle(x) == ((), (), cot)
+            assert md.in_image(x) == ref.in_image(x) == (not any(cot))
 
 
 def test_class_coords_validation(torus):
