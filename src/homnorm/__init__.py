@@ -16,12 +16,11 @@ from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        ModDecomposition, TorsionFactor, class_of_cycle,
                        homology_decomposition, in_reduction_image,
                        kernel_witness, reduce_class)
-from .intlinalg import (IntMatrix, ShapeMismatchError, SNFResult, kernel_basis,
-                        smith_normal_form, solve_linear)
+from .intlinalg import IntMatrix, ShapeMismatchError, SNFResult, smith_normal_form
 from .optimize import (LiftReport, OptReport, comass, lift_minimizer, min_int,
                        min_mod, min_real, minimize, verify_certificate)
-from .rings import (INT, RAT, RingSpec, canonical_lift, mod_inverse, mod_ring,
-                    norm, ring_from_tag)
+from .rings import (INT, RAT, RingSpec, canonical_lift, mod_ring, norm,
+                    ring_from_tag)
 
 __all__ = [
     "Chain", "Cochain", "ComplexFormatError", "NotACycleError",
@@ -34,10 +33,9 @@ __all__ = [
     "ModDecomposition", "TorsionFactor", "class_of_cycle",
     "homology_decomposition", "in_reduction_image", "kernel_witness",
     "reduce_class",
-    "IntMatrix", "ShapeMismatchError", "SNFResult", "kernel_basis",
-    "smith_normal_form", "solve_linear",
+    "IntMatrix", "ShapeMismatchError", "SNFResult", "smith_normal_form",
     "LiftReport", "OptReport", "comass", "lift_minimizer", "min_int",
     "min_mod", "min_real", "minimize", "verify_certificate",
-    "INT", "RAT", "RingSpec", "canonical_lift", "mod_inverse", "mod_ring",
-    "norm", "ring_from_tag",
+    "INT", "RAT", "RingSpec", "canonical_lift", "mod_ring", "norm",
+    "ring_from_tag",
 ]

@@ -350,6 +350,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -131,9 +131,11 @@ class HomologyDecomposition:
         # Boundaries in kernel coordinates.
         C = IntMatrix.zeros(z, B.cols)
         for j in range(B.cols):
-            s = self._kernel_coords_int(B.column(j))
+            y = self._snfA.v_inv.mul_vec(B.column(j))
+            if any(y[:rA]):
+                raise NotACycleError("vector is not in the cycle lattice")
             for i in range(z):
-                C.data[i][j] = s[i]
+                C.data[i][j] = y[rA + i]
         self._snfC: SNFResult = smith_normal_form(C)
         rC = self._snfC.rank
         self._rankC = rC
@@ -164,29 +166,34 @@ class HomologyDecomposition:
             self.torsion_number *= tf.order
         self._mod_cache: dict[int, ModDecomposition] = {}
 
-    # -- internal coordinate plumbing ---------------------------------------
+    # -- coordinates of cycles, representatives of classes ------------------
 
-    def _kernel_coords_int(self, vec: Sequence[int]) -> list[int]:
+    def coords_of_cycle(self, vec: Sequence[RingElem],
+                        ring: RingSpec) -> ClassCoords:
+        """Class of a cycle over ``ring`` (an integer lift over Z/nZ).
+
+        With y = V_A^-1 vec, a cycle has y_j = 0 for every j < r_A; over
+        Z/nZ a lift needs only n/g_j | y_j, and y_j/(n/g_j) is the
+        cotorsion coordinate of each j with g_j > 1.  Then sp = U_C y[r_A:]
+        holds the free coordinates past r_C and the torsion coordinates at
+        the torsion columns; :meth:`class_coords` reduces all three.
+        """
+        rA = self._rankA
         y = self._snfA.v_inv.mul_vec(vec)
-        if any(y[:self._rankA]):
-            raise NotACycleError("vector is not in the cycle lattice")
-        return y[self._rankA:]
-
-    def _kernel_coords_rat(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        y = self._snfA.v_inv.mul_vec([Fraction(v) for v in vec])
-        if any(y[:self._rankA]):
-            raise NotACycleError("vector is not in the rational cycle space")
-        return y[self._rankA:]
-
-    def coords_of_int_cycle(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        sp = self._snfC.U.mul_vec(self._kernel_coords_int(vec))
-        free = tuple(sp[self._rankC:])
-        torsion = tuple(sp[tf.column] % tf.order for tf in self.torsion)
-        return free, torsion
-
-    def coords_of_rat_cycle(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        sp = self._snfC.U.mul_vec(self._kernel_coords_rat(vec))
-        return tuple(Fraction(v) for v in sp[self._rankC:])
+        cotorsion = []
+        if ring.is_mod:
+            n = ring.modulus
+            for v, g in zip(y, self.mod(n)._gcds):
+                s = n // g
+                if v % s:
+                    raise NotACycleError("vector is not a mod-n cycle lift")
+                if g > 1:
+                    cotorsion.append(v // s)
+        elif any(y[:rA]):
+            raise NotACycleError(f"vector is not a cycle over {ring.tag}")
+        sp = self._snfC.U.mul_vec(y[rA:])
+        torsion = () if ring.is_rat else [sp[tf.column] for tf in self.torsion]
+        return self.class_coords(ring, sp[self._rankC:], torsion, cotorsion)
 
     def representative_vector(self, c: "ClassCoords") -> list:
         """Chain vector of the reference representative of ``c``.
@@ -195,32 +202,17 @@ class HomologyDecomposition:
         Z/nZ the cotorsion generators of the mod decomposition join in and
         the result is an integer lift of the representative.
         """
-        n_simp = self.complex.n_simplices(self.degree)
-        if c.ring.is_rat:
-            out = [Fraction(0)] * n_simp
-            for a, j in zip(c.free_part, range(self._rankC, self._rankC + self.betti)):
-                if a:
-                    col = self._kprime.column(j)
-                    for i in range(n_simp):
-                        out[i] += Fraction(a) * col[i]
-            return out
-        out = [0] * n_simp
-        for a, j in zip(c.free_part, range(self._rankC, self._rankC + self.betti)):
-            if a:
-                col = self._kprime.column(j)
-                for i in range(n_simp):
-                    out[i] += int(a) * col[i]
-        for b, tf in zip(c.torsion_part, self.torsion):
-            if b:
-                col = self._kprime.column(tf.column)
-                for i in range(n_simp):
-                    out[i] += b * tf.idempotent * col[i]
+        kp, rC = self._kprime, self._rankC
+        terms = [(a, kp.column(rC + k)) for k, a in enumerate(c.free_part) if a]
+        terms += [(b * tf.idempotent, kp.column(tf.column))
+                  for b, tf in zip(c.torsion_part, self.torsion) if b]
         if c.ring.is_mod:
-            md = self.mod(c.ring.modulus)
-            for g, (order, coords, wvec) in zip(c.cotorsion_part, md.cotorsion):
-                if g:
-                    for i in range(n_simp):
-                        out[i] += g * wvec[i]
+            cot = self.mod(c.ring.modulus).cotorsion
+            terms += [(g, w) for g, (_, _, w) in zip(c.cotorsion_part, cot) if g]
+        out = [Fraction(0) if c.ring.is_rat else 0] * kp.rows
+        for a, col in terms:
+            for i, v in enumerate(col):
+                out[i] += a * v
         return out
 
     def representative(self, c: "ClassCoords") -> Chain:
@@ -301,7 +293,8 @@ class ModDecomposition:
     torsion basis (order gcd(p^nu, n)), then one cotorsion generator
     (n/g_j) * V_A[:, j] of order g_j for each j < r_A with g_j > 1.  The
     cotorsion generators span a complement of the reduction image, so a
-    class has unique coordinates modulo those orders.
+    class has unique coordinates modulo those orders;
+    :meth:`HomologyDecomposition.coords_of_cycle` reads them.
     """
 
     def __init__(self, dec: HomologyDecomposition, n: int):
@@ -321,30 +314,6 @@ class ModDecomposition:
     def cotorsion_orders(self) -> tuple[int, ...]:
         return tuple(order for (order, _, _) in self.cotorsion)
 
-    def coords_of_cycle(self, vec: Sequence[int]) -> tuple[tuple[int, ...],
-                                                           tuple[int, ...],
-                                                           tuple[int, ...]]:
-        dec, n = self.dec, self.n
-        y = dec._snfA.v_inv.mul_vec([int(v) for v in vec])
-        gamma = []
-        for v, g in zip(y, self._gcds):
-            s = n // g
-            if v % s:
-                raise NotACycleError("vector is not a mod-n cycle lift")
-            if g > 1:
-                gamma.append(v // s % g)
-        sp = dec._snfC.U.mul_vec(y[dec._rankA:])
-        alpha = tuple(v % n for v in sp[dec._rankC:])
-        beta = tuple(sp[tf.column] % gcd(tf.order, n) for tf in dec.torsion)
-        return alpha, beta, tuple(gamma)
-
-    def in_image(self, vec: Sequence[int]) -> bool:
-        """True iff the lifted chain is congruent to an integral cycle mod
-        (boundaries + n*chains), i.e. the class is a reduction: n divides
-        y_j for every j < r_A, so every cotorsion coordinate is 0."""
-        y = self.dec._snfA.v_inv.mul_vec([int(v) for v in vec])
-        return all(v % self.n == 0 for v in y[:self.dec._rankA])
-
 
 def homology_decomposition(K: WeightedComplex, d: int) -> HomologyDecomposition:
     """The (cached) decomposition of H_d(K; Z) in the fixed reported basis."""
@@ -362,15 +331,7 @@ def class_of_cycle(K: WeightedComplex, d: int, z: Chain) -> ClassCoords:
     if not z.is_cycle():
         raise NotACycleError(
             f"chain has nonzero boundary over {z.ring.tag}")
-    dec = homology_decomposition(K, d)
-    if z.ring.is_int:
-        free, torsion = dec.coords_of_int_cycle([int(v) for v in z.vector()])
-        return dec.class_coords(INT, free, torsion)
-    if z.ring.is_rat:
-        return dec.class_coords(RAT, dec.coords_of_rat_cycle(z.vector()))
-    md = dec.mod(z.ring.modulus)
-    alpha, beta, gamma = md.coords_of_cycle([int(v) for v in z.vector()])
-    return dec.class_coords(z.ring, alpha, beta, gamma)
+    return homology_decomposition(K, d).coords_of_cycle(z.vector(), z.ring)
 
 
 def reduce_class(c: ClassCoords, target: RingSpec) -> ClassCoords:
@@ -415,5 +376,4 @@ def in_reduction_image(K: WeightedComplex, d: int, c: ClassCoords) -> bool:
     dec = homology_decomposition(K, d)
     if c.decomposition is not dec:
         raise ValueError("class does not belong to this complex/degree")
-    md = dec.mod(c.ring.modulus)
-    return md.in_image(dec.representative_vector(c))
+    return not any(c.cotorsion_part)

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z, Q and Z/nZ: Smith normal form and solving.
+"""Exact integer matrices and their Smith normal form.
 
 Matrices are stored densely as lists of arbitrary-precision integer rows,
 but the work skips zeros: boundary operators of desk-scale complexes have
@@ -23,13 +23,9 @@ dense reduction (``tests/oracles.py`` keeps it as the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
-from math import gcd
 from operator import mul
 from typing import Optional, Sequence
-
-from .rings import RingElem, RingSpec
 
 
 class ShapeMismatchError(ValueError):
@@ -79,12 +75,6 @@ class IntMatrix:
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if other.rows != self.rows:
-            raise ShapeMismatchError("hstack needs equal row counts")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [self.data[i] + other.data[i] for i in range(self.rows)])
-
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatchError("matmul shape mismatch")
@@ -98,8 +88,6 @@ class IntMatrix:
                     for j in range(other.cols):
                         orow[j] += a * brow[j]
         return out
-
-    __matmul__ = matmul
 
     def mul_vec(self, v: Sequence) -> list:
         """The product with v (ints or Fractions), over v's nonzeros."""
@@ -123,7 +111,7 @@ class IntMatrix:
 
 @dataclass
 class SNFResult:
-    """U @ A @ V == D with U, V unimodular and D in Smith normal form.
+    """U A V = D with U, V unimodular and D in Smith normal form.
 
     ``diag`` is the full invariant-factor sequence (length min(rows, cols),
     nonzero entries first, each dividing the next, zeros trailing).
@@ -270,86 +258,3 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
 
 def _transpose(n: int, data: list[list[int]]) -> IntMatrix:
     return IntMatrix(n, n, [list(col) for col in zip(*data)])
-
-
-def solve_with_snf(res: SNFResult, b: Sequence[int]) -> Optional[list[int]]:
-    c = res.U.mul_vec(b)
-    y = [0] * res.D.cols
-    for i, ci in enumerate(c):
-        di = res.D.data[i][i] if i < len(res.diag) else 0
-        if di:
-            if ci % di:
-                return None
-            y[i] = ci // di
-        elif ci:
-            return None
-    return res.V.mul_vec(y)
-
-
-def solve_linear(A: IntMatrix, b: Sequence[RingElem],
-                 ring: RingSpec) -> Optional[list[RingElem]]:
-    """Solve ``A x = b`` over the ring, or None when no solution exists.
-
-    Integer and rational systems go through the Smith normal form of A;
-    mod-n systems solve the integer system ``A x + n u = b`` so that
-    composite moduli need no special casing.
-    """
-    if len(b) != A.rows:
-        raise ShapeMismatchError(
-            f"rhs length {len(b)} does not match {A.rows} rows")
-    if ring.is_int:
-        bi = [int(v) for v in b]
-        return solve_with_snf(smith_normal_form(A), bi)
-    if ring.is_rat:
-        res = smith_normal_form(A)
-        c = [Fraction(v) for v in res.U.mul_vec(b)]
-        y: list[Fraction] = [Fraction(0)] * res.D.cols
-        for i, ci in enumerate(c):
-            di = res.D.data[i][i] if i < len(res.diag) else 0
-            if di:
-                y[i] = ci / di
-            elif ci:
-                return None
-        return [Fraction(v) for v in res.V.mul_vec(y)]
-    n = ring.modulus
-    assert n is not None
-    aug = A.hstack(_scaled_identity(A.rows, n))
-    x = solve_with_snf(smith_normal_form(aug), [int(v) for v in b])
-    if x is None:
-        return None
-    return [v % n for v in x[:A.cols]]
-
-
-def _scaled_identity(n: int, s: int) -> IntMatrix:
-    m = IntMatrix.zeros(n, n)
-    for i in range(n):
-        m.data[i][i] = s
-    return m
-
-
-def kernel_basis(A: IntMatrix, ring: RingSpec) -> list[list[RingElem]]:
-    """Kernel generators of ``A`` over the ring.
-
-    Z: a lattice basis of the integer kernel (columns of V past the rank).
-    Q: the same vectors as an exact rational basis.
-    Z/n: module generators, one per column of V scaled by n/gcd(d_i, n)
-    (zero generators dropped).
-    """
-    res = smith_normal_form(A)
-    r = res.rank
-    if ring.is_int:
-        return [res.V.column(j) for j in range(r, A.cols)]
-    if ring.is_rat:
-        return [[Fraction(v) for v in res.V.column(j)] for j in range(r, A.cols)]
-    n = ring.modulus
-    assert n is not None
-    gens: list[list[RingElem]] = []
-    for j in range(A.cols):
-        dj = res.diag[j] if j < len(res.diag) else 0
-        mult = n // gcd(dj, n)
-        if mult % n == 0:
-            continue
-        vec = [(mult * v) % n for v in res.V.column(j)]
-        if any(vec):
-            gens.append(vec)
-    return gens

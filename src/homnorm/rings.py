@@ -99,16 +99,6 @@ def canonical_lift(residue: int, n: int) -> int:
     return r if 2 * r <= n else r - n
 
 
-def mod_inverse(k: int, n: int) -> Optional[int]:
-    """Residue ``l`` with ``k*l = 1 mod n``, or None when gcd(k, n) != 1."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    try:
-        return pow(k, -1, n)
-    except ValueError:
-        return None
-
-
 def canonicalize(ring: RingSpec, value: RingElem) -> RingElem:
     """Bring ``value`` into the ring's canonical form.
 

@@ -25,10 +25,23 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from homnorm.complexes import Chain, NotACycleError, mass
 from homnorm.homology import HomologyDecomposition, homology_decomposition
-from homnorm.intlinalg import (IntMatrix, SNFResult, smith_normal_form,
-                               solve_with_snf)
+from homnorm.intlinalg import IntMatrix, SNFResult, smith_normal_form
 from homnorm.lp import LPInfeasibleError, LPResult
 from homnorm.rings import INT, canonical_lift
+
+
+def solve_with_snf(res: SNFResult, b: Sequence[int]) -> Optional[list[int]]:
+    c = res.U.mul_vec(b)
+    y = [0] * res.D.cols
+    for i, ci in enumerate(c):
+        di = res.D.data[i][i] if i < len(res.diag) else 0
+        if di:
+            if ci % di:
+                return None
+            y[i] = ci // di
+        elif ci:
+            return None
+    return res.V.mul_vec(y)
 
 
 def _frac(x) -> Fraction:

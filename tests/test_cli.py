@@ -2,11 +2,13 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
+import homnorm
 from homnorm.cli import main
 from homnorm.complexes import dump_complex
 from homnorm.fixtures import (klein8, mobius_band, mobius_boundary_indices,
@@ -238,6 +240,34 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert err.count("\n") == 1
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("scan", []),
+    ("bijection", []),
+    ("sweep", ["--shrink", MOBIUS_RIM, "--factors", "1/1"]),
+])
+def test_huge_modulus_range_is_one_line_error(paths, command, extra):
+    # Materialising 2..10^11 cannot fit in the 1 GiB address space the
+    # child runs under; the failure must be a diagnostic, not a traceback.
+    proc = subprocess.run(
+        [sys.executable, "-m", "homnorm.cli", command, paths["mobius"],
+         "--dim", "1", "--class", "f:1", "--n", "2..100000000000"] + extra,
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+        timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from homnorm import *", namespace)
+    assert all(name in namespace for name in homnorm.__all__)
+    assert len(set(homnorm.__all__)) == len(homnorm.__all__)
 
 
 def test_console_entry_point(paths):

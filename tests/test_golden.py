@@ -49,6 +49,8 @@ GRID3R_LOOP = horizontal_loop(grid3r(), 3, seed=7)
 MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
 RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
 RP2_TWICE_FUNDAMENTAL = ",".join(f"{i}=2" for i in range(10))
+# The torsion basis cycle of klein-8, whose integral class is t:1.
+KLEIN_TORSION = "2=1,3=-1,4=-1,5=1,16=1,21=-1"
 
 FIXTURES = {"tc": triangle_circle, "torus": torus7, "rp2": rp2_6,
             "klein": klein8, "mobius": mobius_band, "grid4a": grid4a,
@@ -76,6 +78,11 @@ CLASSES = [
     ("grid4a", 1, "--class", "f:-1,2"),
 ]
 
+# Chains run under ``norm --ring Q`` only: a free coordinate of 1/2.
+NORM_Q_CHAINS = [
+    ("torus", 1, "--chain", "2=1/2,5=-1/2,17=1/2"),
+]
+
 
 # Integral and mod-n commands, as argv after the command's fixture name.
 INTEGRAL = (
@@ -91,10 +98,12 @@ INTEGRAL = (
            ("torus", 1, "--class f:1,1", ("Z", "Z/2", "Z/3", "Z/4")),
            ("torus", 2, "--class f:1", ("Z", "Z/2")),
            ("rp2", 1, "--class t:1", ("Z", "Z/2", "Z/3")),
+           ("rp2", 1, "--chain 2=-1,4=1,13=-1", ("Z/2",)),
            ("rp2", 2, "--class c:1", ("Z/2", "Z/4", "Z/6")),
            ("rp2", 2, f"--chain {RP2_TWICE_FUNDAMENTAL}", ("Z/4",)),
            ("klein", 1, "--class f:1;t:0", ("Z", "Z/2", "Z/3")),
            ("klein", 1, "--class f:0;t:1", ("Z", "Z/2")),
+           ("klein", 1, f"--chain {KLEIN_TORSION}", ("Z",)),
            ("klein", 2, "--class c:1", ("Z/2", "Z/4", "Z/6")),
            ("mobius", 1, "--class f:1", ("Z", "Z/2", "Z/3", "Z/4")),
            ("mobius", 1, "--class f:2", ("Z", "Z/2", "Z/4")),
@@ -125,7 +134,9 @@ INTEGRAL = (
        for factors, n in [("1/1,1/2,1/4", "3"), ("1/1,1/2", "5,3,3"),
                           (",", "3")]
        for fmt in ("", " --format report")]
-    + [f"lift rp2 --dim 2 --chain {RP2_FUNDAMENTAL} --ring Z/2"]
+    + [f"lift rp2 --dim 2 --chain {RP2_FUNDAMENTAL} --ring Z/2",
+       "lift torus --dim 1 --chain 2=1,5=-1,17=1 --ring Z/5",
+       f"lift klein --dim 1 --chain {KLEIN_TORSION} --ring Z/4"]
 )
 
 
@@ -136,6 +147,9 @@ def cases():
             if command == "norm":
                 argv += ["--ring", "Q"]
             yield " ".join(argv), argv
+    for name, dim, flag, payload in NORM_Q_CHAINS:
+        argv = ["norm", name, "--dim", str(dim), flag, payload, "--ring", "Q"]
+        yield " ".join(argv), argv
 
 
 def run_case(argv, directory: Path, capsys) -> str:

@@ -229,7 +229,9 @@ def test_mod_decomposition_group_order_matches_uct(tc, torus, rp2, klein, mobius
 
 def test_mod_coords_round_trip(rp2, klein):
     rng = random.Random("mod-round-trip")
-    for K, d in ((rp2, 1), (rp2, 2), (klein, 1)):
+    moore, grid = moore_space(4, 6), torus_grid(4, seed=5)
+    for K, d in ((rp2, 1), (rp2, 2), (klein, 1), (moore, 1), (moore, 2),
+                 (grid, 1)):
         dec = homology_decomposition(K, d)
         for n in (2, 3, 4, 6):
             md = dec.mod(n)
@@ -249,7 +251,7 @@ def test_mod_coords_round_trip(rp2, klein):
 
 def test_naturality_of_reduction(torus, klein, mobius):
     rng = random.Random("naturality")
-    for K in (torus, klein, mobius):
+    for K in (torus, klein, mobius, moore_space(4, 6), torus_grid(4, seed=5)):
         dec = homology_decomposition(K, 1)
         B = K.boundary_matrix_or_empty(2)
         for _ in range(25):
@@ -266,6 +268,10 @@ def test_naturality_of_reduction(torus, klein, mobius):
                 left = class_of_cycle(K, 1, reduce_chain(z, target))
                 right = reduce_class(c, target)
                 assert left == right
+            q = dec.class_coords(RAT, tuple(
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for _ in range(dec.betti)))
+            assert class_of_cycle(K, 1, dec.representative(q)) == q
 
 
 def permuted_copy(K: WeightedComplex, rng: random.Random) -> WeightedComplex:
@@ -293,6 +299,10 @@ def test_decomposition_invariants_under_permutation(rp2, klein):
                 a = homology_decomposition(K, d)
                 b = homology_decomposition(K2, d)
                 assert (a.betti, a.torsion_factors) == (b.betti, b.torsion_factors)
+
+
+def _parts(c):
+    return c.free_part, c.torsion_part, c.cotorsion_part
 
 
 def test_mod_decomposition_matches_reference(tc, torus, rp2, klein, mobius):
@@ -335,21 +345,24 @@ def test_mod_decomposition_matches_reference(tc, torus, rp2, klein, mobius):
                     bnd = B.mul_vec([rng.randint(-2, 2) for _ in range(B.cols)])
                     x = [a + b + n * rng.randint(-2, 2)
                          for a, b in zip(vec, bnd)]
-                    coords = (c.free_part, c.torsion_part, c.cotorsion_part)
-                    assert md.coords_of_cycle(x) == ref.coords_of_cycle(x) \
-                        == coords
-                    assert md.in_image(x) == ref.in_image(x) \
-                        == (not any(c.cotorsion_part))
+                    got = dec.coords_of_cycle(x, ring)
+                    assert got == c
+                    assert _parts(got) == ref.coords_of_cycle(x)
+                    assert ref.in_image(x) == (not any(c.cotorsion_part)) \
+                        == in_reduction_image(K, d, got)
                     # A random chain, in higher degrees rarely a cycle.
                     junk = [rng.randint(-n, n) for _ in range(n_simp)]
-                    assert md.in_image(junk) == ref.in_image(junk)
                     try:
                         expected = ref.coords_of_cycle(junk)
                     except NotACycleError:
+                        assert not ref.in_image(junk)
                         with pytest.raises(NotACycleError):
-                            md.coords_of_cycle(junk)
+                            dec.coords_of_cycle(junk, ring)
                     else:
-                        assert md.coords_of_cycle(junk) == expected
+                        got = dec.coords_of_cycle(junk, ring)
+                        assert _parts(got) == expected
+                        assert ref.in_image(junk) == (
+                            not any(got.cotorsion_part))
 
 
 def test_mod_decomposition_with_two_cotorsion_generators():
@@ -361,21 +374,23 @@ def test_mod_decomposition_with_two_cotorsion_generators():
     rng = random.Random("two-cotorsion")
     for n in range(2, 25):
         md = dec.mod(n)
+        ring = mod_ring(n)
         ref = ReferenceModDecomposition(dec, n)
         orders = md.cotorsion_orders
         assert orders == ref.cotorsion_orders
         assert len(orders) == (n % 2 == 0) + (n % 2 == 0 or n % 3 == 0)
         for order, _, w_ref in ref.cotorsion:
-            gamma = md.coords_of_cycle(w_ref)[2]
+            gamma = dec.coords_of_cycle(w_ref, ring).cotorsion_part
             assert lcm(*(e // gcd(e, g) for e, g in zip(orders, gamma))) \
                 == order
         for _ in range(4):
-            cot = tuple(rng.randrange(e) for e in orders)
-            vec = dec.representative_vector(
-                dec.class_coords(mod_ring(n), (), (), cot))
-            x = [v + n * rng.randint(-2, 2) for v in vec]
-            assert md.coords_of_cycle(x) == ((), (), cot)
-            assert md.in_image(x) == ref.in_image(x) == (not any(cot))
+            c = dec.class_coords(ring, (), (),
+                                 tuple(rng.randrange(e) for e in orders))
+            x = [v + n * rng.randint(-2, 2)
+                 for v in dec.representative_vector(c)]
+            assert dec.coords_of_cycle(x, ring) == c
+            assert in_reduction_image(K, 2, c) == ref.in_image(x) \
+                == (not any(c.cotorsion_part))
 
 
 def test_class_coords_validation(torus):

@@ -15,11 +15,11 @@ from homnorm.complexes import Chain, Cochain, mass, reduce_chain
 from homnorm.fixtures import mobius_band
 from homnorm.homology import (InfeasibleClassError, class_of_cycle,
                               homology_decomposition, reduce_class)
-from homnorm.intlinalg import IntMatrix, kernel_basis
+from homnorm.intlinalg import IntMatrix, smith_normal_form
 from homnorm.optimize import (_echelon_columns, _search_lattice, comass,
                               lift_minimizer, min_int, min_mod, min_real,
                               verify_certificate)
-from homnorm.rings import INT, RAT, canonical_lift, mod_inverse, mod_ring
+from homnorm.rings import INT, RAT, canonical_lift, mod_ring
 
 
 def _gen(dec):
@@ -279,8 +279,7 @@ def test_lemma_sandwich_mod_scaling(tc, torus, rp2, klein, mobius):
             for k in range(-(n - 1) // 2, n // 2 + 1):
                 if k == 0 or gcd(k, n) != 1:
                     continue
-                inv = mod_inverse(k, n)
-                l = canonical_lift(inv, n)
+                l = canonical_lift(pow(k, -1, n), n)
                 vkw = min_mod(K, 1, w.scale(k)).value
                 assert vw <= abs(l) * vkw
                 assert vkw <= abs(k) * vw
@@ -402,9 +401,11 @@ def _random_calibration(rng: random.Random, wnum, pivots, m0):
     to every pivot column, with the weights and the mass cap rescaled so
     that |phi_s| <= w_s holds with equality on some row."""
     n_rows = len(wnum)
-    kernel = (kernel_basis(IntMatrix.from_rows([c for _, c in pivots]), INT)
-              if pivots else [[int(i == j) for i in range(n_rows)]
-                              for j in range(n_rows)])
+    if pivots:
+        snf = smith_normal_form(IntMatrix.from_rows([c for _, c in pivots]))
+        kernel = [snf.V.column(j) for j in range(snf.rank, n_rows)]
+    else:
+        kernel = [[int(i == j) for i in range(n_rows)] for j in range(n_rows)]
     h = [0] * n_rows
     for vec in kernel:
         a = rng.randint(-2, 2)

@@ -1,6 +1,5 @@
 """Norm axioms and modular helpers."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -8,8 +7,8 @@ import pytest
 
 from homnorm.rings import (INT, RAT, RingSpec, canonical_lift, canonicalize,
                            factorize, format_element, format_rational,
-                           mod_inverse, mod_ring, norm, parse_element,
-                           parse_rational, ring_from_tag)
+                           mod_ring, norm, parse_element, parse_rational,
+                           ring_from_tag)
 
 
 def test_norm_examples():
@@ -24,12 +23,6 @@ def test_canonical_lift_examples():
     assert canonical_lift(0, 7) == 0
 
 
-def test_mod_inverse_examples():
-    assert mod_inverse(2, 3) == 2
-    assert mod_inverse(2, 4) is None
-    assert mod_inverse(3, 7) == 5
-
-
 def test_canonical_lift_exhaustive():
     for n in range(2, 65):
         for r in range(n):
@@ -37,16 +30,6 @@ def test_canonical_lift_exhaustive():
             assert lift % n == r % n
             assert -n < 2 * lift <= n
             assert norm(mod_ring(n), r) == abs(lift)
-
-
-def test_mod_inverse_exhaustive():
-    for n in range(2, 65):
-        for k in range(n):
-            inv = mod_inverse(k, n)
-            if math.gcd(k, n) == 1:
-                assert inv is not None and (k * inv) % n == 1
-            else:
-                assert inv is None
 
 
 def _sample(rng, ring):
