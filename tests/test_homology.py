@@ -11,10 +11,11 @@ from homnorm.fixtures import MOBIUS_CORE_EDGES, rp2_6, torus7
 from homnorm.homology import (InfeasibleClassError, class_of_cycle,
                               homology_decomposition, in_reduction_image,
                               kernel_witness, reduce_class)
+from homnorm.intlinalg import IntMatrix, smith_normal_form
 from homnorm.rings import INT, RAT, mod_ring
 
 from conftest import moore_space, torus_grid
-from oracles import ReferenceModDecomposition
+from oracles import ReferenceModDecomposition, solve_with_snf
 
 
 def test_fixture_decompositions(tc, torus, rp2, klein):
@@ -412,3 +413,92 @@ def test_mobius_core_is_generator(mobius):
     core = Chain.make(mobius, 1, INT, coeffs)
     assert core.is_cycle()
     assert class_of_cycle(mobius, 1, core).free_part in ((1,), (-1,))
+
+
+READER_RINGS = [INT, RAT, mod_ring(4), mod_ring(6)]
+
+
+def _reader_complexes(rp2, klein, torus, mobius):
+    return [rp2, klein, torus, mobius, moore_space(4, 6), torus_grid(3, seed=2)]
+
+
+def _random_coefficient(rng, ring, bound):
+    v = rng.randint(-bound, bound)
+    return Fraction(v, rng.randint(1, 3)) if ring.is_rat else v
+
+
+def _random_cycle(rng, snf, ring):
+    """A random cycle (over Z/n, an integer lift of one) drawn from the Smith
+    normal form of the boundary matrix, not from any homology basis."""
+    y = []
+    for j in range(snf.V.cols):
+        d = snf.diag[j] if j < len(snf.diag) else 0
+        step = ring.modulus // gcd(d, ring.modulus) if ring.is_mod else int(d == 0)
+        y.append(step * _random_coefficient(rng, ring, 3))
+    return [sum(v * c for v, c in zip(row, y)) for row in snf.V.data]
+
+
+def _homologous(B, diff, ring):
+    """True iff ``diff`` lies in im B (over Z/n: im B + n Z^m) over ``ring``."""
+    if ring.is_rat:
+        scale = lcm(*(Fraction(v).denominator for v in diff))
+        res = smith_normal_form(B)
+        rank = sum(1 for v in res.diag if v)
+        return not any(res.U.mul_vec([int(v * scale) for v in diff])[rank:])
+    cols = [B.column(j) for j in range(B.cols)]
+    if ring.is_mod:
+        cols += [[ring.modulus * (i == k) for i in range(B.rows)]
+                 for k in range(B.rows)]
+    res = smith_normal_form(IntMatrix.from_columns(cols, B.rows))
+    return solve_with_snf(res, [int(v) for v in diff]) is not None
+
+
+@pytest.mark.parametrize("ring", READER_RINGS, ids=lambda r: r.tag)
+def test_coords_of_cycle_rejects_exactly_the_non_cycles(ring, rp2, klein,
+                                                        torus, mobius):
+    rng = random.Random(f"reader-cycles-{ring.tag}")
+    seen = set()
+    for K in _reader_complexes(rp2, klein, torus, mobius):
+        for d in range(K.dim + 1):
+            dec = homology_decomposition(K, d)
+            bd = K.boundary_matrix_or_empty(d)
+            snf = smith_normal_form(bd)
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    x = _random_cycle(rng, snf, ring)
+                else:
+                    x = [_random_coefficient(rng, ring, 2)
+                         for _ in range(K.n_simplices(d))]
+                image = bd.mul_vec(x)
+                if ring.is_mod:
+                    is_cycle = not any(v % ring.modulus for v in image)
+                else:
+                    is_cycle = not any(image)
+                seen.add(is_cycle)
+                if is_cycle:
+                    c = dec.coords_of_cycle(x, ring)
+                    assert c.ring == ring
+                else:
+                    with pytest.raises(NotACycleError):
+                        dec.coords_of_cycle(x, ring)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("ring", READER_RINGS, ids=lambda r: r.tag)
+def test_coords_of_cycle_names_the_class_of_a_random_cycle(ring, rp2, klein,
+                                                           torus, mobius):
+    # The reference representative of the coordinates read off a cycle must
+    # differ from it by a boundary (over Z/n, by a boundary plus n times a
+    # chain), and reading the representative must give the same coordinates.
+    rng = random.Random(f"reader-classes-{ring.tag}")
+    for K in _reader_complexes(rp2, klein, torus, mobius):
+        for d in range(K.dim + 1):
+            dec = homology_decomposition(K, d)
+            snf = smith_normal_form(K.boundary_matrix_or_empty(d))
+            B = K.boundary_matrix_or_empty(d + 1)
+            for _ in range(4):
+                x = _random_cycle(rng, snf, ring)
+                c = dec.coords_of_cycle(x, ring)
+                rep = dec.representative_vector(c)
+                assert _homologous(B, [a - b for a, b in zip(x, rep)], ring)
+                assert dec.coords_of_cycle(rep, ring) == c

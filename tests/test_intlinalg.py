@@ -1,6 +1,7 @@
 """Smith normal form and matrix products, cross-checked against sympy
 oracles and against the dense reference Smith normal form."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from homnorm.intlinalg import IntMatrix, ShapeMismatchError, smith_normal_form
 
 from conftest import torus_grid
-from oracles import reference_smith_normal_form
+from oracles import reference_smith_normal_form, solve_with_snf
 
 
 def _check_snf(A):
@@ -147,3 +148,26 @@ def test_mul_vec_matches_dense_product():
             assert M.mul_vec(v) == dense
     with pytest.raises(ShapeMismatchError):
         IntMatrix.identity(2).mul_vec([1])
+
+
+def test_solve_with_snf_agrees_with_bounded_brute_force():
+    # The reference mod-n decomposition solves through this oracle.
+    rng = random.Random("solve-snf")
+    for _ in range(1000):
+        rows = rng.randint(1, 3)
+        cols = rng.randint(1, 3)
+        A = _random_matrix(rng, rows, cols, bound=3)
+        x_true = [rng.randint(-2, 2) for _ in range(cols)]
+        solvable = rng.random() < 0.5
+        if solvable:
+            b = A.mul_vec(x_true)
+        else:
+            b = [rng.randint(-4, 4) for _ in range(rows)]
+        x = solve_with_snf(smith_normal_form(A), b)
+        if x is not None:
+            assert A.mul_vec(x) == b
+        else:
+            # The box is a one-sided oracle: solutions over Z can be large.
+            assert not solvable
+            assert not any(A.mul_vec(y) == b for y in
+                           itertools.product(range(-6, 7), repeat=cols))
