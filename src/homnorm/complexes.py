@@ -52,6 +52,7 @@ class WeightedComplex:
             {s: i for i, s in enumerate(level)} for level in self.simplices)
         self._validate()
         self._boundary_cache: dict[int, IntMatrix] = {}
+        self._faces_cache: dict[int, tuple] = {}
         self._decomposition_cache: dict = {}
 
     def _validate(self) -> None:
@@ -105,6 +106,28 @@ class WeightedComplex:
     def weight(self, d: int, i: int) -> Fraction:
         return self.weights[d][i]
 
+    def faces(self, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(face index, sign) pairs of each d-simplex, cached per degree.
+
+        The faces are the (d-1)-simplices left by omitting one vertex, and
+        the sign alternates with the omitted position: the sparse columns of
+        ``boundary_matrix(d)``.  Vertices have no faces.
+        """
+        if not 0 <= d <= self.dim:
+            raise ValueError(f"degree {d} out of range 0..{self.dim}")
+        cached = self._faces_cache.get(d)
+        if cached is None:
+            if d == 0:
+                cached = ((),) * self.n_simplices(0)
+            else:
+                index = self._index[d - 1]
+                cached = tuple(
+                    tuple((index[s[:i] + s[i + 1:]], -1 if i % 2 else 1)
+                          for i in range(d + 1))
+                    for s in self.simplices[d])
+            self._faces_cache[d] = cached
+        return cached
+
     def boundary_matrix(self, d: int) -> IntMatrix:
         """Matrix of the boundary operator in degree d (rows: (d-1)-simplices).
 
@@ -118,10 +141,9 @@ class WeightedComplex:
         if cached is not None:
             return cached
         m = IntMatrix.zeros(self.n_simplices(d - 1), self.n_simplices(d))
-        for j, s in enumerate(self.simplices[d]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                m.data[self._index[d - 1][face]][j] = -1 if i % 2 else 1
+        for j, faces in enumerate(self.faces(d)):
+            for i, sign in faces:
+                m.data[i][j] = sign
         self._boundary_cache[d] = m
         return m
 
@@ -231,12 +253,10 @@ class Chain:
         """Boundary coefficients over the ambient ring (degree-1 vector)."""
         K, d = self.complex, self.degree
         out: list[RingElem] = [0] * K.n_simplices(d - 1)
-        if d > 0:
-            faces = K._index[d - 1]
-            for idx, v in self.coeffs:
-                s = K.simplices[d][idx]
-                for i in range(d + 1):
-                    out[faces[s[:i] + s[i + 1:]]] += -v if i % 2 else v
+        faces = K.faces(d)
+        for idx, v in self.coeffs:
+            for i, sign in faces[idx]:
+                out[i] += v if sign > 0 else -v
         if self.ring.is_mod:
             return [x % self.ring.modulus for x in out]
         return out
@@ -301,15 +321,16 @@ class Cochain:
 
     def is_closed(self) -> bool:
         """True iff the cochain vanishes on every (d+1)-simplex boundary."""
-        K, d = self.complex, self.degree
+        K, d, values = self.complex, self.degree, self.values
         if d >= K.dim:
             return True
-        faces = K._index[d]
-        for s in K.simplices[d + 1]:
+        for faces in K.faces(d + 1):
             total = Fraction(0)
-            for i in range(d + 2):
-                a = self.values[faces[s[:i] + s[i + 1:]]]
-                total += -a if i % 2 else a
+            for i, sign in faces:
+                if sign > 0:
+                    total += values[i]
+                else:
+                    total -= values[i]
             if total:
                 return False
         return True

@@ -15,8 +15,14 @@
 
 Both run one coset search.  Every box contains 0, so the candidates at a
 pivot row are merged outward from 0, cheapest first, with no per-node sort;
-each move touches only the nonzeros of its pivot column.  min_mod does not
-prune on a calibration: phi(x) is not constant on x + n*e_s.
+each move touches only the nonzeros of its pivot column.  Both also prune
+on the face residuals: every coset point is a cycle (mod n over Z/n), so
+once some simplices are assigned, each (d-1)-face t with residual a_t, the
+signed sum of its assigned simplices, needs unassigned simplices of total
+|coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
+at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  This is
+min_mod's only bound besides the mass: phi(x) is not constant on
+x + n*e_s, so it has no calibration.
 
 Values are exact rationals; minimizer sets are enumerated completely up to
 the configured cap and reported in a fixed deterministic order.
@@ -24,10 +30,11 @@ the configured cap and reported in a fixed deterministic order.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import Chain, Cochain, WeightedComplex, lift_chain, mass
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
@@ -104,18 +111,32 @@ def _zero_report(K: WeightedComplex, d: int, c: ClassCoords,
                      (Chain.zero(K, d, c.ring),), True, cert, 0)
 
 
-def _echelon_columns(columns: list[list[int]],
-                     row_order: Sequence[int]) -> list[tuple[int, list[int]]]:
+def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
+                     row_order: Sequence[int],
+                     modulus: Optional[int] = None
+                     ) -> list[tuple[int, dict[int, int]]]:
     """Unimodular column reduction to echelon form along ``row_order``.
+
+    Columns are sparse, as (row, coeff) pairs.  With a modulus n the
+    lattice also holds n*e_r for every row r.  That column is zero above
+    row r, so it joins the reduction only when row r is reached, placed
+    after the given columns and among the other n*e columns by row index:
+    the pivots are those of listing every n*e_r up front.
 
     Returns (pivot_row, column) pairs; each pivot column has a positive
     entry at its pivot row and zeros at all earlier rows of the order.
     Column operations preserve the spanned lattice.
     """
-    active = [list(col) for col in columns if any(col)]
-    result: list[tuple[int, list[int]]] = []
+    active = [dict(col) for col in columns if col]
+    n_given = len(active)  # the given columns come first, then the n*e ones
+    e_rows: list[int] = []  # the row r of each n*e_r column, ascending
+    result: list[tuple[int, dict[int, int]]] = []
     for r in row_order:
-        nz = [col for col in active if col[r]]
+        if modulus is not None:
+            at = bisect(e_rows, r)
+            e_rows.insert(at, r)
+            active.insert(n_given + at, {r: modulus})
+        nz = [col for col in active if r in col]
         if not nz:
             continue
         while len(nz) > 1:
@@ -124,24 +145,35 @@ def _echelon_columns(columns: list[list[int]],
             for b in nz[1:]:
                 q = b[r] // a[r]
                 if q:
-                    for i in range(len(b)):
-                        b[i] -= q * a[i]
-            nz = [col for col in nz if col[r]]
+                    for i, v in a.items():
+                        x = b.get(i, 0) - q * v
+                        if x:
+                            b[i] = x
+                        else:
+                            del b[i]
+            nz = [col for col in nz if r in col]
         piv = nz[0]
         if piv[r] < 0:
-            for i in range(len(piv)):
+            for i in piv:
                 piv[i] = -piv[i]
-        active.remove(piv)
+        at = next(i for i, col in enumerate(active) if col is piv)
+        del active[at]
+        if at < n_given:
+            n_given -= 1
+        else:
+            del e_rows[at - n_given]
         result.append((r, piv))
     return result
 
 
 def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
-                    pivots: list[tuple[int, list[int]]],
+                    pivots: Sequence[tuple[int, Mapping[int, int]]],
                     row_order: Sequence[int],
                     lo: Sequence[int], hi: Sequence[int],
                     cap_mass: int, cap_count: int,
-                    phi: Optional[Sequence[int]] = None):
+                    phi: Optional[Sequence[int]] = None,
+                    faces: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
+                    modulus: Optional[int] = None):
     """Enumerate all lattice-coset points of minimal weighted l1 mass.
 
     The coset is z0 + span(pivot columns), searched depth first over the
@@ -162,6 +194,22 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     pivot row the term only grows outward on each side of 0, so the first
     such candidate closes its cursor; the rows after it are not monotone,
     so there only the candidate is dropped.
+
+    ``faces``, if given, lists the (face, sign) incidences of each row, and
+    every coset point is then a cycle: mod ``modulus`` if one is given,
+    exactly otherwise.  Once the rows up to a level are assigned, each face
+    t has a residual a_t, the signed sum of its assigned rows, and its
+    unassigned rows must supply sum |x_s| >= dist_t = dist(a_t, nZ) (|a_t|
+    over Z), each at a weight of at least m_t, the least weight on t.  Each
+    row lies on ``arity`` faces, so the unassigned rows have mass
+    >= sum_t m_t dist_t / arity, and a candidate is dropped when
+    arity * mass + sum_t m_t dist_t exceeds arity * best (ties are kept).
+    In the engines' row order, by descending weight, m_t is the least
+    weight of an unassigned row on t while t has one; after that dist_t = 0,
+    since the assigned rows are those of a coset point.  A level changes
+    only the faces of the rows it assigns.  At a level with no rows after
+    its pivot row the candidate is tested before its move, and a dropped
+    one is not counted as a node.
     """
     if any(l > 0 or h < 0 for l, h in zip(lo, hi)):
         raise ValueError("every search box must contain 0")
@@ -172,13 +220,35 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     prefix = row_order[:bounds[0]]
     calibrated = phi is not None
     fvec = phi if calibrated else [0] * len(wnum)
+    if faces is None:
+        faces = [()] * len(wnum)
+    arity = max(map(len, faces), default=0) or 1
+    # dist[a % n] is the distance of a residual a to nZ.  Over Z take n past
+    # twice any |a_t|: the assigned rows of a node have mass <= cap_mass, so
+    # |a_t| <= cap_mass / (least weight), and then dist[a % n] = |a|.
+    n = modulus or 2 * (max(cap_mass, 0) // min(wnum, default=1)) + 1
+    dist = [*range(n // 2 + 1), *range((n - 1) // 2, 0, -1)]
+    # m[t], the least weight of a row on face t: no more than that of any
+    # unassigned row on t.
+    m: dict[int, int] = {}
+    for fs, w in zip(faces, wnum):
+        for t, _ in fs:
+            m[t] = min(w, m.get(t, w))
     levels = []
     for k, (r, col) in enumerate(pivots):
         rows = row_order[bounds[k] + 1:bounds[k + 1]]
+        if rows:
+            assigned = [(s, faces[s]) for s in (r, *rows)]
+            touched = dict.fromkeys(t for _, fs in assigned for t, _ in fs)
+            level_faces = [(t, 0, m[t]) for t in touched]
+        else:
+            assigned = []
+            level_faces = [(t, sign, m[t]) for t, sign in faces[r]]
         levels.append((r, col[r], wnum[r], lo[r], hi[r], fvec[r],
-                       [(i, cv) for i, cv in enumerate(col) if cv],
+                       list(col.items()),
                        [(rr, lo[rr], hi[rr], wnum[rr]) for rr in rows],
-                       [(rr, fvec[rr]) for rr in rows if fvec[rr]]))
+                       [(rr, fvec[rr]) for rr in rows if fvec[rr]],
+                       level_faces, assigned))
 
     cur = list(z0)
     best = cap_mass
@@ -187,12 +257,17 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     nodes = 0
 
     base_mass = 0
+    res = [0] * (1 + max(m, default=-1))  # a_t of the assigned rows
     for r in prefix:
         v = cur[r]
         if v < lo[r] or v > hi[r]:
             return best, sols, exact, nodes
         base_mass += wnum[r] * abs(v)
-    if base_mass > best:
+        for t, sign in faces[r]:
+            res[t] += sign * v
+    residual = sum(m[t] * dist[res[t] % n]
+                   for t in {t for r in prefix for t, _ in faces[r]})
+    if arity * base_mass + residual > arity * best:
         return best, sols, exact, nodes
     # The bound is acc - f, with f = phi(assigned rows) - phi(z0); the
     # prefix rows keep their z0 values.
@@ -210,12 +285,17 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
             else:
                 exact = False
 
-    def dfs(k: int, acc: int, f: int) -> None:
+    def dfs(k: int, acc: int, f: int, residual: int) -> None:
         nonlocal nodes
         if k == depth:
             record(acc)
             return
-        r, g, w, lo_r, hi_r, f_r, move, segment, segment_phi = levels[k]
+        (r, g, w, lo_r, hi_r, f_r, move, segment, segment_phi,
+         level_faces, assigned) = levels[k]
+        # The residual bound without the faces this level assigns to.
+        rest = residual
+        for t, _, mt in level_faces:
+            rest -= mt * dist[res[t] % n]
         base = cur[r]
         p = base % g  # smallest nonnegative candidate
         q = p - g     # largest negative candidate
@@ -240,31 +320,65 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     else:
                         q = lo_r - 1
                     continue
-            nodes += 1
-            t = (v - base) // g
-            if t:
-                for i, cv in move:
-                    cur[i] += t * cv
-            for rr, l, h, wr in segment:
-                x = cur[rr]
-                if x < l or x > h:
-                    break
-                total += wr * abs(x)
-                if total > best:
-                    break
             else:
-                if calibrated:
+                fv = 0
+            if not segment:
+                # Only row r is assigned here: test before the move.  At
+                # v = 0 its faces keep their residuals.
+                if v:
+                    new = 0
+                    for t, sign, mt in level_faces:
+                        new += mt * dist[(res[t] + sign * v) % n]
+                else:
+                    new = residual - rest
+                if arity * total + rest + new > arity * best:
+                    continue
+            nodes += 1
+            steps = (v - base) // g
+            if steps:
+                for i, cv in move:
+                    cur[i] += steps * cv
+            if not segment:
+                if v:
+                    for t, sign, _ in level_faces:
+                        res[t] += sign * v
+                    dfs(k + 1, total, fv, rest + new)
+                    for t, sign, _ in level_faces:
+                        res[t] -= sign * v
+                else:
+                    dfs(k + 1, total, fv, rest + new)
+            else:
+                for rr, l, h, wr in segment:
+                    x = cur[rr]
+                    if x < l or x > h:
+                        break
+                    total += wr * abs(x)
+                    if total > best:
+                        break
+                else:
+                    for s, fs in assigned:
+                        x = cur[s]
+                        if x:
+                            for t, sign in fs:
+                                res[t] += sign * x
+                    new = 0
+                    for t, _, mt in level_faces:
+                        new += mt * dist[res[t] % n]
                     for rr, fr in segment_phi:
                         fv += fr * cur[rr]
-                    if total - fv <= best:
-                        dfs(k + 1, total, fv)
-                else:
-                    dfs(k + 1, total, 0)
-            if t:
+                    if (arity * total + rest + new <= arity * best
+                            and total - fv <= best):
+                        dfs(k + 1, total, fv, rest + new)
+                    for s, fs in assigned:
+                        x = cur[s]
+                        if x:
+                            for t, sign in fs:
+                                res[t] -= sign * x
+            if steps:
                 for i, cv in move:
-                    cur[i] -= t * cv
+                    cur[i] -= steps * cv
 
-    dfs(0, base_mass, f0)
+    dfs(0, base_mass, f0, residual)
     return best, sols, exact, nodes
 
 
@@ -281,25 +395,22 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
 
     Any optimal chain obeys |x_s| * w_s <= mass(z0), which bounds the search
     box; over Z/n the box is also cut to the residue range (-n/2, n/2].
-    Over Z the search also prunes on the dual certificate of ``min_real``,
-    a calibration of the class; over Z/n phi(x) changes along x + n*e_s, so
-    there is no such bound.  With no boundary moves the coset is z0 alone
-    and the LP is skipped.
+    The search prunes on the face residuals of its cycles.  Over Z it also
+    prunes on the dual certificate of ``min_real``, a calibration of the
+    class; over Z/n phi(x) changes along x + n*e_s, so there is no such
+    bound.  With no boundary moves the coset is z0 alone (over Z/n, z0's
+    residue range holds no other point of z0 + n*Z^m), so no n*e columns
+    are added and no LP runs.
     """
     dec = _validate_coords(K, d, c, kind)
     if c.is_zero():
         return _zero_report(K, d, c, False)
     z0 = [lift(v) for v in dec.representative_vector(c)]
-    n_rows = K.n_simplices(d)
     weights = K.weights[d]
-    B = K.boundary_matrix_or_empty(d + 1)
-    columns = [B.column(j) for j in range(B.cols)]
+    columns = K.faces(d + 1) if d < K.dim else ()
     n = c.ring.modulus
-    if n is not None:
-        columns += [[n if i == k else 0 for i in range(n_rows)]
-                    for k in range(n_rows)]
-    row_order = sorted(range(n_rows), key=lambda r: (-weights[r], r))
-    pivots = _echelon_columns(columns, row_order)
+    row_order = sorted(range(len(weights)), key=lambda r: (-weights[r], r))
+    pivots = _echelon_columns(columns, row_order, n if columns else None)
     phi: Sequence[Fraction] = ()
     if n is None and pivots:
         cert = min_real(K, d, reduce_class(c, RAT)).certificate
@@ -317,7 +428,8 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         hi = [min(v, n // 2) for v in hi]
     best, sols, exact, nodes = _search_lattice(
         wnum, z0, pivots, row_order, lo, hi, m0, cap,
-        phi=[int(v * scale) for v in phi] if phi else None)
+        phi=[int(v * scale) for v in phi] if phi else None,
+        faces=K.faces(d), modulus=n)
     return OptReport(c.ring, c, Fraction(best, scale),
                      _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
 
@@ -328,9 +440,9 @@ def min_int(K: WeightedComplex, d: int, c: ClassCoords,
 
     Complete branch-and-bound over x = z0 + (boundary-lattice moves).  It
     first solves the real LP of ``min_real`` (unless there are no moves)
-    and prunes on its dual certificate, checked to be a calibration; ties
-    are kept, so the value and the minimizers are those of the unpruned
-    search.
+    and prunes on its dual certificate, checked to be a calibration, and on
+    the face residuals; ties are kept, so the value and the minimizers are
+    those of the unpruned search.
     """
     return _coset_minimize(K, d, c, "Z", int, cap)
 
@@ -341,6 +453,8 @@ def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
 
     Searches integer lifts x = z0 + boundary + n*u over canonical residue
     ranges (-n/2, n/2]; every feasible residue chain appears exactly once.
+    It prunes on the face residuals mod n; ties are kept, so the value and
+    the minimizers are those of the unpruned search.
     """
     n = c.ring.modulus
     if n is None:

@@ -8,7 +8,10 @@ the dense Fraction-tableau simplex the integer-tableau LP must agree with
 pivot for pivot, ``reference_smith_normal_form`` the dense Smith normal
 form whose transforms the sparse one must reproduce exactly, and
 ``reference_search_lattice`` the sorting, dense-column branch-and-bound whose
-nodes, minimizers and order the engines' search must reproduce, and
+nodes, minimizers and order the engines' search must reproduce (and whose
+minimizers and order it must keep when it prunes on a bound),
+``reference_echelon_columns`` the dense column echelon whose pivots the
+sparse one must reproduce, with every n * e_r column listed up front, and
 ``ReferenceModDecomposition`` the mod-n decomposition that presents the
 lifted cycle lattice modulo boundaries and n * chains and runs Smith normal
 forms of its own for each n, against which the closed-form one is checked.
@@ -444,6 +447,42 @@ def reference_smith_normal_form(A: IntMatrix) -> SNFResult:
 
     diag = tuple(d[i][i] for i in range(limit))
     return SNFResult(U, D, V, diag, Ui, Vi)
+
+
+def reference_echelon_columns(columns: list[list[int]],
+                              row_order: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Unimodular column reduction to echelon form along ``row_order``.
+
+    Reference for ``homnorm.optimize._echelon_columns``, which works on
+    sparse columns and adds each n * e_r column only when row r is reached;
+    here the columns are dense and every column is listed up front.
+
+    Returns (pivot_row, column) pairs; each pivot column has a positive
+    entry at its pivot row and zeros at all earlier rows of the order.
+    Column operations preserve the spanned lattice.
+    """
+    active = [list(col) for col in columns if any(col)]
+    result: list[tuple[int, list[int]]] = []
+    for r in row_order:
+        nz = [col for col in active if col[r]]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda col: abs(col[r]))
+            a = nz[0]
+            for b in nz[1:]:
+                q = b[r] // a[r]
+                if q:
+                    for i in range(len(b)):
+                        b[i] -= q * a[i]
+            nz = [col for col in nz if col[r]]
+        piv = nz[0]
+        if piv[r] < 0:
+            for i in range(len(piv)):
+                piv[i] = -piv[i]
+        active.remove(piv)
+        result.append((r, piv))
+    return result
 
 
 def reference_search_lattice(wnum: Sequence[int], z0: Sequence[int],

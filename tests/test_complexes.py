@@ -127,6 +127,23 @@ def test_boundary_squares_to_zero(torus, rp2, klein, mobius):
         assert prod.is_zero()
 
 
+def test_faces_follow_the_definition(tc, torus, rp2, mobius):
+    """``faces(d)`` lists, for each d-simplex, the (d-1)-simplex left by
+    omitting vertex i with sign (-1)^i, in the order of i; vertices have
+    none; each degree is built once and degrees out of range are refused."""
+    for K in (tc, torus, rp2, mobius, torus_grid(3, seed=2)):
+        assert K.faces(0) == ((),) * K.n_simplices(0)
+        for d in range(1, K.dim + 1):
+            assert K.faces(d) is K.faces(d)
+            assert K.faces(d) == tuple(
+                tuple((K.index_of(d - 1, s[:i] + s[i + 1:]), (-1) ** i)
+                      for i in range(d + 1))
+                for s in K.simplices[d])
+        for d in (-1, K.dim + 1):
+            with pytest.raises(ValueError):
+                K.faces(d)
+
+
 def test_boundary_degree_out_of_range(tc):
     with pytest.raises(ValueError):
         tc.boundary_matrix(2)

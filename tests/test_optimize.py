@@ -2,17 +2,20 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from conftest import horizontal_loop, random_class, random_complex, torus_grid
 from oracles import (brute_force_min_int, brute_force_min_mod,
-                     brute_force_min_real, reference_search_lattice)
+                     brute_force_min_real, reference_echelon_columns,
+                     reference_search_lattice)
 
 from homnorm import optimize
-from homnorm.complexes import Chain, Cochain, mass, reduce_chain
-from homnorm.fixtures import mobius_band
+from homnorm.complexes import (Chain, Cochain, WeightedComplex, mass,
+                               reduce_chain)
+from homnorm.fixtures import SUITE, mobius_band
 from homnorm.homology import (InfeasibleClassError, class_of_cycle,
                               homology_decomposition, reduce_class)
 from homnorm.intlinalg import IntMatrix, smith_normal_form
@@ -343,17 +346,28 @@ def test_oracle_equivalence_randomized_small():
 # -- the search against the sorting, dense-column reference -----------------
 
 
-def _both_searches(*args, phi=None):
+def _dense(pivots, n_rows: int):
+    return [(r, [col.get(i, 0) for i in range(n_rows)]) for r, col in pivots]
+
+
+def _sparse(columns):
+    return [[(i, x) for i, x in enumerate(col) if x] for col in columns]
+
+
+def _both_searches(*args, phi=None, faces=None, modulus=None):
     """Run the search and its reference; they must agree on the optimum,
-    the minimizer vectors in order and exactness.  Without a calibration
-    they also visit the same nodes; with one the search visits no more."""
-    got = _search_lattice(*args, phi=phi)
-    want = reference_search_lattice(*args)
-    if phi is None:
+    the minimizer vectors in order and exactness.  Without a bound to prune
+    on (a calibration or faces) they also visit the same nodes; with one
+    the search visits no more."""
+    got = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus)
+    wnum, z0, pivots, *rest = args
+    want = reference_search_lattice(wnum, z0, _dense(pivots, len(wnum)),
+                                    *rest)
+    if phi is None and faces is None:
         assert got == want
     else:
         assert got[:3] == want[:3] and got[3] <= want[3]
-    return got
+    return got, want
 
 
 def _random_search_instance(rng: random.Random, clip_zero: bool):
@@ -363,7 +377,7 @@ def _random_search_instance(rng: random.Random, clip_zero: bool):
         col = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n_rows)]
         columns.append([rng.choice((1, 2, 3)) * x for x in col])
     row_order = rng.sample(range(n_rows), n_rows)
-    pivots = _echelon_columns(columns, row_order)
+    pivots = _echelon_columns(_sparse(columns), row_order)
     wnum = [rng.randint(1, 4) for _ in range(n_rows)]
     z0 = [rng.randint(-3, 3) for _ in range(n_rows)]
     m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
@@ -387,11 +401,11 @@ def test_search_matches_reference_on_random_lattices():
         wnum, z0, pivots, order, lo, hi, m0 = _random_search_instance(rng, clip)
         seen["g>1"] += any(col[r] > 1 for r, col in pivots)
         seen["clipped"] += clip
-        best, sols, exact, _ = _both_searches(
+        (best, sols, exact, _), _ = _both_searches(
             wnum, z0, pivots, order, lo, hi, m0, 10_000)
         seen["found"] += bool(sols)
         for cap in (1, 2):
-            got = _both_searches(wnum, z0, pivots, order, lo, hi, m0, cap)
+            got, _ = _both_searches(wnum, z0, pivots, order, lo, hi, m0, cap)
             seen["capped"] += not got[2]
     assert all(seen.values()), seen
 
@@ -402,7 +416,8 @@ def _random_calibration(rng: random.Random, wnum, pivots, m0):
     that |phi_s| <= w_s holds with equality on some row."""
     n_rows = len(wnum)
     if pivots:
-        snf = smith_normal_form(IntMatrix.from_rows([c for _, c in pivots]))
+        snf = smith_normal_form(IntMatrix.from_rows(
+            [c for _, c in _dense(pivots, n_rows)]))
         kernel = [snf.V.column(j) for j in range(snf.rank, n_rows)]
     else:
         kernel = [[int(i == j) for i in range(n_rows)] for j in range(n_rows)]
@@ -428,7 +443,7 @@ def test_calibrated_search_matches_reference_on_random_lattices():
             rng, trial % 3 == 0)
         wnum, phi, m0 = _random_calibration(rng, wnum, pivots, m0)
         args = (wnum, z0, pivots, order, lo, hi, m0)
-        nodes = _both_searches(*args, 10_000, phi=phi)[3]
+        nodes = _both_searches(*args, 10_000, phi=phi)[0][3]
         pruned += nodes < _search_lattice(*args, 10_000)[3]
         for cap in (1, 2):
             _both_searches(*args, cap, phi=phi)
@@ -454,6 +469,23 @@ def _loop_class(K, k: int, seed):
                                      horizontal_loop(K, k, seed).split(","))}))
 
 
+def _checked_search(monkeypatch):
+    """Swap the engines' search for one that runs the reference beside it.
+
+    Returns the list, filled as the engines search, of (calibrated, has
+    faces, nodes, reference nodes) per search."""
+    calls = []
+
+    def search(*args, phi=None, faces=None, modulus=None):
+        got, want = _both_searches(*args, phi=phi, faces=faces,
+                                   modulus=modulus)
+        calls.append((phi is not None, faces is not None, got[3], want[3]))
+        return got
+
+    monkeypatch.setattr(optimize, "_search_lattice", search)
+    return calls
+
+
 @pytest.mark.parametrize("k,seed,weights", [
     (3, 1, (1, 1, 1)), (3, 2, (1, 1, 1)), (4, 5, (1, 1, 1)),
     (3, 4, (1, 2, Fraction(3, 2))), (4, 6, (Fraction(1, 3), 1, 1))],
@@ -462,21 +494,97 @@ def test_search_matches_reference_on_grid_echelons(monkeypatch, k, seed,
                                                    weights):
     """Every search ``min_int`` and ``min_mod`` make on relabelled grids,
     over Z, Z/2, Z/3 and Z/4, agrees with the reference; over Z the search
-    prunes on the real calibration, over Z/n it runs without one."""
-    calibrated = []
-
-    def search(*args, phi=None):
-        calibrated.append(phi is not None)
-        return _both_searches(*args, phi=phi)
-
-    monkeypatch.setattr(optimize, "_search_lattice", search)
+    prunes on the real calibration, over Z/n it runs without one, and both
+    prune on the face residuals, somewhere visiting fewer nodes."""
+    calls = _checked_search(monkeypatch)
     K = torus_grid(k, seed=seed, weights=weights)
     loop = _loop_class(K, k, seed)
     assert min_int(K, 1, loop).value == k * weights[0]
     for n in (2, 3, 4):
         assert min_mod(K, 1, reduce_class(loop, mod_ring(n))).value == \
             k * weights[0]
-    assert calibrated == [True, False, False, False]
+    assert [c[0] for c in calls] == [True, False, False, False]
+    assert all(c[1] for c in calls)
+    assert any(got < want for _, _, got, want in calls[1:])
+
+
+_WEIGHTS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
+            Fraction(7))
+
+
+def _random_complex_with_moves(rng: random.Random, d: int) -> WeightedComplex:
+    """Random complex with b_d >= 1 and many (d+1)-simplices, whose
+    d-simplices weigh from 1/3 to 7.
+
+    Degree 1: a random graph on 6 or 7 vertices with about 2/3 of the
+    edges and half of the triangles they span.  Degree 2: the triangles of
+    3 or 4 random 4-sets of 6 or 7 vertices plus a few more, with 1 or 2
+    of the 4-sets filled by tetrahedra.
+    """
+    while True:
+        nv = rng.randint(6, 7)
+        if d == 1:
+            edges = [e for e in combinations(range(nv), 2) if rng.random() < 0.65]
+            edge_set = set(edges)
+            spanned = [t for t in combinations(range(nv), 3)
+                       if set(combinations(t, 2)) <= edge_set]
+            levels = [edges, sorted(rng.sample(spanned, len(spanned) // 2))]
+        else:
+            quads = rng.sample(list(combinations(range(nv), 4)),
+                               rng.randint(3, 4))
+            tris = {f for q in quads for f in combinations(q, 3)}
+            tris |= set(rng.sample(list(combinations(range(nv), 3)), 2))
+            tris = sorted(tris)
+            edges = sorted({e for t in tris for e in combinations(t, 2)})
+            levels = [edges, tris, sorted(rng.sample(quads, rng.randint(1, 2)))]
+        levels = [[(v,) for v in range(nv)]] + levels
+        weights = [[Fraction(1)] * len(level) for level in levels]
+        weights[d] = [rng.choice(_WEIGHTS) for _ in levels[d]]
+        K = WeightedComplex(f"random{d}-{rng.randint(0, 10**6)}", levels,
+                            weights)
+        if homology_decomposition(K, d).betti >= 1:
+            return K
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_search_matches_reference_on_random_complexes(monkeypatch, d):
+    """On random complexes in degree 1 and degree 2, with weights from 1/3
+    to 7, every search ``min_int`` and ``min_mod`` make over Z and Z/2..Z/6
+    agrees with the reference, and the face residuals prune."""
+    calls = _checked_search(monkeypatch)
+    rng = random.Random(f"residual-bound-{d}")
+    for _ in range(16):
+        K = _random_complex_with_moves(rng, d)
+        c = random_class(rng, homology_decomposition(K, d))
+        reports = [min_int(K, d, c, cap=200)]
+        for n in range(2, 7):
+            reports.append(min_mod(K, d, reduce_class(c, mod_ring(n)),
+                                   cap=200))
+        for rep in reports:
+            for T in rep.minimizers:
+                assert T.is_cycle() and mass(K, T) == rep.value
+    assert calls and all(c[1] for c in calls)
+    assert any(got < want for _, _, got, want in calls)
+
+
+def test_search_with_simplices_heavier_than_the_budget(monkeypatch):
+    """A filled triangle of weight-50 edges hangs off a unit triangle loop:
+    its edges cost more than the residual bound's "no row left" weight, and
+    vertices 3 and 4 touch no other edge.  The search still finds the loop
+    alone, over Z and Z/2..Z/4, as the reference does."""
+    calls = _checked_search(monkeypatch)
+    K = WeightedComplex(
+        "loop-and-heavy-disk", [[(v,) for v in range(5)],
+                                [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)],
+                                [(2, 3, 4)]],
+        [[Fraction(1)] * 5, [Fraction(1)] * 3 + [Fraction(50)] * 3,
+         [Fraction(1)]])
+    loop = class_of_cycle(K, 1, Chain.make(K, 1, INT, {0: 1, 1: -1, 2: 1}))
+    reports = [min_int(K, 1, loop)] + [
+        min_mod(K, 1, reduce_class(loop, mod_ring(n))) for n in (2, 3, 4)]
+    for rep in reports:
+        assert rep.value == 3 and len(rep.minimizers) == 1
+    assert len(calls) == 4 and all(c[1] for c in calls)
 
 
 def test_min_int_checks_its_calibration(monkeypatch, torus):
@@ -522,3 +630,51 @@ def test_min_int_invariants_on_t5_diagonal_class():
         assert class_of_cycle(K, 1, T) == c
     assert min_real(K, 1, reduce_class(c, RAT)).value <= rep.value
 
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_min_mod_horizontal_loop_on_relabelled_t5(n):
+    """Over Z/2 and Z/3 the horizontal loop of a relabelled unit 5 x 5 grid
+    has value 5 and exactly 5 minimizers, the grid rows: each a mod-n cycle
+    in the class with mass equal to the value."""
+    K = torus_grid(5, seed=5)
+    c = reduce_class(_loop_class(K, 5, 5), mod_ring(n))
+    rep = min_mod(K, 1, c)
+    assert rep.value == 5 and len(rep.minimizers) == 5
+    assert rep.minimizer_count_exact
+    for T in rep.minimizers:
+        assert T.ring == mod_ring(n) and T.is_cycle()
+        assert mass(K, T) == rep.value
+        assert class_of_cycle(K, 1, T) == c
+
+
+def _echelon_cases():
+    for name, make in SUITE.items():
+        K = make()
+        for d in range(K.dim):
+            yield name, K, d
+    for k, seed in ((3, 1), (3, 2), (4, 5), (4, 6)):
+        yield f"T{k}-{seed}", torus_grid(k, seed=seed), 1
+
+
+def test_lazy_echelon_matches_dense_build():
+    """The sparse echelon, which adds n*e_r only when it reaches row r,
+    returns the pivots of the dense build with every n*e_r listed up
+    front, over Z and Z/2..Z/6, on the fixtures in every degree with
+    boundary moves and on relabelled T3 and T4 grids, in the engines' row
+    order and in a random one."""
+    rng = random.Random("lazy-echelon")
+    for name, K, d in _echelon_cases():
+        weights = K.weights[d]
+        N = len(weights)
+        B = K.boundary_matrix(d + 1)
+        for order in (sorted(range(N), key=lambda r: (-weights[r], r)),
+                      rng.sample(range(N), N)):
+            for n in (None, 2, 3, 4, 5, 6):
+                dense = [B.column(j) for j in range(B.cols)]
+                if n is not None:
+                    dense += [[n * (i == r) for i in range(N)]
+                              for r in range(N)]
+                got = _echelon_columns(K.faces(d + 1), order, n)
+                assert _dense(got, N) == \
+                    reference_echelon_columns(dense, order), (name, d, n)
