@@ -223,11 +223,11 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     if faces is None:
         faces = [()] * len(wnum)
     arity = max(map(len, faces), default=0) or 1
-    # dist[a % n] is the distance of a residual a to nZ.  Over Z take n past
-    # twice any |a_t|: the assigned rows of a node have mass <= cap_mass, so
-    # |a_t| <= cap_mass / (least weight), and then dist[a % n] = |a|.
-    n = modulus or 2 * (max(cap_mass, 0) // min(wnum, default=1)) + 1
-    dist = [*range(n // 2 + 1), *range((n - 1) // 2, 0, -1)]
+    # With x = a % n, the distance of a residual a to nZ is x if 2x <= n,
+    # else n - x.  Over Z take n past twice any |a_t|, which is at most the
+    # sum of the boxes since every assigned row lies in its box; the
+    # distance is then |a_t|.
+    n = modulus or 2 * sum(max(-l, h) for l, h in zip(lo, hi)) + 1
     # m[t], the least weight of a row on face t: no more than that of any
     # unassigned row on t.
     m: dict[int, int] = {}
@@ -265,8 +265,10 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
         base_mass += wnum[r] * abs(v)
         for t, sign in faces[r]:
             res[t] += sign * v
-    residual = sum(m[t] * dist[res[t] % n]
-                   for t in {t for r in prefix for t, _ in faces[r]})
+    residual = 0
+    for t in {t for r in prefix for t, _ in faces[r]}:
+        x = res[t] % n
+        residual += m[t] * (x if x + x <= n else n - x)
     if arity * base_mass + residual > arity * best:
         return best, sols, exact, nodes
     # The bound is acc - f, with f = phi(assigned rows) - phi(z0); the
@@ -295,7 +297,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
         # The residual bound without the faces this level assigns to.
         rest = residual
         for t, _, mt in level_faces:
-            rest -= mt * dist[res[t] % n]
+            x = res[t] % n
+            rest -= mt * (x if x + x <= n else n - x)
         base = cur[r]
         p = base % g  # smallest nonnegative candidate
         q = p - g     # largest negative candidate
@@ -328,7 +331,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 if v:
                     new = 0
                     for t, sign, mt in level_faces:
-                        new += mt * dist[(res[t] + sign * v) % n]
+                        x = (res[t] + sign * v) % n
+                        new += mt * (x if x + x <= n else n - x)
                 else:
                     new = residual - rest
                 if arity * total + rest + new > arity * best:
@@ -342,11 +346,10 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 if v:
                     for t, sign, _ in level_faces:
                         res[t] += sign * v
-                    dfs(k + 1, total, fv, rest + new)
+                dfs(k + 1, total, fv, rest + new)
+                if v:
                     for t, sign, _ in level_faces:
                         res[t] -= sign * v
-                else:
-                    dfs(k + 1, total, fv, rest + new)
             else:
                 for rr, l, h, wr in segment:
                     x = cur[rr]
@@ -363,7 +366,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                                 res[t] += sign * x
                     new = 0
                     for t, _, mt in level_faces:
-                        new += mt * dist[res[t] % n]
+                        x = res[t] % n
+                        new += mt * (x if x + x <= n else n - x)
                     for rr, fr in segment_phi:
                         fv += fr * cur[rr]
                     if (arity * total + rest + new <= arity * best

@@ -112,6 +112,20 @@ def test_gap_sweep_mobius(mobius):
         assert b.value_mod[3] <= a.value_mod[3]
 
 
+def test_gap_sweep_with_tiny_factors(mobius):
+    """Rim weights of 10^-8 and 10^-12 keep the values of the unit sweep's
+    pattern: 1 + f/2 over Z and over Z/10^12, 5f/8 over Q and 5f/4 over
+    Z/3.  Nothing in the search grows with the ratio of the weights."""
+    dec = homology_decomposition(mobius, 1)
+    factors = [Fraction(1, 10**8), Fraction(1, 10**12)]
+    rows = gap_sweep(mobius, 1, _gen(dec), mobius_boundary_indices(mobius),
+                     factors, [3, 10**12])
+    for f, row in zip(factors, rows):
+        assert row.value_int == 1 + f / 2 == row.value_mod[10**12]
+        assert row.value_real == 5 * f / 8
+        assert row.value_mod[3] == 5 * f / 4
+
+
 def test_gap_sweep_unit_torus_no_gap(torus):
     dec = homology_decomposition(torus, 1)
     rows = gap_sweep(torus, 1, _gen(dec), [0, 1], [Fraction(1)], [3])

@@ -648,6 +648,20 @@ def test_min_mod_horizontal_loop_on_relabelled_t5(n):
         assert class_of_cycle(K, 1, T) == c
 
 
+def test_min_mod_over_a_large_modulus(torus):
+    """Nothing in the search grows with the modulus: over Z/10^12 the torus
+    loop ``f:1,0`` has the integral value 3, and its minimizers are the 7
+    integral ones reduced mod 10^12."""
+    n = 10**12
+    c = _gen(homology_decomposition(torus, 1))
+    want = min_int(torus, 1, c)
+    rep = min_mod(torus, 1, reduce_class(c, mod_ring(n)))
+    assert rep.value == want.value == 3 and rep.minimizer_count_exact
+    assert len(rep.minimizers) == 7
+    assert set(rep.minimizers) == {reduce_chain(T, mod_ring(n))
+                                   for T in want.minimizers}
+
+
 def _echelon_cases():
     for name, make in SUITE.items():
         K = make()
