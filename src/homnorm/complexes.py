@@ -193,17 +193,31 @@ class Chain:
         if not 0 <= degree <= complex.dim:
             raise ValueError(f"degree {degree} out of range 0..{complex.dim}")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        n_simp = complex.n_simplices(degree)
+        # Canonical forms are closed under addition except over Z/n, where
+        # each sum is reduced again.  Plain ints skip ``canonicalize``.
+        n = ring.modulus
+        is_rat = ring.is_rat
         cleaned: dict[int, RingElem] = {}
         for idx, value in items:
-            if not 0 <= idx < complex.n_simplices(degree):
+            if not 0 <= idx < n_simp:
                 raise ValueError(
                     f"no degree-{degree} simplex with index {idx}")
-            v = canonicalize(ring, value)
+            if type(value) is not int:
+                value = canonicalize(ring, value)
+            elif n is not None:
+                value %= n
+            elif is_rat:
+                value = Fraction(value)
+            if not value:
+                continue
+            v = cleaned.get(idx, 0) + value
+            if n is not None:
+                v %= n
             if v:
-                cleaned[idx] = cleaned.get(idx, canonicalize(ring, 0)) + v
-                cleaned[idx] = canonicalize(ring, cleaned[idx])
-                if not cleaned[idx]:
-                    del cleaned[idx]
+                cleaned[idx] = v
+            else:
+                del cleaned[idx]
         return Chain(complex, degree, ring,
                      tuple(sorted(cleaned.items())))
 

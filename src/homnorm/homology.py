@@ -5,7 +5,11 @@ the boundary operator in degree d (whose kernel lattice carries the cycles)
 and one of the next boundary operator expressed in kernel coordinates
 (whose invariant factors carry rank and torsion).  The basis it produces is
 non-canonical but reproducible: the pivot rule in :mod:`homnorm.intlinalg`
-is fixed, so identical complexes always report identical bases.
+is fixed, so identical complexes always report identical bases.  Both
+forms reduce sparse rows built from ``WeightedComplex.faces``, and every
+change of basis (into kernel coordinates, to class coordinates and back to
+chains) walks only the nonzero entries of their sparse transforms; of the
+basis matrix K' only the columns that name classes are formed.
 
 Mod-n homology is represented concretely as integer-lifted cycles modulo
 (boundaries + n * chains) and read off the same two Smith normal forms, so
@@ -22,11 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .complexes import Chain, NotACycleError, WeightedComplex
-from .intlinalg import IntMatrix, SNFResult, smith_normal_form
+from .intlinalg import (ShapeMismatchError, SNFResult,
+                        sparse_smith_normal_form)
 from .rings import (INT, RAT, RingElem, RingSpec, factorize, format_element,
                     mod_ring)
 
@@ -119,32 +125,46 @@ class HomologyDecomposition:
         self.complex = K
         self.degree = degree
         n_simp = K.n_simplices(degree)
-        A = K.boundary_matrix_or_empty(degree)
-        B = K.boundary_matrix_or_empty(degree + 1)
-        self._snfA: SNFResult = smith_normal_form(A)
+        # Rows of the degree-d boundary, from the faces of the d-simplices.
+        a_rows: list[dict[int, int]] = [
+            {} for _ in range(K.n_simplices(degree - 1))]
+        for j, faces in enumerate(K.faces(degree)):
+            for i, sign in faces:
+                a_rows[i][j] = sign
+        self._snfA: SNFResult = sparse_smith_normal_form(a_rows, n_simp)
         rA = self._snfA.rank
         self._rankA = rA
         z = n_simp - rA
-        # Kernel lattice basis: trailing columns of V from the SNF of A.
-        self._kernel = IntMatrix.from_columns(
-            [self._snfA.V.column(j) for j in range(rA, n_simp)], n_simp)
-        # Boundaries in kernel coordinates.
-        C = IntMatrix.zeros(z, B.cols)
-        for j in range(B.cols):
-            y = self._snfA.v_inv.mul_vec(B.column(j))
-            if any(y[:rA]):
-                raise NotACycleError("vector is not in the cycle lattice")
-            for i in range(z):
-                C.data[i][j] = y[rA + i]
-        self._snfC: SNFResult = smith_normal_form(C)
+        # Columns of V_A^-1: y = V_A^-1 x is a combination of them.
+        self._vinv_cols: list[dict[int, int]] = [{} for _ in range(n_simp)]
+        for i, row in enumerate(self._snfA.v_inv_rows):
+            for k, v in row.items():
+                self._vinv_cols[k][i] = v
+        # Boundaries in kernel coordinates: C = (V_A^-1 B)[r_A:].
+        c_rows: list[dict[int, int]] = [{} for _ in range(z)]
+        cofaces = K.faces(degree + 1) if degree < K.dim else ()
+        for j, faces in enumerate(cofaces):
+            for i, v in _combination(
+                    (sign, self._vinv_cols[k]) for k, sign in faces).items():
+                if i < rA:
+                    raise NotACycleError("vector is not in the cycle lattice")
+                c_rows[i - rA][j] = v
+        self._snfC: SNFResult = sparse_smith_normal_form(c_rows, len(cofaces))
         rC = self._snfC.rank
         self._rankC = rC
         self._invariant_factors = tuple(self._snfC.diag[:rC])
-        self._kprime = self._kernel.matmul(self._snfC.u_inv)
+        # Columns of K' = (kernel columns of V_A) U_C^-1 that name classes:
+        # the free ones past r_C and the torsion ones.
+        kernel = self._snfA.v_cols[rA:]
+        named = [i for i, d in enumerate(self._invariant_factors) if d > 1]
+        named += range(rC, z)
+        self._kprime: dict[int, dict[int, int]] = {
+            j: _combination((v, kernel[k])
+                            for k, v in self._snfC.u_inv_cols[j].items())
+            for j in named}
         self.betti = z - rC
-        self.free_basis = tuple(
-            Chain.from_vector(K, degree, INT, self._kprime.column(j))
-            for j in range(rC, z))
+        self.free_basis = tuple(Chain.make(K, degree, INT, self._kprime[j])
+                                for j in range(rC, z))
         factors: list[TorsionFactor] = []
         for i, d in enumerate(self._invariant_factors):
             if d <= 1:
@@ -153,10 +173,10 @@ class HomologyDecomposition:
                 q = p ** nu
                 rest = d // q
                 idem = (rest * pow(rest, -1, q)) % d if rest > 1 else 1
-                vec = [idem * v for v in self._kprime.column(i)]
                 factors.append(TorsionFactor(
                     prime=p, exponent=nu, order=q,
-                    cycle=Chain.from_vector(K, degree, INT, vec),
+                    cycle=Chain.make(K, degree, INT, {
+                        k: idem * v for k, v in self._kprime[i].items()}),
                     column=i, idempotent=idem))
         self.torsion = tuple(factors)
         self.torsion_basis = tuple(tf.cycle for tf in factors)
@@ -178,22 +198,31 @@ class HomologyDecomposition:
         holds the free coordinates past r_C and the torsion coordinates at
         the torsion columns; :meth:`class_coords` reduces all three.
         """
+        if len(vec) != self.complex.n_simplices(self.degree):
+            raise ShapeMismatchError("vector length mismatch")
         rA = self._rankA
-        y = self._snfA.v_inv.mul_vec(vec)
+        y = _combination((vec[k], self._vinv_cols[k])
+                         for k in compress(range(len(vec)), vec))
         cotorsion = []
         if ring.is_mod:
             n = ring.modulus
-            for v, g in zip(y, self.mod(n)._gcds):
-                s = n // g
+            for j, g in enumerate(self.mod(n)._gcds):
+                v, s = y.get(j, 0), n // g
                 if v % s:
                     raise NotACycleError("vector is not a mod-n cycle lift")
                 if g > 1:
                     cotorsion.append(v // s)
-        elif any(y[:rA]):
+        elif any(i < rA for i in y):
             raise NotACycleError(f"vector is not a cycle over {ring.tag}")
-        sp = self._snfC.U.mul_vec(y[rA:])
-        torsion = () if ring.is_rat else [sp[tf.column] for tf in self.torsion]
-        return self.class_coords(ring, sp[self._rankC:], torsion, cotorsion)
+        yk = {i - rA: v for i, v in y.items() if i >= rA}
+        u_rows = self._snfC.u_rows
+
+        def sp(j: int) -> RingElem:
+            return sum(v * yk[k] for k, v in u_rows[j].items() if k in yk)
+
+        free = [sp(j) for j in range(self._rankC, len(u_rows))]
+        torsion = () if ring.is_rat else [sp(tf.column) for tf in self.torsion]
+        return self.class_coords(ring, free, torsion, cotorsion)
 
     def representative_vector(self, c: "ClassCoords") -> list:
         """Chain vector of the reference representative of ``c``.
@@ -203,15 +232,17 @@ class HomologyDecomposition:
         the result is an integer lift of the representative.
         """
         kp, rC = self._kprime, self._rankC
-        terms = [(a, kp.column(rC + k)) for k, a in enumerate(c.free_part) if a]
-        terms += [(b * tf.idempotent, kp.column(tf.column))
+        terms = [(a, kp[rC + k]) for k, a in enumerate(c.free_part) if a]
+        terms += [(b * tf.idempotent, kp[tf.column])
                   for b, tf in zip(c.torsion_part, self.torsion) if b]
         if c.ring.is_mod:
-            cot = self.mod(c.ring.modulus).cotorsion
-            terms += [(g, w) for g, (_, _, w) in zip(c.cotorsion_part, cot) if g]
-        out = [Fraction(0) if c.ring.is_rat else 0] * kp.rows
-        for a, col in terms:
-            for i, v in enumerate(col):
+            lines = self.mod(c.ring.modulus)._lines
+            terms += [(g, line)
+                      for g, line in zip(c.cotorsion_part, lines) if g]
+        out = ([Fraction(0) if c.ring.is_rat else 0]
+               * self.complex.n_simplices(self.degree))
+        for a, line in terms:
+            for i, v in line.items():
                 out[i] += a * v
         return out
 
@@ -304,15 +335,30 @@ class ModDecomposition:
         # Order of each summand Z/g_j; a lift has n/g_j | y_j.
         self._gcds = tuple(gcd(diag[j], n) for j in range(dec._rankA))
         cot = [j for j, g in enumerate(self._gcds) if g > 1]
+        # The generators' nonzero entries; ``cotorsion`` lists them densely.
+        self._lines = tuple(
+            {i: n // self._gcds[j] * v
+             for i, v in dec._snfA.v_cols[j].items()} for j in cot)
+        n_simp = dec.complex.n_simplices(dec.degree)
         self.cotorsion = tuple(
             (self._gcds[j],
              tuple(int(k == i) for k in range(len(cot))),
-             tuple(n // self._gcds[j] * v for v in dec._snfA.V.column(j)))
-            for i, j in enumerate(cot))
+             tuple(line.get(k, 0) for k in range(n_simp)))
+            for i, (j, line) in enumerate(zip(cot, self._lines)))
 
     @property
     def cotorsion_orders(self) -> tuple[int, ...]:
         return tuple(order for (order, _, _) in self.cotorsion)
+
+
+def _combination(terms: Iterable[tuple[RingElem, dict[int, int]]]
+                 ) -> dict[int, RingElem]:
+    """The nonzero entries of sum a * line over the (a, line) terms."""
+    out: dict[int, RingElem] = {}
+    for a, line in terms:
+        for i, v in line.items():
+            out[i] = out.get(i, 0) + a * v
+    return {i: v for i, v in out.items() if v}
 
 
 def homology_decomposition(K: WeightedComplex, d: int) -> HomologyDecomposition:

@@ -14,9 +14,13 @@ minimizers and order it must keep when it prunes on a bound),
 sparse one must reproduce, with every n * e_r column listed up front, and
 ``ReferenceModDecomposition`` the mod-n decomposition that presents the
 lifted cycle lattice modulo boundaries and n * chains and runs Smith normal
-forms of its own for each n, against which the closed-form one is checked.
+forms of its own for each n, against which the closed-form one is checked,
+and ``ReferenceHomologyDecomposition`` the integral decomposition built
+from dense transforms and dense products, whose bases, coordinates and
+representatives the sparse one must reproduce.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -30,7 +34,7 @@ from homnorm.complexes import Chain, NotACycleError, mass
 from homnorm.homology import HomologyDecomposition, homology_decomposition
 from homnorm.intlinalg import IntMatrix, SNFResult, smith_normal_form
 from homnorm.lp import LPInfeasibleError, LPResult
-from homnorm.rings import INT, canonical_lift
+from homnorm.rings import INT, canonical_lift, factorize
 
 
 def solve_with_snf(res: SNFResult, b: Sequence[int]) -> Optional[list[int]]:
@@ -317,7 +321,23 @@ def reference_solve_standard_lp(A, b, c) -> LPResult:
     return LPResult(-cost[width - 1], x, duals, pivots)
 
 
-def reference_smith_normal_form(A: IntMatrix) -> SNFResult:
+@dataclass
+class DenseSNF:
+    """U A V = D with dense transforms and their inverses."""
+
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+    diag: tuple[int, ...]
+    u_inv: IntMatrix
+    v_inv: IntMatrix
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diag if d)
+
+
+def reference_smith_normal_form(A: IntMatrix) -> DenseSNF:
     """The dense Smith normal form by unimodular row/column reduction.
 
     Reference for ``homnorm.intlinalg.smith_normal_form``, which must return
@@ -446,7 +466,7 @@ def reference_smith_normal_form(A: IntMatrix) -> SNFResult:
         t += 1
 
     diag = tuple(d[i][i] for i in range(limit))
-    return SNFResult(U, D, V, diag, Ui, Vi)
+    return DenseSNF(U, D, V, diag, Ui, Vi)
 
 
 def reference_echelon_columns(columns: list[list[int]],
@@ -653,7 +673,7 @@ class ReferenceModDecomposition:
         dec = self.dec
         n_simp = dec.complex.n_simplices(dec.degree)
         B = dec.complex.boundary_matrix_or_empty(dec.degree + 1)
-        img_cols = ([dec._kernel.column(j) for j in range(dec._kernel.cols)]
+        img_cols = ([dec._snfA.V.column(j) for j in range(dec._rankA, n_simp)]
                     + [B.column(j) for j in range(B.cols)])
         for k in range(n_simp):
             e_col = [0] * n_simp
@@ -762,3 +782,102 @@ class ReferenceModDecomposition:
         """True iff the lifted chain is congruent to an integral cycle mod
         (boundaries + n*chains), i.e. the class is a reduction."""
         return solve_with_snf(self._image_solver, [int(v) for v in vec]) is not None
+
+
+class ReferenceHomologyDecomposition:
+    """The integral decomposition computed with dense transforms and dense
+    products, against which the sparse ``HomologyDecomposition`` is checked.
+
+    Its Smith normal forms are ``reference_smith_normal_form``; the
+    boundaries in kernel coordinates, the basis matrix K' = kernel * U_C^-1,
+    class coordinates and representatives are dense matrix products.
+    """
+
+    def __init__(self, K, degree: int):
+        self.complex = K
+        self.degree = degree
+        n_simp = K.n_simplices(degree)
+        A = K.boundary_matrix_or_empty(degree)
+        B = K.boundary_matrix_or_empty(degree + 1)
+        self._snfA = reference_smith_normal_form(A)
+        rA = self._snfA.rank
+        self._rankA = rA
+        z = n_simp - rA
+        # Kernel lattice basis: trailing columns of V from the SNF of A.
+        self._kernel = IntMatrix.from_columns(
+            [self._snfA.V.column(j) for j in range(rA, n_simp)], n_simp)
+        # Boundaries in kernel coordinates.
+        C = IntMatrix.zeros(z, B.cols)
+        for j in range(B.cols):
+            y = self._snfA.v_inv.mul_vec(B.column(j))
+            if any(y[:rA]):
+                raise NotACycleError("vector is not in the cycle lattice")
+            for i in range(z):
+                C.data[i][j] = y[rA + i]
+        self._snfC = reference_smith_normal_form(C)
+        rC = self._snfC.rank
+        self._rankC = rC
+        self.invariant_factors = tuple(self._snfC.diag[:rC])
+        self._kprime = self._kernel.matmul(self._snfC.u_inv)
+        self.betti = z - rC
+        self.free_basis = tuple(
+            Chain.from_vector(K, degree, INT, self._kprime.column(j))
+            for j in range(rC, z))
+        # (prime, exponent, order, column, idempotent, cycle) per factor.
+        self.torsion = []
+        for i, d in enumerate(self.invariant_factors):
+            if d <= 1:
+                continue
+            for p, nu in factorize(d):
+                q = p ** nu
+                rest = d // q
+                idem = (rest * pow(rest, -1, q)) % d if rest > 1 else 1
+                vec = [idem * v for v in self._kprime.column(i)]
+                self.torsion.append((p, nu, q, i, idem,
+                                     Chain.from_vector(K, degree, INT, vec)))
+
+    def cotorsion(self, n: int) -> tuple:
+        """(order, unit coordinates, chain vector) of each cotorsion
+        generator mod n: (n/g_j) * V_A[:, j] for g_j = gcd(D_jj, n) > 1."""
+        gcds = [gcd(self._snfA.diag[j], n) for j in range(self._rankA)]
+        cot = [j for j, g in enumerate(gcds) if g > 1]
+        return tuple(
+            (gcds[j], tuple(int(k == i) for k in range(len(cot))),
+             tuple(n // gcds[j] * v for v in self._snfA.V.column(j)))
+            for i, j in enumerate(cot))
+
+    def coords_of_cycle(self, vec: Sequence, ring) -> tuple[list, list, list]:
+        """Unreduced (free, torsion, cotorsion) coordinates of a cycle."""
+        rA = self._rankA
+        y = self._snfA.v_inv.mul_vec(vec)
+        cotorsion = []
+        if ring.is_mod:
+            n = ring.modulus
+            for j in range(rA):
+                g = gcd(self._snfA.diag[j], n)
+                s = n // g
+                if y[j] % s:
+                    raise NotACycleError("vector is not a mod-n cycle lift")
+                if g > 1:
+                    cotorsion.append(y[j] // s)
+        elif any(y[:rA]):
+            raise NotACycleError(f"vector is not a cycle over {ring.tag}")
+        sp = self._snfC.U.mul_vec(y[rA:])
+        torsion = ([] if ring.is_rat
+                   else [sp[column] for _, _, _, column, _, _ in self.torsion])
+        return sp[self._rankC:], torsion, cotorsion
+
+    def representative_vector(self, c) -> list:
+        """Chain vector of the reference representative of class ``c``."""
+        kp, rC = self._kprime, self._rankC
+        terms = [(a, kp.column(rC + k)) for k, a in enumerate(c.free_part) if a]
+        terms += [(b * idem, kp.column(column)) for b, (_, _, _, column, idem, _)
+                  in zip(c.torsion_part, self.torsion) if b]
+        if c.ring.is_mod:
+            cot = self.cotorsion(c.ring.modulus)
+            terms += [(g, w) for g, (_, _, w) in zip(c.cotorsion_part, cot) if g]
+        out = [Fraction(0) if c.ring.is_rat else 0] * kp.rows
+        for a, col in terms:
+            for i, v in enumerate(col):
+                out[i] += a * v
+        return out

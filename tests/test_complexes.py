@@ -13,7 +13,7 @@ from homnorm.complexes import (Chain, Cochain, ComplexFormatError,
                                lift_chain, load_complex, mass, reduce_chain)
 from homnorm.fixtures import (klein8, mobius_band, rp2_6, torus7,
                               triangle_circle)
-from homnorm.rings import INT, RAT, mod_ring
+from homnorm.rings import INT, RAT, canonicalize, mod_ring
 
 TRIANGLE_DOC = json.dumps({
     "name": "triangle-circle",
@@ -210,6 +210,51 @@ def test_mass_never_increases_under_reduction(torus):
                        {i: rng.randint(-6, 6) for i in rng.sample(range(n1), 5)})
         for target in (RAT, mod_ring(2), mod_ring(5), mod_ring(9)):
             assert mass(torus, reduce_chain(T, target)) <= mass(torus, T)
+
+
+def _canonicalize_fold(ring, items):
+    """Chain coefficients by canonicalizing every value and every sum."""
+    acc = {}
+    for idx, value in items:
+        v = canonicalize(ring, value)
+        if v:
+            acc[idx] = canonicalize(ring, acc.get(idx, canonicalize(ring, 0)) + v)
+            if not acc[idx]:
+                del acc[idx]
+    return tuple(sorted(acc.items()))
+
+
+def test_chain_make_matches_a_canonicalize_fold(torus):
+    rng = random.Random("chain-make")
+    n1 = torus.n_simplices(1)
+    for ring in (INT, RAT, mod_ring(2), mod_ring(5), mod_ring(12)):
+        for _ in range(150):
+            items = []
+            for _ in range(rng.randint(0, 10)):
+                idx = rng.randrange(n1)
+                kind = rng.randrange(4)
+                if kind == 0:
+                    value = rng.choice([0, 1, -1, 5, -12, 24, 10 ** 20 + 3])
+                elif kind == 1:
+                    value = Fraction(rng.randint(-30, 30),
+                                     rng.randint(1, 4) if ring.is_rat else 1)
+                elif kind == 2:
+                    value = rng.choice([True, False])
+                else:  # a pair that cancels, with a term between them
+                    value = rng.randint(-9, 9)
+                    items += [(idx, value), (rng.randrange(n1), 2)]
+                    value = -value
+                items.append((idx, value))
+            expected = _canonicalize_fold(ring, items)
+            got = Chain.make(torus, 1, ring, items).coeffs
+            assert got == expected
+            assert [type(v) for _, v in got] == [type(v) for _, v in expected]
+    for ring, message in ((INT, "is not an integer"),
+                          (mod_ring(4), "is not a residue")):
+        with pytest.raises(ValueError, match=message):
+            Chain.make(torus, 1, ring, [(0, 1), (1, Fraction(1, 2))])
+    with pytest.raises(ValueError, match="no degree-1 simplex"):
+        Chain.make(torus, 1, INT, {n1: 1})
 
 
 def test_chain_serialization_round_trip(tc):

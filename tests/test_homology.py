@@ -8,14 +8,16 @@ import pytest
 
 from homnorm.complexes import Chain, NotACycleError, WeightedComplex, reduce_chain
 from homnorm.fixtures import MOBIUS_CORE_EDGES, rp2_6, torus7
-from homnorm.homology import (InfeasibleClassError, class_of_cycle,
-                              homology_decomposition, in_reduction_image,
-                              kernel_witness, reduce_class)
+from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
+                              class_of_cycle, homology_decomposition,
+                              in_reduction_image, kernel_witness,
+                              reduce_class)
 from homnorm.intlinalg import IntMatrix, smith_normal_form
 from homnorm.rings import INT, RAT, mod_ring
 
 from conftest import moore_space, torus_grid
-from oracles import ReferenceModDecomposition, solve_with_snf
+from oracles import (ReferenceHomologyDecomposition, ReferenceModDecomposition,
+                     solve_with_snf)
 
 
 def test_fixture_decompositions(tc, torus, rp2, klein):
@@ -184,9 +186,9 @@ def test_in_reduction_image_matches_cotorsion_flag(rp2, klein):
 def test_mod_decomposition_runs_no_smith_normal_form(monkeypatch):
     import homnorm.homology as homology
     calls = []
-    real_snf = homology.smith_normal_form
-    monkeypatch.setattr(homology, "smith_normal_form",
-                        lambda A: calls.append(A) or real_snf(A))
+    real_snf = homology.sparse_smith_normal_form
+    monkeypatch.setattr(homology, "sparse_smith_normal_form",
+                        lambda *A: calls.append(A) or real_snf(*A))
     # Fresh complexes, so no other test has filled their caches.
     for K in (torus7(), rp2_6()):
         decs = [homology_decomposition(K, d) for d in range(K.dim + 1)]
@@ -502,3 +504,64 @@ def test_coords_of_cycle_names_the_class_of_a_random_cycle(ring, rp2, klein,
                 rep = dec.representative_vector(c)
                 assert _homologous(B, [a - b for a, b in zip(x, rep)], ring)
                 assert dec.coords_of_cycle(rep, ring) == c
+
+
+def _differential_cases(tc, torus, rp2, klein, mobius):
+    moore = moore_space(4, 6)
+    cases = [(K, d) for K in (tc, torus, rp2, klein, mobius, moore)
+             for d in range(K.dim + 1)]
+    cases += [(torus_grid(k, f"diff-{k}"), 1) for k in (3, 4, 5, 6)]
+    cases += [(torus_grid(k, f"diff-{k}"), 2) for k in (4, 6, 8)]
+    return cases
+
+
+def test_decomposition_matches_the_dense_reference(tc, torus, rp2, klein,
+                                                   mobius):
+    rng = random.Random("dense-reference")
+    for K, d in _differential_cases(tc, torus, rp2, klein, mobius):
+        dec = HomologyDecomposition(K, d)
+        ref = ReferenceHomologyDecomposition(K, d)
+        assert dec.betti == ref.betti
+        assert dec._invariant_factors == ref.invariant_factors
+        assert dec.free_basis == ref.free_basis
+        assert [(tf.prime, tf.exponent, tf.order, tf.column, tf.idempotent,
+                 tf.cycle) for tf in dec.torsion] == ref.torsion
+        for n in range(2, 7):
+            assert dec.mod(n).cotorsion == ref.cotorsion(n)
+        for ring in READER_RINGS:
+            for _ in range(3):
+                x = _random_cycle(rng, ref._snfA, ring)
+                assert dec.coords_of_cycle(x, ring) == dec.class_coords(
+                    ring, *ref.coords_of_cycle(x, ring))
+                if ring.is_rat:
+                    free = tuple(_random_coefficient(rng, ring, 3)
+                                 for _ in range(dec.betti))
+                    c = dec.class_coords(ring, free)
+                else:
+                    c = dec.class_coords(
+                        ring, tuple(rng.randint(-3, 3) for _ in range(dec.betti)),
+                        tuple(rng.randint(-3, 3) for _ in dec.torsion),
+                        tuple(rng.randint(-3, 3) for _ in
+                              (dec.mod(ring.modulus).cotorsion
+                               if ring.is_mod else ())))
+                assert dec.representative_vector(c) == \
+                    ref.representative_vector(c)
+
+
+def test_decomposition_and_classes_build_no_dense_transform(monkeypatch):
+    import homnorm.intlinalg as intlinalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense transform was built")
+
+    monkeypatch.setattr(intlinalg, "_dense", refuse)
+    K = torus_grid(8, "no-dense")
+    for d in (1, 2):
+        dec = homology_decomposition(K, d)
+        z = dec.free_basis[0]
+        for ring in (INT, RAT, mod_ring(5)):
+            cycle = reduce_chain(z.scale(3), ring)
+            c = class_of_cycle(K, d, cycle)
+            assert c == reduce_class(dec.class_coords(
+                INT, (3,) + (0,) * (dec.betti - 1)), ring)
+            assert class_of_cycle(K, d, dec.representative(c)) == c

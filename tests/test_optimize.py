@@ -692,3 +692,64 @@ def test_lazy_echelon_matches_dense_build():
                 got = _echelon_columns(K.faces(d + 1), order, n)
                 assert _dense(got, N) == \
                     reference_echelon_columns(dense, order), (name, d, n)
+
+
+def _relabelled_grids(sizes):
+    """Seeded relabelled unit and anisotropic k x k grids, each with the
+    integral class of its horizontal loop, given as a chain payload."""
+    for k in sizes:
+        for seed, weights in ((10 * k + 1, (1, 1, 1)),
+                              (10 * k + 2, (1, 2, Fraction(3, 2)))):
+            K = torus_grid(k, seed=seed, weights=weights)
+            yield K, _loop_class(K, k, seed)
+
+
+def _assert_minimizers_in_class(K, rep, c):
+    for T in rep.minimizers:
+        assert T.ring == c.ring and T.is_cycle()
+        assert mass(K, T) == rep.value
+        assert class_of_cycle(K, 1, T) == c
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_engine_invariants_on_relabelled_grids(k):
+    """Sandwich, scaling, minimizer and certificate invariants where no
+    brute-force oracle reaches: value_real <= value_int, value_mod of the
+    reduction <= value_int, value_real(m c) = |m| value_real(c) and
+    value_int(m c) <= |m| value_int(c)."""
+    for K, c in _relabelled_grids([k]):
+        rep_int = min_int(K, 1, c)
+        _assert_minimizers_in_class(K, rep_int, c)
+        cq = reduce_class(c, RAT)
+        rep_real = min_real(K, 1, cq)
+        _assert_minimizers_in_class(K, rep_real, cq)
+        assert verify_certificate(K, 1, cq, rep_real.certificate,
+                                  rep_real.value)
+        assert rep_real.value <= rep_int.value
+        for n in (2, 3, 4):
+            cn = reduce_class(c, mod_ring(n))
+            rep_mod = min_mod(K, 1, cn)
+            _assert_minimizers_in_class(K, rep_mod, cn)
+            assert rep_mod.value <= rep_int.value
+        for m in (-2, 2, 3):
+            assert min_real(K, 1, cq.scale(m)).value == abs(m) * rep_real.value
+            rep_m = min_int(K, 1, c.scale(m))
+            _assert_minimizers_in_class(K, rep_m, c.scale(m))
+            assert rep_m.value <= abs(m) * rep_int.value
+
+
+def test_real_invariants_on_relabelled_t5():
+    """Over Q on relabelled T5 grids: the minimizer is a cycle in the class
+    with mass equal to the value, the certificate verifies, and the value
+    scales by |q| under q c."""
+    for K, c in _relabelled_grids([5]):
+        cq = reduce_class(c, RAT)
+        rep = min_real(K, 1, cq)
+        _assert_minimizers_in_class(K, rep, cq)
+        assert verify_certificate(K, 1, cq, rep.certificate, rep.value)
+        for q in (Fraction(-3), Fraction(1, 2), Fraction(-5, 3)):
+            scaled = min_real(K, 1, cq.scale(q))
+            assert scaled.value == abs(q) * rep.value
+            _assert_minimizers_in_class(K, scaled, cq.scale(q))
+            assert verify_certificate(K, 1, cq.scale(q), scaled.certificate,
+                                      scaled.value)
