@@ -16,7 +16,7 @@ from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        ModDecomposition, TorsionFactor, class_of_cycle,
                        homology_decomposition, in_reduction_image,
                        kernel_witness, reduce_class)
-from .intlinalg import IntMatrix, ShapeMismatchError, SNFResult, smith_normal_form
+from .intlinalg import ShapeMismatchError, SNFResult
 from .optimize import (LiftReport, OptReport, comass, lift_minimizer, min_int,
                        min_mod, min_real, minimize, verify_certificate)
 from .rings import (INT, RAT, RingSpec, canonical_lift, mod_ring, norm,
@@ -33,7 +33,7 @@ __all__ = [
     "ModDecomposition", "TorsionFactor", "class_of_cycle",
     "homology_decomposition", "in_reduction_image", "kernel_witness",
     "reduce_class",
-    "IntMatrix", "ShapeMismatchError", "SNFResult", "smith_normal_form",
+    "ShapeMismatchError", "SNFResult",
     "LiftReport", "OptReport", "comass", "lift_minimizer", "min_int",
     "min_mod", "min_real", "minimize", "verify_certificate",
     "INT", "RAT", "RingSpec", "canonical_lift", "mod_ring", "norm",

@@ -91,9 +91,10 @@ def _parse_chain(spec: str, K: WeightedComplex, d: int,
     return Chain.make(K, d, ring, pairs)
 
 
-def _parse_moduli(spec: str) -> list[int]:
-    """``"3"``, ``"2..16"`` or ``"2,3,5"`` (ranges inclusive)."""
-    out: list[int] = []
+def _parse_moduli(spec: str) -> list[range]:
+    """``"3"``, ``"2..16"`` or ``"2,3,5"`` (ranges inclusive), one lazy
+    range per part, so a count never lists the moduli."""
+    out: list[range] = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -103,11 +104,20 @@ def _parse_moduli(spec: str) -> list[int]:
             lo, hi = int(a), int(b)
             if hi < lo:
                 raise ValueError(f"empty modulus range: {part!r}")
-            out.extend(range(lo, hi + 1))
+            out.append(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            n = int(part)
+            out.append(range(n, n + 1))
     if not out:
         raise ValueError("no moduli given")
+    return out
+
+
+def _all_moduli(spec: str) -> list[int]:
+    """Every modulus of ``spec``, in order."""
+    out: list[int] = []
+    for part in _parse_moduli(spec):
+        out.extend(part)
     return out
 
 
@@ -183,7 +193,7 @@ def _cmd_scan(args) -> str:
     K = _read_complex(args.input)
     dec = homology_decomposition(K, args.dim)
     c = _class_for(args, K, dec, INT)
-    moduli = _parse_moduli(args.n)
+    moduli = _all_moduli(args.n)
     lo, hi = min(moduli), max(moduli)
     if moduli != list(range(lo, hi + 1)):
         raise ValueError("scan expects a contiguous modulus range a..b")
@@ -228,7 +238,7 @@ def _cmd_sweep(args) -> str:
     K = _read_complex(args.input)
     dec = homology_decomposition(K, args.dim)
     c = _class_for(args, K, dec, INT)
-    moduli = _parse_moduli(args.n)
+    moduli = _all_moduli(args.n)
     shrink = [int(v) for v in args.shrink.split(",") if v.strip()]
     factors = [parse_rational(v) for v in args.factors.split(",") if v.strip()]
     rows = gap_sweep(K, args.dim, c, shrink, factors, moduli, args.cap)
@@ -245,10 +255,10 @@ def _cmd_bijection(args) -> str:
     K = _read_complex(args.input)
     dec = homology_decomposition(K, args.dim)
     c = _class_for(args, K, dec, INT)
-    moduli = _parse_moduli(args.n)
-    if len(moduli) != 1:
+    parts = _parse_moduli(args.n)
+    if sum(map(len, parts)) != 1:
         raise ValueError("bijection expects a single modulus")
-    report = bijection_check(K, args.dim, c, moduli[0], args.cap)
+    report = bijection_check(K, args.dim, c, parts[0][0], args.cap)
     return _report(args, K, {
         "class": c.to_json(),
         "basis": _basis_json(dec, INT),

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .intlinalg import IntMatrix
 from .rings import (INT, RingElem, RingSpec, canonical_lift, canonicalize,
                     format_element, format_rational, norm, parse_element,
                     parse_rational, ring_from_tag)
@@ -51,7 +50,6 @@ class WeightedComplex:
         self._index: tuple[dict[Simplex, int], ...] = tuple(
             {s: i for i, s in enumerate(level)} for level in self.simplices)
         self._validate()
-        self._boundary_cache: dict[int, IntMatrix] = {}
         self._faces_cache: dict[int, tuple] = {}
         self._decomposition_cache: dict = {}
 
@@ -111,7 +109,8 @@ class WeightedComplex:
 
         The faces are the (d-1)-simplices left by omitting one vertex, and
         the sign alternates with the omitted position: the sparse columns of
-        ``boundary_matrix(d)``.  Vertices have no faces.
+        the boundary operator in degree d, all in {-1, +1}, and consecutive
+        boundaries compose to zero.  Vertices have no faces.
         """
         if not 0 <= d <= self.dim:
             raise ValueError(f"degree {d} out of range 0..{self.dim}")
@@ -128,38 +127,11 @@ class WeightedComplex:
             self._faces_cache[d] = cached
         return cached
 
-    def boundary_matrix(self, d: int) -> IntMatrix:
-        """Matrix of the boundary operator in degree d (rows: (d-1)-simplices).
-
-        Orientations come from the sorted vertex tuples; column entries are
-        the alternating signs of vertex omission, so every entry is in
-        {-1, 0, +1} and consecutive boundaries compose to zero.
-        """
-        if not 1 <= d <= self.dim:
-            raise ValueError(f"degree {d} out of range 1..{self.dim}")
-        cached = self._boundary_cache.get(d)
-        if cached is not None:
-            return cached
-        m = IntMatrix.zeros(self.n_simplices(d - 1), self.n_simplices(d))
-        for j, faces in enumerate(self.faces(d)):
-            for i, sign in faces:
-                m.data[i][j] = sign
-        self._boundary_cache[d] = m
-        return m
-
-    def boundary_matrix_or_empty(self, d: int) -> IntMatrix:
-        """Boundary matrix, with the chain-complex ends filled in as empty maps."""
-        if d <= 0:
-            return IntMatrix.zeros(0, self.n_simplices(0))
-        if d > self.dim:
-            return IntMatrix.zeros(self.n_simplices(self.dim), 0)
-        return self.boundary_matrix(d)
-
     def with_scaled_weights(self, d: int, indices: Iterable[int],
                             factor: Fraction) -> "WeightedComplex":
         """Sibling complex with the chosen degree-d weights multiplied by factor.
 
-        The simplices (hence all boundary matrices and homology bases) are
+        The simplices (hence all boundaries and homology bases) are
         untouched, so class coordinates transfer verbatim.
         """
         if factor <= 0:

@@ -1,21 +1,16 @@
-"""Exact integer matrices and their Smith normal form.
+"""Smith normal form of sparse integer matrices.
 
-``IntMatrix`` stores a matrix densely, as a list of arbitrary-precision
-integer rows; ``IntMatrix.mul_vec`` visits only the vector's nonzeros.
-
-The Smith normal form works on sparse rows instead: boundary operators of
-desk-scale complexes have d + 2 nonzero entries per column, mostly units,
-and the unimodular transforms built from them stay sparse (a few nonzeros
-per row).  D is held as one ``{column: value}`` dict per row plus a
-column-to-rows index, so a row operation costs the nonzeros of its source
-row and a column operation the rows where its source column is nonzero.
-The reduction tracks both transforms and their inverses so callers can
-change basis in either direction without re-inverting.  U and V^-1 change
-by row operations and are held by rows; U^-1 and V change by column
-operations and are held by columns, so every transform update is an
-``axpy`` over the nonzeros of its source.  ``SNFResult`` keeps these sparse
-lines and builds its dense ``U``, ``D``, ``V``, ``u_inv`` and ``v_inv`` only
-when one is first read.
+Boundary operators of desk-scale complexes have d + 2 nonzero entries per
+column, mostly units, and the unimodular transforms built from them stay
+sparse (a few nonzeros per row).  So the reduction works on sparse rows: D
+is held as one ``{column: value}`` dict per row plus a column-to-rows
+index, so a row operation costs the nonzeros of its source row and a
+column operation the rows where its source column is nonzero.  The
+reduction tracks both transforms and their inverses so callers can change
+basis in either direction without re-inverting.  U and V^-1 change by row
+operations and are held by rows; U^-1 and V change by column operations
+and are held by columns, so every transform update is an ``axpy`` over the
+nonzeros of its source.  ``SNFResult`` returns these sparse lines.
 
 The pivot rule is fixed (smallest nonzero absolute value, ties broken by
 lowest row then column index) so that every basis derived downstream is
@@ -29,91 +24,11 @@ keeps it as the reference).
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import compress
-from operator import mul
 from typing import Mapping, Optional, Sequence
 
 
 class ShapeMismatchError(ValueError):
     pass
-
-
-class IntMatrix:
-    """Matrix of arbitrary-precision integers, stored as a list of rows."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: list[list[int]]):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ShapeMismatchError(f"data does not match shape {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        data = [list(map(int, r)) for r in rows]
-        ncols = len(data[0]) if data else 0
-        return cls(len(data), ncols, data)
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
-        if any(len(col) != rows for col in cols):
-            raise ShapeMismatchError("column length mismatch")
-        if not cols:
-            return cls.zeros(rows, 0)
-        return cls(rows, len(cols), [list(map(int, r)) for r in zip(*cols)])
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [row[:] for row in self.data])
-
-    def column(self, j: int) -> list[int]:
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ShapeMismatchError("matmul shape mismatch")
-        out = IntMatrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k, a in enumerate(arow):
-                if a:
-                    brow = other.data[k]
-                    for j in range(other.cols):
-                        orow[j] += a * brow[j]
-        return out
-
-    def mul_vec(self, v: Sequence) -> list:
-        """The product with v (ints or Fractions), over v's nonzeros."""
-        if len(v) != self.cols:
-            raise ShapeMismatchError("vector length mismatch")
-        support = list(compress(range(len(v)), v))
-        values = [v[k] for k in support]
-        return [sum(map(mul, map(row.__getitem__, support), values))
-                for row in self.data]
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {self.data})"
 
 
 SparseLine = dict[int, int]
@@ -124,18 +39,16 @@ class SNFResult:
 
     ``diag`` is the full invariant-factor sequence (length min(rows, cols),
     nonzero entries first, each dividing the next, zeros trailing).
-    ``u_inv`` and ``v_inv`` are exact integer inverses of U and V.
 
-    The transforms are held as sparse lines, each a ``{index: value}`` dict
-    of nonzeros: ``u_rows`` (the rows of U), ``u_inv_cols`` (the columns of
-    U^-1), ``v_cols`` (the columns of V) and ``v_inv_rows`` (the rows of
-    V^-1).  The dense matrices are built on first access.
+    The transforms and their exact integer inverses are held as sparse
+    lines, each a ``{index: value}`` dict of nonzeros: ``u_rows`` (the rows
+    of U), ``u_inv_cols`` (the columns of U^-1), ``v_cols`` (the columns of
+    V) and ``v_inv_rows`` (the rows of V^-1).
     """
 
-    def __init__(self, shape: tuple[int, int], diag: tuple[int, ...],
+    def __init__(self, diag: tuple[int, ...],
                  u_rows: list[SparseLine], u_inv_cols: list[SparseLine],
                  v_cols: list[SparseLine], v_inv_rows: list[SparseLine]):
-        self.shape = shape
         self.diag = diag
         self.u_rows = u_rows
         self.u_inv_cols = u_inv_cols
@@ -146,40 +59,6 @@ class SNFResult:
     def rank(self) -> int:
         return sum(1 for d in self.diag if d)
 
-    @cached_property
-    def U(self) -> IntMatrix:
-        return _dense(self.shape[0], self.shape[0], self.u_rows)
-
-    @cached_property
-    def D(self) -> IntMatrix:
-        return _dense(*self.shape, [{i: d} for i, d in enumerate(self.diag)])
-
-    @cached_property
-    def V(self) -> IntMatrix:
-        return _dense(self.shape[1], self.shape[1], self.v_cols, by_column=True)
-
-    @cached_property
-    def u_inv(self) -> IntMatrix:
-        return _dense(self.shape[0], self.shape[0], self.u_inv_cols,
-                      by_column=True)
-
-    @cached_property
-    def v_inv(self) -> IntMatrix:
-        return _dense(self.shape[1], self.shape[1], self.v_inv_rows)
-
-
-def _dense(rows: int, cols: int, lines: Sequence[Mapping[int, int]],
-           by_column: bool = False) -> IntMatrix:
-    """The dense matrix whose rows (columns, when ``by_column``) are ``lines``."""
-    data = [[0] * cols for _ in range(rows)]
-    for a, line in enumerate(lines):
-        for b, v in line.items():
-            if by_column:
-                data[b][a] = v
-            else:
-                data[a][b] = v
-    return IntMatrix(rows, cols, data)
-
 
 def _axpy(dst: SparseLine, src: SparseLine, q: int) -> None:
     """dst += q * src, visiting only the nonzero entries of src."""
@@ -189,12 +68,6 @@ def _axpy(dst: SparseLine, src: SparseLine, q: int) -> None:
             dst[k] = y
         else:
             del dst[k]
-
-
-def smith_normal_form(A: IntMatrix) -> SNFResult:
-    """Smith normal form of a dense matrix (see ``sparse_smith_normal_form``)."""
-    return sparse_smith_normal_form(
-        [dict(compress(enumerate(row), row)) for row in A.data], A.cols)
 
 
 def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
@@ -357,4 +230,4 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
         t += 1
 
     diag = tuple(d[i].get(i, 0) for i in range(limit))
-    return SNFResult((n_rows, cols), diag, u, ui, v, vi)
+    return SNFResult(diag, u, ui, v, vi)

@@ -204,12 +204,12 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     row lies on ``arity`` faces, so the unassigned rows have mass
     >= sum_t m_t dist_t / arity, and a candidate is dropped when
     arity * mass + sum_t m_t dist_t exceeds arity * best (ties are kept).
-    In the engines' row order, by descending weight, m_t is the least
-    weight of an unassigned row on t while t has one; after that dist_t = 0,
-    since the assigned rows are those of a coset point.  A level changes
-    only the faces of the rows it assigns.  At a level with no rows after
-    its pivot row the candidate is tested before its move, and a dropped
-    one is not counted as a node.
+    The bound holds in any row order: m_t is the least weight of any row on
+    t, so no more than that of an unassigned one, and once every row on t
+    is assigned dist_t = 0, since those rows are those of a coset point.  A
+    level changes only the faces of the rows it assigns.  At a level with
+    no rows after its pivot row the candidate is tested before its move,
+    and a dropped one is not counted as a node.
     """
     if any(l > 0 or h < 0 for l, h in zip(lo, hi)):
         raise ValueError("every search box must contain 0")
@@ -484,18 +484,16 @@ def min_real(K: WeightedComplex, d: int, c: ClassCoords,
         return _zero_report(K, d, c, True)
     z0 = dec.representative_vector(c)
     n_rows = K.n_simplices(d)
-    B = K.boundary_matrix_or_empty(d + 1)
-    m = B.cols
-    rows: list[list[int]] = []
-    for i in range(n_rows):
-        row = [0] * (2 * n_rows + 2 * m)
+    cofaces = K.faces(d + 1) if d < K.dim else ()
+    m = len(cofaces)
+    rows = [[0] * (2 * n_rows + 2 * m) for _ in range(n_rows)]
+    for i, row in enumerate(rows):
         row[i] = 1
         row[n_rows + i] = -1
-        for j, bij in enumerate(B.data[i]):
-            if bij:
-                row[2 * n_rows + j] = -bij
-                row[2 * n_rows + m + j] = bij
-        rows.append(row)
+    for j, faces in enumerate(cofaces):
+        for i, sign in faces:
+            rows[i][2 * n_rows + j] = -sign
+            rows[i][2 * n_rows + m + j] = sign
     weights = list(K.weights[d])
     costs = weights + weights + [0] * (2 * m)
     res = solve_standard_lp(rows, z0, costs)

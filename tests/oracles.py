@@ -18,26 +18,172 @@ forms of its own for each n, against which the closed-form one is checked,
 and ``ReferenceHomologyDecomposition`` the integral decomposition built
 from dense transforms and dense products, whose bases, coordinates and
 representatives the sparse one must reproduce.
+
+The oracles and the tests compute with dense matrices: ``IntMatrix``,
+``boundary_matrix`` (the boundary operator read off ``K.faces``) and
+``smith_normal_form`` (the library's sparse Smith normal form with its
+transforms densified by ``densify``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import gcd
-from typing import Optional, Sequence
+from operator import mul
+from typing import Mapping, Optional, Sequence
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
 from homnorm.complexes import Chain, NotACycleError, mass
 from homnorm.homology import HomologyDecomposition, homology_decomposition
-from homnorm.intlinalg import IntMatrix, SNFResult, smith_normal_form
+from homnorm.intlinalg import (ShapeMismatchError, SNFResult,
+                               sparse_smith_normal_form)
 from homnorm.lp import LPInfeasibleError, LPResult
 from homnorm.rings import INT, canonical_lift, factorize
 
 
-def solve_with_snf(res: SNFResult, b: Sequence[int]) -> Optional[list[int]]:
+class IntMatrix:
+    """Matrix of arbitrary-precision integers, stored as a list of rows."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data: list[list[int]]):
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ShapeMismatchError(f"data does not match shape {rows}x{cols}")
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        m = cls.zeros(n, n)
+        for i in range(n):
+            m.data[i][i] = 1
+        return m
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        data = [list(map(int, r)) for r in rows]
+        ncols = len(data[0]) if data else 0
+        return cls(len(data), ncols, data)
+
+    @classmethod
+    def from_columns(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
+        if any(len(col) != rows for col in cols):
+            raise ShapeMismatchError("column length mismatch")
+        if not cols:
+            return cls.zeros(rows, 0)
+        return cls(rows, len(cols), [list(map(int, r)) for r in zip(*cols)])
+
+    def copy(self) -> "IntMatrix":
+        return IntMatrix(self.rows, self.cols, [row[:] for row in self.data])
+
+    def column(self, j: int) -> list[int]:
+        return [self.data[i][j] for i in range(self.rows)]
+
+    def matmul(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.rows:
+            raise ShapeMismatchError("matmul shape mismatch")
+        out = IntMatrix.zeros(self.rows, other.cols)
+        for i in range(self.rows):
+            arow = self.data[i]
+            orow = out.data[i]
+            for k, a in enumerate(arow):
+                if a:
+                    brow = other.data[k]
+                    for j in range(other.cols):
+                        orow[j] += a * brow[j]
+        return out
+
+    def mul_vec(self, v: Sequence) -> list:
+        """The product with v (ints or Fractions), over v's nonzeros."""
+        if len(v) != self.cols:
+            raise ShapeMismatchError("vector length mismatch")
+        support = list(compress(range(len(v)), v))
+        values = [v[k] for k in support]
+        return [sum(map(mul, map(row.__getitem__, support), values))
+                for row in self.data]
+
+    def is_zero(self) -> bool:
+        return all(not v for row in self.data for v in row)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, IntMatrix) and self.rows == other.rows
+                and self.cols == other.cols and self.data == other.data)
+
+    def __repr__(self) -> str:
+        return f"IntMatrix({self.rows}x{self.cols}, {self.data})"
+
+
+def boundary_matrix(K, d: int) -> IntMatrix:
+    """Dense matrix of the boundary operator in degree d (rows: the
+    (d-1)-simplices) read off ``K.faces(d)``, with the chain-complex ends
+    filled in as empty maps."""
+    if d <= 0:
+        return IntMatrix.zeros(0, K.n_simplices(0))
+    if d > K.dim:
+        return IntMatrix.zeros(K.n_simplices(K.dim), 0)
+    m = IntMatrix.zeros(K.n_simplices(d - 1), K.n_simplices(d))
+    for j, faces in enumerate(K.faces(d)):
+        for i, sign in faces:
+            m.data[i][j] = sign
+    return m
+
+
+@dataclass
+class DenseSNF:
+    """U A V = D with dense transforms and their inverses."""
+
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+    diag: tuple[int, ...]
+    u_inv: IntMatrix
+    v_inv: IntMatrix
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diag if d)
+
+
+def _dense(rows: int, cols: int, lines: Sequence[Mapping[int, int]],
+           by_column: bool = False) -> IntMatrix:
+    """The dense matrix whose rows (columns, when ``by_column``) are ``lines``."""
+    data = [[0] * cols for _ in range(rows)]
+    for a, line in enumerate(lines):
+        for b, v in line.items():
+            if by_column:
+                data[b][a] = v
+            else:
+                data[a][b] = v
+    return IntMatrix(rows, cols, data)
+
+
+def densify(res: SNFResult) -> DenseSNF:
+    """The dense matrices of a sparse Smith normal form, from its lines."""
+    rows, cols = len(res.u_rows), len(res.v_cols)
+    return DenseSNF(
+        U=_dense(rows, rows, res.u_rows),
+        D=_dense(rows, cols, [{i: d} for i, d in enumerate(res.diag)]),
+        V=_dense(cols, cols, res.v_cols, by_column=True),
+        diag=res.diag,
+        u_inv=_dense(rows, rows, res.u_inv_cols, by_column=True),
+        v_inv=_dense(cols, cols, res.v_inv_rows))
+
+
+def smith_normal_form(A: IntMatrix) -> DenseSNF:
+    """``sparse_smith_normal_form`` of a dense matrix, densified."""
+    return densify(sparse_smith_normal_form(
+        [dict(compress(enumerate(row), row)) for row in A.data], A.cols))
+
+
+def solve_with_snf(res: DenseSNF, b: Sequence[int]) -> Optional[list[int]]:
     c = res.U.mul_vec(b)
     y = [0] * res.D.cols
     for i, ci in enumerate(c):
@@ -111,8 +257,8 @@ def brute_force_min_int(K, d, c):
     z0 = [int(v) for v in dec.representative_vector(c)]
     scale, wnum = weight_scale(K, d)
     budget = sum(w * abs(v) for w, v in zip(wnum, z0))
-    A = K.boundary_matrix_or_empty(d)
-    B = K.boundary_matrix_or_empty(d + 1)
+    A = boundary_matrix(K, d)
+    B = boundary_matrix(K, d + 1)
     member = lattice_membership_tester(
         [B.column(j) for j in range(B.cols)], K.n_simplices(d))
     best = None
@@ -138,8 +284,8 @@ def brute_force_min_mod(K, d, c):
     dec = homology_decomposition(K, d)
     z0 = [int(v) % n for v in dec.representative_vector(c)]
     scale, wnum = weight_scale(K, d)
-    A = K.boundary_matrix_or_empty(d)
-    B = K.boundary_matrix_or_empty(d + 1)
+    A = boundary_matrix(K, d)
+    B = boundary_matrix(K, d + 1)
     n_simp = K.n_simplices(d)
     m = B.cols
     boundary_residues = set()
@@ -169,7 +315,7 @@ def brute_force_min_real(K, d, c):
     """LP value by enumerating the vertices of the arrangement {x_s = 0}."""
     dec = homology_decomposition(K, d)
     z0 = [Fraction(v) for v in dec.representative_vector(c)]
-    B = K.boundary_matrix_or_empty(d + 1)
+    B = boundary_matrix(K, d + 1)
     n_simp = K.n_simplices(d)
     weights = K.weights[d]
 
@@ -321,27 +467,12 @@ def reference_solve_standard_lp(A, b, c) -> LPResult:
     return LPResult(-cost[width - 1], x, duals, pivots)
 
 
-@dataclass
-class DenseSNF:
-    """U A V = D with dense transforms and their inverses."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    diag: tuple[int, ...]
-    u_inv: IntMatrix
-    v_inv: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diag if d)
-
-
 def reference_smith_normal_form(A: IntMatrix) -> DenseSNF:
     """The dense Smith normal form by unimodular row/column reduction.
 
-    Reference for ``homnorm.intlinalg.smith_normal_form``, which must return
-    the same U, D, V, inverses and diagonal entry for entry.
+    Reference for ``homnorm.intlinalg.sparse_smith_normal_form``, whose
+    densified U, D, V, inverses and diagonal must equal these entry for
+    entry.
 
     Pivot selection: smallest nonzero |entry| in the active submatrix,
     ties by lowest row then lowest column index.
@@ -622,7 +753,8 @@ class ReferenceModDecomposition:
         K = dec.complex
         d = dec.degree
         n_simp = K.n_simplices(d)
-        B = K.boundary_matrix_or_empty(d + 1)
+        B = boundary_matrix(K, d + 1)
+        self._snfA = densify(dec._snfA)
         diagA = dec._snfA.diag
         # Lifted mod-n cycle lattice: columns of V_A scaled by n/gcd(diag, n).
         self._scales = [n // gcd(diagA[j] if j < len(diagA) else 0, n)
@@ -631,7 +763,7 @@ class ReferenceModDecomposition:
         for j in range(B.cols):
             relation_cols.append(self._cycle_lattice_coords(B.column(j)))
         for k in range(n_simp):
-            col = [n * v for v in dec._snfA.v_inv.column(k)]
+            col = [n * v for v in self._snfA.v_inv.column(k)]
             relation_cols.append([c // s for c, s in zip(col, self._scales)])
         Cn = IntMatrix.from_columns(relation_cols, n_simp)
         self._snfCn = smith_normal_form(Cn)
@@ -672,8 +804,8 @@ class ReferenceModDecomposition:
         """
         dec = self.dec
         n_simp = dec.complex.n_simplices(dec.degree)
-        B = dec.complex.boundary_matrix_or_empty(dec.degree + 1)
-        img_cols = ([dec._snfA.V.column(j) for j in range(dec._rankA, n_simp)]
+        B = boundary_matrix(dec.complex, dec.degree + 1)
+        img_cols = ([self._snfA.V.column(j) for j in range(dec._rankA, n_simp)]
                     + [B.column(j) for j in range(B.cols)])
         for k in range(n_simp):
             e_col = [0] * n_simp
@@ -684,7 +816,7 @@ class ReferenceModDecomposition:
     # -- raw presentation helpers -------------------------------------------
 
     def _cycle_lattice_coords(self, vec: Sequence[int]) -> list[int]:
-        y = self.dec._snfA.v_inv.mul_vec(vec)
+        y = self._snfA.v_inv.mul_vec(vec)
         out = []
         for v, s in zip(y, self._scales):
             if v % s:
@@ -751,7 +883,7 @@ class ReferenceModDecomposition:
             if coord:
                 s = self._snfCn.u_inv.column(idx)
                 scaled = [v * sc for v, sc in zip(s, self._scales)]
-                col = self.dec._snfA.V.mul_vec(scaled)
+                col = self._snfA.V.mul_vec(scaled)
                 for i in range(n_simp):
                     out[i] += coord * col[i]
         return out
@@ -797,8 +929,8 @@ class ReferenceHomologyDecomposition:
         self.complex = K
         self.degree = degree
         n_simp = K.n_simplices(degree)
-        A = K.boundary_matrix_or_empty(degree)
-        B = K.boundary_matrix_or_empty(degree + 1)
+        A = boundary_matrix(K, degree)
+        B = boundary_matrix(K, degree + 1)
         self._snfA = reference_smith_normal_form(A)
         rA = self._snfA.rank
         self._rankA = rA

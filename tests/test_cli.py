@@ -246,21 +246,22 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("command,extra", [
-    ("scan", []),
-    ("bijection", []),
-    ("sweep", ["--shrink", MOBIUS_RIM, "--factors", "1/1"]),
+@pytest.mark.parametrize("command,extra,message", [
+    ("scan", [], "out of memory"),
+    ("bijection", [], "bijection expects a single modulus"),
+    ("sweep", ["--shrink", MOBIUS_RIM, "--factors", "1/1"], "out of memory"),
 ])
-def test_huge_modulus_range_is_one_line_error(paths, command, extra):
+def test_huge_modulus_range_is_one_line_error(paths, command, extra, message):
     # Materialising 2..10^11 cannot fit in the 1 GiB address space the
     # child runs under; the failure must be a diagnostic, not a traceback.
+    # bijection counts the range from its bounds and refuses it at once.
     proc = subprocess.run(
         [sys.executable, "-m", "homnorm.cli", command, paths["mobius"],
          "--dim", "1", "--class", "f:1", "--n", "2..100000000000"] + extra,
         capture_output=True, text=True, preexec_fn=_limit_address_space,
         timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == "error: out of memory\n"
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_every_public_name_resolves():
