@@ -115,8 +115,12 @@ def _parse_moduli(spec: str) -> list[range]:
 
 def _all_moduli(spec: str) -> list[int]:
     """Every modulus of ``spec``, in order."""
+    parts = _parse_moduli(spec)
+    # Counted from the bounds: len() of a range past sys.maxsize overflows.
+    if sum(r.stop - r.start for r in parts) > sys.maxsize:
+        raise MemoryError("more moduli than a list can hold")
     out: list[int] = []
-    for part in _parse_moduli(spec):
+    for part in parts:
         out.extend(part)
     return out
 
@@ -256,7 +260,7 @@ def _cmd_bijection(args) -> str:
     dec = homology_decomposition(K, args.dim)
     c = _class_for(args, K, dec, INT)
     parts = _parse_moduli(args.n)
-    if sum(map(len, parts)) != 1:
+    if sum(r.stop - r.start for r in parts) != 1:
         raise ValueError("bijection expects a single modulus")
     report = bijection_check(K, args.dim, c, parts[0][0], args.cap)
     return _report(args, K, {

@@ -131,7 +131,9 @@ class HomologyDecomposition:
         for j, faces in enumerate(K.faces(degree)):
             for i, sign in faces:
                 a_rows[i][j] = sign
-        self._snfA: SNFResult = sparse_smith_normal_form(a_rows, n_simp)
+        # Only V_A, V_A^-1, U_C and U_C^-1 are read below.
+        self._snfA: SNFResult = sparse_smith_normal_form(a_rows, n_simp,
+                                                         _track="v")
         rA = self._snfA.rank
         self._rankA = rA
         z = n_simp - rA
@@ -149,7 +151,8 @@ class HomologyDecomposition:
                 if i < rA:
                     raise NotACycleError("vector is not in the cycle lattice")
                 c_rows[i - rA][j] = v
-        self._snfC: SNFResult = sparse_smith_normal_form(c_rows, len(cofaces))
+        self._snfC: SNFResult = sparse_smith_normal_form(
+            c_rows, len(cofaces), _track="u")
         rC = self._snfC.rank
         self._rankC = rC
         self._invariant_factors = tuple(self._snfC.diag[:rC])

@@ -32,6 +32,7 @@ class ShapeMismatchError(ValueError):
 
 
 SparseLine = dict[int, int]
+Lines = Optional[list[SparseLine]]
 
 
 class SNFResult:
@@ -43,12 +44,12 @@ class SNFResult:
     The transforms and their exact integer inverses are held as sparse
     lines, each a ``{index: value}`` dict of nonzeros: ``u_rows`` (the rows
     of U), ``u_inv_cols`` (the columns of U^-1), ``v_cols`` (the columns of
-    V) and ``v_inv_rows`` (the rows of V^-1).
+    V) and ``v_inv_rows`` (the rows of V^-1); a pair that was not tracked
+    is None.
     """
 
-    def __init__(self, diag: tuple[int, ...],
-                 u_rows: list[SparseLine], u_inv_cols: list[SparseLine],
-                 v_cols: list[SparseLine], v_inv_rows: list[SparseLine]):
+    def __init__(self, diag: tuple[int, ...], u_rows: Lines,
+                 u_inv_cols: Lines, v_cols: Lines, v_inv_rows: Lines):
         self.diag = diag
         self.u_rows = u_rows
         self.u_inv_cols = u_inv_cols
@@ -71,13 +72,15 @@ def _axpy(dst: SparseLine, src: SparseLine, q: int) -> None:
 
 
 def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
-                             cols: int) -> SNFResult:
+                             cols: int, *, _track: str = "uv") -> SNFResult:
     """Smith normal form by unimodular row/column reduction.
 
     The matrix is given by its rows, each a ``{column: value}`` map (zero
     values are ignored), and its column count.  Pivot selection: smallest
     nonzero |entry| in the active submatrix, ties by lowest row then lowest
-    column index.
+    column index.  ``_track`` names the transform pairs to keep, ``"u"``
+    for U and U^-1 and ``"v"`` for V and V^-1; the reduction, D and the
+    tracked pairs are the same whichever are kept.
     """
     d = [{c: v for c, v in row.items() if v} for row in rows]
     n_rows = len(d)
@@ -86,10 +89,11 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
     for i, row in enumerate(d):
         for c in row:
             rows_of[c].add(i)
-    u = [{i: 1} for i in range(n_rows)]
-    ui = [{i: 1} for i in range(n_rows)]
-    v = [{j: 1} for j in range(cols)]
-    vi = [{j: 1} for j in range(cols)]
+    # An untracked pair starts as empty lines, which no operation fills.
+    u = [{i: 1} if "u" in _track else {} for i in range(n_rows)]
+    ui = [dict(line) for line in u]
+    v = [{j: 1} if "v" in _track else {} for j in range(cols)]
+    vi = [dict(line) for line in v]
 
     def swap_rows(i: int, j: int) -> None:
         if i == j:
@@ -230,4 +234,8 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
         t += 1
 
     diag = tuple(d[i].get(i, 0) for i in range(limit))
+    if "u" not in _track:
+        u = ui = None
+    if "v" not in _track:
+        v = vi = None
     return SNFResult(diag, u, ui, v, vi)

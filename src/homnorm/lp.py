@@ -1,17 +1,43 @@
-"""Exact two-phase simplex with Bland's rule and dual extraction.
+"""Exact simplex for the optimal-homologous-chain LP, with Bland's rule.
 
-The tableau is fraction-free: it holds integers T = D * F, where F is the
-rational tableau of the current basis and D = |det(basis)| is one common
+``min_real`` minimizes sum_i w_i |x_i| over x = z0 + D y, D the boundary
+from the cofaces (Dey-Hirani-Krishnamoorthy, *Optimal homologous cycles,
+total unimodularity, and linear programming*, 2011), as the sign-split LP
+
+    minimize w.x+ + w.x-  subject to  x+ - x- - D y+ + D y- = z0,  all >= 0.
+
+This module solves that LP, and only that LP, on its structure.
+
+The tableau is fraction-free: it holds integers T = Det * F, where F is the
+rational tableau of the current basis and Det = |det(basis)| is one common
 denominator, updated by Edmonds/Bareiss integer-preserving pivots.  Every
 division in a pivot is exact, so no floating point and no per-entry
-fractions occur; results are returned as exact rationals.
+fractions occur; results are returned as exact rationals.  D is integral,
+so only the right-hand side and the costs are scaled to integers.
 
 Bland's rule (lowest eligible index enters, ratio ties broken by lowest
 basic variable index) guarantees termination and makes every pivot
 sequence, hence every reported vertex and dual, deterministic.  It reads
-only signs and ratio comparisons, which D > 0 and the positive input
-scalings below leave unchanged, so the integer tableau takes the same
-pivots as a rational one would.
+only signs and ratio comparisons, which Det > 0 and the positive scalings
+leave unchanged, so the integer tableau takes the pivots a rational one
+would.
+
+Two facts make this LP cheaper than a generic one of its size.
+
+* Its columns come in pairs equal up to sign: x+_i and x-_i, y+_j and y-_j,
+  and, once row i is multiplied by sigma_i (the sign of z0_i, +1 at zero),
+  the two-phase method's artificial a_i and sigma_i * x+_i.  So the tableau
+  keeps one column per pair: the unit block (which is Det * B^-1), one
+  boundary column per coface and the right-hand side.  Only the cost row
+  keeps every column, so Bland scans the index order x+ | x- | y+ | y- of
+  the generic method, and each pivot updates it through the twins.
+* Phase 1 can be skipped.  From the all-artificial basis it always takes
+  exactly one pivot per row, x+_i where z0_i >= 0 and x-_i otherwise: those
+  are the lowest eligible columns, each zero off row i with a unit entry
+  there, so the pivots leave the tableau as it is and end at the feasible
+  basis x = z0, y = 0.  Phase 2 starts there, takes the pivots it would
+  take after phase 1 and returns the same vertex, duals and value; only
+  the phase-2 pivots are counted.
 """
 
 from __future__ import annotations
@@ -20,13 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Sequence, Union
-
-Rational = Union[int, Fraction]
-
-
-class LPInfeasibleError(ValueError):
-    pass
+from operator import itemgetter
+from typing import Sequence
 
 
 @dataclass
@@ -37,154 +58,121 @@ class LPResult:
     pivots: int
 
 
-def _scaled(v: Rational, scale: int) -> int:
-    """v * scale as an int, for a scale that v's denominator divides."""
-    return v.numerator * (scale // v.denominator)
+def solve_cycle_lp(z0: Sequence[Fraction], weights: Sequence[Fraction],
+                   cofaces: Sequence[Sequence[tuple[int, int]]]) -> LPResult:
+    """Minimize sum_i w_i |x_i| over x = z0 + D y exactly, where column j of
+    D has the (row, sign) entries ``cofaces[j]``, signs +-1.
 
-
-def solve_standard_lp(A: Sequence[Sequence[Rational]], b: Sequence[Rational],
-                      c: Sequence[Rational]) -> LPResult:
-    """Minimize c.x subject to A x = b, x >= 0 (entries int or Fraction).
-
-    Returns the optimal basic solution and the exact dual vector y with
-    y.b = value and y.A <= c componentwise.  Raises LPInfeasibleError when
-    the constraints admit no nonnegative solution; the objectives used in
-    this package are bounded below by zero, so unboundedness is a bug.
+    Returns the optimal basic solution of the sign-split LP as x+ | x- |
+    y+ | y- and the exact dual vector phi: phi.z0 = value, |phi_i| <= w_i
+    and phi vanishes on every column of D.
     """
-    m = len(A)
-    n = len(A[0]) if m else len(c)
-    if len(b) != m or len(c) != n or any(len(row) != n for row in A):
+    n, m = len(z0), len(cofaces)
+    if len(weights) != n:
         raise ValueError("LP shape mismatch")
-    if m == 0:
-        return LPResult(Fraction(0), [Fraction(0)] * n, [], 0)
+    b_scale = lcm(*(v.denominator for v in z0))
+    c_scale = lcm(*(v.denominator for v in weights))
+    w = [v.numerator * (c_scale // v.denominator) for v in weights]
+    sigma = [1 if v >= 0 else -1 for v in z0]
 
-    # Integer data: column j of A times col_scale[j] (x_j = col_scale[j] *
-    # x'_j / b_scale), b times b_scale and c times c_scale * col_scale[j].
-    # All scales are positive, so no sign or ratio comparison changes.
-    int_rows = [set(map(type, row)) <= {int} for row in A]
-    col_scale = [1] * n
-    for row, is_int in zip(A, int_rows):
-        if not is_int:
-            col_scale = [lcm(s, v.denominator) for s, v in zip(col_scale, row)]
-    unit_scale = col_scale == [1] * n
-    b_scale = lcm(*(v.denominator for v in b))
-    c_scale = lcm(*(v.denominator for v in c))
-    cost_int = [_scaled(v, c_scale) * s for v, s in zip(c, col_scale)]
+    # Compact columns: the unit block 0..n-1, y-_j at n+j and the
+    # right-hand side at n+m; row i is multiplied by sigma_i.
+    rhs = n + m
+    tableau = [[0] * (rhs + 1) for _ in range(n)]
+    for i, row in enumerate(tableau):
+        row[i] = 1
+        row[rhs] = abs(z0[i].numerator * (b_scale // z0[i].denominator))
+    for j, faces in enumerate(cofaces):
+        for i, sign in faces:
+            tableau[i][n + j] = sigma[i] * sign
+    basis = [i if s > 0 else n + i for i, s in enumerate(sigma)]
 
-    width = n + m + 1  # structural | artificial | rhs
-    rhs = width - 1
-    flipped = [False] * m
-    tableau: list[list[int]] = []
-    for i in range(m):
-        if unit_scale and int_rows[i]:
-            row = list(A[i])
-        else:
-            row = [_scaled(v, s) for v, s in zip(A[i], col_scale)]
-        bi = _scaled(b[i], b_scale)
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-            flipped[i] = True
-        row.extend([0] * m)
-        row[n + i] = 1
-        row.append(bi)
-        tableau.append(row)
-    basis = [n + i for i in range(m)]
+    # Full columns x+ | x- | y+ | y- | a | rhs as (compact column, sign).
+    n_struct = 2 * n + 2 * m
+    column = ([(i, s) for i, s in enumerate(sigma)]
+              + [(i, -s) for i, s in enumerate(sigma)]
+              + [(n + j, -1) for j in range(m)] + [(n + j, 1) for j in range(m)]
+              + [(i, 1) for i in range(n)] + [(rhs, 1)])
+    twins: list[list[tuple[int, int]]] = [[] for _ in range(rhs + 1)]
+    for k, (q, s) in enumerate(column):
+        twins[q].append((k, s))
+
+    # Phase-2 cost row c_k - sum_i c_basis(i) T[i][k] at Det = 1; the basic
+    # cost of row i is w_i whichever sign of x_i is basic.
+    priced = w + [sum(w[i] * sigma[i] * sign for i, sign in faces)
+                  for faces in cofaces]
+    priced.append(sum(wi * row[rhs] for wi, row in zip(w, tableau)))
+    cost = [c - s * priced[q]
+            for c, (q, s) in zip(w + w + [0] * (2 * m + n + 1), column)]
+    # The structural columns of negative cost: Bland's entering column is
+    # the least of them, and a pivot changes costs only on its support.
+    negative = {k for k in range(n_struct) if cost[k] < 0}
     pivots = 0
     denom = 1
 
-    def pivot(t: int, j: int) -> None:
-        # Each row r becomes (p*r - r[j]*T[t]) / D exactly; the pivot row
-        # keeps its entries and p becomes the new common denominator.
-        nonlocal pivots, denom
-        pivots += 1
-        row = tableau[t]
-        p = row[j]
-        if p < 0:  # only when driving an artificial out of the basis
-            tableau[t] = row = [-v for v in row]
-            p = -p
-        d = denom
-        if p == d:
-            # The update is r - r[j]*T[t]/D: rows with r[j] == 0 stay, and
-            # the others change only where the pivot row is nonzero.
-            support = [(k, row[k]) for k in compress(range(len(row)), row)]
-            for rr in tableau + [cost]:
-                f = rr[j]
-                if f and rr is not row:
-                    for k, v in support:
-                        rr[k] -= f * v // d
-        else:
-            for rr in tableau + [cost]:
-                if rr is not row:
-                    f = rr[j]
-                    rr[:] = [(p * a - f * v) // d for a, v in zip(rr, row)]
-        denom = p
-        basis[t] = j
-
-    def run(allowed: int) -> None:
+    while negative:
         # Bland's rule: smallest eligible entering index; leaving row by
         # minimum ratio rhs/a over a > 0 (compared by cross-multiplying),
         # ties by smallest basic variable index.
-        while True:
-            enter = -1
-            for j in range(allowed):
-                if cost[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return
-            leave = -1
-            best_r = best_a = 0
-            for i in range(m):
-                a = tableau[i][enter]
-                if a > 0:
-                    r = tableau[i][rhs]
-                    if leave < 0:
-                        better = True
+        enter = min(negative)
+        q, s = column[enter]
+        col = list(map(itemgetter(q), tableau))
+        hits = list(compress(range(n), col))
+        leave = -1
+        best_r = best_a = 0
+        for i in hits:
+            a = s * col[i]
+            if a > 0:
+                r = tableau[i][rhs]
+                if leave < 0 or r * best_a < best_r * a or (
+                        r * best_a == best_r * a and basis[i] < basis[leave]):
+                    best_r, best_a, leave = r, a, i
+        if leave < 0:
+            raise AssertionError("LP unbounded; objective should be >= 0")
+
+        # Each row r becomes (p*r - r[q]*T[leave]) / Det exactly; the pivot
+        # row keeps its entries and p becomes the new common denominator.
+        pivots += 1
+        prow = tableau[leave]
+        p, d, fc = best_a, denom, cost[enter]
+        if p == d:
+            # The update is r - r[q]*T[leave]/Det: rows with r[q] == 0 stay,
+            # and the others change only where the pivot row is nonzero.
+            support = [(k, prow[k]) for k in compress(range(rhs + 1), prow)]
+            for i in hits:
+                if i != leave:
+                    row, f = tableau[i], s * col[i]
+                    if d == 1:
+                        for k, v in support:
+                            row[k] -= f * v
                     else:
-                        left, right = r * best_a, best_r * a
-                        better = left < right or (
-                            left == right and basis[i] < basis[leave])
-                    if better:
-                        best_r, best_a = r, a
-                        leave = i
-            if leave < 0:
-                raise AssertionError("LP unbounded; objective should be >= 0")
-            pivot(leave, enter)
+                        for k, v in support:
+                            row[k] -= f * v // d
+            for k, v in support:
+                g = fc * v // d
+                for kk, sk in twins[k]:
+                    c = cost[kk] = cost[kk] - sk * g
+                    if c < 0 and kk < n_struct:
+                        negative.add(kk)
+                    else:
+                        negative.discard(kk)
+        else:
+            for row, f in zip(tableau, col):
+                if row is not prow:
+                    f *= s
+                    row[:] = [(p * a - f * v) // d for a, v in zip(row, prow)]
+            cost = [(p * c - fc * sk * prow[k]) // d
+                    for c, (k, sk) in zip(cost, column)]
+            negative = {k for k in range(n_struct) if cost[k] < 0}
+        denom = p
+        basis[leave] = enter
 
-    # Phase 1: minimize the artificial sum.
-    cost = [-total for total in map(sum, zip(*tableau))]
-    for i in range(m):
-        cost[n + i] += 1
-    run(n + m)
-    if cost[rhs] != 0:
-        raise LPInfeasibleError("constraints admit no nonnegative solution")
-    # Drive artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if tableau[i][j] != 0:
-                    pivot(i, j)
-                    break
-
-    # Phase 2: the real objective (artificials barred from entering).
-    cost = [denom * v for v in cost_int] + [0] * (m + 1)
-    for i in range(m):
-        cb = cost_int[basis[i]] if basis[i] < n else 0
-        if cb:
-            for k, v in enumerate(tableau[i]):
-                if v:
-                    cost[k] -= cb * v
-    run(n)
-
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = Fraction(tableau[i][rhs] * col_scale[bi], denom * b_scale)
-    duals = []
-    for i in range(m):
-        y = Fraction(-cost[n + i], denom * c_scale)
-        duals.append(-y if flipped[i] else y)
-    return LPResult(Fraction(-cost[rhs], denom * b_scale * c_scale), x, duals,
+    zero = Fraction(0)
+    x = [zero] * n_struct
+    for row, k in zip(tableau, basis):
+        if row[rhs]:
+            x[k] = Fraction(row[rhs], denom * b_scale)
+    duals = [Fraction(-s * c, denom * c_scale) if c else zero
+             for s, c in zip(sigma, cost[n_struct:-1])]
+    return LPResult(Fraction(-cost[-1], denom * b_scale * c_scale), x, duals,
                     pivots)
-

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .complexes import Chain, Cochain, WeightedComplex, lift_chain, mass
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        class_of_cycle, homology_decomposition, reduce_class)
-from .lp import solve_standard_lp
+from .lp import solve_cycle_lp
 from .rings import RAT, RingSpec, canonical_lift, format_rational
 
 DEFAULT_MINIMIZER_CAP = 10_000
@@ -413,7 +413,10 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     weights = K.weights[d]
     columns = K.faces(d + 1) if d < K.dim else ()
     n = c.ring.modulus
-    row_order = sorted(range(len(weights)), key=lambda r: (-weights[r], r))
+    # Integer weights at a positive scale order the rows as the weights do.
+    w_scale = lcm(*(w.denominator for w in weights))
+    wnum = [w.numerator * (w_scale // w.denominator) for w in weights]
+    row_order = sorted(range(len(wnum)), key=lambda r: (-wnum[r], r))
     pivots = _echelon_columns(columns, row_order, n if columns else None)
     phi: Sequence[Fraction] = ()
     if n is None and pivots:
@@ -422,8 +425,8 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
             raise AssertionError(
                 "the real certificate must be closed with comass <= 1")
         phi = cert.values
-    scale = lcm(*(v.denominator for v in (*weights, *phi)))
-    wnum = [int(w * scale) for w in weights]
+    scale = lcm(w_scale, *(v.denominator for v in phi))
+    wnum = [w * (scale // w_scale) for w in wnum]
     m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
     lo = [-(m0 // w) for w in wnum]
     hi = [m0 // w for w in wnum]
@@ -432,7 +435,7 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         hi = [min(v, n // 2) for v in hi]
     best, sols, exact, nodes = _search_lattice(
         wnum, z0, pivots, row_order, lo, hi, m0, cap,
-        phi=[int(v * scale) for v in phi] if phi else None,
+        phi=[v.numerator * (scale // v.denominator) for v in phi] or None,
         faces=K.faces(d), modulus=n)
     return OptReport(c.ring, c, Fraction(best, scale),
                      _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
@@ -483,21 +486,11 @@ def min_real(K: WeightedComplex, d: int, c: ClassCoords,
     if c.is_zero():
         return _zero_report(K, d, c, True)
     z0 = dec.representative_vector(c)
-    n_rows = K.n_simplices(d)
     cofaces = K.faces(d + 1) if d < K.dim else ()
-    m = len(cofaces)
-    rows = [[0] * (2 * n_rows + 2 * m) for _ in range(n_rows)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-        row[n_rows + i] = -1
-    for j, faces in enumerate(cofaces):
-        for i, sign in faces:
-            rows[i][2 * n_rows + j] = -sign
-            rows[i][2 * n_rows + m + j] = sign
-    weights = list(K.weights[d])
-    costs = weights + weights + [0] * (2 * m)
-    res = solve_standard_lp(rows, z0, costs)
-    x = [res.x[i] - res.x[n_rows + i] for i in range(n_rows)]
+    res = solve_cycle_lp(z0, K.weights[d], cofaces)
+    n_rows = len(z0)
+    x = [p - q if q else p
+         for p, q in zip(res.x[:n_rows], res.x[n_rows:2 * n_rows])]
     minimizer = Chain.from_vector(K, d, RAT, x)
     certificate = Cochain.make(K, d, res.duals)
     return OptReport(c.ring, c, res.value, (minimizer,), False,

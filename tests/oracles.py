@@ -4,9 +4,10 @@ The searches here enumerate bounded coefficient boxes outright (no lattice
 parametrization, no pruning beyond the mass budget) and decide class
 membership through sympy's Hermite normal form, so they share no nontrivial
 code path with the engines they check.  ``reference_solve_standard_lp`` is
-the dense Fraction-tableau simplex the integer-tableau LP must agree with
-pivot for pivot, ``reference_smith_normal_form`` the dense Smith normal
-form whose transforms the sparse one must reproduce exactly, and
+the generic dense Fraction-tableau two-phase simplex, which the structured
+LP must agree with pivot for pivot once its phase 1 is done,
+``reference_smith_normal_form`` the dense Smith normal form whose
+transforms the sparse one must reproduce exactly, and
 ``reference_search_lattice`` the sorting, dense-column branch-and-bound whose
 nodes, minimizers and order the engines' search must reproduce (and whose
 minimizers and order it must keep when it prunes on a bound),
@@ -40,8 +41,12 @@ from homnorm.complexes import Chain, NotACycleError, mass
 from homnorm.homology import HomologyDecomposition, homology_decomposition
 from homnorm.intlinalg import (ShapeMismatchError, SNFResult,
                                sparse_smith_normal_form)
-from homnorm.lp import LPInfeasibleError, LPResult
+from homnorm.lp import LPResult
 from homnorm.rings import INT, canonical_lift, factorize
+
+
+class LPInfeasibleError(ValueError):
+    """``reference_solve_standard_lp`` found no nonnegative solution."""
 
 
 class IntMatrix:
@@ -349,8 +354,9 @@ def brute_force_min_real(K, d, c):
 def reference_solve_standard_lp(A, b, c) -> LPResult:
     """The dense ``Fraction``-tableau two-phase simplex with Bland's rule.
 
-    Reference for ``homnorm.lp.solve_standard_lp``, which must take the same
-    pivots and return the same value, vertex and duals.
+    Reference for ``homnorm.lp.solve_cycle_lp``: on the sign-split LP it
+    takes one phase-1 pivot per row and then the same pivots as
+    ``solve_cycle_lp``, and returns the same value, vertex and duals.
     Minimize c.x subject to A x = b, x >= 0 (all entries exact rationals).
 
     Returns the optimal basic solution and the exact dual vector y with
@@ -465,6 +471,23 @@ def reference_solve_standard_lp(A, b, c) -> LPResult:
         y = -cost[n + i]
         duals.append(-y if flipped[i] else y)
     return LPResult(-cost[width - 1], x, duals, pivots)
+
+
+def reference_split_lp(z0, weights, B) -> LPResult:
+    """``reference_solve_standard_lp`` on the dense sign-split LP of
+    min sum_i w_i |x_i| over x = z0 + B y: rows [I | -I | -B | B] = z0,
+    costs (w, w, 0, 0).  ``B`` is a list of len(z0) dense rows."""
+    n = len(z0)
+    m = len(B[0]) if B else 0
+    rows = []
+    for i, brow in enumerate(B):
+        row = [0] * (2 * n + 2 * m)
+        row[i], row[n + i] = 1, -1
+        for j, v in enumerate(brow):
+            row[2 * n + j], row[2 * n + m + j] = -v, v
+        rows.append(row)
+    return reference_solve_standard_lp(
+        rows, z0, list(weights) * 2 + [0] * (2 * m))
 
 
 def reference_smith_normal_form(A: IntMatrix) -> DenseSNF:
@@ -754,8 +777,8 @@ class ReferenceModDecomposition:
         d = dec.degree
         n_simp = K.n_simplices(d)
         B = boundary_matrix(K, d + 1)
-        self._snfA = densify(dec._snfA)
-        diagA = dec._snfA.diag
+        self._snfA = smith_normal_form(boundary_matrix(K, d))
+        diagA = self._snfA.diag
         # Lifted mod-n cycle lattice: columns of V_A scaled by n/gcd(diag, n).
         self._scales = [n // gcd(diagA[j] if j < len(diagA) else 0, n)
                         for j in range(n_simp)]

@@ -188,7 +188,8 @@ def test_mod_decomposition_runs_no_smith_normal_form(monkeypatch):
     calls = []
     real_snf = homology.sparse_smith_normal_form
     monkeypatch.setattr(homology, "sparse_smith_normal_form",
-                        lambda *A: calls.append(A) or real_snf(*A))
+                        lambda *A, **kw:
+                        calls.append(A) or real_snf(*A, **kw))
     # Fresh complexes, so no other test has filled their caches.
     for K in (torus7(), rp2_6()):
         decs = [homology_decomposition(K, d) for d in range(K.dim + 1)]

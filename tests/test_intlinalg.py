@@ -9,7 +9,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from homnorm.intlinalg import ShapeMismatchError
+from homnorm.intlinalg import ShapeMismatchError, sparse_smith_normal_form
 
 from conftest import torus_grid
 from oracles import (IntMatrix, boundary_matrix, reference_smith_normal_form,
@@ -88,6 +88,21 @@ def _assert_same_snf(A):
     assert got.u_inv == ref.u_inv
     assert got.v_inv == ref.v_inv
     assert got.diag == ref.diag
+    # Tracking one side's pair alone reduces the same way and keeps that
+    # pair exactly; the other pair is not built.
+    rows = [dict(itertools.compress(enumerate(row), row)) for row in A.data]
+    full = sparse_smith_normal_form(rows, A.cols)
+    for track, kept, dropped in TRACKED:
+        part = sparse_smith_normal_form(rows, A.cols, _track=track)
+        assert part.diag == full.diag
+        for name in kept:
+            assert getattr(part, name) == getattr(full, name), (track, name)
+        for name in dropped:
+            assert getattr(part, name) is None, (track, name)
+
+
+TRACKED = [("u", ("u_rows", "u_inv_cols"), ("v_cols", "v_inv_rows")),
+           ("v", ("v_cols", "v_inv_rows"), ("u_rows", "u_inv_cols"))]
 
 
 # Pivots that are not units, pivots that fail to divide the rest of their

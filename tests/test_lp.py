@@ -1,8 +1,10 @@
-"""The integer-tableau LP against the Fraction-tableau reference.
+"""The structured LP against the generic Fraction-tableau two-phase simplex.
 
-Bland's rule reads only signs and ratio comparisons, so the fraction-free
-solver must take exactly the reference's pivots: value, vertex, duals and
-pivot count are compared for equality, as is infeasibility.
+``solve_cycle_lp`` skips phase 1 and keeps one tableau column per pair of
+columns equal up to sign.  Bland's rule reads only signs and ratio
+comparisons, so after the reference's phase 1, which takes one pivot per
+row, both must take exactly the same pivots: value, vertex and duals are
+compared for equality, and the pivot counts differ by the number of rows.
 """
 
 import random
@@ -10,9 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from homnorm.lp import LPInfeasibleError, solve_standard_lp
+from conftest import random_complex, torus_grid
+from homnorm.fixtures import SUITE
+from homnorm.homology import homology_decomposition
+from homnorm.lp import solve_cycle_lp
+from homnorm.rings import RAT
 
-from oracles import reference_solve_standard_lp
+from oracles import boundary_matrix, reference_split_lp
 
 DENOMINATORS = (1, 1, 1, 2, 3, 4, 5, 7)
 
@@ -22,100 +28,106 @@ def rand_rational(rng, lo, hi):
     return Fraction(rng.randint(lo * q, hi * q), q)
 
 
-def random_lp(rng):
-    """A seeded LP with rational data, of one of four kinds.
-
-    ``feasible``: b = A x0 for a nonnegative x0, with rows negated at random
-    so some right-hand sides are negative.  ``redundant``: the same plus
-    rows that combine earlier rows, which leaves artificials basic at level
-    zero after phase 1 and exercises the drive-out step, including pivots on
-    negative entries.  ``infeasible``: b drawn independently of A.
-    ``integer``: int entries only, the form ``min_real`` passes.
-    """
-    kind = rng.choice(("feasible", "feasible", "redundant", "infeasible",
-                       "integer"))
-    m = rng.randint(1, 6)
-    n = rng.randint(1, 9)
-    density = rng.choice((0.3, 0.6, 1.0))
-
-    def entry():
-        if rng.random() > density:
-            return Fraction(0)
-        if kind == "integer":
-            return Fraction(rng.randint(-3, 3))
-        return rand_rational(rng, -3, 3)
-
-    A = [[entry() for _ in range(n)] for _ in range(m)]
-    if kind == "redundant":
-        for _ in range(rng.randint(1, 3)):
-            u, v = rng.randrange(len(A)), rng.randrange(len(A))
-            s, t = rand_rational(rng, -2, 2), rand_rational(rng, -2, 2)
-            A.append([s * a + t * b for a, b in zip(A[u], A[v])])
-        rng.shuffle(A)
-    if kind == "infeasible":
-        b = [rand_rational(rng, -4, 4) for _ in A]
-    else:
-        x0 = [rand_rational(rng, 0, 3) if rng.random() < 0.6 else Fraction(0)
-              for _ in range(n)]
-        b = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in A]
-    for i in range(len(A)):
-        if rng.random() < 0.3:
-            A[i] = [-a for a in A[i]]
-            b[i] = -b[i]
-    c = [rand_rational(rng, 0, 4) if rng.random() < 0.8 else Fraction(0)
-         for _ in range(n)]
-    if kind == "integer":
-        A = [[int(a) for a in row] for row in A]
-        b = [int(v) if v.denominator == 1 else v for v in b]
-        c = [int(v) if v.denominator == 1 else v for v in c]
-    return A, b, c
+def assert_matches_reference(z0, weights, B):
+    """Solve from the sparse columns of ``B`` and compare with the
+    reference on the dense split LP; return the result."""
+    cofaces = [[(i, row[j]) for i, row in enumerate(B) if row[j]]
+               for j in range(len(B[0]) if B else 0)]
+    got = solve_cycle_lp(z0, weights, cofaces)
+    want = reference_split_lp(z0, weights, B)
+    assert (got.value, got.x, got.duals) == (want.value, want.x, want.duals)
+    assert got.pivots == want.pivots - len(z0)
+    assert all(isinstance(v, Fraction)
+               for v in got.x + got.duals + [got.value])
+    return got
 
 
-def outcome(solver, A, b, c):
-    try:
-        res = solver(A, b, c)
-    except LPInfeasibleError:
-        return "infeasible"
-    return (res.value, res.x, res.duals, res.pivots)
+def random_split_lp(rng):
+    """A seeded LP of the ``min_real`` form with an arbitrary +-1 matrix:
+    rational z0 with negative and zero entries, positive rational weights.
+    Any z0 is feasible (y = 0), so no draw is rejected."""
+    n = rng.randint(1, 7)
+    m = rng.randint(0, 6)
+    density = rng.choice((0.2, 0.5, 0.8))
+    B = [[rng.choice((-1, 1)) if rng.random() < density else 0
+          for _ in range(m)] for _ in range(n)]
+    z0 = [rand_rational(rng, -3, 3) if rng.random() < 0.7 else Fraction(0)
+          for _ in range(n)]
+    weights = [rand_rational(rng, 1, 4) for _ in range(n)]
+    return z0, weights, B
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_matches_fraction_reference(seed):
     rng = random.Random(seed)
-    infeasible = 0
+    negative_rows = 0
     for _ in range(40):
-        A, b, c = random_lp(rng)
-        got = outcome(solve_standard_lp, A, b, c)
-        assert got == outcome(reference_solve_standard_lp, A, b, c), (A, b, c)
-        infeasible += got == "infeasible"
-        if got != "infeasible":
-            value, x, duals, _ = got
-            assert all(isinstance(v, Fraction) for v in x + duals + [value])
-    assert 0 < infeasible < 40
+        z0, weights, B = random_split_lp(rng)
+        assert_matches_reference(z0, weights, B)
+        negative_rows += any(v < 0 for v in z0)
+    assert negative_rows
 
 
-def test_drive_out_pivots_on_a_negative_entry():
-    # Row 2 is minus row 1 and b = 0: phase 1 makes no pivot, and driving the
-    # first artificial out of the basis pivots on the entry -1.
-    A = [[-1, 1], [1, -1]]
-    b = [0, 0]
-    c = [Fraction(1, 2), Fraction(1, 3)]
-    got = outcome(solve_standard_lp, A, b, c)
-    assert got == outcome(reference_solve_standard_lp, A, b, c)
-    assert got == (0, [0, 0], [Fraction(-1, 2), 0], 1)
+def test_matches_reference_on_complexes():
+    """The LPs of ``min_real`` on the fixtures, relabelled grids and random
+    complexes in every degree, the top one (no cofaces) included, with the
+    complex's weights and with random rational weights."""
+    rng = random.Random("cycle-lp")
+    complexes = [make() for make in SUITE.values()]
+    complexes += [torus_grid(4, seed=seed) for seed in (1, 2)]
+    complexes += [random_complex(rng) for _ in range(8)]
+    solved = {"top": 0, "below": 0}
+    for K in complexes:
+        for d in range(K.dim + 1):
+            dec = homology_decomposition(K, d)
+            if not dec.betti:
+                continue
+            B = boundary_matrix(K, d + 1).data
+            for weights in (K.weights[d],
+                            [rand_rational(rng, 1, 5) for _ in K.weights[d]]):
+                free = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(dec.betti)]
+                free[0] = free[0] or Fraction(1)
+                z0 = dec.representative_vector(
+                    dec.class_coords(RAT, tuple(free)))
+                assert_matches_reference(z0, weights, B)
+                solved["top" if d == K.dim else "below"] += 1
+    assert all(solved.values()), solved
 
 
-def test_no_constraints():
-    res = solve_standard_lp([], [], [Fraction(1), 2])
-    assert (res.value, res.x, res.duals, res.pivots) == (0, [0, 0], [], 0)
+def test_half_integral_vertex():
+    # The optimal basis has determinant 2, so the pivots leave the unit
+    # fast path: integral data, a half-integral vertex and duals.
+    B = [[1, 1], [-1, 0], [-1, 1]]
+    res = assert_matches_reference([Fraction(0), Fraction(-2), Fraction(-1)],
+                                   [Fraction(1)] * 3, B)
+    assert (res.value, res.pivots) == (Fraction(3, 2), 3)
+    half = Fraction(1, 2)
+    assert res.x == [0, 0, 0, 0, 3 * half, 0, 0, half, half, 0]
+    assert res.duals == [Fraction(-1, 2), -1, Fraction(1, 2)]
 
 
-@pytest.mark.parametrize("A,b,c", [
-    ([[1, 2]], [1, 2], [1, 1]),
-    ([[1, 2]], [1], [1]),
-    ([[1, 2], [1]], [1, 1], [1, 1]),
-    ([], [1], [1]),
+def test_top_degree_takes_no_pivot():
+    # With no cofaces the only feasible point is x = z0, and the duals are
+    # the basic costs with their signs, w_i for a zero row.
+    z0 = [Fraction(-3, 2), Fraction(0), Fraction(2)]
+    res = assert_matches_reference(z0, [Fraction(1), 2, Fraction(1, 3)],
+                                   [[], [], []])
+    assert (res.value, res.pivots) == (Fraction(13, 6), 0)
+    assert res.x == [0, 0, 2, Fraction(3, 2), 0, 0]
+    assert res.duals == [-1, 2, Fraction(1, 3)]
+
+
+def test_no_rows():
+    res = solve_cycle_lp([], [], [(), ()])
+    assert (res.value, res.x, res.duals, res.pivots) == (0, [0] * 4, [], 0)
+
+
+@pytest.mark.parametrize("z0,weights", [
+    ([1, 2], [1]),
+    ([1], [1, 1]),
+    ([], [1]),
 ])
-def test_shape_mismatch(A, b, c):
+def test_shape_mismatch(z0, weights):
     with pytest.raises(ValueError, match="shape mismatch"):
-        solve_standard_lp(A, b, c)
+        solve_cycle_lp(z0, weights, [])
