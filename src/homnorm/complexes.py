@@ -31,6 +31,11 @@ class NotACycleError(ValueError):
 Simplex = tuple[int, ...]
 
 
+def _fraction(v) -> Fraction:
+    """``v`` as a Fraction, passing Fractions through unwrapped."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 class WeightedComplex:
     """Finite simplicial complex with positive rational weights per simplex."""
 
@@ -46,11 +51,12 @@ class WeightedComplex:
         if weights is None:
             weights = [[Fraction(1)] * len(level) for level in self.simplices]
         self.weights: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(w) for w in level) for level in weights)
+            tuple(_fraction(w) for w in level) for level in weights)
         self._index: tuple[dict[Simplex, int], ...] = tuple(
             {s: i for i, s in enumerate(level)} for level in self.simplices)
         self._validate()
         self._faces_cache: dict[int, tuple] = {}
+        self._echelon_cache: dict[int, tuple] = {}
         self._decomposition_cache: dict = {}
 
     def _validate(self) -> None:
@@ -285,7 +291,7 @@ class Cochain:
             raise ValueError(f"degree {degree} out of range 0..{complex.dim}")
         if len(values) != complex.n_simplices(degree):
             raise ValueError("cochain value count does not match simplex count")
-        return Cochain(complex, degree, tuple(Fraction(v) for v in values))
+        return Cochain(complex, degree, tuple(map(_fraction, values)))
 
     @staticmethod
     def zero(complex: WeightedComplex, degree: int) -> "Cochain":

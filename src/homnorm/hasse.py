@@ -2,12 +2,15 @@
 Lavrentiev weight sweeps and minimizer-set bijection checks.
 
 Each operation re-solves the requested norms exactly and emits rows that
-carry their own invariants (value_mod <= value_int, ratios >= 1).  A row's
-dataclass fields, in declaration order, are its format: its JSON keys and
-its CSV columns.  A ``dict[int, ...]`` field keyed by modulus becomes a JSON
-object with keys in ascending n and one ``<field>_<n>`` CSV column per
-modulus, ascending; rationals print as "p/q", booleans as "true"/"false",
-absent optionals as empty CSV fields.
+carry their own invariants (value_mod <= value_int, ratios >= 1).  Where a
+row reads only values, the engines run value-only and do not enumerate
+ties; the flag is passed positionally, so a wrapper that forwards only
+positional arguments sees every engine call.  A row's dataclass fields, in
+declaration order, are its format: its JSON keys and its CSV columns.  A
+``dict[int, ...]`` field keyed by modulus becomes a JSON object with keys in
+ascending n and one ``<field>_<n>`` CSV column per modulus, ascending;
+rationals print as "p/q", booleans as "true"/"false", absent optionals as
+empty CSV fields.
 """
 
 from __future__ import annotations
@@ -202,19 +205,22 @@ def scan_moduli(K: WeightedComplex, d: int, c: ClassCoords,
                 cap: int = DEFAULT_MINIMIZER_CAP) -> list[ScanRow]:
     """One row per modulus: mod-n value vs integral value, plus the
     minimizer-set bijection verdict where the torsion number divides n and
-    both enumerations are complete."""
+    both enumerations are complete.  Only those rows read minimizer sets,
+    so the other engine calls are value-only."""
     if n_min < 2:
         raise ValueError("modulus scan starts at n >= 2")
     dec = homology_decomposition(K, d)
     tau = dec.torsion_number
-    int_report = min_int(K, d, c, cap)
+    some_tau_divides = n_max // tau > (n_min - 1) // tau
+    int_report = min_int(K, d, c, cap, not some_tau_divides)
     rows: list[ScanRow] = []
     for n in range(n_min, n_max + 1):
-        mod_report = min_mod(K, d, reduce_class(c, mod_ring(n)), cap)
+        tau_divides = n % tau == 0
+        mod_report = min_mod(K, d, reduce_class(c, mod_ring(n)), cap,
+                             not tau_divides)
         if mod_report.value > int_report.value:
             raise AssertionError(
                 "mod-n value exceeded the integral value; this is a bug")
-        tau_divides = n % tau == 0
         bijection = None
         lift_all = None
         if tau_divides and int_report.minimizer_count_exact \
@@ -259,7 +265,7 @@ def federer_sequence(K: WeightedComplex, d: int, c: ClassCoords, k_max: int,
     value_real = min_real(K, d, reduce_class(c, RAT), cap).value
     rows = []
     for k in range(1, k_max + 1):
-        vk = min_int(K, d, c.scale(k), cap).value
+        vk = min_int(K, d, c.scale(k), cap, True).value
         ratio = vk / k if k else Fraction(0)
         rows.append(FedererRow(k=k, value_int=vk, ratio=ratio,
                                value_real=value_real))
@@ -290,9 +296,9 @@ def gap_sweep(K: WeightedComplex, d: int, c: ClassCoords,
         K2 = K.with_scaled_weights(d, shrink_simplices, Fraction(factor))
         dec2 = homology_decomposition(K2, d)
         c2 = dec2.class_coords(c.ring, c.free_part, c.torsion_part)
-        vi = min_int(K2, d, c2, cap).value
+        vi = min_int(K2, d, c2, cap, True).value
         vr = min_real(K2, d, reduce_class(c2, RAT), cap).value
-        vm = {n: min_mod(K2, d, reduce_class(c2, mod_ring(n)), cap).value
+        vm = {n: min_mod(K2, d, reduce_class(c2, mod_ring(n)), cap, True).value
               for n in moduli}
         ratio_real = vi / vr if vr else Fraction(1)
         ratio_mod = {n: (vi / v if v else Fraction(1)) for n, v in vm.items()}

@@ -22,10 +22,23 @@ signed sum of its assigned simplices, needs unassigned simplices of total
 |coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
 at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  This is
 min_mod's only bound besides the mass: phi(x) is not constant on
-x + n*e_s, so it has no calibration.
+x + n*e_s, so it has no calibration.  The echelon of the boundary lattice
+is built once per complex and degree; the mod-n lattices are echelonized
+from its columns.
+
+Two cases need no search.  With no boundary moves (the top degree) the
+coset is the class representative alone, and that is the report.  And
+value_real <= value_int, so an integral LP vertex in the class is an
+integral minimizer; a value-only min_int reports it.  (Dey, Hirani and
+Krishnamoorthy, SIAM J. Comput. 2011: when the next boundary matrix is
+totally unimodular, as on orientable surfaces, every vertex is integral.)
 
 Values are exact rationals; minimizer sets are enumerated completely up to
-the configured cap and reported in a fixed deterministic order.
+the configured cap and reported in a fixed deterministic order.  A
+value-only call (``value_only=True``, for callers that read only the value)
+does not enumerate ties: once it has an incumbent it prunes every node
+whose bound reaches it, and reports one minimizer with
+minimizer_count_exact false.
 """
 
 from __future__ import annotations
@@ -173,7 +186,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     cap_mass: int, cap_count: int,
                     phi: Optional[Sequence[int]] = None,
                     faces: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
-                    modulus: Optional[int] = None):
+                    modulus: Optional[int] = None, value_only: bool = False):
     """Enumerate all lattice-coset points of minimal weighted l1 mass.
 
     The coset is z0 + span(pivot columns), searched depth first over the
@@ -210,6 +223,12 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     level changes only the faces of the rows it assigns.  At a level with
     no rows after its pivot row the candidate is tested before its move,
     and a dropped one is not counted as a node.
+
+    With ``value_only`` the ties are not enumerated: once there is an
+    incumbent every test drops a candidate whose bound reaches it, which,
+    masses being integers at this scale, is the strict test against
+    best - 1.  The search then keeps one minimizer and reports the count
+    as not exact.  It visits no node the full search does not.
     """
     if any(l > 0 or h < 0 for l, h in zip(lo, hi)):
         raise ValueError("every search box must contain 0")
@@ -251,7 +270,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                        level_faces, assigned))
 
     cur = list(z0)
-    best = cap_mass
+    best = limit = cap_mass  # candidates with a bound above limit drop
+    slack = 1 if value_only else 0
     sols: list[tuple[int, ...]] = []
     exact = True
     nodes = 0
@@ -276,16 +296,17 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     f0 = -sum(fvec[r] * z0[r] for r in row_order[bounds[0]:])
 
     def record(total: int) -> None:
-        nonlocal best, sols, exact
-        if total < best:
+        nonlocal best, limit, sols, exact
+        if total < best or value_only:
             best = total
             sols = [tuple(cur)]
-            exact = True
+            exact = not value_only
         elif total == best:
             if len(sols) < cap_count:
                 sols.append(tuple(cur))
             else:
                 exact = False
+        limit = best - slack
 
     def dfs(k: int, acc: int, f: int, residual: int) -> None:
         nonlocal nodes
@@ -313,11 +334,11 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 total = acc - w * v
             else:
                 break
-            if total > best:
+            if total > limit:
                 break  # later candidates only cost more at this row
             if calibrated:
                 fv = f + f_r * v
-                if total - fv > best:
+                if total - fv > limit:
                     if v >= 0:
                         p = hi_r + 1
                     else:
@@ -335,7 +356,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                         new += mt * (x if x + x <= n else n - x)
                 else:
                     new = residual - rest
-                if arity * total + rest + new > arity * best:
+                if arity * total + rest + new > arity * limit:
                     continue
             nodes += 1
             steps = (v - base) // g
@@ -356,7 +377,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     if x < l or x > h:
                         break
                     total += wr * abs(x)
-                    if total > best:
+                    if total > limit:
                         break
                 else:
                     for s, fs in assigned:
@@ -370,8 +391,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                         new += mt * (x if x + x <= n else n - x)
                     for rr, fr in segment_phi:
                         fv += fr * cur[rr]
-                    if (arity * total + rest + new <= arity * best
-                            and total - fv <= best):
+                    if (arity * total + rest + new <= arity * limit
+                            and total - fv <= limit):
                         dfs(k + 1, total, fv, rest + new)
                     for s, fs in assigned:
                         x = cur[s]
@@ -392,8 +413,42 @@ def _sorted_chains(K: WeightedComplex, d: int, ring: RingSpec,
     return tuple(sorted(chains, key=lambda ch: ch.coeffs))
 
 
+def _z_echelon(K: WeightedComplex, d: int, wnum: Sequence[int]
+               ) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
+    """The search's row order in degree ``d``, (-weight, index), and the
+    echelon of the boundary lattice along it, cached on ``K`` per degree.
+    ``wnum`` holds the degree-d weights at a positive integer scale, which
+    order the rows as the weights do.
+
+    The mod-n echelons are built from its columns: they span the same
+    lattice as the boundary columns, so the pivots, and with them every
+    search tree, are those of building from the faces.
+    """
+    cached = K._echelon_cache.get(d)
+    if cached is None:
+        row_order = sorted(range(len(wnum)), key=lambda r: (-wnum[r], r))
+        columns = K.faces(d + 1) if d < K.dim else ()
+        cached = row_order, _echelon_columns(columns, row_order)
+        K._echelon_cache[d] = cached
+    return cached
+
+
+def _integral_vertex(K: WeightedComplex, d: int, c: ClassCoords,
+                     real: OptReport) -> Optional[Chain]:
+    """The real LP vertex as an integral chain, if it is one in class ``c``.
+
+    Such a vertex is an integral minimizer, since value_real <= value_int.
+    """
+    (vertex,) = real.minimizers
+    if any(v.denominator != 1 for _, v in vertex.coeffs):
+        return None
+    z = Chain.make(K, d, c.ring, [(i, int(v)) for i, v in vertex.coeffs])
+    return z if class_of_cycle(K, d, z) == c else None
+
+
 def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
-                    lift: Callable[[Fraction], int], cap: int) -> OptReport:
+                    lift: Callable[[Fraction], int], cap: int,
+                    value_only: bool) -> OptReport:
     """Exact minimum mass over x = z0 + boundaries, plus n*u over Z/n, where
     z0 is the class representative with each coefficient lifted by ``lift``.
 
@@ -403,28 +458,40 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     prunes on the dual certificate of ``min_real``, a calibration of the
     class; over Z/n phi(x) changes along x + n*e_s, so there is no such
     bound.  With no boundary moves the coset is z0 alone (over Z/n, z0's
-    residue range holds no other point of z0 + n*Z^m), so no n*e columns
-    are added and no LP runs.
+    residue range holds no other point of z0 + n*Z^m): z0 is the report,
+    with no LP and no search.  A ``value_only`` call over Z whose LP vertex
+    is an integral cycle in the class reports that vertex, with no search.
     """
     dec = _validate_coords(K, d, c, kind)
     if c.is_zero():
-        return _zero_report(K, d, c, False)
+        report = _zero_report(K, d, c, False)
+        report.minimizer_count_exact = not value_only
+        return report
     z0 = [lift(v) for v in dec.representative_vector(c)]
     weights = K.weights[d]
-    columns = K.faces(d + 1) if d < K.dim else ()
     n = c.ring.modulus
-    # Integer weights at a positive scale order the rows as the weights do.
     w_scale = lcm(*(w.denominator for w in weights))
     wnum = [w.numerator * (w_scale // w.denominator) for w in weights]
-    row_order = sorted(range(len(wnum)), key=lambda r: (-wnum[r], r))
-    pivots = _echelon_columns(columns, row_order, n if columns else None)
+    row_order, pivots = _z_echelon(K, d, wnum)
+    if not pivots:  # the report of a search of the one-point coset
+        m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+        return OptReport(c.ring, c, Fraction(m0, w_scale),
+                         _sorted_chains(K, d, c.ring, [z0][:cap]),
+                         cap > 0 and not value_only, None, 0)
     phi: Sequence[Fraction] = ()
-    if n is None and pivots:
-        cert = min_real(K, d, reduce_class(c, RAT)).certificate
+    if n is None:
+        real = min_real(K, d, reduce_class(c, RAT))
+        cert = real.certificate
         if not cert.is_closed() or comass(K, cert) > 1:
             raise AssertionError(
                 "the real certificate must be closed with comass <= 1")
+        if value_only:
+            z = _integral_vertex(K, d, c, real)
+            if z is not None:
+                return OptReport(c.ring, c, real.value, (z,), False, None, 0)
         phi = cert.values
+    else:
+        pivots = _echelon_columns([col for _, col in pivots], row_order, n)
     scale = lcm(w_scale, *(v.denominator for v in phi))
     wnum = [w * (scale // w_scale) for w in wnum]
     m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
@@ -436,39 +503,47 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     best, sols, exact, nodes = _search_lattice(
         wnum, z0, pivots, row_order, lo, hi, m0, cap,
         phi=[v.numerator * (scale // v.denominator) for v in phi] or None,
-        faces=K.faces(d), modulus=n)
+        faces=K.faces(d), modulus=n, value_only=value_only)
     return OptReport(c.ring, c, Fraction(best, scale),
                      _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
 
 
 def min_int(K: WeightedComplex, d: int, c: ClassCoords,
-            cap: int = DEFAULT_MINIMIZER_CAP) -> OptReport:
+            cap: int = DEFAULT_MINIMIZER_CAP,
+            value_only: bool = False) -> OptReport:
     """Exact minimum mass over the integral cycles in class ``c``.
 
     Complete branch-and-bound over x = z0 + (boundary-lattice moves).  It
     first solves the real LP of ``min_real`` (unless there are no moves)
     and prunes on its dual certificate, checked to be a calibration, and on
     the face residuals; ties are kept, so the value and the minimizers are
-    those of the unpruned search.
+    those of the unpruned search.  With ``value_only`` it returns the value
+    and one minimizer, with ``minimizer_count_exact`` false: the LP vertex
+    when that is an integral cycle in the class, else the first minimizer
+    of a search that drops ties.
     """
-    return _coset_minimize(K, d, c, "Z", int, cap)
+    return _coset_minimize(K, d, c, "Z", int, cap, value_only)
 
 
 def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
-            cap: int = DEFAULT_MINIMIZER_CAP) -> OptReport:
+            cap: int = DEFAULT_MINIMIZER_CAP,
+            value_only: bool = False) -> OptReport:
     """Exact minimum mass over the mod-n cycles in class ``c``.
 
     Searches integer lifts x = z0 + boundary + n*u over canonical residue
     ranges (-n/2, n/2]; every feasible residue chain appears exactly once.
     It prunes on the face residuals mod n; ties are kept, so the value and
-    the minimizers are those of the unpruned search.
+    the minimizers are those of the unpruned search.  With ``value_only``
+    the search drops ties and returns the value and one minimizer, with
+    ``minimizer_count_exact`` false.
     """
     n = c.ring.modulus
     if n is None:
         raise InfeasibleClassError(
             f"expected Z/n class coordinates, got {c.ring.tag}")
     return _coset_minimize(K, d, c, "Z/n",
-                           lambda v: canonical_lift(int(v) % n, n), cap)
+                           lambda v: canonical_lift(int(v) % n, n), cap,
+                           value_only)
 
 
 def min_real(K: WeightedComplex, d: int, c: ClassCoords,

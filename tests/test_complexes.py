@@ -272,6 +272,20 @@ def test_cochain_closed_and_pairing(mobius):
     assert Cochain.zero(mobius, 1).is_closed()
 
 
+def test_fractions_pass_through_unwrapped(tc):
+    """Cochain values and complex weights that are already Fractions are
+    kept as the same objects; ints and "p/q" strings become Fractions of
+    the same value."""
+    given = [Fraction(2, 3), 5, "7/4"]
+    expect = [Fraction(2, 3), Fraction(5), Fraction(7, 4)]
+    phi = Cochain.make(tc, 1, given)
+    K = WeightedComplex("w", tc.simplices, [[1, 1, 1], given])
+    for got in (phi.values, K.weights[1]):
+        assert got == tuple(expect)
+        assert all(type(v) is Fraction for v in got)
+        assert got[0] is given[0]
+
+
 def _dense_boundary(T: Chain) -> list:
     A = boundary_matrix(T.complex, T.degree)
     v = T.vector()

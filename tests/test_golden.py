@@ -9,9 +9,10 @@ arithmetic, row or column order) that moves either one shows up here.
 ``homology`` in every degree, ``norm`` over Z, Z/2, Z/3, Z/4 and Z/6
 (cotorsion classes included, twice the rp2 fundamental chain, which is a
 mod-4 cycle in the cotorsion class, and the horizontal loop of a relabelled
-grid, both given as chains), ``scan``, ``federer`` and ``sweep`` in both
-formats (a sweep with an unsorted, repeated modulus list and one with no
-factors included), ``bijection`` and ``lift``.  Every reported basis cycle,
+grid, both given as chains), ``scan``, ``federer`` (one on a relabelled
+weighted grid) and ``sweep`` in both formats (a sweep with an unsorted,
+repeated modulus list and one with no factors included), ``bijection`` and
+``lift``.  Every reported basis cycle,
 cotorsion generator and minimizer is read off Smith normal form transforms,
 so any change to the SNF that moves a transform shows up here.
 """
@@ -45,6 +46,14 @@ def grid3r() -> WeightedComplex:
     return torus_grid(3, seed=7, name="grid3r")
 
 
+def grid3w() -> WeightedComplex:
+    """3 x 3 grid relabelled by seed 12, with horizontal, vertical and
+    diagonal edges weighing 1, 2 and 3/2: its class f:1,1 has hundreds of
+    integral minimizers at k = 2."""
+    return torus_grid(3, seed=12, weights=(1, 2, Fraction(3, 2)),
+                      name="grid3w")
+
+
 GRID3R_LOOP = horizontal_loop(grid3r(), 3, seed=7)
 MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
 RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
@@ -54,7 +63,7 @@ KLEIN_TORSION = "2=1,3=-1,4=-1,5=1,16=1,21=-1"
 
 FIXTURES = {"tc": triangle_circle, "torus": torus7, "rp2": rp2_6,
             "klein": klein8, "mobius": mobius_band, "grid4a": grid4a,
-            "grid3r": grid3r}
+            "grid3r": grid3r, "grid3w": grid3w}
 
 # (fixture, degree, payload flag, payload); each runs under both commands.
 CLASSES = [
@@ -127,7 +136,8 @@ INTEGRAL = (
                               ("torus", "f:1,0", 3), ("mobius", "f:1", 2)]]
     + [f"federer {name} --dim 1 --class {klass} --k-max {k}{fmt}"
        for name, klass, k in [("tc", "f:1", 3), ("mobius", "f:1", 4),
-                              ("torus", "f:1,0", 2), ("klein", "f:1;t:0", 2)]
+                              ("torus", "f:1,0", 2), ("klein", "f:1;t:0", 2),
+                              ("grid3w", "f:1,1", 2)]
        for fmt in ("", " --format report")]
     + [f"sweep mobius --dim 1 --class f:1 --shrink {MOBIUS_RIM}"
        f" --factors {factors} --n {n}{fmt}"

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import torus_grid
+
+from homnorm import hasse
 from homnorm.fixtures import mobius_band, mobius_boundary_indices
 from homnorm.hasse import (EnumerationInexactError, FedererRow, GapRow,
                            ScanRow, bijection_check, empirical_threshold, federer_rows_from_csv,
@@ -194,6 +197,75 @@ def test_bijection_check_refuses_inexact(mobius):
     dec = homology_decomposition(mobius, 1)
     with pytest.raises(EnumerationInexactError):
         bijection_check(mobius, 1, _gen(dec), 5, cap=2)
+
+
+def _record_positional_calls(monkeypatch) -> list:
+    """Wrap the engine and decomposition names ``hasse`` imported in
+    ``lambda *args``, as the benchmark's span recorder does, so that a
+    keyword argument fails.  Returns the (name, args, result) of each call,
+    filled as the harness runs."""
+    calls = []
+
+    def wrap(name, fn):
+        def call(*args):
+            out = fn(*args)
+            calls.append((name, args, out))
+            return out
+        return call
+
+    for name in ("min_int", "min_mod", "min_real", "homology_decomposition"):
+        monkeypatch.setattr(hasse, name, wrap(name, getattr(hasse, name)))
+    return calls
+
+
+def test_harness_passes_engine_arguments_positionally(monkeypatch, torus,
+                                                      klein, mobius):
+    """scan, federer, sweep and bijection give the same results through
+    positional-only wrappers, and the calls that read only values are the
+    value-only ones: all of federer's and sweep's, scan's min_mod where the
+    torsion number 2 of klein-8 does not divide n, and scan's min_int when
+    no scanned n is even."""
+    rim = mobius_boundary_indices(mobius)
+    kc = _gen(homology_decomposition(klein, 1))
+    mc = _gen(homology_decomposition(mobius, 1))
+    runs = [
+        lambda: scan_moduli(klein, 1, kc, 2, 5),
+        lambda: scan_moduli(klein, 1, kc, 3, 3),
+        lambda: federer_sequence(mobius, 1, mc, 4),
+        lambda: gap_sweep(mobius, 1, mc, rim, [Fraction(1), Fraction(1, 2)],
+                          [3, 4]),
+        lambda: bijection_check(torus, 1, _gen(homology_decomposition(
+            torus, 1)), 3).to_json(),
+    ]
+    want = [run() for run in runs]
+    calls = _record_positional_calls(monkeypatch)
+    assert [run() for run in runs] == want
+    flags = [(name, args[4] if len(args) > 4 else False)
+             for name, args, _ in calls if name in ("min_int", "min_mod")]
+    assert flags == [
+        ("min_int", False), ("min_mod", False), ("min_mod", True),
+        ("min_mod", False), ("min_mod", True),
+        ("min_int", True), ("min_mod", True),
+        *[("min_int", True)] * 4,
+        *[("min_int", True), ("min_mod", True), ("min_mod", True)] * 2,
+        ("min_int", False), ("min_mod", False)]
+
+
+def test_federer_on_weighted_grid_ends_at_lp_vertices(monkeypatch):
+    """The anisotropic T3 grid relabelled by seed 12, class (1,1): the
+    integral values of k*c for k = 1..3 are 21/2, 21 and 63/2, the real
+    ones, and the calls for 2c and 3c, which have hundreds of integral
+    minimizers, end at the integral LP vertex with no search node."""
+    K = torus_grid(3, seed=12, weights=(1, 2, Fraction(3, 2)))
+    c = homology_decomposition(K, 1).class_coords(INT, (1, 1))
+    calls = _record_positional_calls(monkeypatch)
+    rows = federer_sequence(K, 1, c, 3)
+    assert [r.value_int for r in rows] == [Fraction(21, 2), 21,
+                                           Fraction(63, 2)]
+    assert all(r.value_real == Fraction(21, 2) for r in rows)
+    nodes = [out.nodes_explored for name, _, out in calls
+             if name == "min_int"]
+    assert nodes[1:] == [0, 0]
 
 
 def test_scan_csv_round_trip(mobius):

@@ -389,16 +389,26 @@ def _sparse(columns):
     return [[(i, x) for i, x in enumerate(col) if x] for col in columns]
 
 
-def _both_searches(*args, phi=None, faces=None, modulus=None):
+def _both_searches(*args, phi=None, faces=None, modulus=None,
+                   value_only=False):
     """Run the search and its reference; they must agree on the optimum,
     the minimizer vectors in order and exactness.  Without a bound to prune
     on (a calibration or faces) they also visit the same nodes; with one
-    the search visits no more."""
-    got = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus)
+    the search visits no more.  A value-only search must find the optimum,
+    keep one of the reference's minimizers, report the count as not exact
+    and visit no more nodes than the full search."""
+    got = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus,
+                          value_only=value_only)
     wnum, z0, pivots, *rest = args
     want = reference_search_lattice(wnum, z0, _dense(pivots, len(wnum)),
                                     *rest)
-    if phi is None and faces is None:
+    if value_only:
+        full = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus)
+        assert got[0] == want[0] and got[3] <= full[3]
+        assert len(got[1]) == min(1, len(want[1]))
+        assert set(got[1]) <= set(want[1]) or not want[2]
+        assert not got[2] or not got[1]
+    elif phi is None and faces is None:
         assert got == want
     else:
         assert got[:3] == want[:3] and got[3] <= want[3]
@@ -442,6 +452,8 @@ def test_search_matches_reference_on_random_lattices():
         for cap in (1, 2):
             got, _ = _both_searches(wnum, z0, pivots, order, lo, hi, m0, cap)
             seen["capped"] += not got[2]
+        _both_searches(wnum, z0, pivots, order, lo, hi, m0, 10_000,
+                       value_only=True)
     assert all(seen.values()), seen
 
 
@@ -482,6 +494,7 @@ def test_calibrated_search_matches_reference_on_random_lattices():
         pruned += nodes < _search_lattice(*args, 10_000)[3]
         for cap in (1, 2):
             _both_searches(*args, cap, phi=phi)
+        _both_searches(*args, 10_000, phi=phi, value_only=True)
     assert pruned
 
 
@@ -511,9 +524,9 @@ def _checked_search(monkeypatch):
     faces, nodes, reference nodes) per search."""
     calls = []
 
-    def search(*args, phi=None, faces=None, modulus=None):
+    def search(*args, phi=None, faces=None, modulus=None, value_only=False):
         got, want = _both_searches(*args, phi=phi, faces=faces,
-                                   modulus=modulus)
+                                   modulus=modulus, value_only=value_only)
         calls.append((phi is not None, faces is not None, got[3], want[3]))
         return got
 
@@ -711,7 +724,9 @@ def test_lazy_echelon_matches_dense_build():
     returns the pivots of the dense build with every n*e_r listed up
     front, over Z and Z/2..Z/6, on the fixtures in every degree with
     boundary moves and on relabelled T3 and T4 grids, in the engines' row
-    order and in a random one."""
+    order and in a random one.  Built from the columns of the echelon over
+    Z, as the engines build it, a mod-n echelon has the same pivot rows
+    and pivot entries, so the same search tree."""
     rng = random.Random("lazy-echelon")
     for name, K, d in _echelon_cases():
         weights = K.weights[d]
@@ -719,6 +734,8 @@ def test_lazy_echelon_matches_dense_build():
         B = boundary_matrix(K, d + 1)
         for order in (sorted(range(N), key=lambda r: (-weights[r], r)),
                       rng.sample(range(N), N)):
+            z_columns = [col for _, col in
+                         _echelon_columns(K.faces(d + 1), order)]
             for n in (None, 2, 3, 4, 5, 6):
                 dense = [B.column(j) for j in range(B.cols)]
                 if n is not None:
@@ -727,6 +744,9 @@ def test_lazy_echelon_matches_dense_build():
                 got = _echelon_columns(K.faces(d + 1), order, n)
                 assert _dense(got, N) == \
                     reference_echelon_columns(dense, order), (name, d, n)
+                shared = _echelon_columns(z_columns, order, n)
+                assert [(r, col[r]) for r, col in shared] == \
+                    [(r, col[r]) for r, col in got], (name, d, n)
 
 
 def _relabelled_grids(sizes):
@@ -788,3 +808,126 @@ def test_real_invariants_on_relabelled_t5():
             _assert_minimizers_in_class(K, scaled, cq.scale(q))
             assert verify_certificate(K, 1, cq.scale(q), scaled.certificate,
                                       scaled.value)
+
+
+# -- value-only calls and the searches they skip ----------------------------
+
+
+def _fixture_classes():
+    """(complex, degree, integral class) for each fixture degree with
+    nontrivial homology: every basis class and twice the first one."""
+    for make in SUITE.values():
+        K = make()
+        for d in range(K.dim + 1):
+            dec = homology_decomposition(K, d)
+            units = [(tuple(int(i == j) for i in range(dec.betti)),
+                      (0,) * len(dec.torsion)) for j in range(dec.betti)]
+            units += [((0,) * dec.betti,
+                       tuple(int(i == j) for i in range(len(dec.torsion))))
+                      for j in range(len(dec.torsion))]
+            classes = [dec.class_coords(INT, *u) for u in units]
+            for c in classes + [c.scale(2) for c in classes[:1]]:
+                yield K, d, c
+
+
+def _assert_value_only_agrees(K, d, c):
+    """Over Z and Z/2..Z/5, a value-only call finds the full call's value
+    and one of its minimizers, says the count is not exact and visits no
+    more nodes."""
+    calls = [(min_int, c)] + [(min_mod, reduce_class(c, mod_ring(n)))
+                              for n in range(2, 6)]
+    for engine, cr in calls:
+        full = engine(K, d, cr)
+        fast = engine(K, d, cr, optimize.DEFAULT_MINIMIZER_CAP, True)
+        assert full.minimizer_count_exact
+        assert fast.value == full.value, (K.name, d, cr)
+        assert len(fast.minimizers) == 1
+        assert fast.minimizers[0] in full.minimizers
+        assert not fast.minimizer_count_exact
+        assert fast.nodes_explored <= full.nodes_explored
+
+
+def test_value_only_matches_full_on_fixtures_and_grids():
+    """On the fixtures, including the zero class 2t of a Z/2 torsion class,
+    and on relabelled unit and weighted T3 and T4 grids."""
+    for K, d, c in _fixture_classes():
+        _assert_value_only_agrees(K, d, c)
+    for K, c in _relabelled_grids([3, 4]):
+        _assert_value_only_agrees(K, 1, c)
+
+
+def test_value_only_search_matches_reference_on_random_complexes(monkeypatch):
+    """Every value-only search on random complexes agrees with the
+    reference's value and minimizers; the one beside it, checked the same
+    way, is the full search."""
+    calls = _checked_search(monkeypatch)
+    rng = random.Random("value-only")
+    for _ in range(12):
+        K = random_complex(rng)
+        c = random_class(rng, homology_decomposition(K, 1))
+        _assert_value_only_agrees(K, 1, c)
+    assert calls
+
+
+def test_value_only_min_int_ends_at_an_integral_lp_vertex(monkeypatch):
+    """On the anisotropic T3 grid relabelled by seed 12, k*(1,1) has
+    hundreds of integral minimizers at k = 2, yet its LP vertex is an
+    integral cycle in the class: a value-only call reports it with no
+    search."""
+    K = torus_grid(3, seed=12, weights=(1, 2, Fraction(3, 2)))
+    c = homology_decomposition(K, 1).class_coords(INT, (1, 1))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the lattice search ran")
+
+    monkeypatch.setattr(optimize, "_search_lattice", no_search)
+    for k in (1, 2, 3):
+        rep = min_int(K, 1, c.scale(k), optimize.DEFAULT_MINIMIZER_CAP, True)
+        assert rep.value == k * Fraction(21, 2) and rep.nodes_explored == 0
+        _assert_minimizers_in_class(K, rep, c.scale(k))
+        assert not rep.minimizer_count_exact
+
+
+def _top_degree_cases():
+    for K in (torus_grid(4), torus_grid(6, seed=6)):
+        yield K, 2
+    for make in SUITE.values():
+        K = make()
+        yield K, K.dim
+
+
+@pytest.mark.parametrize("value_only", [False, True])
+def test_top_degree_classes_never_search(monkeypatch, value_only):
+    """In the top degree there are no boundary moves, so the coset is the
+    class representative alone.  Over Z and Z/2..Z/4, cotorsion classes
+    included, the report is that representative, with 0 nodes, and the
+    lattice search never runs."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("the lattice search ran")
+
+    monkeypatch.setattr(optimize, "_search_lattice", no_search)
+    seen = 0
+    for K, d in _top_degree_cases():
+        dec = homology_decomposition(K, d)
+        classes = [dec.class_coords(INT, (1,) * dec.betti,
+                                    (1,) * len(dec.torsion))]
+        for n in (2, 3, 4):
+            ring = mod_ring(n)
+            classes.append(reduce_class(classes[0], ring))
+            m = len(dec.mod(n).cotorsion)
+            classes += [dec.class_coords(ring, (0,) * dec.betti,
+                                         (0,) * len(dec.torsion),
+                                         tuple(int(i == j) for i in range(m)))
+                        for j in range(m)]
+        for c in classes:
+            if c.is_zero():
+                continue
+            engine = min_int if c.ring.is_int else min_mod
+            rep = engine(K, d, c, optimize.DEFAULT_MINIMIZER_CAP, value_only)
+            z = dec.representative(c)
+            assert rep.value == mass(K, z)
+            assert rep.minimizers == (z,) and rep.nodes_explored == 0
+            assert rep.minimizer_count_exact is not value_only
+            assert rep.certificate is None
+            seen += 1
+    assert seen >= 20
