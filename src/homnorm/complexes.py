@@ -57,6 +57,7 @@ class WeightedComplex:
         self._validate()
         self._faces_cache: dict[int, tuple] = {}
         self._echelon_cache: dict[int, tuple] = {}
+        self._level_cache: dict[tuple[int, int], Optional[tuple]] = {}
         self._decomposition_cache: dict = {}
 
     def _validate(self) -> None:

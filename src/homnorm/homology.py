@@ -227,6 +227,21 @@ class HomologyDecomposition:
         torsion = () if ring.is_rat else [sp(tf.column) for tf in self.torsion]
         return self.class_coords(ring, free, torsion, cotorsion)
 
+    def dual_cocycle(self, i: int) -> dict[int, int]:
+        """The integral cocycle eta_i dual to free basis cycle i, sparse.
+
+        eta_i is row r_C + i of U_C times the kernel rows V_A^-1[r_A:], so
+        eta_i(z) is free coordinate i of [z] for every integral cycle z: it
+        vanishes on boundaries and on the torsion basis, and eta_i(b_j) is
+        1 if i == j, else 0.
+        """
+        if not 0 <= i < self.betti:
+            raise IndexError(f"free index {i} out of range 0..{self.betti - 1}")
+        v_inv, rA = self._snfA.v_inv_rows, self._rankA
+        return _combination(
+            (v, v_inv[rA + k])
+            for k, v in self._snfC.u_rows[self._rankC + i].items())
+
     def representative_vector(self, c: "ClassCoords") -> list:
         """Chain vector of the reference representative of ``c``.
 

@@ -20,11 +20,18 @@ on the face residuals: every coset point is a cycle (mod n over Z/n), so
 once some simplices are assigned, each (d-1)-face t with residual a_t, the
 signed sum of its assigned simplices, needs unassigned simplices of total
 |coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
-at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  This is
-min_mod's only bound besides the mass: phi(x) is not constant on
-x + n*e_s, so it has no calibration.  The echelon of the boundary lattice
-is built once per complex and degree; the mod-n lattices are echelonized
-from its columns.
+at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  The echelon
+of the boundary lattice is built once per complex and degree; the mod-n
+lattices are echelonized from its columns.
+
+phi(x) is not constant on x + n*e_s, so min_mod cannot prune on the real
+calibration.  In degree 1 it prunes on a mod-n calibration instead (F.
+Morgan, *Calibrations modulo nu*, Adv. Math. 64, 1987): the level sets of
+the least comass form of the cocycle dual to a free basis cycle are closed
+integral cocycles h_m with sum_m |h_m(e)| <= D*w_e, so the mass of a mod-n
+cycle x of the class is at least (1/D) sum_m dist(h_m(z0), nZ).  On the
+unit k x k grid they are k disjoint strip cocycles, and the bound meets
+the value k at the root.
 
 Two cases need no search.  With no boundary moves (the top degree) the
 coset is the class representative alone, and that is the report.  And
@@ -186,7 +193,9 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     cap_mass: int, cap_count: int,
                     phi: Optional[Sequence[int]] = None,
                     faces: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
-                    modulus: Optional[int] = None, value_only: bool = False):
+                    modulus: Optional[int] = None, value_only: bool = False,
+                    cocycles: Optional[tuple[Sequence[Sequence[tuple[int, int]]],
+                                             Sequence[int], int]] = None):
     """Enumerate all lattice-coset points of minimal weighted l1 mass.
 
     The coset is z0 + span(pivot columns), searched depth first over the
@@ -224,6 +233,21 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     no rows after its pivot row the candidate is tested before its move,
     and a dropped one is not counted as a node.
 
+    ``cocycles``, if given, is (incidences, targets, mu): the (level,
+    coeff) incidences of each row on integral cocycles h_m with
+    h_m(x) = targets[m] (mod ``modulus``) at every coset point x, and
+    mu * sum_m |h_m(s)| <= wnum[s] for every row s.  Once the rows up to a
+    level are assigned, the unassigned rows of h_m must make up the
+    distance dist_m from targets[m] - h_m(assigned rows) to nZ, so they
+    have mass >= mu * sum_m dist_m, and a candidate is dropped when its
+    mass plus that exceeds best (ties are kept).  The terms of the levels
+    the pivot row is not on do not change with the candidate, so they join
+    the test that ends the row; the others are tested per candidate, and
+    only where the row lies on some h_m.  The face and cocycle bounds are
+    tested separately, so together they act as their maximum.  They need
+    a modulus and a pivot at every row, as over Z/n, where the n*e_r
+    columns make every row a pivot.
+
     With ``value_only`` the ties are not enumerated: once there is an
     incumbent every test drops a candidate whose bound reaches it, which,
     masses being integers at this scale, is the strict test against
@@ -233,6 +257,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     if any(l > 0 or h < 0 for l, h in zip(lo, hi)):
         raise ValueError("every search box must contain 0")
     depth = len(pivots)
+    if cocycles is not None and (modulus is None or depth != len(row_order)):
+        raise ValueError("cocycles need a modulus and a pivot at every row")
     pos_in_order = {r: i for i, r in enumerate(row_order)}
     # Positions of the pivot rows in the order, then the end of the order.
     bounds = [pos_in_order[r] for r, _ in pivots] + [len(row_order)]
@@ -253,6 +279,10 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     for fs, w in zip(faces, wnum):
         for t, _ in fs:
             m[t] = min(w, m.get(t, w))
+    # res holds the residual a_t of each face t, then that of each level m
+    # at n_faces + m: h_m of the assigned rows minus targets[m].
+    n_faces = 1 + max(m, default=-1)
+    incidences, targets, mu = cocycles or ([()] * len(wnum), (), 0)
     levels = []
     for k, (r, col) in enumerate(pivots):
         rows = row_order[bounds[k] + 1:bounds[k + 1]]
@@ -267,7 +297,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                        list(col.items()),
                        [(rr, lo[rr], hi[rr], wnum[rr]) for rr in rows],
                        [(rr, fvec[rr]) for rr in rows if fvec[rr]],
-                       level_faces, assigned))
+                       level_faces, assigned,
+                       [(n_faces + lv, hv) for lv, hv in incidences[r]]))
 
     cur = list(z0)
     best = limit = cap_mass  # candidates with a bound above limit drop
@@ -277,7 +308,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     nodes = 0
 
     base_mass = 0
-    res = [0] * (1 + max(m, default=-1))  # a_t of the assigned rows
+    res = [0] * n_faces + [-t for t in targets]  # no prefix rows with levels
     for r in prefix:
         v = cur[r]
         if v < lo[r] or v > hi[r]:
@@ -291,6 +322,11 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
         residual += m[t] * (x if x + x <= n else n - x)
     if arity * base_mass + residual > arity * best:
         return best, sols, exact, nodes
+    leveled = 0
+    for x in res[n_faces:]:
+        x %= n
+        leveled += x if x + x <= n else n - x
+    leveled *= mu
     # The bound is acc - f, with f = phi(assigned rows) - phi(z0); the
     # prefix rows keep their z0 values.
     f0 = -sum(fvec[r] * z0[r] for r in row_order[bounds[0]:])
@@ -308,18 +344,24 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 exact = False
         limit = best - slack
 
-    def dfs(k: int, acc: int, f: int, residual: int) -> None:
+    def dfs(k: int, acc: int, f: int, residual: int, leveled: int) -> None:
         nonlocal nodes
         if k == depth:
             record(acc)
             return
         (r, g, w, lo_r, hi_r, f_r, move, segment, segment_phi,
-         level_faces, assigned) = levels[k]
+         level_faces, assigned, on_levels) = levels[k]
         # The residual bound without the faces this level assigns to.
         rest = residual
         for t, _, mt in level_faces:
             x = res[t] % n
             rest -= mt * (x if x + x <= n else n - x)
+        # The cocycle bound without the levels row r lies on.
+        off = leveled
+        for t, _ in on_levels:
+            x = res[t] % n
+            off -= mu * (x if x + x <= n else n - x)
+        on = 0  # the cocycle bound of the levels row r lies on
         base = cur[r]
         p = base % g  # smallest nonnegative candidate
         q = p - g     # largest negative candidate
@@ -334,7 +376,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 total = acc - w * v
             else:
                 break
-            if total > limit:
+            if total + off > limit:
                 break  # later candidates only cost more at this row
             if calibrated:
                 fv = f + f_r * v
@@ -358,6 +400,17 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     new = residual - rest
                 if arity * total + rest + new > arity * limit:
                     continue
+                if on_levels:
+                    if v:
+                        on = 0
+                        for t, sign in on_levels:
+                            x = (res[t] + sign * v) % n
+                            on += x if x + x <= n else n - x
+                        on *= mu
+                    else:
+                        on = leveled - off
+                    if total + off + on > limit:
+                        continue
             nodes += 1
             steps = (v - base) // g
             if steps:
@@ -367,9 +420,13 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 if v:
                     for t, sign, _ in level_faces:
                         res[t] += sign * v
-                dfs(k + 1, total, fv, rest + new)
+                    for t, sign in on_levels:
+                        res[t] += sign * v
+                dfs(k + 1, total, fv, rest + new, off + on)
                 if v:
                     for t, sign, _ in level_faces:
+                        res[t] -= sign * v
+                    for t, sign in on_levels:
                         res[t] -= sign * v
             else:
                 for rr, l, h, wr in segment:
@@ -393,7 +450,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                         fv += fr * cur[rr]
                     if (arity * total + rest + new <= arity * limit
                             and total - fv <= limit):
-                        dfs(k + 1, total, fv, rest + new)
+                        dfs(k + 1, total, fv, rest + new, leveled)
                     for s, fs in assigned:
                         x = cur[s]
                         if x:
@@ -403,7 +460,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 for i, cv in move:
                     cur[i] -= steps * cv
 
-    dfs(0, base_mass, f0, residual)
+    dfs(0, base_mass, f0, residual, leveled)
     return best, sols, exact, nodes
 
 
@@ -446,6 +503,111 @@ def _integral_vertex(K: WeightedComplex, d: int, c: ClassCoords,
     return z if class_of_cycle(K, d, z) == c else None
 
 
+def _negative_cycle(n_vertices: int, arcs: Sequence[tuple[int, int, int]]
+                    ) -> tuple[list[int], Optional[list[int]]]:
+    """Bellman-Ford from a source at cost 0 to every vertex.
+
+    ``arcs`` are (tail, head, cost) with integer costs.  Each pass relaxes
+    the arcs out of the vertices the pass before lowered (all of them at
+    first).  Returns the shortest-path potentials and None, or, when pass
+    ``n_vertices`` still lowers some vertex, the arc indices of a negative
+    cycle.
+    """
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n_vertices)]
+    for k, (u, v, c) in enumerate(arcs):
+        out[u].append((v, c, k))
+    G = [0] * n_vertices
+    pred: list[int] = [0] * n_vertices
+    lowered: Iterable[int] = range(n_vertices)
+    for _ in range(n_vertices):
+        frontier, lowered = lowered, {}
+        for u in frontier:
+            for v, c, k in out[u]:
+                if G[u] + c < G[v]:
+                    G[v] = G[u] + c
+                    pred[v] = k
+                    lowered[v] = None
+        if not lowered:
+            return G, None
+    v = next(iter(lowered))
+    for _ in range(n_vertices):  # walk back onto the cycle
+        v = arcs[pred[v]][0]
+    cycle, u = [], v
+    while True:
+        cycle.append(pred[u])
+        u = arcs[pred[u]][0]
+        if u == v:
+            return G, cycle
+
+
+def _least_comass(K: WeightedComplex, eta: Mapping[int, int], b: Chain
+                  ) -> tuple[Fraction, int, list[int], list[int]]:
+    """The least comass form of the degree-1 cocycle ``eta``, eta(b) = 1.
+
+    T* is the least w(C)/eta(C) over the cycles C of the 1-skeleton with
+    eta(C) > 0.  Dinkelbach iteration from T = mass(b) finds it: with
+    T = p/q and the weights at the integer scale W, a Bellman-Ford run on
+    both orientations of every edge, at the integer costs
+    q*W*w_e -+ p*W*eta_e, either finds a negative cycle C, whose ratio is
+    the next, smaller T, or ends with integer potentials G.  Then
+    phi = T* eta + dG/D, D = q*W, is closed with comass <= 1 and
+    cohomologous to T* eta; both are checked.  Returns (T*, D, D*phi, G).
+    """
+    weights = K.weights[1]
+    W = lcm(*(w.denominator for w in weights))
+    wt = [w.numerator * (W // w.denominator) for w in weights]
+    ends = [(tail, head) for (head, _), (tail, _) in K.faces(1)]
+    h = [eta.get(e, 0) for e in range(len(ends))]
+    T = Fraction(sum(wt[s] * abs(v) for s, v in b.coeffs), W)
+    while True:
+        p, q = T.numerator, T.denominator
+        arcs = []  # arc 2e runs along edge e, arc 2e + 1 against it
+        for (tail, head), w, x in zip(ends, wt, h):
+            arcs += [(tail, head, q * w - p * W * x),
+                     (head, tail, q * w + p * W * x)]
+        G, cycle = _negative_cycle(K.n_simplices(0), arcs)
+        if cycle is None:
+            break
+        T = Fraction(sum(wt[k >> 1] for k in cycle),
+                     W * sum(-h[k >> 1] if k & 1 else h[k >> 1]
+                             for k in cycle))
+    dphi = [p * W * x + G[head] - G[tail] for (tail, head), x in zip(ends, h)]
+    if any(abs(x) > q * w for x, w in zip(dphi, wt)) or any(
+            sa * dphi[a] + sb * dphi[b] + sc * dphi[c]
+            for (a, sa), (b, sb), (c, sc) in
+            (K.faces(2) if K.dim >= 2 else ())):
+        raise AssertionError(
+            "the least comass form must be closed with comass <= 1")
+    return T, q * W, dphi, G
+
+
+def _level_cocycles(K: WeightedComplex, dec: HomologyDecomposition,
+                    i: int) -> Optional[tuple[int, list[list[tuple[int, int]]]]]:
+    """Level-set cocycles of the least comass form of eta_i, in degree 1.
+
+    D*phi = p*W*eta_i + dG (``_least_comass``, T* = p/q) is integral, and
+    the potential that integrates it is multivalued by its periods: on a
+    cycle z, D*phi(z) = p*W*eta_i(z), and eta_i(b_i) = 1, so their gcd is
+    g = p*W = D*T*.  G is such a potential mod g, since D*phi - dG vanishes
+    mod g.  Level m in Z/g takes, on an edge, the signed count of the
+    integers congruent to m (mod g) that the potential crosses along it,
+    from G at its tail; a period does not change the count.  Each level h_m
+    is a closed integral cocycle, and sum_m |h_m(e)| = |D*phi_e| <= D*w_e.
+    Returns D and the (level, coeff) incidences of each edge, or None when
+    g exceeds the number of edges.  Cached on ``K`` per (degree, index).
+    """
+    key = (1, i)
+    if key not in K._level_cache:
+        T, D, dphi, G = _least_comass(K, dec.dual_cocycle(i),
+                                      dec.free_basis[i])
+        g = (D * T).numerator
+        K._level_cache[key] = None if g > len(dphi) else (D, [
+            [(m, c) for m in range(g)
+             if (c := (G[tail] + x - m) // g - (G[tail] - m) // g)]
+            for (_, (tail, _)), x in zip(K.faces(1), dphi)])
+    return K._level_cache[key]
+
+
 def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                     lift: Callable[[Fraction], int], cap: int,
                     value_only: bool) -> OptReport:
@@ -456,8 +618,11 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     box; over Z/n the box is also cut to the residue range (-n/2, n/2].
     The search prunes on the face residuals of its cycles.  Over Z it also
     prunes on the dual certificate of ``min_real``, a calibration of the
-    class; over Z/n phi(x) changes along x + n*e_s, so there is no such
-    bound.  With no boundary moves the coset is z0 alone (over Z/n, z0's
+    class; over Z/n phi(x) changes along x + n*e_s, so in degree 1 it
+    prunes instead on the level cocycles of the first free index whose
+    coordinate is nonzero mod n and that has a family
+    (``_level_cocycles``), at a search scale that is a multiple of their
+    D.  With no boundary moves the coset is z0 alone (over Z/n, z0's
     residue range holds no other point of z0 + n*Z^m): z0 is the report,
     with no LP and no search.  A ``value_only`` call over Z whose LP vertex
     is an integral cycle in the class reports that vertex, with no search.
@@ -479,6 +644,7 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                          _sorted_chains(K, d, c.ring, [z0][:cap]),
                          cap > 0 and not value_only, None, 0)
     phi: Sequence[Fraction] = ()
+    family = None
     if n is None:
         real = min_real(K, d, reduce_class(c, RAT))
         cert = real.certificate
@@ -492,8 +658,22 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         phi = cert.values
     else:
         pivots = _echelon_columns([col for _, col in pivots], row_order, n)
-    scale = lcm(w_scale, *(v.denominator for v in phi))
+        if d == 1:
+            family = next(filter(None, (_level_cocycles(K, dec, i)
+                                        for i, a in enumerate(c.free_part)
+                                        if a % n)), None)
+    scale = lcm(w_scale, *(v.denominator for v in phi),
+                family[0] if family else 1)
     wnum = [w * (scale // w_scale) for w in wnum]
+    cocycles = None
+    if family:
+        D, incidences = family
+        targets = [0] * (1 + max(lv for row in incidences for lv, _ in row))
+        for s, v in enumerate(z0):
+            if v:
+                for lv, hv in incidences[s]:
+                    targets[lv] += hv * v
+        cocycles = incidences, targets, scale // D
     m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
     lo = [-(m0 // w) for w in wnum]
     hi = [m0 // w for w in wnum]
@@ -503,7 +683,8 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     best, sols, exact, nodes = _search_lattice(
         wnum, z0, pivots, row_order, lo, hi, m0, cap,
         phi=[v.numerator * (scale // v.denominator) for v in phi] or None,
-        faces=K.faces(d), modulus=n, value_only=value_only)
+        faces=K.faces(d), modulus=n, value_only=value_only,
+        cocycles=cocycles)
     return OptReport(c.ring, c, Fraction(best, scale),
                      _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
 
@@ -532,8 +713,11 @@ def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
 
     Searches integer lifts x = z0 + boundary + n*u over canonical residue
     ranges (-n/2, n/2]; every feasible residue chain appears exactly once.
-    It prunes on the face residuals mod n; ties are kept, so the value and
-    the minimizers are those of the unpruned search.  With ``value_only``
+    It prunes on the face residuals mod n and, in degree 1, on a mod-n
+    calibration: the level cocycles of the least comass form of the
+    cocycle dual to a free basis cycle, whose values on every lift are
+    fixed mod n.  Ties are kept, so the value and the minimizers are
+    those of the unpruned search.  With ``value_only``
     the search drops ties and returns the value and one minimizer, with
     ``minimizer_count_exact`` false.
     """

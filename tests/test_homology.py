@@ -7,14 +7,14 @@ from math import gcd, lcm
 import pytest
 
 from homnorm.complexes import Chain, NotACycleError, WeightedComplex, reduce_chain
-from homnorm.fixtures import MOBIUS_CORE_EDGES, rp2_6, torus7
+from homnorm.fixtures import SUITE, MOBIUS_CORE_EDGES, rp2_6, torus7
 from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
                               in_reduction_image, kernel_witness,
                               reduce_class)
 from homnorm.rings import INT, RAT, mod_ring
 
-from conftest import moore_space, torus_grid
+from conftest import moore_space, random_complex, torus_grid
 from oracles import (IntMatrix, ReferenceHomologyDecomposition,
                      ReferenceModDecomposition, boundary_matrix,
                      smith_normal_form, solve_with_snf)
@@ -560,3 +560,48 @@ def test_decomposition_and_classes_build_no_dense_transform():
             assert c == reduce_class(dec.class_coords(
                 INT, (3,) + (0,) * (dec.betti - 1)), ring)
             assert class_of_cycle(K, d, dec.representative(c)) == c
+
+
+def _dual_cocycle_cases():
+    """(complex, degree) for the fixtures in every degree, relabelled unit
+    and anisotropic T3/T4 grids in degrees 1 and 2, M(Z/4) + M(Z/6) and
+    random complexes in degree 1."""
+    for make in SUITE.values():
+        K = make()
+        for d in range(K.dim + 1):
+            yield K, d
+    for k in (3, 4):
+        for seed, weights in ((k, (1, 1, 1)), (k + 10, (1, 2, Fraction(3, 2)))):
+            K = torus_grid(k, seed=seed, weights=weights)
+            yield K, 1
+            yield K, 2
+    yield moore_space(4, 6), 1
+    rng = random.Random("dual-cocycle")
+    for _ in range(12):
+        yield random_complex(rng), 1
+
+
+def test_dual_cocycles_are_dual_to_the_free_basis():
+    """eta_i(b_j) is 1 if i == j, else 0; eta_i vanishes on the torsion
+    basis and on the boundary of every (d+1)-simplex; its entries are
+    integers."""
+    seen = 0
+    for K, d in _dual_cocycle_cases():
+        dec = homology_decomposition(K, d)
+        cofaces = K.faces(d + 1) if d < K.dim else ()
+        for i in range(dec.betti):
+            eta = dec.dual_cocycle(i)
+            assert all(type(v) is int and v for v in eta.values())
+
+            def pair(z):
+                return sum(eta.get(s, 0) * v for s, v in z.coeffs)
+
+            assert [pair(b) for b in dec.free_basis] == \
+                [int(j == i) for j in range(dec.betti)], (K.name, d, i)
+            assert not any(pair(t) for t in dec.torsion_basis)
+            assert not any(sum(sign * eta.get(s, 0) for s, sign in fs)
+                           for fs in cofaces)
+            seen += 1
+        with pytest.raises(IndexError):
+            dec.dual_cocycle(dec.betti)
+    assert seen >= 40

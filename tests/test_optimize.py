@@ -7,7 +7,8 @@ from math import gcd
 
 import pytest
 
-from conftest import horizontal_loop, random_class, random_complex, torus_grid
+from conftest import (graph_complex, horizontal_loop, random_class,
+                      random_complex, small_corpus, torus_grid)
 from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
                      brute_force_min_mod, brute_force_min_real,
                      reference_echelon_columns, reference_search_lattice,
@@ -16,9 +17,11 @@ from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
 from homnorm import optimize
 from homnorm.complexes import (Chain, Cochain, WeightedComplex, mass,
                                reduce_chain)
-from homnorm.fixtures import SUITE, mobius_band
-from homnorm.homology import (InfeasibleClassError, class_of_cycle,
-                              homology_decomposition, reduce_class)
+from homnorm.fixtures import SUITE, mobius_band, torus7
+from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
+                              class_of_cycle, homology_decomposition,
+                              reduce_class)
+from homnorm.lp import solve_cycle_lp
 from homnorm.optimize import (_echelon_columns, _search_lattice, comass,
                               lift_minimizer, min_int, min_mod, min_real,
                               verify_certificate)
@@ -390,25 +393,26 @@ def _sparse(columns):
 
 
 def _both_searches(*args, phi=None, faces=None, modulus=None,
-                   value_only=False):
+                   value_only=False, cocycles=None):
     """Run the search and its reference; they must agree on the optimum,
     the minimizer vectors in order and exactness.  Without a bound to prune
-    on (a calibration or faces) they also visit the same nodes; with one
-    the search visits no more.  A value-only search must find the optimum,
-    keep one of the reference's minimizers, report the count as not exact
-    and visit no more nodes than the full search."""
+    on (a calibration, faces or cocycles) they also visit the same nodes;
+    with one the search visits no more.  A value-only search must find the
+    optimum, keep one of the reference's minimizers, report the count as
+    not exact and visit no more nodes than the full search."""
     got = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus,
-                          value_only=value_only)
+                          value_only=value_only, cocycles=cocycles)
     wnum, z0, pivots, *rest = args
     want = reference_search_lattice(wnum, z0, _dense(pivots, len(wnum)),
                                     *rest)
     if value_only:
-        full = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus)
+        full = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus,
+                               cocycles=cocycles)
         assert got[0] == want[0] and got[3] <= full[3]
         assert len(got[1]) == min(1, len(want[1]))
         assert set(got[1]) <= set(want[1]) or not want[2]
         assert not got[2] or not got[1]
-    elif phi is None and faces is None:
+    elif phi is None and faces is None and cocycles is None:
         assert got == want
     else:
         assert got[:3] == want[:3] and got[3] <= want[3]
@@ -521,13 +525,16 @@ def _checked_search(monkeypatch):
     """Swap the engines' search for one that runs the reference beside it.
 
     Returns the list, filled as the engines search, of (calibrated, has
-    faces, nodes, reference nodes) per search."""
+    faces, nodes, reference nodes, has cocycles) per search."""
     calls = []
 
-    def search(*args, phi=None, faces=None, modulus=None, value_only=False):
+    def search(*args, phi=None, faces=None, modulus=None, value_only=False,
+               cocycles=None):
         got, want = _both_searches(*args, phi=phi, faces=faces,
-                                   modulus=modulus, value_only=value_only)
-        calls.append((phi is not None, faces is not None, got[3], want[3]))
+                                   modulus=modulus, value_only=value_only,
+                                   cocycles=cocycles)
+        calls.append((phi is not None, faces is not None, got[3], want[3],
+                      cocycles is not None))
         return got
 
     monkeypatch.setattr(optimize, "_search_lattice", search)
@@ -542,8 +549,9 @@ def test_search_matches_reference_on_grid_echelons(monkeypatch, k, seed,
                                                    weights):
     """Every search ``min_int`` and ``min_mod`` make on relabelled grids,
     over Z, Z/2, Z/3 and Z/4, agrees with the reference; over Z the search
-    prunes on the real calibration, over Z/n it runs without one, and both
-    prune on the face residuals, somewhere visiting fewer nodes."""
+    prunes on the real calibration, over Z/n on the level cocycles of the
+    loop's dual cocycle instead, and both prune on the face residuals,
+    somewhere visiting fewer nodes."""
     calls = _checked_search(monkeypatch)
     K = torus_grid(k, seed=seed, weights=weights)
     loop = _loop_class(K, k, seed)
@@ -552,8 +560,9 @@ def test_search_matches_reference_on_grid_echelons(monkeypatch, k, seed,
         assert min_mod(K, 1, reduce_class(loop, mod_ring(n))).value == \
             k * weights[0]
     assert [c[0] for c in calls] == [True, False, False, False]
+    assert [c[4] for c in calls] == [False, True, True, True]
     assert all(c[1] for c in calls)
-    assert any(got < want for _, _, got, want in calls[1:])
+    assert any(got < want for _, _, got, want, _ in calls[1:])
 
 
 _WEIGHTS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
@@ -598,7 +607,8 @@ def _random_complex_with_moves(rng: random.Random, d: int) -> WeightedComplex:
 def test_search_matches_reference_on_random_complexes(monkeypatch, d):
     """On random complexes in degree 1 and degree 2, with weights from 1/3
     to 7, every search ``min_int`` and ``min_mod`` make over Z and Z/2..Z/6
-    agrees with the reference, and the face residuals prune."""
+    agrees with the reference, and the face residuals prune.  Level
+    cocycles join some of the mod-n searches in degree 1 only."""
     calls = _checked_search(monkeypatch)
     rng = random.Random(f"residual-bound-{d}")
     for _ in range(16):
@@ -612,7 +622,8 @@ def test_search_matches_reference_on_random_complexes(monkeypatch, d):
             for T in rep.minimizers:
                 assert T.is_cycle() and mass(K, T) == rep.value
     assert calls and all(c[1] for c in calls)
-    assert any(got < want for _, _, got, want in calls)
+    assert any(got < want for _, _, got, want, _ in calls)
+    assert any(c[4] for c in calls) is (d == 1)
 
 
 def test_search_with_simplices_heavier_than_the_budget(monkeypatch):
@@ -931,3 +942,210 @@ def test_top_degree_classes_never_search(monkeypatch, value_only):
             assert rep.certificate is None
             seen += 1
     assert seen >= 20
+
+
+# -- the mod-n calibration: level cocycles of the least-comass dual --------
+
+
+def _degree_one_cases():
+    """(complex, decomposition) in degree 1 with b_1 >= 1: the fixtures,
+    relabelled unit and anisotropic T3/T4 grids, and random complexes."""
+    for make in SUITE.values():
+        K = make()
+        if K.dim >= 1 and homology_decomposition(K, 1).betti:
+            yield K, homology_decomposition(K, 1)
+    for K, _ in _relabelled_grids([3, 4]):
+        yield K, homology_decomposition(K, 1)
+    rng = random.Random("level-cocycles")
+    for _ in range(12):
+        K = random_complex(rng)
+        yield K, homology_decomposition(K, 1)
+
+
+def _pair(h, z) -> int:
+    return sum(h.get(s, 0) * v for s, v in z.coeffs)
+
+
+def test_least_comass_form_matches_the_lp():
+    """T* = min w(C)/eta_i(C) equals the LP minimum of the mass over the
+    real cycles b_i + boundaries + sum_{j != i} s_j b_j; the form
+    phi = (D phi)/D is closed with comass <= 1 and phi(b_j) = T* delta_ij."""
+    for K, dec in _degree_one_cases():
+        cofaces = list(K.faces(2)) if K.dim >= 2 else []
+        for i in range(dec.betti):
+            T, D, dphi, _ = optimize._least_comass(K, dec.dual_cocycle(i),
+                                                   dec.free_basis[i])
+            others = [b.coeffs for j, b in enumerate(dec.free_basis) if j != i]
+            lp = solve_cycle_lp([Fraction(v) for v in dec.free_basis[i].vector()],
+                                K.weights[1], cofaces + others)
+            assert T == lp.value, (K.name, i)
+            phi = Cochain.make(K, 1, [Fraction(x, D) for x in dphi])
+            assert phi.is_closed() and comass(K, phi) <= 1
+            assert [phi.evaluate(b) for b in dec.free_basis] == \
+                [T * (j == i) for j in range(dec.betti)]
+
+
+def _levels(incidences):
+    """The level cocycles as {edge: coeff} maps, from the incidences."""
+    levels: dict[int, dict[int, int]] = {}
+    for e, row in enumerate(incidences):
+        for lv, hv in row:
+            levels.setdefault(lv, {})[e] = hv
+    return [levels[lv] for lv in sorted(levels)]
+
+
+def test_level_cocycles_are_closed_and_packed():
+    """Every level is a closed integral cocycle, the levels add up to
+    D*phi, so sum_m |h_m(e)| = |D phi_e| <= D w_e, and each takes
+    D phi(z)/g on every cycle z, g the number of levels."""
+    families = 0
+    for K, dec in _degree_one_cases():
+        cofaces = K.faces(2) if K.dim >= 2 else ()
+        for i in range(dec.betti):
+            family = optimize._level_cocycles(K, dec, i)
+            if family is None:
+                continue
+            families += 1
+            D, incidences = family
+            _, D_phi, dphi, _ = optimize._least_comass(
+                K, dec.dual_cocycle(i), dec.free_basis[i])
+            assert D == D_phi
+            levels = _levels(incidences)
+            for h in levels:
+                assert not any(sum(sign * h.get(e, 0) for e, sign in fs)
+                               for fs in cofaces)
+            for e, w in enumerate(K.weights[1]):
+                assert sum(h.get(e, 0) for h in levels) == dphi[e]
+                assert sum(abs(h.get(e, 0)) for h in levels) <= D * w
+            for b in dec.free_basis:
+                period = sum(dphi[s] * v for s, v in b.coeffs)
+                assert all(_pair(h, b) * len(levels) == period
+                           for h in levels)
+    assert families >= 12
+
+
+def _root_bound(K, dec, i, z0, n):
+    """(1/D) sum_m dist(h_m(z0), nZ) for the levels of free index i."""
+    D, incidences = optimize._level_cocycles(K, dec, i)
+    z = Chain.make(K, 1, INT, dict(enumerate(z0)))
+    return Fraction(sum(min(h % n, -h % n)
+                        for h in (_pair(h, z) for h in _levels(incidences))),
+                    D)
+
+
+def test_level_bound_at_the_root_never_exceeds_the_value():
+    """For n = 2..5 and every family, the bound at the root is at most the
+    brute-force mod-n value on the small corpus and on small random
+    graphs; on the unit k x k grid the k strip levels meet the value k."""
+    rng = random.Random("level-root-bound")
+    cases = [(K, [c for c, _ in coords]) for K, d, coords in small_corpus()
+             if d == 1]
+    while len(cases) < 14:
+        nv = rng.randint(4, 5)
+        edges = sorted(rng.sample(list(combinations(range(nv), 2)),
+                                  rng.randint(nv, min(6, nv * (nv - 1) // 2))))
+        weights = [Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                   for _ in edges]
+        K = graph_complex(f"root-bound-{len(cases)}", nv, edges, weights)
+        dec = homology_decomposition(K, 1)
+        if dec.betti:
+            cases.append((K, [random_class(rng, dec).free_part]))
+    bounded = 0
+    for K, frees in cases:
+        dec = homology_decomposition(K, 1)
+        for free in frees:
+            c = dec.class_coords(INT, free, ())
+            for n in range(2, 6):
+                cn = reduce_class(c, mod_ring(n))
+                z0 = [canonical_lift(int(v) % n, n)
+                      for v in dec.representative_vector(cn)]
+                value, _ = brute_force_min_mod(K, 1, cn)
+                for i in range(dec.betti):
+                    if optimize._level_cocycles(K, dec, i) is not None:
+                        bound = _root_bound(K, dec, i, z0, n)
+                        assert bound <= value, (K.name, free, n, i)
+                        bounded += bound > 0
+    assert bounded
+    for k in (3, 4, 5):
+        K = torus_grid(k)
+        dec = homology_decomposition(K, 1)
+        loop = _loop_class(K, k, None)
+        i = next(i for i, a in enumerate(loop.free_part) if a)
+        for n in range(2, 6):
+            z0 = [canonical_lift(int(v) % n, n) for v in
+                  dec.representative_vector(reduce_class(loop, mod_ring(n)))]
+            assert _root_bound(K, dec, i, z0, n) == k
+
+
+def test_min_mod_checks_its_least_comass_form(monkeypatch):
+    """A dual cocycle that is not closed gives a form that is not closed,
+    and it is refused before it can prune.  (A fresh complex: the families
+    are cached on it.)"""
+    torus = torus7()
+    dual = HomologyDecomposition.dual_cocycle
+
+    def tampered(self, i):
+        eta = dict(dual(self, i))
+        eta[0] = eta.get(0, 0) + 1
+        return eta
+
+    monkeypatch.setattr(HomologyDecomposition, "dual_cocycle", tampered)
+    c = _gen(homology_decomposition(torus, 1))
+    with pytest.raises(AssertionError):
+        min_mod(torus, 1, reduce_class(c, mod_ring(3)))
+
+
+def test_search_refuses_cocycles_without_a_pivot_at_every_row():
+    cocycles = ([[(0, 1)], [(0, 1)]], [1], 1)
+    args = ([1, 1], [1, 0], [(0, {0: 1, 1: -1})], [0, 1], [-1, -1], [1, 1],
+            2, 5)
+    with pytest.raises(ValueError):
+        _search_lattice(*args, modulus=3, cocycles=cocycles)
+    with pytest.raises(ValueError):
+        _search_lattice(*args[:2], [(0, {0: 3}), (1, {1: 3})], *args[3:],
+                        cocycles=cocycles)
+
+
+def _without_levels(monkeypatch):
+    """Make ``min_mod`` search with no level cocycles, as before them."""
+    monkeypatch.setattr(optimize, "_level_cocycles", lambda K, dec, i: None)
+
+
+def test_level_cap_builds_no_family_for_a_tiny_weight(monkeypatch, torus):
+    """With one edge of the 7-vertex torus at 1/3 the loop f:1,0 has a
+    family of 21 levels.  At 10^-12 its least-comass form has a period gcd
+    near 10^24, past the 21 edges, so there is no family and the search is
+    the one without levels, node for node."""
+    c = _gen(homology_decomposition(torus, 1))
+    reports = []
+    for f, levels in ((Fraction(1, 3), 21), (Fraction(1, 10**12), None)):
+        K = torus.with_scaled_weights(1, [0], f)
+        dec = homology_decomposition(K, 1)
+        family = optimize._level_cocycles(K, dec, 0)
+        assert (family and len(_levels(family[1]))) == levels
+        reports.append(min_mod(K, 1, reduce_class(
+            dec.class_coords(INT, c.free_part, ()), mod_ring(3))))
+    assert reports[1].value == 2 + Fraction(1, 10**12)
+    _without_levels(monkeypatch)
+    K = torus.with_scaled_weights(1, [0], Fraction(1, 10**12))
+    dec = homology_decomposition(K, 1)
+    plain = min_mod(K, 1, reduce_class(dec.class_coords(INT, c.free_part, ()),
+                                       mod_ring(3)))
+    assert (plain.value, plain.nodes_explored) == \
+        (reports[1].value, reports[1].nodes_explored)
+
+
+def test_levels_cut_the_t6_ladder_case_tenfold(monkeypatch):
+    """The loop of ``torus_grid(6, seed=1)`` over Z/3: the search without
+    levels takes 1,654,855 nodes; with them it takes at least 10x fewer
+    and reports the same value and minimizers, the six grid rows."""
+    K = torus_grid(6, seed=1)
+    c = reduce_class(_loop_class(K, 6, 1), mod_ring(3))
+    rep = min_mod(K, 1, c)
+    assert rep.value == 6 and len(rep.minimizers) == 6
+    _without_levels(monkeypatch)
+    plain = min_mod(K, 1, c)
+    assert plain.nodes_explored == 1_654_855
+    assert rep.nodes_explored * 10 <= plain.nodes_explored
+    assert (rep.value, rep.minimizers, rep.minimizer_count_exact) == \
+        (plain.value, plain.minimizers, plain.minimizer_count_exact)
