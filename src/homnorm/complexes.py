@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, combinations
+from math import lcm
+from operator import lt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .rings import (INT, RingElem, RingSpec, canonical_lift, canonicalize,
@@ -29,6 +32,7 @@ class NotACycleError(ValueError):
 
 
 Simplex = tuple[int, ...]
+_Faces = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _fraction(v) -> Fraction:
@@ -44,23 +48,27 @@ class WeightedComplex:
                  weights: Optional[Sequence[Sequence[Fraction]]] = None):
         self.name = name
         self.simplices: tuple[tuple[Simplex, ...], ...] = tuple(
-            tuple(tuple(s) for s in level) for level in simplices)
+            tuple(map(tuple, level)) for level in simplices)
         self.dim = len(self.simplices) - 1
         if self.dim < 0:
             raise ComplexFormatError("complex has no simplices at all")
         if weights is None:
             weights = [[Fraction(1)] * len(level) for level in self.simplices]
         self.weights: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(_fraction(w) for w in level) for level in weights)
+            tuple(map(_fraction, level)) for level in weights)
         self._index: tuple[dict[Simplex, int], ...] = tuple(
-            {s: i for i, s in enumerate(level)} for level in self.simplices)
-        self._validate()
-        self._faces_cache: dict[int, tuple] = {}
+            dict(zip(level, range(len(level)))) for level in self.simplices)
+        self._faces = self._validate()
         self._echelon_cache: dict[int, tuple] = {}
         self._level_cache: dict[tuple[int, int], Optional[tuple]] = {}
         self._decomposition_cache: dict = {}
 
-    def _validate(self) -> None:
+    def _validate(self) -> tuple[_Faces, ...]:
+        """Check the invariants; returns the face table of every degree.
+
+        The face tables are the face-closure check: building them looks up
+        every face of every simplex once.
+        """
         if len(self.weights) != len(self.simplices):
             raise ComplexFormatError("weights do not cover every degree")
         for k, level in enumerate(self.simplices):
@@ -73,7 +81,7 @@ class WeightedComplex:
                 if len(s) != k + 1:
                     raise ComplexFormatError(
                         f"degree {k}: simplex {list(s)} has wrong vertex count")
-                if any(a >= b for a, b in zip(s, s[1:])) or any(v < 0 for v in s):
+                if s[0] < 0 or not all(map(lt, s, s[1:])):
                     raise ComplexFormatError(
                         f"degree {k}: vertex tuple {list(s)} is not strictly "
                         "increasing over nonnegative vertices")
@@ -82,19 +90,35 @@ class WeightedComplex:
                         f"degree {k}: duplicate simplex {list(s)}")
                 seen.add(s)
             for w, s in zip(self.weights[k], level):
-                if w <= 0:
+                if w.numerator <= 0:
                     raise ComplexFormatError(
                         f"degree {k}: nonpositive weight {format_rational(w)} "
                         f"on simplex {list(s)}")
-        for k in range(1, len(self.simplices)):
-            lower = self._index[k - 1]
-            for s in self.simplices[k]:
-                for i in range(len(s)):
+        return tuple(self._face_table(d) for d in range(self.dim + 1))
+
+    def _face_table(self, d: int) -> _Faces:
+        """(face index, sign) pairs of each d-simplex, in omitted-vertex
+        order; a face missing from degree d - 1 is a closure violation."""
+        level = self.simplices[d]
+        if d == 0:
+            return ((),) * len(level)
+        index = self._index[d - 1]
+        # combinations() lists the faces by omitted vertex d, d-1, ..., 0.
+        signs = tuple(-1 if i % 2 else 1 for i in range(d, -1, -1))
+        try:
+            return tuple(
+                tuple(zip(map(index.__getitem__, combinations(s, d)),
+                          signs))[::-1]
+                for s in level)
+        except KeyError:
+            for s in level:
+                for i in range(d + 1):
                     face = s[:i] + s[i + 1:]
-                    if face not in lower:
+                    if face not in index:
                         raise ComplexFormatError(
                             f"face-closure violation: {list(face)} (face of "
-                            f"{list(s)}) is not listed in degree {k - 1}")
+                            f"{list(s)}) is not listed in degree {d - 1}")
+            raise
 
     # -- basic accessors ---------------------------------------------------
 
@@ -111,8 +135,8 @@ class WeightedComplex:
     def weight(self, d: int, i: int) -> Fraction:
         return self.weights[d][i]
 
-    def faces(self, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """(face index, sign) pairs of each d-simplex, cached per degree.
+    def faces(self, d: int) -> _Faces:
+        """(face index, sign) pairs of each d-simplex.
 
         The faces are the (d-1)-simplices left by omitting one vertex, and
         the sign alternates with the omitted position: the sparse columns of
@@ -121,18 +145,7 @@ class WeightedComplex:
         """
         if not 0 <= d <= self.dim:
             raise ValueError(f"degree {d} out of range 0..{self.dim}")
-        cached = self._faces_cache.get(d)
-        if cached is None:
-            if d == 0:
-                cached = ((),) * self.n_simplices(0)
-            else:
-                index = self._index[d - 1]
-                cached = tuple(
-                    tuple((index[s[:i] + s[i + 1:]], -1 if i % 2 else 1)
-                          for i in range(d + 1))
-                    for s in self.simplices[d])
-            self._faces_cache[d] = cached
-        return cached
+        return self._faces[d]
 
     def with_scaled_weights(self, d: int, indices: Iterable[int],
                             factor: Fraction) -> "WeightedComplex":
@@ -314,19 +327,26 @@ class Cochain:
 
     def is_closed(self) -> bool:
         """True iff the cochain vanishes on every (d+1)-simplex boundary."""
-        K, d, values = self.complex, self.degree, self.values
+        K, d = self.complex, self.degree
         if d >= K.dim:
             return True
+        x, _ = _at_integer_scale(self.values)
         for faces in K.faces(d + 1):
-            total = Fraction(0)
+            total = 0
             for i, sign in faces:
                 if sign > 0:
-                    total += values[i]
+                    total += x[i]
                 else:
-                    total -= values[i]
+                    total -= x[i]
             if total:
                 return False
         return True
+
+
+def _at_integer_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` times L, the lcm of their denominators, and L."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def mass(K: WeightedComplex, T: Chain) -> Fraction:
@@ -364,8 +384,8 @@ def load_complex(document: str) -> WeightedComplex:
 
     Fields: ``name`` (string), ``dimension`` (int), ``simplices`` (mapping
     degree string -> list of vertex lists) and optional ``weights`` (mapping
-    degree string -> list of "p/q" strings aligned with the simplices;
-    missing degrees default every weight to "1/1").
+    degree string, 0 to ``dimension``, -> list of "p/q" strings aligned
+    with the simplices; missing degrees default every weight to "1/1").
     """
     try:
         obj = json.loads(document)
@@ -375,21 +395,25 @@ def load_complex(document: str) -> WeightedComplex:
     return complex_from_json(obj)
 
 
-def _is_int(v) -> bool:
-    """A JSON integer: bools and floats are rejected, not truncated."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _all_instances(items: Iterable, cls: type) -> bool:
+    """Every item is a ``cls``; bools are not integers.  Only the distinct
+    item types are tested, so a document costs one C-level pass."""
+    return all(issubclass(t, cls) and t is not bool
+               for t in set(map(type, items)))
 
 
 def complex_from_json(obj) -> WeightedComplex:
     if not isinstance(obj, dict):
         raise ComplexFormatError("document root must be an object")
     try:
-        name = str(obj["name"])
+        name = obj["name"]
         dim = obj["dimension"]
         simp = obj["simplices"]
     except KeyError as exc:
         raise ComplexFormatError(f"missing or malformed field: {exc}")
-    if not _is_int(dim):
+    if not isinstance(name, str):
+        raise ComplexFormatError(f"'name' must be a string, got {name!r}")
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise ComplexFormatError(f"'dimension' must be an integer, got {dim!r}")
     if not isinstance(simp, dict):
         raise ComplexFormatError("'simplices' must map degree -> list")
@@ -398,33 +422,41 @@ def complex_from_json(obj) -> WeightedComplex:
         raw = simp.get(str(k))
         if raw is None:
             raise ComplexFormatError(f"no simplices listed for degree {k}")
-        if not isinstance(raw, list) or not all(
-                isinstance(s, list) and all(map(_is_int, s)) for s in raw):
+        if not (isinstance(raw, list) and _all_instances(raw, list)
+                and _all_instances(chain.from_iterable(raw), int)):
             raise ComplexFormatError(f"degree {k}: malformed vertex list")
-        levels.append([tuple(s) for s in raw])
-    extra = set(simp) - {str(k) for k in range(dim + 1)}
+        levels.append(list(map(tuple, raw)))
+    degrees = {str(k) for k in range(dim + 1)}
+    extra = set(simp) - degrees
     if extra:
         raise ComplexFormatError(
             f"simplices listed beyond declared dimension: degree {sorted(extra)[0]}")
     weights_obj = obj.get("weights", {})
     if not isinstance(weights_obj, dict):
         raise ComplexFormatError("'weights' must map degree -> list")
+    extra = set(weights_obj) - degrees
+    if extra:
+        raise ComplexFormatError(
+            f"weights listed outside degrees 0..{dim}: degree {sorted(extra)[0]}")
     weights: list[list[Fraction]] = []
     for k in range(dim + 1):
         raw = weights_obj.get(str(k))
         if raw is None:
             weights.append([Fraction(1)] * len(levels[k]))
             continue
-        if not isinstance(raw, list) or not all(isinstance(w, str) for w in raw):
+        if not isinstance(raw, list) or not _all_instances(raw, str):
             raise ComplexFormatError(
                 f'degree {k}: weights must be a list of "p/q" strings')
         if len(raw) != len(levels[k]):
             raise ComplexFormatError(
                 f"degree {k}: {len(raw)} weights for {len(levels[k])} simplices")
+        # A grid has a few distinct literals: each is parsed once, in order
+        # of first use, so a bad one is reported where it first appears.
         try:
-            weights.append([parse_rational(w) for w in raw])
+            parsed = {w: parse_rational(w) for w in dict.fromkeys(raw)}
         except ValueError as exc:
             raise ComplexFormatError(f"degree {k}: {exc}")
+        weights.append(list(map(parsed.__getitem__, raw)))
     return WeightedComplex(name, levels, weights)
 
 

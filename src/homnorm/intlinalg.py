@@ -6,11 +6,14 @@ sparse (a few nonzeros per row).  So the reduction works on sparse rows: D
 is held as one ``{column: value}`` dict per row plus a column-to-rows
 index, so a row operation costs the nonzeros of its source row and a
 column operation the rows where its source column is nonzero.  The
-reduction tracks both transforms and their inverses so callers can change
+reduction tracks transforms with their inverses so callers can change
 basis in either direction without re-inverting.  U and V^-1 change by row
 operations and are held by rows; U^-1 and V change by column operations
 and are held by columns, so every transform update is an ``axpy`` over the
-nonzeros of its source.  ``SNFResult`` returns these sparse lines.
+nonzeros of its source.  ``SNFResult`` returns these sparse lines.  A
+caller that reads only one side keeps only that pair (U with U^-1, or V
+with V^-1): the other pair is never built, and no row or column
+operation, swap or negation touches it.
 
 The pivot rule is fixed (smallest nonzero absolute value, ties broken by
 lowest row then column index) so that every basis derived downstream is
@@ -89,11 +92,12 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
     for i, row in enumerate(d):
         for c in row:
             rows_of[c].add(i)
-    # An untracked pair starts as empty lines, which no operation fills.
-    u = [{i: 1} if "u" in _track else {} for i in range(n_rows)]
-    ui = [dict(line) for line in u]
-    v = [{j: 1} if "v" in _track else {} for j in range(cols)]
-    vi = [dict(line) for line in v]
+    # An untracked pair is None, and no operation touches it.
+    track_u, track_v = "u" in _track, "v" in _track
+    u = [{i: 1} for i in range(n_rows)] if track_u else None
+    ui = [{i: 1} for i in range(n_rows)] if track_u else None
+    v = [{j: 1} for j in range(cols)] if track_v else None
+    vi = [{j: 1} for j in range(cols)] if track_v else None
 
     def swap_rows(i: int, j: int) -> None:
         if i == j:
@@ -110,8 +114,9 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
                 s.remove(j)
                 s.add(i)
         d[i], d[j] = rj, ri
-        u[i], u[j] = u[j], u[i]
-        ui[i], ui[j] = ui[j], ui[i]
+        if track_u:
+            u[i], u[j] = u[j], u[i]
+            ui[i], ui[j] = ui[j], ui[i]
 
     def swap_cols(i: int, j: int) -> None:
         if i == j:
@@ -125,8 +130,9 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
             if a:
                 row[j] = a
         rows_of[i], rows_of[j] = rows_of[j], rows_of[i]
-        v[i], v[j] = v[j], v[i]
-        vi[i], vi[j] = vi[j], vi[i]
+        if track_v:
+            v[i], v[j] = v[j], v[i]
+            vi[i], vi[j] = vi[j], vi[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
         # row_dst += q * row_src
@@ -142,8 +148,9 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
             else:
                 del drow[c]
                 rows_of[c].remove(dst)
-        _axpy(u[dst], u[src], q)
-        _axpy(ui[src], ui[dst], -q)
+        if track_u:
+            _axpy(u[dst], u[src], q)
+            _axpy(ui[src], ui[dst], -q)
 
     def add_col(dst: int, src: int, q: int) -> None:
         # col_dst += q * col_src
@@ -160,13 +167,15 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
             else:
                 del row[dst]
                 dst_rows.remove(r)
-        _axpy(v[dst], v[src], q)
-        _axpy(vi[src], vi[dst], -q)
+        if track_v:
+            _axpy(v[dst], v[src], q)
+            _axpy(vi[src], vi[dst], -q)
 
     def negate_row(i: int) -> None:
         d[i] = {c: -x for c, x in d[i].items()}
-        u[i] = {c: -x for c, x in u[i].items()}
-        ui[i] = {c: -x for c, x in ui[i].items()}
+        if track_u:
+            u[i] = {c: -x for c, x in u[i].items()}
+            ui[i] = {c: -x for c, x in ui[i].items()}
 
     def find_pivot(t: int) -> Optional[tuple[int, int]]:
         # Rows >= t are zero left of column t: the active block is theirs.
@@ -234,8 +243,4 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
         t += 1
 
     diag = tuple(d[i].get(i, 0) for i in range(limit))
-    if "u" not in _track:
-        u = ui = None
-    if "v" not in _track:
-        v = vi = None
     return SNFResult(diag, u, ui, v, vi)

@@ -22,7 +22,8 @@ signed sum of its assigned simplices, needs unassigned simplices of total
 |coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
 at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  The echelon
 of the boundary lattice is built once per complex and degree; the mod-n
-lattices are echelonized from its columns.
+lattices are echelonized from its columns once it exists, and from the
+faces before.
 
 phi(x) is not constant on x + n*e_s, so min_mod cannot prune on the real
 calibration.  In degree 1 it prunes on a mod-n calibration instead (F.
@@ -56,7 +57,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .complexes import Chain, Cochain, WeightedComplex, lift_chain, mass
+from .complexes import (Chain, Cochain, WeightedComplex, _at_integer_scale,
+                         lift_chain, mass)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        class_of_cycle, homology_decomposition, reduce_class)
 from .lp import solve_cycle_lp
@@ -470,24 +472,32 @@ def _sorted_chains(K: WeightedComplex, d: int, ring: RingSpec,
     return tuple(sorted(chains, key=lambda ch: ch.coeffs))
 
 
-def _z_echelon(K: WeightedComplex, d: int, wnum: Sequence[int]
-               ) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
+def _echelon(K: WeightedComplex, d: int, wnum: Sequence[int],
+             modulus: Optional[int] = None
+             ) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
     """The search's row order in degree ``d``, (-weight, index), and the
-    echelon of the boundary lattice along it, cached on ``K`` per degree.
+    echelon along it of the boundary lattice, plus n*Z^m over Z/n.
     ``wnum`` holds the degree-d weights at a positive integer scale, which
     order the rows as the weights do.
 
-    The mod-n echelons are built from its columns: they span the same
-    lattice as the boundary columns, so the pivots, and with them every
-    search tree, are those of building from the faces.
+    The echelon over Z is cached on ``K`` per degree.  A mod-n echelon is
+    built from its columns when it is cached, as in the harness, which
+    calls min_int first, and from the faces otherwise: both span the same
+    lattice, so the pivots, and with them every search tree, are the same.
     """
     cached = K._echelon_cache.get(d)
     if cached is None:
         row_order = sorted(range(len(wnum)), key=lambda r: (-wnum[r], r))
         columns = K.faces(d + 1) if d < K.dim else ()
+        if modulus is not None:
+            return row_order, _echelon_columns(columns, row_order, modulus)
         cached = row_order, _echelon_columns(columns, row_order)
         K._echelon_cache[d] = cached
-    return cached
+    if modulus is None:
+        return cached
+    row_order, pivots = cached
+    return row_order, _echelon_columns([col for _, col in pivots], row_order,
+                                       modulus)
 
 
 def _integral_vertex(K: WeightedComplex, d: int, c: ClassCoords,
@@ -553,9 +563,7 @@ def _least_comass(K: WeightedComplex, eta: Mapping[int, int], b: Chain
     phi = T* eta + dG/D, D = q*W, is closed with comass <= 1 and
     cohomologous to T* eta; both are checked.  Returns (T*, D, D*phi, G).
     """
-    weights = K.weights[1]
-    W = lcm(*(w.denominator for w in weights))
-    wt = [w.numerator * (W // w.denominator) for w in weights]
+    wt, W = _at_integer_scale(K.weights[1])
     ends = [(tail, head) for (head, _), (tail, _) in K.faces(1)]
     h = [eta.get(e, 0) for e in range(len(ends))]
     T = Fraction(sum(wt[s] * abs(v) for s, v in b.coeffs), W)
@@ -633,16 +641,14 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         report.minimizer_count_exact = not value_only
         return report
     z0 = [lift(v) for v in dec.representative_vector(c)]
-    weights = K.weights[d]
     n = c.ring.modulus
-    w_scale = lcm(*(w.denominator for w in weights))
-    wnum = [w.numerator * (w_scale // w.denominator) for w in weights]
-    row_order, pivots = _z_echelon(K, d, wnum)
-    if not pivots:  # the report of a search of the one-point coset
+    wnum, w_scale = _at_integer_scale(K.weights[d])
+    if not K.n_simplices(d + 1):  # no boundary moves: a one-point coset
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         return OptReport(c.ring, c, Fraction(m0, w_scale),
                          _sorted_chains(K, d, c.ring, [z0][:cap]),
                          cap > 0 and not value_only, None, 0)
+    row_order, pivots = _echelon(K, d, wnum, n)
     phi: Sequence[Fraction] = ()
     family = None
     if n is None:
@@ -656,12 +662,10 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
             if z is not None:
                 return OptReport(c.ring, c, real.value, (z,), False, None, 0)
         phi = cert.values
-    else:
-        pivots = _echelon_columns([col for _, col in pivots], row_order, n)
-        if d == 1:
-            family = next(filter(None, (_level_cocycles(K, dec, i)
-                                        for i, a in enumerate(c.free_part)
-                                        if a % n)), None)
+    elif d == 1:
+        family = next(filter(None, (_level_cocycles(K, dec, i)
+                                    for i, a in enumerate(c.free_part)
+                                    if a % n)), None)
     scale = lcm(w_scale, *(v.denominator for v in phi),
                 family[0] if family else 1)
     wnum = [w * (scale // w_scale) for w in wnum]
@@ -760,12 +764,15 @@ def comass(K: WeightedComplex, phi: Cochain) -> Fraction:
     """Largest value the cochain takes per unit of simplex weight."""
     if phi.complex is not K:
         raise ValueError("cochain does not live on this complex")
-    best = Fraction(0)
-    for v, w in zip(phi.values, K.weights[phi.degree]):
-        q = abs(v) / w
-        if q > best:
-            best = q
-    return best
+    x, x_scale = _at_integer_scale(phi.values)
+    w, w_scale = _at_integer_scale(K.weights[phi.degree])
+    # |phi_s| / w_s = (|x_s| / w_s') * (w_scale / x_scale): the largest
+    # |x_s| / w_s', by cross-multiplied comparisons.
+    best_x, best_w = 0, 1
+    for a, b in zip(x, w):
+        if abs(a) * best_w > best_x * b:
+            best_x, best_w = abs(a), b
+    return Fraction(best_x * w_scale, best_w * x_scale)
 
 
 def verify_certificate(K: WeightedComplex, d: int, c: ClassCoords,

@@ -12,13 +12,18 @@ transforms the sparse one must reproduce exactly, and
 nodes, minimizers and order the engines' search must reproduce (and whose
 minimizers and order it must keep when it prunes on a bound),
 ``reference_echelon_columns`` the dense column echelon whose pivots the
-sparse one must reproduce, with every n * e_r column listed up front, and
+sparse one must reproduce, with every n * e_r column listed up front,
 ``ReferenceModDecomposition`` the mod-n decomposition that presents the
 lifted cycle lattice modulo boundaries and n * chains and runs Smith normal
 forms of its own for each n, against which the closed-form one is checked,
-and ``ReferenceHomologyDecomposition`` the integral decomposition built
+``ReferenceHomologyDecomposition`` the integral decomposition built
 from dense transforms and dense products, whose bases, coordinates and
-representatives the sparse one must reproduce.
+representatives the sparse one must reproduce, ``reference_load`` and
+``reference_faces`` the document reader that checks face closure apart from
+building the face tables and parses every weight literal, whose messages,
+simplices, weights and faces the loader must reproduce, and
+``reference_is_closed`` and ``reference_comass`` the Fraction definitions
+the integer-scale certificate checks must agree with.
 
 The oracles and the tests compute with dense matrices: ``IntMatrix``,
 ``boundary_matrix`` (the boundary operator read off ``K.faces``) and
@@ -37,12 +42,13 @@ from typing import Mapping, Optional, Sequence
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from homnorm.complexes import Chain, NotACycleError, mass
+from homnorm.complexes import Chain, ComplexFormatError, NotACycleError, mass
 from homnorm.homology import HomologyDecomposition, homology_decomposition
 from homnorm.intlinalg import (ShapeMismatchError, SNFResult,
                                sparse_smith_normal_form)
 from homnorm.lp import LPResult
-from homnorm.rings import INT, canonical_lift, factorize
+from homnorm.rings import (INT, canonical_lift, factorize, format_rational,
+                           parse_rational)
 
 
 class LPInfeasibleError(ValueError):
@@ -1036,3 +1042,122 @@ class ReferenceHomologyDecomposition:
             for i, v in enumerate(col):
                 out[i] += a * v
         return out
+
+
+# -- loading and certificate checks -----------------------------------------
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def reference_load(obj) -> tuple[tuple, tuple]:
+    """(simplices, weights) of a complex document, read and validated the
+    plain way: every weight literal parsed and compared as a Fraction, every
+    vertex tuple tested with generator scans, and face closure checked by
+    looking each face up, before and apart from building any face table.
+    Raises ``ComplexFormatError`` with the loader's messages.  It predates
+    the rejection of a non-string ``name`` and of weight keys outside
+    0..dimension, so documents fed to it have neither."""
+    if not isinstance(obj, dict):
+        raise ComplexFormatError("document root must be an object")
+    try:
+        obj["name"]
+        dim = obj["dimension"]
+        simp = obj["simplices"]
+    except KeyError as exc:
+        raise ComplexFormatError(f"missing or malformed field: {exc}")
+    if not _is_int(dim):
+        raise ComplexFormatError(f"'dimension' must be an integer, got {dim!r}")
+    if not isinstance(simp, dict):
+        raise ComplexFormatError("'simplices' must map degree -> list")
+    levels = []
+    for k in range(dim + 1):
+        raw = simp.get(str(k))
+        if raw is None:
+            raise ComplexFormatError(f"no simplices listed for degree {k}")
+        if not isinstance(raw, list) or not all(
+                isinstance(s, list) and all(map(_is_int, s)) for s in raw):
+            raise ComplexFormatError(f"degree {k}: malformed vertex list")
+        levels.append(tuple(tuple(s) for s in raw))
+    extra = set(simp) - {str(k) for k in range(dim + 1)}
+    if extra:
+        raise ComplexFormatError(
+            f"simplices listed beyond declared dimension: degree {sorted(extra)[0]}")
+    weights_obj = obj.get("weights", {})
+    if not isinstance(weights_obj, dict):
+        raise ComplexFormatError("'weights' must map degree -> list")
+    weights = []
+    for k in range(dim + 1):
+        raw = weights_obj.get(str(k))
+        if raw is None:
+            weights.append(tuple([Fraction(1)] * len(levels[k])))
+            continue
+        if not isinstance(raw, list) or not all(isinstance(w, str) for w in raw):
+            raise ComplexFormatError(
+                f'degree {k}: weights must be a list of "p/q" strings')
+        if len(raw) != len(levels[k]):
+            raise ComplexFormatError(
+                f"degree {k}: {len(raw)} weights for {len(levels[k])} simplices")
+        try:
+            weights.append(tuple(parse_rational(w) for w in raw))
+        except ValueError as exc:
+            raise ComplexFormatError(f"degree {k}: {exc}")
+    if not levels:
+        raise ComplexFormatError("complex has no simplices at all")
+    for k, level in enumerate(levels):
+        seen = set()
+        for s in level:
+            if len(s) != k + 1:
+                raise ComplexFormatError(
+                    f"degree {k}: simplex {list(s)} has wrong vertex count")
+            if any(a >= b for a, b in zip(s, s[1:])) or any(v < 0 for v in s):
+                raise ComplexFormatError(
+                    f"degree {k}: vertex tuple {list(s)} is not strictly "
+                    "increasing over nonnegative vertices")
+            if s in seen:
+                raise ComplexFormatError(
+                    f"degree {k}: duplicate simplex {list(s)}")
+            seen.add(s)
+        for w, s in zip(weights[k], level):
+            if w <= 0:
+                raise ComplexFormatError(
+                    f"degree {k}: nonpositive weight {format_rational(w)} "
+                    f"on simplex {list(s)}")
+    for k in range(1, len(levels)):
+        lower = set(levels[k - 1])
+        for s in levels[k]:
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                if face not in lower:
+                    raise ComplexFormatError(
+                        f"face-closure violation: {list(face)} (face of "
+                        f"{list(s)}) is not listed in degree {k - 1}")
+    return tuple(levels), tuple(weights)
+
+
+def reference_faces(simplices, d: int) -> tuple:
+    """(face index, sign) pairs of each d-simplex, omitting vertex i with
+    sign (-1)^i, by looking each face up in degree d - 1."""
+    if d == 0:
+        return ((),) * len(simplices[0])
+    index = {s: i for i, s in enumerate(simplices[d - 1])}
+    return tuple(tuple((index[s[:i] + s[i + 1:]], -1 if i % 2 else 1)
+                       for i in range(d + 1))
+                 for s in simplices[d])
+
+
+def reference_is_closed(phi) -> bool:
+    """The cochain vanishes on every (d+1)-simplex boundary, summed in
+    Fractions."""
+    K, d = phi.complex, phi.degree
+    if d >= K.dim:
+        return True
+    return all(sum((phi.values[i] * sign for i, sign in faces), Fraction(0)) == 0
+               for faces in K.faces(d + 1))
+
+
+def reference_comass(K, phi) -> Fraction:
+    """max |phi_s| / w_s over the d-simplices, in Fractions (0 with none)."""
+    return max((abs(v) / w for v, w in zip(phi.values, K.weights[phi.degree])),
+               default=Fraction(0))

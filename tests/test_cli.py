@@ -194,7 +194,8 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
     assert code == 1 and "error:" in err
 
     # nesting past the JSON decoder's recursion limit, a numeric weight, a
-    # string in place of a vertex list and a non-integral or boolean dimension
+    # string in place of a vertex list, a non-integral or boolean dimension,
+    # weights for a degree past the dimension and a name that is no string
     for text in ("[" * 5000,
                  json.dumps({"name": "w", "dimension": 1,
                              "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
@@ -204,6 +205,11 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
                  json.dumps({"name": "d", "dimension": 1.9,
                              "simplices": {"0": [[0], [1]], "1": [[0, 1]]}}),
                  json.dumps({"name": "d", "dimension": True,
+                             "simplices": {"0": [[0], [1]], "1": [[0, 1]]}}),
+                 json.dumps({"name": "w", "dimension": 1,
+                             "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
+                             "weights": {"5": ["1"]}}),
+                 json.dumps({"name": [1, 2], "dimension": 1,
                              "simplices": {"0": [[0], [1]], "1": [[0, 1]]}})):
         broken.write_text(text, encoding="utf-8")
         code, _, err = run_cli(capsys, ["homology", str(broken), "--dim", "1"])

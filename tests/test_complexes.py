@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_complex, torus_grid
-from oracles import boundary_matrix
+from oracles import boundary_matrix, reference_faces, reference_load
 
 from homnorm.complexes import (Chain, Cochain, ComplexFormatError,
-                               WeightedComplex, complex_to_json, dump_complex,
+                               WeightedComplex, complex_from_json,
+                               complex_to_json, dump_complex,
                                lift_chain, load_complex, mass, reduce_chain)
 from homnorm.fixtures import (SUITE, klein8, mobius_band, rp2_6, torus7,
                               triangle_circle)
@@ -88,6 +89,16 @@ def test_load_rejects_garbage():
             load_complex(json.dumps({"name": "d", "dimension": dim,
                                      "simplices": {"0": [[0], [1]],
                                                    "1": [[0, 1]]}}))
+    # weights for a degree the complex does not have, and a name that is
+    # not a string: rejected rather than ignored or converted
+    with pytest.raises(ComplexFormatError, match="weights listed outside"):
+        load_complex(json.dumps({"name": "w", "dimension": 1,
+                                 "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
+                                 "weights": {"5": ["1"]}}))
+    with pytest.raises(ComplexFormatError, match="'name' must be a string"):
+        load_complex(json.dumps({"name": [1, 2], "dimension": 1,
+                                 "simplices": {"0": [[0], [1]],
+                                               "1": [[0, 1]]}}))
 
 
 @pytest.mark.parametrize("weights", [{"1": [5]}, {"1": [0.5]}, {"1": [None]},
@@ -98,6 +109,102 @@ def test_load_rejects_weights_that_are_not_rational_strings(weights):
                       "weights": weights})
     with pytest.raises(ComplexFormatError, match="p/q"):
         load_complex(doc)
+
+
+def _load_outcome(obj):
+    try:
+        K = complex_from_json(obj)
+    except ComplexFormatError as exc:
+        return "error", str(exc)
+    return K.simplices, K.weights, tuple(map(K.faces, range(K.dim + 1)))
+
+
+def _reference_outcome(obj):
+    try:
+        simplices, weights = reference_load(obj)
+    except ComplexFormatError as exc:
+        return "error", str(exc)
+    return simplices, weights, tuple(reference_faces(simplices, d)
+                                     for d in range(len(simplices)))
+
+
+def _mutate(rng: random.Random, doc: dict, kind: str) -> dict:
+    """A copy of ``doc`` with one seeded change of the given kind."""
+    doc = json.loads(json.dumps(doc))
+    simp, weights = doc["simplices"], doc.get("weights", {})
+    dim = doc["dimension"]
+    k = rng.randrange(dim if kind == "drop-face" else dim + 1)
+    level, wlevel = simp[str(k)], weights.get(str(k))
+    i = rng.randrange(len(level))
+    if kind == "drop-face":
+        del level[i]
+        if wlevel is not None:
+            del wlevel[i]
+    elif kind == "duplicate":
+        j = rng.randrange(len(level) + 1)
+        level.insert(j, list(level[i]))
+        if wlevel is not None:
+            wlevel.insert(j, wlevel[i])
+    elif kind == "shuffle-level":
+        order = rng.sample(range(len(level)), len(level))
+        simp[str(k)] = [level[j] for j in order]
+        if wlevel is not None:
+            weights[str(k)] = [wlevel[j] for j in order]
+    elif kind == "reorder-vertices":
+        k = rng.randrange(1, dim + 1)
+        level = simp[str(k)]
+        i = rng.randrange(len(level))
+        level[i] = level[i][::-1]
+    elif kind == "negative-vertex":
+        s = level[i]
+        j = rng.randrange(len(s))
+        s[j] = -1 - s[j]
+    elif kind == "vertex-count":
+        s = level[i]
+        if len(s) > 1 and rng.random() < 0.5:
+            del s[rng.randrange(len(s))]
+        else:
+            s.append(max(s) + 1 + rng.randrange(3))
+    else:  # a weight literal, one of the given kind's
+        literals = {"bad-weight": ["0/1", "0", "-1/2", "-3", "1/0", "x",
+                                   "1.5", "", "2/-3", "--1"],
+                    "good-weight": [" 2/3 ", "4/6", "7", "10/5"]}[kind]
+        wlevel = weights.setdefault(str(k), ["1/1"] * len(level))
+        wlevel[i] = rng.choice(literals)
+        doc["weights"] = weights
+    return doc
+
+
+LOAD_MUTATIONS = {"drop-face": False, "duplicate": False,
+                  "reorder-vertices": False, "negative-vertex": False,
+                  "vertex-count": False, "bad-weight": False,
+                  "shuffle-level": True, "good-weight": True}
+
+
+def test_load_matches_the_reference_reader():
+    """Fixture documents, relabelled T3/T4 grid documents (one with its
+    weights left to the default) and seeded mutations of them load to the
+    reference reader's simplices, weights and faces, or fail with its
+    message: dropped faces, duplicate simplices, shuffled levels, reversed
+    vertex tuples, negative vertices, wrong vertex counts, and zero,
+    negative, malformed or equivalent weight literals."""
+    rng = random.Random("load-differential")
+    docs = [complex_to_json(make()) for make in SUITE.values()]
+    docs += [complex_to_json(torus_grid(k, seed=seed, weights=weights))
+             for k, seed, weights in ((3, 5, (1, 1, 1)),
+                                      (3, 6, (1, 2, Fraction(3, 2))),
+                                      (4, 7, (1, 1, 1)),
+                                      (4, 8, (Fraction(1, 3), 2, 5)))]
+    del docs[-1]["weights"]
+    for doc in docs:
+        assert _load_outcome(doc) == _reference_outcome(doc)
+        assert _load_outcome(doc)[0] != "error"
+        for kind, valid in LOAD_MUTATIONS.items():
+            for _ in range(3):
+                mutated = _mutate(rng, doc, kind)
+                got = _load_outcome(mutated)
+                assert got == _reference_outcome(mutated), (doc["name"], kind)
+                assert (got[0] != "error") == valid, (doc["name"], kind, got)
 
 
 def test_document_round_trip(torus, mobius):

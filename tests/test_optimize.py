@@ -11,7 +11,8 @@ from conftest import (graph_complex, horizontal_loop, random_class,
                       random_complex, small_corpus, torus_grid)
 from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
                      brute_force_min_mod, brute_force_min_real,
-                     reference_echelon_columns, reference_search_lattice,
+                     reference_comass, reference_echelon_columns,
+                     reference_is_closed, reference_search_lattice,
                      reference_split_lp, smith_normal_form)
 
 from homnorm import optimize
@@ -134,6 +135,46 @@ def test_comass_examples():
     assert comass(K, Cochain.make(K, 1, [Fraction(1), Fraction(2)])) == 1
     assert comass(K, Cochain.zero(K, 1)) == 0
     assert comass(K, Cochain.make(K, 1, [Fraction(1), Fraction(3)])) == Fraction(3, 2)
+
+
+def test_integer_certificate_checks_match_the_fraction_definitions():
+    """``Cochain.is_closed`` and ``comass`` compute at one integer scale.
+    They equal the Fraction definitions on zero cochains, random cochains,
+    coboundaries and coboundaries with one value moved, with numerators and
+    denominators up to 10**12, in every degree up to the top one, on the
+    fixtures, relabelled grids (one with weights of denominator 10**12)
+    and random complexes."""
+    rng = random.Random("integer-certificates")
+
+    def value():
+        q = rng.choice((1, rng.randint(1, 10**3), rng.randint(1, 10**12)))
+        return Fraction(rng.randint(-10**12, 10**12), q)
+
+    complexes = [make() for make in SUITE.values()]
+    complexes += [torus_grid(3, seed=21, weights=(1, 2, Fraction(3, 2))),
+                  torus_grid(3, seed=22, weights=(Fraction(10**12 - 1, 7),
+                                                  Fraction(3, 10**12), 1)),
+                  torus_grid(4, seed=23)]
+    complexes += [random_complex(rng) for _ in range(4)]
+    closed_seen = {True: 0, False: 0}
+    for K in complexes:
+        for d in range(K.dim + 1):
+            n = K.n_simplices(d)
+            cochains = [[Fraction(0)] * n, [value() for _ in range(n)]]
+            if d > 0:
+                psi = [value() for _ in range(K.n_simplices(d - 1))]
+                cob = [sum((psi[i] * sign for i, sign in faces), Fraction(0))
+                       for faces in K.faces(d)]
+                moved = list(cob)
+                moved[rng.randrange(n)] += Fraction(1, rng.randint(1, 10**12))
+                cochains += [cob, moved]
+            for values in cochains:
+                phi = Cochain.make(K, d, values)
+                closed = phi.is_closed()
+                assert closed == reference_is_closed(phi), (K.name, d)
+                assert comass(K, phi) == reference_comass(K, phi), (K.name, d)
+                closed_seen[closed] += 1
+    assert closed_seen[True] and closed_seen[False]
 
 
 def test_verify_certificate_rejects_bad(tc):
