@@ -14,8 +14,7 @@ from .hasse import (BijectionReport, EnumerationInexactError, FedererRow,
                     federer_sequence, gap_sweep, scan_moduli)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        ModDecomposition, TorsionFactor, class_of_cycle,
-                       homology_decomposition, in_reduction_image,
-                       kernel_witness, reduce_class)
+                       homology_decomposition, kernel_witness, reduce_class)
 from .intlinalg import ShapeMismatchError, SNFResult
 from .optimize import (LiftReport, OptReport, comass, lift_minimizer, min_int,
                        min_mod, min_real, minimize, verify_certificate)
@@ -31,8 +30,7 @@ __all__ = [
     "gap_sweep", "scan_moduli",
     "ClassCoords", "HomologyDecomposition", "InfeasibleClassError",
     "ModDecomposition", "TorsionFactor", "class_of_cycle",
-    "homology_decomposition", "in_reduction_image", "kernel_witness",
-    "reduce_class",
+    "homology_decomposition", "kernel_witness", "reduce_class",
     "ShapeMismatchError", "SNFResult",
     "LiftReport", "OptReport", "comass", "lift_minimizer", "min_int",
     "min_mod", "min_real", "minimize", "verify_certificate",

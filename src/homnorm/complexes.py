@@ -19,8 +19,7 @@ from operator import lt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .rings import (INT, RingElem, RingSpec, canonical_lift, canonicalize,
-                    format_element, format_rational, norm, parse_element,
-                    parse_rational, ring_from_tag)
+                    format_element, format_rational, norm, parse_rational)
 
 
 class ComplexFormatError(ValueError):
@@ -59,7 +58,6 @@ class WeightedComplex:
         self._index: tuple[dict[Simplex, int], ...] = tuple(
             dict(zip(level, range(len(level)))) for level in self.simplices)
         self._faces = self._validate()
-        self._echelon_cache: dict[int, tuple] = {}
         self._level_cache: dict[tuple[int, int], Optional[tuple]] = {}
         self._decomposition_cache: dict = {}
 
@@ -232,29 +230,6 @@ class Chain:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "Chain") -> "Chain":
-        self._check_compatible(other)
-        merged: dict[int, RingElem] = dict(self.coeffs)
-        for idx, v in other.coeffs:
-            merged[idx] = merged.get(idx, 0) + v
-        return Chain.make(self.complex, self.degree, self.ring, merged)
-
-    def __neg__(self) -> "Chain":
-        return Chain.make(self.complex, self.degree, self.ring,
-                          {i: -v for i, v in self.coeffs})
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
-
-    def scale(self, k: RingElem) -> "Chain":
-        return Chain.make(self.complex, self.degree, self.ring,
-                          {i: k * v for i, v in self.coeffs})
-
-    def _check_compatible(self, other: "Chain") -> None:
-        if (other.complex is not self.complex or other.degree != self.degree
-                or other.ring != self.ring):
-            raise ValueError("chains live on different complexes/degrees/rings")
-
     def boundary_vector(self) -> list[RingElem]:
         """Boundary coefficients over the ambient ring (degree-1 vector)."""
         K, d = self.complex, self.degree
@@ -278,17 +253,6 @@ class Chain:
                              for i, v in self.coeffs],
         }
 
-    @staticmethod
-    def from_json(complex: WeightedComplex, obj: Mapping) -> "Chain":
-        try:
-            ring = ring_from_tag(obj["ring"])
-            degree = int(obj["degree"])
-            pairs = [(int(i), parse_element(ring, c))
-                     for i, c in obj["coefficients"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ComplexFormatError(f"bad chain document: {exc}")
-        return Chain.make(complex, degree, ring, pairs)
-
 
 @dataclass(frozen=True)
 class Cochain:
@@ -311,15 +275,6 @@ class Cochain:
     def zero(complex: WeightedComplex, degree: int) -> "Cochain":
         return Cochain.make(complex, degree,
                             [Fraction(0)] * complex.n_simplices(degree))
-
-    def evaluate(self, chain: Chain) -> Fraction:
-        """Pairing with an integral or rational chain."""
-        if chain.complex is not self.complex or chain.degree != self.degree:
-            raise ValueError("cochain and chain live on different spaces")
-        if chain.ring.is_mod:
-            raise ValueError("cochains pair with Z- or Q-chains only")
-        return sum((Fraction(v) * self.values[i] for i, v in chain.coeffs),
-                   Fraction(0))
 
     def evaluate_vector(self, vector: Sequence) -> Fraction:
         return sum((Fraction(v) * w for v, w in zip(vector, self.values) if v),

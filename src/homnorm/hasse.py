@@ -26,7 +26,7 @@ from .complexes import Chain, WeightedComplex, lift_chain, reduce_chain
 from .homology import ClassCoords, homology_decomposition, reduce_class
 from .optimize import (DEFAULT_MINIMIZER_CAP, OptReport, lift_minimizer,
                        min_int, min_mod, min_real)
-from .rings import RAT, format_rational, mod_ring, parse_rational
+from .rings import RAT, format_rational, mod_ring
 
 
 class EnumerationInexactError(RuntimeError):
@@ -41,29 +41,12 @@ def _bool_str(v: Optional[bool]) -> str:
     return "true" if v else "false"
 
 
-def _parse_bool(text: str) -> Optional[bool]:
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"bad boolean field: {text!r}")
-
-
-def _parse_required_bool(text: str) -> bool:
-    v = _parse_bool(text)
-    if v is None:
-        raise ValueError("missing required boolean field")
-    return v
-
-
-# declared field type -> (CSV text of a value, value of a CSV field)
+# declared field type -> CSV text of a value
 _CODECS = {
-    int: (str, int),
-    Fraction: (format_rational, parse_rational),
-    bool: (_bool_str, _parse_required_bool),
-    Optional[bool]: (_bool_str, _parse_bool),
+    int: str,
+    Fraction: format_rational,
+    bool: _bool_str,
+    Optional[bool]: _bool_str,
 }
 
 
@@ -92,8 +75,7 @@ def _json_value(kind: type, v):
 
 class _Row:
     """A harness row: its dataclass fields, in order, are its JSON keys and
-    its CSV columns.  Subclasses define ``_check``, which the CSV reader runs
-    on every parsed row."""
+    its CSV columns."""
 
     def to_json(self) -> dict:
         out = {}
@@ -115,12 +97,6 @@ class ScanRow(_Row):
     bijection: Optional[bool]
     lift_all_cycles: Optional[bool]
 
-    def _check(self) -> None:
-        if self.value_mod > self.value_int:
-            raise ValueError("scan row violates value_mod <= value_int")
-        if self.equal != (self.value_mod == self.value_int):
-            raise ValueError("scan row 'equal' flag is inconsistent")
-
 
 @dataclass
 class FedererRow(_Row):
@@ -128,10 +104,6 @@ class FedererRow(_Row):
     value_int: Fraction
     ratio: Fraction
     value_real: Fraction
-
-    def _check(self) -> None:
-        if self.ratio * self.k != self.value_int:
-            raise ValueError("federer row ratio is inconsistent")
 
 
 @dataclass
@@ -144,10 +116,6 @@ class GapRow(_Row):
     gap_ratio_mod: dict[int, Fraction]
     in_lavrentiev_real: bool
     in_lavrentiev_mod: dict[int, bool]
-
-    def _check(self) -> None:
-        if self.gap_ratio_real < 1 or any(v < 1 for v in self.gap_ratio_mod.values()):
-            raise ValueError("gap row violates ratio >= 1")
 
 
 @dataclass
@@ -342,11 +310,11 @@ def bijection_check(K: WeightedComplex, d: int, c: ClassCoords, n: int,
         lifts_are_cycles_in_class=lifts_ok, lifts=tuple(lifts))
 
 
-# -- CSV emission / parsing -------------------------------------------------
+# -- CSV emission ----------------------------------------------------------
 
 def _rows_to_csv(cls: type, rows: Sequence, moduli: Sequence[int] = ()) -> str:
     moduli = sorted(set(moduli))
-    plan = [(name, _CODECS[kind][0], keyed) for name, kind, keyed in _layout(cls)]
+    plan = [(name, _CODECS[kind], keyed) for name, kind, keyed in _layout(cls)]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_header(cls, moduli))
@@ -359,50 +327,14 @@ def _rows_to_csv(cls: type, rows: Sequence, moduli: Sequence[int] = ()) -> str:
     return buf.getvalue()
 
 
-def _rows_from_csv(cls: type, text: str, moduli: Sequence[int] = ()) -> list:
-    """Parse rows written by ``_rows_to_csv``, checking each with ``_check``."""
-    moduli = sorted(set(moduli))
-    header = _header(cls, moduli)
-    plan = [(name, _CODECS[kind][1], keyed) for name, kind, keyed in _layout(cls)]
-    reader = csv.reader(io.StringIO(text))
-    got = next(reader, None)
-    if got != header:
-        raise ValueError(f"unexpected {cls.__name__} header: {got}")
-    out = []
-    for rec in reader:
-        if not rec:
-            continue
-        if len(rec) != len(header):
-            raise ValueError(f"{cls.__name__} record has {len(rec)} fields, "
-                             f"the header {len(header)}")
-        cells = iter(rec)
-        row = cls(**{name: ({n: parse(next(cells)) for n in moduli} if keyed
-                            else parse(next(cells)))
-                     for name, parse, keyed in plan})
-        row._check()
-        out.append(row)
-    return out
-
-
 def scan_rows_to_csv(rows: Sequence[ScanRow]) -> str:
     return _rows_to_csv(ScanRow, rows)
-
-
-def scan_rows_from_csv(text: str) -> list[ScanRow]:
-    return _rows_from_csv(ScanRow, text)
 
 
 def federer_rows_to_csv(rows: Sequence[FedererRow]) -> str:
     return _rows_to_csv(FedererRow, rows)
 
 
-def federer_rows_from_csv(text: str) -> list[FedererRow]:
-    return _rows_from_csv(FedererRow, text)
-
-
 def gap_rows_to_csv(rows: Sequence[GapRow], moduli: Sequence[int]) -> str:
     return _rows_to_csv(GapRow, rows, moduli)
 
-
-def gap_rows_from_csv(text: str, moduli: Sequence[int]) -> list[GapRow]:
-    return _rows_from_csv(GapRow, text, moduli)

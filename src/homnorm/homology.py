@@ -77,21 +77,6 @@ class ClassCoords:
                 and all(not b for b in self.torsion_part)
                 and all(not g for g in self.cotorsion_part))
 
-    def __add__(self, other: "ClassCoords") -> "ClassCoords":
-        if other.decomposition is not self.decomposition or other.ring != self.ring:
-            raise ValueError("class coordinates live in different decompositions")
-        return self.decomposition.class_coords(
-            self.ring,
-            tuple(a + b for a, b in zip(self.free_part, other.free_part)),
-            tuple(a + b for a, b in zip(self.torsion_part, other.torsion_part)),
-            tuple(a + b for a, b in zip(self.cotorsion_part, other.cotorsion_part)))
-
-    def __neg__(self) -> "ClassCoords":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ClassCoords") -> "ClassCoords":
-        return self + (-other)
-
     def scale(self, k: RingElem) -> "ClassCoords":
         if self.ring.is_rat:
             return self.decomposition.class_coords(
@@ -264,10 +249,6 @@ class HomologyDecomposition:
                 out[i] += a * v
         return out
 
-    def representative(self, c: "ClassCoords") -> Chain:
-        vec = self.representative_vector(c)
-        return Chain.from_vector(self.complex, self.degree, c.ring, vec)
-
     # -- public coordinate API ----------------------------------------------
 
     def class_coords(self, ring: RingSpec,
@@ -307,15 +288,6 @@ class HomologyDecomposition:
                   for b, tf in zip(torsion, self.torsion)),
             tuple(int(g) % order
                   for g, (order, _, _) in zip(cotorsion, md.cotorsion)))
-
-    def zero_class(self, ring: RingSpec) -> ClassCoords:
-        if ring.is_rat:
-            return self.class_coords(ring, (Fraction(0),) * self.betti)
-        cot = ()
-        if ring.is_mod:
-            cot = (0,) * len(self.mod(ring.modulus).cotorsion)
-        return self.class_coords(ring, (0,) * self.betti,
-                                 (0,) * len(self.torsion), cot)
 
     def mod(self, n: int) -> "ModDecomposition":
         if n < 2:
@@ -363,10 +335,6 @@ class ModDecomposition:
              tuple(int(k == i) for k in range(len(cot))),
              tuple(line.get(k, 0) for k in range(n_simp)))
             for i, (j, line) in enumerate(zip(cot, self._lines)))
-
-    @property
-    def cotorsion_orders(self) -> tuple[int, ...]:
-        return tuple(order for (order, _, _) in self.cotorsion)
 
 
 def _combination(terms: Iterable[tuple[RingElem, dict[int, int]]]
@@ -432,12 +400,3 @@ def kernel_witness(X: ClassCoords, Y: ClassCoords, n: int) -> Optional[ClassCoor
     free = tuple((a - b) // n for a, b in zip(X.free_part, Y.free_part))
     return dec.class_coords(INT, free, (0,) * len(dec.torsion))
 
-
-def in_reduction_image(K: WeightedComplex, d: int, c: ClassCoords) -> bool:
-    """Whether a mod-n class is the reduction of some integral class."""
-    if not c.ring.is_mod:
-        raise ValueError("in_reduction_image expects mod-n class coordinates")
-    dec = homology_decomposition(K, d)
-    if c.decomposition is not dec:
-        raise ValueError("class does not belong to this complex/degree")
-    return not any(c.cotorsion_part)

@@ -20,10 +20,8 @@ on the face residuals: every coset point is a cycle (mod n over Z/n), so
 once some simplices are assigned, each (d-1)-face t with residual a_t, the
 signed sum of its assigned simplices, needs unassigned simplices of total
 |coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
-at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  The echelon
-of the boundary lattice is built once per complex and degree; the mod-n
-lattices are echelonized from its columns once it exists, and from the
-faces before.
+at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  Each call
+echelonizes its lattice from the faces of the (d+1)-simplices.
 
 phi(x) is not constant on x + n*e_s, so min_mod cannot prune on the real
 calibration.  In degree 1 it prunes on a mod-n calibration instead (F.
@@ -51,6 +49,7 @@ minimizer_count_exact false.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,7 +70,6 @@ DEFAULT_MINIMIZER_CAP = 10_000
 class OptReport:
     """Result of one class-norm computation."""
 
-    ring: RingSpec
     coords: ClassCoords
     value: Fraction
     minimizers: tuple[Chain, ...]
@@ -81,7 +79,7 @@ class OptReport:
 
     def to_json(self) -> dict:
         out = {
-            "ring": self.ring.tag,
+            "ring": self.coords.ring.tag,
             "class": self.coords.to_json(),
             "value": format_rational(self.value),
             "minimizers": [ch.to_json() for ch in self.minimizers],
@@ -129,7 +127,7 @@ def _validate_coords(K: WeightedComplex, d: int, c: ClassCoords,
 def _zero_report(K: WeightedComplex, d: int, c: ClassCoords,
                  with_certificate: bool) -> OptReport:
     cert = Cochain.zero(K, d) if with_certificate else None
-    return OptReport(c.ring, c, Fraction(0),
+    return OptReport(c, Fraction(0),
                      (Chain.zero(K, d, c.ring),), True, cert, 0)
 
 
@@ -462,7 +460,13 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 for i, cv in move:
                     cur[i] -= steps * cv
 
-    dfs(0, base_mass, f0, residual, leveled)
+    # dfs nests one call per pivot, and over Z/n every row is a pivot.
+    recursion_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(recursion_limit + depth)
+    try:
+        dfs(0, base_mass, f0, residual, leveled)
+    finally:
+        sys.setrecursionlimit(recursion_limit)
     return best, sols, exact, nodes
 
 
@@ -470,34 +474,6 @@ def _sorted_chains(K: WeightedComplex, d: int, ring: RingSpec,
                    vectors: list[tuple[int, ...]]) -> tuple[Chain, ...]:
     chains = {Chain.from_vector(K, d, ring, vec) for vec in vectors}
     return tuple(sorted(chains, key=lambda ch: ch.coeffs))
-
-
-def _echelon(K: WeightedComplex, d: int, wnum: Sequence[int],
-             modulus: Optional[int] = None
-             ) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
-    """The search's row order in degree ``d``, (-weight, index), and the
-    echelon along it of the boundary lattice, plus n*Z^m over Z/n.
-    ``wnum`` holds the degree-d weights at a positive integer scale, which
-    order the rows as the weights do.
-
-    The echelon over Z is cached on ``K`` per degree.  A mod-n echelon is
-    built from its columns when it is cached, as in the harness, which
-    calls min_int first, and from the faces otherwise: both span the same
-    lattice, so the pivots, and with them every search tree, are the same.
-    """
-    cached = K._echelon_cache.get(d)
-    if cached is None:
-        row_order = sorted(range(len(wnum)), key=lambda r: (-wnum[r], r))
-        columns = K.faces(d + 1) if d < K.dim else ()
-        if modulus is not None:
-            return row_order, _echelon_columns(columns, row_order, modulus)
-        cached = row_order, _echelon_columns(columns, row_order)
-        K._echelon_cache[d] = cached
-    if modulus is None:
-        return cached
-    row_order, pivots = cached
-    return row_order, _echelon_columns([col for _, col in pivots], row_order,
-                                       modulus)
 
 
 def _integral_vertex(K: WeightedComplex, d: int, c: ClassCoords,
@@ -645,10 +621,9 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     wnum, w_scale = _at_integer_scale(K.weights[d])
     if not K.n_simplices(d + 1):  # no boundary moves: a one-point coset
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
-        return OptReport(c.ring, c, Fraction(m0, w_scale),
+        return OptReport(c, Fraction(m0, w_scale),
                          _sorted_chains(K, d, c.ring, [z0][:cap]),
                          cap > 0 and not value_only, None, 0)
-    row_order, pivots = _echelon(K, d, wnum, n)
     phi: Sequence[Fraction] = ()
     family = None
     if n is None:
@@ -660,12 +635,16 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         if value_only:
             z = _integral_vertex(K, d, c, real)
             if z is not None:
-                return OptReport(c.ring, c, real.value, (z,), False, None, 0)
+                return OptReport(c, real.value, (z,), False, None, 0)
         phi = cert.values
     elif d == 1:
         family = next(filter(None, (_level_cocycles(K, dec, i)
                                     for i, a in enumerate(c.free_part)
                                     if a % n)), None)
+    # Rows in order of decreasing weight, then index; the echelon of the
+    # boundary lattice (plus n*Z^m over Z/n) along that order.
+    row_order = sorted(range(len(wnum)), key=lambda r: (-wnum[r], r))
+    pivots = _echelon_columns(K.faces(d + 1), row_order, n)
     scale = lcm(w_scale, *(v.denominator for v in phi),
                 family[0] if family else 1)
     wnum = [w * (scale // w_scale) for w in wnum]
@@ -689,7 +668,7 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         phi=[v.numerator * (scale // v.denominator) for v in phi] or None,
         faces=K.faces(d), modulus=n, value_only=value_only,
         cocycles=cocycles)
-    return OptReport(c.ring, c, Fraction(best, scale),
+    return OptReport(c, Fraction(best, scale),
                      _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
 
 
@@ -726,9 +705,6 @@ def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
     ``minimizer_count_exact`` false.
     """
     n = c.ring.modulus
-    if n is None:
-        raise InfeasibleClassError(
-            f"expected Z/n class coordinates, got {c.ring.tag}")
     return _coset_minimize(K, d, c, "Z/n",
                            lambda v: canonical_lift(int(v) % n, n), cap,
                            value_only)
@@ -756,7 +732,7 @@ def min_real(K: WeightedComplex, d: int, c: ClassCoords,
          for p, q in zip(res.x[:n_rows], res.x[n_rows:2 * n_rows])]
     minimizer = Chain.from_vector(K, d, RAT, x)
     certificate = Cochain.make(K, d, res.duals)
-    return OptReport(c.ring, c, res.value, (minimizer,), False,
+    return OptReport(c, res.value, (minimizer,), False,
                      certificate, res.pivots)
 
 

@@ -1,7 +1,10 @@
 """CLI behavior: dispatch, payloads, exit codes, determinism, CSV output."""
 
+import csv
+import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,8 +16,6 @@ from homnorm.cli import main
 from homnorm.complexes import dump_complex
 from homnorm.fixtures import (klein8, mobius_band, mobius_boundary_indices,
                               rp2_6, torus7, triangle_circle)
-from homnorm.hasse import (federer_rows_from_csv, gap_rows_from_csv,
-                           scan_rows_from_csv)
 from homnorm.rings import parse_rational
 
 from conftest import horizontal_loop, torus_grid
@@ -22,6 +23,12 @@ from conftest import horizontal_loop, torus_grid
 MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
 GRID4R_LOOP = horizontal_loop(torus_grid(4, seed=5), 4, seed=5)
 RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
+
+
+def csv_records(text):
+    """The records of CSV output as {column: field} maps."""
+    header, *records = csv.reader(io.StringIO(text))
+    return [dict(zip(header, rec, strict=True)) for rec in records]
 
 
 @pytest.fixture()
@@ -76,11 +83,12 @@ def test_scan_mobius_csv(paths, capsys):
         "scan", paths["mobius"], "--dim", "1", "--class", "f:1",
         "--n", "2..16"])
     assert code == 0
-    rows = scan_rows_from_csv(out)
+    rows = csv_records(out)
     assert len(rows) == 15
-    by_n = {r.n: r for r in rows}
-    assert by_n[3].equal is False
-    assert all(by_n[n].equal and by_n[n].bijection for n in range(4, 17))
+    by_n = {int(r["n"]): r for r in rows}
+    assert by_n[3]["equal"] == "false"
+    assert all(by_n[n]["equal"] == by_n[n]["bijection"] == "true"
+               for n in range(4, 17))
 
 
 def test_scan_report_has_threshold(paths, capsys):
@@ -109,9 +117,10 @@ def test_federer_csv(paths, capsys):
         "federer", paths["mobius"], "--dim", "1", "--class", "f:1",
         "--k-max", "4"])
     assert code == 0
-    rows = federer_rows_from_csv(out)
-    assert [r.k for r in rows] == [1, 2, 3, 4]
-    assert rows[1].ratio == rows[1].value_real
+    rows = csv_records(out)
+    assert [r["k"] for r in rows] == ["1", "2", "3", "4"]
+    assert parse_rational(rows[1]["ratio"]) == \
+        parse_rational(rows[1]["value_real"])
 
 
 def test_sweep_csv(paths, capsys):
@@ -120,9 +129,10 @@ def test_sweep_csv(paths, capsys):
         "sweep", paths["mobius"], "--dim", "1", "--class", "f:1",
         "--shrink", shrink, "--factors", "1/1,1/2", "--n", "3"])
     assert code == 0
-    rows = gap_rows_from_csv(out, [3])
-    assert len(rows) == 2
-    assert rows[1].gap_ratio_real > rows[0].gap_ratio_real
+    rows = csv_records(out)
+    assert len(rows) == 2 and "gap_ratio_mod_3" in rows[0]
+    assert parse_rational(rows[1]["gap_ratio_real"]) > \
+        parse_rational(rows[0]["gap_ratio_real"])
 
 
 def test_certify(paths, capsys):
@@ -270,6 +280,61 @@ def test_huge_modulus_range_is_one_line_error(paths, command, extra, message):
             timeout=120)
         assert proc.returncode == 1 and proc.stdout == "", spec
         assert proc.stderr == f"error: {message}\n", spec
+
+
+FUZZ_COMMANDS = {
+    "norm-Z": ["norm", "--ring", "Z"],
+    "norm-Q": ["norm", "--ring", "Q"],
+    "norm-Z/4": ["norm", "--ring", "Z/4"],
+    "certify": ["certify"],
+    "scan": ["scan", "--n", "2..4"],
+    "federer": ["federer", "--k-max", "2"],
+    "bijection": ["bijection", "--n", "4"],
+}
+FUZZ_VALUES = ["0", "1", "-1", "2", "3", "-7", "1/2", "-3/4", "4/2", "1/0",
+               "12345678901234567890", "", " 1", "x", "1.5", "1e2", "0x1",
+               "+1", "--1", "\u0663", "15", "-15"]
+FUZZ_JUNK = [":", ";", ",", "=", "f", "t", "c", "f:", "=1", ";;", ",,", " "]
+
+
+def _fuzz_payload(rng, kind):
+    """A class (``f:..;t:..;c:..``) or chain (``idx=coeff,..``) payload,
+    well formed in shape with fuzzed values, and now and then cut or
+    spliced with junk."""
+    if kind == "class":
+        tags = rng.sample("ftc", rng.randint(0, 3))
+        text = ";".join(f"{t}:" + ",".join(rng.choice(FUZZ_VALUES) for _
+                                            in range(rng.randint(0, 3)))
+                        for t in tags)
+    else:
+        text = ",".join(f"{rng.choice(FUZZ_VALUES)}={rng.choice(FUZZ_VALUES)}"
+                        for _ in range(rng.randint(0, 4)))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randint(0, len(text))
+        cut = rng.choice((0, 0, 1))
+        text = text[:at] + rng.choice(FUZZ_JUNK) + text[at + cut:]
+    return text
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+def test_fuzzed_payloads_exit_cleanly(paths, capsys, command):
+    """Seeded fuzz of the --class and --chain payloads on the triangle
+    circle and RP^2: every call exits 0 with a report, or exits 1 with one
+    ``error:`` line; no exception escapes ``main``."""
+    rng = random.Random(f"payload-fuzz-{command}")
+    for _ in range(60):
+        name, dim = rng.choice((("tc", 1), ("rp2", 1), ("rp2", 2)))
+        kind = rng.choice(("class", "chain"))
+        payload = _fuzz_payload(rng, kind)
+        argv = [FUZZ_COMMANDS[command][0], paths[name], "--dim", str(dim),
+                f"--{kind}={payload}", *FUZZ_COMMANDS[command][1:]]
+        code, out, err = run_cli(capsys, argv)
+        if code == 0:
+            assert out and err == "", argv
+        else:
+            assert code == 1 and out == "", argv
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
 def test_every_public_name_resolves():
