@@ -318,6 +318,155 @@ def test_gap_csv_round_trip(mobius):
     _assert_csv_round_trip(gap_rows_to_csv(rows, [3, 5]), rows)
 
 
+def _coords(K, d, free, torsion=()):
+    dec = homology_decomposition(K, d)
+    return dec.class_coords(INT, free, torsion)
+
+
+# case -> (fixture, degree, free part, torsion part, run emitting the CSV)
+HARNESS_RUNS = {
+    "scan-circle-zero": ("tc", 1, (0,), (), lambda K, d, c: scan_rows_to_csv(
+        scan_moduli(K, d, c, 2, 5))),
+    "scan-torus-diagonal": ("torus", 1, (1, 1), (), lambda K, d, c:
+                            scan_rows_to_csv(scan_moduli(K, d, c, 2, 4))),
+    "scan-torus-top": ("torus", 2, (1,), (), lambda K, d, c: scan_rows_to_csv(
+        scan_moduli(K, d, c, 2, 4))),
+    "scan-rp2-torsion": ("rp2", 1, (), (1,), lambda K, d, c: scan_rows_to_csv(
+        scan_moduli(K, d, c, 2, 6))),
+    "scan-klein-mixed": ("klein", 1, (1,), (1,), lambda K, d, c:
+                         scan_rows_to_csv(scan_moduli(K, d, c, 2, 4))),
+    "scan-mobius-double": ("mobius", 1, (2,), (), lambda K, d, c:
+                           scan_rows_to_csv(scan_moduli(K, d, c, 2, 6))),
+    "federer-circle": ("tc", 1, (1,), (), lambda K, d, c: federer_rows_to_csv(
+        federer_sequence(K, d, c, 4))),
+    "federer-torus-diagonal": ("torus", 1, (1, -1), (), lambda K, d, c:
+                               federer_rows_to_csv(federer_sequence(K, d, c, 3))),
+    "federer-klein-mixed": ("klein", 1, (1,), (1,), lambda K, d, c:
+                            federer_rows_to_csv(federer_sequence(K, d, c, 4))),
+    "federer-rp2-torsion": ("rp2", 1, (), (1,), lambda K, d, c:
+                            federer_rows_to_csv(federer_sequence(K, d, c, 4))),
+    "federer-mobius": ("mobius", 1, (1,), (), lambda K, d, c:
+                       federer_rows_to_csv(federer_sequence(K, d, c, 5))),
+    "gap-mobius-boundary": ("mobius", 1, (1,), (), lambda K, d, c:
+                            gap_rows_to_csv(gap_sweep(
+                                K, d, c, mobius_boundary_indices(K),
+                                [Fraction(1), Fraction(1, 3)], [5, 2, 3, 2]),
+                                [5, 2, 3, 2])),
+    "gap-mobius-interior": ("mobius", 1, (1,), (), lambda K, d, c:
+                            gap_rows_to_csv(gap_sweep(
+                                K, d, c, [0], [Fraction(1, 2), Fraction(2)],
+                                [3]), [3])),
+    "gap-torus": ("torus", 1, (1, 0), (), lambda K, d, c: gap_rows_to_csv(
+        gap_sweep(K, d, c, [0, 1], [Fraction(1, 2), Fraction(3)], [2, 3]),
+        [2, 3])),
+    "gap-circle-zero": ("tc", 1, (0,), (), lambda K, d, c: gap_rows_to_csv(
+        gap_sweep(K, d, c, [0], [Fraction(1, 2)], [4]), [4])),
+    "gap-klein-torsion": ("klein", 1, (0,), (1,), lambda K, d, c:
+                          gap_rows_to_csv(gap_sweep(
+                              K, d, c, [2, 3], [Fraction(1, 4)], [2, 4]),
+                              [2, 4])),
+}
+
+# CSV column (without its "_<n>" modulus suffix) -> field syntax
+_SYNTAX = {
+    "n": "int", "k": "int",
+    "value_mod": "rational", "value_int": "rational", "value_real": "rational",
+    "ratio": "rational", "shrink_factor": "rational",
+    "gap_ratio_real": "rational", "gap_ratio_mod": "rational",
+    "equal": "bool", "tau_divides": "bool", "in_lavrentiev_real": "bool",
+    "in_lavrentiev_mod": "bool",
+    "bijection": "optional bool", "lift_all_cycles": "optional bool",
+}
+_KEYED = ("value_mod", "gap_ratio_mod", "in_lavrentiev_mod")
+
+
+def _strict_field(column, text):
+    """The value of one emitted field, or an assertion error when its text
+    is not the canonical form of its column's type."""
+    base = column
+    for prefix in _KEYED:
+        if column.startswith(prefix + "_") and column[len(prefix) + 1:].isdigit():
+            base = prefix
+    syntax = _SYNTAX[base]
+    if syntax == "int":
+        assert text == str(int(text)), (column, text)
+        return int(text)
+    if syntax == "rational":
+        num, sep, den = text.partition("/")
+        v = parse_rational(text)
+        assert sep and (str(v.numerator), str(v.denominator)) == (num, den), \
+            (column, text)
+        return v
+    allowed = {"true": True, "false": False}
+    if syntax == "optional bool":
+        allowed[""] = None
+    assert text in allowed, (column, text)
+    return allowed[text]
+
+
+def _check_scan_record(r, n_prev):
+    assert n_prev is None or r["n"] == n_prev + 1
+    assert r["value_mod"] <= r["value_int"]
+    assert r["equal"] == (r["value_mod"] == r["value_int"])
+    if not r["tau_divides"]:
+        assert r["bijection"] is None and r["lift_all_cycles"] is None
+    assert (r["bijection"] is None) == (r["lift_all_cycles"] is None)
+
+
+def _check_federer_record(r, k_prev):
+    assert r["k"] == (1 if k_prev is None else k_prev + 1)
+    assert r["ratio"] * r["k"] == r["value_int"]
+    assert r["value_real"] <= r["ratio"]
+
+
+def _check_gap_record(r, moduli):
+    vi, vr = r["value_int"], r["value_real"]
+    assert r["shrink_factor"] > 0
+    assert vr <= vi and r["gap_ratio_real"] >= 1
+    assert r["gap_ratio_real"] == (vi / vr if vr else 1)
+    assert r["in_lavrentiev_real"] == (vi > vr)
+    for n in moduli:
+        vm = r[f"value_mod_{n}"]
+        assert vm <= vi and r[f"gap_ratio_mod_{n}"] >= 1
+        assert r[f"gap_ratio_mod_{n}"] == (vi / vm if vm else 1)
+        assert r[f"in_lavrentiev_mod_{n}"] == (vi > vm)
+
+
+@pytest.mark.parametrize("case", HARNESS_RUNS)
+def test_emitted_csv_records_hold_the_row_invariants(request, case):
+    """Every record the harness emits is well formed and carries its row's
+    invariants: value_mod <= value_int with a consistent 'equal' flag,
+    ratio * k = value_int >= k * value_real, and gap ratios >= 1 that
+    match their values and Lavrentiev flags."""
+    name, d, free, torsion, run = HARNESS_RUNS[case]
+    K = request.getfixturevalue(name)
+    text = run(K, d, _coords(K, d, free, torsion))
+    assert text.endswith("\n") and "\r" not in text
+    header, *records = csv.reader(io.StringIO(text))
+    assert records and len(set(header)) == len(header)
+    rows = [{col: _strict_field(col, f)
+             for col, f in zip(header, rec, strict=True)} for rec in records]
+    prev = None
+    for r in rows:
+        if "n" in r:
+            _check_scan_record(r, prev)
+            prev = r["n"]
+        elif "k" in r:
+            _check_federer_record(r, prev)
+            prev = r["k"]
+        else:
+            moduli = sorted(int(col.rsplit("_", 1)[1]) for col in header
+                            if col.startswith("value_mod_"))
+            assert header == (["shrink_factor", "value_int", "value_real"]
+                              + [f"value_mod_{n}" for n in moduli]
+                              + ["gap_ratio_real"]
+                              + [f"gap_ratio_mod_{n}" for n in moduli]
+                              + ["in_lavrentiev_real"]
+                              + [f"in_lavrentiev_mod_{n}" for n in moduli])
+            assert moduli == sorted(set(moduli))
+            _check_gap_record(r, moduli)
+
+
 SCAN_CSV = "n,value_mod,value_int,equal,tau_divides,bijection,lift_all_cycles\n"
 FEDERER_CSV = "k,value_int,ratio,value_real\n"
 GAP_CSV = ("shrink_factor,value_int,value_real,value_mod_3,gap_ratio_real,"
