@@ -11,12 +11,13 @@ arithmetic is exact.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 from operator import lt
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .rings import (INT, RingElem, RingSpec, canonical_lift, canonicalize,
                     format_element, format_rational, norm, parse_rational)

@@ -226,17 +226,19 @@ def federer_sequence(K: WeightedComplex, d: int, c: ClassCoords, k_max: int,
     """Exact values of |k*c| over Z for k = 1..k_max against the real norm.
 
     The ratio column value_int/k is subadditive, so its minimum over the
-    scanned k already upper-bounds the asymptotic limit.
+    scanned k already upper-bounds the asymptotic limit.  The real LP is
+    solved once: k times its report is the report of k*c, which each
+    ``min_int`` call takes instead of solving it again.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    value_real = min_real(K, d, reduce_class(c, RAT), cap).value
+    real = min_real(K, d, reduce_class(c, RAT), cap)
     rows = []
     for k in range(1, k_max + 1):
-        vk = min_int(K, d, c.scale(k), cap, True).value
+        vk = min_int(K, d, c.scale(k), cap, True, real.scale(k)).value
         ratio = vk / k if k else Fraction(0)
         rows.append(FedererRow(k=k, value_int=vk, ratio=ratio,
-                               value_real=value_real))
+                               value_real=real.value))
     return rows
 
 

@@ -6,7 +6,8 @@ total unimodularity, and linear programming*, 2011), as the sign-split LP
 
     minimize w.x+ + w.x-  subject to  x+ - x- - D y+ + D y- = z0,  all >= 0.
 
-This module solves that LP, and only that LP, on its structure.
+This module solves that LP, and only that LP, on its structure; ``min_real``
+calls it in degree >= 2 (degree 1 is solved by cutting planes over H^1).
 
 The tableau is fraction-free: it holds integers T = Det * F, where F is the
 rational tableau of the current basis and Det = |det(basis)| is one common

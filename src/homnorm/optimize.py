@@ -1,8 +1,12 @@
 """The three minimizer engines plus calibration certificates and mod-n lifts.
 
-* min_real: exact-rational LP (sign-split chain variables, class constraint
-  parametrized by a reference cycle plus boundaries), with the dual vector
-  returned as a closed cochain of comass <= 1 certifying the value.
+* min_real: the exact real norm with a closed cochain of comass <= 1
+  certifying the value.  In degree 1 it maximizes c.t over the closed
+  forms sum t_i eta_i + dG of comass <= 1, an LP in beta variables with one
+  row per cycle of the 1-skeleton, by cutting planes: a small exact simplex
+  over the cycles found so far and one Bellman-Ford run per round to find
+  the next (``_calibrate``).  In degree >= 2 it solves the sign-split chain
+  LP over a reference cycle plus boundaries on the tableau of ``lp``.
 * min_int: complete branch-and-bound enumeration of the integral chains in
   a class, organized as a DFS over an echelonized basis of the boundary
   lattice with per-simplex boxes derived from the initial feasible mass.
@@ -34,10 +38,12 @@ the value k at the root.
 
 Two cases need no search.  With no boundary moves (the top degree) the
 coset is the class representative alone, and that is the report.  And
-value_real <= value_int, so an integral LP vertex in the class is an
+value_real <= value_int, so an integral real minimizer in the class is an
 integral minimizer; a value-only min_int reports it.  (Dey, Hirani and
 Krishnamoorthy, SIAM J. Comput. 2011: when the next boundary matrix is
-totally unimodular, as on orientable surfaces, every vertex is integral.)
+totally unimodular, as on orientable surfaces, every vertex is integral.
+In degree 1 the real minimizer is sum lam_j C_j over cycles C_j, integral
+when the lam_j are.)
 
 Values are exact rationals; minimizer sets are enumerated completely up to
 the configured cap and reported in a fixed deterministic order.  A
@@ -54,6 +60,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import (Chain, Cochain, WeightedComplex, _at_integer_scale,
@@ -89,6 +96,17 @@ class OptReport:
         out["certificate"] = ([format_rational(v) for v in self.certificate.values]
                               if self.certificate is not None else None)
         return out
+
+    def scale(self, k: int) -> "OptReport":
+        """The report of the class k*c, k >= 1, for a real report: the value
+        and minimizer times k, the same certificate and counter."""
+        return OptReport(
+            self.coords.scale(k), k * self.value,
+            tuple(Chain.make(T.complex, T.degree, T.ring,
+                             [(i, k * v) for i, v in T.coeffs])
+                  for T in self.minimizers),
+            self.minimizer_count_exact, self.certificate,
+            self.nodes_explored)
 
 
 @dataclass
@@ -478,9 +496,9 @@ def _sorted_chains(K: WeightedComplex, d: int, ring: RingSpec,
 
 def _integral_vertex(K: WeightedComplex, d: int, c: ClassCoords,
                      real: OptReport) -> Optional[Chain]:
-    """The real LP vertex as an integral chain, if it is one in class ``c``.
+    """The real minimizer as an integral chain, if it is one in class ``c``.
 
-    Such a vertex is an integral minimizer, since value_real <= value_int.
+    Such a chain is an integral minimizer, since value_real <= value_int.
     """
     (vertex,) = real.minimizers
     if any(v.denominator != 1 for _, v in vertex.coeffs):
@@ -526,43 +544,128 @@ def _negative_cycle(n_vertices: int, arcs: Sequence[tuple[int, int, int]]
             return G, cycle
 
 
+def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
+               basis: Sequence[Chain], c: Sequence[Fraction]
+               ) -> tuple[list[Fraction], int, list[int], list[int],
+                          list[tuple[int, Fraction]], int]:
+    """Max c.t over t in Q^beta with sum t_i eta_i + dG/D of comass <= 1.
+
+    The eta_i are degree-1 cocycles with eta_i(b_j) = [i == j] on the
+    cycles b_j of ``basis``.  Some potential G gives sum t_i eta_i + dG
+    comass <= 1 exactly when t.eta(C) <= w(C) on every directed cycle C of
+    the 1-skeleton, so this is an LP in beta variables with one row per
+    cycle (Dey, Hirani and Krishnamoorthy, SIAM J. Comput. 2011), solved by
+    cutting planes.  With the weights at the integer scale W and u = W*t,
+    the rows are a.u <= r, a = eta(C) and r = W*w(C), both integral,
+    starting from the box rows of +-b_i.  The master is solved as its dual,
+    min r.lam over lam >= 0 with sum lam_j a_j = c, by a dense exact
+    simplex with Bland's rule from the box basis of the signs of c, so a
+    new row is a new column and the pivots resume from the last basis.
+    Separation is one Bellman-Ford run on both orientations of every edge
+    at the integer costs L*W*w_e -+ D*t.eta_e, D = L*W with L the common
+    denominator of t: a negative cycle is the next row, none ends the loop
+    with potentials G.  There are finitely many simple cycles, so it ends.
+
+    Then phi = sum t_i eta_i + dG/D is closed with comass <= 1 (both are
+    checked) and pairs to c.t with the class c, and x = sum lam_j C_j over
+    the final basis is a real cycle in that class of mass r.lam/W = c.t.
+    Returns (t, D, D*phi, G, x as (edge, coefficient) pairs, rounds), rounds
+    the Bellman-Ford runs.
+    """
+    wt, W = _at_integer_scale(K.weights[1])
+    ends = [(tail, head) for (head, _), (tail, _) in K.faces(1)]
+    beta = len(etas)
+    h: list[list[tuple[int, int]]] = [[] for _ in ends]  # (i, eta_i(e))
+    for i, eta in enumerate(etas):
+        for e, v in eta.items():
+            h[e].append((i, v))
+    cz, c_scale = _at_integer_scale(c)  # lam scales with c
+    # Master columns (a, r, chain): the box rows of b_i and -b_i, then cuts.
+    cols = []
+    for i, b in enumerate(basis):
+        r = sum(wt[s] * abs(v) for s, v in b.coeffs)
+        for sign in (1, -1):
+            cols.append(([sign * (j == i) for j in range(beta)], r,
+                         [(s, sign * v) for s, v in b.coeffs]))
+    basic = [2 * i + (a < 0) for i, a in enumerate(cz)]
+    # inv = den * B^-1 for the basis columns B, kept in integers by
+    # Edmonds' pivots: every division is exact and den = |det B|.
+    inv = [[(-1 if a < 0 else 1) * (j == i) for j in range(beta)]
+           for i, a in enumerate(cz)]
+    den = 1
+    rounds = 0
+    while True:
+        while True:
+            # u = U/den with B^T u = r_B; Bland enters the first column
+            # with r < a.u and leaves by the least ratio lam/step, ties to
+            # the least basic index.
+            U = [sum(cols[j][1] * row[i] for j, row in zip(basic, inv))
+                 for i in range(beta)]
+            enter = next((j for j, (a, r, _) in enumerate(cols)
+                          if den * r < sum(map(mul, a, U))), None)
+            if enter is None:
+                break
+            step = [sum(map(mul, row, cols[enter][0])) for row in inv]
+            lam = [sum(map(mul, row, cz)) for row in inv]
+            leave = -1
+            for k, s in enumerate(step):
+                if s > 0 and (leave < 0 or (
+                        lam[k] * step[leave], basic[k]) < (
+                        lam[leave] * s, basic[leave])):
+                    leave = k
+            p, prow = step[leave], inv[leave]
+            for k, f in enumerate(step):
+                if k != leave:
+                    inv[k] = [(p * x - f * y) // den
+                              for x, y in zip(inv[k], prow)]
+            den = p
+            basic[leave] = enter
+        rounds += 1
+        t = [Fraction(x, den * W) for x in U]
+        L = lcm(*(x.denominator for x in t))
+        Dt = [x.numerator * (L // x.denominator) * W for x in t]
+        hD = [sum(Dt[i] * v for i, v in he) for he in h]
+        arcs = []  # arc 2e runs along edge e, arc 2e + 1 against it
+        for (tail, head), w, x in zip(ends, wt, hD):
+            arcs += [(tail, head, L * w - x), (head, tail, L * w + x)]
+        G, cycle = _negative_cycle(K.n_simplices(0), arcs)
+        if cycle is None:
+            break
+        chain = [(k >> 1, -1 if k & 1 else 1) for k in cycle]
+        a = [0] * beta
+        for e, v in chain:
+            for i, x in h[e]:
+                a[i] += v * x
+        cols.append((a, sum(wt[e] for e, _ in chain), chain))
+    dphi = [x + G[head] - G[tail] for (tail, head), x in zip(ends, hD)]
+    if any(abs(x) > L * w for x, w in zip(dphi, wt)) or any(
+            s0 * dphi[e0] + s1 * dphi[e1] + s2 * dphi[e2]
+            for (e0, s0), (e1, s1), (e2, s2) in
+            (K.faces(2) if K.dim >= 2 else ())):
+        raise AssertionError("the calibration must be closed with comass <= 1")
+    z = [0] * len(ends)
+    for j, row in zip(basic, inv):
+        weight = sum(map(mul, row, cz))
+        for e, v in cols[j][2] if weight else ():
+            z[e] += weight * v
+    q = den * c_scale
+    return (t, L * W, dphi, G,
+            [(e, Fraction(v, q)) for e, v in enumerate(z) if v], rounds)
+
+
 def _least_comass(K: WeightedComplex, eta: Mapping[int, int], b: Chain
                   ) -> tuple[Fraction, int, list[int], list[int]]:
     """The least comass form of the degree-1 cocycle ``eta``, eta(b) = 1.
 
     T* is the least w(C)/eta(C) over the cycles C of the 1-skeleton with
-    eta(C) > 0.  Dinkelbach iteration from T = mass(b) finds it: with
-    T = p/q and the weights at the integer scale W, a Bellman-Ford run on
-    both orientations of every edge, at the integer costs
-    q*W*w_e -+ p*W*eta_e, either finds a negative cycle C, whose ratio is
-    the next, smaller T, or ends with integer potentials G.  Then
-    phi = T* eta + dG/D, D = q*W, is closed with comass <= 1 and
-    cohomologous to T* eta; both are checked.  Returns (T*, D, D*phi, G).
+    eta(C) > 0: ``_calibrate`` in one direction, where the master optimum
+    is the least ratio of its rows, that of the newest cut, so its rounds
+    are Dinkelbach's iteration from T = mass(b).  phi = T* eta + dG/D is
+    closed with comass <= 1 and cohomologous to T* eta.  Returns
+    (T*, D, D*phi, G).
     """
-    wt, W = _at_integer_scale(K.weights[1])
-    ends = [(tail, head) for (head, _), (tail, _) in K.faces(1)]
-    h = [eta.get(e, 0) for e in range(len(ends))]
-    T = Fraction(sum(wt[s] * abs(v) for s, v in b.coeffs), W)
-    while True:
-        p, q = T.numerator, T.denominator
-        arcs = []  # arc 2e runs along edge e, arc 2e + 1 against it
-        for (tail, head), w, x in zip(ends, wt, h):
-            arcs += [(tail, head, q * w - p * W * x),
-                     (head, tail, q * w + p * W * x)]
-        G, cycle = _negative_cycle(K.n_simplices(0), arcs)
-        if cycle is None:
-            break
-        T = Fraction(sum(wt[k >> 1] for k in cycle),
-                     W * sum(-h[k >> 1] if k & 1 else h[k >> 1]
-                             for k in cycle))
-    dphi = [p * W * x + G[head] - G[tail] for (tail, head), x in zip(ends, h)]
-    if any(abs(x) > q * w for x, w in zip(dphi, wt)) or any(
-            sa * dphi[a] + sb * dphi[b] + sc * dphi[c]
-            for (a, sa), (b, sb), (c, sc) in
-            (K.faces(2) if K.dim >= 2 else ())):
-        raise AssertionError(
-            "the least comass form must be closed with comass <= 1")
-    return T, q * W, dphi, G
+    t, D, dphi, G, _, _ = _calibrate(K, [eta], [b], [Fraction(1)])
+    return t[0], D, dphi, G
 
 
 def _level_cocycles(K: WeightedComplex, dec: HomologyDecomposition,
@@ -594,7 +697,8 @@ def _level_cocycles(K: WeightedComplex, dec: HomologyDecomposition,
 
 def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                     lift: Callable[[Fraction], int], cap: int,
-                    value_only: bool) -> OptReport:
+                    value_only: bool, real: Optional[OptReport] = None
+                    ) -> OptReport:
     """Exact minimum mass over x = z0 + boundaries, plus n*u over Z/n, where
     z0 is the class representative with each coefficient lifted by ``lift``.
 
@@ -608,8 +712,9 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     (``_level_cocycles``), at a search scale that is a multiple of their
     D.  With no boundary moves the coset is z0 alone (over Z/n, z0's
     residue range holds no other point of z0 + n*Z^m): z0 is the report,
-    with no LP and no search.  A ``value_only`` call over Z whose LP vertex
-    is an integral cycle in the class reports that vertex, with no search.
+    with no LP and no search.  A ``value_only`` call over Z whose real
+    minimizer is an integral cycle in the class reports it, with no search.
+    ``real``, if given, is taken for ``min_real``'s report of the class.
     """
     dec = _validate_coords(K, d, c, kind)
     if c.is_zero():
@@ -627,7 +732,10 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     phi: Sequence[Fraction] = ()
     family = None
     if n is None:
-        real = min_real(K, d, reduce_class(c, RAT))
+        if real is None:
+            real = min_real(K, d, reduce_class(c, RAT))
+        elif real.coords != reduce_class(c, RAT):
+            raise ValueError("the real report is not that of the class")
         cert = real.certificate
         if not cert.is_closed() or comass(K, cert) > 1:
             raise AssertionError(
@@ -674,7 +782,8 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
 
 def min_int(K: WeightedComplex, d: int, c: ClassCoords,
             cap: int = DEFAULT_MINIMIZER_CAP,
-            value_only: bool = False) -> OptReport:
+            value_only: bool = False,
+            real: Optional[OptReport] = None) -> OptReport:
     """Exact minimum mass over the integral cycles in class ``c``.
 
     Complete branch-and-bound over x = z0 + (boundary-lattice moves).  It
@@ -682,11 +791,13 @@ def min_int(K: WeightedComplex, d: int, c: ClassCoords,
     and prunes on its dual certificate, checked to be a calibration, and on
     the face residuals; ties are kept, so the value and the minimizers are
     those of the unpruned search.  With ``value_only`` it returns the value
-    and one minimizer, with ``minimizer_count_exact`` false: the LP vertex
-    when that is an integral cycle in the class, else the first minimizer
-    of a search that drops ties.
+    and one minimizer, with ``minimizer_count_exact`` false: the real
+    minimizer when that is an integral cycle in the class, else the first
+    minimizer of a search that drops ties.  ``real``, if given, is the
+    report of ``min_real`` on the class over Q, which is then not solved
+    again.
     """
-    return _coset_minimize(K, d, c, "Z", int, cap, value_only)
+    return _coset_minimize(K, d, c, "Z", int, cap, value_only, real)
 
 
 def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
@@ -714,16 +825,28 @@ def min_real(K: WeightedComplex, d: int, c: ClassCoords,
              cap: int = DEFAULT_MINIMIZER_CAP) -> OptReport:
     """Exact real class norm via LP, with a dual calibration certificate.
 
-    Minimizes sum w_s |x_s| over x = z0 + boundary(y) by sign-splitting both
-    x and y; the LP dual is a cochain vanishing on boundaries with comass
-    <= 1 pairing to exactly the optimal value (strong duality, exact).
-    The reported minimizer is one optimal vertex; the full real minimizer
-    set is generally an infinite polytope face, so minimizer_count_exact is
-    False for nonzero classes.
+    In degree 1 the LP is over H^1 (``_calibrate``): the certificate is
+    sum t_i eta_i + dG/D, the minimizer sum lam_j C_j over the tight cycles
+    of the master, and ``nodes_explored`` counts the Bellman-Ford rounds.
+    In degree >= 2 it minimizes sum w_s |x_s| over x = z0 + boundary(y) by
+    sign-splitting both x and y on the tableau of ``solve_cycle_lp``; the LP
+    dual is a cochain vanishing on boundaries with comass <= 1 pairing to
+    exactly the optimal value (strong duality, exact), and
+    ``nodes_explored`` counts its pivots.  The reported minimizer is one
+    optimal chain; the full real minimizer set is generally an infinite
+    polytope face, so minimizer_count_exact is False for nonzero classes.
     """
     dec = _validate_coords(K, d, c, "Q")
     if c.is_zero():
         return _zero_report(K, d, c, True)
+    if d == 1:
+        t, D, dphi, _, x, rounds = _calibrate(
+            K, [dec.dual_cocycle(i) for i in range(dec.betti)],
+            dec.free_basis, c.free_part)
+        return OptReport(c, sum(a * v for a, v in zip(c.free_part, t)),
+                         (Chain.make(K, 1, RAT, x),), False,
+                         Cochain.make(K, 1, [Fraction(v, D) for v in dphi]),
+                         rounds)
     z0 = dec.representative_vector(c)
     cofaces = K.faces(d + 1) if d < K.dim else ()
     res = solve_cycle_lp(z0, K.weights[d], cofaces)

@@ -1,9 +1,11 @@
 """Byte-identical CLI output on every fixture.
 
 ``golden_real.json`` maps each case id to the exact stdout of ``certify`` or
-``norm --ring Q`` on that case.  It pins the reported LP vertex and the dual
-certificate, not only the value, so any change to the simplex (pivot rule,
-arithmetic, row or column order) that moves either one shows up here.
+``norm --ring Q`` on that case.  It pins the reported minimizer and the dual
+certificate, not only the value, so any change that moves either one shows
+up here: in degree 1 to the cutting planes (the master simplex's pivot rule,
+the box start, the Bellman-Ford order), in degree 2 to the tableau (pivot
+rule, arithmetic, row or column order).
 
 ``golden_integral.json`` does the same for the integral and mod-n side:
 ``homology`` in every degree, ``norm`` over Z, Z/2, Z/3, Z/4 and Z/6

@@ -9,15 +9,15 @@ import pytest
 
 from conftest import torus_grid
 
-from homnorm import hasse
-from homnorm.fixtures import mobius_band, mobius_boundary_indices
+from homnorm import hasse, optimize
+from homnorm.fixtures import SUITE, mobius_band, mobius_boundary_indices
 from homnorm.hasse import (EnumerationInexactError, GapRow, ScanRow,
                            bijection_check, empirical_threshold,
                            federer_rows_to_csv, federer_sequence,
                            gap_rows_to_csv, gap_sweep, scan_moduli,
                            scan_rows_to_csv)
 from homnorm.homology import homology_decomposition, reduce_class
-from homnorm.optimize import min_real
+from homnorm.optimize import DEFAULT_MINIMIZER_CAP, min_int, min_real
 from homnorm.rings import INT, RAT, parse_rational
 
 
@@ -269,6 +269,68 @@ def test_federer_on_weighted_grid_ends_at_lp_vertices(monkeypatch):
     nodes = [out.nodes_explored for name, _, out in calls
              if name == "min_int"]
     assert nodes[1:] == [0, 0]
+
+
+def _federer_cases():
+    """(complex, degree, integral class) on the fixtures, with b_d >= 1:
+    the first basis class, with its torsion coordinates 1 where any, and a
+    relabelled anisotropic T3 grid's class (1, 1)."""
+    for make in SUITE.values():
+        K = make()
+        for d in range(1, K.dim + 1):
+            dec = homology_decomposition(K, d)
+            if dec.betti:
+                yield K, d, dec.class_coords(
+                    INT, (1,) + (0,) * (dec.betti - 1),
+                    (1,) * len(dec.torsion))
+    K = torus_grid(3, seed=12, weights=(1, 2, Fraction(3, 2)))
+    yield K, 1, homology_decomposition(K, 1).class_coords(INT, (1, 1))
+
+
+def test_scaled_real_report_is_the_report_of_the_scaled_class():
+    """min_real of k*c is k times the report of c, k = 1..4: value and
+    minimizer times k, the same certificate and counter, in degree 1 (cut
+    by cutting planes) and degree 2 (the tableau)."""
+    degrees = set()
+    for K, d, c in _federer_cases():
+        cq = reduce_class(c, RAT)
+        real = min_real(K, d, cq)
+        for k in range(1, 5):
+            assert min_real(K, d, cq.scale(k)) == real.scale(k), (K.name, d)
+        degrees.add(d)
+    assert degrees == {1, 2}
+
+
+def test_federer_solves_one_real_lp_per_sequence(monkeypatch):
+    """One ``min_real`` call per sequence, in the harness and the engines
+    together, and the same rows and ``min_int`` node counts as solving the
+    real LP of each k*c afresh."""
+    cases = list(_federer_cases())
+    want = []
+    for K, d, c in cases:
+        reports = [min_int(K, d, c.scale(k), DEFAULT_MINIMIZER_CAP, True)
+                   for k in range(1, 5)]
+        want.append(([r.value for r in reports],
+                     [r.nodes_explored for r in reports]))
+    real_calls = []
+
+    def counted(fn):
+        def call(*args):
+            real_calls.append(args)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(optimize, "min_real", counted(optimize.min_real))
+    monkeypatch.setattr(hasse, "min_real", counted(hasse.min_real))
+    engine_calls = _record_positional_calls(monkeypatch)
+    for (K, d, c), (values, nodes) in zip(cases, want):
+        real_calls.clear()
+        engine_calls.clear()
+        rows = federer_sequence(K, d, c, 4)
+        assert len(real_calls) == 1, (K.name, d)
+        assert [r.value_int for r in rows] == values
+        assert [out.nodes_explored for name, _, out in engine_calls
+                if name == "min_int"] == nodes
 
 
 def _decode(field):

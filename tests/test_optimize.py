@@ -350,11 +350,13 @@ def test_strong_duality_every_run():
 
 
 def test_min_real_rows_match_the_dense_boundary_rows():
-    """``min_real`` on the sparse faces agrees with the generic two-phase
-    reference on the split LP of the dense boundary rows: the same value,
-    vertex and duals, and the reference's pivots less its one phase-1
-    pivot per row, on the fixtures, relabelled T4 grids and random
-    complexes, in every degree, the top one (no cofaces) included."""
+    """``solve_cycle_lp`` on the sparse faces, the rows ``min_real`` builds
+    in degree >= 2, agrees with the generic two-phase reference on the
+    split LP of the dense boundary rows: the same value, vertex and duals,
+    and the reference's pivots less its one phase-1 pivot per row, on the
+    fixtures, relabelled T4 grids and random complexes, in every degree,
+    the top one (no cofaces) included.  In degree >= 2 ``min_real``
+    reports that solve; in degree 1 it reports the same value."""
     rng = random.Random("real-rows")
     complexes = [make() for make in SUITE.values()]
     complexes += [torus_grid(4, seed=seed) for seed in (1, 2)]
@@ -370,16 +372,22 @@ def test_min_real_rows_match_the_dense_boundary_rows():
                         for _ in range(dec.betti)]
                 free[0] = free[0] or Fraction(1)
                 c = dec.class_coords(RAT, tuple(free))
-                rep = min_real(K, d, c)
-                want = reference_split_lp(
-                    homology_decomposition(K, d).representative_vector(c),
-                    K.weights[d], boundary_matrix(K, d + 1).data)
+                z0 = dec.representative_vector(c)
+                got = solve_cycle_lp(z0, K.weights[d],
+                                     K.faces(d + 1) if d < K.dim else ())
+                want = reference_split_lp(z0, K.weights[d],
+                                          boundary_matrix(K, d + 1).data)
                 n = K.n_simplices(d)
-                assert rep.value == want.value, (K.name, d)
-                assert rep.minimizers[0].vector() == \
-                    [want.x[i] - want.x[n + i] for i in range(n)]
-                assert list(rep.certificate.values) == want.duals
-                assert rep.nodes_explored == want.pivots - n
+                assert got.value == want.value, (K.name, d)
+                assert got.x == want.x and got.duals == want.duals
+                assert got.pivots == want.pivots - n
+                rep = min_real(K, d, c)
+                assert rep.value == want.value
+                if d >= 2:
+                    assert rep.minimizers[0].vector() == \
+                        [want.x[i] - want.x[n + i] for i in range(n)]
+                    assert list(rep.certificate.values) == want.duals
+                    assert rep.nodes_explored == got.pivots
                 solved["top" if d == K.dim else "below"] += 1
     assert all(solved.values()), solved
 
@@ -1228,3 +1236,227 @@ def test_search_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert sys.getrecursionlimit() == limit
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["value"] == "260/1" and len(report["minimizers"]) == 2
+
+
+# -- the degree-1 real norm by cutting planes over H^1 ----------------------
+
+
+def _tableau_value(K, d, c):
+    """The real norm from the tableau LP over the boundary rows."""
+    z0 = homology_decomposition(K, d).representative_vector(c)
+    return solve_cycle_lp(z0, K.weights[d],
+                          K.faces(d + 1) if d < K.dim else ()).value
+
+
+def _assert_cutting_planes_agree(K, c):
+    """``min_real`` in degree 1 against the tableau: the same value, a
+    certificate that verifies and a minimizer in the class of mass equal
+    to the value.  Returns the value."""
+    rep = min_real(K, 1, c)
+    assert rep.value == _tableau_value(K, 1, c), (K.name, c.free_part)
+    assert verify_certificate(K, 1, c, rep.certificate, rep.value)
+    (T,) = rep.minimizers
+    assert T.is_cycle() and class_of_cycle(K, 1, T) == c
+    assert mass(K, T) == rep.value
+    return rep.value
+
+
+def _golden_degree_one_classes():
+    """(complex, rational class) of every degree-1 class payload in the
+    golden files: the real commands' classes and chains over Q, and the
+    integral commands' classes and Z chains reduced to Q."""
+    from homnorm.cli import _parse_chain, _parse_class
+    from test_golden import CLASSES, FIXTURES, INTEGRAL, NORM_Q_CHAINS
+    payloads = [(name, flag, payload, RAT)
+                for name, d, flag, payload in CLASSES + NORM_Q_CHAINS
+                if d == 1]
+    for line in INTEGRAL:
+        argv = line.split()
+        opts = dict(zip(argv[2::2], argv[3::2]))
+        if opts["--dim"] != "1":
+            continue
+        if "--class" in opts:
+            payloads.append((argv[1], "--class", opts["--class"], INT))
+        elif "--chain" in opts and opts.get("--ring") == "Z":
+            payloads.append((argv[1], "--chain", opts["--chain"], INT))
+    for name, flag, payload, ring in payloads:
+        K = FIXTURES[name]()
+        dec = homology_decomposition(K, 1)
+        if flag == "--class":
+            c = _parse_class(payload, dec, ring)
+        else:
+            c = class_of_cycle(K, 1, _parse_chain(payload, K, 1, ring))
+        yield K, c if ring.is_rat else reduce_class(c, RAT)
+
+
+def test_degree_one_real_norm_matches_the_tableau_on_golden_classes():
+    seen = 0
+    for K, c in _golden_degree_one_classes():
+        if not c.is_zero():
+            _assert_cutting_planes_agree(K, c)
+            seen += 1
+    assert seen >= 40
+
+
+def _rational_classes(rng, dec, count):
+    """``count`` seeded nonzero rational classes of ``dec``."""
+    out = []
+    while len(out) < count:
+        free = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(dec.betti))
+        if any(free):
+            out.append(dec.class_coords(RAT, free))
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_degree_one_real_norm_matches_the_tableau_on_relabelled_grids(k):
+    """Unit and anisotropic k x k grids, relabelled: the basis classes,
+    their sums and differences and seeded rational classes."""
+    rng = random.Random(f"cutting-planes-{k}")
+    for seed, weights in ((k, (1, 1, 1)), (k + 100, (1, 2, Fraction(3, 2)))):
+        K = torus_grid(k, seed=seed, weights=weights)
+        dec = homology_decomposition(K, 1)
+        classes = [dec.class_coords(RAT, free)
+                   for free in ((1, 0), (0, 1), (1, 1), (1, -1), (2, -1))]
+        for c in classes + _rational_classes(rng, dec, 2):
+            _assert_cutting_planes_agree(K, c)
+
+
+def _disjoint_union(K, L):
+    """The disjoint union of two complexes of dimension <= 2, L's vertices
+    after K's."""
+    n = K.n_simplices(0)
+
+    def both(d):
+        level = [M.simplices[d] if M.dim >= d else () for M in (K, L)]
+        return [*level[0], *(tuple(v + n for v in s) for s in level[1])]
+
+    return graph_complex(f"{K.name}+{L.name}", n + L.n_simplices(0), both(1),
+                         list(K.weights[1]) + list(L.weights[1]), both(2))
+
+
+def test_degree_one_real_norm_matches_the_tableau_on_random_complexes():
+    """Seeded random complexes, and disjoint unions of two, with seeded
+    rational classes."""
+    rng = random.Random("cutting-planes-random")
+    complexes = [random_complex(rng) for _ in range(20)]
+    complexes += [_disjoint_union(random_complex(rng), random_complex(rng))
+                  for _ in range(6)]
+    for K in complexes:
+        dec = homology_decomposition(K, 1)
+        for c in _rational_classes(rng, dec, 3):
+            _assert_cutting_planes_agree(K, c)
+    assert any(K.n_simplices(0) > 8 for K in complexes)
+
+
+def _genus_two():
+    """Two copies of the 7-vertex torus, each less the triangle (0, 1, 3),
+    glued along its rim: a genus-2 surface with b_1 = 4.  Every third edge
+    weighs 3/2."""
+    from homnorm.fixtures import TORUS7_FACES
+    rest = [f for f in TORUS7_FACES if f != (0, 1, 3)]
+    second = {0: 0, 1: 1, 3: 3, 2: 7, 4: 8, 5: 9, 6: 10}
+    faces = rest + [tuple(sorted(second[v] for v in f)) for f in rest]
+    edges = sorted({e for f in faces for e in combinations(sorted(f), 2)})
+    weights = [Fraction(3, 2) if i % 3 == 0 else 1 for i in range(len(edges))]
+    return graph_complex("genus-2", 11, edges, weights, faces)
+
+
+def test_degree_one_real_norm_with_three_or_more_variables():
+    """A bouquet of three triangle circles (b_1 = 3, no triangles) and a
+    genus-2 surface (b_1 = 4), where the master LP has that many
+    variables; the basis classes, their sum and seeded rational
+    classes."""
+    bouquet = graph_complex(
+        "bouquet", 7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
+                       (0, 5), (0, 6), (5, 6)],
+        [1, 2, Fraction(1, 2), 1, 1, 3, Fraction(2, 3), 1, 1])
+    rng = random.Random("cutting-planes-wide")
+    for K, betti in ((bouquet, 3), (_genus_two(), 4)):
+        dec = homology_decomposition(K, 1)
+        assert dec.betti == betti and not dec.torsion
+        units = [tuple(int(i == j) for i in range(betti))
+                 for j in range(betti)]
+        classes = [dec.class_coords(RAT, u) for u in units]
+        classes.append(dec.class_coords(RAT, (1,) * betti))
+        for c in classes + _rational_classes(rng, dec, 6):
+            _assert_cutting_planes_agree(K, c)
+
+
+def test_degree_one_real_norm_counts_separation_rounds(monkeypatch, tc):
+    """``nodes_explored`` of a degree-1 real report is the number of
+    Bellman-Ford runs: one when the box of the basis cycles is already
+    optimal, as on the triangle circle, and more on a relabelled grid."""
+    runs = []
+    negative_cycle = optimize._negative_cycle
+
+    def counted(*args):
+        runs.append(args)
+        return negative_cycle(*args)
+
+    monkeypatch.setattr(optimize, "_negative_cycle", counted)
+    grid = torus_grid(4, seed=3)
+    counts = []
+    for K, free in ((tc, (1,)), (grid, (1, 1))):
+        runs.clear()
+        rep = min_real(K, 1, homology_decomposition(K, 1).class_coords(
+            RAT, free))
+        assert rep.nodes_explored == len(runs)
+        counts.append(len(runs))
+    assert counts[0] == 1 and counts[1] >= 2
+
+
+def test_degree_one_real_norm_never_calls_the_tableau(monkeypatch):
+    def no_tableau(*args):
+        raise AssertionError("the tableau LP ran")
+
+    monkeypatch.setattr(optimize, "solve_cycle_lp", no_tableau)
+    for K, d, c in _fixture_classes():
+        if d == 1 and not c.is_zero():
+            min_real(K, 1, reduce_class(c, RAT))
+            min_int(K, 1, c)
+
+
+def test_calibration_bound_holds_at_random_coset_points(monkeypatch):
+    """The certificate ``min_int`` prunes on, at the search's integer
+    scale, is the real report's certificate, and at random coset points
+    x = z0 + boundary(y) every term w_s|x_s| - phi_s x_s is >= 0 and the
+    terms add up to mass(x) - value_real, on the fixtures and random
+    complexes."""
+    seen = []
+    search = optimize._search_lattice
+
+    def spy(wnum, z0, *args, phi=None, **kwargs):
+        seen.append((wnum, z0, phi))
+        return search(wnum, z0, *args, phi=phi, **kwargs)
+
+    monkeypatch.setattr(optimize, "_search_lattice", spy)
+    rng = random.Random("calibration-bound")
+    cases = [(K, c) for K, d, c in _fixture_classes()
+             if d == 1 and K.dim >= 2 and not c.is_zero()]
+    while len(cases) < len(SUITE) + 16:
+        K = random_complex(rng)
+        if K.dim >= 2:
+            cases.append((K, random_class(rng, homology_decomposition(K, 1))))
+    points = 0
+    for K, c in cases:
+        real = min_real(K, 1, reduce_class(c, RAT))
+        seen.clear()
+        min_int(K, 1, c)
+        (wnum, z0, phi), = seen
+        scale = Fraction(wnum[0]) / K.weights[1][0]
+        assert list(wnum) == [scale * w for w in K.weights[1]]
+        assert list(phi) == [scale * v for v in real.certificate.values]
+        for _ in range(20):
+            x = list(z0)
+            for faces in K.faces(2):
+                y = rng.randint(-2, 2)
+                for i, sign in faces:
+                    x[i] += sign * y
+            terms = [w * abs(v) - f * v for w, f, v in zip(wnum, phi, x)]
+            assert min(terms) >= 0
+            mass_x = sum(w * abs(v) for w, v in zip(K.weights[1], x))
+            assert sum(terms) == scale * (mass_x - real.value) >= 0
+            points += 1
+    assert points >= 400
