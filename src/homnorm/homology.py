@@ -8,8 +8,12 @@ non-canonical but reproducible: the pivot rule in :mod:`homnorm.intlinalg`
 is fixed, so identical complexes always report identical bases.  Both
 forms reduce sparse rows built from ``WeightedComplex.faces``, and every
 change of basis (into kernel coordinates, to class coordinates and back to
-chains) walks only the nonzero entries of their sparse transforms; of the
-basis matrix K' only the columns that name classes are formed.
+chains) walks only the nonzero entries of their sparse transforms.  The
+next boundary in kernel coordinates is built row by row, each row a
+combination of coface rows named by one kernel row of V_A^-1; of the basis
+matrix K' only the columns that name classes are formed.  Neither form
+keeps the inverse lines of its unit invariant factors, and nothing here
+reads them: a cycle is told from a non-cycle by its boundary.
 
 Mod-n homology is represented concretely as integer-lifted cycles modulo
 (boundaries + n * chains) and read off the same two Smith normal forms, so
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -122,20 +126,18 @@ class HomologyDecomposition:
         rA = self._snfA.rank
         self._rankA = rA
         z = n_simp - rA
-        # Columns of V_A^-1: y = V_A^-1 x is a combination of them.
-        self._vinv_cols: list[dict[int, int]] = [{} for _ in range(n_simp)]
-        for i, row in enumerate(self._snfA.v_inv_rows):
-            for k, v in row.items():
-                self._vinv_cols[k][i] = v
-        # Boundaries in kernel coordinates: C = (V_A^-1 B)[r_A:].
-        c_rows: list[dict[int, int]] = [{} for _ in range(z)]
+        # Boundaries in kernel coordinates, C = (V_A^-1 B)[r_A:], row by
+        # row: row i combines the rows of B named by kernel row r_A + i of
+        # V_A^-1.  The rows before r_A would be zero, as boundaries are
+        # cycles.
+        b_rows: list[dict[int, int]] = [{} for _ in range(n_simp)]
         cofaces = K.faces(degree + 1) if degree < K.dim else ()
         for j, faces in enumerate(cofaces):
-            for i, v in _combination(
-                    (sign, self._vinv_cols[k]) for k, sign in faces).items():
-                if i < rA:
-                    raise NotACycleError("vector is not in the cycle lattice")
-                c_rows[i - rA][j] = v
+            for k, sign in faces:
+                b_rows[k][j] = sign
+        v_inv = self._snfA.v_inv_rows
+        c_rows = [_combination((v, b_rows[k]) for k, v in v_inv[i].items())
+                  for i in range(rA, n_simp)]
         self._snfC: SNFResult = sparse_smith_normal_form(
             c_rows, len(cofaces), _track="u")
         rC = self._snfC.rank
@@ -180,29 +182,39 @@ class HomologyDecomposition:
                         ring: RingSpec) -> ClassCoords:
         """Class of a cycle over ``ring`` (an integer lift over Z/nZ).
 
-        With y = V_A^-1 vec, a cycle has y_j = 0 for every j < r_A; over
-        Z/nZ a lift needs only n/g_j | y_j, and y_j/(n/g_j) is the
-        cotorsion coordinate of each j with g_j > 1.  Then sp = U_C y[r_A:]
-        holds the free coordinates past r_C and the torsion coordinates at
-        the torsion columns; :meth:`class_coords` reduces all three.
+        A non-cycle is rejected by its boundary (taken mod n over Z/nZ).
+        With y = V_A^-1 vec, U_A A vec = D_A y, and U_A is unimodular, so a
+        cycle has y_j = 0 for every j < r_A, and over Z/nZ a lift has
+        n/g_j | y_j; y_j/(n/g_j) is the cotorsion coordinate of each j
+        with g_j > 1.  Then sp = U_C y[r_A:] holds the free coordinates
+        past r_C and the torsion coordinates at the torsion columns;
+        :meth:`class_coords` reduces all three.
         """
-        if len(vec) != self.complex.n_simplices(self.degree):
+        K, d = self.complex, self.degree
+        if len(vec) != K.n_simplices(d):
             raise ShapeMismatchError("vector length mismatch")
+        boundary: dict[int, RingElem] = {}
+        faces = K.faces(d)
+        for k in compress(range(len(vec)), vec):
+            x = vec[k]
+            for i, sign in faces[k]:
+                boundary[i] = boundary.get(i, 0) + sign * x
+        n = ring.modulus if ring.is_mod else 0
+        if any(v % n if n else v for v in boundary.values()):
+            raise NotACycleError(f"chain has nonzero boundary over {ring.tag}")
         rA = self._rankA
-        y = _combination((vec[k], self._vinv_cols[k])
-                         for k in compress(range(len(vec)), vec))
-        cotorsion = []
-        if ring.is_mod:
-            n = ring.modulus
-            for j, g in enumerate(self.mod(n)._gcds):
-                v, s = y.get(j, 0), n // g
-                if v % s:
-                    raise NotACycleError("vector is not a mod-n cycle lift")
-                if g > 1:
-                    cotorsion.append(v // s)
-        elif any(i < rA for i in y):
-            raise NotACycleError(f"vector is not a cycle over {ring.tag}")
-        yk = {i - rA: v for i, v in y.items() if i >= rA}
+        gcds = self.mod(n)._gcds if n else ()
+        cot = [j for j, g in enumerate(gcds) if g > 1]
+        # y_j = (V_A^-1 vec)_j on the rows read: cotorsion, then kernel.
+        v_inv = self._snfA.v_inv_rows
+        y: dict[int, RingElem] = {}
+        for j in chain(cot, range(rA, len(vec))):
+            s = 0
+            for k, v in v_inv[j].items():
+                s += v * vec[k]
+            y[j] = s
+        cotorsion = [y[j] // (n // gcds[j]) for j in cot]
+        yk = {j - rA: v for j, v in y.items() if j >= rA and v}
         u_rows = self._snfC.u_rows
 
         def sp(j: int) -> RingElem:
@@ -360,9 +372,6 @@ def class_of_cycle(K: WeightedComplex, d: int, z: Chain) -> ClassCoords:
     """Coordinates of the homology class of a cycle, over the chain's ring."""
     if z.complex is not K or z.degree != d:
         raise ValueError("chain does not live on this complex/degree")
-    if not z.is_cycle():
-        raise NotACycleError(
-            f"chain has nonzero boundary over {z.ring.tag}")
     return homology_decomposition(K, d).coords_of_cycle(z.vector(), z.ring)
 
 

@@ -15,19 +15,31 @@ caller that reads only one side keeps only that pair (U with U^-1, or V
 with V^-1): the other pair is never built, and no row or column
 operation, swap or negation touches it.
 
+The inverses keep only the lines a reader of the form can use.  Step t
+writes column t of U^-1 and row t of V^-1 from lines past t, and no later
+step reads them, so they are final when step t ends.  Where D_tt = 1 they
+are dropped: such a line only converts the coordinate of a summand Z/1,
+which carries nothing, whereas the kernel and cokernel lines (past the
+rank) and the lines of invariant factors above 1 are kept.  At a unit
+pivot the reduction does not write them at all, which is half the
+transform updates of a boundary operator, whose pivots are all units.
+
 The pivot rule is fixed (smallest nonzero absolute value, ties broken by
 lowest row then column index) so that every basis derived downstream is
 reproducible run to run.  The search stops at the first unit entry, which
-is already the minimum, and a unit pivot skips the divisibility fix-up it
-cannot need.  Rows and columns are cleared in ascending index order, each
-entry read when its turn comes, so the operation sequence, and so all five
-matrices, are those of the plain dense reduction (``tests/oracles.py``
-keeps it as the reference).
+is already the minimum.  A unit pivot divides every entry, so it clears
+its column and then its row in one pass each, with no swap and no
+divisibility fix-up; the operations of a pass each change a different row
+(column) and read only the pivot's, so they commute.  Other pivots clear
+rows and columns in ascending index order, each entry read when its turn
+comes.  So the operations, and all five matrices (the inverses where
+kept), are those of the plain dense reduction (``tests/oracles.py`` keeps
+it as the reference).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 
 class ShapeMismatchError(ValueError):
@@ -35,7 +47,7 @@ class ShapeMismatchError(ValueError):
 
 
 SparseLine = dict[int, int]
-Lines = Optional[list[SparseLine]]
+Lines = Optional[list[Optional[SparseLine]]]
 
 
 class SNFResult:
@@ -48,7 +60,8 @@ class SNFResult:
     lines, each a ``{index: value}`` dict of nonzeros: ``u_rows`` (the rows
     of U), ``u_inv_cols`` (the columns of U^-1), ``v_cols`` (the columns of
     V) and ``v_inv_rows`` (the rows of V^-1); a pair that was not tracked
-    is None.
+    is None.  Of the inverses, line j is None where j < rank and
+    diag[j] = 1; every other line, and all of U and V, is kept.
     """
 
     def __init__(self, diag: tuple[int, ...], u_rows: Lines,
@@ -74,18 +87,19 @@ def _axpy(dst: SparseLine, src: SparseLine, q: int) -> None:
             del dst[k]
 
 
-def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
-                             cols: int, *, _track: str = "uv") -> SNFResult:
+def sparse_smith_normal_form(rows: list[SparseLine], cols: int, *,
+                             _track: str = "uv") -> SNFResult:
     """Smith normal form by unimodular row/column reduction.
 
-    The matrix is given by its rows, each a ``{column: value}`` map (zero
-    values are ignored), and its column count.  Pivot selection: smallest
+    The matrix is given by its rows, each a ``{column: value}`` dict of
+    nonzero values, and its column count.  The reduction works in ``rows``
+    itself, which it leaves holding D.  Pivot selection: smallest
     nonzero |entry| in the active submatrix, ties by lowest row then lowest
     column index.  ``_track`` names the transform pairs to keep, ``"u"``
     for U and U^-1 and ``"v"`` for V and V^-1; the reduction, D and the
     tracked pairs are the same whichever are kept.
     """
-    d = [{c: v for c, v in row.items() if v} for row in rows]
+    d = rows
     n_rows = len(d)
     # rows_of[c]: the rows where column c of D is nonzero.
     rows_of: list[set[int]] = [set() for _ in range(cols)]
@@ -121,15 +135,18 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
     def swap_cols(i: int, j: int) -> None:
         if i == j:
             return
-        for r in rows_of[i] | rows_of[j]:
+        ri, rj = rows_of[i], rows_of[j]
+        for r in ri:
             row = d[r]
-            a = row.pop(i, 0)
-            b = row.pop(j, 0)
-            if b:
-                row[i] = b
-            if a:
-                row[j] = a
-        rows_of[i], rows_of[j] = rows_of[j], rows_of[i]
+            if r in rj:
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[j] = row.pop(i)
+        for r in rj:
+            if r not in ri:
+                row = d[r]
+                row[i] = row.pop(j)
+        rows_of[i], rows_of[j] = rj, ri
         if track_v:
             v[i], v[j] = v[j], v[i]
             vi[i], vi[j] = vi[j], vi[i]
@@ -185,13 +202,47 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
             row = d[i]
             if not row:
                 continue
-            a, j = min((abs(x), c) for c, x in row.items())
-            if a == 1:
-                return i, j
+            mags = list(map(abs, row.values()))
+            a = min(mags)
             if best is None or a < best_abs:
-                best = (i, j)
+                best = (i, min(row) if a == max(mags) else
+                        min(c for c, x in row.items() if abs(x) == a))
                 best_abs = a
+                if a == 1:
+                    break
         return best
+
+    def clear_unit(t: int, p: int) -> None:
+        # Column t below the pivot, then row t, each in one pass: every
+        # quotient is exact, so each operation leaves a zero and no swap
+        # follows.  Column t of U^-1 and row t of V^-1 are not written.
+        prow = d[t]
+        rest = [(j, x) for j, x in prow.items() if j != t]
+        for i in rows_of[t]:
+            if i == t:
+                continue
+            row = d[i]
+            q = -p * row.pop(t)
+            for c, x in rest:
+                y = row.get(c)
+                if y is None:
+                    row[c] = q * x
+                    rows_of[c].add(i)
+                elif y := y + q * x:
+                    row[c] = y
+                else:
+                    del row[c]
+                    rows_of[c].remove(i)
+            if track_u:
+                _axpy(u[i], u[t], q)
+        for j, x in rest:
+            rows_of[j].remove(t)
+            if track_v:
+                _axpy(v[j], v[t], -p * x)
+        d[t] = {t: 1}
+        rows_of[t] = {t}
+        if p < 0 and track_u:
+            u[t] = {c: -x for c, x in u[t].items()}
 
     t = 0
     limit = min(n_rows, cols)
@@ -201,6 +252,11 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
             break
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
+        p = d[t][t]
+        if p == 1 or p == -1:
+            clear_unit(t, p)
+            t += 1
+            continue
         while True:
             # Clear column t below the pivot (gcd descent via floor
             # division).  Each step changes only row t and row i, so the
@@ -231,8 +287,7 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
                 break
         if d[t][t] < 0:
             negate_row(t)
-        # Divisibility fix-up: the pivot must divide the rest of the block
-        # (a unit pivot always does).
+        # Divisibility fix-up: the pivot must divide the rest of the block.
         p = d[t][t]
         if p != 1:
             offender = next((i for i in range(t + 1, n_rows)
@@ -243,4 +298,11 @@ def sparse_smith_normal_form(rows: Sequence[Mapping[int, int]],
         t += 1
 
     diag = tuple(d[i].get(i, 0) for i in range(limit))
+    # A unit factor's inverse lines are final and unread: drop them.
+    for j, e in enumerate(diag):
+        if e == 1:
+            if track_u:
+                ui[j] = None
+            if track_v:
+                vi[j] = None
     return SNFResult(diag, u, ui, v, vi)

@@ -7,7 +7,8 @@ code path with the engines they check.  ``reference_solve_standard_lp`` is
 the generic dense Fraction-tableau two-phase simplex, which the structured
 LP must agree with pivot for pivot once its phase 1 is done,
 ``reference_smith_normal_form`` the dense Smith normal form whose
-transforms the sparse one must reproduce exactly, and
+transforms the sparse one must reproduce exactly (the inverses in the
+lines it keeps), and
 ``reference_search_lattice`` the sorting, dense-column branch-and-bound whose
 nodes, minimizers and order the engines' search must reproduce (and whose
 minimizers and order it must keep when it prunes on a bound),
@@ -27,8 +28,10 @@ the integer-scale certificate checks must agree with.
 
 The oracles and the tests compute with dense matrices: ``IntMatrix``,
 ``boundary_matrix`` (the boundary operator read off ``K.faces``) and
-``smith_normal_form`` (the library's sparse Smith normal form with its
-transforms densified by ``densify``).
+``smith_normal_form`` (the library's sparse Smith normal form with U, D
+and V densified by ``densify``).  The library keeps no inverse line of a
+unit invariant factor, so an oracle that needs U^-1 or V^-1 takes them
+from ``reference_smith_normal_form``.
 """
 
 from dataclasses import dataclass
@@ -149,14 +152,15 @@ def boundary_matrix(K, d: int) -> IntMatrix:
 
 @dataclass
 class DenseSNF:
-    """U A V = D with dense transforms and their inverses."""
+    """U A V = D with dense transforms and their inverses (None when the
+    form came from the library, which keeps only some inverse lines)."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
     diag: tuple[int, ...]
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    u_inv: Optional[IntMatrix]
+    v_inv: Optional[IntMatrix]
 
     @property
     def rank(self) -> int:
@@ -177,15 +181,13 @@ def _dense(rows: int, cols: int, lines: Sequence[Mapping[int, int]],
 
 
 def densify(res: SNFResult) -> DenseSNF:
-    """The dense matrices of a sparse Smith normal form, from its lines."""
+    """The dense U, D and V of a sparse Smith normal form, from its lines."""
     rows, cols = len(res.u_rows), len(res.v_cols)
     return DenseSNF(
         U=_dense(rows, rows, res.u_rows),
         D=_dense(rows, cols, [{i: d} for i, d in enumerate(res.diag)]),
         V=_dense(cols, cols, res.v_cols, by_column=True),
-        diag=res.diag,
-        u_inv=_dense(rows, rows, res.u_inv_cols, by_column=True),
-        v_inv=_dense(cols, cols, res.v_inv_rows))
+        diag=res.diag, u_inv=None, v_inv=None)
 
 
 def smith_normal_form(A: IntMatrix) -> DenseSNF:
@@ -500,7 +502,7 @@ def reference_smith_normal_form(A: IntMatrix) -> DenseSNF:
     """The dense Smith normal form by unimodular row/column reduction.
 
     Reference for ``homnorm.intlinalg.sparse_smith_normal_form``, whose
-    densified U, D, V, inverses and diagonal must equal these entry for
+    U, D, V, diagonal and kept inverse lines must equal these entry for
     entry.
 
     Pivot selection: smallest nonzero |entry| in the active submatrix,
@@ -773,7 +775,8 @@ class ReferenceModDecomposition:
     n each), the reductions of the integral torsion basis (order
     gcd(p^nu, n)), then cotorsion generators spanning a complement of the
     reduction image.  Coordinates of a class are unique modulo those
-    orders because the three blocks form a direct sum.
+    orders because the three blocks form a direct sum.  The forms whose
+    inverses it reads are ``reference_smith_normal_form``'s.
     """
 
     def __init__(self, dec: HomologyDecomposition, n: int):
@@ -783,7 +786,7 @@ class ReferenceModDecomposition:
         d = dec.degree
         n_simp = K.n_simplices(d)
         B = boundary_matrix(K, d + 1)
-        self._snfA = smith_normal_form(boundary_matrix(K, d))
+        self._snfA = reference_smith_normal_form(boundary_matrix(K, d))
         diagA = self._snfA.diag
         # Lifted mod-n cycle lattice: columns of V_A scaled by n/gcd(diag, n).
         self._scales = [n // gcd(diagA[j] if j < len(diagA) else 0, n)
@@ -795,7 +798,7 @@ class ReferenceModDecomposition:
             col = [n * v for v in self._snfA.v_inv.column(k)]
             relation_cols.append([c // s for c, s in zip(col, self._scales)])
         Cn = IntMatrix.from_columns(relation_cols, n_simp)
-        self._snfCn = smith_normal_form(Cn)
+        self._snfCn = reference_smith_normal_form(Cn)
         diag = self._snfCn.diag
         if len(diag) != n_simp or any(e == 0 for e in diag):
             raise AssertionError("mod-n relation lattice must have full rank")
@@ -873,7 +876,8 @@ class ReferenceModDecomposition:
             e_col = [0] * j_count
             e_col[i] = self._factor_orders[i]
             cols.append(e_col)
-        quotient = smith_normal_form(IntMatrix.from_columns(cols, j_count))
+        quotient = reference_smith_normal_form(
+            IntMatrix.from_columns(cols, j_count))
         out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         for l in range(j_count):
             m_l = quotient.diag[l] if l < len(quotient.diag) else 0

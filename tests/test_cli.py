@@ -354,6 +354,15 @@ def test_console_entry_point(paths):
     assert doc["torsion_factors"] == [[2, 1]]
 
 
+def test_package_runs_as_the_command(paths):
+    argv = ["homology", paths["rp2"], "--dim", "1"]
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, *argv], capture_output=True)
+        for name in ("homnorm", "homnorm.cli"))
+    assert package.returncode == module.returncode == 0
+    assert package.stdout == module.stdout and package.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "klein", "--dim", "1"],
     ["homology", "torus", "--dim", "2"],

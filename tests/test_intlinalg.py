@@ -12,16 +12,18 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from homnorm.intlinalg import ShapeMismatchError, sparse_smith_normal_form
 
 from conftest import torus_grid
-from oracles import (IntMatrix, boundary_matrix, reference_smith_normal_form,
-                     smith_normal_form, solve_with_snf)
+from oracles import (IntMatrix, boundary_matrix, densify,
+                     reference_smith_normal_form, smith_normal_form,
+                     solve_with_snf)
 
 
 def _check_snf(A):
     res = smith_normal_form(A)
     assert res.U.matmul(A).matmul(res.V) == res.D
     # Integer inverses certify |det| = 1.
-    assert res.U.matmul(res.u_inv) == IntMatrix.identity(A.rows)
-    assert res.V.matmul(res.v_inv) == IntMatrix.identity(A.cols)
+    ref = reference_smith_normal_form(A)
+    assert res.U.matmul(ref.u_inv) == IntMatrix.identity(A.rows)
+    assert res.V.matmul(ref.v_inv) == IntMatrix.identity(A.cols)
     nonzero = [d for d in res.diag if d]
     assert list(res.diag) == nonzero + [0] * (len(res.diag) - len(nonzero))
     for a, b in zip(nonzero, nonzero[1:]):
@@ -79,21 +81,32 @@ def test_snf_matches_sympy_and_is_unimodular_invariant():
         assert smith_normal_form(P.matmul(A).matmul(Q)).diag == res.diag
 
 
+def _sparse(values):
+    return dict(itertools.compress(enumerate(values), values))
+
+
 def _assert_same_snf(A):
-    got = smith_normal_form(A)
+    full = sparse_smith_normal_form([_sparse(row) for row in A.data], A.cols)
+    got = densify(full)
     ref = reference_smith_normal_form(A)
     assert got.U == ref.U
     assert got.D == ref.D
     assert got.V == ref.V
-    assert got.u_inv == ref.u_inv
-    assert got.v_inv == ref.v_inv
     assert got.diag == ref.diag
+    # The inverses keep every line but those of the unit invariant
+    # factors, and the kept lines are the reference's.
+    unit = {j for j, e in enumerate(ref.diag) if e == 1}
+    for lines, line_of in ((full.u_inv_cols, ref.u_inv.column),
+                           (full.v_inv_rows, lambda j: ref.v_inv.data[j])):
+        assert {j for j, line in enumerate(lines) if line is None} == unit
+        for j, line in enumerate(lines):
+            if j not in unit:
+                assert line == _sparse(line_of(j))
     # Tracking one side's pair alone reduces the same way and keeps that
     # pair exactly; the other pair is not built.
-    rows = [dict(itertools.compress(enumerate(row), row)) for row in A.data]
-    full = sparse_smith_normal_form(rows, A.cols)
     for track, kept, dropped in TRACKED:
-        part = sparse_smith_normal_form(rows, A.cols, _track=track)
+        part = sparse_smith_normal_form([_sparse(row) for row in A.data],
+                                        A.cols, _track=track)
         assert part.diag == full.diag
         for name in kept:
             assert getattr(part, name) == getattr(full, name), (track, name)

@@ -1418,6 +1418,96 @@ def test_degree_one_real_norm_never_calls_the_tableau(monkeypatch):
             min_int(K, 1, c)
 
 
+def _bound_cases():
+    """(complex, integral degree-1 class) pairs with boundary moves: the
+    fixture classes, the loop of relabelled T3 and T4 grids and classes of
+    random 2-complexes."""
+    cases = [(K, c) for K, d, c in _fixture_classes()
+             if d == 1 and K.dim >= 2 and not c.is_zero()]
+    for k, seed in ((3, 1), (3, 2), (4, 1), (4, 2)):
+        K = torus_grid(k, seed)
+        loop = dict(map(int, item.split("="))
+                    for item in horizontal_loop(K, k, seed).split(","))
+        cases.append((K, class_of_cycle(K, 1, Chain.make(K, 1, INT, loop))))
+    rng = random.Random("bound-invariants")
+    while len(cases) < len(SUITE) + 20:
+        K = random_complex(rng)
+        if K.dim >= 2:
+            cases.append((K, random_class(rng, homology_decomposition(K, 1))))
+    return cases
+
+
+def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
+    """At every prefix of the search's row order (decreasing weight, then
+    index) and for every minimizer x of a full search over Z and Z/2..Z/5,
+    the mass of the assigned rows plus the face bound, and plus the level
+    bound, is at most mass(x).  The bounds are computed from their
+    definitions: dist_t is the distance to nZ (|a_t| over Z) of the signed
+    sum a_t of the assigned rows on face t, and the face bound is
+    sum_t m_t dist_t / arity, m_t the least weight on t; dist_m is the
+    distance to nZ of h_m(z0) - h_m(assigned rows) for each level cocycle
+    h_m of a free index with a family (``_level_cocycles``, integral, with
+    sum_m |h_m(e)| <= D w_e), and the level bound is sum_m dist_m / D."""
+    prefixes = 0
+    for K, c in _bound_cases():
+        dec = homology_decomposition(K, 1)
+        w, faces = K.weights[1], K.faces(1)
+        arity = max(map(len, faces))
+        least: dict[int, Fraction] = {}
+        for fs, ws in zip(faces, w):
+            for t, _ in fs:
+                least[t] = min(ws, least.get(t, ws))
+        order = sorted(range(len(w)), key=lambda r: (-w[r], r))
+        families = list(filter(None, (optimize._level_cocycles(K, dec, i)
+                                      for i in range(dec.betti))))
+        for D, incidences in families:
+            for ws, row in zip(w, incidences):
+                assert sum(abs(hv) for _, hv in row) <= D * ws
+        for n in (None, 2, 3, 4, 5):
+            if n is None:
+                rep, lift = min_int(K, 1, c), int
+            else:
+                cn = reduce_class(c, mod_ring(n))
+                rep = min_mod(K, 1, cn)
+                lift = lambda v, n=n: canonical_lift(int(v) % n, n)
+            assert rep.minimizer_count_exact
+
+            def dist(a, n=n):
+                return abs(a) if n is None else min(a % n, -a % n)
+
+            targets = []
+            if n is not None:
+                z0 = [lift(v) for v in dec.representative_vector(cn)]
+                for D, incidences in families:
+                    h = {}
+                    for s, v in enumerate(z0):
+                        for lv, hv in incidences[s]:
+                            h[lv] = h.get(lv, 0) + hv * v
+                    targets.append(h)
+            for T in rep.minimizers:
+                x = [lift(v) for v in T.vector()]
+                total = sum(ws * abs(v) for ws, v in zip(w, x))
+                assert total == rep.value
+                for p in range(len(order) + 1):
+                    assigned = order[:p]
+                    done = sum(w[s] * abs(x[s]) for s in assigned)
+                    a: dict[int, int] = {}
+                    for s in assigned:
+                        for t, sign in faces[s]:
+                            a[t] = a.get(t, 0) + sign * x[s]
+                    face = sum(least[t] * dist(v) for t, v in a.items())
+                    assert done + face / arity <= total, (K.name, n, p)
+                    for (D, incidences), h in zip(families, targets):
+                        rest = dict(h)
+                        for s in assigned:
+                            for lv, hv in incidences[s]:
+                                rest[lv] = rest.get(lv, 0) - hv * x[s]
+                        level = Fraction(sum(map(dist, rest.values())), D)
+                        assert done + level <= total, (K.name, n, p)
+                    prefixes += 1
+    assert prefixes >= 10000
+
+
 def test_calibration_bound_holds_at_random_coset_points(monkeypatch):
     """The certificate ``min_int`` prunes on, at the search's integer
     scale, is the real report's certificate, and at random coset points
