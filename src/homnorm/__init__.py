@@ -16,8 +16,8 @@ from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        ModDecomposition, TorsionFactor, class_of_cycle,
                        homology_decomposition, kernel_witness, reduce_class)
 from .intlinalg import ShapeMismatchError, SNFResult
-from .optimize import (LiftReport, OptReport, comass, lift_minimizer, min_int,
-                       min_mod, min_real, minimize, verify_certificate)
+from .optimize import (LiftReport, OptReport, lift_minimizer, min_int, min_mod,
+                       min_real, minimize, verify_certificate)
 from .rings import (INT, RAT, RingSpec, canonical_lift, mod_ring, norm,
                     ring_from_tag)
 
@@ -32,8 +32,8 @@ __all__ = [
     "ModDecomposition", "TorsionFactor", "class_of_cycle",
     "homology_decomposition", "kernel_witness", "reduce_class",
     "ShapeMismatchError", "SNFResult",
-    "LiftReport", "OptReport", "comass", "lift_minimizer", "min_int",
-    "min_mod", "min_real", "minimize", "verify_certificate",
+    "LiftReport", "OptReport", "lift_minimizer", "min_int", "min_mod",
+    "min_real", "minimize", "verify_certificate",
     "INT", "RAT", "RingSpec", "canonical_lift", "mod_ring", "norm",
     "ring_from_tag",
 ]

@@ -182,7 +182,7 @@ def _cmd_certify(args) -> str:
     K = _read_complex(args.input)
     dec = homology_decomposition(K, args.dim)
     c = _class_for(args, K, dec, RAT)
-    report = min_real(K, args.dim, c, args.cap)
+    report = min_real(K, args.dim, c)
     verified = verify_certificate(K, args.dim, c, report.certificate,
                                   report.value)
     return _report(args, K, {
@@ -227,7 +227,7 @@ def _cmd_federer(args) -> str:
     K = _read_complex(args.input)
     dec = homology_decomposition(K, args.dim)
     c = _class_for(args, K, dec, INT)
-    rows = federer_sequence(K, args.dim, c, args.k_max, args.cap)
+    rows = federer_sequence(K, args.dim, c, args.k_max)
     if args.format == "csv":
         return federer_rows_to_csv(rows)
     return _report(args, K, {
@@ -245,7 +245,7 @@ def _cmd_sweep(args) -> str:
     moduli = _all_moduli(args.n)
     shrink = [int(v) for v in args.shrink.split(",") if v.strip()]
     factors = [parse_rational(v) for v in args.factors.split(",") if v.strip()]
-    rows = gap_sweep(K, args.dim, c, shrink, factors, moduli, args.cap)
+    rows = gap_sweep(K, args.dim, c, shrink, factors, moduli)
     if args.format == "csv":
         return gap_rows_to_csv(rows, moduli)
     return _report(args, K, {
@@ -289,17 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, klass=False, chain=False, ring=False, n=False,
-               k_max=False, factors=False, shrink=False, fmt=None):
+               k_max=False, factors=False, shrink=False, cap=False, fmt=None):
         p.add_argument("input", help="complex document (JSON)")
         p.add_argument("--dim", type=int, required=True, help="chain degree")
-        if klass:
-            p.add_argument("--class", dest="class_spec", default=None,
-                           help="class payload f:a1,..;t:b1,..;c:g1,..")
+        chain_help = "chain payload idx=coeff,idx=coeff"
+        if klass:  # the class, by coordinates or by a cycle in it
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--class", dest="class_spec",
+                               help="class payload f:a1,..;t:b1,..;c:g1,..")
+            group.add_argument("--chain", help=chain_help)
         if chain:
-            p.add_argument("--chain", default=None,
-                           help="chain payload idx=coeff,idx=coeff")
+            p.add_argument("--chain", required=True, help=chain_help)
         if ring:
-            p.add_argument("--ring", default=None, help="Z | Q | Z/n")
+            p.add_argument("--ring", required=True, help="Z | Q | Z/n")
         if n:
             p.add_argument("--n", required=True,
                            help="modulus, range a..b, or comma list")
@@ -311,47 +313,35 @@ def build_parser() -> argparse.ArgumentParser:
         if shrink:
             p.add_argument("--shrink", required=True,
                            help="comma-separated d-simplex indices")
-        p.add_argument("--cap", type=int, default=DEFAULT_MINIMIZER_CAP,
-                       help="minimizer enumeration cap")
+        if cap:
+            p.add_argument("--cap", type=int, default=DEFAULT_MINIMIZER_CAP,
+                           help="minimizer enumeration cap")
         p.add_argument("--out", default=None, help="write output to this file")
         if fmt:
             p.add_argument("--format", choices=["csv", "report"], default=fmt)
 
     common(sub.add_parser("homology", help="Betti number, torsion, basis"))
     common(sub.add_parser("norm", help="class norm and minimizers"),
-           klass=True, chain=True, ring=True)
+           klass=True, ring=True, cap=True)
     common(sub.add_parser("scan", help="modulus scan against the integral norm"),
-           klass=True, chain=True, n=True, fmt="csv")
+           klass=True, n=True, cap=True, fmt="csv")
     common(sub.add_parser("lift", help="canonical lift of a mod-n cycle"),
            chain=True, ring=True)
     common(sub.add_parser("federer", help="value(k*c)/k table"),
-           klass=True, chain=True, k_max=True, fmt="csv")
+           klass=True, k_max=True, fmt="csv")
     common(sub.add_parser("sweep", help="Lavrentiev weight sweep"),
-           klass=True, chain=True, n=True, factors=True, shrink=True, fmt="csv")
+           klass=True, n=True, factors=True, shrink=True, fmt="csv")
     common(sub.add_parser("certify", help="real norm with verified calibration"),
-           klass=True, chain=True)
+           klass=True)
     common(sub.add_parser("bijection", help="minimizer-set bijection check"),
-           klass=True, chain=True, n=True)
+           klass=True, n=True, cap=True)
     return parser
 
 
 def _validate_args(parser: argparse.ArgumentParser, args) -> None:
-    needs_class = args.command in ("norm", "scan", "federer", "sweep",
-                                   "certify", "bijection")
-    if needs_class:
-        has_class = args.class_spec is not None
-        has_chain = getattr(args, "chain", None) is not None
-        if has_class and has_chain:
-            parser.error(f"{args.command}: give --class or --chain, not both")
-        if not has_class and not has_chain:
-            parser.error(f"{args.command}: one of --class/--chain is required")
-    if args.command == "lift" and args.chain is None:
-        parser.error("lift: --chain is required")
-    if args.command in ("norm", "lift") and args.ring is None:
-        parser.error(f"{args.command}: --ring is required")
     if args.dim < 0:
         parser.error("--dim must be nonnegative")
-    if args.cap < 1:
+    if getattr(args, "cap", 1) < 1:
         parser.error("--cap must be positive")
 
 

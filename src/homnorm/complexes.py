@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
@@ -231,20 +231,9 @@ class Chain:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def boundary_vector(self) -> list[RingElem]:
-        """Boundary coefficients over the ambient ring (degree-1 vector)."""
-        K, d = self.complex, self.degree
-        out: list[RingElem] = [0] * K.n_simplices(d - 1)
-        faces = K.faces(d)
-        for idx, v in self.coeffs:
-            for i, sign in faces[idx]:
-                out[i] += v if sign > 0 else -v
-        if self.ring.is_mod:
-            return [x % self.ring.modulus for x in out]
-        return out
-
     def is_cycle(self) -> bool:
-        return all(not v for v in self.boundary_vector())
+        return _is_cycle(self.complex, self.degree, self.coeffs,
+                         self.ring.modulus)
 
     def to_json(self) -> dict:
         return {
@@ -281,28 +270,44 @@ class Cochain:
         return sum((Fraction(v) * w for v, w in zip(vector, self.values) if v),
                    Fraction(0))
 
-    def is_closed(self) -> bool:
-        """True iff the cochain vanishes on every (d+1)-simplex boundary."""
-        K, d = self.complex, self.degree
-        if d >= K.dim:
-            return True
-        x, _ = _at_integer_scale(self.values)
-        for faces in K.faces(d + 1):
-            total = 0
-            for i, sign in faces:
-                if sign > 0:
-                    total += x[i]
-                else:
-                    total -= x[i]
-            if total:
-                return False
-        return True
-
 
 def _at_integer_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` times L, the lcm of their denominators, and L."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _is_cycle(K: WeightedComplex, d: int,
+              coeffs: Iterable[tuple[int, RingElem]],
+              modulus: Optional[int] = None) -> bool:
+    """True iff the d-chain of (index, coefficient) pairs ``coeffs`` has
+    zero boundary, mod ``modulus`` if one is given.  Only the faces of its
+    support are visited."""
+    boundary: dict[int, RingElem] = {}
+    faces = K.faces(d)
+    for k, x in coeffs:
+        for i, sign in faces[k]:
+            boundary[i] = boundary.get(i, 0) + sign * x
+    return not any(v % modulus if modulus else v for v in boundary.values())
+
+
+def _is_calibration(K: WeightedComplex, d: int, x: Sequence[int],
+                    w: Sequence[int], scale: int = 1) -> bool:
+    """True iff the integral d-cochain ``x`` is closed and
+    |x_s| <= scale * w_s on every d-simplex s.
+
+    With ``w`` the weights at an integer scale W, that is: x/(scale*W)
+    vanishes on every (d+1)-simplex boundary and has comass <= 1.
+    """
+    if any(abs(v) > scale * ws for v, ws in zip(x, w)):
+        return False
+    for faces in K.faces(d + 1) if d < K.dim else ():
+        total = 0
+        for i, sign in faces:
+            total += sign * x[i]
+        if total:
+            return False
+    return True
 
 
 def mass(K: WeightedComplex, T: Chain) -> Fraction:

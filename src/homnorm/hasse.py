@@ -207,18 +207,19 @@ def scan_moduli(K: WeightedComplex, d: int, c: ClassCoords,
 
 def empirical_threshold(rows: Sequence[ScanRow], tau: int) -> Optional[int]:
     """Smallest scanned N with equal and bijection true for every scanned
-    n >= N with tau | n; None when even the tail fails."""
-    candidates = sorted(row.n for row in rows)
-    for start in candidates:
-        ok = True
-        for row in rows:
-            if row.n >= start and row.n % tau == 0:
-                if not (row.equal and row.bijection is True):
-                    ok = False
-                    break
-        if ok:
-            return start
-    return None
+    n >= N with tau | n; None when even the tail fails.
+
+    One pass down the rows by decreasing n, the failing rows of each n
+    first: N is the last n reached before the first failing row."""
+    def holds(row: ScanRow) -> bool:
+        return row.n % tau != 0 or (row.equal and row.bijection is True)
+
+    threshold = None
+    for row in sorted(rows, key=lambda row: (-row.n, holds(row))):
+        if not holds(row):
+            break
+        threshold = row.n
+    return threshold
 
 
 def federer_sequence(K: WeightedComplex, d: int, c: ClassCoords, k_max: int,
@@ -236,8 +237,7 @@ def federer_sequence(K: WeightedComplex, d: int, c: ClassCoords, k_max: int,
     rows = []
     for k in range(1, k_max + 1):
         vk = min_int(K, d, c.scale(k), cap, True, real.scale(k)).value
-        ratio = vk / k if k else Fraction(0)
-        rows.append(FedererRow(k=k, value_int=vk, ratio=ratio,
+        rows.append(FedererRow(k=k, value_int=vk, ratio=vk / k,
                                value_real=real.value))
     return rows
 

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .complexes import Chain, NotACycleError, WeightedComplex
+from .complexes import Chain, NotACycleError, WeightedComplex, _is_cycle
 from .intlinalg import (ShapeMismatchError, SNFResult,
                         sparse_smith_normal_form)
 from .rings import (INT, RAT, RingElem, RingSpec, factorize, format_element,
@@ -193,14 +194,8 @@ class HomologyDecomposition:
         K, d = self.complex, self.degree
         if len(vec) != K.n_simplices(d):
             raise ShapeMismatchError("vector length mismatch")
-        boundary: dict[int, RingElem] = {}
-        faces = K.faces(d)
-        for k in compress(range(len(vec)), vec):
-            x = vec[k]
-            for i, sign in faces[k]:
-                boundary[i] = boundary.get(i, 0) + sign * x
-        n = ring.modulus if ring.is_mod else 0
-        if any(v % n if n else v for v in boundary.values()):
+        n = ring.modulus
+        if not _is_cycle(K, d, filter(itemgetter(1), enumerate(vec)), n):
             raise NotACycleError(f"chain has nonzero boundary over {ring.tag}")
         rA = self._rankA
         gcds = self.mod(n)._gcds if n else ()

@@ -25,7 +25,10 @@ once some simplices are assigned, each (d-1)-face t with residual a_t, the
 signed sum of its assigned simplices, needs unassigned simplices of total
 |coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
 at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  Each call
-echelonizes its lattice from the faces of the (d+1)-simplices.
+echelonizes its lattice from the faces of the (d+1)-simplices.  A node
+fixes the rows up to a pivot, and the lattice alone fixes the pivot rows,
+their positive entries and the congruence class of the candidates, so the
+values, minimizers and node counts are those of any echelon basis.
 
 phi(x) is not constant on x + n*e_s, so min_mod cannot prune on the real
 calibration.  In degree 1 it prunes on a mod-n calibration instead (F.
@@ -35,6 +38,11 @@ integral cocycles h_m with sum_m |h_m(e)| <= D*w_e, so the mass of a mod-n
 cycle x of the class is at least (1/D) sum_m dist(h_m(z0), nZ).  On the
 unit k x k grid they are k disjoint strip cocycles, and the bound meets
 the value k at the root.
+
+One integer-scale test, ``complexes._is_calibration``, decides "closed
+with comass <= 1" for every calibration: the form ``_calibrate`` builds,
+the certificate ``min_int`` prunes on and the cochain
+``verify_certificate`` is given.
 
 Two cases need no search.  With no boundary moves (the top degree) the
 coset is the class representative alone, and that is the report.  And
@@ -56,7 +64,6 @@ minimizer_count_exact false.
 from __future__ import annotations
 
 import sys
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -64,7 +71,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import (Chain, Cochain, WeightedComplex, _at_integer_scale,
-                         lift_chain, mass)
+                         _is_calibration, lift_chain, mass)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        class_of_cycle, homology_decomposition, reduce_class)
 from .lp import solve_cycle_lp
@@ -157,23 +164,18 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
 
     Columns are sparse, as (row, coeff) pairs.  With a modulus n the
     lattice also holds n*e_r for every row r.  That column is zero above
-    row r, so it joins the reduction only when row r is reached, placed
-    after the given columns and among the other n*e columns by row index:
-    the pivots are those of listing every n*e_r up front.
+    row r, so it joins the reduction only when row r is reached.
 
     Returns (pivot_row, column) pairs; each pivot column has a positive
     entry at its pivot row and zeros at all earlier rows of the order.
-    Column operations preserve the spanned lattice.
+    Column operations preserve the spanned lattice, so the pivot rows and
+    entries are those of any echelon basis of it along the order.
     """
     active = [dict(col) for col in columns if col]
-    n_given = len(active)  # the given columns come first, then the n*e ones
-    e_rows: list[int] = []  # the row r of each n*e_r column, ascending
     result: list[tuple[int, dict[int, int]]] = []
     for r in row_order:
         if modulus is not None:
-            at = bisect(e_rows, r)
-            e_rows.insert(at, r)
-            active.insert(n_given + at, {r: modulus})
+            active.append({r: modulus})
         nz = [col for col in active if r in col]
         if not nz:
             continue
@@ -194,12 +196,7 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
         if piv[r] < 0:
             for i in piv:
                 piv[i] = -piv[i]
-        at = next(i for i, col in enumerate(active) if col is piv)
-        del active[at]
-        if at < n_given:
-            n_given -= 1
-        else:
-            del e_rows[at - n_given]
+        active = [col for col in active if col is not piv]
         result.append((r, piv))
     return result
 
@@ -638,10 +635,7 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
                 a[i] += v * x
         cols.append((a, sum(wt[e] for e, _ in chain), chain))
     dphi = [x + G[head] - G[tail] for (tail, head), x in zip(ends, hD)]
-    if any(abs(x) > L * w for x, w in zip(dphi, wt)) or any(
-            s0 * dphi[e0] + s1 * dphi[e1] + s2 * dphi[e2]
-            for (e0, s0), (e1, s1), (e2, s2) in
-            (K.faces(2) if K.dim >= 2 else ())):
+    if not _is_calibration(K, 1, dphi, wt, L):
         raise AssertionError("the calibration must be closed with comass <= 1")
     z = [0] * len(ends)
     for j, row in zip(basic, inv):
@@ -653,28 +647,18 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
             [(e, Fraction(v, q)) for e, v in enumerate(z) if v], rounds)
 
 
-def _least_comass(K: WeightedComplex, eta: Mapping[int, int], b: Chain
-                  ) -> tuple[Fraction, int, list[int], list[int]]:
-    """The least comass form of the degree-1 cocycle ``eta``, eta(b) = 1.
-
-    T* is the least w(C)/eta(C) over the cycles C of the 1-skeleton with
-    eta(C) > 0: ``_calibrate`` in one direction, where the master optimum
-    is the least ratio of its rows, that of the newest cut, so its rounds
-    are Dinkelbach's iteration from T = mass(b).  phi = T* eta + dG/D is
-    closed with comass <= 1 and cohomologous to T* eta.  Returns
-    (T*, D, D*phi, G).
-    """
-    t, D, dphi, G, _, _ = _calibrate(K, [eta], [b], [Fraction(1)])
-    return t[0], D, dphi, G
-
-
 def _level_cocycles(K: WeightedComplex, dec: HomologyDecomposition,
                     i: int) -> Optional[tuple[int, list[list[tuple[int, int]]]]]:
     """Level-set cocycles of the least comass form of eta_i, in degree 1.
 
-    D*phi = p*W*eta_i + dG (``_least_comass``, T* = p/q) is integral, and
-    the potential that integrates it is multivalued by its periods: on a
-    cycle z, D*phi(z) = p*W*eta_i(z), and eta_i(b_i) = 1, so their gcd is
+    T* is the least w(C)/eta_i(C) over the cycles C of the 1-skeleton with
+    eta_i(C) > 0: ``_calibrate`` of the class b_i alone, where the master
+    optimum is the least ratio of its rows, that of the newest cut, so its
+    rounds are Dinkelbach's iteration from T = mass(b_i).  Its form
+    phi = T* eta_i + dG/D is closed with comass <= 1.
+    D*phi = p*W*eta_i + dG (T* = p/q) is integral, and the potential that
+    integrates it is multivalued by its periods: on a cycle z,
+    D*phi(z) = p*W*eta_i(z), and eta_i(b_i) = 1, so their gcd is
     g = p*W = D*T*.  G is such a potential mod g, since D*phi - dG vanishes
     mod g.  Level m in Z/g takes, on an edge, the signed count of the
     integers congruent to m (mod g) that the potential crosses along it,
@@ -685,8 +669,8 @@ def _level_cocycles(K: WeightedComplex, dec: HomologyDecomposition,
     """
     key = (1, i)
     if key not in K._level_cache:
-        T, D, dphi, G = _least_comass(K, dec.dual_cocycle(i),
-                                      dec.free_basis[i])
+        (T,), D, dphi, G, _, _ = _calibrate(
+            K, [dec.dual_cocycle(i)], [dec.free_basis[i]], [Fraction(1)])
         g = (D * T).numerator
         K._level_cache[key] = None if g > len(dphi) else (D, [
             [(m, c) for m in range(g)
@@ -729,33 +713,34 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         return OptReport(c, Fraction(m0, w_scale),
                          _sorted_chains(K, d, c.ring, [z0][:cap]),
                          cap > 0 and not value_only, None, 0)
-    phi: Sequence[Fraction] = ()
-    family = None
+    phi = family = None
     if n is None:
         if real is None:
             real = min_real(K, d, reduce_class(c, RAT))
         elif real.coords != reduce_class(c, RAT):
             raise ValueError("the real report is not that of the class")
-        cert = real.certificate
-        if not cert.is_closed() or comass(K, cert) > 1:
+        # The certificate and the weights at one integer scale.
+        values, scale = _at_integer_scale(
+            (*real.certificate.values, *K.weights[d]))
+        phi, wnum = values[:len(wnum)], values[len(wnum):]
+        if not _is_calibration(K, d, phi, wnum):
             raise AssertionError(
                 "the real certificate must be closed with comass <= 1")
         if value_only:
             z = _integral_vertex(K, d, c, real)
             if z is not None:
                 return OptReport(c, real.value, (z,), False, None, 0)
-        phi = cert.values
-    elif d == 1:
-        family = next(filter(None, (_level_cocycles(K, dec, i)
-                                    for i, a in enumerate(c.free_part)
-                                    if a % n)), None)
+    else:
+        if d == 1:
+            family = next(filter(None, (_level_cocycles(K, dec, i)
+                                        for i, a in enumerate(c.free_part)
+                                        if a % n)), None)
+        scale = lcm(w_scale, family[0]) if family else w_scale
+        wnum = [w * (scale // w_scale) for w in wnum]
     # Rows in order of decreasing weight, then index; the echelon of the
     # boundary lattice (plus n*Z^m over Z/n) along that order.
     row_order = sorted(range(len(wnum)), key=lambda r: (-wnum[r], r))
     pivots = _echelon_columns(K.faces(d + 1), row_order, n)
-    scale = lcm(w_scale, *(v.denominator for v in phi),
-                family[0] if family else 1)
-    wnum = [w * (scale // w_scale) for w in wnum]
     cocycles = None
     if family:
         D, incidences = family
@@ -772,8 +757,7 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         lo = [max(v, -((n - 1) // 2)) for v in lo]
         hi = [min(v, n // 2) for v in hi]
     best, sols, exact, nodes = _search_lattice(
-        wnum, z0, pivots, row_order, lo, hi, m0, cap,
-        phi=[v.numerator * (scale // v.denominator) for v in phi] or None,
+        wnum, z0, pivots, row_order, lo, hi, m0, cap, phi=phi,
         faces=K.faces(d), modulus=n, value_only=value_only,
         cocycles=cocycles)
     return OptReport(c, Fraction(best, scale),
@@ -859,21 +843,6 @@ def min_real(K: WeightedComplex, d: int, c: ClassCoords,
                      certificate, res.pivots)
 
 
-def comass(K: WeightedComplex, phi: Cochain) -> Fraction:
-    """Largest value the cochain takes per unit of simplex weight."""
-    if phi.complex is not K:
-        raise ValueError("cochain does not live on this complex")
-    x, x_scale = _at_integer_scale(phi.values)
-    w, w_scale = _at_integer_scale(K.weights[phi.degree])
-    # |phi_s| / w_s = (|x_s| / w_s') * (w_scale / x_scale): the largest
-    # |x_s| / w_s', by cross-multiplied comparisons.
-    best_x, best_w = 0, 1
-    for a, b in zip(x, w):
-        if abs(a) * best_w > best_x * b:
-            best_x, best_w = abs(a), b
-    return Fraction(best_x * w_scale, best_w * x_scale)
-
-
 def verify_certificate(K: WeightedComplex, d: int, c: ClassCoords,
                        phi: Cochain, claimed: Fraction) -> bool:
     """Check a calibration: closed, comass <= 1, pairs to ``claimed``.
@@ -886,9 +855,9 @@ def verify_certificate(K: WeightedComplex, d: int, c: ClassCoords,
     if not c.ring.is_rat:
         raise InfeasibleClassError("certificates verify rational classes")
     dec = _validate_coords(K, d, c, "Q")
-    if not phi.is_closed():
-        return False
-    if comass(K, phi) > 1:
+    values, _ = _at_integer_scale((*phi.values, *K.weights[d]))
+    m = len(phi.values)
+    if not _is_calibration(K, d, values[:m], values[m:]):
         return False
     z0 = dec.representative_vector(c)
     return phi.evaluate_vector(z0) == Fraction(claimed)

@@ -12,8 +12,9 @@ lines it keeps), and
 ``reference_search_lattice`` the sorting, dense-column branch-and-bound whose
 nodes, minimizers and order the engines' search must reproduce (and whose
 minimizers and order it must keep when it prunes on a bound),
-``reference_echelon_columns`` the dense column echelon whose pivots the
-sparse one must reproduce, with every n * e_r column listed up front,
+``reference_echelon_columns`` the dense column echelon, with every n * e_r
+column listed up front, whose pivot rows, pivot entries and lattice the
+sparse one must reproduce,
 ``ReferenceModDecomposition`` the mod-n decomposition that presents the
 lifted cycle lattice modulo boundaries and n * chains and runs Smith normal
 forms of its own for each n, against which the closed-form one is checked,
@@ -24,7 +25,7 @@ representatives the sparse one must reproduce, ``reference_load`` and
 building the face tables and parses every weight literal, whose messages,
 simplices, weights and faces the loader must reproduce, and
 ``reference_is_closed`` and ``reference_comass`` the Fraction definitions
-the integer-scale certificate checks must agree with.
+the integer-scale calibration test must agree with.
 
 The oracles and the tests compute with dense matrices: ``IntMatrix``,
 ``boundary_matrix`` (the boundary operator read off ``K.faces``) and

@@ -191,6 +191,48 @@ def test_usage_errors_exit_2(paths):
         main(["norm", paths["tc"], "--dim", "1", "--class", "f:1",
               "--ring", "Z", "--bogus"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", paths["tc"], "--dim", "1", "--ring", "Z/2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", paths["tc"], "--dim", "1", "--class", "f:1",
+              "--chain", "0=1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", paths["tc"], "--dim", "1", "--n", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology"],
+    ["lift", "--chain", "0=1,1=1,2=1", "--ring", "Z/2"],
+    ["certify", "--class", "f:1"],
+    ["federer", "--class", "f:1", "--k-max", "2"],
+    ["sweep", "--class", "f:1", "--n", "2", "--shrink", "0",
+     "--factors", "1/2"]], ids=lambda argv: argv[0])
+def test_cap_is_a_usage_error_where_it_cannot_bind(paths, argv):
+    """Only ``norm``, ``scan`` and ``bijection`` enumerate minimizer sets;
+    the other commands refuse ``--cap``, and take the line without it."""
+    command, *rest = argv
+    line = [command, paths["tc"], "--dim", "1", *rest]
+    assert main(line + ["--out", os.devnull]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(line + ["--cap", "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--class", "f:1", "--ring", "Z"],
+    ["scan", "--class", "f:1", "--n", "2..3"],
+    ["bijection", "--class", "f:1", "--n", "3"]], ids=lambda argv: argv[0])
+def test_cap_binds_where_minimizer_sets_are_enumerated(paths, argv):
+    """``norm``, ``scan`` and ``bijection`` take a positive ``--cap``."""
+    command, *rest = argv
+    line = [command, paths["tc"], "--dim", "1", *rest, "--out", os.devnull]
+    assert main(line + ["--cap", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(line + ["--cap", "0"])
+    assert exc.value.code == 2
 
 
 def test_computation_errors_exit_1(paths, capsys, tmp_path):

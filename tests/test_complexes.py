@@ -10,11 +10,12 @@ from conftest import random_complex, torus_grid
 from oracles import boundary_matrix, reference_faces, reference_load
 
 from homnorm.complexes import (Chain, Cochain, ComplexFormatError,
-                               WeightedComplex, complex_from_json,
+                               NotACycleError, WeightedComplex,
+                               _is_calibration, complex_from_json,
                                complex_to_json, dump_complex,
                                lift_chain, load_complex, mass, reduce_chain)
-from homnorm.fixtures import (SUITE, klein8, mobius_band, rp2_6, torus7,
-                              triangle_circle)
+from homnorm.fixtures import SUITE, rp2_6
+from homnorm.homology import class_of_cycle, homology_decomposition
 from homnorm.rings import (INT, RAT, canonicalize, mod_ring, parse_element,
                            ring_from_tag)
 
@@ -385,7 +386,8 @@ def test_cochain_closed_and_pairing(mobius):
     z = Chain.make(mobius, 1, INT, {0: 1, 3: -2})
     assert phi.evaluate_vector(z.vector()) == \
         Fraction(1, 3) - 2 * Fraction(4, 3)
-    assert Cochain.zero(mobius, 1).is_closed()
+    n = mobius.n_simplices(1)
+    assert _is_calibration(mobius, 1, [0] * n, [1] * n)
 
 
 def test_fractions_pass_through_unwrapped(tc):
@@ -410,48 +412,70 @@ def _dense_boundary(T: Chain) -> list:
     return [x % T.ring.modulus for x in out] if T.ring.is_mod else out
 
 
-def _dense_is_closed(phi: Cochain) -> bool:
-    B = boundary_matrix(phi.complex, phi.degree + 1)
-    return all(sum((B.data[i][j] * phi.values[i] for i in range(B.rows)),
-                   Fraction(0)) == 0 for j in range(B.cols))
+def _random_cycle(rng: random.Random, K, d: int, dec) -> list:
+    """An integral cycle: basis cycles and boundaries with random
+    coefficients."""
+    vec = [0] * K.n_simplices(d)
+    for b in dec.free_basis + dec.torsion_basis:
+        a = rng.randint(-2, 2)
+        for i, v in b.coeffs:
+            vec[i] += a * v
+    for faces in (K.faces(d + 1) if d < K.dim else ()):
+        a = rng.choice((0, 0, 1, -2))
+        for i, sign in faces:
+            vec[i] += a * sign
+    return vec
 
 
-def test_face_walks_match_dense_boundary_matrices():
-    """``boundary_vector`` and ``is_closed`` visit only faces; both must
-    equal the dense boundary-matrix product in every degree, ends included."""
-    rng = random.Random("face-walks")
-    complexes = [triangle_circle(), torus7(), rp2_6(), klein8(), mobius_band(),
-                 torus_grid(4, seed=3)] + [random_complex(rng) for _ in range(3)]
-    closed_seen = {True: 0, False: 0}
+def test_cycle_test_matches_the_dense_boundary():
+    """``Chain.is_cycle`` and ``class_of_cycle`` share one face walk: a
+    chain is a cycle, and has a class, exactly when its dense boundary
+    vanishes (mod n over Z/n).  Random chains and random cycles over Z, Q
+    and Z/2..Z/4, in every degree of the fixtures, relabelled grids and
+    random complexes, and chains that are cycles only mod n: the mod-n
+    cotorsion generators and twice the rp2 fundamental chain mod 4."""
+    rng = random.Random("cycle-test")
+    complexes = [make() for make in SUITE.values()]
+    complexes += [torus_grid(3, seed=1), torus_grid(4, seed=3)]
+    complexes += [random_complex(rng) for _ in range(4)]
+    seen = {True: 0, False: 0}
+    only_mod_n = 0
+
+    def check(T: Chain) -> None:
+        nonlocal only_mod_n
+        dense = _dense_boundary(T)
+        assert T.is_cycle() == (not any(dense)), (T.complex.name, T.degree)
+        if any(dense):
+            with pytest.raises(NotACycleError):
+                class_of_cycle(T.complex, T.degree, T)
+        else:
+            assert class_of_cycle(T.complex, T.degree, T).ring == T.ring
+            if T.ring.is_mod:
+                only_mod_n += any(_dense_boundary(lift_chain(T)))
+        seen[not any(dense)] += 1
+
     for K in complexes:
         for d in range(K.dim + 1):
             n = K.n_simplices(d)
+            dec = homology_decomposition(K, d)
             for ring in (INT, RAT, mod_ring(2), mod_ring(3), mod_ring(4)):
-                for _ in range(3):
+                scale = Fraction(1, rng.randint(1, 3)) if ring.is_rat else 1
+                for _ in range(2):
                     support = rng.sample(range(n), rng.randint(0, n))
-                    coeffs = {i: (Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                                  if ring.is_rat else rng.randint(-5, 5))
-                              for i in support}
-                    T = Chain.make(K, d, ring, coeffs)
-                    dense = _dense_boundary(T)
-                    assert T.boundary_vector() == dense, (K.name, d, ring)
-                    assert T.is_cycle() == (not any(dense))
-            cochains = [Cochain.make(K, d, [Fraction(rng.randint(-3, 3),
-                                                     rng.randint(1, 3))
-                                            for _ in range(n)])
-                        for _ in range(3)]
-            if d > 0:
-                # coboundaries of random (d-1)-cochains are closed
-                A = boundary_matrix(K, d)
-                psi = [Fraction(rng.randint(-3, 3)) for _ in range(A.rows)]
-                cochains.append(Cochain.make(K, d, [
-                    sum((A.data[i][j] * psi[i] for i in range(A.rows)),
-                        Fraction(0)) for j in range(A.cols)]))
-            for phi in cochains:
-                closed = phi.is_closed()
-                assert closed == _dense_is_closed(phi), (K.name, d)
-                closed_seen[closed] += 1
-    assert closed_seen[True] and closed_seen[False]
+                    check(Chain.make(K, d, ring, {
+                        i: rng.randint(-5, 5) * scale for i in support}))
+                    check(Chain.from_vector(K, d, ring, [
+                        v * scale for v in _random_cycle(rng, K, d, dec)]))
+                if ring.is_mod:
+                    for _, _, wvec in dec.mod(ring.modulus).cotorsion:
+                        check(Chain.from_vector(K, d, ring, wvec))
+    K = rp2_6()
+    fundamental = [1] * K.n_simplices(2)
+    for coeff, n, cycle in ((1, 2, True), (1, 4, False), (2, 4, True)):
+        T = Chain.from_vector(K, 2, mod_ring(n), [coeff * v for v in fundamental])
+        assert T.is_cycle() is cycle
+        check(T)
+    assert seen[True] and seen[False] and only_mod_n
 
 
 def test_scaled_weights_sibling(mobius):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,30 @@ def test_threshold_absent_when_tail_fails(mobius):
     dec = homology_decomposition(mobius, 1)
     rows = scan_moduli(mobius, 1, _gen(dec), 2, 3)  # last row is the gap row
     assert empirical_threshold(rows, dec.torsion_number) is None
+
+
+def test_threshold_matches_its_definition_on_random_rows():
+    """On seeded random rows, with repeated and unordered n, bijection
+    None, and tau from 1 to 4, the threshold is the smallest scanned N
+    with equal and bijection true at every scanned n >= N with tau | n,
+    and None when there is none."""
+    rng = random.Random("empirical-threshold")
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        tau = rng.randint(1, 4)
+        rows = [ScanRow(n=rng.randint(2, 12), value_mod=Fraction(1),
+                        value_int=Fraction(1), equal=rng.random() < 0.8,
+                        tau_divides=True,
+                        bijection=rng.choice((True, True, True, False, None)),
+                        lift_all_cycles=None)
+                for _ in range(rng.randint(0, 8))]
+        want = next((N for N in sorted(row.n for row in rows)
+                     if all(row.equal and row.bijection is True
+                            for row in rows
+                            if row.n >= N and row.n % tau == 0)), None)
+        assert empirical_threshold(rows, tau) == want, (rows, tau)
+        found[want is None] += 1
+    assert all(found.values())
 
 
 def test_federer_triangle_circle(tc):

@@ -18,14 +18,15 @@ from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
                      reference_split_lp, smith_normal_form)
 
 from homnorm import optimize
-from homnorm.complexes import (Chain, Cochain, WeightedComplex, dump_complex,
-                               mass, reduce_chain)
+from homnorm.complexes import (Chain, Cochain, WeightedComplex,
+                               _at_integer_scale, _is_calibration,
+                               dump_complex, mass, reduce_chain)
 from homnorm.fixtures import SUITE, mobius_band, torus7
 from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
                               reduce_class)
 from homnorm.lp import solve_cycle_lp
-from homnorm.optimize import (_echelon_columns, _search_lattice, comass,
+from homnorm.optimize import (OptReport, _echelon_columns, _search_lattice,
                               lift_minimizer, min_int, min_mod, min_real,
                               verify_certificate)
 from homnorm.rings import INT, RAT, canonical_lift, mod_ring
@@ -130,53 +131,93 @@ def test_infeasible_class_errors(tc, torus):
         min_int(torus, 1, reduce_class(c, RAT))  # wrong ring for engine
 
 
-def test_comass_examples():
-    from homnorm.complexes import WeightedComplex
-    K = WeightedComplex("two", [[(0,), (1,), (2,)], [(0, 1), (1, 2)]],
-                        [[Fraction(1)] * 3, [Fraction(1), Fraction(2)]])
-    assert comass(K, Cochain.make(K, 1, [Fraction(1), Fraction(2)])) == 1
-    assert comass(K, Cochain.zero(K, 1)) == 0
-    assert comass(K, Cochain.make(K, 1, [Fraction(1), Fraction(3)])) == Fraction(3, 2)
-
-
-def test_integer_certificate_checks_match_the_fraction_definitions():
-    """``Cochain.is_closed`` and ``comass`` compute at one integer scale.
-    They equal the Fraction definitions on zero cochains, random cochains,
-    coboundaries and coboundaries with one value moved, with numerators and
-    denominators up to 10**12, in every degree up to the top one, on the
-    fixtures, relabelled grids (one with weights of denominator 10**12)
-    and random complexes."""
-    rng = random.Random("integer-certificates")
-
+def _calibration_cases(rng: random.Random, K, d: int):
+    """Cochain values in degree d: zero, random, +-w exactly and one value
+    of it just past w, and, above degree 0, a random coboundary scaled to
+    comass exactly 1, the same just past 1, and with one value moved.
+    Numerators and denominators reach 10**12."""
     def value():
         q = rng.choice((1, rng.randint(1, 10**3), rng.randint(1, 10**12)))
         return Fraction(rng.randint(-10**12, 10**12), q)
 
+    w = K.weights[d]
+    n = len(w)
+    exact = [rng.choice((1, -1)) * ws for ws in w]
+    past = list(exact)
+    past[rng.randrange(n)] *= 1 + Fraction(1, 10**12)
+    cases = [[Fraction(0)] * n, [value() for _ in range(n)], exact, past]
+    if d > 0:
+        psi = [value() for _ in range(K.n_simplices(d - 1))]
+        cob = [sum((psi[i] * sign for i, sign in faces), Fraction(0))
+               for faces in K.faces(d)]
+        top = max(abs(v) / ws for v, ws in zip(cob, w))
+        if top:
+            tight = [v / top for v in cob]
+            moved = list(tight)
+            k = rng.randrange(n)
+            moved[k] = moved[k] / 2 + w[k] / 4
+            cases += [tight, [v * (1 + Fraction(1, 10**12)) for v in tight],
+                      moved]
+    return cases
+
+
+def test_calibration_test_matches_the_fraction_definitions():
+    """One integer-scale test decides "closed with comass <= 1" for
+    ``_calibrate``, ``min_int`` and ``verify_certificate``.  On the
+    cochains of ``_calibration_cases``, in every degree of the fixtures,
+    relabelled grids (one with weights of denominator 10**12) and random
+    complexes, it equals ``reference_is_closed`` and
+    ``reference_comass <= 1`` at one integer scale and at the scale
+    argument ``_calibrate`` passes; ``verify_certificate`` accepts the
+    cochain with its own value on a class exactly then; and, off the
+    grids, ``min_int`` given it as the real certificate of an integral
+    class raises AssertionError exactly otherwise, value-only too, and
+    else finds the integral value."""
+    rng = random.Random("calibration-test")
     complexes = [make() for make in SUITE.values()]
     complexes += [torus_grid(3, seed=21, weights=(1, 2, Fraction(3, 2))),
                   torus_grid(3, seed=22, weights=(Fraction(10**12 - 1, 7),
                                                   Fraction(3, 10**12), 1)),
                   torus_grid(4, seed=23)]
     complexes += [random_complex(rng) for _ in range(4)]
-    closed_seen = {True: 0, False: 0}
+    seen = {True: 0, False: 0}
+    searched = {True: 0, False: 0}
+    grids = complexes[len(SUITE):len(SUITE) + 3]
     for K in complexes:
         for d in range(K.dim + 1):
-            n = K.n_simplices(d)
-            cochains = [[Fraction(0)] * n, [value() for _ in range(n)]]
-            if d > 0:
-                psi = [value() for _ in range(K.n_simplices(d - 1))]
-                cob = [sum((psi[i] * sign for i, sign in faces), Fraction(0))
-                       for faces in K.faces(d)]
-                moved = list(cob)
-                moved[rng.randrange(n)] += Fraction(1, rng.randint(1, 10**12))
-                cochains += [cob, moved]
-            for values in cochains:
+            dec = homology_decomposition(K, d)
+            c = dec.class_coords(RAT, [Fraction(rng.randint(-2, 2))
+                                       for _ in range(dec.betti)])
+            z0 = dec.representative_vector(c)
+            ci = (random_class(rng, dec) if K not in grids and d < K.dim
+                  and (dec.betti or dec.torsion) else None)
+            value = min_int(K, d, ci).value if ci else None
+            for values in _calibration_cases(rng, K, d):
                 phi = Cochain.make(K, d, values)
-                closed = phi.is_closed()
-                assert closed == reference_is_closed(phi), (K.name, d)
-                assert comass(K, phi) == reference_comass(K, phi), (K.name, d)
-                closed_seen[closed] += 1
-    assert closed_seen[True] and closed_seen[False]
+                want = reference_is_closed(phi) and \
+                    reference_comass(K, phi) <= 1
+                n = len(values)
+                x, _ = _at_integer_scale((*values, *K.weights[d]))
+                assert _is_calibration(K, d, x[:n], x[n:]) == want
+                L = rng.randint(2, 9)
+                assert _is_calibration(K, d, [L * v for v in x[:n]], x[n:],
+                                       L) == want
+                assert verify_certificate(K, d, c, phi,
+                                          phi.evaluate_vector(z0)) == want
+                seen[want] += 1
+                if ci is None:
+                    continue
+                real = OptReport(reduce_class(ci, RAT), Fraction(0), (),
+                                 False, phi, 0)
+                if want:
+                    assert min_int(K, d, ci, real=real).value == value
+                else:
+                    for value_only in (False, True):
+                        with pytest.raises(AssertionError):
+                            min_int(K, d, ci, value_only=value_only,
+                                    real=real)
+                searched[want] += 1
+    assert all(seen.values()) and all(searched.values()), (seen, searched)
 
 
 def test_verify_certificate_rejects_bad(tc):
@@ -784,12 +825,25 @@ def _echelon_cases():
         yield f"T{k}-{seed}", torus_grid(k, seed=seed), 1
 
 
+def _in_lattice(v, pivots) -> bool:
+    """``v`` reduces to zero against the dense echelon ``pivots``."""
+    v = list(v)
+    for r, col in pivots:
+        q, rem = divmod(v[r], col[r])
+        if rem:
+            return False
+        v = [a - q * b for a, b in zip(v, col)]
+    return not any(v)
+
+
 def test_lazy_echelon_matches_dense_build():
-    """The sparse echelon, which adds n*e_r only when it reaches row r,
-    returns the pivots of the dense build with every n*e_r listed up
-    front, over Z and Z/2..Z/6, on the fixtures in every degree with
-    boundary moves and on relabelled T3 and T4 grids, in the engines' row
-    order and in a random one."""
+    """The sparse echelon, which adds n*e_r only when it reaches row r, and
+    the dense build with every n*e_r listed up front have the same pivot
+    rows and pivot entries, zeros above each pivot in the row order, and
+    span the same lattice: each side's columns reduce to zero against the
+    other's pivots.  Over Z and Z/2..Z/6, on the fixtures in every degree
+    with boundary moves and on relabelled T3 and T4 grids, in the engines'
+    row order and in a random one."""
     rng = random.Random("lazy-echelon")
     for name, K, d in _echelon_cases():
         weights = K.weights[d]
@@ -797,14 +851,126 @@ def test_lazy_echelon_matches_dense_build():
         B = boundary_matrix(K, d + 1)
         for order in (sorted(range(N), key=lambda r: (-weights[r], r)),
                       rng.sample(range(N), N)):
+            before = {r: order[:i] for i, r in enumerate(order)}
             for n in (None, 2, 3, 4, 5, 6):
                 dense = [B.column(j) for j in range(B.cols)]
                 if n is not None:
                     dense += [[n * (i == r) for i in range(N)]
                               for r in range(N)]
-                got = _echelon_columns(K.faces(d + 1), order, n)
-                assert _dense(got, N) == \
-                    reference_echelon_columns(dense, order), (name, d, n)
+                got = _dense(_echelon_columns(K.faces(d + 1), order, n), N)
+                want = reference_echelon_columns(dense, order)
+                assert [(r, col[r]) for r, col in got] == \
+                    [(r, col[r]) for r, col in want], (name, d, n)
+                for r, col in got:
+                    assert col[r] > 0
+                    assert not any(col[s] for s in before[r])
+                assert all(_in_lattice(col, want) for _, col in got)
+                assert all(_in_lattice(col, got) for _, col in want)
+
+
+def _other_basis(rng: random.Random, pivots):
+    """Another echelon basis of the lattice of ``pivots``: each column plus
+    random multiples of the later ones, which vanish at its pivot row and
+    at every row before it."""
+    out = []
+    for k, (r, col) in enumerate(pivots):
+        new = dict(col)
+        for _, later in pivots[k + 1:]:
+            a = rng.randint(-2, 2)
+            for i, v in later.items():
+                new[i] = new.get(i, 0) + a * v
+        out.append((r, {i: v for i, v in new.items() if v}))
+    return out
+
+
+def _reference_basis(columns, order, n_rows: int, modulus):
+    """The dense echelon of ``columns``, every n*e_r listed up front."""
+    dense = [[dict(col).get(i, 0) for i in range(n_rows)] for col in columns]
+    if modulus is not None:
+        dense += [[modulus * (i == r) for i in range(n_rows)]
+                  for r in range(n_rows)]
+    return [(r, {i: v for i, v in enumerate(col) if v})
+            for r, col in reference_echelon_columns(dense, order)]
+
+
+def _same_search(bases, wnum, z0, *rest, **kw):
+    """``_search_lattice`` on each echelon basis in turn; all must agree."""
+    runs = [_search_lattice(wnum, z0, basis, *rest, **kw) for basis in bases]
+    assert all(run == runs[0] for run in runs), kw
+    return runs[0]
+
+
+def test_search_is_independent_of_the_echelon_basis(monkeypatch):
+    """``_search_lattice`` returns the same (best, sols, exact, nodes) from
+    the columns of ``_echelon_columns``, of ``reference_echelon_columns``
+    and of a random other echelon basis of the same lattice: on random
+    lattices over Z and Z/2..Z/6, with and without a calibration, and for
+    every search ``min_int`` and ``min_mod`` make, full and value-only, on
+    random complexes in degrees 1 and 2 and on relabelled T3 grids over Z
+    and Z/2..Z/6, with their calibrations, faces and level cocycles."""
+    rng = random.Random("basis-independence")
+    differ = 0
+    for _ in range(100):
+        n_rows = rng.randint(2, 6)
+        columns = [[(i, rng.choice((1, -1, 2, -3)) * rng.choice((1, 2, 3)))
+                    for i in range(n_rows) if rng.random() < 0.5]
+                   for _ in range(rng.randint(1, n_rows + 1))]
+        order = rng.sample(range(n_rows), n_rows)
+        wnum = [rng.randint(1, 4) for _ in range(n_rows)]
+        z0 = [rng.randint(-3, 3) for _ in range(n_rows)]
+        m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+        for modulus in (None, 2, 3, 4, 5, 6):
+            pivots = _echelon_columns(columns, order, modulus)
+            bases = [pivots, _reference_basis(columns, order, n_rows, modulus),
+                     _other_basis(rng, pivots)]
+            differ += len({repr(b) for b in bases}) > 1
+            scales = [(wnum, None, m0)]
+            if modulus is None:
+                scales.append(_random_calibration(rng, wnum, pivots, m0))
+            for w, phi, m in scales:
+                lo = [-(m // x) for x in w]
+                hi = [m // x for x in w]
+                if modulus is not None:
+                    lo = [max(l, -((modulus - 1) // 2)) for l in lo]
+                    hi = [min(h, modulus // 2) for h in hi]
+                for cap, value_only in ((1, False), (10_000, False),
+                                        (10_000, True)):
+                    _same_search(bases, w, z0, order, lo, hi, m, cap,
+                                 phi=phi, modulus=modulus,
+                                 value_only=value_only)
+    assert differ
+
+    built, kinds = [], set()
+
+    def echelon(columns, row_order, modulus=None):
+        columns = list(columns)
+        pivots = _echelon_columns(columns, row_order, modulus)
+        built.append((columns, modulus))
+        return pivots
+
+    def search(wnum, z0, pivots, row_order, *rest, **kw):
+        columns, modulus = built[-1]
+        kinds.add((kw["phi"] is not None, kw["faces"] is not None,
+                   kw["cocycles"] is not None))
+        bases = [pivots, _reference_basis(columns, row_order, len(wnum),
+                                          modulus),
+                 _other_basis(rng, pivots)]
+        return _same_search(bases, wnum, z0, row_order, *rest, **kw)
+
+    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
+    monkeypatch.setattr(optimize, "_search_lattice", search)
+    cases = []
+    for d in (1, 2):
+        for _ in range(5):
+            K = _random_complex_with_moves(rng, d)
+            cases.append((K, d, random_class(rng, homology_decomposition(K, d))))
+    cases += [(K, 1, loop) for K, loop in _relabelled_grids([3])]
+    for K, d, c in cases:
+        for value_only in (False, True):
+            min_int(K, d, c, 200, value_only)
+            for n in range(2, 7):
+                min_mod(K, d, reduce_class(c, mod_ring(n)), 200, value_only)
+    assert {(True, True, False), (False, True, True)} <= kinds
 
 
 def _relabelled_grids(sizes):
@@ -1016,18 +1182,19 @@ def _pair(h, z) -> int:
 def test_least_comass_form_matches_the_lp():
     """T* = min w(C)/eta_i(C) equals the LP minimum of the mass over the
     real cycles b_i + boundaries + sum_{j != i} s_j b_j; the form
-    phi = (D phi)/D is closed with comass <= 1 and phi(b_j) = T* delta_ij."""
+    phi = (D phi)/D that ``_calibrate`` returns for the class b_i alone is
+    closed with comass <= 1 and phi(b_j) = T* delta_ij."""
     for K, dec in _degree_one_cases():
         cofaces = list(K.faces(2)) if K.dim >= 2 else []
         for i in range(dec.betti):
-            T, D, dphi, _ = optimize._least_comass(K, dec.dual_cocycle(i),
-                                                   dec.free_basis[i])
+            (T,), D, dphi, _, _, _ = optimize._calibrate(
+                K, [dec.dual_cocycle(i)], [dec.free_basis[i]], [Fraction(1)])
             others = [b.coeffs for j, b in enumerate(dec.free_basis) if j != i]
             lp = solve_cycle_lp([Fraction(v) for v in dec.free_basis[i].vector()],
                                 K.weights[1], cofaces + others)
             assert T == lp.value, (K.name, i)
             phi = Cochain.make(K, 1, [Fraction(x, D) for x in dphi])
-            assert phi.is_closed() and comass(K, phi) <= 1
+            assert reference_is_closed(phi) and reference_comass(K, phi) <= 1
             assert [phi.evaluate_vector(b.vector())
                     for b in dec.free_basis] == \
                 [T * (j == i) for j in range(dec.betti)]
@@ -1055,8 +1222,8 @@ def test_level_cocycles_are_closed_and_packed():
                 continue
             families += 1
             D, incidences = family
-            _, D_phi, dphi, _ = optimize._least_comass(
-                K, dec.dual_cocycle(i), dec.free_basis[i])
+            _, D_phi, dphi, _, _, _ = optimize._calibrate(
+                K, [dec.dual_cocycle(i)], [dec.free_basis[i]], [Fraction(1)])
             assert D == D_phi
             levels = _levels(incidences)
             for h in levels:
@@ -1127,8 +1294,8 @@ def test_level_bound_at_the_root_never_exceeds_the_value():
 
 def test_min_mod_checks_its_least_comass_form(monkeypatch):
     """A dual cocycle that is not closed gives a form that is not closed,
-    and it is refused before it can prune.  (A fresh complex: the families
-    are cached on it.)"""
+    and ``_calibrate`` refuses it, for ``min_real`` and before ``min_mod``
+    can prune on it.  (A fresh complex: the families are cached on it.)"""
     torus = torus7()
     dual = HomologyDecomposition.dual_cocycle
 
@@ -1139,6 +1306,8 @@ def test_min_mod_checks_its_least_comass_form(monkeypatch):
 
     monkeypatch.setattr(HomologyDecomposition, "dual_cocycle", tampered)
     c = _gen(homology_decomposition(torus, 1))
+    with pytest.raises(AssertionError):
+        min_real(torus, 1, reduce_class(c, RAT))
     with pytest.raises(AssertionError):
         min_mod(torus, 1, reduce_class(c, mod_ring(3)))
 
