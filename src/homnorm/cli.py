@@ -41,8 +41,10 @@ def _read_complex(path: str) -> WeightedComplex:
 
 def _parse_class(spec: str, dec: HomologyDecomposition,
                  ring: RingSpec) -> ClassCoords:
-    """Payload ``f:a1,a2;t:b1;c:g1`` in the reported basis (missing
-    segments default to zero coordinates of the right arity)."""
+    """Payload ``f:a1,a2;t:b1;c:g1`` in the reported basis.  A missing
+    segment, or a tag with no coordinates such as ``f:``, defaults to zero
+    coordinates of the right arity; an empty item inside a list is an
+    error."""
     parts: dict[str, list[str]] = {}
     for segment in spec.split(";"):
         segment = segment.strip()
@@ -56,7 +58,10 @@ def _parse_class(spec: str, dec: HomologyDecomposition,
             raise ValueError(f"unknown class payload tag: {tag!r}")
         if tag in parts:
             raise ValueError(f"duplicate class payload tag: {tag!r}")
-        parts[tag] = [v for v in body.split(",") if v.strip()]
+        items = body.split(",") if body.strip() else []
+        if not all(v.strip() for v in items):
+            raise ValueError(f"empty coordinate in class payload: {segment!r}")
+        parts[tag] = items
     free = [parse_element(ring, v) for v in parts.get("f", [])]
     torsion = [int(v) for v in parts.get("t", [])]
     cotorsion = [int(v) for v in parts.get("c", [])]

@@ -25,10 +25,16 @@ once some simplices are assigned, each (d-1)-face t with residual a_t, the
 signed sum of its assigned simplices, needs unassigned simplices of total
 |coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
 at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  Each call
-echelonizes its lattice from the faces of the (d+1)-simplices.  A node
-fixes the rows up to a pivot, and the lattice alone fixes the pivot rows,
-their positive entries and the congruence class of the candidates, so the
-values, minimizers and node counts are those of any echelon basis.
+echelonizes its lattice from the faces of the (d+1)-simplices
+(``_echelon_columns``): each row reduces only the columns whose first
+nonzero row it is, and over Z/n the entries stay in (-n, n), so the
+n*e_r columns past a unit pivot vanish and the pivot columns stay short.
+A node fixes the rows up to a pivot, and the lattice alone fixes the
+pivot rows, their positive entries and the congruence class of the
+candidates, so the values, minimizers and node counts are those of any
+echelon basis.  The search tables hold only what a level reads (over Z/n
+every row is a pivot, with no rows between pivots to check), and each
+reported chain is built once, from its sorted canonical coefficients.
 
 phi(x) is not constant on x + n*e_s, so min_mod cannot prune on the real
 calibration.  In degree 1 it prunes on a mod-n calibration instead (F.
@@ -66,6 +72,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -162,41 +169,60 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
                      ) -> list[tuple[int, dict[int, int]]]:
     """Unimodular column reduction to echelon form along ``row_order``.
 
-    Columns are sparse, as (row, coeff) pairs.  With a modulus n the
-    lattice also holds n*e_r for every row r.  That column is zero above
-    row r, so it joins the reduction only when row r is reached.
+    Columns are sparse, as (row, coeff) pairs.  Each active column waits
+    in the bucket of its leading row, its first nonzero row in the order,
+    so row r reduces only the columns that start there; a column that
+    loses its entry at r moves to the bucket of its next nonzero row.  Of
+    the columns with the least |entry| at r the shortest becomes the
+    pivot, which keeps the pivot columns, and so the moves of the search,
+    short.
+
+    With a modulus n the lattice also holds n*e_r for every row r.  That
+    column is zero above row r, so it joins the reduction only when row r
+    is reached.  Adding multiples of n*e_i to a column keeps the lattice,
+    so an entry that a column operation takes out of (-n, n) is reduced
+    mod n, and a column that becomes zero mod n, such as the n*e_r column
+    past a unit pivot, leaves the reduction.
 
     Returns (pivot_row, column) pairs; each pivot column has a positive
     entry at its pivot row and zeros at all earlier rows of the order.
     Column operations preserve the spanned lattice, so the pivot rows and
     entries are those of any echelon basis of it along the order.
     """
-    active = [dict(col) for col in columns if col]
+    pos = {r: k for k, r in enumerate(row_order)}.__getitem__
+    n = modulus
+    buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
+    for col in columns:
+        if col:
+            col = dict(col)
+            buckets[min(map(pos, col))].append(col)
     result: list[tuple[int, dict[int, int]]] = []
-    for r in row_order:
-        if modulus is not None:
-            active.append({r: modulus})
-        nz = [col for col in active if r in col]
+    for k, r in enumerate(row_order):
+        nz = buckets[k]
+        if n is not None:
+            nz.append({r: n})
         if not nz:
             continue
         while len(nz) > 1:
-            nz.sort(key=lambda col: abs(col[r]))
+            nz.sort(key=lambda col: (abs(col[r]), len(col)))
             a = nz[0]
             for b in nz[1:]:
-                q = b[r] // a[r]
-                if q:
-                    for i, v in a.items():
-                        x = b.get(i, 0) - q * v
-                        if x:
-                            b[i] = x
-                        else:
-                            del b[i]
+                q = b[r] // a[r]  # nonzero, as |a[r]| <= |b[r]|
+                for i, v in a.items():
+                    x = b.get(i, 0) - q * v
+                    if n is not None and not -n < x < n:
+                        x %= n
+                    if x:
+                        b[i] = x
+                    elif i in b:  # q*v may be 0 mod n
+                        del b[i]
+                if b and r not in b:
+                    buckets[min(map(pos, b))].append(b)
             nz = [col for col in nz if r in col]
         piv = nz[0]
         if piv[r] < 0:
             for i in piv:
                 piv[i] = -piv[i]
-        active = [col for col in active if col is not piv]
         result.append((r, piv))
     return result
 
@@ -269,51 +295,60 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     best - 1.  The search then keeps one minimizer and reports the count
     as not exact.  It visits no node the full search does not.
     """
-    if any(l > 0 or h < 0 for l, h in zip(lo, hi)):
+    if max(lo, default=0) > 0 or min(hi, default=0) < 0:
         raise ValueError("every search box must contain 0")
     depth = len(pivots)
     if cocycles is not None and (modulus is None or depth != len(row_order)):
         raise ValueError("cocycles need a modulus and a pivot at every row")
-    pos_in_order = {r: i for i, r in enumerate(row_order)}
-    # Positions of the pivot rows in the order, then the end of the order.
-    bounds = [pos_in_order[r] for r, _ in pivots] + [len(row_order)]
-    prefix = row_order[:bounds[0]]
     calibrated = phi is not None
     fvec = phi if calibrated else [0] * len(wnum)
     if faces is None:
         faces = [()] * len(wnum)
+    # One pass over the rows finds the rows before the first pivot row and
+    # those after each pivot row up to the next (over Z/n every row is a
+    # pivot and they are all empty), and m[t], the least weight of a row on
+    # face t: no more than that of any unassigned row on t.
+    pivot_rows = {r for r, _ in pivots}
+    prefix: list[int] = []
+    segments: list[list[int]] = []
+    rows = prefix
+    m: dict[int, int] = {}
+    for r in row_order:
+        w = wnum[r]
+        for t, _ in faces[r]:
+            if m.get(t, w) >= w:
+                m[t] = w
+        if r in pivot_rows:
+            rows = []
+            segments.append(rows)
+        else:
+            rows.append(r)
     arity = max(map(len, faces), default=0) or 1
     # With x = a % n, the distance of a residual a to nZ is x if 2x <= n,
     # else n - x.  Over Z take n past twice any |a_t|, which is at most the
-    # sum of the boxes since every assigned row lies in its box; the
+    # sum of the box widths since every assigned row lies in its box; the
     # distance is then |a_t|.
-    n = modulus or 2 * sum(max(-l, h) for l, h in zip(lo, hi)) + 1
-    # m[t], the least weight of a row on face t: no more than that of any
-    # unassigned row on t.
-    m: dict[int, int] = {}
-    for fs, w in zip(faces, wnum):
-        for t, _ in fs:
-            m[t] = min(w, m.get(t, w))
+    n = modulus or 2 * (sum(hi) - sum(lo)) + 1
     # res holds the residual a_t of each face t, then that of each level m
     # at n_faces + m: h_m of the assigned rows minus targets[m].
     n_faces = 1 + max(m, default=-1)
     incidences, targets, mu = cocycles or ([()] * len(wnum), (), 0)
     levels = []
-    for k, (r, col) in enumerate(pivots):
-        rows = row_order[bounds[k] + 1:bounds[k + 1]]
+    for (r, col), rows in zip(pivots, segments):
         if rows:
+            segment = [(rr, lo[rr], hi[rr], wnum[rr]) for rr in rows]
+            segment_phi = [(rr, fvec[rr]) for rr in rows if fvec[rr]]
             assigned = [(s, faces[s]) for s in (r, *rows)]
             touched = dict.fromkeys(t for _, fs in assigned for t, _ in fs)
             level_faces = [(t, 0, m[t]) for t in touched]
         else:
-            assigned = []
+            segment = segment_phi = assigned = ()
             level_faces = [(t, sign, m[t]) for t, sign in faces[r]]
+        on = incidences[r]
+        on = [(n_faces + lv, hv) for lv, hv in on] if on else ()
         levels.append((r, col[r], wnum[r], lo[r], hi[r], fvec[r],
-                       list(col.items()),
-                       [(rr, lo[rr], hi[rr], wnum[rr]) for rr in rows],
-                       [(rr, fvec[rr]) for rr in rows if fvec[rr]],
-                       level_faces, assigned,
-                       [(n_faces + lv, hv) for lv, hv in incidences[r]]))
+                       list(col.items()), segment, segment_phi, level_faces,
+                       assigned, on))
 
     cur = list(z0)
     best = limit = cap_mass  # candidates with a bound above limit drop
@@ -344,7 +379,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     leveled *= mu
     # The bound is acc - f, with f = phi(assigned rows) - phi(z0); the
     # prefix rows keep their z0 values.
-    f0 = -sum(fvec[r] * z0[r] for r in row_order[bounds[0]:])
+    f0 = sum(fvec[r] * z0[r] for r in prefix) - sum(map(mul, fvec, z0))
 
     def record(total: int) -> None:
         nonlocal best, limit, sols, exact
@@ -487,8 +522,24 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
 
 def _sorted_chains(K: WeightedComplex, d: int, ring: RingSpec,
                    vectors: list[tuple[int, ...]]) -> tuple[Chain, ...]:
-    chains = {Chain.from_vector(K, d, ring, vec) for vec in vectors}
-    return tuple(sorted(chains, key=lambda ch: ch.coeffs))
+    """The distinct chains of the integer coefficient ``vectors``, ordered
+    by their (index, coefficient) tuples.
+
+    Over Z/n the vectors hold lifts in (-n/2, n/2], so each nonzero entry
+    has a nonzero residue.  The canonical (index, coefficient) tuples, of
+    the integers over Z and of their residues over Z/n, are deduplicated
+    and sorted before any chain exists, and each chain is built once.
+    """
+    idx = range(K.n_simplices(d))
+    n = ring.modulus
+    if n is None:
+        keys = {tuple(zip(compress(idx, vec), compress(vec, vec)))
+                for vec in vectors}
+    else:  # n.__rmod__(v) is v % n
+        keys = {tuple(zip(compress(idx, vec),
+                          map(n.__rmod__, compress(vec, vec))))
+                for vec in vectors}
+    return tuple([Chain(K, d, ring, coeffs) for coeffs in sorted(keys)])
 
 
 def _integral_vertex(K: WeightedComplex, d: int, c: ClassCoords,
@@ -737,9 +788,9 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                                         if a % n)), None)
         scale = lcm(w_scale, family[0]) if family else w_scale
         wnum = [w * (scale // w_scale) for w in wnum]
-    # Rows in order of decreasing weight, then index; the echelon of the
-    # boundary lattice (plus n*Z^m over Z/n) along that order.
-    row_order = sorted(range(len(wnum)), key=lambda r: (-wnum[r], r))
+    # Rows in order of decreasing weight, then index (the sort is stable);
+    # the echelon of the boundary lattice (plus n*Z^m over Z/n) along it.
+    row_order = sorted(range(len(wnum)), key=lambda r: -wnum[r])
     pivots = _echelon_columns(K.faces(d + 1), row_order, n)
     cocycles = None
     if family:

@@ -139,9 +139,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Union[int, Fraction]) -> str:
-    """Canonical ``"p/q"`` form with q >= 1 and gcd(|p|, q) = 1."""
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """Canonical ``"p/q"`` form with q >= 1 and gcd(|p|, q) = 1.
+
+    Ints and Fractions are already in lowest terms and are read as they
+    are; any other number goes through ``Fraction`` first.
+    """
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_element(ring: RingSpec, text: str) -> RingElem:

@@ -300,6 +300,36 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("klass,ring", [
+    ("f:1,,0", "Z"), ("f:1,0,", "Z"), ("f:,1,0", "Z/3"), ("f:1, ,0", "Q"),
+    ("f:1,0;t:,", "Z"), ("f:1,0;c:0,", "Z/2")])
+def test_empty_class_coordinate_is_an_error(paths, capsys, klass, ring):
+    """An empty item inside an ``f:``, ``t:`` or ``c:`` list is one error
+    line with exit 1, not a dropped coordinate: ``f:1,,0`` on the torus is
+    no class (1, 0)."""
+    code, out, err = run_cli(capsys, [
+        "norm", paths["torus"], "--dim", "1", "--class", klass, "--ring", ring])
+    assert code == 1 and out == ""
+    assert err.startswith("error: empty coordinate") and err.count("\n") == 1
+
+
+def test_empty_items_stay_allowed_outside_class_lists(paths, capsys):
+    """A tag with no coordinates still means zeros (RP^2 has no free part),
+    and empty items in ``--chain`` and ``--n``, each of which carries its
+    own index or value, are still skipped."""
+    code, out, _ = run_cli(capsys, [
+        "norm", paths["rp2"], "--dim", "1", "--class", "f:;t:1", "--ring", "Z"])
+    assert code == 0 and json.loads(out)["report"]["value"] != "0/1"
+    reports = []
+    for chain, moduli in ((GRID4R_LOOP, "2,3"), (f",{GRID4R_LOOP},", "2,,3,")):
+        code, out, _ = run_cli(capsys, [
+            "scan", paths["grid4r"], "--dim", "1", "--chain", chain,
+            "--n", moduli])
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

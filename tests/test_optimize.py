@@ -27,8 +27,8 @@ from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               reduce_class)
 from homnorm.lp import solve_cycle_lp
 from homnorm.optimize import (OptReport, _echelon_columns, _search_lattice,
-                              lift_minimizer, min_int, min_mod, min_real,
-                              verify_certificate)
+                              _sorted_chains, lift_minimizer, min_int,
+                              min_mod, min_real, verify_certificate)
 from homnorm.rings import INT, RAT, canonical_lift, mod_ring
 
 
@@ -837,13 +837,15 @@ def _in_lattice(v, pivots) -> bool:
 
 
 def test_lazy_echelon_matches_dense_build():
-    """The sparse echelon, which adds n*e_r only when it reaches row r, and
-    the dense build with every n*e_r listed up front have the same pivot
-    rows and pivot entries, zeros above each pivot in the row order, and
-    span the same lattice: each side's columns reduce to zero against the
-    other's pivots.  Over Z and Z/2..Z/6, on the fixtures in every degree
-    with boundary moves and on relabelled T3 and T4 grids, in the engines'
-    row order and in a random one."""
+    """The sparse echelon, which adds n*e_r only when it reaches row r and
+    reduces an entry mod n once it leaves (-n, n), and the dense build
+    with every n*e_r listed up front have the same pivot rows and pivot
+    entries, zeros above each pivot in the row order, and span the same
+    lattice: each side's columns reduce to zero against the other's
+    pivots.  Over Z/n every entry off the pivot lies in (-n, n).  Over Z
+    and Z/n for n from 2 to 10^12, on the fixtures in every degree with
+    boundary moves and on relabelled T3 and T4 grids, in the engines' row
+    order and in a random one."""
     rng = random.Random("lazy-echelon")
     for name, K, d in _echelon_cases():
         weights = K.weights[d]
@@ -852,20 +854,53 @@ def test_lazy_echelon_matches_dense_build():
         for order in (sorted(range(N), key=lambda r: (-weights[r], r)),
                       rng.sample(range(N), N)):
             before = {r: order[:i] for i, r in enumerate(order)}
-            for n in (None, 2, 3, 4, 5, 6):
+            for n in (None, 2, 3, 4, 5, 6, 12, 10**12):
                 dense = [B.column(j) for j in range(B.cols)]
                 if n is not None:
                     dense += [[n * (i == r) for i in range(N)]
                               for r in range(N)]
-                got = _dense(_echelon_columns(K.faces(d + 1), order, n), N)
+                pivots = _echelon_columns(K.faces(d + 1), order, n)
+                got = _dense(pivots, N)
                 want = reference_echelon_columns(dense, order)
                 assert [(r, col[r]) for r, col in got] == \
                     [(r, col[r]) for r, col in want], (name, d, n)
                 for r, col in got:
                     assert col[r] > 0
                     assert not any(col[s] for s in before[r])
+                if n is not None:
+                    assert all(-n < v < n for r, col in pivots
+                               for i, v in col.items() if i != r)
                 assert all(_in_lattice(col, want) for _, col in got)
                 assert all(_in_lattice(col, got) for _, col in want)
+
+
+def test_sorted_chains_match_from_vector():
+    """``_sorted_chains`` builds each chain once from its canonical
+    coefficients and gives the chains ``Chain.from_vector`` builds, without
+    repeats, ordered by their coefficient tuples.  On seeded random vectors
+    over Z and over Z/2..Z/6 with entries in the residue range
+    (-n/2, n/2], +n/2 included for even n, with repeated vectors."""
+    rng = random.Random("sorted-chains")
+    K = torus_grid(3, seed=3)
+    N = K.n_simplices(1)
+    halves = 0
+    for ring in (INT, *map(mod_ring, range(2, 7))):
+        n = ring.modulus
+        lo, hi = (-3, 3) if n is None else (-((n - 1) // 2), n // 2)
+        for _ in range(30):
+            vectors = [tuple(rng.choice((0, 0, rng.randint(lo, hi)))
+                             for _ in range(N))
+                       for _ in range(rng.randint(0, 5))]
+            vectors += rng.choices(vectors, k=len(vectors) // 2)
+            rng.shuffle(vectors)
+            halves += n is not None and n % 2 == 0 and any(
+                n // 2 in vec for vec in vectors)
+            want = sorted({Chain.from_vector(K, 1, ring, vec)
+                           for vec in vectors}, key=lambda ch: ch.coeffs)
+            got = _sorted_chains(K, 1, ring, vectors)
+            assert got == tuple(want)
+            assert all(type(v) is int for ch in got for _, v in ch.coeffs)
+    assert halves
 
 
 def _other_basis(rng: random.Random, pivots):

@@ -1,6 +1,7 @@
 """Norm axioms and modular helpers."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,18 @@ def test_rational_serialization_round_trip():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("x")
+
+
+def test_format_rational_matches_the_fraction_form():
+    """Ints and Fractions print from their own numerator and denominator,
+    other numbers through ``Fraction``; every form is that of
+    ``Fraction(x)``."""
+    values = [0, 7, -12, True, Fraction(-4), Fraction(6, -4),
+              Fraction(10**30 + 1, 3), 0.375, Decimal("-2.5")]
+    for x in values:
+        f = Fraction(x)
+        assert format_rational(x) == f"{f.numerator}/{f.denominator}"
+    assert format_rational(0.375) == "3/8"
 
 
 def test_element_serialization():
