@@ -59,7 +59,9 @@ class WeightedComplex:
         self._index: tuple[dict[Simplex, int], ...] = tuple(
             dict(zip(level, range(len(level)))) for level in self.simplices)
         self._faces = self._validate()
+        self._neighbours: dict[int, _Faces] = {}
         self._level_cache: dict[tuple[int, int], Optional[tuple]] = {}
+        self._order_cache: dict[int, tuple] = {}
         self._decomposition_cache: dict = {}
 
     def _validate(self) -> tuple[_Faces, ...]:
@@ -145,6 +147,21 @@ class WeightedComplex:
         if not 0 <= d <= self.dim:
             raise ValueError(f"degree {d} out of range 0..{self.dim}")
         return self._faces[d]
+
+    def face_neighbours(self, d: int) -> _Faces:
+        """For each (d-1)-simplex t, the (face, sign) pairs of the
+        d-simplices on t, in index order: the faces sharing a d-simplex with
+        t, t among them.  The face table of degree d turned around, built
+        once per degree."""
+        table = self._neighbours.get(d)
+        if table is None:
+            near: list[list[tuple[int, int]]] = [
+                [] for _ in range(self.n_simplices(d - 1))]
+            for fs in self.faces(d):
+                for t, _ in fs:
+                    near[t] += fs
+            table = self._neighbours[d] = tuple(map(tuple, near))
+        return table
 
     def with_scaled_weights(self, d: int, indices: Iterable[int],
                             factor: Fraction) -> "WeightedComplex":

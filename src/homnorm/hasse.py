@@ -258,6 +258,8 @@ def gap_sweep(K: WeightedComplex, d: int, c: ClassCoords,
     """
     if not shrink_simplices:
         raise ValueError("shrink set must be nonempty")
+    if not factors:
+        raise ValueError("shrink factors must be nonempty")
     if any(f <= 0 for f in factors):
         raise ValueError("shrink factors must be positive")
     moduli = sorted(set(moduli))

@@ -24,7 +24,10 @@ on the face residuals: every coset point is a cycle (mod n over Z/n), so
 once some simplices are assigned, each (d-1)-face t with residual a_t, the
 signed sum of its assigned simplices, needs unassigned simplices of total
 |coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
-at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  Each call
+at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  The rows
+go by decreasing weight, then outward from the support of z0 over the
+faces (``_row_order``), so the faces close early whatever the labelling
+of the complex; any order gives the same values and minimizers.  Each call
 echelonizes its lattice from the faces of the (d+1)-simplices
 (``_echelon_columns``): each row reduces only the columns whose first
 nonzero row it is, and over Z/n the entries stay in (-n, n), so the
@@ -225,6 +228,63 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
                 piv[i] = -piv[i]
         result.append((r, piv))
     return result
+
+
+def _row_order(K: WeightedComplex, d: int, wnum: Sequence[int],
+               z0: Sequence[int]) -> list[int]:
+    """The rows by decreasing weight, then by the ascending tuple of the
+    breadth-first ranks of their (d-1)-faces; ``wnum`` holds the weights
+    of ``K`` at one integer scale.
+
+    The breadth-first search runs over the faces, two being adjacent when
+    they share a d-simplex (``WeightedComplex.face_neighbours``).  It
+    starts from the faces of z0's support, taken along the support in
+    index order, and a face it does not reach ranks after every reached
+    one, by index.  So the rows near z0 come first and the rows on a face
+    follow each other: the faces close early, and the face bound prunes
+    from the first levels.  Any order gives the same values and minimizers
+    and moves only the node count.  The order depends on the weights of
+    ``K`` and on the seed faces alone; the last one of each degree is kept
+    on ``K``, so the searches of one class across moduli or multiples
+    build it once.
+    """
+    faces = K.faces(d)
+    seeds = list(dict.fromkeys(t for fs in compress(faces, z0)
+                               for t, _ in fs))
+    cached = K._order_cache.get(d)
+    if cached is not None and cached[0] == seeds:
+        return cached[1]
+    # The face of rank k gets bit 2^(F-1-k).  Every row has d+1 faces, and
+    # of two such sets the one with the smaller ascending tuple of ranks
+    # holds the least rank in their difference, so its bits sum higher.
+    nbrs = K.face_neighbours(d)
+    n_faces = len(nbrs)
+    top = 1 << n_faces
+    bit = [0] * n_faces
+    for k, t in enumerate(seeds, 1):
+        bit[t] = top >> k
+    queue = seeds[:]  # the list iterator sees what the loop appends
+    for t in queue:
+        for u, _ in nbrs[t]:
+            if not bit[u]:
+                queue.append(u)
+                bit[u] = top >> len(queue)
+    if len(queue) < n_faces:
+        for t in range(n_faces):
+            if not bit[t]:
+                queue.append(t)
+                bit[t] = top >> len(queue)
+    keys = []
+    for fs, w in zip(faces, wnum):
+        key = w << n_faces
+        for t, _ in fs:
+            key += bit[t]
+        keys.append(key)
+    # Decreasing keys; a sort in reverse keeps the index order of ties,
+    # which only degree 0, with no faces, has.
+    order = sorted(range(len(wnum)), key=keys.__getitem__, reverse=True)
+    K._order_cache[d] = (seeds, order)
+    return order
 
 
 def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
@@ -739,13 +799,13 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
 
     Any optimal chain obeys |x_s| * w_s <= mass(z0), which bounds the search
     box; over Z/n the box is also cut to the residue range (-n/2, n/2].
-    The search prunes on the face residuals of its cycles.  Over Z it also
-    prunes on the dual certificate of ``min_real``, a calibration of the
-    class; over Z/n phi(x) changes along x + n*e_s, so in degree 1 it
-    prunes instead on the level cocycles of the first free index whose
-    coordinate is nonzero mod n and that has a family
-    (``_level_cocycles``), at a search scale that is a multiple of their
-    D.  With no boundary moves the coset is z0 alone (over Z/n, z0's
+    The search takes the rows in ``_row_order`` and prunes on the face
+    residuals of its cycles.  Over Z it also prunes on the dual certificate
+    of ``min_real``, a calibration of the class; over Z/n phi(x) changes
+    along x + n*e_s, so in degree 1 it prunes instead on the level cocycles
+    of the first free index whose coordinate is nonzero mod n and that has
+    a family (``_level_cocycles``), at a search scale that is a multiple of
+    their D.  With no boundary moves the coset is z0 alone (over Z/n, z0's
     residue range holds no other point of z0 + n*Z^m): z0 is the report,
     with no LP and no search.  A ``value_only`` call over Z whose real
     minimizer is an integral cycle in the class reports it, with no search.
@@ -788,9 +848,9 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                                         if a % n)), None)
         scale = lcm(w_scale, family[0]) if family else w_scale
         wnum = [w * (scale // w_scale) for w in wnum]
-    # Rows in order of decreasing weight, then index (the sort is stable);
-    # the echelon of the boundary lattice (plus n*Z^m over Z/n) along it.
-    row_order = sorted(range(len(wnum)), key=lambda r: -wnum[r])
+    # Rows by decreasing weight, then outward from z0 over the faces; the
+    # echelon of the boundary lattice (plus n*Z^m over Z/n) along them.
+    row_order = _row_order(K, d, wnum, z0)
     pivots = _echelon_columns(K.faces(d + 1), row_order, n)
     cocycles = None
     if family:

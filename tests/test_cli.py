@@ -313,6 +313,23 @@ def test_empty_class_coordinate_is_an_error(paths, capsys, klass, ring):
     assert err.startswith("error: empty coordinate") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "report"])
+@pytest.mark.parametrize("shrink,factors,message", [
+    (MOBIUS_RIM, ",", "shrink factors must be nonempty"),
+    (",", "1/1", "shrink set must be nonempty")], ids=["factors", "shrink"])
+def test_sweep_refuses_an_empty_list(paths, capsys, shrink, factors, message,
+                                     fmt):
+    """``sweep`` with no shrink factors, or no simplices to shrink, has no
+    row to report: one error line with exit 1 in either format, not a
+    header-only CSV or ``"rows": []``."""
+    code, out, err = run_cli(capsys, [
+        "sweep", paths["mobius"], "--dim", "1", "--class", "f:1",
+        "--shrink", shrink, "--factors", factors, "--n", "3",
+        "--format", fmt])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_empty_items_stay_allowed_outside_class_lists(paths, capsys):
     """A tag with no coordinates still means zeros (RP^2 has no free part),
     and empty items in ``--chain`` and ``--n``, each of which carries its

@@ -181,6 +181,8 @@ def test_gap_sweep_validation(tc):
         gap_sweep(tc, 1, _gen(dec), [], [Fraction(1)], [3])
     with pytest.raises(ValueError):
         gap_sweep(tc, 1, _gen(dec), [0], [Fraction(-1)], [3])
+    with pytest.raises(ValueError, match="shrink factors must be nonempty"):
+        gap_sweep(tc, 1, _gen(dec), [0], [], [3])
 
 
 def test_bijection_check_torus(torus):

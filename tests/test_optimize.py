@@ -1008,6 +1008,80 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
     assert {(True, True, False), (False, True, True)} <= kinds
 
 
+def _weight_then_index(K, d, wnum, z0):
+    """The row order of the search before the face ranks: decreasing
+    weight, then index."""
+    return sorted(range(len(wnum)), key=lambda r: -wnum[r])
+
+
+def test_row_order_moves_only_the_node_count(monkeypatch):
+    """``min_int`` and ``min_mod`` over Z, Z/2, Z/3 and Z/4, full and
+    value-only, on relabelled unit and anisotropic T3-T5 grids (the loop,
+    and on T3 the basis class (1, 1)), on ``random_complex`` classes and on
+    random complexes with many moves in degrees 1 and 2: with the rows in
+    weight-then-index order instead of ``_row_order``'s, every value,
+    exactness flag and full minimizer tuple is the same, and each
+    value-only minimizer is one of the full set.  Somewhere the node count
+    moves."""
+    rng = random.Random("row-order")
+    cases = []
+    for K, loop in _relabelled_grids([3, 4, 5]):
+        cases.append((K, 1, loop))
+        if K.n_simplices(0) == 9:
+            cases.append((K, 1, homology_decomposition(K, 1).class_coords(
+                INT, (1, 1))))
+    for _ in range(10):
+        K = random_complex(rng)
+        cases.append((K, 1, random_class(rng, homology_decomposition(K, 1))))
+    for d in (1, 2):
+        for _ in range(4):
+            K = _random_complex_with_moves(rng, d)
+            cases.append((K, d, random_class(rng,
+                                             homology_decomposition(K, d))))
+
+    def reports():
+        out = []
+        for K, d, c in cases:
+            for n in (None, 2, 3, 4):
+                for value_only in (False, True):
+                    if n is None:
+                        rep = min_int(K, d, c, 10_000, value_only)
+                    else:
+                        rep = min_mod(K, d, reduce_class(c, mod_ring(n)),
+                                      10_000, value_only)
+                    out.append(rep)
+        return out
+
+    shipped = reports()
+    monkeypatch.setattr(optimize, "_row_order", _weight_then_index)
+    plain = reports()
+    for full, fast, plain_full, plain_fast in zip(
+            shipped[::2], shipped[1::2], plain[::2], plain[1::2]):
+        assert (full.value, full.minimizers, full.minimizer_count_exact) == \
+            (plain_full.value, plain_full.minimizers,
+             plain_full.minimizer_count_exact)
+        for rep in (fast, plain_fast):
+            assert (rep.value, rep.minimizer_count_exact) == \
+                (full.value, False)
+            assert len(rep.minimizers) == 1
+            assert rep.minimizers[0] in full.minimizers
+    assert any(a.nodes_explored != b.nodes_explored
+               for a, b in zip(shipped, plain))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_relabelled_t7_loop_searches_stay_small(seed):
+    """The loop of ``torus_grid(7, seed)`` over Z and Z/3, whose searches
+    took 191,550-263,685 (Z) and 87,639-106,272 (Z/3) nodes with the rows
+    in weight-then-index order.  The face-rank order takes 13,405-26,790
+    and 4,140-22,770; the bound leaves the largest 12% room."""
+    K = torus_grid(7, seed=seed)
+    c = _loop_class(K, 7, seed)
+    for rep in (min_int(K, 1, c), min_mod(K, 1, reduce_class(c, mod_ring(3)))):
+        assert rep.value == 7 and len(rep.minimizers) == 7
+        assert rep.nodes_explored <= 30_000
+
+
 def _relabelled_grids(sizes):
     """Seeded relabelled unit and anisotropic k x k grids, each with the
     integral class of its horizontal loop, given as a chain payload."""
@@ -1389,7 +1463,7 @@ def test_level_cap_builds_no_family_for_a_tiny_weight(monkeypatch, torus):
 
 def test_levels_cut_the_t6_ladder_case_tenfold(monkeypatch):
     """The loop of ``torus_grid(6, seed=1)`` over Z/3: the search without
-    levels takes 1,654,855 nodes; with them it takes at least 10x fewer
+    levels takes 734,431 nodes; with them it takes at least 10x fewer
     and reports the same value and minimizers, the six grid rows."""
     K = torus_grid(6, seed=1)
     c = reduce_class(_loop_class(K, 6, 1), mod_ring(3))
@@ -1397,7 +1471,7 @@ def test_levels_cut_the_t6_ladder_case_tenfold(monkeypatch):
     assert rep.value == 6 and len(rep.minimizers) == 6
     _without_levels(monkeypatch)
     plain = min_mod(K, 1, c)
-    assert plain.nodes_explored == 1_654_855
+    assert plain.nodes_explored == 734_431
     assert rep.nodes_explored * 10 <= plain.nodes_explored
     assert (rep.value, rep.minimizers, rep.minimizer_count_exact) == \
         (plain.value, plain.minimizers, plain.minimizer_count_exact)
@@ -1642,16 +1716,17 @@ def _bound_cases():
 
 
 def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
-    """At every prefix of the search's row order (decreasing weight, then
-    index) and for every minimizer x of a full search over Z and Z/2..Z/5,
-    the mass of the assigned rows plus the face bound, and plus the level
-    bound, is at most mass(x).  The bounds are computed from their
-    definitions: dist_t is the distance to nZ (|a_t| over Z) of the signed
-    sum a_t of the assigned rows on face t, and the face bound is
-    sum_t m_t dist_t / arity, m_t the least weight on t; dist_m is the
-    distance to nZ of h_m(z0) - h_m(assigned rows) for each level cocycle
-    h_m of a free index with a family (``_level_cocycles``, integral, with
-    sum_m |h_m(e)| <= D w_e), and the level bound is sum_m dist_m / D."""
+    """At every prefix of two row orders, decreasing weight then index and
+    the search's (``_row_order``), and for every minimizer x of a full
+    search over Z and Z/2..Z/5, the mass of the assigned rows plus the face
+    bound, and plus the level bound, is at most mass(x).  The bounds are
+    computed from their definitions: dist_t is the distance to nZ (|a_t|
+    over Z) of the signed sum a_t of the assigned rows on face t, and the
+    face bound is sum_t m_t dist_t / arity, m_t the least weight on t;
+    dist_m is the distance to nZ of h_m(z0) - h_m(assigned rows) for each
+    level cocycle h_m of a free index with a family (``_level_cocycles``,
+    integral, with sum_m |h_m(e)| <= D w_e), and the level bound is
+    sum_m dist_m / D."""
     prefixes = 0
     for K, c in _bound_cases():
         dec = homology_decomposition(K, 1)
@@ -1661,7 +1736,8 @@ def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
         for fs, ws in zip(faces, w):
             for t, _ in fs:
                 least[t] = min(ws, least.get(t, ws))
-        order = sorted(range(len(w)), key=lambda r: (-w[r], r))
+        plain = sorted(range(len(w)), key=lambda r: (-w[r], r))
+        wnum, _ = _at_integer_scale(w)
         families = list(filter(None, (optimize._level_cocycles(K, dec, i)
                                       for i in range(dec.betti))))
         for D, incidences in families:
@@ -1679,9 +1755,10 @@ def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
             def dist(a, n=n):
                 return abs(a) if n is None else min(a % n, -a % n)
 
+            cr = c if n is None else cn
+            z0 = [lift(v) for v in dec.representative_vector(cr)]
             targets = []
             if n is not None:
-                z0 = [lift(v) for v in dec.representative_vector(cn)]
                 for D, incidences in families:
                     h = {}
                     for s, v in enumerate(z0):
@@ -1692,23 +1769,24 @@ def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
                 x = [lift(v) for v in T.vector()]
                 total = sum(ws * abs(v) for ws, v in zip(w, x))
                 assert total == rep.value
-                for p in range(len(order) + 1):
-                    assigned = order[:p]
-                    done = sum(w[s] * abs(x[s]) for s in assigned)
-                    a: dict[int, int] = {}
-                    for s in assigned:
-                        for t, sign in faces[s]:
-                            a[t] = a.get(t, 0) + sign * x[s]
-                    face = sum(least[t] * dist(v) for t, v in a.items())
-                    assert done + face / arity <= total, (K.name, n, p)
-                    for (D, incidences), h in zip(families, targets):
-                        rest = dict(h)
+                for order in (plain, optimize._row_order(K, 1, wnum, z0)):
+                    for p in range(len(order) + 1):
+                        assigned = order[:p]
+                        done = sum(w[s] * abs(x[s]) for s in assigned)
+                        a: dict[int, int] = {}
                         for s in assigned:
-                            for lv, hv in incidences[s]:
-                                rest[lv] = rest.get(lv, 0) - hv * x[s]
-                        level = Fraction(sum(map(dist, rest.values())), D)
-                        assert done + level <= total, (K.name, n, p)
-                    prefixes += 1
+                            for t, sign in faces[s]:
+                                a[t] = a.get(t, 0) + sign * x[s]
+                        face = sum(least[t] * dist(v) for t, v in a.items())
+                        assert done + face / arity <= total, (K.name, n, p)
+                        for (D, incidences), h in zip(families, targets):
+                            rest = dict(h)
+                            for s in assigned:
+                                for lv, hv in incidences[s]:
+                                    rest[lv] = rest.get(lv, 0) - hv * x[s]
+                            level = Fraction(sum(map(dist, rest.values())), D)
+                            assert done + level <= total, (K.name, n, p)
+                        prefixes += 1
     assert prefixes >= 10000
 
 
