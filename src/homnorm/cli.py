@@ -24,10 +24,19 @@ from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
 from .optimize import (DEFAULT_MINIMIZER_CAP, lift_minimizer, min_real,
                        minimize, verify_certificate)
 from .rings import (INT, RAT, RingSpec, format_rational, mod_ring,
-                    parse_element, parse_rational, ring_from_tag)
+                    parse_element, parse_integer, parse_rational,
+                    ring_from_tag)
 
 _ERRORS = (ComplexFormatError, NotACycleError, InfeasibleClassError,
            EnumerationInexactError, ValueError)
+
+
+def _integer_option(text: str) -> int:
+    """An integer option's value, its error worded for argparse."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _read_complex(path: str) -> WeightedComplex:
@@ -63,8 +72,8 @@ def _parse_class(spec: str, dec: HomologyDecomposition,
             raise ValueError(f"empty coordinate in class payload: {segment!r}")
         parts[tag] = items
     free = [parse_element(ring, v) for v in parts.get("f", [])]
-    torsion = [int(v) for v in parts.get("t", [])]
-    cotorsion = [int(v) for v in parts.get("c", [])]
+    torsion = [parse_integer(v) for v in parts.get("t", [])]
+    cotorsion = [parse_integer(v) for v in parts.get("c", [])]
     if not free:
         free = [Fraction(0) if ring.is_rat else 0] * dec.betti
     if not torsion:
@@ -92,7 +101,7 @@ def _parse_chain(spec: str, K: WeightedComplex, d: int,
         if "=" not in item:
             raise ValueError(f"bad chain payload item: {item!r}")
         idx, coeff = item.split("=", 1)
-        pairs.append((int(idx), parse_element(ring, coeff)))
+        pairs.append((parse_integer(idx), parse_element(ring, coeff)))
     return Chain.make(K, d, ring, pairs)
 
 
@@ -106,12 +115,12 @@ def _parse_moduli(spec: str) -> list[range]:
             continue
         if ".." in part:
             a, b = part.split("..", 1)
-            lo, hi = int(a), int(b)
+            lo, hi = parse_integer(a), parse_integer(b)
             if hi < lo:
                 raise ValueError(f"empty modulus range: {part!r}")
             out.append(range(lo, hi + 1))
         else:
-            n = int(part)
+            n = parse_integer(part)
             out.append(range(n, n + 1))
     if not out:
         raise ValueError("no moduli given")
@@ -248,7 +257,7 @@ def _cmd_sweep(args) -> str:
     dec = homology_decomposition(K, args.dim)
     c = _class_for(args, K, dec, INT)
     moduli = _all_moduli(args.n)
-    shrink = [int(v) for v in args.shrink.split(",") if v.strip()]
+    shrink = [parse_integer(v) for v in args.shrink.split(",") if v.strip()]
     factors = [parse_rational(v) for v in args.factors.split(",") if v.strip()]
     rows = gap_sweep(K, args.dim, c, shrink, factors, moduli)
     if args.format == "csv":
@@ -296,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, klass=False, chain=False, ring=False, n=False,
                k_max=False, factors=False, shrink=False, cap=False, fmt=None):
         p.add_argument("input", help="complex document (JSON)")
-        p.add_argument("--dim", type=int, required=True, help="chain degree")
+        p.add_argument("--dim", type=_integer_option, required=True,
+                       help="chain degree")
         chain_help = "chain payload idx=coeff,idx=coeff"
         if klass:  # the class, by coordinates or by a cycle in it
             group = p.add_mutually_exclusive_group(required=True)
@@ -311,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", required=True,
                            help="modulus, range a..b, or comma list")
         if k_max:
-            p.add_argument("--k-max", dest="k_max", type=int, required=True)
+            p.add_argument("--k-max", dest="k_max", type=_integer_option,
+                           required=True)
         if factors:
             p.add_argument("--factors", required=True,
                            help="comma-separated p/q shrink factors")
@@ -319,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shrink", required=True,
                            help="comma-separated d-simplex indices")
         if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_MINIMIZER_CAP,
+            p.add_argument("--cap", type=_integer_option,
+                           default=DEFAULT_MINIMIZER_CAP,
                            help="minimizer enumeration cap")
         p.add_argument("--out", default=None, help="write output to this file")
         if fmt:

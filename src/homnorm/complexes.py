@@ -10,6 +10,7 @@ arithmetic is exact.
 
 from __future__ import annotations
 
+import copy
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -62,6 +63,7 @@ class WeightedComplex:
         self._neighbours: dict[int, _Faces] = {}
         self._level_cache: dict[tuple[int, int], Optional[tuple]] = {}
         self._order_cache: dict[int, tuple] = {}
+        self._integer_weights: dict[int, tuple[tuple[int, ...], int]] = {}
         self._decomposition_cache: dict = {}
 
     def _validate(self) -> tuple[_Faces, ...]:
@@ -163,23 +165,44 @@ class WeightedComplex:
             table = self._neighbours[d] = tuple(map(tuple, near))
         return table
 
+    def integer_weights(self, d: int) -> tuple[tuple[int, ...], int]:
+        """The degree-d weights times L, the lcm of their denominators, and
+        L; built once per degree."""
+        got = self._integer_weights.get(d)
+        if got is None:
+            wnum, scale = _at_integer_scale(self.weights[d])
+            got = self._integer_weights[d] = (tuple(wnum), scale)
+        return got
+
     def with_scaled_weights(self, d: int, indices: Iterable[int],
                             factor: Fraction) -> "WeightedComplex":
         """Sibling complex with the chosen degree-d weights multiplied by factor.
 
         The simplices (hence all boundaries and homology bases) are
-        untouched, so class coordinates transfer verbatim.
+        untouched, so class coordinates transfer verbatim.  The sibling
+        shares the weight-free state: the simplices, their index, the face
+        tables and face neighbours, and the decompositions computed so far,
+        rebound to it.  The caches that depend on the weights start empty.
         """
+        if not 0 <= d <= self.dim:
+            raise ValueError(f"degree {d} out of range 0..{self.dim}")
         if factor <= 0:
             raise ValueError("weight factor must be positive")
         idx = set(indices)
         bad = [i for i in idx if not 0 <= i < self.n_simplices(d)]
         if bad:
             raise ValueError(f"degree-{d} simplex index out of range: {bad[0]}")
-        new_weights = [list(level) for level in self.weights]
+        level = list(self.weights[d])
         for i in idx:
-            new_weights[d][i] *= factor
-        return WeightedComplex(self.name, self.simplices, new_weights)
+            level[i] = _fraction(level[i] * factor)
+        K = copy.copy(self)
+        K.weights = (*self.weights[:d], tuple(level), *self.weights[d + 1:])
+        K._level_cache = {}
+        K._order_cache = {}
+        K._integer_weights = {}
+        K._decomposition_cache = {
+            k: dec.rebound(K) for k, dec in self._decomposition_cache.items()}
+        return K
 
     def __repr__(self) -> str:
         counts = ",".join(str(len(level)) for level in self.simplices)
@@ -301,11 +324,14 @@ def _is_cycle(K: WeightedComplex, d: int,
     zero boundary, mod ``modulus`` if one is given.  Only the faces of its
     support are visited."""
     boundary: dict[int, RingElem] = {}
+    get = boundary.get
     faces = K.faces(d)
     for k, x in coeffs:
         for i, sign in faces[k]:
-            boundary[i] = boundary.get(i, 0) + sign * x
-    return not any(v % modulus if modulus else v for v in boundary.values())
+            boundary[i] = get(i, 0) + sign * x
+    if modulus:
+        return not any(v % modulus for v in boundary.values())
+    return not any(boundary.values())
 
 
 def _is_calibration(K: WeightedComplex, d: int, x: Sequence[int],

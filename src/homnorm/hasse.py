@@ -5,7 +5,11 @@ Each operation re-solves the requested norms exactly and emits rows that
 carry their own invariants (value_mod <= value_int, ratios >= 1).  Where a
 row reads only values, the engines run value-only and do not enumerate
 ties; the flag is passed positionally, so a wrapper that forwards only
-positional arguments sees every engine call.  A row's dataclass fields, in
+positional arguments sees every engine call.  Minimizer sets are compared
+as canonical (index, coefficient) tuples and lifts tested by their
+boundaries, with no chain built per minimizer.  A sweep solves one real LP
+per factor, on a sibling complex that shares the simplices, face tables and
+decompositions of the swept one.  A row's dataclass fields, in
 declaration order, are its format: its JSON keys and its CSV columns.  A
 ``dict[int, ...]`` field keyed by modulus becomes a JSON object with keys in
 ascending n and one ``<field>_<n>`` CSV column per modulus, ascending;
@@ -22,11 +26,11 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
-from .complexes import Chain, WeightedComplex, lift_chain, reduce_chain
+from .complexes import Chain, WeightedComplex, _is_cycle
 from .homology import ClassCoords, homology_decomposition, reduce_class
-from .optimize import (DEFAULT_MINIMIZER_CAP, OptReport, lift_minimizer,
-                       min_int, min_mod, min_real)
-from .rings import RAT, format_rational, mod_ring
+from .optimize import (DEFAULT_MINIMIZER_CAP, OptReport, min_int, min_mod,
+                       min_real)
+from .rings import INT, RAT, format_rational, mod_ring
 
 
 class EnumerationInexactError(RuntimeError):
@@ -159,12 +163,20 @@ class BijectionReport:
         }
 
 
+def _lift(coeffs: tuple[tuple[int, int], ...], n: int
+          ) -> list[tuple[int, int]]:
+    """The canonical lift into (-n/2, n/2] of mod-n coefficients."""
+    return [(i, v - n if v > n // 2 else v) for i, v in coeffs]
+
+
 def _reduction_bijection(int_report: OptReport, mod_report: OptReport,
                          n: int) -> tuple[bool, bool]:
-    """(injective, surjective) of coefficient reduction between minimizer sets."""
-    reduced = [reduce_chain(T, mod_ring(n)) for T in int_report.minimizers]
+    """(injective, surjective) of coefficient reduction between minimizer
+    sets, compared as canonical (index, residue) tuples."""
+    reduced = [tuple([(i, r) for i, v in T.coeffs if (r := v % n)])
+               for T in int_report.minimizers]
     injective = len(set(reduced)) == len(reduced)
-    surjective = set(reduced) == set(mod_report.minimizers)
+    surjective = set(reduced) == {T.coeffs for T in mod_report.minimizers}
     return injective, surjective
 
 
@@ -195,7 +207,7 @@ def scan_moduli(K: WeightedComplex, d: int, c: ClassCoords,
                 and mod_report.minimizer_count_exact:
             injective, surjective = _reduction_bijection(int_report, mod_report, n)
             bijection = injective and surjective
-            lift_all = all(lift_chain(T).is_cycle()
+            lift_all = all(_is_cycle(K, d, _lift(T.coeffs, n))
                            for T in mod_report.minimizers)
         rows.append(ScanRow(
             n=n, value_mod=mod_report.value, value_int=int_report.value,
@@ -254,7 +266,8 @@ def gap_sweep(K: WeightedComplex, d: int, c: ClassCoords,
 
     Gap ratios compare the integral value against the real and mod-n
     values on the reweighted complex; the 0/0 case of the zero class is 1
-    by convention so the row invariants stay total.
+    by convention so the row invariants stay total.  The real LP of each
+    factor is solved once and handed to ``min_int``.
     """
     if not shrink_simplices:
         raise ValueError("shrink set must be nonempty")
@@ -268,8 +281,9 @@ def gap_sweep(K: WeightedComplex, d: int, c: ClassCoords,
         K2 = K.with_scaled_weights(d, shrink_simplices, Fraction(factor))
         dec2 = homology_decomposition(K2, d)
         c2 = dec2.class_coords(c.ring, c.free_part, c.torsion_part)
-        vi = min_int(K2, d, c2, cap, True).value
-        vr = min_real(K2, d, reduce_class(c2, RAT), cap).value
+        real = min_real(K2, d, reduce_class(c2, RAT), cap)
+        vi = min_int(K2, d, c2, cap, True, real).value
+        vr = real.value
         vm = {n: min_mod(K2, d, reduce_class(c2, mod_ring(n)), cap, True).value
               for n in moduli}
         ratio_real = vi / vr if vr else Fraction(1)
@@ -302,9 +316,16 @@ def bijection_check(K: WeightedComplex, d: int, c: ClassCoords, n: int,
     injective, surjective = _reduction_bijection(int_report, mod_report, n)
     lifts = []
     for T in mod_report.minimizers:
-        rep = lift_minimizer(T)
-        in_class = bool(rep.is_cycle and rep.lifted_class == c)
-        lifts.append(MinimizerLift(T, rep.is_cycle, in_class))
+        lifted = _lift(T.coeffs, n)
+        is_cycle = _is_cycle(K, d, lifted)
+        if is_cycle:
+            vec = [0] * K.n_simplices(d)
+            for i, v in lifted:
+                vec[i] = v
+            in_class = dec.coords_of_cycle(vec, INT) == c
+        else:
+            in_class = False
+        lifts.append(MinimizerLift(T, is_cycle, in_class))
     lifts_ok = all(item.lift_is_cycle and item.lift_in_class for item in lifts)
     return BijectionReport(
         n=n, tau_divides=n % tau == 0,

@@ -28,7 +28,8 @@ that shares a factor with n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -295,6 +296,26 @@ class HomologyDecomposition:
                   for b, tf in zip(torsion, self.torsion)),
             tuple(int(g) % order
                   for g, (order, _, _) in zip(cotorsion, md.cotorsion)))
+
+    def rebound(self, K: WeightedComplex) -> "HomologyDecomposition":
+        """This decomposition on ``K``, a complex with the same simplices,
+        such as a sibling of other weights.  The Smith normal forms and the
+        tables of the mod-n decompositions are shared; the basis chains are
+        rebuilt on ``K``."""
+        dec = copy.copy(self)
+        dec.complex = K
+        dec.free_basis = tuple(Chain(K, T.degree, T.ring, T.coeffs)
+                               for T in self.free_basis)
+        dec.torsion = tuple(
+            replace(tf, cycle=Chain(K, tf.cycle.degree, tf.cycle.ring,
+                                    tf.cycle.coeffs))
+            for tf in self.torsion)
+        dec.torsion_basis = tuple(tf.cycle for tf in dec.torsion)
+        dec._mod_cache = {}
+        for n, md in self._mod_cache.items():
+            md = dec._mod_cache[n] = copy.copy(md)
+            md.dec = dec
+        return dec
 
     def mod(self, n: int) -> "ModDecomposition":
         if n < 2:

@@ -615,39 +615,41 @@ def _integral_vertex(K: WeightedComplex, d: int, c: ClassCoords,
     return z if class_of_cycle(K, d, z) == c else None
 
 
-def _negative_cycle(n_vertices: int, arcs: Sequence[tuple[int, int, int]]
+def _negative_cycle(out: Sequence[Sequence[tuple[int, int]]],
+                    tails: Sequence[int], cost: Sequence[int]
                     ) -> tuple[list[int], Optional[list[int]]]:
     """Bellman-Ford from a source at cost 0 to every vertex.
 
-    ``arcs`` are (tail, head, cost) with integer costs.  Each pass relaxes
-    the arcs out of the vertices the pass before lowered (all of them at
-    first).  Returns the shortest-path potentials and None, or, when pass
-    ``n_vertices`` still lowers some vertex, the arc indices of a negative
-    cycle.
+    Arc k runs from ``tails[k]`` at the integer cost ``cost[k]``, and
+    ``out[u]`` lists the (head, k) of the arcs out of vertex u by
+    increasing k.  Each pass relaxes the arcs out of the vertices the pass
+    before lowered (all of them at first).  Returns the shortest-path
+    potentials and None, or, when the last of as many passes as there are
+    vertices still lowers some vertex, the arc indices of a negative cycle.
     """
-    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n_vertices)]
-    for k, (u, v, c) in enumerate(arcs):
-        out[u].append((v, c, k))
+    n_vertices = len(out)
     G = [0] * n_vertices
     pred: list[int] = [0] * n_vertices
     lowered: Iterable[int] = range(n_vertices)
     for _ in range(n_vertices):
         frontier, lowered = lowered, {}
         for u in frontier:
-            for v, c, k in out[u]:
-                if G[u] + c < G[v]:
-                    G[v] = G[u] + c
+            gu = G[u]  # no arc is a loop, so G[u] holds over out[u]
+            for v, k in out[u]:
+                x = gu + cost[k]
+                if x < G[v]:
+                    G[v] = x
                     pred[v] = k
                     lowered[v] = None
         if not lowered:
             return G, None
     v = next(iter(lowered))
     for _ in range(n_vertices):  # walk back onto the cycle
-        v = arcs[pred[v]][0]
+        v = tails[pred[v]]
     cycle, u = [], v
     while True:
         cycle.append(pred[u])
-        u = arcs[pred[u]][0]
+        u = tails[pred[u]]
         if u == v:
             return G, cycle
 
@@ -673,6 +675,7 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
     at the integer costs L*W*w_e -+ D*t.eta_e, D = L*W with L the common
     denominator of t: a negative cycle is the next row, none ends the loop
     with potentials G.  There are finitely many simple cycles, so it ends.
+    The arc lists are built once per call; a round computes only the costs.
 
     Then phi = sum t_i eta_i + dG/D is closed with comass <= 1 (both are
     checked) and pairs to c.t with the class c, and x = sum lam_j C_j over
@@ -680,8 +683,15 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
     Returns (t, D, D*phi, G, x as (edge, coefficient) pairs, rounds), rounds
     the Bellman-Ford runs.
     """
-    wt, W = _at_integer_scale(K.weights[1])
+    wt, W = K.integer_weights(1)
     ends = [(tail, head) for (head, _), (tail, _) in K.faces(1)]
+    # The 1-skeleton's arcs: 2e runs along edge e, 2e + 1 against it.
+    out: list[list[tuple[int, int]]] = [[] for _ in range(K.n_simplices(0))]
+    tails = []
+    for e, (tail, head) in enumerate(ends):
+        out[tail].append((head, 2 * e))
+        out[head].append((tail, 2 * e + 1))
+        tails += (tail, head)
     beta = len(etas)
     h: list[list[tuple[int, int]]] = [[] for _ in ends]  # (i, eta_i(e))
     for i, eta in enumerate(etas):
@@ -733,10 +743,10 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
         L = lcm(*(x.denominator for x in t))
         Dt = [x.numerator * (L // x.denominator) * W for x in t]
         hD = [sum(Dt[i] * v for i, v in he) for he in h]
-        arcs = []  # arc 2e runs along edge e, arc 2e + 1 against it
-        for (tail, head), w, x in zip(ends, wt, hD):
-            arcs += [(tail, head, L * w - x), (head, tail, L * w + x)]
-        G, cycle = _negative_cycle(K.n_simplices(0), arcs)
+        cost = []
+        for w, x in zip(wt, hD):
+            cost += (L * w - x, L * w + x)
+        G, cycle = _negative_cycle(out, tails, cost)
         if cycle is None:
             break
         chain = [(k >> 1, -1 if k & 1 else 1) for k in cycle]
@@ -818,7 +828,7 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         return report
     z0 = [lift(v) for v in dec.representative_vector(c)]
     n = c.ring.modulus
-    wnum, w_scale = _at_integer_scale(K.weights[d])
+    wnum, w_scale = K.integer_weights(d)
     if not K.n_simplices(d + 1):  # no boundary moves: a one-point coset
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         return OptReport(c, Fraction(m0, w_scale),

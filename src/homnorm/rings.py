@@ -18,7 +18,10 @@ from typing import Optional, Union
 
 RingElem = Union[int, Fraction]
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only: \d and int() also take other Unicode digits, and int()
+# takes "_" between digits and a leading "+".
+_INT_RE = re.compile(r"-?[0-9]+")
+_RAT_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,9 @@ def ring_from_tag(tag: str) -> RingSpec:
         return INT
     if tag == "Q":
         return RAT
-    if tag.startswith("Z/"):
-        body = tag[2:]
-        if not body.isdigit():
-            raise ValueError(f"bad ring tag: {tag!r}")
-        return mod_ring(int(body))
+    m = re.fullmatch(r"Z/([0-9]+)", tag)
+    if m:
+        return mod_ring(int(m.group(1)))
     raise ValueError(f"bad ring tag: {tag!r}")
 
 
@@ -124,6 +125,13 @@ def norm(ring: RingSpec, e: RingElem) -> RingElem:
     if ring.is_mod:
         return abs(canonical_lift(int(e), ring.modulus))  # type: ignore[arg-type]
     return abs(e)
+
+
+def parse_integer(text: str) -> int:
+    """Parse a decimal integer of ASCII digits, with an optional ``-``."""
+    if not _INT_RE.fullmatch(text.strip()):
+        raise ValueError(f"bad integer literal: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -201,6 +201,15 @@ def test_usage_errors_exit_2(paths):
     with pytest.raises(SystemExit) as exc:
         main(["scan", paths["tc"], "--dim", "1", "--n", "2"])
     assert exc.value.code == 2
+    # integer options take ASCII digits only
+    for argv in (["homology", paths["tc"], "--dim", "1_0"],
+                 ["federer", paths["tc"], "--dim", "1", "--class", "f:1",
+                  "--k-max", "\u0662"],
+                 ["scan", paths["tc"], "--dim", "1", "--class", "f:1",
+                  "--n", "2", "--cap", "1_0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,7 +271,10 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
                              "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
                              "weights": {"5": ["1"]}}),
                  json.dumps({"name": [1, 2], "dimension": 1,
-                             "simplices": {"0": [[0], [1]], "1": [[0, 1]]}})):
+                             "simplices": {"0": [[0], [1]], "1": [[0, 1]]}}),
+                 json.dumps({"name": "w", "dimension": 1,
+                             "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
+                             "weights": {"1": ["\u0663"]}})):
         broken.write_text(text, encoding="utf-8")
         code, _, err = run_cli(capsys, ["homology", str(broken), "--dim", "1"])
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1
@@ -285,6 +297,31 @@ def test_computation_errors_exit_1(paths, capsys, tmp_path):
             "--ring", ring])
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # integers with non-ASCII digits or underscores, which int() would
+    # read: in class coordinates, ring tags, moduli, chains and shrink sets
+    rp2_fundamental = ",".join(f"0_{item}" for item in
+                               RP2_FUNDAMENTAL.split(","))
+    for argv in (
+            ["norm", paths["mobius"], "--dim", "1", "--class", "f:\u0663",
+             "--ring", "Z"],
+            ["norm", paths["klein"], "--dim", "1", "--class", "f:1;t:\u0661",
+             "--ring", "Z"],
+            ["norm", paths["rp2"], "--dim", "2", "--class", "c:1_1",
+             "--ring", "Z/2"],
+            ["norm", paths["mobius"], "--dim", "1", "--class", "f:1",
+             "--ring", "Z/\u0663"],
+            ["scan", paths["mobius"], "--dim", "1", "--class", "f:1",
+             "--n", "1_0..1_1"],
+            ["scan", paths["mobius"], "--dim", "1", "--class", "f:1",
+             "--n", "\u0663"],
+            ["norm", paths["rp2"], "--dim", "2", "--chain", rp2_fundamental,
+             "--ring", "Z/2"],
+            ["sweep", paths["mobius"], "--dim", "1", "--class", "f:1",
+             "--n", "3", "--shrink", "0_1", "--factors", "1/2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: bad ") and err.count("\n") == 1, argv
 
     # non-contiguous scan range
     code, _, err = run_cli(capsys, [

@@ -15,7 +15,9 @@ from homnorm.complexes import (Chain, Cochain, ComplexFormatError,
                                complex_to_json, dump_complex,
                                lift_chain, load_complex, mass, reduce_chain)
 from homnorm.fixtures import SUITE, rp2_6
-from homnorm.homology import class_of_cycle, homology_decomposition
+from homnorm.homology import (class_of_cycle, homology_decomposition,
+                              reduce_class)
+from homnorm.optimize import min_int, min_mod
 from homnorm.rings import (INT, RAT, canonicalize, mod_ring, parse_element,
                            ring_from_tag)
 
@@ -110,6 +112,15 @@ def test_load_rejects_weights_that_are_not_rational_strings(weights):
                       "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
                       "weights": weights})
     with pytest.raises(ComplexFormatError, match="p/q"):
+        load_complex(doc)
+
+
+@pytest.mark.parametrize("weight", ["\u0663", "1/\u0662", "1_0", "+3"])
+def test_load_rejects_weights_that_are_not_ascii_decimal(weight):
+    doc = json.dumps({"name": "w", "dimension": 1,
+                      "simplices": {"0": [[0], [1]], "1": [[0, 1]]},
+                      "weights": {"1": [weight]}})
+    with pytest.raises(ComplexFormatError, match="bad rational literal"):
         load_complex(doc)
 
 
@@ -487,3 +498,46 @@ def test_scaled_weights_sibling(mobius):
         mobius.with_scaled_weights(1, [99], Fraction(1, 2))
     with pytest.raises(ValueError):
         mobius.with_scaled_weights(1, [0], Fraction(0))
+    with pytest.raises(ValueError):
+        mobius.with_scaled_weights(3, [], Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_scaled_weights_sibling_shares_only_weight_free_state(name):
+    """A sibling shares the face tables, face neighbours and
+    decompositions of its complex, the last rebound to it; the caches that
+    depend on the weights are its own and start empty."""
+    K = SUITE[name]()
+    decs = [homology_decomposition(K, d) for d in range(K.dim + 1)]
+    for dec in decs:
+        dec.mod(4)
+    K.face_neighbours(1)
+    dec1 = decs[1]
+    unit = [1] + [0] * (dec1.betti + len(dec1.torsion) - 1)
+    c = dec1.class_coords(INT, unit[:dec1.betti], unit[dec1.betti:])
+    min_int(K, 1, c)
+    min_mod(K, 1, reduce_class(c, mod_ring(4)))
+    K2 = K.with_scaled_weights(1, [0, 2], Fraction(1, 3))
+    assert K2.weights[1][0] == K.weights[1][0] / 3
+    assert K2.weights[1][1] == K.weights[1][1]
+    assert all(K2.weights[d] is K.weights[d]
+               for d in range(K.dim + 1) if d != 1)
+    assert all(K2.faces(d) is K.faces(d) for d in range(K.dim + 1))
+    assert K2.face_neighbours(1) is K.face_neighbours(1)
+    assert K2.index_of(1, K.simplices[1][2]) == 2
+    for d, dec in enumerate(decs):
+        dec2 = homology_decomposition(K2, d)
+        assert dec2 is not dec and dec2.complex is K2
+        assert (dec2.betti, dec2.torsion_factors) == (dec.betti,
+                                                      dec.torsion_factors)
+        for b2, b in zip(dec2.free_basis + dec2.torsion_basis,
+                         dec.free_basis + dec.torsion_basis, strict=True):
+            assert b2.complex is K2 and b2.coeffs == b.coeffs
+            assert mass(K2, b2) == sum(K2.weights[d][i] * abs(v)
+                                       for i, v in b.coeffs)
+        assert dec2.mod(4) is not dec.mod(4) and dec2.mod(4).dec is dec2
+        assert dec2.mod(4).cotorsion == dec.mod(4).cotorsion
+    assert K._integer_weights and not K2._integer_weights
+    assert not K2._level_cache and not K2._order_cache
+    assert K2.integer_weights(1) != K.integer_weights(1)
+    assert K2._integer_weights is not K._integer_weights

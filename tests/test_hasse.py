@@ -11,6 +11,8 @@ import pytest
 from conftest import torus_grid
 
 from homnorm import hasse, optimize
+from homnorm.complexes import (dump_complex, lift_chain, load_complex,
+                               reduce_chain)
 from homnorm.fixtures import SUITE, mobius_band, mobius_boundary_indices
 from homnorm.hasse import (EnumerationInexactError, GapRow, ScanRow,
                            bijection_check, empirical_threshold,
@@ -18,8 +20,9 @@ from homnorm.hasse import (EnumerationInexactError, GapRow, ScanRow,
                            gap_rows_to_csv, gap_sweep, scan_moduli,
                            scan_rows_to_csv)
 from homnorm.homology import homology_decomposition, reduce_class
-from homnorm.optimize import DEFAULT_MINIMIZER_CAP, min_int, min_real
-from homnorm.rings import INT, RAT, parse_rational
+from homnorm.optimize import (DEFAULT_MINIMIZER_CAP, lift_minimizer, min_int,
+                              min_mod, min_real)
+from homnorm.rings import INT, RAT, mod_ring, parse_rational
 
 
 def _gen(dec):
@@ -328,6 +331,22 @@ def test_scaled_real_report_is_the_report_of_the_scaled_class():
     assert degrees == {1, 2}
 
 
+def _counted_real(monkeypatch) -> list:
+    """Count the ``min_real`` calls of the harness and the engines
+    together; returns the list of their arguments."""
+    real_calls = []
+
+    def counted(fn):
+        def call(*args):
+            real_calls.append(args)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(optimize, "min_real", counted(optimize.min_real))
+    monkeypatch.setattr(hasse, "min_real", counted(hasse.min_real))
+    return real_calls
+
+
 def test_federer_solves_one_real_lp_per_sequence(monkeypatch):
     """One ``min_real`` call per sequence, in the harness and the engines
     together, and the same rows and ``min_int`` node counts as solving the
@@ -339,16 +358,7 @@ def test_federer_solves_one_real_lp_per_sequence(monkeypatch):
                    for k in range(1, 5)]
         want.append(([r.value for r in reports],
                      [r.nodes_explored for r in reports]))
-    real_calls = []
-
-    def counted(fn):
-        def call(*args):
-            real_calls.append(args)
-            return fn(*args)
-        return call
-
-    monkeypatch.setattr(optimize, "min_real", counted(optimize.min_real))
-    monkeypatch.setattr(hasse, "min_real", counted(hasse.min_real))
+    real_calls = _counted_real(monkeypatch)
     engine_calls = _record_positional_calls(monkeypatch)
     for (K, d, c), (values, nodes) in zip(cases, want):
         real_calls.clear()
@@ -358,6 +368,144 @@ def test_federer_solves_one_real_lp_per_sequence(monkeypatch):
         assert [r.value_int for r in rows] == values
         assert [out.nodes_explored for name, _, out in engine_calls
                 if name == "min_int"] == nodes
+
+
+def _harness_classes():
+    """(complex, degree, integral class): every basis class of every
+    fixture degree with nonzero homology, and the classes (1, 0) and (1, 1)
+    of relabelled T3 and T4 grids (on T4 seeds whose full mod-n
+    enumerations take milliseconds)."""
+    for make in SUITE.values():
+        K = make()
+        for d in range(K.dim + 1):
+            dec = homology_decomposition(K, d)
+            r = dec.betti + len(dec.torsion)
+            for j in range(r):
+                unit = [int(i == j) for i in range(r)]
+                yield K, d, dec.class_coords(INT, unit[:dec.betti],
+                                             unit[dec.betti:])
+    for k, seed in ((3, 1), (3, 2), (4, 3)):
+        K = torus_grid(k, seed=seed)
+        dec = homology_decomposition(K, 1)
+        for free in ((1, 0), (1, 1)):
+            yield K, 1, dec.class_coords(INT, free)
+
+
+def _memoized_engines(monkeypatch) -> None:
+    """Let the engine names ``hasse`` imported answer a repeated call from
+    a table, keyed by complex, degree, class, cap and value-only flag, so
+    that a test pays for each search once."""
+    def memo(fn):
+        table = {}
+
+        def call(*args):
+            key = (*args[:4], len(args) > 4 and args[4])
+            if key not in table:
+                table[key] = fn(*args)
+            return table[key]
+        return call
+
+    for name in ("min_int", "min_mod"):
+        monkeypatch.setattr(hasse, name, memo(getattr(hasse, name)))
+
+
+def test_harness_checks_match_the_chain_definitions(monkeypatch):
+    """scan's bijection and lift columns and bijection_check's report, for
+    n = 2..8, against the chain definitions on the same minimizer sets:
+    the set of ``reduce_chain`` images of the integral minimizers,
+    ``lift_chain(T).is_cycle()`` and ``lift_minimizer(T).lifted_class == c``
+    of each mod-n minimizer.  The cases include a reduction that is not
+    injective and a lift that is not a cycle (mobius-gap at n = 3)."""
+    _memoized_engines(monkeypatch)
+    saw_not_injective = saw_non_cycle = False
+    for K, d, c in _harness_classes():
+        tau = homology_decomposition(K, d).torsion_number
+        rows = scan_moduli(K, d, c, 2, 8)
+        ints = hasse.min_int(K, d, c, DEFAULT_MINIMIZER_CAP)
+        for row, n in zip(rows, range(2, 9), strict=True):
+            ring = mod_ring(n)
+            report = bijection_check(K, d, c, n)
+            mods = hasse.min_mod(K, d, reduce_class(c, ring),
+                                 DEFAULT_MINIMIZER_CAP)
+            reduced = [reduce_chain(T, ring) for T in ints.minimizers]
+            injective = len(set(reduced)) == len(reduced)
+            surjective = set(reduced) == set(mods.minimizers)
+            lifts = [(lift_chain(T).is_cycle(),
+                      lift_minimizer(T).lifted_class == c)
+                     for T in mods.minimizers]
+            if n % tau == 0:
+                assert row.bijection == (injective and surjective)
+                assert row.lift_all_cycles == all(a for a, _ in lifts)
+            else:
+                assert row.bijection is row.lift_all_cycles is None
+            assert (report.injective, report.surjective) == (injective,
+                                                             surjective)
+            assert [item.minimizer for item in report.lifts] == list(
+                mods.minimizers)
+            assert [(item.lift_is_cycle, item.lift_in_class)
+                    for item in report.lifts] == lifts
+            saw_not_injective |= not injective
+            saw_non_cycle |= not all(a for a, _ in lifts)
+    assert saw_not_injective and saw_non_cycle
+
+
+def _sweep_cases():
+    """(complex, degree, integral class, shrink set, factors, moduli)."""
+    mobius = mobius_band()
+    yield (mobius, 1, _gen(homology_decomposition(mobius, 1)),
+           mobius_boundary_indices(mobius),
+           [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)],
+           [2, 3, 4])
+    for K, d, c in _federer_cases():
+        yield (K, d, c, list(range(0, K.n_simplices(d), 2)),
+               [Fraction(1, 3), Fraction(2)], [2, 3])
+
+
+def test_sweep_solves_one_real_lp_per_factor(monkeypatch):
+    """One ``min_real`` call per factor, in the harness and the engines
+    together, and the same values and ``min_int`` node counts as solving
+    each factor's classes afresh, the real LP inside ``min_int`` too."""
+    cases = list(_sweep_cases())
+    want = []
+    for K, d, c, shrink, factors, moduli in cases:
+        out = []
+        for f in factors:
+            K2 = K.with_scaled_weights(d, shrink, f)
+            c2 = homology_decomposition(K2, d).class_coords(
+                INT, c.free_part, c.torsion_part)
+            vi = min_int(K2, d, c2, DEFAULT_MINIMIZER_CAP, True)
+            vr = min_real(K2, d, reduce_class(c2, RAT)).value
+            vm = {n: min_mod(K2, d, reduce_class(c2, mod_ring(n)),
+                             DEFAULT_MINIMIZER_CAP, True).value
+                  for n in moduli}
+            out.append((vi.value, vr, vm, vi.nodes_explored))
+        want.append(out)
+    real_calls = _counted_real(monkeypatch)
+    engine_calls = _record_positional_calls(monkeypatch)
+    for (K, d, c, shrink, factors, moduli), rows_want in zip(cases, want):
+        real_calls.clear()
+        engine_calls.clear()
+        rows = gap_sweep(K, d, c, shrink, factors, moduli)
+        assert len(real_calls) == len(factors), (K.name, d)
+        nodes = [out.nodes_explored for name, _, out in engine_calls
+                 if name == "min_int"]
+        assert [(r.value_int, r.value_real, r.value_mod, m)
+                for r, m in zip(rows, nodes, strict=True)] == rows_want
+
+
+def test_sweep_rows_equal_sweeps_of_freshly_loaded_complexes():
+    """Each row of a sweep, whose siblings share the tables of the swept
+    complex, equals the factor-1 row of a sweep over a freshly loaded copy
+    of that factor's reweighted complex."""
+    for K, d, c, shrink, factors, moduli in _sweep_cases():
+        rows = gap_sweep(K, d, c, shrink, factors, moduli)
+        for f, row in zip(factors, rows, strict=True):
+            K3 = load_complex(dump_complex(
+                K.with_scaled_weights(d, shrink, f)))
+            c3 = homology_decomposition(K3, d).class_coords(
+                INT, c.free_part, c.torsion_part)
+            (fresh,) = gap_sweep(K3, d, c3, shrink, [Fraction(1)], moduli)
+            assert dataclasses.replace(fresh, shrink_factor=f) == row
 
 
 def _decode(field):

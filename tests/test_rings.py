@@ -8,8 +8,8 @@ import pytest
 
 from homnorm.rings import (INT, RAT, RingSpec, canonical_lift, canonicalize,
                            factorize, format_element, format_rational,
-                           mod_ring, norm, parse_element, parse_rational,
-                           ring_from_tag)
+                           mod_ring, norm, parse_element, parse_integer,
+                           parse_rational, ring_from_tag)
 
 
 def test_norm_examples():
@@ -82,6 +82,17 @@ def test_rational_serialization_round_trip():
         parse_rational("x")
 
 
+def test_integers_take_ascii_decimal_digits_only():
+    assert [parse_integer(t) for t in ("7", "-12", " 3 ", "007")] == [
+        7, -12, 3, 7]
+    for text in ("\u0663", "1_0", "+3", "", "-", "1.0", "0x1", "1 2"):
+        with pytest.raises(ValueError, match="bad integer literal"):
+            parse_integer(text)
+    for text in ("\u0663", "1_0", "1/\u0662"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(text)
+
+
 def test_format_rational_matches_the_fraction_form():
     """Ints and Fractions print from their own numerator and denominator,
     other numbers through ``Fraction``; every form is that of
@@ -107,8 +118,9 @@ def test_ring_tags():
     assert ring_from_tag("Z") is INT
     assert ring_from_tag("Q") is RAT
     assert ring_from_tag("Z/6") == mod_ring(6)
-    with pytest.raises(ValueError):
-        ring_from_tag("Z/x")
+    for tag in ("Z/x", "Z/\u0663", "Z/1_0", "Z/+3", "Z/-3", "Z/"):
+        with pytest.raises(ValueError, match="bad ring tag"):
+            ring_from_tag(tag)
     with pytest.raises(ValueError):
         RingSpec("Z/n", 1)
     with pytest.raises(ValueError):
