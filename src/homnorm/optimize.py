@@ -7,39 +7,51 @@
   over the cycles found so far and one Bellman-Ford run per round to find
   the next (``_calibrate``).  In degree >= 2 it solves the sign-split chain
   LP over a reference cycle plus boundaries on the tableau of ``lp``.
-* min_int: complete branch-and-bound enumeration of the integral chains in
-  a class, organized as a DFS over an echelonized basis of the boundary
-  lattice with per-simplex boxes derived from the initial feasible mass.
-  It first solves the real LP and also prunes on its dual certificate, a
-  calibration phi: mass(x) >= phi(z0) + sum of w_s|x_s| - phi_s x_s over
-  the simplices assigned so far.
-* min_mod: the same search over integer lifts with x = z0 + boundary + n*u,
-  i.e. over the full-rank lattice spanned by boundaries and n times the
-  standard basis, restricted to canonical residue ranges.
+* min_mod: complete branch-and-bound enumeration of the mod-n chains in a
+  class, as integer lifts x = z0 + boundary + n*u, i.e. over the
+  full-rank lattice spanned by the boundaries and n times the standard
+  basis, restricted to canonical residue ranges, organized as a DFS over
+  an echelonized basis of that lattice with per-simplex boxes derived
+  from the initial feasible mass.
+* min_int: the same search at a modulus N that it picks.  It first solves
+  the real LP and also prunes on its dual certificate, a calibration phi:
+  mass(x) >= phi(z0) + sum of w_s|x_s| - phi_s x_s over the simplices
+  assigned so far.
 
-Both run one coset search.  Every box contains 0, so the candidates at a
-pivot row are merged outward from 0, cheapest first, with no per-node sort;
-each move touches only the nonzeros of its pivot column.  Both also prune
-on the face residuals: every coset point is a cycle (mod n over Z/n), so
-once some simplices are assigned, each (d-1)-face t with residual a_t, the
-signed sum of its assigned simplices, needs unassigned simplices of total
-|coefficient| >= dist(a_t, nZ) (|a_t| over Z), and the rest of the mass is
-at least sum_t m_t dist_t / (d+1), m_t the least weight on t.  The rows
-go by decreasing weight, then outward from the support of z0 over the
-faces (``_row_order``), so the faces close early whatever the labelling
-of the complex; any order gives the same values and minimizers.  Each call
+The search modulo N is exact over Z.  With m0 = mass(z0) and the weights
+at one integer scale, a coset point x of mass <= m0 has |x|_1 <= s1 =
+m0 // min w.  N = tau * (B // tau + 1), with tau the torsion number and B
+the larger of 2*s1 and every |c_i| + s1 * max|eta_i|, eta_i the cocycle
+dual to free basis cycle i.  So s1 < N/2 and the box needs no cut; each
+|boundary(x)_t| <= s1 < N while boundary(x) = 0 mod N, so x is an integral
+cycle; x - z0 = boundary(y) + N*u with u a cycle, so [x] = c + N[u], where
+tau | N kills the torsion of N[u] and |eta_i(x)| < N - |c_i| forces
+eta_i(u) = 0.  So x lies in class c: the coset points of mass <= m0, the
+value and the minimizers are those of the integral search, and phi, which
+needs only that x lies in class c, stays a calibration.
+
+Every box contains 0, so the candidates at a pivot row are merged outward
+from 0, cheapest first, with no per-node sort; each move touches only the
+nonzeros of its pivot column.  The search also prunes on the face
+residuals: every coset point is a cycle mod n, so once some simplices are
+assigned, each (d-1)-face t with residual a_t, the signed sum of its
+assigned simplices, needs unassigned simplices of total |coefficient|
+>= dist(a_t, nZ), and the rest of the mass is at least
+sum_t m_t dist_t / (d+1), m_t the least weight on t.  The rows go by
+decreasing weight, then outward from the support of z0 over the faces
+(``_row_order``), so the faces close early whatever the labelling of the
+complex; any order gives the same values and minimizers.  Each call
 echelonizes its lattice from the faces of the (d+1)-simplices
 (``_echelon_columns``): each row reduces only the columns whose first
-nonzero row it is, and over Z/n the entries stay in (-n, n), so the
-n*e_r columns past a unit pivot vanish and the pivot columns stay short.
-A node fixes the rows up to a pivot, and the lattice alone fixes the
-pivot rows, their positive entries and the congruence class of the
-candidates, so the values, minimizers and node counts are those of any
-echelon basis.  The search tables hold only what a level reads (over Z/n
-every row is a pivot, with no rows between pivots to check), and each
+nonzero row it is, and the entries stay in (-n, n), so the n*e_r columns
+past a unit pivot vanish and the pivot columns stay short.  Every row is a
+pivot row, a node fixes the rows up to its pivot, and the lattice alone
+fixes the pivot entries and the congruence class of the candidates, so the
+values, minimizers and node counts are those of any echelon basis.  Each
 reported chain is built once, from its sorted canonical coefficients.
 
-phi(x) is not constant on x + n*e_s, so min_mod cannot prune on the real
+Over Z/n the coset points within budget lie in many integral classes, on
+which phi(x) is not constant, so min_mod cannot prune on the real
 calibration.  In degree 1 it prunes on a mod-n calibration instead (F.
 Morgan, *Calibrations modulo nu*, Adv. Math. 64, 1987): the level sets of
 the least comass form of the cocycle dual to a free basis cycle are closed
@@ -167,10 +179,11 @@ def _zero_report(K: WeightedComplex, d: int, c: ClassCoords,
 
 
 def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
-                     row_order: Sequence[int],
-                     modulus: Optional[int] = None
+                     row_order: Sequence[int], modulus: int
                      ) -> list[tuple[int, dict[int, int]]]:
-    """Unimodular column reduction to echelon form along ``row_order``.
+    """Unimodular column reduction to echelon form along ``row_order`` of
+    the lattice spanned by ``columns`` and n*e_r for every row r, n the
+    ``modulus``.
 
     Columns are sparse, as (row, coeff) pairs.  Each active column waits
     in the bucket of its leading row, its first nonzero row in the order,
@@ -180,12 +193,12 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
     pivot, which keeps the pivot columns, and so the moves of the search,
     short.
 
-    With a modulus n the lattice also holds n*e_r for every row r.  That
-    column is zero above row r, so it joins the reduction only when row r
-    is reached.  Adding multiples of n*e_i to a column keeps the lattice,
-    so an entry that a column operation takes out of (-n, n) is reduced
-    mod n, and a column that becomes zero mod n, such as the n*e_r column
-    past a unit pivot, leaves the reduction.
+    The column n*e_r is zero above row r, so it joins the reduction only
+    when row r is reached, and every row is a pivot row.  Adding multiples
+    of n*e_i to a column keeps the lattice, so an entry that a column
+    operation takes out of (-n, n) is reduced mod n, and a column that
+    becomes zero mod n, such as the n*e_r column past a unit pivot, leaves
+    the reduction.
 
     Returns (pivot_row, column) pairs; each pivot column has a positive
     entry at its pivot row and zeros at all earlier rows of the order.
@@ -202,10 +215,7 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
     result: list[tuple[int, dict[int, int]]] = []
     for k, r in enumerate(row_order):
         nz = buckets[k]
-        if n is not None:
-            nz.append({r: n})
-        if not nz:
-            continue
+        nz.append({r: n})
         while len(nz) > 1:
             nz.sort(key=lambda col: (abs(col[r]), len(col)))
             a = nz[0]
@@ -213,7 +223,7 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
                 q = b[r] // a[r]  # nonzero, as |a[r]| <= |b[r]|
                 for i, v in a.items():
                     x = b.get(i, 0) - q * v
-                    if n is not None and not -n < x < n:
+                    if not -n < x < n:
                         x %= n
                     if x:
                         b[i] = x
@@ -289,50 +299,49 @@ def _row_order(K: WeightedComplex, d: int, wnum: Sequence[int],
 
 def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     pivots: Sequence[tuple[int, Mapping[int, int]]],
-                    row_order: Sequence[int],
                     lo: Sequence[int], hi: Sequence[int],
-                    cap_mass: int, cap_count: int,
+                    cap_mass: int, cap_count: int, *,
+                    faces: Sequence[Sequence[tuple[int, int]]], modulus: int,
                     phi: Optional[Sequence[int]] = None,
-                    faces: Optional[Sequence[Sequence[tuple[int, int]]]] = None,
-                    modulus: Optional[int] = None, value_only: bool = False,
+                    value_only: bool = False,
                     cocycles: Optional[tuple[Sequence[Sequence[tuple[int, int]]],
                                              Sequence[int], int]] = None):
     """Enumerate all lattice-coset points of minimal weighted l1 mass.
 
-    The coset is z0 + span(pivot columns), searched depth first over the
-    pivots.  Every box must contain 0 (lo[r] <= 0 <= hi[r]); the candidates
-    at a pivot row, its congruence class inside [lo, hi], are then merged
+    The coset is z0 + span(pivot columns), with a pivot at every row, as
+    in the echelon of a lattice that holds ``modulus`` * e_r for every row
+    r (``_echelon_columns``); it is searched depth first over the pivots.
+    Every box must contain 0 (lo[r] <= 0 <= hi[r]); the candidates at a
+    pivot row, its congruence class inside [lo, hi], are then merged
     outward from 0 by two cursors, cheapest first with t before -t, so
     incumbents improve fast and the first candidate over budget ends the
     row.  A move and its undo touch only the (row, coeff) nonzeros of the
-    pivot column, and the rows between two pivots are checked against
-    precomputed (row, lo, hi, weight) tuples.
+    pivot column.
 
-    ``phi``, if given, is a calibration on the scale of ``wnum``: it
-    vanishes on every pivot column and |phi[s]| <= wnum[s].  Every coset
-    point x then has mass(x) = phi(z0) + sum_s (wnum[s] |x_s| - phi[s] x_s)
-    with no negative term, so the terms of the rows assigned so far plus
-    phi(z0) bound the mass of every completion from below, and a candidate
-    whose bound exceeds the incumbent is dropped (ties are kept).  At a
-    pivot row the term only grows outward on each side of 0, so the first
-    such candidate closes its cursor; the rows after it are not monotone,
-    so there only the candidate is dropped.
+    ``phi``, if given, is a calibration of the class on the scale of
+    ``wnum``: |phi[s]| <= wnum[s], and phi(x) = phi(z0) at every coset
+    point x of mass at most ``cap_mass``.  Such an x has
+    mass(x) = phi(z0) + sum_s (wnum[s] |x_s| - phi[s] x_s) with no negative
+    term, so the terms of the rows assigned so far plus phi(z0) bound the
+    mass of every completion within budget from below, and a candidate
+    whose bound exceeds the incumbent is dropped (ties are kept).  The term
+    only grows outward on each side of 0, so the first such candidate
+    closes its cursor.
 
-    ``faces``, if given, lists the (face, sign) incidences of each row, and
-    every coset point is then a cycle: mod ``modulus`` if one is given,
-    exactly otherwise.  Once the rows up to a level are assigned, each face
-    t has a residual a_t, the signed sum of its assigned rows, and its
-    unassigned rows must supply sum |x_s| >= dist_t = dist(a_t, nZ) (|a_t|
-    over Z), each at a weight of at least m_t, the least weight on t.  Each
-    row lies on ``arity`` faces, so the unassigned rows have mass
-    >= sum_t m_t dist_t / arity, and a candidate is dropped when
-    arity * mass + sum_t m_t dist_t exceeds arity * best (ties are kept).
-    The bound holds in any row order: m_t is the least weight of any row on
-    t, so no more than that of an unassigned one, and once every row on t
-    is assigned dist_t = 0, since those rows are those of a coset point.  A
-    level changes only the faces of the rows it assigns.  At a level with
-    no rows after its pivot row the candidate is tested before its move,
-    and a dropped one is not counted as a node.
+    ``faces`` lists the (face, sign) incidences of each row, and every
+    coset point is a cycle mod ``modulus``.  Once the rows up to a level
+    are assigned, each face t has a residual a_t, the signed sum of its
+    assigned rows, and its unassigned rows must supply
+    sum |x_s| >= dist_t = dist(a_t, nZ), each at a weight of at least m_t,
+    the least weight on t.  Each row lies on ``arity`` faces, so the
+    unassigned rows have mass >= sum_t m_t dist_t / arity, and a candidate
+    is dropped when arity * mass + sum_t m_t dist_t exceeds arity * best
+    (ties are kept).  The bound holds in any row order: m_t is the least
+    weight of any row on t, so no more than that of an unassigned one, and
+    once every row on t is assigned dist_t = 0, since those rows are those
+    of a coset point.  A level changes only the faces of its row, and the
+    candidate is tested before its move, so a dropped one is not counted
+    as a node.
 
     ``cocycles``, if given, is (incidences, targets, mu): the (level,
     coeff) incidences of each row on integral cocycles h_m with
@@ -345,9 +354,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     the pivot row is not on do not change with the candidate, so they join
     the test that ends the row; the others are tested per candidate, and
     only where the row lies on some h_m.  The face and cocycle bounds are
-    tested separately, so together they act as their maximum.  They need
-    a modulus and a pivot at every row, as over Z/n, where the n*e_r
-    columns make every row a pivot.
+    tested separately, so together they act as their maximum.
 
     With ``value_only`` the ties are not enumerated: once there is an
     incumbent every test drops a candidate whose bound reaches it, which,
@@ -358,57 +365,28 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     if max(lo, default=0) > 0 or min(hi, default=0) < 0:
         raise ValueError("every search box must contain 0")
     depth = len(pivots)
-    if cocycles is not None and (modulus is None or depth != len(row_order)):
-        raise ValueError("cocycles need a modulus and a pivot at every row")
     calibrated = phi is not None
     fvec = phi if calibrated else [0] * len(wnum)
-    if faces is None:
-        faces = [()] * len(wnum)
-    # One pass over the rows finds the rows before the first pivot row and
-    # those after each pivot row up to the next (over Z/n every row is a
-    # pivot and they are all empty), and m[t], the least weight of a row on
-    # face t: no more than that of any unassigned row on t.
-    pivot_rows = {r for r, _ in pivots}
-    prefix: list[int] = []
-    segments: list[list[int]] = []
-    rows = prefix
+    # m[t], the least weight of a row on face t: no more than that of any
+    # unassigned row on t.
     m: dict[int, int] = {}
-    for r in row_order:
-        w = wnum[r]
-        for t, _ in faces[r]:
+    for fs, w in zip(faces, wnum):
+        for t, _ in fs:
             if m.get(t, w) >= w:
                 m[t] = w
-        if r in pivot_rows:
-            rows = []
-            segments.append(rows)
-        else:
-            rows.append(r)
     arity = max(map(len, faces), default=0) or 1
-    # With x = a % n, the distance of a residual a to nZ is x if 2x <= n,
-    # else n - x.  Over Z take n past twice any |a_t|, which is at most the
-    # sum of the box widths since every assigned row lies in its box; the
-    # distance is then |a_t|.
-    n = modulus or 2 * (sum(hi) - sum(lo)) + 1
+    n = modulus
     # res holds the residual a_t of each face t, then that of each level m
     # at n_faces + m: h_m of the assigned rows minus targets[m].
     n_faces = 1 + max(m, default=-1)
     incidences, targets, mu = cocycles or ([()] * len(wnum), (), 0)
     levels = []
-    for (r, col), rows in zip(pivots, segments):
-        if rows:
-            segment = [(rr, lo[rr], hi[rr], wnum[rr]) for rr in rows]
-            segment_phi = [(rr, fvec[rr]) for rr in rows if fvec[rr]]
-            assigned = [(s, faces[s]) for s in (r, *rows)]
-            touched = dict.fromkeys(t for _, fs in assigned for t, _ in fs)
-            level_faces = [(t, 0, m[t]) for t in touched]
-        else:
-            segment = segment_phi = assigned = ()
-            level_faces = [(t, sign, m[t]) for t, sign in faces[r]]
+    for r, col in pivots:
         on = incidences[r]
         on = [(n_faces + lv, hv) for lv, hv in on] if on else ()
         levels.append((r, col[r], wnum[r], lo[r], hi[r], fvec[r],
-                       list(col.items()), segment, segment_phi, level_faces,
-                       assigned, on))
+                       list(col.items()),
+                       [(t, sign, m[t]) for t, sign in faces[r]], on))
 
     cur = list(z0)
     best = limit = cap_mass  # candidates with a bound above limit drop
@@ -416,30 +394,12 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     sols: list[tuple[int, ...]] = []
     exact = True
     nodes = 0
-
-    base_mass = 0
-    res = [0] * n_faces + [-t for t in targets]  # no prefix rows with levels
-    for r in prefix:
-        v = cur[r]
-        if v < lo[r] or v > hi[r]:
-            return best, sols, exact, nodes
-        base_mass += wnum[r] * abs(v)
-        for t, sign in faces[r]:
-            res[t] += sign * v
-    residual = 0
-    for t in {t for r in prefix for t, _ in faces[r]}:
-        x = res[t] % n
-        residual += m[t] * (x if x + x <= n else n - x)
-    if arity * base_mass + residual > arity * best:
-        return best, sols, exact, nodes
+    res = [0] * n_faces + [-t for t in targets]
     leveled = 0
     for x in res[n_faces:]:
         x %= n
         leveled += x if x + x <= n else n - x
     leveled *= mu
-    # The bound is acc - f, with f = phi(assigned rows) - phi(z0); the
-    # prefix rows keep their z0 values.
-    f0 = sum(fvec[r] * z0[r] for r in prefix) - sum(map(mul, fvec, z0))
 
     def record(total: int) -> None:
         nonlocal best, limit, sols, exact
@@ -454,14 +414,14 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 exact = False
         limit = best - slack
 
+    # The bound is acc - f, with f = phi(assigned rows) - phi(z0).
     def dfs(k: int, acc: int, f: int, residual: int, leveled: int) -> None:
         nonlocal nodes
         if k == depth:
             record(acc)
             return
-        (r, g, w, lo_r, hi_r, f_r, move, segment, segment_phi,
-         level_faces, assigned, on_levels) = levels[k]
-        # The residual bound without the faces this level assigns to.
+        r, g, w, lo_r, hi_r, f_r, move, level_faces, on_levels = levels[k]
+        # The residual bound without the faces of row r.
         rest = residual
         for t, _, mt in level_faces:
             x = res[t] % n
@@ -498,83 +458,52 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     continue
             else:
                 fv = 0
-            if not segment:
-                # Only row r is assigned here: test before the move.  At
-                # v = 0 its faces keep their residuals.
+            # At v = 0 the faces of row r keep their residuals.
+            if v:
+                new = 0
+                for t, sign, mt in level_faces:
+                    x = (res[t] + sign * v) % n
+                    new += mt * (x if x + x <= n else n - x)
+            else:
+                new = residual - rest
+            if arity * total + rest + new > arity * limit:
+                continue
+            if on_levels:
                 if v:
-                    new = 0
-                    for t, sign, mt in level_faces:
+                    on = 0
+                    for t, sign in on_levels:
                         x = (res[t] + sign * v) % n
-                        new += mt * (x if x + x <= n else n - x)
+                        on += x if x + x <= n else n - x
+                    on *= mu
                 else:
-                    new = residual - rest
-                if arity * total + rest + new > arity * limit:
+                    on = leveled - off
+                if total + off + on > limit:
                     continue
-                if on_levels:
-                    if v:
-                        on = 0
-                        for t, sign in on_levels:
-                            x = (res[t] + sign * v) % n
-                            on += x if x + x <= n else n - x
-                        on *= mu
-                    else:
-                        on = leveled - off
-                    if total + off + on > limit:
-                        continue
             nodes += 1
             steps = (v - base) // g
             if steps:
                 for i, cv in move:
                     cur[i] += steps * cv
-            if not segment:
-                if v:
-                    for t, sign, _ in level_faces:
-                        res[t] += sign * v
-                    for t, sign in on_levels:
-                        res[t] += sign * v
-                dfs(k + 1, total, fv, rest + new, off + on)
-                if v:
-                    for t, sign, _ in level_faces:
-                        res[t] -= sign * v
-                    for t, sign in on_levels:
-                        res[t] -= sign * v
-            else:
-                for rr, l, h, wr in segment:
-                    x = cur[rr]
-                    if x < l or x > h:
-                        break
-                    total += wr * abs(x)
-                    if total > limit:
-                        break
-                else:
-                    for s, fs in assigned:
-                        x = cur[s]
-                        if x:
-                            for t, sign in fs:
-                                res[t] += sign * x
-                    new = 0
-                    for t, _, mt in level_faces:
-                        x = res[t] % n
-                        new += mt * (x if x + x <= n else n - x)
-                    for rr, fr in segment_phi:
-                        fv += fr * cur[rr]
-                    if (arity * total + rest + new <= arity * limit
-                            and total - fv <= limit):
-                        dfs(k + 1, total, fv, rest + new, leveled)
-                    for s, fs in assigned:
-                        x = cur[s]
-                        if x:
-                            for t, sign in fs:
-                                res[t] -= sign * x
+            if v:
+                for t, sign, _ in level_faces:
+                    res[t] += sign * v
+                for t, sign in on_levels:
+                    res[t] += sign * v
+            dfs(k + 1, total, fv, rest + new, off + on)
+            if v:
+                for t, sign, _ in level_faces:
+                    res[t] -= sign * v
+                for t, sign in on_levels:
+                    res[t] -= sign * v
             if steps:
                 for i, cv in move:
                     cur[i] -= steps * cv
 
-    # dfs nests one call per pivot, and over Z/n every row is a pivot.
+    # dfs nests one call per row.
     recursion_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(recursion_limit + depth)
     try:
-        dfs(0, base_mass, f0, residual, leveled)
+        dfs(0, 0, -sum(map(mul, fvec, z0)), 0, leveled)
     finally:
         sys.setrecursionlimit(recursion_limit)
     return best, sols, exact, nodes
@@ -804,23 +733,29 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                     lift: Callable[[Fraction], int], cap: int,
                     value_only: bool, real: Optional[OptReport] = None
                     ) -> OptReport:
-    """Exact minimum mass over x = z0 + boundaries, plus n*u over Z/n, where
-    z0 is the class representative with each coefficient lifted by ``lift``.
+    """Exact minimum mass over x = z0 + boundaries + n*u, where z0 is the
+    class representative with each coefficient lifted by ``lift``.
 
     Any optimal chain obeys |x_s| * w_s <= mass(z0), which bounds the search
-    box; over Z/n the box is also cut to the residue range (-n/2, n/2].
-    The search takes the rows in ``_row_order`` and prunes on the face
-    residuals of its cycles.  Over Z it also prunes on the dual certificate
-    of ``min_real``, a calibration of the class; over Z/n phi(x) changes
-    along x + n*e_s, so in degree 1 it prunes instead on the level cocycles
-    of the first free index whose coordinate is nonzero mod n and that has
-    a family (``_level_cocycles``), at a search scale that is a multiple of
-    their D.  With no boundary moves the coset is z0 alone (over Z/n, z0's
-    residue range holds no other point of z0 + n*Z^m): z0 is the report,
-    with no LP and no search.  A ``value_only`` call over Z whose real
-    minimizer is an integral cycle in the class reports it, with no search.
-    ``real``, if given, is taken for ``min_real``'s report of the class.
+    box, and the box is cut to the residue range (-n/2, n/2].  Over Z the
+    search runs at a modulus N that it picks from z0's mass m0, the dual
+    cocycles of the free basis and the torsion number tau, so that the
+    coset points of mass <= m0 are the integral cycles of the class (see
+    the module docstring).  The search takes the rows in ``_row_order``
+    and prunes on the face residuals of its cycles.  Over Z it also prunes
+    on the dual certificate of ``min_real``, a calibration of the class;
+    over Z/n phi(x) changes along x + n*e_s, so in degree 1 it prunes
+    instead on the level cocycles of the first free index whose coordinate
+    is nonzero mod n and that has a family (``_level_cocycles``), at a
+    search scale that is a multiple of their D.  With no boundary moves the
+    coset is z0 alone (over Z/n, z0's residue range holds no other point
+    of z0 + n*Z^m): z0 is the report, with no LP and no search.  A
+    ``value_only`` call over Z whose real minimizer is an integral cycle in
+    the class reports it, with no search.  ``real``, if given, is taken for
+    ``min_real``'s report of the class.  A ``cap`` below 1 is refused.
     """
+    if cap < 1:
+        raise ValueError(f"the minimizer cap must be at least 1, got {cap}")
     dec = _validate_coords(K, d, c, kind)
     if c.is_zero():
         report = _zero_report(K, d, c, False)
@@ -832,8 +767,8 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     if not K.n_simplices(d + 1):  # no boundary moves: a one-point coset
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         return OptReport(c, Fraction(m0, w_scale),
-                         _sorted_chains(K, d, c.ring, [z0][:cap]),
-                         cap > 0 and not value_only, None, 0)
+                         _sorted_chains(K, d, c.ring, [z0]),
+                         not value_only, None, 0)
     phi = family = None
     if n is None:
         if real is None:
@@ -858,8 +793,19 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                                         if a % n)), None)
         scale = lcm(w_scale, family[0]) if family else w_scale
         wnum = [w * (scale // w_scale) for w in wnum]
+    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+    if n is None:
+        # N = tau * (B // tau + 1) with B the larger of 2*s1 and every
+        # |c_i| + s1 * max|eta_i|, s1 = m0 // min(wnum) bounding |x|_1.
+        s1 = m0 // min(wnum)
+        bound = 2 * s1
+        for i, a in enumerate(c.free_part):
+            eta = dec.dual_cocycle(i).values()
+            bound = max(bound, abs(a) + s1 * max(map(abs, eta)))
+        tau = dec.torsion_number
+        n = tau * (bound // tau + 1)
     # Rows by decreasing weight, then outward from z0 over the faces; the
-    # echelon of the boundary lattice (plus n*Z^m over Z/n) along them.
+    # echelon of the boundary lattice plus n*Z^m along them.
     row_order = _row_order(K, d, wnum, z0)
     pivots = _echelon_columns(K.faces(d + 1), row_order, n)
     cocycles = None
@@ -871,16 +817,11 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                 for lv, hv in incidences[s]:
                     targets[lv] += hv * v
         cocycles = incidences, targets, scale // D
-    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
-    lo = [-(m0 // w) for w in wnum]
-    hi = [m0 // w for w in wnum]
-    if n is not None:
-        lo = [max(v, -((n - 1) // 2)) for v in lo]
-        hi = [min(v, n // 2) for v in hi]
+    lo = [max(-(m0 // w), -((n - 1) // 2)) for w in wnum]
+    hi = [min(m0 // w, n // 2) for w in wnum]
     best, sols, exact, nodes = _search_lattice(
-        wnum, z0, pivots, row_order, lo, hi, m0, cap, phi=phi,
-        faces=K.faces(d), modulus=n, value_only=value_only,
-        cocycles=cocycles)
+        wnum, z0, pivots, lo, hi, m0, cap, faces=K.faces(d), modulus=n,
+        phi=phi, value_only=value_only, cocycles=cocycles)
     return OptReport(c, Fraction(best, scale),
                      _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
 
@@ -891,11 +832,14 @@ def min_int(K: WeightedComplex, d: int, c: ClassCoords,
             real: Optional[OptReport] = None) -> OptReport:
     """Exact minimum mass over the integral cycles in class ``c``.
 
-    Complete branch-and-bound over x = z0 + (boundary-lattice moves).  It
-    first solves the real LP of ``min_real`` (unless there are no moves)
-    and prunes on its dual certificate, checked to be a calibration, and on
-    the face residuals; ties are kept, so the value and the minimizers are
-    those of the unpruned search.  With ``value_only`` it returns the value
+    Complete branch-and-bound over x = z0 + boundary + N*u, the search of
+    ``min_mod`` at a modulus N, a multiple of the torsion number, that is
+    large enough for the coset points within budget to be the integral
+    cycles of the class.  It first solves the real LP of ``min_real``
+    (unless there are no moves) and prunes on its dual certificate,
+    checked to be a calibration of the class, and on the face residuals;
+    ties are kept, so the value and the minimizers are those of the
+    unpruned search.  With ``value_only`` it returns the value
     and one minimizer, with ``minimizer_count_exact`` false: the real
     minimizer when that is an integral cycle in the class, else the first
     minimizer of a search that drops ties.  ``real``, if given, is the

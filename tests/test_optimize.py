@@ -9,8 +9,8 @@ from math import gcd
 
 import pytest
 
-from conftest import (graph_complex, horizontal_loop, random_class,
-                      random_complex, small_corpus, torus_grid)
+from conftest import (graph_complex, horizontal_loop, moore_space,
+                      random_class, random_complex, small_corpus, torus_grid)
 from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
                      brute_force_min_mod, brute_force_min_real,
                      reference_comass, reference_echelon_columns,
@@ -122,13 +122,23 @@ def test_minimizer_cap_flags_inexact(mobius):
     assert capped.value == full.value
 
 
-def test_infeasible_class_errors(tc, torus):
+def test_infeasible_class_errors(tc, torus, mobius):
     dec_t = homology_decomposition(torus, 1)
     c = dec_t.class_coords(INT, (1, 0))
     with pytest.raises(InfeasibleClassError):
         min_int(tc, 1, c)  # class from another complex
     with pytest.raises(InfeasibleClassError):
         min_int(torus, 1, reduce_class(c, RAT))  # wrong ring for engine
+    # A minimizer cap below 1 is refused, with a search and without one
+    # (the top degree), over Z and Z/n.
+    top = homology_decomposition(torus, 2).class_coords(INT, (1,))
+    for K, d, cz in ((mobius, 1, _gen(homology_decomposition(mobius, 1))),
+                     (torus, 1, c), (torus, 2, top)):
+        for cap in (0, -1):
+            with pytest.raises(ValueError):
+                min_int(K, d, cz, cap)
+            with pytest.raises(ValueError):
+                min_mod(K, d, reduce_class(cz, mod_ring(3)), cap)
 
 
 def _calibration_cases(rng: random.Random, K, d: int):
@@ -487,83 +497,108 @@ def _sparse(columns):
     return [[(i, x) for i, x in enumerate(col) if x] for col in columns]
 
 
-def _both_searches(*args, phi=None, faces=None, modulus=None,
-                   value_only=False, cocycles=None):
-    """Run the search and its reference; they must agree on the optimum,
-    the minimizer vectors in order and exactness.  Without a bound to prune
-    on (a calibration, faces or cocycles) they also visit the same nodes;
-    with one the search visits no more.  A value-only search must find the
-    optimum, keep one of the reference's minimizers, report the count as
-    not exact and visit no more nodes than the full search."""
-    got = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus,
-                          value_only=value_only, cocycles=cocycles)
-    wnum, z0, pivots, *rest = args
-    want = reference_search_lattice(wnum, z0, _dense(pivots, len(wnum)),
-                                    *rest)
+def _dense_columns(columns, n_rows: int):
+    return [[dict(col).get(i, 0) for i in range(n_rows)] for col in columns]
+
+
+def _assert_same_answers(got, want, value_only):
+    """The search's (best, sols, exact) against a reference's: equal, or
+    for a value-only search the optimum, one of the reference's minimizers
+    (any, if the reference was capped) and a count that is not exact."""
     if value_only:
-        full = _search_lattice(*args, phi=phi, faces=faces, modulus=modulus,
-                               cocycles=cocycles)
-        assert got[0] == want[0] and got[3] <= full[3]
+        assert got[0] == want[0]
         assert len(got[1]) == min(1, len(want[1]))
         assert set(got[1]) <= set(want[1]) or not want[2]
         assert not got[2] or not got[1]
-    elif phi is None and faces is None and cocycles is None:
-        assert got == want
     else:
-        assert got[:3] == want[:3] and got[3] <= want[3]
+        assert got[:3] == want[:3]
+
+
+def _both_searches(*args, faces, modulus, phi=None, value_only=False,
+                   cocycles=None):
+    """Run the search and its reference, which takes the pivot rows in
+    their order; they must agree on the optimum, the minimizer vectors in
+    order and exactness.  Without a bound to prune on (a calibration, face
+    incidences or cocycles) they also visit the same nodes; with one the
+    search visits no more.  A value-only search must find the optimum,
+    keep one of the reference's minimizers, report the count as not exact
+    and visit no more nodes than the full search."""
+    kw = dict(faces=faces, modulus=modulus, phi=phi, cocycles=cocycles)
+    got = _search_lattice(*args, value_only=value_only, **kw)
+    wnum, z0, pivots, *rest = args
+    want = reference_search_lattice(wnum, z0, _dense(pivots, len(wnum)),
+                                    [r for r, _ in pivots], *rest)
+    _assert_same_answers(got, want, value_only)
+    if value_only:
+        assert got[3] <= _search_lattice(*args, **kw)[3]
+    elif phi is None and cocycles is None and not any(faces):
+        assert got[3] == want[3]
+    else:
+        assert got[3] <= want[3]
     return got, want
 
 
-def _random_search_instance(rng: random.Random, clip_zero: bool):
+def _random_lattice(rng: random.Random):
+    """Random dense columns, a random row order, weights and a point z0."""
     n_rows = rng.randint(2, 7)
     columns = []
     for _ in range(rng.randint(1, n_rows + 1)):
         col = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n_rows)]
         columns.append([rng.choice((1, 2, 3)) * x for x in col])
-    row_order = rng.sample(range(n_rows), n_rows)
-    pivots = _echelon_columns(_sparse(columns), row_order)
+    order = rng.sample(range(n_rows), n_rows)
     wnum = [rng.randint(1, 4) for _ in range(n_rows)]
     z0 = [rng.randint(-3, 3) for _ in range(n_rows)]
-    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
-    lo = [-(m0 // w) for w in wnum]
-    hi = [m0 // w for w in wnum]
-    if rng.random() < 0.5:  # intersect a residue range, as min_mod does
-        n = rng.randint(2, 5)
-        lo = [max(l, -((n - 1) // 2)) for l in lo]
-        hi = [min(h, n // 2) for h in hi]
+    return columns, order, wnum, z0
+
+
+def _search_boxes(rng: random.Random, wnum, m0: int, n: int, clip_zero: bool):
+    """The engines' boxes, |x_s| w_s <= m0 cut to the residue range
+    (-n/2, n/2], and with ``clip_zero`` some random rows clipped to 0."""
+    lo = [max(-(m0 // w), -((n - 1) // 2)) for w in wnum]
+    hi = [min(m0 // w, n // 2) for w in wnum]
     if clip_zero:
-        for r in rng.sample(range(n_rows), rng.randint(1, n_rows)):
+        for r in rng.sample(range(len(wnum)), rng.randint(1, len(wnum))):
             lo[r] = hi[r] = 0
-    return wnum, z0, pivots, row_order, lo, hi, m0
+    return lo, hi
 
 
 def test_search_matches_reference_on_random_lattices():
+    """On random lattices plus n*Z^m, for n from 2 to 5 and for an n past
+    twice the mass box (which the residue range then does not cut), the
+    search with no bound to prune on visits the reference's nodes and
+    finds its minimizers, full, capped and value-only.  Some pivot entries
+    lie strictly between 1 and n, some boxes are clipped, some searches
+    find minimizers and some are capped."""
     rng = random.Random("search-differential")
-    seen = {"g>1": 0, "clipped": 0, "found": 0, "capped": 0}
+    seen = {"g>1": 0, "clipped": 0, "wide": 0, "found": 0, "capped": 0}
     for trial in range(300):
         clip = trial % 3 == 0
-        wnum, z0, pivots, order, lo, hi, m0 = _random_search_instance(rng, clip)
-        seen["g>1"] += any(col[r] > 1 for r, col in pivots)
+        columns, order, wnum, z0 = _random_lattice(rng)
+        m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+        n = rng.choice((2, 3, 4, 5, 2 * m0 + 3))
+        pivots = _echelon_columns(_sparse(columns), order, n)
+        lo, hi = _search_boxes(rng, wnum, m0, n, clip)
+        args = (wnum, z0, pivots, lo, hi, m0)
+        kw = dict(faces=[()] * len(wnum), modulus=n)
+        seen["g>1"] += any(1 < col[r] < n for r, col in pivots)
         seen["clipped"] += clip
-        (best, sols, exact, _), _ = _both_searches(
-            wnum, z0, pivots, order, lo, hi, m0, 10_000)
+        seen["wide"] += n > 2 * m0
+        (best, sols, exact, _), _ = _both_searches(*args, 10_000, **kw)
         seen["found"] += bool(sols)
         for cap in (1, 2):
-            got, _ = _both_searches(wnum, z0, pivots, order, lo, hi, m0, cap)
+            got, _ = _both_searches(*args, cap, **kw)
             seen["capped"] += not got[2]
-        _both_searches(wnum, z0, pivots, order, lo, hi, m0, 10_000,
-                       value_only=True)
+        _both_searches(*args, 10_000, value_only=True, **kw)
     assert all(seen.values()), seen
 
 
-def _random_calibration(rng: random.Random, wnum, pivots, m0):
+def _random_calibration(rng: random.Random, wnum, columns, m0):
     """A random calibration of a search instance: an integer phi orthogonal
-    to every pivot column, with the weights and the mass cap rescaled so
-    that |phi_s| <= w_s holds with equality on some row."""
+    to every one of the dense ``columns``, with the weights and the mass
+    cap rescaled so that |phi_s| <= w_s holds with equality on some row."""
     n_rows = len(wnum)
-    if pivots:
-        snf = smith_normal_form(IntMatrix.from_rows(
-            [c for _, c in _dense(pivots, n_rows)]))
+    if any(map(any, columns)):
+        snf = smith_normal_form(IntMatrix.from_rows(columns))
         kernel = [snf.V.column(j) for j in range(snf.rank, n_rows)]
     else:
         kernel = [[int(i == j) for i in range(n_rows)] for j in range(n_rows)]
@@ -578,35 +613,59 @@ def _random_calibration(rng: random.Random, wnum, pivots, m0):
             [lam.numerator * x for x in h], m0 * lam.denominator)
 
 
+def _calibrated_modulus(wnum, phi, m0: int, surplus: int) -> int:
+    """A modulus N past 2 * s1 * max|phi|, s1 = m0 // min(wnum), at which
+    phi calibrates the coset of z0 (of mass m0) in L + N*Z^m, phi vanishing
+    on L: a coset point x of mass <= m0 has x - z0 = l + N*u with
+    |phi(x - z0)| <= 2 * s1 * max|phi| < N, so phi(u) = 0 and
+    phi(x) = phi(z0), which is all the calibration bound needs."""
+    return 2 * (m0 // min(wnum)) * max(1, *map(abs, phi)) + surplus
+
+
 def test_calibrated_search_matches_reference_on_random_lattices():
     """With a calibration the search finds the reference's optimum, the
     same minimizers in the same order and the same exactness, in no more
-    nodes; here the calibration is tight on some row, so it prunes."""
+    nodes; here the calibration is tight on some row, so it prunes.  The
+    lattice holds N*Z^m, N from ``_calibrated_modulus``."""
     rng = random.Random("search-calibrated")
     pruned = 0
     for trial in range(150):
-        wnum, z0, pivots, order, lo, hi, m0 = _random_search_instance(
-            rng, trial % 3 == 0)
-        wnum, phi, m0 = _random_calibration(rng, wnum, pivots, m0)
-        args = (wnum, z0, pivots, order, lo, hi, m0)
-        nodes = _both_searches(*args, 10_000, phi=phi)[0][3]
-        pruned += nodes < _search_lattice(*args, 10_000)[3]
+        columns, order, wnum, z0 = _random_lattice(rng)
+        m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+        wnum, phi, m0 = _random_calibration(rng, wnum, columns, m0)
+        n = _calibrated_modulus(wnum, phi, m0, rng.randint(1, 4))
+        pivots = _echelon_columns(_sparse(columns), order, n)
+        lo, hi = _search_boxes(rng, wnum, m0, n, trial % 3 == 0)
+        args = (wnum, z0, pivots, lo, hi, m0)
+        kw = dict(faces=[()] * len(wnum), modulus=n)
+        nodes = _both_searches(*args, 10_000, phi=phi, **kw)[0][3]
+        pruned += nodes < _search_lattice(*args, 10_000, **kw)[3]
         for cap in (1, 2):
-            _both_searches(*args, cap, phi=phi)
-        _both_searches(*args, 10_000, phi=phi, value_only=True)
+            _both_searches(*args, cap, phi=phi, **kw)
+        _both_searches(*args, 10_000, phi=phi, value_only=True, **kw)
     assert pruned
 
 
-def test_search_without_pivots_matches_reference():
+def test_search_without_boundary_columns_matches_reference():
+    """With no columns but the n*e_r the coset is z0 + n*Z^m, every row a
+    pivot of entry n: the search checks z0's box and mass against the cap,
+    as the reference does, inside and outside the box and the budget."""
     wnum, z0 = [2, 1, 3], [1, -2, 0]
-    for lo, hi in (([-3, -6, -2], [3, 6, 2]), ([0, 0, 0], [0, 0, 0])):
-        for cap_mass in (4, 3):
-            _both_searches(wnum, z0, [], [2, 0, 1], lo, hi, cap_mass, 5)
+    for n in (5, 13):
+        pivots = _echelon_columns([], [2, 0, 1], n)
+        assert pivots == [(2, {2: n}), (0, {0: n}), (1, {1: n})]
+        for lo, hi in (([-3, -6, -2], [3, 6, 2]), ([0, 0, 0], [0, 0, 0])):
+            lo = [max(v, -((n - 1) // 2)) for v in lo]
+            hi = [min(v, n // 2) for v in hi]
+            for cap_mass in (4, 3):
+                _both_searches(wnum, z0, pivots, lo, hi, cap_mass, 5,
+                               faces=[()] * 3, modulus=n)
 
 
 def test_search_rejects_boxes_without_zero():
     with pytest.raises(ValueError):
-        _search_lattice([1], [1], [], [0], [1], [2], 1, 5)
+        _search_lattice([1], [1], [(0, {0: 3})], [1], [2], 1, 5,
+                        faces=[()], modulus=3)
 
 
 def _loop_class(K, k: int, seed):
@@ -616,22 +675,48 @@ def _loop_class(K, k: int, seed):
                                      horizontal_loop(K, k, seed).split(","))}))
 
 
+def _reference_z_search(columns, order, wnum, z0, *rest):
+    """The reference's Z mode: ``reference_search_lattice`` on the echelon
+    of the sparse ``columns`` alone along ``order``, with no n*e_r, so the
+    rows that are not pivots are checked between the pivots."""
+    dense = _dense_columns(columns, len(wnum))
+    return reference_search_lattice(
+        wnum, z0, reference_echelon_columns(dense, order), order, *rest)
+
+
 def _checked_search(monkeypatch):
-    """Swap the engines' search for one that runs the reference beside it.
+    """Swap the engines' echelon and search for ones that run the
+    references beside them.
 
-    Returns the list, filled as the engines search, of (calibrated, has
-    faces, nodes, reference nodes, has cocycles) per search."""
-    calls = []
+    Every search is checked against the reference at its modulus.  The
+    searches of ``min_int``, the calibrated ones, run at their modulus N
+    over the boundaries plus N*Z^m; they are also checked against the
+    reference's Z mode over the boundary lattice alone, which must give
+    the same optimum, minimizers in order and exactness.  Returns the
+    list, filled as the engines search, of (calibrated, has face
+    incidences, nodes, reference nodes, has cocycles) per search."""
+    calls, built = [], []
 
-    def search(*args, phi=None, faces=None, modulus=None, value_only=False,
+    def echelon(columns, row_order, modulus):
+        columns = list(columns)
+        built.append((columns, row_order))
+        return _echelon_columns(columns, row_order, modulus)
+
+    def search(*args, faces, modulus, phi=None, value_only=False,
                cocycles=None):
-        got, want = _both_searches(*args, phi=phi, faces=faces,
-                                   modulus=modulus, value_only=value_only,
+        got, want = _both_searches(*args, faces=faces, modulus=modulus,
+                                   phi=phi, value_only=value_only,
                                    cocycles=cocycles)
-        calls.append((phi is not None, faces is not None, got[3], want[3],
+        if phi is not None:
+            wnum, z0, _, *rest = args
+            _assert_same_answers(
+                got, _reference_z_search(*built[-1], wnum, z0, *rest),
+                value_only)
+        calls.append((phi is not None, any(faces), got[3], want[3],
                       cocycles is not None))
         return got
 
+    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
     monkeypatch.setattr(optimize, "_search_lattice", search)
     return calls
 
@@ -643,7 +728,8 @@ def _checked_search(monkeypatch):
 def test_search_matches_reference_on_grid_echelons(monkeypatch, k, seed,
                                                    weights):
     """Every search ``min_int`` and ``min_mod`` make on relabelled grids,
-    over Z, Z/2, Z/3 and Z/4, agrees with the reference; over Z the search
+    over Z, Z/2, Z/3 and Z/4, agrees with the reference (over Z at its
+    modulus and in its Z mode, ``_checked_search``); over Z the search
     prunes on the real calibration, over Z/n on the level cocycles of the
     loop's dual cocycle instead, and both prune on the face residuals,
     somewhere visiting fewer nodes."""
@@ -842,10 +928,10 @@ def test_lazy_echelon_matches_dense_build():
     with every n*e_r listed up front have the same pivot rows and pivot
     entries, zeros above each pivot in the row order, and span the same
     lattice: each side's columns reduce to zero against the other's
-    pivots.  Over Z/n every entry off the pivot lies in (-n, n).  Over Z
-    and Z/n for n from 2 to 10^12, on the fixtures in every degree with
-    boundary moves and on relabelled T3 and T4 grids, in the engines' row
-    order and in a random one."""
+    pivots.  Every entry off the pivot lies in (-n, n).  For n from 2 to
+    10^12, on the fixtures in every degree with boundary moves and on
+    relabelled T3 and T4 grids, in the engines' row order and in a random
+    one."""
     rng = random.Random("lazy-echelon")
     for name, K, d in _echelon_cases():
         weights = K.weights[d]
@@ -854,11 +940,9 @@ def test_lazy_echelon_matches_dense_build():
         for order in (sorted(range(N), key=lambda r: (-weights[r], r)),
                       rng.sample(range(N), N)):
             before = {r: order[:i] for i, r in enumerate(order)}
-            for n in (None, 2, 3, 4, 5, 6, 12, 10**12):
+            for n in (2, 3, 4, 5, 6, 12, 10**12):
                 dense = [B.column(j) for j in range(B.cols)]
-                if n is not None:
-                    dense += [[n * (i == r) for i in range(N)]
-                              for r in range(N)]
+                dense += [[n * (i == r) for i in range(N)] for r in range(N)]
                 pivots = _echelon_columns(K.faces(d + 1), order, n)
                 got = _dense(pivots, N)
                 want = reference_echelon_columns(dense, order)
@@ -867,9 +951,8 @@ def test_lazy_echelon_matches_dense_build():
                 for r, col in got:
                     assert col[r] > 0
                     assert not any(col[s] for s in before[r])
-                if n is not None:
-                    assert all(-n < v < n for r, col in pivots
-                               for i, v in col.items() if i != r)
+                assert all(-n < v < n for r, col in pivots
+                           for i, v in col.items() if i != r)
                 assert all(_in_lattice(col, want) for _, col in got)
                 assert all(_in_lattice(col, got) for _, col in want)
 
@@ -918,12 +1001,11 @@ def _other_basis(rng: random.Random, pivots):
     return out
 
 
-def _reference_basis(columns, order, n_rows: int, modulus):
+def _reference_basis(columns, order, n_rows: int, modulus: int):
     """The dense echelon of ``columns``, every n*e_r listed up front."""
-    dense = [[dict(col).get(i, 0) for i in range(n_rows)] for col in columns]
-    if modulus is not None:
-        dense += [[modulus * (i == r) for i in range(n_rows)]
-                  for r in range(n_rows)]
+    dense = _dense_columns(columns, n_rows)
+    dense += [[modulus * (i == r) for i in range(n_rows)]
+              for r in range(n_rows)]
     return [(r, {i: v for i, v in enumerate(col) if v})
             for r, col in reference_echelon_columns(dense, order)]
 
@@ -939,10 +1021,11 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
     """``_search_lattice`` returns the same (best, sols, exact, nodes) from
     the columns of ``_echelon_columns``, of ``reference_echelon_columns``
     and of a random other echelon basis of the same lattice: on random
-    lattices over Z and Z/2..Z/6, with and without a calibration, and for
-    every search ``min_int`` and ``min_mod`` make, full and value-only, on
-    random complexes in degrees 1 and 2 and on relabelled T3 grids over Z
-    and Z/2..Z/6, with their calibrations, faces and level cocycles."""
+    lattices plus n*Z^m for n from 2 to 6, and plus N*Z^m with and without
+    a calibration, N from ``_calibrated_modulus``; and for every search
+    ``min_int`` and ``min_mod`` make, full and value-only, on random
+    complexes in degrees 1 and 2 and on relabelled T3 grids over Z and
+    Z/2..Z/6, with their calibrations, faces and level cocycles."""
     rng = random.Random("basis-independence")
     differ = 0
     for _ in range(100):
@@ -954,43 +1037,41 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
         wnum = [rng.randint(1, 4) for _ in range(n_rows)]
         z0 = [rng.randint(-3, 3) for _ in range(n_rows)]
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
-        for modulus in (None, 2, 3, 4, 5, 6):
+        calibrated = _random_calibration(
+            rng, wnum, _dense_columns(columns, n_rows), m0)
+        wide = _calibrated_modulus(*calibrated, 1)
+        for modulus in (2, 3, 4, 5, 6, wide):
             pivots = _echelon_columns(columns, order, modulus)
             bases = [pivots, _reference_basis(columns, order, n_rows, modulus),
                      _other_basis(rng, pivots)]
             differ += len({repr(b) for b in bases}) > 1
             scales = [(wnum, None, m0)]
-            if modulus is None:
-                scales.append(_random_calibration(rng, wnum, pivots, m0))
+            if modulus == wide:
+                scales.append(calibrated)
             for w, phi, m in scales:
-                lo = [-(m // x) for x in w]
-                hi = [m // x for x in w]
-                if modulus is not None:
-                    lo = [max(l, -((modulus - 1) // 2)) for l in lo]
-                    hi = [min(h, modulus // 2) for h in hi]
+                lo, hi = _search_boxes(rng, w, m, modulus, False)
                 for cap, value_only in ((1, False), (10_000, False),
                                         (10_000, True)):
-                    _same_search(bases, w, z0, order, lo, hi, m, cap,
-                                 phi=phi, modulus=modulus,
-                                 value_only=value_only)
+                    _same_search(bases, w, z0, lo, hi, m, cap,
+                                 faces=[()] * n_rows, modulus=modulus,
+                                 phi=phi, value_only=value_only)
     assert differ
 
     built, kinds = [], set()
 
-    def echelon(columns, row_order, modulus=None):
+    def echelon(columns, row_order, modulus):
         columns = list(columns)
-        pivots = _echelon_columns(columns, row_order, modulus)
-        built.append((columns, modulus))
-        return pivots
+        built.append((columns, row_order, modulus))
+        return _echelon_columns(columns, row_order, modulus)
 
-    def search(wnum, z0, pivots, row_order, *rest, **kw):
-        columns, modulus = built[-1]
-        kinds.add((kw["phi"] is not None, kw["faces"] is not None,
+    def search(wnum, z0, pivots, *rest, **kw):
+        columns, row_order, modulus = built[-1]
+        kinds.add((kw["phi"] is not None, any(kw["faces"]),
                    kw["cocycles"] is not None))
         bases = [pivots, _reference_basis(columns, row_order, len(wnum),
                                           modulus),
                  _other_basis(rng, pivots)]
-        return _same_search(bases, wnum, z0, row_order, *rest, **kw)
+        return _same_search(bases, wnum, z0, *rest, **kw)
 
     monkeypatch.setattr(optimize, "_echelon_columns", echelon)
     monkeypatch.setattr(optimize, "_search_lattice", search)
@@ -1421,17 +1502,6 @@ def test_min_mod_checks_its_least_comass_form(monkeypatch):
         min_mod(torus, 1, reduce_class(c, mod_ring(3)))
 
 
-def test_search_refuses_cocycles_without_a_pivot_at_every_row():
-    cocycles = ([[(0, 1)], [(0, 1)]], [1], 1)
-    args = ([1, 1], [1, 0], [(0, {0: 1, 1: -1})], [0, 1], [-1, -1], [1, 1],
-            2, 5)
-    with pytest.raises(ValueError):
-        _search_lattice(*args, modulus=3, cocycles=cocycles)
-    with pytest.raises(ValueError):
-        _search_lattice(*args[:2], [(0, {0: 3}), (1, {1: 3})], *args[3:],
-                        cocycles=cocycles)
-
-
 def _without_levels(monkeypatch):
     """Make ``min_mod`` search with no level cocycles, as before them."""
     monkeypatch.setattr(optimize, "_level_cocycles", lambda K, dec, i: None)
@@ -1792,16 +1862,18 @@ def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
 
 def test_calibration_bound_holds_at_random_coset_points(monkeypatch):
     """The certificate ``min_int`` prunes on, at the search's integer
-    scale, is the real report's certificate, and at random coset points
-    x = z0 + boundary(y) every term w_s|x_s| - phi_s x_s is >= 0 and the
-    terms add up to mass(x) - value_real, on the fixtures and random
-    complexes."""
+    scale, is the real report's certificate, and every term
+    w_s|x_s| - phi_s x_s is >= 0 and the terms add up to
+    mass(x) - value_real at random coset points x = z0 + boundary(y) and at
+    every minimizer the search returns from the coset of the boundaries
+    plus N*Z^m, N its modulus.  On the fixtures and random complexes."""
     seen = []
     search = optimize._search_lattice
 
     def spy(wnum, z0, *args, phi=None, **kwargs):
-        seen.append((wnum, z0, phi))
-        return search(wnum, z0, *args, phi=phi, **kwargs)
+        out = search(wnum, z0, *args, phi=phi, **kwargs)
+        seen.append((wnum, z0, phi, out[1]))
+        return out
 
     monkeypatch.setattr(optimize, "_search_lattice", spy)
     rng = random.Random("calibration-bound")
@@ -1811,24 +1883,116 @@ def test_calibration_bound_holds_at_random_coset_points(monkeypatch):
         K = random_complex(rng)
         if K.dim >= 2:
             cases.append((K, random_class(rng, homology_decomposition(K, 1))))
-    points = 0
+    points = searched = 0
     for K, c in cases:
         real = min_real(K, 1, reduce_class(c, RAT))
         seen.clear()
         min_int(K, 1, c)
-        (wnum, z0, phi), = seen
+        (wnum, z0, phi, sols), = seen
         scale = Fraction(wnum[0]) / K.weights[1][0]
         assert list(wnum) == [scale * w for w in K.weights[1]]
         assert list(phi) == [scale * v for v in real.certificate.values]
+        samples = []
         for _ in range(20):
             x = list(z0)
             for faces in K.faces(2):
                 y = rng.randint(-2, 2)
                 for i, sign in faces:
                     x[i] += sign * y
+            samples.append(x)
+        assert sols
+        for x in samples + list(sols):
             terms = [w * abs(v) - f * v for w, f, v in zip(wnum, phi, x)]
             assert min(terms) >= 0
             mass_x = sum(w * abs(v) for w, v in zip(K.weights[1], x))
             assert sum(terms) == scale * (mass_x - real.value) >= 0
-            points += 1
+        points += len(samples)
+        searched += len(sols)
     assert points >= 400
+    assert searched >= len(cases)
+
+
+# -- the integral search as the search modulo N -----------------------------
+
+
+def _reference_min_int(K, d, c, cap):
+    """Value, minimizer tuple and exactness of the integral minimizers by
+    the reference's Z mode (``_reference_z_search``): the echelon of the
+    boundary columns alone along the engines' row order, which moves only
+    the node count, and the box |x_s| w_s <= mass(z0)."""
+    z0 = homology_decomposition(K, d).representative_vector(c)
+    wnum, scale = _at_integer_scale(K.weights[d])
+    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+    best, sols, exact, _ = _reference_z_search(
+        K.faces(d + 1), optimize._row_order(K, d, wnum, z0), wnum, z0,
+        [-(m0 // w) for w in wnum], [m0 // w for w in wnum], m0, cap)
+    chains = sorted({Chain.from_vector(K, d, INT, x) for x in sols},
+                    key=lambda T: T.coeffs)
+    return Fraction(best, scale), tuple(chains), exact
+
+
+def _reduction_cases():
+    """Nonzero integral classes with boundary moves: the fixture classes
+    (the torsion classes of rp2-6 and klein-8 among them), the torsion classes
+    of M_2 + M_3 (tau = 6), the loops of relabelled unit and anisotropic
+    T3-T5 grids, twice the loop and the class (1, 1) on T3, and random
+    complexes with moves in degrees 1 and 2."""
+    cases = list(_fixture_classes())
+    K = moore_space(2, 3)
+    dec = homology_decomposition(K, 1)
+    assert dec.torsion_number == 6
+    cases += [(K, 1, dec.class_coords(INT, (), t))
+              for t in ((1, 0), (0, 1))]
+    for K, loop in _relabelled_grids([3, 4, 5]):
+        cases.append((K, 1, loop))
+        if K.n_simplices(0) == 9:
+            cases += [(K, 1, loop.scale(2)), (K, 1, homology_decomposition(
+                K, 1).class_coords(INT, (1, 1)))]
+    rng = random.Random("integral-modulus")
+    for d in (1, 2):
+        for _ in range(4):
+            K = _random_complex_with_moves(rng, d)
+            cases.append((K, d, random_class(rng,
+                                             homology_decomposition(K, d))))
+    return [(K, d, c) for K, d, c in cases
+            if K.n_simplices(d + 1) and not c.is_zero()]
+
+
+def test_min_int_searches_modulo_a_multiple_of_tau_past_twice_s1(
+        monkeypatch):
+    """``min_int`` searches the boundaries plus N*Z^m, with N a multiple of
+    the torsion number tau and past 2*s1, s1 = floor(mass(z0) / min w), and
+    its value, minimizer tuple and exactness are those of the reference's
+    Z mode over the boundary lattice alone; a value-only call finds the
+    value and one of those minimizers.  At an odd N the coset of rp2's
+    t:1 would hold the zero chain."""
+    moduli = []
+
+    def echelon(columns, row_order, modulus):
+        moduli.append(modulus)
+        return _echelon_columns(columns, row_order, modulus)
+
+    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
+    seen = set()
+    for K, d, c in _reduction_cases():
+        dec = homology_decomposition(K, d)
+        z0 = dec.representative_vector(c)
+        w = K.weights[d]
+        s1 = sum(ws * abs(v) for ws, v in zip(w, z0)) // min(w)
+        value, minimizers, exact = _reference_min_int(K, d, c, 10_000)
+        for value_only in (False, True):
+            moduli.clear()
+            rep = min_int(K, d, c, 10_000, value_only)
+            for n in moduli:
+                assert n % dec.torsion_number == 0 and n > 2 * s1
+                seen.add((dec.torsion_number, n % 2))
+            assert rep.value == value, (K.name, d, c)
+            if value_only:
+                assert len(rep.minimizers) == 1
+                assert rep.minimizers[0] in minimizers
+                assert not rep.minimizer_count_exact
+            else:
+                assert moduli
+                assert (rep.minimizers, rep.minimizer_count_exact) == \
+                    (minimizers, exact)
+    assert {(2, 0), (6, 0), (1, 1)} <= seen
