@@ -15,7 +15,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, repeat
 from math import lcm
 from operator import lt
 from typing import Optional
@@ -39,6 +39,12 @@ _Faces = tuple[tuple[tuple[int, int], ...], ...]
 def _fraction(v) -> Fraction:
     """``v`` as a Fraction, passing Fractions through unwrapped."""
     return v if type(v) is Fraction else Fraction(v)
+
+
+def _distinct(values: Sequence) -> Iterable:
+    """The distinct objects of ``values``, by identity: a document's
+    weights are a few objects shared by many simplices."""
+    return dict(zip(map(id, values), values)).values()
 
 
 class WeightedComplex:
@@ -69,50 +75,77 @@ class WeightedComplex:
     def _validate(self) -> tuple[_Faces, ...]:
         """Check the invariants; returns the face table of every degree.
 
-        The face tables are the face-closure check: building them looks up
-        every face of every simplex once.
+        Each degree is checked by whole-level passes: its vertex counts, its
+        vertices position by position (nonnegative, strictly increasing),
+        its index against its length (duplicates) and its distinct weights.
+        Only when one fails is the degree scanned in order
+        (``_first_violation``), to name the first violation.  The face
+        tables are the face-closure check: building them looks up every
+        face of every simplex once.
         """
         if len(self.weights) != len(self.simplices):
             raise ComplexFormatError("weights do not cover every degree")
+        columns = []  # per degree, the tuple of vertex j of every simplex
         for k, level in enumerate(self.simplices):
             if len(self.weights[k]) != len(level):
                 raise ComplexFormatError(
                     f"degree {k}: {len(self.weights[k])} weights for "
                     f"{len(level)} simplices")
-            seen = set()
-            for s in level:
-                if len(s) != k + 1:
-                    raise ComplexFormatError(
-                        f"degree {k}: simplex {list(s)} has wrong vertex count")
-                if s[0] < 0 or not all(map(lt, s, s[1:])):
-                    raise ComplexFormatError(
-                        f"degree {k}: vertex tuple {list(s)} is not strictly "
-                        "increasing over nonnegative vertices")
-                if s in seen:
-                    raise ComplexFormatError(
-                        f"degree {k}: duplicate simplex {list(s)}")
-                seen.add(s)
-            for w, s in zip(self.weights[k], level):
-                if w.numerator <= 0:
-                    raise ComplexFormatError(
-                        f"degree {k}: nonpositive weight {format_rational(w)} "
-                        f"on simplex {list(s)}")
-        return tuple(self._face_table(d) for d in range(self.dim + 1))
+            if set(map(len, level)) <= {k + 1}:
+                cols = list(zip(*level)) or [()] * (k + 1)
+                if (min(cols[0], default=0) >= 0
+                        and all(all(map(lt, a, b))
+                                for a, b in zip(cols, cols[1:]))
+                        and len(self._index[k]) == len(level)
+                        and all(w.numerator > 0
+                                for w in _distinct(self.weights[k]))):
+                    columns.append(cols)
+                    continue
+            raise self._first_violation(k)
+        return tuple(map(self._face_table, range(self.dim + 1), columns))
 
-    def _face_table(self, d: int) -> _Faces:
+    def _first_violation(self, k: int) -> ComplexFormatError:
+        """The first violation of degree k, in simplex order: vertex count,
+        vertices, duplicates, then weights."""
+        seen = set()
+        for s in self.simplices[k]:
+            if len(s) != k + 1:
+                return ComplexFormatError(
+                    f"degree {k}: simplex {list(s)} has wrong vertex count")
+            if s[0] < 0 or not all(map(lt, s, s[1:])):
+                return ComplexFormatError(
+                    f"degree {k}: vertex tuple {list(s)} is not strictly "
+                    "increasing over nonnegative vertices")
+            if s in seen:
+                return ComplexFormatError(
+                    f"degree {k}: duplicate simplex {list(s)}")
+            seen.add(s)
+        for w, s in zip(self.weights[k], self.simplices[k]):
+            if w.numerator <= 0:
+                return ComplexFormatError(
+                    f"degree {k}: nonpositive weight {format_rational(w)} "
+                    f"on simplex {list(s)}")
+        raise AssertionError(f"degree {k} failed a check but has no violation")
+
+    def _face_table(self, d: int,
+                    columns: Sequence[Sequence[int]]) -> _Faces:
         """(face index, sign) pairs of each d-simplex, in omitted-vertex
-        order; a face missing from degree d - 1 is a closure violation."""
+        order; a face missing from degree d - 1 is a closure violation.
+        ``columns[j]`` holds vertex j of every d-simplex.
+
+        The faces are looked up one omitted position at a time over the
+        whole level; a missing one sends the scan to the first violation in
+        simplex order."""
         level = self.simplices[d]
         if d == 0:
             return ((),) * len(level)
         index = self._index[d - 1]
-        # combinations() lists the faces by omitted vertex d, d-1, ..., 0.
-        signs = tuple(-1 if i % 2 else 1 for i in range(d, -1, -1))
         try:
-            return tuple(
-                tuple(zip(map(index.__getitem__, combinations(s, d)),
-                          signs))[::-1]
-                for s in level)
+            return tuple(zip(*(
+                zip(map(index.__getitem__,
+                        zip(*columns[:i], *columns[i + 1:])),
+                    repeat(-1 if i % 2 else 1))
+                for i in range(d + 1))))
         except KeyError:
             for s in level:
                 for i in range(d + 1):
@@ -312,9 +345,12 @@ class Cochain:
 
 
 def _at_integer_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` times L, the lcm of their denominators, and L."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    """``values`` times L, the lcm of their denominators, and L.  Each
+    distinct object is scaled once."""
+    distinct = _distinct(values)
+    scale = lcm(*(v.denominator for v in distinct))
+    scaled = {id(v): v.numerator * (scale // v.denominator) for v in distinct}
+    return list(map(scaled.__getitem__, map(id, values))), scale
 
 
 def _is_cycle(K: WeightedComplex, d: int,

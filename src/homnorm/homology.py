@@ -34,9 +34,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .complexes import Chain, NotACycleError, WeightedComplex, _is_cycle
+from .complexes import (Chain, NotACycleError, WeightedComplex,
+                        _at_integer_scale, _is_cycle)
 from .intlinalg import (ShapeMismatchError, SNFResult,
                         sparse_smith_normal_form)
 from .rings import (INT, RAT, RingElem, RingSpec, factorize, format_element,
@@ -116,32 +117,22 @@ class HomologyDecomposition:
         self.complex = K
         self.degree = degree
         n_simp = K.n_simplices(degree)
-        # Rows of the degree-d boundary, from the faces of the d-simplices.
-        a_rows: list[dict[int, int]] = [
-            {} for _ in range(K.n_simplices(degree - 1))]
-        for j, faces in enumerate(K.faces(degree)):
-            for i, sign in faces:
-                a_rows[i][j] = sign
         # Only V_A, V_A^-1, U_C and U_C^-1 are read below.
-        self._snfA: SNFResult = sparse_smith_normal_form(a_rows, n_simp,
-                                                         _track="v")
+        self._snfA: SNFResult = sparse_smith_normal_form(
+            _boundary_rows(K, degree), n_simp, _track="v")
         rA = self._snfA.rank
         self._rankA = rA
         z = n_simp - rA
         # Boundaries in kernel coordinates, C = (V_A^-1 B)[r_A:], row by
         # row: row i combines the rows of B named by kernel row r_A + i of
         # V_A^-1.  The rows before r_A would be zero, as boundaries are
-        # cycles.
-        b_rows: list[dict[int, int]] = [{} for _ in range(n_simp)]
-        cofaces = K.faces(degree + 1) if degree < K.dim else ()
-        for j, faces in enumerate(cofaces):
-            for k, sign in faces:
-                b_rows[k][j] = sign
+        # cycles.  A unit kernel row gives its row of B itself, which the
+        # reduction of C then changes; nothing reads B afterwards.
+        b_rows = _boundary_rows(K, degree + 1)
         v_inv = self._snfA.v_inv_rows
-        c_rows = [_combination((v, b_rows[k]) for k, v in v_inv[i].items())
-                  for i in range(rA, n_simp)]
+        c_rows = [_combination(v_inv[i], b_rows) for i in range(rA, n_simp)]
         self._snfC: SNFResult = sparse_smith_normal_form(
-            c_rows, len(cofaces), _track="u")
+            c_rows, K.n_simplices(degree + 1), _track="u")
         rC = self._snfC.rank
         self._rankC = rC
         self._invariant_factors = tuple(self._snfC.diag[:rC])
@@ -151,12 +142,13 @@ class HomologyDecomposition:
         named = [i for i, d in enumerate(self._invariant_factors) if d > 1]
         named += range(rC, z)
         self._kprime: dict[int, dict[int, int]] = {
-            j: _combination((v, kernel[k])
-                            for k, v in self._snfC.u_inv_cols[j].items())
-            for j in named}
+            j: _combination(self._snfC.u_inv_cols[j], kernel) for j in named}
         self.betti = z - rC
-        self.free_basis = tuple(Chain.make(K, degree, INT, self._kprime[j])
-                                for j in range(rC, z))
+        # Lines of nonzero entries on the complex's own indices: no chain
+        # built from them needs Chain.make's checks.
+        self.free_basis = tuple(
+            Chain(K, degree, INT, tuple(sorted(self._kprime[j].items())))
+            for j in range(rC, z))
         factors: list[TorsionFactor] = []
         for i, d in enumerate(self._invariant_factors):
             if d <= 1:
@@ -167,8 +159,9 @@ class HomologyDecomposition:
                 idem = (rest * pow(rest, -1, q)) % d if rest > 1 else 1
                 factors.append(TorsionFactor(
                     prime=p, exponent=nu, order=q,
-                    cycle=Chain.make(K, degree, INT, {
-                        k: idem * v for k, v in self._kprime[i].items()}),
+                    cycle=Chain(K, degree, INT, tuple(
+                        (k, idem * v)
+                        for k, v in sorted(self._kprime[i].items()))),
                     column=i, idempotent=idem))
         self.torsion = tuple(factors)
         self.torsion_basis = tuple(tf.cycle for tf in factors)
@@ -177,6 +170,9 @@ class HomologyDecomposition:
         for tf in factors:
             self.torsion_number *= tf.order
         self._mod_cache: dict[int, ModDecomposition] = {}
+        # eta_i by free index, built on first use; they depend only on the
+        # simplices, so rebound siblings share this list.
+        self._duals: list[Optional[dict[int, int]]] = [None] * self.betti
 
     # -- coordinates of cycles, representatives of classes ------------------
 
@@ -190,11 +186,15 @@ class HomologyDecomposition:
         n/g_j | y_j; y_j/(n/g_j) is the cotorsion coordinate of each j
         with g_j > 1.  Then sp = U_C y[r_A:] holds the free coordinates
         past r_C and the torsion coordinates at the torsion columns;
-        :meth:`class_coords` reduces all three.
+        :meth:`class_coords` reduces all three.  A rational vector is read
+        at the integer scale of its denominators, in integers throughout.
         """
         K, d = self.complex, self.degree
         if len(vec) != K.n_simplices(d):
             raise ShapeMismatchError("vector length mismatch")
+        scale = 1
+        if ring.is_rat:
+            vec, scale = _at_integer_scale(vec)
         n = ring.modulus
         if not _is_cycle(K, d, filter(itemgetter(1), enumerate(vec)), n):
             raise NotACycleError(f"chain has nonzero boundary over {ring.tag}")
@@ -216,7 +216,8 @@ class HomologyDecomposition:
         def sp(j: int) -> RingElem:
             return sum(v * yk[k] for k, v in u_rows[j].items() if k in yk)
 
-        free = [sp(j) for j in range(self._rankC, len(u_rows))]
+        free = [Fraction(sp(j), scale) if scale > 1 else sp(j)
+                for j in range(self._rankC, len(u_rows))]
         torsion = () if ring.is_rat else [sp(tf.column) for tf in self.torsion]
         return self.class_coords(ring, free, torsion, cotorsion)
 
@@ -226,14 +227,17 @@ class HomologyDecomposition:
         eta_i is row r_C + i of U_C times the kernel rows V_A^-1[r_A:], so
         eta_i(z) is free coordinate i of [z] for every integral cycle z: it
         vanishes on boundaries and on the torsion basis, and eta_i(b_j) is
-        1 if i == j, else 0.
+        1 if i == j, else 0.  Built once per index and shared: the caller
+        must not change it.
         """
         if not 0 <= i < self.betti:
             raise IndexError(f"free index {i} out of range 0..{self.betti - 1}")
-        v_inv, rA = self._snfA.v_inv_rows, self._rankA
-        return _combination(
-            (v, v_inv[rA + k])
-            for k, v in self._snfC.u_rows[self._rankC + i].items())
+        eta = self._duals[i]
+        if eta is None:
+            eta = self._duals[i] = _combination(
+                self._snfC.u_rows[self._rankC + i],
+                self._snfA.v_inv_rows[self._rankA:])
+        return eta
 
     def representative_vector(self, c: "ClassCoords") -> list:
         """Chain vector of the reference representative of ``c``.
@@ -365,12 +369,33 @@ class ModDecomposition:
             for i, (j, line) in enumerate(zip(cot, self._lines)))
 
 
-def _combination(terms: Iterable[tuple[RingElem, dict[int, int]]]
-                 ) -> dict[int, RingElem]:
-    """The nonzero entries of sum a * line over the (a, line) terms."""
-    out: dict[int, RingElem] = {}
-    for a, line in terms:
-        for i, v in line.items():
+def _boundary_rows(K: WeightedComplex, d: int) -> list[dict[int, int]]:
+    """The rows of the degree-d boundary, one {d-simplex: sign} dict per
+    (d-1)-simplex, from the faces of the d-simplices (none past the top
+    degree)."""
+    rows: list[dict[int, int]] = [{} for _ in range(K.n_simplices(d - 1))]
+    for j, faces in enumerate(K.faces(d) if d <= K.dim else ()):
+        for i, sign in faces:
+            rows[i][j] = sign
+    return rows
+
+
+def _combination(coeffs: dict[int, int], lines: Sequence[dict[int, int]]
+                 ) -> dict[int, int]:
+    """The nonzero entries of sum_k coeffs[k] * lines[k].
+
+    A lone coefficient 1 names one line, and that line itself is returned,
+    not a copy: after an all-unit reduction, as on every grid and fixture,
+    each kernel line of the transforms is such a unit.  A caller that
+    changes the result changes that line.
+    """
+    if len(coeffs) == 1:
+        ((k, a),) = coeffs.items()
+        if a == 1:
+            return lines[k]
+    out: dict[int, int] = {}
+    for k, a in coeffs.items():
+        for i, v in lines[k].items():
             out[i] = out.get(i, 0) + a * v
     return {i: v for i, v in out.items() if v}
 

@@ -171,6 +171,11 @@ def _validate_coords(K: WeightedComplex, d: int, c: ClassCoords,
     return dec
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"the minimizer cap must be at least 1, got {cap}")
+
+
 def _zero_report(K: WeightedComplex, d: int, c: ClassCoords,
                  with_certificate: bool) -> OptReport:
     cert = Cochain.zero(K, d) if with_certificate else None
@@ -583,6 +588,13 @@ def _negative_cycle(out: Sequence[Sequence[tuple[int, int]]],
             return G, cycle
 
 
+def _fractions(numerators: Iterable[int], denominator: int) -> list[Fraction]:
+    """Each numerator over ``denominator``, one Fraction per distinct value."""
+    numerators = list(numerators)
+    value = {p: Fraction(p, denominator) for p in set(numerators)}
+    return list(map(value.__getitem__, numerators))
+
+
 def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
                basis: Sequence[Chain], c: Sequence[Fraction]
                ) -> tuple[list[Fraction], int, list[int], list[int],
@@ -604,7 +616,9 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
     at the integer costs L*W*w_e -+ D*t.eta_e, D = L*W with L the common
     denominator of t: a negative cycle is the next row, none ends the loop
     with potentials G.  There are finitely many simple cycles, so it ends.
-    The arc lists are built once per call; a round computes only the costs.
+    The arc lists are built once per call; a round computes only the costs,
+    from the weights and from the entries of the eta_i alone, which are
+    sparse.
 
     Then phi = sum t_i eta_i + dG/D is closed with comass <= 1 (both are
     checked) and pairs to c.t with the class c, and x = sum lam_j C_j over
@@ -621,11 +635,8 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
         out[tail].append((head, 2 * e))
         out[head].append((tail, 2 * e + 1))
         tails += (tail, head)
+    arc_weights = [w for w in wt for _ in (0, 1)]  # the weight of each arc
     beta = len(etas)
-    h: list[list[tuple[int, int]]] = [[] for _ in ends]  # (i, eta_i(e))
-    for i, eta in enumerate(etas):
-        for e, v in eta.items():
-            h[e].append((i, v))
     cz, c_scale = _at_integer_scale(c)  # lam scales with c
     # Master columns (a, r, chain): the box rows of b_i and -b_i, then cuts.
     cols = []
@@ -646,8 +657,8 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
             # u = U/den with B^T u = r_B; Bland enters the first column
             # with r < a.u and leaves by the least ratio lam/step, ties to
             # the least basic index.
-            U = [sum(cols[j][1] * row[i] for j, row in zip(basic, inv))
-                 for i in range(beta)]
+            r_basic = [cols[j][1] for j in basic]
+            U = [sum(map(mul, r_basic, column)) for column in zip(*inv)]
             enter = next((j for j, (a, r, _) in enumerate(cols)
                           if den * r < sum(map(mul, a, U))), None)
             if enter is None:
@@ -671,20 +682,22 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
         t = [Fraction(x, den * W) for x in U]
         L = lcm(*(x.denominator for x in t))
         Dt = [x.numerator * (L // x.denominator) * W for x in t]
-        hD = [sum(Dt[i] * v for i, v in he) for he in h]
-        cost = []
-        for w, x in zip(wt, hD):
-            cost += (L * w - x, L * w + x)
+        hD: dict[int, int] = {}  # D*t.eta_e on the edges of the etas
+        for Di, eta in zip(Dt, etas):
+            for e, v in eta.items() if Di else ():
+                hD[e] = hD.get(e, 0) + Di * v
+        cost = list(map(L.__mul__, arc_weights))
+        for e, x in hD.items():
+            cost[2 * e] -= x
+            cost[2 * e + 1] += x
         G, cycle = _negative_cycle(out, tails, cost)
         if cycle is None:
             break
         chain = [(k >> 1, -1 if k & 1 else 1) for k in cycle]
-        a = [0] * beta
-        for e, v in chain:
-            for i, x in h[e]:
-                a[i] += v * x
+        a = [sum(v * eta.get(e, 0) for e, v in chain) for eta in etas]
         cols.append((a, sum(wt[e] for e, _ in chain), chain))
-    dphi = [x + G[head] - G[tail] for (tail, head), x in zip(ends, hD)]
+    dphi = [hD.get(e, 0) + G[head] - G[tail]
+            for e, (tail, head) in enumerate(ends)]
     if not _is_calibration(K, 1, dphi, wt, L):
         raise AssertionError("the calibration must be closed with comass <= 1")
     z = [0] * len(ends)
@@ -692,9 +705,9 @@ def _calibrate(K: WeightedComplex, etas: Sequence[Mapping[int, int]],
         weight = sum(map(mul, row, cz))
         for e, v in cols[j][2] if weight else ():
             z[e] += weight * v
-    q = den * c_scale
     return (t, L * W, dphi, G,
-            [(e, Fraction(v, q)) for e, v in enumerate(z) if v], rounds)
+            list(zip(compress(range(len(z)), z),
+                     _fractions(compress(z, z), den * c_scale))), rounds)
 
 
 def _level_cocycles(K: WeightedComplex, dec: HomologyDecomposition,
@@ -754,8 +767,7 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     the class reports it, with no search.  ``real``, if given, is taken for
     ``min_real``'s report of the class.  A ``cap`` below 1 is refused.
     """
-    if cap < 1:
-        raise ValueError(f"the minimizer cap must be at least 1, got {cap}")
+    _check_cap(cap)
     dec = _validate_coords(K, d, c, kind)
     if c.is_zero():
         report = _zero_report(K, d, c, False)
@@ -884,7 +896,10 @@ def min_real(K: WeightedComplex, d: int, c: ClassCoords,
     ``nodes_explored`` counts its pivots.  The reported minimizer is one
     optimal chain; the full real minimizer set is generally an infinite
     polytope face, so minimizer_count_exact is False for nonzero classes.
+    ``cap`` is not read, but one below 1 is refused, as ``min_int`` and
+    ``min_mod`` refuse it.
     """
+    _check_cap(cap)
     dec = _validate_coords(K, d, c, "Q")
     if c.is_zero():
         return _zero_report(K, d, c, True)
@@ -892,10 +907,11 @@ def min_real(K: WeightedComplex, d: int, c: ClassCoords,
         t, D, dphi, _, x, rounds = _calibrate(
             K, [dec.dual_cocycle(i) for i in range(dec.betti)],
             dec.free_basis, c.free_part)
+        # x holds nonzero Fractions by increasing edge, and dphi one integer
+        # per edge: neither needs the checks of ``make``.
         return OptReport(c, sum(a * v for a, v in zip(c.free_part, t)),
-                         (Chain.make(K, 1, RAT, x),), False,
-                         Cochain.make(K, 1, [Fraction(v, D) for v in dphi]),
-                         rounds)
+                         (Chain(K, 1, RAT, tuple(x)),), False,
+                         Cochain(K, 1, tuple(_fractions(dphi, D))), rounds)
     z0 = dec.representative_vector(c)
     cofaces = K.faces(d + 1) if d < K.dim else ()
     res = solve_cycle_lp(z0, K.weights[d], cofaces)

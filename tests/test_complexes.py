@@ -1,5 +1,6 @@
 """Complex documents, boundary operators, chains, cochains and mass."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -168,6 +169,11 @@ def _mutate(rng: random.Random, doc: dict, kind: str) -> dict:
         level = simp[str(k)]
         i = rng.randrange(len(level))
         level[i] = level[i][::-1]
+    elif kind == "swap-vertices":
+        k = rng.randrange(1, dim + 1)
+        s = simp[str(k)][rng.randrange(len(simp[str(k)]))]
+        j = rng.randrange(k)
+        s[j], s[j + 1] = s[j + 1], s[j]
     elif kind == "negative-vertex":
         s = level[i]
         j = rng.randrange(len(s))
@@ -189,18 +195,47 @@ def _mutate(rng: random.Random, doc: dict, kind: str) -> dict:
 
 
 LOAD_MUTATIONS = {"drop-face": False, "duplicate": False,
-                  "reorder-vertices": False, "negative-vertex": False,
+                  "reorder-vertices": False, "swap-vertices": False,
+                  "negative-vertex": False,
                   "vertex-count": False, "bad-weight": False,
                   "shuffle-level": True, "good-weight": True}
 
 
+def torus3_grid(k: int, seed) -> WeightedComplex:
+    """The Freudenthal triangulation of the k x k x k cube with opposite
+    faces identified, its vertices relabelled by ``seed``: each unit cube is
+    cut into the six tetrahedra along its main diagonal, and every face of
+    one is listed.  Edges weigh 1 to 3 by a seeded draw."""
+    rng = random.Random(seed)
+    perm = rng.sample(range(k ** 3), k ** 3)
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    tetrahedra = set()
+    for x in itertools.product(range(k), repeat=3):
+        for order in itertools.permutations(steps):
+            path = [x]
+            for e in order:
+                path.append(tuple(a + b for a, b in zip(path[-1], e)))
+            tetrahedra.add(tuple(sorted(
+                perm[(p[0] % k) * k * k + (p[1] % k) * k + p[2] % k]
+                for p in path)))
+    levels = [sorted({f for t in tetrahedra
+                      for f in itertools.combinations(t, d + 1)})
+              for d in range(4)]
+    weights = [[Fraction(1)] * len(level) for level in levels]
+    weights[1] = [Fraction(rng.randint(1, 3)) for _ in levels[1]]
+    return WeightedComplex(f"torus3-{k}", levels, weights)
+
+
 def test_load_matches_the_reference_reader():
     """Fixture documents, relabelled T3/T4 grid documents (one with its
-    weights left to the default) and seeded mutations of them load to the
-    reference reader's simplices, weights and faces, or fail with its
-    message: dropped faces, duplicate simplices, shuffled levels, reversed
-    vertex tuples, negative vertices, wrong vertex counts, and zero,
-    negative, malformed or equivalent weight literals."""
+    weights left to the default), two dimension-3 documents (the boundary
+    of the 4-simplex and a relabelled 3-torus grid), seeded mutations of
+    them and documents with two seeded mutations load to the reference
+    reader's simplices, weights and faces, or fail with its message: the
+    first violation in document order, among dropped faces, duplicate
+    simplices, shuffled levels, reversed or swapped vertices, negative
+    vertices, wrong vertex counts, and zero, negative, malformed or
+    equivalent weight literals."""
     rng = random.Random("load-differential")
     docs = [complex_to_json(make()) for make in SUITE.values()]
     docs += [complex_to_json(torus_grid(k, seed=seed, weights=weights))
@@ -209,6 +244,10 @@ def test_load_matches_the_reference_reader():
                                       (4, 7, (1, 1, 1)),
                                       (4, 8, (Fraction(1, 3), 2, 5)))]
     del docs[-1]["weights"]
+    sphere3 = [list(itertools.combinations(range(5), d + 1))
+               for d in range(4)]
+    docs.append(complex_to_json(WeightedComplex("sphere3", sphere3)))
+    docs.append(complex_to_json(torus3_grid(3, seed=9)))
     for doc in docs:
         assert _load_outcome(doc) == _reference_outcome(doc)
         assert _load_outcome(doc)[0] != "error"
@@ -218,6 +257,11 @@ def test_load_matches_the_reference_reader():
                 got = _load_outcome(mutated)
                 assert got == _reference_outcome(mutated), (doc["name"], kind)
                 assert (got[0] != "error") == valid, (doc["name"], kind, got)
+        for _ in range(12):
+            kinds = rng.sample(sorted(LOAD_MUTATIONS), 2)
+            mutated = _mutate(rng, _mutate(rng, doc, kinds[0]), kinds[1])
+            assert _load_outcome(mutated) == _reference_outcome(mutated), \
+                (doc["name"], kinds)
 
 
 def test_document_round_trip(torus, mobius):
@@ -536,6 +580,8 @@ def test_scaled_weights_sibling_shares_only_weight_free_state(name):
             assert mass(K2, b2) == sum(K2.weights[d][i] * abs(v)
                                        for i, v in b.coeffs)
         assert dec2.mod(4) is not dec.mod(4) and dec2.mod(4).dec is dec2
+        assert all(dec2.dual_cocycle(i) is dec.dual_cocycle(i)
+                   for i in range(dec.betti))
         assert dec2.mod(4).cotorsion == dec.mod(4).cotorsion
     assert K._integer_weights and not K2._integer_weights
     assert not K2._level_cache and not K2._order_cache

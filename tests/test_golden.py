@@ -22,6 +22,7 @@ values of this file and refuses any other change.
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,18 @@ def grid3w() -> WeightedComplex:
                       name="grid3w")
 
 
+# Relabelled T4 and T5 grids, unit and anisotropic, as the real benchmark
+# runs them: their horizontal loops pin the cuts of ``min_real`` at its sizes.
+SEEDED_GRIDS = {
+    name: (k, seed, partial(torus_grid, k, seed=seed, weights=weights,
+                            name=name))
+    for name, k, seed, weights in [
+        ("grid4s", 4, 3, (1, 1, 1)),
+        ("grid4sa", 4, 5, (1, 2, Fraction(3, 2))),
+        ("grid5s", 5, 11, (1, 1, 1)),
+        ("grid5sa", 5, 13, (1, 2, Fraction(3, 2))),
+    ]}
+
 GRID3R_LOOP = horizontal_loop(grid3r(), 3, seed=7)
 MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
 RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
@@ -66,7 +79,8 @@ KLEIN_TORSION = "2=1,3=-1,4=-1,5=1,16=1,21=-1"
 
 FIXTURES = {"tc": triangle_circle, "torus": torus7, "rp2": rp2_6,
             "klein": klein8, "mobius": mobius_band, "grid4a": grid4a,
-            "grid3r": grid3r, "grid3w": grid3w}
+            "grid3r": grid3r, "grid3w": grid3w,
+            **{name: make for name, (_, _, make) in SEEDED_GRIDS.items()}}
 
 # (fixture, degree, payload flag, payload); each runs under both commands.
 CLASSES = [
@@ -88,7 +102,8 @@ CLASSES = [
     ("grid4a", 1, "--class", "f:1,0"),
     ("grid4a", 1, "--class", "f:1,1"),
     ("grid4a", 1, "--class", "f:-1,2"),
-]
+] + [(name, 1, "--chain", horizontal_loop(make(), k, seed=seed))
+     for name, (k, seed, make) in SEEDED_GRIDS.items()]
 
 # Chains run under ``norm --ring Q`` only: a free coordinate of 1/2.
 NORM_Q_CHAINS = [

@@ -17,7 +17,7 @@ from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
                      reference_is_closed, reference_search_lattice,
                      reference_split_lp, smith_normal_form)
 
-from homnorm import optimize
+from homnorm import homology, optimize
 from homnorm.complexes import (Chain, Cochain, WeightedComplex,
                                _at_integer_scale, _is_calibration,
                                dump_complex, mass, reduce_chain)
@@ -139,6 +139,43 @@ def test_infeasible_class_errors(tc, torus, mobius):
                 min_int(K, d, cz, cap)
             with pytest.raises(ValueError):
                 min_mod(K, d, reduce_class(cz, mod_ring(3)), cap)
+
+
+def test_min_real_refuses_a_cap_below_1(torus, mobius):
+    """``min_real`` reads no cap, yet refuses one below 1 with the error of
+    ``min_int``, in degree 1 (cutting planes), in degree 2 (the tableau) and
+    on the zero class."""
+    top = homology_decomposition(torus, 2).class_coords(INT, (1,))
+    g = _gen(homology_decomposition(mobius, 1))
+    for K, d, cz in ((mobius, 1, g), (torus, 2, top),
+                     (mobius, 1, g.scale(0))):
+        for cap in (0, -1):
+            with pytest.raises(ValueError) as refused:
+                min_real(K, d, reduce_class(cz, RAT), cap)
+            with pytest.raises(ValueError) as expected:
+                min_int(K, d, cz, cap)
+            assert str(refused.value) == str(expected.value)
+        assert min_real(K, d, reduce_class(cz, RAT), 1).value == \
+            min_real(K, d, reduce_class(cz, RAT)).value
+
+
+def test_dual_cocycles_are_built_once_per_index(monkeypatch):
+    """``min_int`` reads every eta_i for its real LP and again for its
+    modulus, and ``min_mod`` reads one for its levels: on a fresh complex
+    each eta_i is built once, and a sibling of other weights builds none."""
+    K = torus_grid(4, seed=3)
+    dec = homology_decomposition(K, 1)
+    built = []
+    combination = homology._combination
+    monkeypatch.setattr(homology, "_combination",
+                        lambda *args: built.append(args) or combination(*args))
+    c = _gen(dec)
+    min_int(K, 1, c)
+    min_mod(K, 1, reduce_class(c, mod_ring(3)))
+    assert len(built) == dec.betti == 2
+    K2 = K.with_scaled_weights(1, [0], Fraction(1, 2))
+    min_int(K2, 1, homology_decomposition(K2, 1).class_coords(INT, (1, 0)))
+    assert len(built) == 2
 
 
 def _calibration_cases(rng: random.Random, K, d: int):
