@@ -8,32 +8,33 @@ asymptotic ratios and Lavrentiev weight sweeps.
 
 from .complexes import (Chain, Cochain, ComplexFormatError, NotACycleError,
                         WeightedComplex, complex_to_json, dump_complex,
-                        lift_chain, load_complex, mass, reduce_chain)
+                        load_complex, mass)
 from .hasse import (BijectionReport, EnumerationInexactError, FedererRow,
-                    GapRow, ScanRow, bijection_check, empirical_threshold,
-                    federer_sequence, gap_sweep, scan_moduli)
+                    GapRow, LiftReport, ScanRow, bijection_check,
+                    empirical_threshold, federer_sequence, gap_sweep,
+                    lift_minimizer, scan_moduli)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        ModDecomposition, TorsionFactor, class_of_cycle,
                        homology_decomposition, kernel_witness, reduce_class)
 from .intlinalg import ShapeMismatchError, SNFResult
-from .optimize import (LiftReport, OptReport, lift_minimizer, min_int, min_mod,
-                       min_real, minimize, verify_certificate)
+from .optimize import (OptReport, min_int, min_mod, min_real, minimize,
+                       verify_certificate)
 from .rings import (INT, RAT, RingSpec, canonical_lift, mod_ring, norm,
                     ring_from_tag)
 
 __all__ = [
     "Chain", "Cochain", "ComplexFormatError", "NotACycleError",
-    "WeightedComplex", "complex_to_json", "dump_complex", "lift_chain",
-    "load_complex", "mass", "reduce_chain",
+    "WeightedComplex", "complex_to_json", "dump_complex", "load_complex",
+    "mass",
     "BijectionReport", "EnumerationInexactError", "FedererRow", "GapRow",
-    "ScanRow", "bijection_check", "empirical_threshold", "federer_sequence",
-    "gap_sweep", "scan_moduli",
+    "LiftReport", "ScanRow", "bijection_check", "empirical_threshold",
+    "federer_sequence", "gap_sweep", "lift_minimizer", "scan_moduli",
     "ClassCoords", "HomologyDecomposition", "InfeasibleClassError",
     "ModDecomposition", "TorsionFactor", "class_of_cycle",
     "homology_decomposition", "kernel_witness", "reduce_class",
     "ShapeMismatchError", "SNFResult",
-    "LiftReport", "OptReport", "lift_minimizer", "min_int", "min_mod",
-    "min_real", "minimize", "verify_certificate",
+    "OptReport", "min_int", "min_mod", "min_real", "minimize",
+    "verify_certificate",
     "INT", "RAT", "RingSpec", "canonical_lift", "mod_ring", "norm",
     "ring_from_tag",
 ]

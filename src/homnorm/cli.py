@@ -18,11 +18,12 @@ from .complexes import (Chain, ComplexFormatError, NotACycleError,
                         WeightedComplex, load_complex)
 from .hasse import (EnumerationInexactError, bijection_check, empirical_threshold,
                     federer_rows_to_csv, federer_sequence, gap_rows_to_csv,
-                    gap_sweep, min_federer_ratio, scan_moduli, scan_rows_to_csv)
+                    gap_sweep, lift_minimizer, min_federer_ratio, scan_moduli,
+                    scan_rows_to_csv)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        class_of_cycle, homology_decomposition)
-from .optimize import (DEFAULT_MINIMIZER_CAP, lift_minimizer, min_real,
-                       minimize, verify_certificate)
+from .optimize import (DEFAULT_MINIMIZER_CAP, min_real, minimize,
+                       verify_certificate)
 from .rings import (INT, RAT, RingSpec, format_rational, mod_ring,
                     parse_element, parse_integer, parse_rational,
                     ring_from_tag)

@@ -20,8 +20,8 @@ from math import lcm
 from operator import lt
 from typing import Optional
 
-from .rings import (INT, RingElem, RingSpec, canonical_lift, canonicalize,
-                    format_element, format_rational, norm, parse_rational)
+from .rings import (RingElem, RingSpec, canonicalize, format_element,
+                    format_rational, norm, parse_rational)
 
 
 class ComplexFormatError(ValueError):
@@ -339,10 +339,6 @@ class Cochain:
         return Cochain.make(complex, degree,
                             [Fraction(0)] * complex.n_simplices(degree))
 
-    def evaluate_vector(self, vector: Sequence) -> Fraction:
-        return sum((Fraction(v) * w for v, w in zip(vector, self.values) if v),
-                   Fraction(0))
-
 
 def _at_integer_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``values`` times L, the lcm of their denominators, and L.  Each
@@ -397,23 +393,6 @@ def mass(K: WeightedComplex, T: Chain) -> Fraction:
     for idx, v in T.coeffs:
         total += K.weight(T.degree, idx) * norm(T.ring, v)
     return total
-
-
-def reduce_chain(T: Chain, target: RingSpec) -> Chain:
-    """Coefficientwise reduction of an integral chain into the target ring."""
-    if not T.ring.is_int:
-        raise ValueError("reduce_chain expects an integral chain")
-    return Chain.make(T.complex, T.degree, target, dict(T.coeffs))
-
-
-def lift_chain(T: Chain) -> Chain:
-    """Canonical coefficientwise lift of a mod-n chain into (-n/2, n/2]."""
-    if not T.ring.is_mod:
-        raise ValueError("lift_chain expects a mod-n chain")
-    n = T.ring.modulus
-    assert n is not None
-    return Chain.make(T.complex, T.degree, INT,
-                      {i: canonical_lift(int(v), n) for i, v in T.coeffs})
 
 
 # -- document format ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Desk-scale experiment harness: modulus scans, thresholds, Federer ratios,
-Lavrentiev weight sweeps and minimizer-set bijection checks.
+Lavrentiev weight sweeps, minimizer-set bijection checks and canonical
+mod-n lifts.
 
 Each operation re-solves the requested norms exactly and emits rows that
 carry their own invariants (value_mod <= value_int, ratios >= 1).  Where a
@@ -7,14 +8,19 @@ row reads only values, the engines run value-only and do not enumerate
 ties; the flag is passed positionally, so a wrapper that forwards only
 positional arguments sees every engine call.  Minimizer sets are compared
 as canonical (index, coefficient) tuples and lifts tested by their
-boundaries, with no chain built per minimizer.  A sweep solves one real LP
-per factor, on a sibling complex that shares the simplices, face tables and
-decompositions of the swept one.  A row's dataclass fields, in
-declaration order, are its format: its JSON keys and its CSV columns.  A
-``dict[int, ...]`` field keyed by modulus becomes a JSON object with keys in
-ascending n and one ``<field>_<n>`` CSV column per modulus, ascending;
+boundaries, with no chain built per minimizer.  One lift serves
+``lift_minimizer`` and ``bijection_check``: the canonical lift of the
+(index, residue) pairs into (-n/2, n/2], and its integral class when it is
+a cycle.  A sweep solves one real LP per factor, on a sibling complex that
+shares the simplices, face tables and decompositions of the swept one.
+
+A row's dataclass fields, in declaration order, are its format: its JSON
+keys and its CSV columns, and ``_Row.to_json`` writes every report here.
+A ``dict[int, ...]`` field keyed by modulus becomes a JSON object with keys
+in ascending n and one ``<field>_<n>`` CSV column per modulus, ascending;
 rationals print as "p/q", booleans as "true"/"false", absent optionals as
-empty CSV fields.
+empty CSV fields and JSON nulls, tuples as JSON lists, and a value with its
+own ``to_json`` (a chain, class coordinates or a nested row) through it.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
-from .complexes import Chain, WeightedComplex, _is_cycle
-from .homology import ClassCoords, homology_decomposition, reduce_class
+from .complexes import Chain, WeightedComplex, _is_cycle, mass
+from .homology import (ClassCoords, HomologyDecomposition,
+                       homology_decomposition, reduce_class)
 from .optimize import (DEFAULT_MINIMIZER_CAP, OptReport, min_int, min_mod,
                        min_real)
 from .rings import INT, RAT, format_rational, mod_ring
@@ -74,12 +81,16 @@ def _header(cls: type, moduli: Sequence[int]) -> list[str]:
 
 
 def _json_value(kind: type, v):
-    return format_rational(v) if kind is Fraction else v
+    if kind is Fraction:
+        return format_rational(v)
+    if isinstance(v, tuple):
+        return [_json_value(None, x) for x in v]
+    return v.to_json() if hasattr(v, "to_json") else v
 
 
 class _Row:
-    """A harness row: its dataclass fields, in order, are its JSON keys and
-    its CSV columns."""
+    """A harness row or report: its dataclass fields, in order, are its JSON
+    keys and its CSV columns."""
 
     def to_json(self) -> dict:
         out = {}
@@ -123,14 +134,14 @@ class GapRow(_Row):
 
 
 @dataclass
-class MinimizerLift:
+class MinimizerLift(_Row):
     minimizer: Chain
     lift_is_cycle: bool
     lift_in_class: bool
 
 
 @dataclass
-class BijectionReport:
+class BijectionReport(_Row):
     n: int
     tau_divides: bool
     int_minimizer_count: int
@@ -138,35 +149,40 @@ class BijectionReport:
     injective: bool
     surjective: bool
     lifts_are_cycles_in_class: bool
+    verdict: bool
     lifts: tuple[MinimizerLift, ...]
 
-    @property
-    def verdict(self) -> bool:
-        return (self.injective and self.surjective
-                and self.lifts_are_cycles_in_class)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "tau_divides": self.tau_divides,
-            "int_minimizer_count": self.int_minimizer_count,
-            "mod_minimizer_count": self.mod_minimizer_count,
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "lifts_are_cycles_in_class": self.lifts_are_cycles_in_class,
-            "verdict": self.verdict,
-            "lifts": [{
-                "minimizer": item.minimizer.to_json(),
-                "lift_is_cycle": item.lift_is_cycle,
-                "lift_in_class": item.lift_in_class,
-            } for item in self.lifts],
-        }
+@dataclass
+class LiftReport(_Row):
+    """Canonical integer lift of a mod-n chain and what it turned out to be."""
+
+    input: Chain
+    lifted: Chain
+    is_cycle: bool
+    lifted_class: Optional[ClassCoords]
+    mass_preserved: bool
 
 
 def _lift(coeffs: tuple[tuple[int, int], ...], n: int
           ) -> list[tuple[int, int]]:
     """The canonical lift into (-n/2, n/2] of mod-n coefficients."""
     return [(i, v - n if v > n // 2 else v) for i, v in coeffs]
+
+
+def _lift_class(dec: HomologyDecomposition,
+                coeffs: tuple[tuple[int, int], ...], n: int
+                ) -> tuple[list[tuple[int, int]], Optional[ClassCoords]]:
+    """The canonical lift of mod-n (index, residue) pairs, and its integral
+    class in ``dec``; the class is None when the lift is not a cycle."""
+    lifted = _lift(coeffs, n)
+    K, d = dec.complex, dec.degree
+    if not _is_cycle(K, d, lifted):
+        return lifted, None
+    vec = [0] * K.n_simplices(d)
+    for i, v in lifted:
+        vec[i] = v
+    return lifted, dec.coords_of_cycle(vec, INT)
 
 
 def _reduction_bijection(int_report: OptReport, mod_report: OptReport,
@@ -316,23 +332,36 @@ def bijection_check(K: WeightedComplex, d: int, c: ClassCoords, n: int,
     injective, surjective = _reduction_bijection(int_report, mod_report, n)
     lifts = []
     for T in mod_report.minimizers:
-        lifted = _lift(T.coeffs, n)
-        is_cycle = _is_cycle(K, d, lifted)
-        if is_cycle:
-            vec = [0] * K.n_simplices(d)
-            for i, v in lifted:
-                vec[i] = v
-            in_class = dec.coords_of_cycle(vec, INT) == c
-        else:
-            in_class = False
-        lifts.append(MinimizerLift(T, is_cycle, in_class))
-    lifts_ok = all(item.lift_is_cycle and item.lift_in_class for item in lifts)
+        _, lifted_class = _lift_class(dec, T.coeffs, n)
+        lifts.append(MinimizerLift(T, lifted_class is not None,
+                                   lifted_class == c))
+    lifts_ok = all(item.lift_in_class for item in lifts)
     return BijectionReport(
         n=n, tau_divides=n % tau == 0,
         int_minimizer_count=len(int_report.minimizers),
         mod_minimizer_count=len(mod_report.minimizers),
         injective=injective, surjective=surjective,
-        lifts_are_cycles_in_class=lifts_ok, lifts=tuple(lifts))
+        lifts_are_cycles_in_class=lifts_ok,
+        verdict=injective and surjective and lifts_ok, lifts=tuple(lifts))
+
+
+def lift_minimizer(T: Chain) -> LiftReport:
+    """Canonical coefficientwise lift of a mod-n cycle into (-n/2, n/2].
+
+    The lift always preserves mass; it may fail to be an integral cycle,
+    and that outcome is reported rather than raised.
+    """
+    if not T.ring.is_mod:
+        raise ValueError("lift_minimizer expects a mod-n chain")
+    if not T.is_cycle():
+        raise ValueError("lift_minimizer expects a mod-n cycle")
+    K, d = T.complex, T.degree
+    coeffs, lifted_class = _lift_class(homology_decomposition(K, d),
+                                       T.coeffs, T.ring.modulus)
+    # The residues are nonzero and sorted by index, and so are their lifts.
+    lifted = Chain(K, d, INT, tuple(coeffs))
+    return LiftReport(T, lifted, lifted_class is not None, lifted_class,
+                      mass(K, lifted) == mass(K, T))
 
 
 # -- CSV emission ----------------------------------------------------------

@@ -303,9 +303,11 @@ class HomologyDecomposition:
 
     def rebound(self, K: WeightedComplex) -> "HomologyDecomposition":
         """This decomposition on ``K``, a complex with the same simplices,
-        such as a sibling of other weights.  The Smith normal forms and the
-        tables of the mod-n decompositions are shared; the basis chains are
-        rebuilt on ``K``."""
+        such as a sibling of other weights.  The Smith normal forms, the dual
+        cocycles and the mod-n decompositions, which hold only weight-free
+        tables, are shared, and so is the cache of the last: a modulus that
+        either sibling decomposes serves both.  The basis chains are rebuilt
+        on ``K``."""
         dec = copy.copy(self)
         dec.complex = K
         dec.free_basis = tuple(Chain(K, T.degree, T.ring, T.coeffs)
@@ -315,10 +317,6 @@ class HomologyDecomposition:
                                     tf.cycle.coeffs))
             for tf in self.torsion)
         dec.torsion_basis = tuple(tf.cycle for tf in dec.torsion)
-        dec._mod_cache = {}
-        for n, md in self._mod_cache.items():
-            md = dec._mod_cache[n] = copy.copy(md)
-            md.dec = dec
         return dec
 
     def mod(self, n: int) -> "ModDecomposition":
@@ -351,8 +349,6 @@ class ModDecomposition:
     """
 
     def __init__(self, dec: HomologyDecomposition, n: int):
-        self.dec = dec
-        self.n = n
         diag = dec._snfA.diag
         # Order of each summand Z/g_j; a lift has n/g_j | y_j.
         self._gcds = tuple(gcd(diag[j], n) for j in range(dec._rankA))

@@ -1,4 +1,4 @@
-"""The three minimizer engines plus calibration certificates and mod-n lifts.
+"""The three minimizer engines plus calibration certificates.
 
 * min_real: the exact real norm with a closed cochain of comass <= 1
   certifying the value.  In degree 1 it maximizes c.t over the closed
@@ -63,7 +63,8 @@ the value k at the root.
 One integer-scale test, ``complexes._is_calibration``, decides "closed
 with comass <= 1" for every calibration: the form ``_calibrate`` builds,
 the certificate ``min_int`` prunes on and the cochain
-``verify_certificate`` is given.
+``verify_certificate`` is given, which it then pairs with the class at the
+same integer scale, over the sparse free basis cycles.
 
 Two cases need no search.  With no boundary moves (the top degree) the
 coset is the class representative alone, and that is the report.  And
@@ -93,7 +94,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import (Chain, Cochain, WeightedComplex, _at_integer_scale,
-                         _is_calibration, lift_chain, mass)
+                         _is_calibration)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        class_of_cycle, homology_decomposition, reduce_class)
 from .lp import solve_cycle_lp
@@ -136,27 +137,6 @@ class OptReport:
                   for T in self.minimizers),
             self.minimizer_count_exact, self.certificate,
             self.nodes_explored)
-
-
-@dataclass
-class LiftReport:
-    """Canonical integer lift of a mod-n chain and what it turned out to be."""
-
-    input: Chain
-    lifted: Chain
-    is_cycle: bool
-    lifted_class: Optional[ClassCoords]
-    mass_preserved: bool
-
-    def to_json(self) -> dict:
-        return {
-            "input": self.input.to_json(),
-            "lifted": self.lifted.to_json(),
-            "is_cycle": self.is_cycle,
-            "lifted_class": (self.lifted_class.to_json()
-                             if self.lifted_class is not None else None),
-            "mass_preserved": self.mass_preserved,
-        }
 
 
 def _validate_coords(K: WeightedComplex, d: int, c: ClassCoords,
@@ -936,30 +916,15 @@ def verify_certificate(K: WeightedComplex, d: int, c: ClassCoords,
     if not c.ring.is_rat:
         raise InfeasibleClassError("certificates verify rational classes")
     dec = _validate_coords(K, d, c, "Q")
-    values, _ = _at_integer_scale((*phi.values, *K.weights[d]))
+    values, scale = _at_integer_scale((*phi.values, *K.weights[d]))
     m = len(phi.values)
     if not _is_calibration(K, d, values[:m], values[m:]):
         return False
-    z0 = dec.representative_vector(c)
-    return phi.evaluate_vector(z0) == Fraction(claimed)
-
-
-def lift_minimizer(T: Chain) -> LiftReport:
-    """Canonical coefficientwise lift of a mod-n cycle into (-n/2, n/2].
-
-    The lift always preserves mass; it may fail to be an integral cycle,
-    and that outcome is reported rather than raised.
-    """
-    if not T.ring.is_mod:
-        raise ValueError("lift_minimizer expects a mod-n chain")
-    if not T.is_cycle():
-        raise ValueError("lift_minimizer expects a mod-n cycle")
-    lifted = lift_chain(T)
-    preserved = mass(T.complex, lifted) == mass(T.complex, T)
-    is_cycle = lifted.is_cycle()
-    lifted_class = (class_of_cycle(T.complex, T.degree, lifted)
-                    if is_cycle else None)
-    return LiftReport(T, lifted, is_cycle, lifted_class, preserved)
+    # A Q class has no torsion part, so z0 = sum c_i b_i and phi(z0) is
+    # sum c_i phi(b_i), paired in integers at phi's scale.
+    paired = sum(a * sum(v * values[k] for k, v in b.coeffs)
+                 for a, b in zip(c.free_part, dec.free_basis) if a)
+    return paired == Fraction(claimed) * scale
 
 
 def minimize(K: WeightedComplex, d: int, c: ClassCoords,

@@ -24,8 +24,11 @@ representatives the sparse one must reproduce, ``reference_load`` and
 ``reference_faces`` the document reader that checks face closure apart from
 building the face tables and parses every weight literal, whose messages,
 simplices, weights and faces the loader must reproduce, and
-``reference_is_closed`` and ``reference_comass`` the Fraction definitions
-the integer-scale calibration test must agree with.
+``reference_is_closed``, ``reference_comass`` and ``reference_pairing`` the
+Fraction definitions the integer-scale calibration test and certificate
+pairing must agree with, and ``reduce_chain`` and ``lift_chain`` the
+coefficientwise reduction and canonical lift, built through ``Chain.make``,
+against which the harness's tuple comparisons and lifts are checked.
 
 The oracles and the tests compute with dense matrices: ``IntMatrix``,
 ``boundary_matrix`` (the boundary operator read off ``K.faces``) and
@@ -1166,3 +1169,25 @@ def reference_comass(K, phi) -> Fraction:
     """max |phi_s| / w_s over the d-simplices, in Fractions (0 with none)."""
     return max((abs(v) / w for v, w in zip(phi.values, K.weights[phi.degree])),
                default=Fraction(0))
+
+
+def reference_pairing(phi, vector) -> Fraction:
+    """phi(vector), the dense Fraction sum over the vector's nonzeros."""
+    return sum((Fraction(v) * w for v, w in zip(vector, phi.values) if v),
+               Fraction(0))
+
+
+def reduce_chain(T: Chain, target) -> Chain:
+    """Coefficientwise reduction of an integral chain into the target ring."""
+    if not T.ring.is_int:
+        raise ValueError("reduce_chain expects an integral chain")
+    return Chain.make(T.complex, T.degree, target, dict(T.coeffs))
+
+
+def lift_chain(T: Chain) -> Chain:
+    """Canonical coefficientwise lift of a mod-n chain into (-n/2, n/2]."""
+    if not T.ring.is_mod:
+        raise ValueError("lift_chain expects a mod-n chain")
+    n = T.ring.modulus
+    return Chain.make(T.complex, T.degree, INT,
+                      {i: canonical_lift(int(v), n) for i, v in T.coeffs})

@@ -21,11 +21,11 @@ from oracles import (brute_force_min_int, brute_force_min_mod,
 from homnorm.complexes import Chain, dump_complex
 from homnorm.fixtures import (klein8, mobius_band, mobius_boundary_indices,
                               rp2_6, torus7, triangle_circle)
-from homnorm.hasse import empirical_threshold, federer_sequence, gap_sweep, scan_moduli
+from homnorm.hasse import (empirical_threshold, federer_sequence, gap_sweep,
+                           lift_minimizer, scan_moduli)
 from homnorm.homology import (class_of_cycle, homology_decomposition,
                               reduce_class)
-from homnorm.optimize import (lift_minimizer, min_int, min_mod, min_real,
-                              verify_certificate)
+from homnorm.optimize import min_int, min_mod, min_real, verify_certificate
 from homnorm.rings import INT, RAT, canonical_lift, canonicalize, mod_ring, norm
 
 

@@ -151,7 +151,8 @@ INTEGRAL = (
        for fmt in ("", " --format report")]
     + [f"bijection {name} --dim 1 --class {klass} --n {n}"
        for name, klass, n in [("rp2", "t:1", 2), ("klein", "f:1;t:0", 2),
-                              ("torus", "f:1,0", 3), ("mobius", "f:1", 2)]]
+                              ("torus", "f:1,0", 3), ("mobius", "f:1", 2),
+                              ("tc", "f:2", 2), ("klein", "f:1;t:0", 3)]]
     + [f"federer {name} --dim 1 --class {klass} --k-max {k}{fmt}"
        for name, klass, k in [("tc", "f:1", 3), ("mobius", "f:1", 4),
                               ("torus", "f:1,0", 2), ("klein", "f:1;t:0", 2),
@@ -163,7 +164,8 @@ INTEGRAL = (
        for fmt in ("", " --format report")]
     + [f"lift rp2 --dim 2 --chain {RP2_FUNDAMENTAL} --ring Z/2",
        "lift torus --dim 1 --chain 2=1,5=-1,17=1 --ring Z/5",
-       f"lift klein --dim 1 --chain {KLEIN_TORSION} --ring Z/4"]
+       f"lift klein --dim 1 --chain {KLEIN_TORSION} --ring Z/4",
+       "lift torus --dim 1 --chain 2=2,5=-2,17=2 --ring Z/4"]
 )
 
 

@@ -9,19 +9,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import torus_grid
+from oracles import lift_chain, reduce_chain
 
 from homnorm import hasse, optimize
-from homnorm.complexes import (dump_complex, lift_chain, load_complex,
-                               reduce_chain)
+from homnorm.complexes import dump_complex, load_complex
 from homnorm.fixtures import SUITE, mobius_band, mobius_boundary_indices
 from homnorm.hasse import (EnumerationInexactError, GapRow, ScanRow,
                            bijection_check, empirical_threshold,
                            federer_rows_to_csv, federer_sequence,
-                           gap_rows_to_csv, gap_sweep, scan_moduli,
-                           scan_rows_to_csv)
+                           gap_rows_to_csv, gap_sweep, lift_minimizer,
+                           scan_moduli, scan_rows_to_csv)
 from homnorm.homology import homology_decomposition, reduce_class
-from homnorm.optimize import (DEFAULT_MINIMIZER_CAP, lift_minimizer, min_int,
-                              min_mod, min_real)
+from homnorm.optimize import DEFAULT_MINIMIZER_CAP, min_int, min_mod, min_real
 from homnorm.rings import INT, RAT, mod_ring, parse_rational
 
 
@@ -198,7 +197,6 @@ def test_bijection_check_torus(torus):
 
 
 def test_bijection_verdict_forces_lift_reduce_identity(torus, mobius):
-    from homnorm.complexes import lift_chain, reduce_chain
     from homnorm.optimize import min_int
     from homnorm.rings import mod_ring
     for K, n in ((torus, 5), (mobius, 4), (mobius, 7)):

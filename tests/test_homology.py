@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from homnorm.complexes import Chain, NotACycleError, WeightedComplex, reduce_chain
+from homnorm.complexes import Chain, NotACycleError, WeightedComplex
 from homnorm.fixtures import SUITE, MOBIUS_CORE_EDGES, rp2_6, torus7
 from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
@@ -16,7 +16,7 @@ from homnorm.rings import INT, RAT, mod_ring
 from conftest import moore_space, random_complex, torus_grid
 from oracles import (IntMatrix, ReferenceHomologyDecomposition,
                      ReferenceModDecomposition, boundary_matrix,
-                     smith_normal_form, solve_with_snf)
+                     reduce_chain, smith_normal_form, solve_with_snf)
 
 
 def _representative(dec, c):

@@ -13,22 +13,24 @@ from conftest import (graph_complex, horizontal_loop, moore_space,
                       random_class, random_complex, small_corpus, torus_grid)
 from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
                      brute_force_min_mod, brute_force_min_real,
-                     reference_comass, reference_echelon_columns,
-                     reference_is_closed, reference_search_lattice,
+                     reduce_chain, reference_comass,
+                     reference_echelon_columns, reference_is_closed,
+                     reference_pairing, reference_search_lattice,
                      reference_split_lp, smith_normal_form)
 
 from homnorm import homology, optimize
 from homnorm.complexes import (Chain, Cochain, WeightedComplex,
                                _at_integer_scale, _is_calibration,
-                               dump_complex, mass, reduce_chain)
+                               dump_complex, mass)
 from homnorm.fixtures import SUITE, mobius_band, torus7
+from homnorm.hasse import lift_minimizer
 from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
                               reduce_class)
 from homnorm.lp import solve_cycle_lp
 from homnorm.optimize import (OptReport, _echelon_columns, _search_lattice,
-                              _sorted_chains, lift_minimizer, min_int,
-                              min_mod, min_real, verify_certificate)
+                              _sorted_chains, min_int, min_mod, min_real,
+                              verify_certificate)
 from homnorm.rings import INT, RAT, canonical_lift, mod_ring
 
 
@@ -250,7 +252,7 @@ def test_calibration_test_matches_the_fraction_definitions():
                 assert _is_calibration(K, d, [L * v for v in x[:n]], x[n:],
                                        L) == want
                 assert verify_certificate(K, d, c, phi,
-                                          phi.evaluate_vector(z0)) == want
+                                          reference_pairing(phi, z0)) == want
                 seen[want] += 1
                 if ci is None:
                     continue
@@ -278,6 +280,57 @@ def test_verify_certificate_rejects_bad(tc):
     assert verify_certificate(tc, 1, zero, Cochain.zero(tc, 1), Fraction(0))
     assert not verify_certificate(tc, 1, c, rep.certificate,
                                   rep.value + 1)
+
+
+def test_certificate_pairing_matches_the_dense_fraction_pairing():
+    """``verify_certificate`` pairs a calibration with a Q class in integers,
+    over the sparse free basis cycles.  On the fixtures, Moore spaces and
+    random complexes, in every degree, with phi the closed cochain
+    sum t_i eta_i + d(psi) scaled to comass 1, it accepts exactly the dense
+    Fraction pairing of phi with the integral representative of each unit
+    class and of a random class, torsion parts included (a closed cochain
+    vanishes on torsion cycles), reduced to Q, and with the representative
+    of a random rational class."""
+    rng = random.Random("certificate-pairing")
+    complexes = [make() for make in SUITE.values()]
+    complexes += [moore_space(2, 3), moore_space(4)]
+    complexes += [random_complex(rng) for _ in range(4)]
+    seen = {"free": 0, "torsion": 0, "rational": 0}
+    for K in complexes:
+        for d in range(K.dim + 1):
+            dec = homology_decomposition(K, d)
+            t = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(dec.betti)]
+            psi = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in range(K.n_simplices(d - 1) if d else 0)]
+            raw = [sum((a * dec.dual_cocycle(i).get(s, 0)
+                        for i, a in enumerate(t)), Fraction(0))
+                   + sum((psi[f] * sign for f, sign in faces), Fraction(0))
+                   for s, faces in enumerate(K.faces(d))]
+            top = max(abs(v) / w for v, w in zip(raw, K.weights[d]))
+            phi = Cochain.make(K, d, [v / top if top else v for v in raw])
+            k = dec.betti + len(dec.torsion)
+            classes = [dec.class_coords(INT, unit[:dec.betti],
+                                        unit[dec.betti:])
+                       for unit in ([int(i == j) for j in range(k)]
+                                    for i in range(k))]
+            if k:
+                classes.append(random_class(rng, dec))
+            for ci in classes:
+                want = reference_pairing(phi, dec.representative_vector(ci))
+                c = reduce_class(ci, RAT)
+                assert verify_certificate(K, d, c, phi, want)
+                assert not verify_certificate(K, d, c, phi,
+                                              want + Fraction(1, 7))
+                seen["torsion" if any(ci.torsion_part) else "free"] += 1
+            q = dec.class_coords(RAT, [Fraction(rng.randint(-5, 5),
+                                                rng.randint(1, 4))
+                                       for _ in range(dec.betti)])
+            want = reference_pairing(phi, dec.representative_vector(q))
+            assert verify_certificate(K, d, q, phi, want)
+            assert not verify_certificate(K, d, q, phi, want - Fraction(1, 7))
+            seen["rational"] += 1
+    assert all(seen.values()), seen
 
 
 def test_lift_minimizer_examples(tc, rp2):
@@ -1422,7 +1475,7 @@ def test_least_comass_form_matches_the_lp():
             assert T == lp.value, (K.name, i)
             phi = Cochain.make(K, 1, [Fraction(x, D) for x in dphi])
             assert reference_is_closed(phi) and reference_comass(K, phi) <= 1
-            assert [phi.evaluate_vector(b.vector())
+            assert [reference_pairing(phi, b.vector())
                     for b in dec.free_basis] == \
                 [T * (j == i) for j in range(dec.betti)]
 
