@@ -295,12 +295,6 @@ class Chain:
     def zero(complex: WeightedComplex, degree: int, ring: RingSpec) -> "Chain":
         return Chain.make(complex, degree, ring, {})
 
-    def vector(self) -> list[RingElem]:
-        out: list[RingElem] = [0] * self.complex.n_simplices(self.degree)
-        for idx, v in self.coeffs:
-            out[idx] = v
-        return out
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -7,12 +7,14 @@ carry their own invariants (value_mod <= value_int, ratios >= 1).  Where a
 row reads only values, the engines run value-only and do not enumerate
 ties; the flag is passed positionally, so a wrapper that forwards only
 positional arguments sees every engine call.  Minimizer sets are compared
-as canonical (index, coefficient) tuples and lifts tested by their
-boundaries, with no chain built per minimizer.  One lift serves
-``lift_minimizer`` and ``bijection_check``: the canonical lift of the
-(index, residue) pairs into (-n/2, n/2], and its integral class when it is
-a cycle.  A sweep solves one real LP per factor, on a sibling complex that
-shares the simplices, face tables and decompositions of the swept one.
+as canonical (index, coefficient) tuples, with no chain built per
+minimizer.  One lift serves ``lift_minimizer`` and ``bijection_check``:
+the canonical lift of the (index, residue) pairs into (-n/2, n/2], as an
+integral chain, and its class, read by ``coords_of_cycle`` in the one walk
+over the lift's boundary that also tells a non-cycle.  ``scan_moduli``
+reads no class, so it only tests its lifts' boundaries.  A sweep solves
+one real LP per factor, on a sibling complex that shares the simplices,
+face tables and decompositions of the swept one.
 
 A row's dataclass fields, in declaration order, are its format: its JSON
 keys and its CSV columns, and ``_Row.to_json`` writes every report here.
@@ -32,7 +34,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
-from .complexes import Chain, WeightedComplex, _is_cycle, mass
+from .complexes import (Chain, NotACycleError, WeightedComplex, _is_cycle,
+                        mass)
 from .homology import (ClassCoords, HomologyDecomposition,
                        homology_decomposition, reduce_class)
 from .optimize import (DEFAULT_MINIMIZER_CAP, OptReport, min_int, min_mod,
@@ -172,17 +175,16 @@ def _lift(coeffs: tuple[tuple[int, int], ...], n: int
 
 def _lift_class(dec: HomologyDecomposition,
                 coeffs: tuple[tuple[int, int], ...], n: int
-                ) -> tuple[list[tuple[int, int]], Optional[ClassCoords]]:
-    """The canonical lift of mod-n (index, residue) pairs, and its integral
-    class in ``dec``; the class is None when the lift is not a cycle."""
-    lifted = _lift(coeffs, n)
-    K, d = dec.complex, dec.degree
-    if not _is_cycle(K, d, lifted):
+                ) -> tuple[Chain, Optional[ClassCoords]]:
+    """The canonical lift of mod-n (index, residue) pairs, as an integral
+    chain of ``dec``, and its class; the class is None when the lift is
+    not a cycle.  Its boundary is walked once, by ``coords_of_cycle``."""
+    # The residues are nonzero and sorted by index, and so are their lifts.
+    lifted = Chain(dec.complex, dec.degree, INT, tuple(_lift(coeffs, n)))
+    try:
+        return lifted, dec.coords_of_cycle(lifted)
+    except NotACycleError:
         return lifted, None
-    vec = [0] * K.n_simplices(d)
-    for i, v in lifted:
-        vec[i] = v
-    return lifted, dec.coords_of_cycle(vec, INT)
 
 
 def _reduction_bijection(int_report: OptReport, mod_report: OptReport,
@@ -261,7 +263,7 @@ def federer_sequence(K: WeightedComplex, d: int, c: ClassCoords, k_max: int,
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    real = min_real(K, d, reduce_class(c, RAT), cap)
+    real = min_real(K, d, reduce_class(c, RAT))
     rows = []
     for k in range(1, k_max + 1):
         vk = min_int(K, d, c.scale(k), cap, True, real.scale(k)).value
@@ -297,7 +299,7 @@ def gap_sweep(K: WeightedComplex, d: int, c: ClassCoords,
         K2 = K.with_scaled_weights(d, shrink_simplices, Fraction(factor))
         dec2 = homology_decomposition(K2, d)
         c2 = dec2.class_coords(c.ring, c.free_part, c.torsion_part)
-        real = min_real(K2, d, reduce_class(c2, RAT), cap)
+        real = min_real(K2, d, reduce_class(c2, RAT))
         vi = min_int(K2, d, c2, cap, True, real).value
         vr = real.value
         vm = {n: min_mod(K2, d, reduce_class(c2, mod_ring(n)), cap, True).value
@@ -355,11 +357,9 @@ def lift_minimizer(T: Chain) -> LiftReport:
         raise ValueError("lift_minimizer expects a mod-n chain")
     if not T.is_cycle():
         raise ValueError("lift_minimizer expects a mod-n cycle")
-    K, d = T.complex, T.degree
-    coeffs, lifted_class = _lift_class(homology_decomposition(K, d),
+    K = T.complex
+    lifted, lifted_class = _lift_class(homology_decomposition(K, T.degree),
                                        T.coeffs, T.ring.modulus)
-    # The residues are nonzero and sorted by index, and so are their lifts.
-    lifted = Chain(K, d, INT, tuple(coeffs))
     return LiftReport(T, lifted, lifted_class is not None, lifted_class,
                       mass(K, lifted) == mass(K, T))
 

@@ -13,7 +13,10 @@ next boundary in kernel coordinates is built row by row, each row a
 combination of coface rows named by one kernel row of V_A^-1; of the basis
 matrix K' only the columns that name classes are formed.  Neither form
 keeps the inverse lines of its unit invariant factors, and nothing here
-reads them: a cycle is told from a non-cycle by its boundary.
+reads them: a cycle is told from a non-cycle by its boundary.  A class is
+read from its chain: one walk over the faces of the chain's support tests
+the boundary, and each row of V_A^-1 read is paired with the chain's
+nonzero coefficients, with no dense vector.
 
 Mod-n homology is represented concretely as integer-lifted cycles modulo
 (boundaries + n * chains) and read off the same two Smith normal forms, so
@@ -33,13 +36,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .complexes import (Chain, NotACycleError, WeightedComplex,
                         _at_integer_scale, _is_cycle)
-from .intlinalg import (ShapeMismatchError, SNFResult,
-                        sparse_smith_normal_form)
+from .intlinalg import SNFResult, sparse_smith_normal_form
 from .rings import (INT, RAT, RingElem, RingSpec, factorize, format_element,
                     mod_ring)
 
@@ -176,38 +177,44 @@ class HomologyDecomposition:
 
     # -- coordinates of cycles, representatives of classes ------------------
 
-    def coords_of_cycle(self, vec: Sequence[RingElem],
-                        ring: RingSpec) -> ClassCoords:
-        """Class of a cycle over ``ring`` (an integer lift over Z/nZ).
+    def coords_of_cycle(self, z: Chain) -> ClassCoords:
+        """Class of the cycle ``z`` over its ring.
 
-        A non-cycle is rejected by its boundary (taken mod n over Z/nZ).
-        With y = V_A^-1 vec, U_A A vec = D_A y, and U_A is unimodular, so a
-        cycle has y_j = 0 for every j < r_A, and over Z/nZ a lift has
-        n/g_j | y_j; y_j/(n/g_j) is the cotorsion coordinate of each j
-        with g_j > 1.  Then sp = U_C y[r_A:] holds the free coordinates
-        past r_C and the torsion coordinates at the torsion columns;
-        :meth:`class_coords` reduces all three.  A rational vector is read
-        at the integer scale of its denominators, in integers throughout.
+        A chain of another complex or degree is refused (ValueError), and a
+        non-cycle by its boundary (taken mod n over Z/nZ), in one walk over
+        the faces of its support.  The coefficients, an integer lift over
+        Z/nZ and over Q taken at the integer scale of their denominators,
+        form x; with y = V_A^-1 x, U_A A x = D_A y, and U_A is
+        unimodular, so a cycle has y_j = 0 for every j < r_A, and over Z/nZ
+        a lift has n/g_j | y_j; y_j/(n/g_j) is the cotorsion coordinate of
+        each j with g_j > 1.  Then sp = U_C y[r_A:] holds the free
+        coordinates past r_C and the torsion coordinates at the torsion
+        columns; :meth:`class_coords` reduces all three.  Each row of
+        V_A^-1 read is paired with the nonzero coefficients only, and all
+        the arithmetic is in integers.
         """
-        K, d = self.complex, self.degree
-        if len(vec) != K.n_simplices(d):
-            raise ShapeMismatchError("vector length mismatch")
+        K, d, ring = self.complex, self.degree, z.ring
+        if z.complex is not K or z.degree != d:
+            raise ValueError("chain does not live on this complex/degree")
+        x = dict(z.coeffs)
         scale = 1
         if ring.is_rat:
-            vec, scale = _at_integer_scale(vec)
+            values, scale = _at_integer_scale(list(x.values()))
+            x = dict(zip(x, values))
         n = ring.modulus
-        if not _is_cycle(K, d, filter(itemgetter(1), enumerate(vec)), n):
+        if not _is_cycle(K, d, x.items(), n):
             raise NotACycleError(f"chain has nonzero boundary over {ring.tag}")
         rA = self._rankA
         gcds = self.mod(n)._gcds if n else ()
         cot = [j for j, g in enumerate(gcds) if g > 1]
-        # y_j = (V_A^-1 vec)_j on the rows read: cotorsion, then kernel.
+        # y_j = (V_A^-1 x)_j on the rows read: cotorsion, then kernel.
         v_inv = self._snfA.v_inv_rows
+        get = x.get
         y: dict[int, RingElem] = {}
-        for j in chain(cot, range(rA, len(vec))):
+        for j in chain(cot, range(rA, len(v_inv))):
             s = 0
             for k, v in v_inv[j].items():
-                s += v * vec[k]
+                s += v * get(k, 0)
             y[j] = s
         cotorsion = [y[j] // (n // gcds[j]) for j in cot]
         yk = {j - rA: v for j, v in y.items() if j >= rA and v}
@@ -407,9 +414,7 @@ def homology_decomposition(K: WeightedComplex, d: int) -> HomologyDecomposition:
 
 def class_of_cycle(K: WeightedComplex, d: int, z: Chain) -> ClassCoords:
     """Coordinates of the homology class of a cycle, over the chain's ring."""
-    if z.complex is not K or z.degree != d:
-        raise ValueError("chain does not live on this complex/degree")
-    return homology_decomposition(K, d).coords_of_cycle(z.vector(), z.ring)
+    return homology_decomposition(K, d).coords_of_cycle(z)
 
 
 def reduce_class(c: ClassCoords, target: RingSpec) -> ClassCoords:

@@ -42,10 +42,6 @@ from __future__ import annotations
 from typing import Optional
 
 
-class ShapeMismatchError(ValueError):
-    pass
-
-
 SparseLine = dict[int, int]
 Lines = Optional[list[Optional[SparseLine]]]
 

@@ -91,7 +91,7 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .complexes import (Chain, Cochain, WeightedComplex, _at_integer_scale,
                          _is_calibration)
@@ -723,11 +723,11 @@ def _level_cocycles(K: WeightedComplex, dec: HomologyDecomposition,
 
 
 def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
-                    lift: Callable[[Fraction], int], cap: int,
-                    value_only: bool, real: Optional[OptReport] = None
-                    ) -> OptReport:
+                    cap: int, value_only: bool,
+                    real: Optional[OptReport] = None) -> OptReport:
     """Exact minimum mass over x = z0 + boundaries + n*u, where z0 is the
-    class representative with each coefficient lifted by ``lift``.
+    integral class representative, over Z/n with each coefficient taken
+    to its canonical lift.
 
     Any optimal chain obeys |x_s| * w_s <= mass(z0), which bounds the search
     box, and the box is cut to the residue range (-n/2, n/2].  Over Z the
@@ -753,8 +753,10 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         report = _zero_report(K, d, c, False)
         report.minimizer_count_exact = not value_only
         return report
-    z0 = [lift(v) for v in dec.representative_vector(c)]
+    z0 = dec.representative_vector(c)
     n = c.ring.modulus
+    if n is not None:
+        z0 = [canonical_lift(v, n) for v in z0]
     wnum, w_scale = K.integer_weights(d)
     if not K.n_simplices(d + 1):  # no boundary moves: a one-point coset
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
@@ -838,7 +840,7 @@ def min_int(K: WeightedComplex, d: int, c: ClassCoords,
     report of ``min_real`` on the class over Q, which is then not solved
     again.
     """
-    return _coset_minimize(K, d, c, "Z", int, cap, value_only, real)
+    return _coset_minimize(K, d, c, "Z", cap, value_only, real)
 
 
 def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
@@ -856,10 +858,7 @@ def min_mod(K: WeightedComplex, d: int, c: ClassCoords,
     the search drops ties and returns the value and one minimizer, with
     ``minimizer_count_exact`` false.
     """
-    n = c.ring.modulus
-    return _coset_minimize(K, d, c, "Z/n",
-                           lambda v: canonical_lift(int(v) % n, n), cap,
-                           value_only)
+    return _coset_minimize(K, d, c, "Z/n", cap, value_only)
 
 
 def min_real(K: WeightedComplex, d: int, c: ClassCoords,

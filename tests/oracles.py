@@ -30,10 +30,11 @@ pairing must agree with, and ``reduce_chain`` and ``lift_chain`` the
 coefficientwise reduction and canonical lift, built through ``Chain.make``,
 against which the harness's tuple comparisons and lifts are checked.
 
-The oracles and the tests compute with dense matrices: ``IntMatrix``,
-``boundary_matrix`` (the boundary operator read off ``K.faces``) and
-``smith_normal_form`` (the library's sparse Smith normal form with U, D
-and V densified by ``densify``).  The library keeps no inverse line of a
+The oracles and the tests compute with dense matrices and vectors:
+``IntMatrix``, ``boundary_matrix`` (the boundary operator read off
+``K.faces``), ``smith_normal_form`` (the library's sparse Smith normal
+form with U, D and V densified by ``densify``) and ``chain_vector`` (a
+chain's coefficients, one entry per simplex).  The library keeps no inverse line of a
 unit invariant factor, so an oracle that needs U^-1 or V^-1 takes them
 from ``reference_smith_normal_form``.
 """
@@ -51,8 +52,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from homnorm.complexes import Chain, ComplexFormatError, NotACycleError, mass
 from homnorm.homology import HomologyDecomposition, homology_decomposition
-from homnorm.intlinalg import (ShapeMismatchError, SNFResult,
-                               sparse_smith_normal_form)
+from homnorm.intlinalg import SNFResult, sparse_smith_normal_form
 from homnorm.lp import LPResult
 from homnorm.rings import (INT, canonical_lift, factorize, format_rational,
                            parse_rational)
@@ -60,6 +60,18 @@ from homnorm.rings import (INT, canonical_lift, factorize, format_rational,
 
 class LPInfeasibleError(ValueError):
     """``reference_solve_standard_lp`` found no nonnegative solution."""
+
+
+class ShapeMismatchError(ValueError):
+    """Dense operands whose shapes do not fit."""
+
+
+def chain_vector(T: Chain) -> list:
+    """The dense coefficient vector of ``T``, one entry per d-simplex."""
+    out = [0] * T.complex.n_simplices(T.degree)
+    for i, v in T.coeffs:
+        out[i] = v
+    return out
 
 
 class IntMatrix:
@@ -812,8 +824,9 @@ class ReferenceModDecomposition:
             if n % e:
                 raise AssertionError("mod-n invariant factor must divide n")
         # Images of the integral basis in raw coordinates.
-        self._phi = [self._raw_coords(f.vector()) for f in dec.free_basis]
-        self._psi = [self._raw_coords(tf.cycle.vector()) for tf in dec.torsion]
+        self._phi = [self._raw_coords(chain_vector(f)) for f in dec.free_basis]
+        self._psi = [self._raw_coords(chain_vector(tf.cycle))
+                     for tf in dec.torsion]
         for g in self._phi:
             if self._order(g) != n:
                 raise AssertionError("free basis image must have order n mod n")

@@ -11,7 +11,7 @@ import pytest
 from conftest import torus_grid
 from oracles import lift_chain, reduce_chain
 
-from homnorm import hasse, optimize
+from homnorm import hasse, homology, optimize
 from homnorm.complexes import dump_complex, load_complex
 from homnorm.fixtures import SUITE, mobius_band, mobius_boundary_indices
 from homnorm.hasse import (EnumerationInexactError, GapRow, ScanRow,
@@ -228,6 +228,26 @@ def test_bijection_check_refuses_inexact(mobius):
     dec = homology_decomposition(mobius, 1)
     with pytest.raises(EnumerationInexactError):
         bijection_check(mobius, 1, _gen(dec), 5, cap=2)
+
+
+def test_bijection_walks_each_lift_boundary_once(monkeypatch, klein):
+    """Each lift of a mod-n minimizer is classified in one boundary walk:
+    the 16 mod-3 minimizers of the Klein bottle's class f:1;t:0 cost 16
+    cycle tests over the harness and the decomposition together, and the
+    lifts' verdicts are unchanged."""
+    walks = []
+    for module in (hasse, homology):
+        def counted(*args, _is_cycle=module._is_cycle):
+            walks.append(args)
+            return _is_cycle(*args)
+        monkeypatch.setattr(module, "_is_cycle", counted)
+    dec = homology_decomposition(klein, 1)
+    c = dec.class_coords(INT, (1,), (0,))
+    report = bijection_check(klein, 1, c, 3)
+    assert report.mod_minimizer_count == len(report.lifts) == 16
+    assert len(walks) == 16
+    assert sum(item.lift_is_cycle for item in report.lifts) == 16
+    assert sum(item.lift_in_class for item in report.lifts) == 8
 
 
 def _record_positional_calls(monkeypatch) -> list:

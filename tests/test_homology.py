@@ -24,6 +24,13 @@ def _representative(dec, c):
                              dec.representative_vector(c))
 
 
+def _class_of(dec, vec, ring):
+    """``coords_of_cycle`` of the chain over ``ring`` with dense vector
+    ``vec`` (over Z/n, an integer lift of it)."""
+    return dec.coords_of_cycle(
+        Chain.from_vector(dec.complex, dec.degree, ring, vec))
+
+
 def _orders(md):
     return tuple(order for order, _, _ in md.cotorsion)
 
@@ -360,7 +367,7 @@ def test_mod_decomposition_matches_reference(tc, torus, rp2, klein, mobius):
                     bnd = B.mul_vec([rng.randint(-2, 2) for _ in range(B.cols)])
                     x = [a + b + n * rng.randint(-2, 2)
                          for a, b in zip(vec, bnd)]
-                    got = dec.coords_of_cycle(x, ring)
+                    got = _class_of(dec, x, ring)
                     assert got == c
                     assert _parts(got) == ref.coords_of_cycle(x)
                     assert ref.in_image(x) == (not any(c.cotorsion_part)) \
@@ -372,9 +379,9 @@ def test_mod_decomposition_matches_reference(tc, torus, rp2, klein, mobius):
                     except NotACycleError:
                         assert not ref.in_image(junk)
                         with pytest.raises(NotACycleError):
-                            dec.coords_of_cycle(junk, ring)
+                            _class_of(dec, junk, ring)
                     else:
-                        got = dec.coords_of_cycle(junk, ring)
+                        got = _class_of(dec, junk, ring)
                         assert _parts(got) == expected
                         assert ref.in_image(junk) == (
                             not any(got.cotorsion_part))
@@ -395,7 +402,7 @@ def test_mod_decomposition_with_two_cotorsion_generators():
         assert orders == ref.cotorsion_orders
         assert len(orders) == (n % 2 == 0) + (n % 2 == 0 or n % 3 == 0)
         for order, _, w_ref in ref.cotorsion:
-            gamma = dec.coords_of_cycle(w_ref, ring).cotorsion_part
+            gamma = _class_of(dec, w_ref, ring).cotorsion_part
             assert lcm(*(e // gcd(e, g) for e, g in zip(orders, gamma))) \
                 == order
         for _ in range(4):
@@ -403,7 +410,7 @@ def test_mod_decomposition_with_two_cotorsion_generators():
                                  tuple(rng.randrange(e) for e in orders))
             x = [v + n * rng.randint(-2, 2)
                  for v in dec.representative_vector(c)]
-            assert dec.coords_of_cycle(x, ring) == c
+            assert _class_of(dec, x, ring) == c
             assert ref.in_image(x) == (not any(c.cotorsion_part))
 
 
@@ -415,6 +422,29 @@ def test_class_coords_validation(torus):
         dec.class_coords(RAT, (Fraction(1), Fraction(0)), (1,))
     with pytest.raises(InfeasibleClassError):
         dec.class_coords(INT, (1, 0), (), (1,))
+
+
+def test_coords_of_cycle_refuses_a_chain_of_another_complex_or_degree(torus):
+    """A cycle is read only by the decomposition of its own complex and
+    degree: an equal complex loaded apart, a sibling of other weights and
+    another degree are refused, as ``class_of_cycle`` refuses them, while
+    the sibling's own decomposition reads the same coordinates."""
+    dec = homology_decomposition(torus, 1)
+    b = dec.free_basis[1]
+    sibling = torus.with_scaled_weights(1, [0], Fraction(1, 2))
+    elsewhere = [Chain(torus7(), 1, INT, b.coeffs),
+                 Chain(sibling, 1, INT, b.coeffs),
+                 Chain.make(torus, 0, INT, {0: 1}),
+                 Chain.zero(torus, 2, INT)]
+    for z in elsewhere:
+        with pytest.raises(ValueError, match="does not live"):
+            dec.coords_of_cycle(z)
+        with pytest.raises(ValueError, match="does not live"):
+            class_of_cycle(torus, 1, z)
+    c = dec.coords_of_cycle(b)
+    assert c.free_part == (0, 1)
+    assert homology_decomposition(sibling, 1).coords_of_cycle(
+        elsewhere[1]).free_part == c.free_part
 
 
 def test_mobius_core_is_generator(mobius):
@@ -489,11 +519,11 @@ def test_coords_of_cycle_rejects_exactly_the_non_cycles(ring, rp2, klein,
                     is_cycle = not any(image)
                 seen.add(is_cycle)
                 if is_cycle:
-                    c = dec.coords_of_cycle(x, ring)
+                    c = _class_of(dec, x, ring)
                     assert c.ring == ring
                 else:
                     with pytest.raises(NotACycleError):
-                        dec.coords_of_cycle(x, ring)
+                        _class_of(dec, x, ring)
     assert seen == {True, False}
 
 
@@ -511,10 +541,10 @@ def test_coords_of_cycle_names_the_class_of_a_random_cycle(ring, rp2, klein,
             B = boundary_matrix(K, d + 1)
             for _ in range(4):
                 x = _random_cycle(rng, snf, ring)
-                c = dec.coords_of_cycle(x, ring)
+                c = _class_of(dec, x, ring)
                 rep = dec.representative_vector(c)
                 assert _homologous(B, [a - b for a, b in zip(x, rep)], ring)
-                assert dec.coords_of_cycle(rep, ring) == c
+                assert _class_of(dec, rep, ring) == c
 
 
 def _differential_cases(tc, torus, rp2, klein, mobius):
@@ -542,7 +572,7 @@ def test_decomposition_matches_the_dense_reference(tc, torus, rp2, klein,
         for ring in READER_RINGS:
             for _ in range(3):
                 x = _random_cycle(rng, ref._snfA, ring)
-                assert dec.coords_of_cycle(x, ring) == dec.class_coords(
+                assert _class_of(dec, x, ring) == dec.class_coords(
                     ring, *ref.coords_of_cycle(x, ring))
                 if ring.is_rat:
                     free = tuple(_random_coefficient(rng, ring, 3)

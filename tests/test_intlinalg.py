@@ -9,10 +9,10 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from homnorm.intlinalg import ShapeMismatchError, sparse_smith_normal_form
+from homnorm.intlinalg import sparse_smith_normal_form
 
 from conftest import torus_grid
-from oracles import (IntMatrix, boundary_matrix, densify,
+from oracles import (IntMatrix, ShapeMismatchError, boundary_matrix, densify,
                      reference_smith_normal_form, smith_normal_form,
                      solve_with_snf)
 

@@ -13,7 +13,7 @@ from conftest import (graph_complex, horizontal_loop, moore_space,
                       random_class, random_complex, small_corpus, torus_grid)
 from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
                      brute_force_min_mod, brute_force_min_real,
-                     reduce_chain, reference_comass,
+                     chain_vector, reduce_chain, reference_comass,
                      reference_echelon_columns, reference_is_closed,
                      reference_pairing, reference_search_lattice,
                      reference_split_lp, smith_normal_form)
@@ -525,7 +525,7 @@ def test_min_real_rows_match_the_dense_boundary_rows():
                 rep = min_real(K, d, c)
                 assert rep.value == want.value
                 if d >= 2:
-                    assert rep.minimizers[0].vector() == \
+                    assert chain_vector(rep.minimizers[0]) == \
                         [want.x[i] - want.x[n + i] for i in range(n)]
                     assert list(rep.certificate.values) == want.duals
                     assert rep.nodes_explored == got.pivots
@@ -1470,12 +1470,13 @@ def test_least_comass_form_matches_the_lp():
             (T,), D, dphi, _, _, _ = optimize._calibrate(
                 K, [dec.dual_cocycle(i)], [dec.free_basis[i]], [Fraction(1)])
             others = [b.coeffs for j, b in enumerate(dec.free_basis) if j != i]
-            lp = solve_cycle_lp([Fraction(v) for v in dec.free_basis[i].vector()],
+            lp = solve_cycle_lp([Fraction(v)
+                                 for v in chain_vector(dec.free_basis[i])],
                                 K.weights[1], cofaces + others)
             assert T == lp.value, (K.name, i)
             phi = Cochain.make(K, 1, [Fraction(x, D) for x in dphi])
             assert reference_is_closed(phi) and reference_comass(K, phi) <= 1
-            assert [reference_pairing(phi, b.vector())
+            assert [reference_pairing(phi, chain_vector(b))
                     for b in dec.free_basis] == \
                 [T * (j == i) for j in range(dec.betti)]
 
@@ -1926,7 +1927,7 @@ def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
                             h[lv] = h.get(lv, 0) + hv * v
                     targets.append(h)
             for T in rep.minimizers:
-                x = [lift(v) for v in T.vector()]
+                x = [lift(v) for v in chain_vector(T)]
                 total = sum(ws * abs(v) for ws, v in zip(w, x))
                 assert total == rep.value
                 for order in (plain, optimize._row_order(K, 1, wnum, z0)):
