@@ -15,7 +15,7 @@ from .hasse import (BijectionReport, EnumerationInexactError, FedererRow,
                     lift_minimizer, scan_moduli)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        ModDecomposition, TorsionFactor, class_of_cycle,
-                       homology_decomposition, kernel_witness, reduce_class)
+                       homology_decomposition, reduce_class)
 from .intlinalg import SNFResult
 from .optimize import (OptReport, min_int, min_mod, min_real, minimize,
                        verify_certificate)
@@ -31,7 +31,7 @@ __all__ = [
     "federer_sequence", "gap_sweep", "lift_minimizer", "scan_moduli",
     "ClassCoords", "HomologyDecomposition", "InfeasibleClassError",
     "ModDecomposition", "TorsionFactor", "class_of_cycle",
-    "homology_decomposition", "kernel_witness", "reduce_class",
+    "homology_decomposition", "reduce_class",
     "SNFResult",
     "OptReport", "min_int", "min_mod", "min_real", "minimize",
     "verify_certificate",

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import (Chain, ComplexFormatError, NotACycleError,
                         WeightedComplex, load_complex)
@@ -21,12 +21,11 @@ from .hasse import (EnumerationInexactError, bijection_check, empirical_threshol
                     gap_sweep, lift_minimizer, min_federer_ratio, scan_moduli,
                     scan_rows_to_csv)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
-                       class_of_cycle, homology_decomposition)
+                       homology_decomposition)
 from .optimize import (DEFAULT_MINIMIZER_CAP, min_real, minimize,
                        verify_certificate)
-from .rings import (INT, RAT, RingSpec, format_rational, mod_ring,
-                    parse_element, parse_integer, parse_rational,
-                    ring_from_tag)
+from .rings import (INT, RingSpec, format_rational, mod_ring, parse_element,
+                    parse_integer, parse_rational, ring_from_tag)
 
 _ERRORS = (ComplexFormatError, NotACycleError, InfeasibleClassError,
            EnumerationInexactError, ValueError)
@@ -140,14 +139,6 @@ def _all_moduli(spec: str) -> list[int]:
     return out
 
 
-def _class_for(args, K: WeightedComplex, dec: HomologyDecomposition,
-               ring: RingSpec) -> ClassCoords:
-    if args.class_spec is not None:
-        return _parse_class(args.class_spec, dec, ring)
-    chain = _parse_chain(args.chain, K, args.dim, ring)
-    return class_of_cycle(K, args.dim, chain)
-
-
 def _basis_json(dec: HomologyDecomposition, ring: RingSpec) -> dict:
     out = {
         "free": [ch.to_json() for ch in dec.free_basis],
@@ -163,138 +154,143 @@ def _basis_json(dec: HomologyDecomposition, ring: RingSpec) -> dict:
     return out
 
 
-def _report(args, K: WeightedComplex, body: dict) -> str:
-    """The JSON report of a command: which command ran on which complex and
-    degree, then ``body``."""
-    return json.dumps({"command": args.command, "complex": K.name,
-                       "degree": args.dim, **body}, indent=2) + "\n"
-
-
-def _cmd_homology(args) -> str:
-    K = _read_complex(args.input)
+def _homology(args, K: WeightedComplex, c: None) -> dict:
     dec = homology_decomposition(K, args.dim)
-    return _report(args, K, {
-        "betti": dec.betti,
-        "torsion_factors": [list(t) for t in dec.torsion_factors],
-        "torsion_number": dec.torsion_number,
-        "basis": _basis_json(dec, INT),
-    })
+    return {"betti": dec.betti,
+            "torsion_factors": [list(t) for t in dec.torsion_factors],
+            "torsion_number": dec.torsion_number,
+            "basis": _basis_json(dec, INT)}
 
 
-def _cmd_norm(args) -> str:
-    K = _read_complex(args.input)
-    ring = ring_from_tag(args.ring)
-    dec = homology_decomposition(K, args.dim)
-    c = _class_for(args, K, dec, ring)
-    report = minimize(K, args.dim, c, args.cap)
-    return _report(args, K, {
-        "basis": _basis_json(dec, ring),
-        "report": report.to_json(),
-    })
+def _norm(args, K: WeightedComplex, c: ClassCoords) -> dict:
+    return {"report": minimize(K, args.dim, c, args.cap).to_json()}
 
 
-def _cmd_certify(args) -> str:
-    K = _read_complex(args.input)
-    dec = homology_decomposition(K, args.dim)
-    c = _class_for(args, K, dec, RAT)
+def _certify(args, K: WeightedComplex, c: ClassCoords) -> dict:
     report = min_real(K, args.dim, c)
-    verified = verify_certificate(K, args.dim, c, report.certificate,
-                                  report.value)
-    return _report(args, K, {
-        "basis": _basis_json(dec, RAT),
-        "value": format_rational(report.value),
-        "certificate": [format_rational(v) for v in report.certificate.values],
-        "verified": verified,
-    })
+    cert = report.certificate
+    return {"value": format_rational(report.value),
+            "certificate": [format_rational(v) for v in cert.values],
+            "verified": verify_certificate(K, args.dim, c, cert, report.value)}
 
 
-def _cmd_scan(args) -> str:
-    K = _read_complex(args.input)
-    dec = homology_decomposition(K, args.dim)
-    c = _class_for(args, K, dec, INT)
+def _scan(args, K: WeightedComplex, c: ClassCoords) -> dict | str:
     moduli = _all_moduli(args.n)
-    lo, hi = min(moduli), max(moduli)
-    if moduli != list(range(lo, hi + 1)):
+    if moduli != list(range(moduli[0], moduli[-1] + 1)):
         raise ValueError("scan expects a contiguous modulus range a..b")
-    rows = scan_moduli(K, args.dim, c, lo, hi, args.cap)
+    rows = scan_moduli(K, args.dim, c, moduli[0], moduli[-1], args.cap)
     if args.format == "csv":
         return scan_rows_to_csv(rows)
-    threshold = empirical_threshold(rows, dec.torsion_number)
-    return _report(args, K, {
-        "class": c.to_json(),
-        "basis": _basis_json(dec, INT),
-        "rows": [r.to_json() for r in rows],
-        "empirical_threshold": threshold,
-    })
+    return {"rows": [r.to_json() for r in rows],
+            "empirical_threshold": empirical_threshold(
+                rows, c.decomposition.torsion_number)}
 
 
-def _cmd_lift(args) -> str:
-    K = _read_complex(args.input)
+def _lift(args, K: WeightedComplex, c: None) -> dict:
     ring = ring_from_tag(args.ring)
     if not ring.is_mod:
         raise ValueError("lift expects --ring Z/n")
     chain = _parse_chain(args.chain, K, args.dim, ring)
-    report = lift_minimizer(chain)
-    return _report(args, K, {"report": report.to_json()})
+    return {"report": lift_minimizer(chain).to_json()}
 
 
-def _cmd_federer(args) -> str:
-    K = _read_complex(args.input)
-    dec = homology_decomposition(K, args.dim)
-    c = _class_for(args, K, dec, INT)
+def _federer(args, K: WeightedComplex, c: ClassCoords) -> dict | str:
     rows = federer_sequence(K, args.dim, c, args.k_max)
     if args.format == "csv":
         return federer_rows_to_csv(rows)
-    return _report(args, K, {
-        "class": c.to_json(),
-        "basis": _basis_json(dec, INT),
-        "rows": [r.to_json() for r in rows],
-        "min_ratio": format_rational(min_federer_ratio(rows)),
-    })
+    return {"rows": [r.to_json() for r in rows],
+            "min_ratio": format_rational(min_federer_ratio(rows))}
 
 
-def _cmd_sweep(args) -> str:
-    K = _read_complex(args.input)
-    dec = homology_decomposition(K, args.dim)
-    c = _class_for(args, K, dec, INT)
+def _sweep(args, K: WeightedComplex, c: ClassCoords) -> dict | str:
     moduli = _all_moduli(args.n)
     shrink = [parse_integer(v) for v in args.shrink.split(",") if v.strip()]
     factors = [parse_rational(v) for v in args.factors.split(",") if v.strip()]
     rows = gap_sweep(K, args.dim, c, shrink, factors, moduli)
     if args.format == "csv":
         return gap_rows_to_csv(rows, moduli)
-    return _report(args, K, {
-        "class": c.to_json(),
-        "basis": _basis_json(dec, INT),
-        "rows": [r.to_json() for r in rows],
-    })
+    return {"rows": [r.to_json() for r in rows]}
 
 
-def _cmd_bijection(args) -> str:
-    K = _read_complex(args.input)
-    dec = homology_decomposition(K, args.dim)
-    c = _class_for(args, K, dec, INT)
+def _bijection(args, K: WeightedComplex, c: ClassCoords) -> dict:
     parts = _parse_moduli(args.n)
     if sum(r.stop - r.start for r in parts) != 1:
         raise ValueError("bijection expects a single modulus")
-    report = bijection_check(K, args.dim, c, parts[0][0], args.cap)
-    return _report(args, K, {
-        "class": c.to_json(),
-        "basis": _basis_json(dec, INT),
-        "report": report.to_json(),
-    })
+    return {"report": bijection_check(K, args.dim, c, parts[0][0],
+                                      args.cap).to_json()}
 
 
-_COMMANDS = {
-    "homology": _cmd_homology,
-    "norm": _cmd_norm,
-    "scan": _cmd_scan,
-    "lift": _cmd_lift,
-    "federer": _cmd_federer,
-    "sweep": _cmd_sweep,
-    "certify": _cmd_certify,
-    "bijection": _cmd_bijection,
+_CHAIN_HELP = "chain payload idx=coeff,idx=coeff"
+# The add_argument keywords of each option beside --class/--chain.
+_OPTIONS = {
+    "--chain": dict(required=True, help=_CHAIN_HELP),
+    "--ring": dict(required=True, help="Z | Q | Z/n"),
+    "--n": dict(required=True, help="modulus, range a..b, or comma list"),
+    "--k-max": dict(type=_integer_option, required=True),
+    "--factors": dict(required=True,
+                      help="comma-separated p/q shrink factors"),
+    "--shrink": dict(required=True, help="comma-separated d-simplex indices"),
+    "--cap": dict(type=_integer_option, default=DEFAULT_MINIMIZER_CAP,
+                  help="minimizer enumeration cap"),
 }
+
+
+class _Command(NamedTuple):
+    """A subcommand.  ``ring`` tags the ring of the class it reads by
+    ``--class`` or ``--chain`` (``"--ring"``: that option's value), None if
+    it reads none.  ``body(args, K, c)`` returns report fields, which come
+    after the ``header`` fields, or CSV text."""
+
+    help: str
+    body: Callable[..., "dict | str"]
+    ring: Optional[str] = None
+    options: tuple[str, ...] = ()
+    format: Optional[str] = None
+    header: tuple[str, ...] = ()
+
+
+_HARNESS = ("class", "basis")
+_COMMANDS = {
+    "homology": _Command("Betti number, torsion, basis", _homology),
+    "norm": _Command("class norm and minimizers", _norm, "--ring",
+                     ("--ring", "--cap"), header=("basis",)),
+    "scan": _Command("modulus scan against the integral norm", _scan, "Z",
+                     ("--n", "--cap"), "csv", _HARNESS),
+    "lift": _Command("canonical lift of a mod-n cycle", _lift,
+                     options=("--chain", "--ring")),
+    "federer": _Command("value(k*c)/k table", _federer, "Z", ("--k-max",),
+                        "csv", _HARNESS),
+    "sweep": _Command("Lavrentiev weight sweep", _sweep, "Z",
+                      ("--n", "--factors", "--shrink"), "csv", _HARNESS),
+    "certify": _Command("real norm with verified calibration", _certify, "Q",
+                        header=("basis",)),
+    "bijection": _Command("minimizer-set bijection check", _bijection, "Z",
+                          ("--n", "--cap"), header=_HARNESS),
+}
+
+
+def _run(cmd: _Command, args) -> str:
+    """Read the complex and the class, run the body, and return its CSV text
+    or its JSON report headed by the command, complex and degree."""
+    K = _read_complex(args.input)
+    c = None
+    if cmd.ring is not None:
+        ring = ring_from_tag(args.ring if cmd.ring == "--ring" else cmd.ring)
+        dec = homology_decomposition(K, args.dim)
+        if args.class_spec is not None:
+            c = _parse_class(args.class_spec, dec, ring)
+        else:
+            c = dec.coords_of_cycle(
+                _parse_chain(args.chain, K, args.dim, ring))
+    fields = cmd.body(args, K, c)
+    if isinstance(fields, str):
+        return fields
+    header = {"class": lambda: c.to_json(),
+              "basis": lambda: _basis_json(dec, ring)}
+    return json.dumps({"command": args.command, "complex": K.name,
+                       "degree": args.dim,
+                       **{key: header[key]() for key in cmd.header},
+                       **fields}, indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,73 +298,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="homnorm",
         description="Minimal-mass homology representatives over Z, Q and Z/nZ")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, klass=False, chain=False, ring=False, n=False,
-               k_max=False, factors=False, shrink=False, cap=False, fmt=None):
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("input", help="complex document (JSON)")
         p.add_argument("--dim", type=_integer_option, required=True,
                        help="chain degree")
-        chain_help = "chain payload idx=coeff,idx=coeff"
-        if klass:  # the class, by coordinates or by a cycle in it
+        if cmd.ring is not None:
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--class", dest="class_spec",
                                help="class payload f:a1,..;t:b1,..;c:g1,..")
-            group.add_argument("--chain", help=chain_help)
-        if chain:
-            p.add_argument("--chain", required=True, help=chain_help)
-        if ring:
-            p.add_argument("--ring", required=True, help="Z | Q | Z/n")
-        if n:
-            p.add_argument("--n", required=True,
-                           help="modulus, range a..b, or comma list")
-        if k_max:
-            p.add_argument("--k-max", dest="k_max", type=_integer_option,
-                           required=True)
-        if factors:
-            p.add_argument("--factors", required=True,
-                           help="comma-separated p/q shrink factors")
-        if shrink:
-            p.add_argument("--shrink", required=True,
-                           help="comma-separated d-simplex indices")
-        if cap:
-            p.add_argument("--cap", type=_integer_option,
-                           default=DEFAULT_MINIMIZER_CAP,
-                           help="minimizer enumeration cap")
+            group.add_argument("--chain", help=_CHAIN_HELP)
+        for option in cmd.options:
+            p.add_argument(option, **_OPTIONS[option])
         p.add_argument("--out", default=None, help="write output to this file")
-        if fmt:
-            p.add_argument("--format", choices=["csv", "report"], default=fmt)
-
-    common(sub.add_parser("homology", help="Betti number, torsion, basis"))
-    common(sub.add_parser("norm", help="class norm and minimizers"),
-           klass=True, ring=True, cap=True)
-    common(sub.add_parser("scan", help="modulus scan against the integral norm"),
-           klass=True, n=True, cap=True, fmt="csv")
-    common(sub.add_parser("lift", help="canonical lift of a mod-n cycle"),
-           chain=True, ring=True)
-    common(sub.add_parser("federer", help="value(k*c)/k table"),
-           klass=True, k_max=True, fmt="csv")
-    common(sub.add_parser("sweep", help="Lavrentiev weight sweep"),
-           klass=True, n=True, factors=True, shrink=True, fmt="csv")
-    common(sub.add_parser("certify", help="real norm with verified calibration"),
-           klass=True)
-    common(sub.add_parser("bijection", help="minimizer-set bijection check"),
-           klass=True, n=True, cap=True)
+        if cmd.format:
+            p.add_argument("--format", choices=["csv", "report"],
+                           default=cmd.format)
     return parser
-
-
-def _validate_args(parser: argparse.ArgumentParser, args) -> None:
-    if args.dim < 0:
-        parser.error("--dim must be nonnegative")
-    if getattr(args, "cap", 1) < 1:
-        parser.error("--cap must be positive")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate_args(parser, args)
+    if args.dim < 0:
+        parser.error("--dim must be nonnegative")
+    if getattr(args, "cap", 1) < 1:
+        parser.error("--cap must be positive")
     try:
-        text = _COMMANDS[args.command](args)
+        text = _run(_COMMANDS[args.command], args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ from .homology import (ClassCoords, HomologyDecomposition,
                        homology_decomposition, reduce_class)
 from .optimize import (DEFAULT_MINIMIZER_CAP, OptReport, min_int, min_mod,
                        min_real)
-from .rings import INT, RAT, format_rational, mod_ring
+from .rings import INT, RAT, canonical_lift, format_rational, mod_ring
 
 
 class EnumerationInexactError(RuntimeError):
@@ -170,7 +170,7 @@ class LiftReport(_Row):
 def _lift(coeffs: tuple[tuple[int, int], ...], n: int
           ) -> list[tuple[int, int]]:
     """The canonical lift into (-n/2, n/2] of mod-n coefficients."""
-    return [(i, v - n if v > n // 2 else v) for i, v in coeffs]
+    return [(i, canonical_lift(v, n)) for i, v in coeffs]
 
 
 def _lift_class(dec: HomologyDecomposition,

@@ -41,8 +41,7 @@ from typing import Optional, Sequence
 from .complexes import (Chain, NotACycleError, WeightedComplex,
                         _at_integer_scale, _is_cycle)
 from .intlinalg import SNFResult, sparse_smith_normal_form
-from .rings import (INT, RAT, RingElem, RingSpec, factorize, format_element,
-                    mod_ring)
+from .rings import INT, RAT, RingElem, RingSpec, factorize, format_element
 
 
 class InfeasibleClassError(ValueError):
@@ -429,25 +428,3 @@ def reduce_class(c: ClassCoords, target: RingSpec) -> ClassCoords:
     md = dec.mod(target.modulus)
     return dec.class_coords(target, c.free_part, c.torsion_part,
                             (0,) * len(md.cotorsion))
-
-
-def kernel_witness(X: ClassCoords, Y: ClassCoords, n: int) -> Optional[ClassCoords]:
-    """Free class W with X - Y = n*W when the mod-n reductions agree.
-
-    Requires the torsion number to divide n (precondition of the kernel
-    lemma); returns None when the reductions differ.
-    """
-    if not (X.ring.is_int and Y.ring.is_int):
-        raise ValueError("kernel_witness expects integral classes")
-    if X.decomposition is not Y.decomposition:
-        raise ValueError("classes live in different decompositions")
-    dec = X.decomposition
-    if n < 2 or dec.torsion_number < 1 or n % dec.torsion_number:
-        raise ValueError(
-            f"torsion number {dec.torsion_number} does not divide n = {n}")
-    target = mod_ring(n)
-    if reduce_class(X, target) != reduce_class(Y, target):
-        return None
-    free = tuple((a - b) // n for a, b in zip(X.free_part, Y.free_part))
-    return dec.class_coords(INT, free, (0,) * len(dec.torsion))
-

@@ -28,7 +28,9 @@ simplices, weights and faces the loader must reproduce, and
 Fraction definitions the integer-scale calibration test and certificate
 pairing must agree with, and ``reduce_chain`` and ``lift_chain`` the
 coefficientwise reduction and canonical lift, built through ``Chain.make``,
-against which the harness's tuple comparisons and lifts are checked.
+against which the harness's tuple comparisons and lifts are checked, and
+``kernel_witness`` the kernel lemma's free class W with X - Y = n * W,
+against which the mod-n reduction of integral classes is checked.
 
 The oracles and the tests compute with dense matrices and vectors:
 ``IntMatrix``, ``boundary_matrix`` (the boundary operator read off
@@ -51,11 +53,12 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
 from homnorm.complexes import Chain, ComplexFormatError, NotACycleError, mass
-from homnorm.homology import HomologyDecomposition, homology_decomposition
+from homnorm.homology import (ClassCoords, HomologyDecomposition,
+                              homology_decomposition, reduce_class)
 from homnorm.intlinalg import SNFResult, sparse_smith_normal_form
 from homnorm.lp import LPResult
 from homnorm.rings import (INT, canonical_lift, factorize, format_rational,
-                           parse_rational)
+                           mod_ring, parse_rational)
 
 
 class LPInfeasibleError(ValueError):
@@ -1204,3 +1207,26 @@ def lift_chain(T: Chain) -> Chain:
     n = T.ring.modulus
     return Chain.make(T.complex, T.degree, INT,
                       {i: canonical_lift(int(v), n) for i, v in T.coeffs})
+
+
+def kernel_witness(X: ClassCoords, Y: ClassCoords,
+                   n: int) -> Optional[ClassCoords]:
+    """Free class W with X - Y = n*W when the mod-n reductions agree.
+
+    Requires the torsion number to divide n (precondition of the kernel
+    lemma); returns None when the reductions differ.
+    """
+    if not (X.ring.is_int and Y.ring.is_int):
+        raise ValueError("kernel_witness expects integral classes")
+    if X.decomposition is not Y.decomposition:
+        raise ValueError("classes live in different decompositions")
+    dec = X.decomposition
+    if n < 2 or dec.torsion_number < 1 or n % dec.torsion_number:
+        raise ValueError(
+            f"torsion number {dec.torsion_number} does not divide n = {n}")
+    target = mod_ring(n)
+    if reduce_class(X, target) != reduce_class(Y, target):
+        return None
+    free = tuple((a - b) // n for a, b in zip(X.free_part, Y.free_part))
+    return dec.class_coords(INT, free, (0,) * len(dec.torsion))
+

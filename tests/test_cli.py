@@ -244,6 +244,71 @@ def test_cap_binds_where_minimizer_sets_are_enumerated(paths, argv):
     assert exc.value.code == 2
 
 
+# The options each command takes beside the complex, --dim and --out:
+# "class" for the --class/--chain pair, of which exactly one is required.
+COMMAND_OPTIONS = {
+    "homology": {},
+    "norm": {"--class": "class", "--chain": "class", "--ring": "required",
+             "--cap": "optional"},
+    "scan": {"--class": "class", "--chain": "class", "--n": "required",
+             "--cap": "optional", "--format": "optional"},
+    "lift": {"--chain": "required", "--ring": "required"},
+    "federer": {"--class": "class", "--chain": "class", "--k-max": "required",
+                "--format": "optional"},
+    "sweep": {"--class": "class", "--chain": "class", "--n": "required",
+              "--factors": "required", "--shrink": "required",
+              "--format": "optional"},
+    "certify": {"--class": "class", "--chain": "class"},
+    "bijection": {"--class": "class", "--chain": "class", "--n": "required",
+                  "--cap": "optional"},
+}
+# A value of each option that every command taking it accepts on the
+# triangle circle in degree 1.
+OPTION_VALUES = {"--class": "f:1", "--chain": "0=1,2=1,1=-1", "--ring": "Z/2",
+                 "--n": "3", "--k-max": "2", "--factors": "1/2",
+                 "--shrink": "0", "--cap": "5", "--format": "report"}
+
+
+@pytest.mark.parametrize("option", OPTION_VALUES)
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_option_matrix(paths, capsys, command, option):
+    """Each command takes exactly the options of its row: a required one
+    cannot be left out, an optional one can be added, and any other is a
+    usage error (exit 2)."""
+    kinds = COMMAND_OPTIONS[command]
+
+    def line(*, without=(), add=()):
+        argv = [command, paths["tc"], "--dim", "1", "--out", os.devnull]
+        for name, kind in kinds.items():
+            if kind == "required" and name not in without:
+                argv += [name, OPTION_VALUES[name]]
+        if "class" in kinds.values() and "--class" not in without:
+            argv += ["--class", OPTION_VALUES["--class"]]
+        for name in add:
+            argv += [name, OPTION_VALUES[name]]
+        return argv
+
+    def usage_error(argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+    assert main(line()) == 0
+    kind = kinds.get(option)
+    if kind is None:
+        usage_error(line(add=[option]), "unrecognized arguments")
+    elif kind == "required":
+        usage_error(line(without=[option]), "required")
+    elif kind == "optional":
+        assert main(line(add=[option])) == 0
+    elif option == "--class":
+        usage_error(line(without=["--class"]), "--class --chain is required")
+    else:
+        assert main(line(without=["--class"], add=[option])) == 0
+        usage_error(line(add=[option]), "not allowed with argument")
+
+
 def test_computation_errors_exit_1(paths, capsys, tmp_path):
     code, _, err = run_cli(capsys, [
         "homology", str(tmp_path / "missing.cplx"), "--dim", "1"])

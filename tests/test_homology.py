@@ -10,13 +10,14 @@ from homnorm.complexes import Chain, NotACycleError, WeightedComplex
 from homnorm.fixtures import SUITE, MOBIUS_CORE_EDGES, rp2_6, torus7
 from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
-                              kernel_witness, reduce_class)
+                              reduce_class)
 from homnorm.rings import INT, RAT, mod_ring
 
 from conftest import moore_space, random_complex, torus_grid
 from oracles import (IntMatrix, ReferenceHomologyDecomposition,
                      ReferenceModDecomposition, boundary_matrix,
-                     reduce_chain, smith_normal_form, solve_with_snf)
+                     kernel_witness, reduce_chain, smith_normal_form,
+                     solve_with_snf)
 
 
 def _representative(dec, c):
