@@ -82,7 +82,7 @@ def _parse_class(spec: str, dec: HomologyDecomposition,
         raise InfeasibleClassError(
             "cotorsion coordinates exist only over Z/n")
     if not cotorsion and ring.is_mod:
-        cotorsion = [0] * len(dec.mod(ring.modulus).cotorsion)
+        cotorsion = [0] * len(dec.mod(ring.modulus).cotorsion_orders)
     if ring.is_rat:
         if any(torsion):
             raise InfeasibleClassError("rational classes have no torsion part")

@@ -5,8 +5,12 @@ the boundary operator in degree d (whose kernel lattice carries the cycles)
 and one of the next boundary operator expressed in kernel coordinates
 (whose invariant factors carry rank and torsion).  The basis it produces is
 non-canonical but reproducible: the pivot rule in :mod:`homnorm.intlinalg`
-is fixed, so identical complexes always report identical bases.  Both
-forms reduce sparse rows built from ``WeightedComplex.faces``, and every
+is fixed, so identical complexes always report identical bases.  In degree
+1 the first form is that of the incidence matrix of the 1-skeleton, and
+``incidence_smith_normal_form`` replays its reduction on groups of
+vertices: its kernel lines, the fundamental cycles of the forest of pivot
+edges, are those of the sparse form.  The other forms reduce sparse rows
+built from ``WeightedComplex.faces``, and every
 change of basis (into kernel coordinates, to class coordinates and back to
 chains) walks only the nonzero entries of their sparse transforms.  The
 next boundary in kernel coordinates is built row by row, each row a
@@ -34,13 +38,15 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from typing import Optional, Sequence
 
 from .complexes import (Chain, NotACycleError, WeightedComplex,
                         _at_integer_scale, _is_cycle)
-from .intlinalg import SNFResult, sparse_smith_normal_form
+from .intlinalg import (SNFResult, incidence_smith_normal_form,
+                        sparse_smith_normal_form)
 from .rings import INT, RAT, RingElem, RingSpec, factorize, format_element
 
 
@@ -117,9 +123,12 @@ class HomologyDecomposition:
         self.complex = K
         self.degree = degree
         n_simp = K.n_simplices(degree)
-        # Only V_A, V_A^-1, U_C and U_C^-1 are read below.
-        self._snfA: SNFResult = sparse_smith_normal_form(
-            _boundary_rows(K, degree), n_simp, _track="v")
+        # Only V_A, V_A^-1, U_C and U_C^-1 are read below, and of V_A and
+        # V_A^-1 only the kernel lines when every pivot is a unit.
+        self._snfA: SNFResult = (
+            incidence_smith_normal_form(K.faces(1), K.n_simplices(0))
+            if degree == 1 else sparse_smith_normal_form(
+                _boundary_rows(K, degree), n_simp, _track="v"))
         rA = self._snfA.rank
         self._rankA = rA
         z = n_simp - rA
@@ -293,10 +302,10 @@ class HomologyDecomposition:
             return ClassCoords(
                 self, ring, tuple(int(a) for a in free),
                 tuple(int(b) % tf.order for b, tf in zip(torsion, self.torsion)))
-        md = self.mod(ring.modulus)
-        if len(cotorsion) != len(md.cotorsion):
+        orders = self.mod(ring.modulus).cotorsion_orders
+        if len(cotorsion) != len(orders):
             raise InfeasibleClassError(
-                f"expected {len(md.cotorsion)} cotorsion coordinates mod "
+                f"expected {len(orders)} cotorsion coordinates mod "
                 f"{ring.modulus}, got {len(cotorsion)}")
         n = ring.modulus
         return ClassCoords(
@@ -304,8 +313,7 @@ class HomologyDecomposition:
             tuple(int(a) % n for a in free),
             tuple(int(b) % gcd(tf.order, n)
                   for b, tf in zip(torsion, self.torsion)),
-            tuple(int(g) % order
-                  for g, (order, _, _) in zip(cotorsion, md.cotorsion)))
+            tuple(int(g) % order for g, order in zip(cotorsion, orders)))
 
     def rebound(self, K: WeightedComplex) -> "HomologyDecomposition":
         """This decomposition on ``K``, a complex with the same simplices,
@@ -359,16 +367,25 @@ class ModDecomposition:
         # Order of each summand Z/g_j; a lift has n/g_j | y_j.
         self._gcds = tuple(gcd(diag[j], n) for j in range(dec._rankA))
         cot = [j for j, g in enumerate(self._gcds) if g > 1]
+        # Each cotorsion generator's order, all that a class reads of it.
+        self.cotorsion_orders = tuple(self._gcds[j] for j in cot)
         # The generators' nonzero entries; ``cotorsion`` lists them densely.
         self._lines = tuple(
             {i: n // self._gcds[j] * v
              for i, v in dec._snfA.v_cols[j].items()} for j in cot)
-        n_simp = dec.complex.n_simplices(dec.degree)
-        self.cotorsion = tuple(
-            (self._gcds[j],
-             tuple(int(k == i) for k in range(len(cot))),
-             tuple(line.get(k, 0) for k in range(n_simp)))
-            for i, (j, line) in enumerate(zip(cot, self._lines)))
+        self._n_simp = dec.complex.n_simplices(dec.degree)
+
+    @cached_property
+    def cotorsion(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]],
+                                 ...]:
+        """(order, coordinates, dense chain vector) of each cotorsion
+        generator, built on first read."""
+        m = len(self._lines)
+        return tuple(
+            (order, tuple(int(k == i) for k in range(m)),
+             tuple(line.get(k, 0) for k in range(self._n_simp)))
+            for i, (order, line) in enumerate(
+                zip(self.cotorsion_orders, self._lines)))
 
 
 def _boundary_rows(K: WeightedComplex, d: int) -> list[dict[int, int]]:
@@ -425,6 +442,6 @@ def reduce_class(c: ClassCoords, target: RingSpec) -> ClassCoords:
         return c
     if target.is_rat:
         return dec.class_coords(RAT, tuple(Fraction(a) for a in c.free_part))
-    md = dec.mod(target.modulus)
-    return dec.class_coords(target, c.free_part, c.torsion_part,
-                            (0,) * len(md.cotorsion))
+    return dec.class_coords(
+        target, c.free_part, c.torsion_part,
+        (0,) * len(dec.mod(target.modulus).cotorsion_orders))

@@ -35,11 +35,15 @@ rows and columns in ascending index order, each entry read when its turn
 comes.  So the operations, and all five matrices (the inverses where
 kept), are those of the plain dense reduction (``tests/oracles.py`` keeps
 it as the reference).
+
+An incidence matrix, the degree-1 boundary, has all its pivots units, and
+``incidence_smith_normal_form`` replays the same reduction on sets of
+edges, one per group of vertices, to the same kernel lines of V and V^-1.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 
 SparseLine = dict[int, int]
@@ -57,7 +61,9 @@ class SNFResult:
     of U), ``u_inv_cols`` (the columns of U^-1), ``v_cols`` (the columns of
     V) and ``v_inv_rows`` (the rows of V^-1); a pair that was not tracked
     is None.  Of the inverses, line j is None where j < rank and
-    diag[j] = 1; every other line, and all of U and V, is kept.
+    diag[j] = 1; every other line, and all of U and V, is kept, except
+    that ``incidence_smith_normal_form`` leaves the pivot columns of V
+    (j < rank) unformed, None, as it has no reader for them.
     """
 
     def __init__(self, diag: tuple[int, ...], u_rows: Lines,
@@ -302,3 +308,136 @@ def sparse_smith_normal_form(rows: list[SparseLine], cols: int, *,
             if track_v:
                 vi[j] = None
     return SNFResult(diag, u, ui, v, vi)
+
+
+def incidence_smith_normal_form(faces: Sequence[Sequence[tuple[int, int]]],
+                                n_vertices: int) -> SNFResult:
+    """``sparse_smith_normal_form(rows, len(faces), _track="v")`` of the
+    incidence matrix with columns ``faces``, on the lines its readers use.
+
+    Each column holds two (vertex, sign) entries of opposite sign, as the
+    faces of an edge do.  Every pivot of the sparse form is then a unit,
+    found at the lowest column label of the first nonempty row from step t,
+    and clearing it adds the pivot row to the one other row its column
+    meets.  So each row from step t is the sum of the vertex rows of one
+    group of vertices joined by earlier pivot edges, its support the edges
+    leaving the group.  The reduction is replayed on those supports, sets
+    of edges: the same row and column swaps, a union-find for the group of
+    each vertex, and the pivot row's support added to the other group's by
+    symmetric difference.  The signs are never needed.
+
+    ``diag``, the rank and the kernel lines past it are those of the sparse
+    form.  V^-1 changes only by the column swaps, so its kernel row j is
+    the unit row of the edge f at label j.  Column j of V is e_f plus a
+    combination of pivot columns, and it is a cycle, so it is the
+    fundamental cycle of f in the forest of pivot edges, with +1 on f,
+    built from parent pointers; only the order of its keys differs.  The
+    lines before the rank, which nothing reads for a unit pivot, are None
+    in V as in V^-1, and U is not tracked.
+    """
+    n_edges = len(faces)
+    ends = [(fs[0][0], fs[1][0]) for fs in faces]
+    rows: list[set[int]] = [set() for _ in range(n_vertices)]
+    for e, (a, b) in enumerate(ends):
+        rows[a].add(e)
+        rows[b].add(e)
+    edge_at = list(range(n_edges))  # column label -> edge
+    label = list(range(n_edges))    # edge -> column label
+    # Union-find over vertices; root_at[i] is the root of the group whose
+    # row is at position i, and pos_of[root] its position.
+    parent = list(range(n_vertices))
+    root_at = list(range(n_vertices))
+    pos_of = list(range(n_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    limit = min(n_vertices, n_edges)
+    t = 0
+    while t < limit:
+        i = t
+        while i < n_vertices and not rows[i]:
+            i += 1
+        if i == n_vertices:
+            break
+        row = rows[i]
+        c = min(map(label.__getitem__, row))
+        if i != t:
+            rows[i] = rows[t]
+            rows[t] = row
+            r, s = root_at[t], root_at[i]
+            root_at[t], root_at[i] = s, r
+            pos_of[s], pos_of[r] = t, i
+        e = edge_at[c]
+        if c != t:
+            f = edge_at[t]
+            edge_at[t], edge_at[c] = e, f
+            label[e], label[f] = t, c
+        # The pivot edge leaves the group at t; its other end names the
+        # group whose row absorbs the pivot row.
+        mine = root_at[t]
+        a, b = ends[e]
+        other = find(a)
+        if other == mine:
+            other = find(b)
+        j = pos_of[other]
+        if len(row) > len(rows[j]):
+            row ^= rows[j]
+            rows[j] = row
+        else:
+            rows[j] ^= row
+        parent[mine] = other
+        t += 1
+
+    rank = t
+    diag = (1,) * rank + (0,) * (limit - rank)
+    # The pivot edges form a spanning forest: root each tree and point
+    # every other vertex at its parent (par), through the edge (up) on
+    # which it has sign up_sign.
+    adj: list[list[int]] = [[] for _ in range(n_vertices)]
+    for e in edge_at[:rank]:
+        a, b = ends[e]
+        adj[a].append(e)
+        adj[b].append(e)
+    depth = [-1] * n_vertices
+    par = [-1] * n_vertices
+    up = [-1] * n_vertices
+    up_sign = [0] * n_vertices
+    for root in range(n_vertices):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for e in adj[x]:
+                (a, sa), (b, sb) = faces[e]
+                y, sy = (b, sb) if a == x else (a, sa)
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
+                    par[y] = x
+                    up[y] = e
+                    up_sign[y] = sy
+                    stack.append(y)
+    # With P(x) the path chain from x to its root, coefficient -s on each
+    # edge whose end farther from the root has sign s, dP(x) = root - x.  For f with
+    # faces (a, sa), (b, sb): e_f + sa P(a) + sb P(b) is a cycle, and the
+    # two paths cancel above their meeting vertex.
+    v: list[Optional[SparseLine]] = [None] * n_edges
+    vi: list[Optional[SparseLine]] = [None] * n_edges
+    for j in range(rank, n_edges):
+        f = edge_at[j]
+        vi[j] = {f: 1}
+        z = {f: 1}
+        (a, sa), (b, sb) = faces[f]
+        while a != b:
+            if depth[a] >= depth[b]:
+                z[up[a]] = -sa * up_sign[a]
+                a = par[a]
+            else:
+                z[up[b]] = -sb * up_sign[b]
+                b = par[b]
+        v[j] = z
+    return SNFResult(diag, None, None, v, vi)

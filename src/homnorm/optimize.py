@@ -326,7 +326,9 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     once every row on t is assigned dist_t = 0, since those rows are those
     of a coset point.  A level changes only the faces of its row, and the
     candidate is tested before its move, so a dropped one is not counted
-    as a node.
+    as a node.  The terms of the other faces alone, with the candidate's
+    mass, bound every later candidate of the row too, whose mass is no
+    less: once they fail the test, the row ends.
 
     ``cocycles``, if given, is (incidences, targets, mu): the (level,
     coeff) incidences of each row on integral cocycles h_m with
@@ -452,6 +454,8 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
             else:
                 new = residual - rest
             if arity * total + rest + new > arity * limit:
+                if arity * total + rest > arity * limit:
+                    break  # new >= 0, and total only grows
                 continue
             if on_levels:
                 if v:

@@ -181,6 +181,23 @@ def test_in_reduction_image(rp2, torus):
     assert zero.is_zero() and not any(zero.cotorsion_part)
 
 
+def test_cotorsion_vectors_are_built_only_when_read():
+    """Class coordinates and reductions take the cotorsion count and
+    orders from the gcds; the dense generator triples wait for a reader."""
+    for n in range(2, 9):
+        dec = HomologyDecomposition(rp2_6(), 2)
+        md = dec.mod(n)
+        ring = mod_ring(n)
+        c = dec.class_coords(ring, (), (), (1,) * len(md.cotorsion_orders))
+        zero = reduce_class(dec.class_coords(INT, ()), ring)
+        assert zero.is_zero()
+        assert len(zero.cotorsion_part) == len(c.cotorsion_part)
+        assert "cotorsion" not in vars(md)
+        assert md.cotorsion_orders == _orders(md) == (
+            (2,) if n % 2 == 0 else ())
+        assert md.cotorsion is md.cotorsion
+
+
 def test_in_reduction_image_matches_cotorsion_flag(rp2, klein):
     for K, d in ((rp2, 1), (rp2, 2), (klein, 1), (klein, 2)):
         dec = homology_decomposition(K, d)
@@ -224,6 +241,24 @@ def test_mod_decomposition_runs_no_smith_normal_form(monkeypatch):
                 assert class_of_cycle(K, dec.degree, rep) == c
                 assert (not any(c.cotorsion_part)) == (not md.cotorsion)
         assert calls == []
+
+
+def test_degree_one_decomposition_reduces_only_the_next_boundary(
+        monkeypatch):
+    """In degree 1 the incidence path gives the form of the boundary, and
+    the sparse form runs only for the next boundary in kernel coordinates
+    (tracking U); other degrees run it for both."""
+    import homnorm.homology as homology
+    tracks = []
+    real_snf = homology.sparse_smith_normal_form
+    monkeypatch.setattr(homology, "sparse_smith_normal_form",
+                        lambda *A, **kw:
+                        tracks.append(kw["_track"]) or real_snf(*A, **kw))
+    for K in (torus7(), rp2_6(), torus_grid(4, "degree-one")):
+        for d in range(K.dim + 1):
+            tracks.clear()
+            HomologyDecomposition(K, d)
+            assert tracks == (["u"] if d == 1 else ["v", "u"])
 
 
 def test_mod_decomposition_group_order_matches_uct(tc, torus, rp2, klein, mobius):

@@ -9,9 +9,11 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from homnorm.intlinalg import sparse_smith_normal_form
+from homnorm.fixtures import SUITE
+from homnorm.intlinalg import (incidence_smith_normal_form,
+                               sparse_smith_normal_form)
 
-from conftest import torus_grid
+from conftest import moore_space, small_corpus, torus_grid
 from oracles import (IntMatrix, ShapeMismatchError, boundary_matrix, densify,
                      reference_smith_normal_form, smith_normal_form,
                      solve_with_snf)
@@ -159,6 +161,77 @@ def test_snf_matches_reference_on_grid_boundaries(k):
         K = torus_grid(k, f"snf-{k}-{seed}")
         for degree in (1, 2):
             _assert_same_snf(boundary_matrix(K, degree))
+
+
+def _assert_same_incidence_form(faces, n_vertices):
+    """The incidence path gives the sparse form's rank, diagonal and
+    kernel lines of V and V^-1, and None for the pivot lines."""
+    rows = [{} for _ in range(n_vertices)]
+    for j, fs in enumerate(faces):
+        for i, sign in fs:
+            rows[i][j] = sign
+    ref = sparse_smith_normal_form(rows, len(faces), _track="v")
+    got = incidence_smith_normal_form(faces, n_vertices)
+    r = ref.rank
+    assert got.rank == r
+    assert got.diag == ref.diag
+    assert got.v_cols[r:] == ref.v_cols[r:]
+    assert got.v_inv_rows[r:] == ref.v_inv_rows[r:]
+    assert got.v_cols[:r] == got.v_inv_rows[:r] == [None] * r
+    assert got.u_rows is None and got.u_inv_cols is None
+
+
+def _incidence_fixtures():
+    complexes = [make() for make in SUITE.values()]
+    complexes += [K for K, _, _ in small_corpus()]
+    complexes += [moore_space(2), moore_space(4, 6)]
+    return complexes
+
+
+@pytest.mark.parametrize("K", _incidence_fixtures(), ids=lambda K: K.name)
+def test_incidence_form_matches_the_sparse_form_on_fixtures(K):
+    _assert_same_incidence_form(K.faces(1), K.n_simplices(0))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_incidence_form_matches_the_sparse_form_on_grids(k):
+    for weights in ((1, 1, 1), (1, 2, Fraction(3, 2))):
+        for seed in (None, "inc-1", "inc-2", "inc-3"):
+            K = torus_grid(k, seed, weights)
+            _assert_same_incidence_form(K.faces(1), K.n_simplices(0))
+
+
+def _random_graph(rng, n_vertices, n_edges):
+    """Faces of ``n_edges`` distinct random edges, in random order, each
+    with its faces in either order."""
+    pairs = rng.sample(list(itertools.combinations(range(n_vertices), 2)),
+                       n_edges)
+    return [((b, 1), (a, -1)) if rng.random() < 0.5 else ((a, -1), (b, 1))
+            for a, b in pairs]
+
+
+def test_incidence_form_matches_the_sparse_form_on_random_graphs():
+    rng = random.Random("incidence")
+    seen = set()
+    for _ in range(300):
+        n_vertices = rng.randint(0, 12)
+        most = n_vertices * (n_vertices - 1) // 2
+        n_edges = rng.choice([0, rng.randint(0, min(most, n_vertices)),
+                              rng.randint(0, most)])
+        faces = _random_graph(rng, n_vertices, n_edges)
+        _assert_same_incidence_form(faces, n_vertices)
+        touched = {i for fs in faces for i, _ in fs}
+        rank = incidence_smith_normal_form(faces, n_vertices).rank
+        seen.add(("no edges", n_edges == 0))
+        seen.add(("forest", 0 < n_edges < n_vertices))
+        seen.add(("isolated vertex", len(touched) < n_vertices))
+        seen.add(("components", len(touched) - rank > 1))
+    # Two triangles and a path apart, with isolated vertices between.
+    faces = [((b, 1), (a, -1)) for a, b in
+             [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6), (8, 9), (9, 10)]]
+    _assert_same_incidence_form(faces, 12)
+    _assert_same_incidence_form([], 0)
+    assert all((kind, True) in seen for kind, _ in seen)
 
 
 def test_mul_vec_matches_dense_product():
