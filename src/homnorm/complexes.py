@@ -66,10 +66,8 @@ class WeightedComplex:
         self._index: tuple[dict[Simplex, int], ...] = tuple(
             dict(zip(level, range(len(level)))) for level in self.simplices)
         self._faces = self._validate()
-        self._neighbours: dict[int, _Faces] = {}
-        self._level_cache: dict[tuple[int, int], Optional[tuple]] = {}
-        self._order_cache: dict[int, tuple] = {}
-        self._integer_weights: dict[int, tuple[tuple[int, ...], int]] = {}
+        # The tables that read the weights, by (table, degree or index).
+        self._memo: dict[tuple[str, int], object] = {}
         self._decomposition_cache: dict = {}
 
     def _validate(self) -> tuple[_Faces, ...]:
@@ -168,9 +166,6 @@ class WeightedComplex:
             raise ComplexFormatError(
                 f"no degree-{d} simplex {list(s)} in complex {self.name!r}")
 
-    def weight(self, d: int, i: int) -> Fraction:
-        return self.weights[d][i]
-
     def faces(self, d: int) -> _Faces:
         """(face index, sign) pairs of each d-simplex.
 
@@ -183,28 +178,14 @@ class WeightedComplex:
             raise ValueError(f"degree {d} out of range 0..{self.dim}")
         return self._faces[d]
 
-    def face_neighbours(self, d: int) -> _Faces:
-        """For each (d-1)-simplex t, the (face, sign) pairs of the
-        d-simplices on t, in index order: the faces sharing a d-simplex with
-        t, t among them.  The face table of degree d turned around, built
-        once per degree."""
-        table = self._neighbours.get(d)
-        if table is None:
-            near: list[list[tuple[int, int]]] = [
-                [] for _ in range(self.n_simplices(d - 1))]
-            for fs in self.faces(d):
-                for t, _ in fs:
-                    near[t] += fs
-            table = self._neighbours[d] = tuple(map(tuple, near))
-        return table
-
     def integer_weights(self, d: int) -> tuple[tuple[int, ...], int]:
         """The degree-d weights times L, the lcm of their denominators, and
         L; built once per degree."""
-        got = self._integer_weights.get(d)
+        key = ("weights", d)
+        got = self._memo.get(key)
         if got is None:
             wnum, scale = _at_integer_scale(self.weights[d])
-            got = self._integer_weights[d] = (tuple(wnum), scale)
+            got = self._memo[key] = (tuple(wnum), scale)
         return got
 
     def with_scaled_weights(self, d: int, indices: Iterable[int],
@@ -214,8 +195,8 @@ class WeightedComplex:
         The simplices (hence all boundaries and homology bases) are
         untouched, so class coordinates transfer verbatim.  The sibling
         shares the weight-free state: the simplices, their index, the face
-        tables and face neighbours, and the decompositions computed so far,
-        rebound to it.  The caches that depend on the weights start empty.
+        tables and the decompositions computed so far, rebound to it.  Its
+        memo of the tables that read the weights starts empty.
         """
         if not 0 <= d <= self.dim:
             raise ValueError(f"degree {d} out of range 0..{self.dim}")
@@ -230,9 +211,7 @@ class WeightedComplex:
             level[i] = _fraction(level[i] * factor)
         K = copy.copy(self)
         K.weights = (*self.weights[:d], tuple(level), *self.weights[d + 1:])
-        K._level_cache = {}
-        K._order_cache = {}
-        K._integer_weights = {}
+        K._memo = {}
         K._decomposition_cache = {
             k: dec.rebound(K) for k, dec in self._decomposition_cache.items()}
         return K
@@ -259,20 +238,14 @@ class Chain:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         n_simp = complex.n_simplices(degree)
         # Canonical forms are closed under addition except over Z/n, where
-        # each sum is reduced again.  Plain ints skip ``canonicalize``.
+        # each sum is reduced again.
         n = ring.modulus
-        is_rat = ring.is_rat
         cleaned: dict[int, RingElem] = {}
         for idx, value in items:
             if not 0 <= idx < n_simp:
                 raise ValueError(
                     f"no degree-{degree} simplex with index {idx}")
-            if type(value) is not int:
-                value = canonicalize(ring, value)
-            elif n is not None:
-                value %= n
-            elif is_rat:
-                value = Fraction(value)
+            value = canonicalize(ring, value)
             if not value:
                 continue
             v = cleaned.get(idx, 0) + value
@@ -294,9 +267,6 @@ class Chain:
     @staticmethod
     def zero(complex: WeightedComplex, degree: int, ring: RingSpec) -> "Chain":
         return Chain.make(complex, degree, ring, {})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_cycle(self) -> bool:
         return _is_cycle(self.complex, self.degree, self.coeffs,
@@ -384,8 +354,9 @@ def mass(K: WeightedComplex, T: Chain) -> Fraction:
     if T.complex is not K:
         raise ValueError("chain does not live on this complex")
     total = Fraction(0)
+    weights = K.weights[T.degree]
     for idx, v in T.coeffs:
-        total += K.weight(T.degree, idx) * norm(T.ring, v)
+        total += weights[idx] * norm(T.ring, v)
     return total
 
 

@@ -19,10 +19,12 @@ face tables and decompositions of the swept one.
 A row's dataclass fields, in declaration order, are its format: its JSON
 keys and its CSV columns, and ``_Row.to_json`` writes every report here.
 A ``dict[int, ...]`` field keyed by modulus becomes a JSON object with keys
-in ascending n and one ``<field>_<n>`` CSV column per modulus, ascending;
-rationals print as "p/q", booleans as "true"/"false", absent optionals as
-empty CSV fields and JSON nulls, tuples as JSON lists, and a value with its
-own ``to_json`` (a chain, class coordinates or a nested row) through it.
+in ascending n and one ``<field>_<n>`` CSV column per modulus, ascending.
+An ``Optional[X]`` field is written as an X, and an absent value as null;
+rationals print as "p/q", tuples as JSON lists, and a value with its own
+``to_json`` (a chain, class coordinates or a nested row) through it.  A CSV
+cell is the JSON value of its field, with null empty and booleans spelled
+"true"/"false".
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import io
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence, get_args, get_origin, get_type_hints
+from typing import (Optional, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 from .complexes import (Chain, NotACycleError, WeightedComplex, _is_cycle,
                         mass)
@@ -49,30 +52,20 @@ class EnumerationInexactError(RuntimeError):
 
 # -- row format ------------------------------------------------------------
 
-def _bool_str(v: Optional[bool]) -> str:
-    if v is None:
-        return ""
-    return "true" if v else "false"
-
-
-# declared field type -> CSV text of a value
-_CODECS = {
-    int: str,
-    Fraction: format_rational,
-    bool: _bool_str,
-    Optional[bool]: _bool_str,
-}
-
-
 @cache
 def _layout(cls: type) -> tuple[tuple[str, type, bool], ...]:
-    """(name, value type, keyed by modulus) of each field, in order."""
+    """(name, value type, keyed by modulus) of each field, in order; the
+    value type of an ``Optional[X]`` is X."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
         kind = hints[f.name]
         keyed = get_origin(kind) is dict
-        out.append((f.name, get_args(kind)[1] if keyed else kind, keyed))
+        if keyed:
+            kind = get_args(kind)[1]
+        if get_origin(kind) is Union:  # Optional[X] is Union[X, None]
+            kind = get_args(kind)[0]
+        out.append((f.name, kind, keyed))
     return tuple(out)
 
 
@@ -84,7 +77,7 @@ def _header(cls: type, moduli: Sequence[int]) -> list[str]:
 
 
 def _json_value(kind: type, v):
-    if kind is Fraction:
+    if kind is Fraction and v is not None:
         return format_rational(v)
     if isinstance(v, tuple):
         return [_json_value(None, x) for x in v]
@@ -366,18 +359,25 @@ def lift_minimizer(T: Chain) -> LiftReport:
 
 # -- CSV emission ----------------------------------------------------------
 
+def _cell(v):
+    """The CSV cell of a JSON value: null is empty, booleans are spelled out."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "" if v is None else v
+
+
 def _rows_to_csv(cls: type, rows: Sequence, moduli: Sequence[int] = ()) -> str:
     moduli = sorted(set(moduli))
-    plan = [(name, _CODECS[kind], keyed) for name, kind, keyed in _layout(cls)]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_header(cls, moduli))
     for r in rows:
+        values = r.to_json()
         cells = []
-        for name, fmt, keyed in plan:
-            v = getattr(r, name)
-            cells += [fmt(v[n]) for n in moduli] if keyed else [fmt(v)]
-        w.writerow(cells)
+        for name, _, keyed in _layout(cls):
+            v = values[name]
+            cells += [v[str(n)] for n in moduli] if keyed else [v]
+        w.writerow(map(_cell, cells))
     return buf.getvalue()
 
 

@@ -213,18 +213,17 @@ class HomologyDecomposition:
         if not _is_cycle(K, d, x.items(), n):
             raise NotACycleError(f"chain has nonzero boundary over {ring.tag}")
         rA = self._rankA
-        gcds = self.mod(n)._gcds if n else ()
-        cot = [j for j, g in enumerate(gcds) if g > 1]
+        cot = self.mod(n)._cotorsion_pairs if n else ()
         # y_j = (V_A^-1 x)_j on the rows read: cotorsion, then kernel.
         v_inv = self._snfA.v_inv_rows
         get = x.get
         y: dict[int, RingElem] = {}
-        for j in chain(cot, range(rA, len(v_inv))):
+        for j in chain((j for j, _ in cot), range(rA, len(v_inv))):
             s = 0
             for k, v in v_inv[j].items():
                 s += v * get(k, 0)
             y[j] = s
-        cotorsion = [y[j] // (n // gcds[j]) for j in cot]
+        cotorsion = [y[j] // (n // g) for j, g in cot]
         yk = {j - rA: v for j, v in y.items() if j >= rA and v}
         u_rows = self._snfC.u_rows
 
@@ -364,15 +363,16 @@ class ModDecomposition:
 
     def __init__(self, dec: HomologyDecomposition, n: int):
         diag = dec._snfA.diag
-        # Order of each summand Z/g_j; a lift has n/g_j | y_j.
-        self._gcds = tuple(gcd(diag[j], n) for j in range(dec._rankA))
-        cot = [j for j, g in enumerate(self._gcds) if g > 1]
+        # (j, g_j) of each summand Z/g_j with g_j > 1, one per cotorsion
+        # generator; a lift has n/g_j | y_j.
+        self._cotorsion_pairs = tuple(
+            (j, g) for j in range(dec._rankA) if (g := gcd(diag[j], n)) > 1)
         # Each cotorsion generator's order, all that a class reads of it.
-        self.cotorsion_orders = tuple(self._gcds[j] for j in cot)
+        self.cotorsion_orders = tuple(g for _, g in self._cotorsion_pairs)
         # The generators' nonzero entries; ``cotorsion`` lists them densely.
         self._lines = tuple(
-            {i: n // self._gcds[j] * v
-             for i, v in dec._snfA.v_cols[j].items()} for j in cot)
+            {i: n // g * v for i, v in dec._snfA.v_cols[j].items()}
+            for j, g in self._cotorsion_pairs)
         self._n_simp = dec.complex.n_simplices(dec.degree)
 
     @cached_property

@@ -96,7 +96,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .complexes import (Chain, Cochain, WeightedComplex, _at_integer_scale,
                          _is_calibration)
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
-                       class_of_cycle, homology_decomposition, reduce_class)
+                       _boundary_rows, class_of_cycle, homology_decomposition,
+                       reduce_class)
 from .lp import solve_cycle_lp
 from .rings import RAT, RingSpec, canonical_lift, format_rational
 
@@ -232,7 +233,7 @@ def _row_order(K: WeightedComplex, d: int, wnum: Sequence[int],
     of ``K`` at one integer scale.
 
     The breadth-first search runs over the faces, two being adjacent when
-    they share a d-simplex (``WeightedComplex.face_neighbours``).  It
+    they share a d-simplex, as the rows of the degree-d boundary tell.  It
     starts from the faces of z0's support, taken along the support in
     index order, and a face it does not reach ranks after every reached
     one, by index.  So the rows near z0 come first and the rows on a face
@@ -240,30 +241,31 @@ def _row_order(K: WeightedComplex, d: int, wnum: Sequence[int],
     from the first levels.  Any order gives the same values and minimizers
     and moves only the node count.  The order depends on the weights of
     ``K`` and on the seed faces alone; the last one of each degree is kept
-    on ``K``, so the searches of one class across moduli or multiples
-    build it once.
+    in ``K``'s memo, so the searches of one class across moduli or
+    multiples build it once.
     """
     faces = K.faces(d)
     seeds = list(dict.fromkeys(t for fs in compress(faces, z0)
                                for t, _ in fs))
-    cached = K._order_cache.get(d)
+    cached = K._memo.get(("order", d))
     if cached is not None and cached[0] == seeds:
         return cached[1]
+    cofaces = _boundary_rows(K, d)  # the d-simplices on each face
+    n_faces = len(cofaces)
     # The face of rank k gets bit 2^(F-1-k).  Every row has d+1 faces, and
     # of two such sets the one with the smaller ascending tuple of ranks
     # holds the least rank in their difference, so its bits sum higher.
-    nbrs = K.face_neighbours(d)
-    n_faces = len(nbrs)
     top = 1 << n_faces
     bit = [0] * n_faces
     for k, t in enumerate(seeds, 1):
         bit[t] = top >> k
     queue = seeds[:]  # the list iterator sees what the loop appends
     for t in queue:
-        for u, _ in nbrs[t]:
-            if not bit[u]:
-                queue.append(u)
-                bit[u] = top >> len(queue)
+        for s in cofaces[t]:
+            for u, _ in faces[s]:
+                if not bit[u]:
+                    queue.append(u)
+                    bit[u] = top >> len(queue)
     if len(queue) < n_faces:
         for t in range(n_faces):
             if not bit[t]:
@@ -278,7 +280,7 @@ def _row_order(K: WeightedComplex, d: int, wnum: Sequence[int],
     # Decreasing keys; a sort in reverse keeps the index order of ties,
     # which only degree 0, with no faces, has.
     order = sorted(range(len(wnum)), key=keys.__getitem__, reverse=True)
-    K._order_cache[d] = (seeds, order)
+    K._memo["order", d] = (seeds, order)
     return order
 
 
@@ -712,18 +714,18 @@ def _level_cocycles(K: WeightedComplex, dec: HomologyDecomposition,
     from G at its tail; a period does not change the count.  Each level h_m
     is a closed integral cocycle, and sum_m |h_m(e)| = |D*phi_e| <= D*w_e.
     Returns D and the (level, coeff) incidences of each edge, or None when
-    g exceeds the number of edges.  Cached on ``K`` per (degree, index).
+    g exceeds the number of edges.  Kept in ``K``'s memo per index.
     """
-    key = (1, i)
-    if key not in K._level_cache:
+    key = ("levels", i)
+    if key not in K._memo:
         (T,), D, dphi, G, _, _ = _calibrate(
             K, [dec.dual_cocycle(i)], [dec.free_basis[i]], [Fraction(1)])
         g = (D * T).numerator
-        K._level_cache[key] = None if g > len(dphi) else (D, [
+        K._memo[key] = None if g > len(dphi) else (D, [
             [(m, c) for m in range(g)
              if (c := (G[tail] + x - m) // g - (G[tail] - m) // g)]
             for (_, (tail, _)), x in zip(K.faces(1), dphi)])
-    return K._level_cache[key]
+    return K._memo[key]
 
 
 def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,

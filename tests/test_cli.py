@@ -583,3 +583,25 @@ def test_output_does_not_depend_on_hash_seed(paths, argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--class", "f:1", "--n", "5..3"],
+     "error: empty modulus range: '5..3'"),
+    (["scan", "--class", "f:1", "--n", ","], "error: no moduli given"),
+    (["lift", "--chain", "0=1", "--ring", "Z"],
+     "error: lift expects --ring Z/n"),
+], ids=["empty-range", "no-moduli", "lift-ring"])
+def test_argument_values_are_one_line_errors(paths, capsys, argv, message):
+    command, *rest = argv
+    code, out, err = run_cli(capsys, [command, paths["tc"], "--dim", "1",
+                                      *rest])
+    assert code == 1 and out == "" and err == message + "\n"
+
+
+def test_negative_dimension_is_a_usage_error(paths, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", paths["tc"], "--dim", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: --dim must be nonnegative\n")

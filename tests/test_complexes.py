@@ -331,9 +331,9 @@ def test_reduce_chain_examples(tc):
     T = Chain.make(tc, 1, INT, {0: 2, 1: -3})
     R = reduce_chain(T, mod_ring(4))
     assert dict(R.coeffs) == {0: 2, 1: 1}
-    assert reduce_chain(Chain.zero(tc, 1, INT), mod_ring(4)).is_zero()
+    assert not reduce_chain(Chain.zero(tc, 1, INT), mod_ring(4)).coeffs
     dropped = reduce_chain(Chain.make(tc, 1, INT, {0: 5}), mod_ring(5))
-    assert dropped.is_zero()
+    assert not dropped.coeffs
 
 
 def test_lift_chain_round_trip(tc):
@@ -366,7 +366,7 @@ def test_mass_norm_axioms_random_chains(torus, mobius):
                 total = Chain.make(K, 1, ring, T.coeffs + S.coeffs)
                 assert mass(K, neg) == mass(K, T)
                 assert mass(K, total) <= mass(K, T) + mass(K, S)
-                assert (mass(K, T) == 0) == T.is_zero()
+                assert (mass(K, T) == 0) == (not T.coeffs)
 
 
 def test_mass_never_increases_under_reduction(torus):
@@ -549,15 +549,14 @@ def test_scaled_weights_sibling(mobius):
 
 @pytest.mark.parametrize("name", SUITE)
 def test_scaled_weights_sibling_shares_only_weight_free_state(name):
-    """A sibling shares the face tables, face neighbours and
-    decompositions of its complex, the last rebound to it, and the mod-n
-    decompositions of either, built before or after the split; the caches
-    that depend on the weights are its own and start empty."""
+    """A sibling shares the face tables and decompositions of its complex,
+    the last rebound to it, and the mod-n decompositions of either, built
+    before or after the split; its memo of the tables that read the
+    weights is its own and starts empty."""
     K = SUITE[name]()
     decs = [homology_decomposition(K, d) for d in range(K.dim + 1)]
     for dec in decs:
         dec.mod(4)
-    K.face_neighbours(1)
     dec1 = decs[1]
     unit = [1] + [0] * (dec1.betti + len(dec1.torsion) - 1)
     c = dec1.class_coords(INT, unit[:dec1.betti], unit[dec1.betti:])
@@ -569,7 +568,6 @@ def test_scaled_weights_sibling_shares_only_weight_free_state(name):
     assert all(K2.weights[d] is K.weights[d]
                for d in range(K.dim + 1) if d != 1)
     assert all(K2.faces(d) is K.faces(d) for d in range(K.dim + 1))
-    assert K2.face_neighbours(1) is K.face_neighbours(1)
     assert K2.index_of(1, K.simplices[1][2]) == 2
     for d, dec in enumerate(decs):
         dec2 = homology_decomposition(K2, d)
@@ -585,7 +583,57 @@ def test_scaled_weights_sibling_shares_only_weight_free_state(name):
         assert dec2.mod(5) is dec.mod(5)
         assert all(dec2.dual_cocycle(i) is dec.dual_cocycle(i)
                    for i in range(dec.betti))
-    assert K._integer_weights and not K2._integer_weights
-    assert not K2._level_cache and not K2._order_cache
+    assert ("weights", 1) in K._memo
+    assert not K2._memo and K2._memo is not K._memo
     assert K2.integer_weights(1) != K.integer_weights(1)
-    assert K2._integer_weights is not K._integer_weights
+
+
+def test_complex_invariants_are_one_line_errors():
+    with pytest.raises(ComplexFormatError,
+                       match=r"^complex has no simplices at all$"):
+        WeightedComplex("empty", [])
+    with pytest.raises(ComplexFormatError,
+                       match=r"^weights do not cover every degree$"):
+        WeightedComplex("w", [[(0,), (1,)], [(0, 1)]], [[1, 1]])
+    with pytest.raises(ComplexFormatError,
+                       match=r"^degree 0: 1 weights for 2 simplices$"):
+        WeightedComplex("w", [[(0,), (1,)]], [[1]])
+    with pytest.raises(ComplexFormatError,
+                       match=r"^degree 1: 2 weights for 3 simplices$"):
+        load_complex(json.dumps({**json.loads(TRIANGLE_DOC),
+                                 "weights": {"1": ["1/2", "1/3"]}}))
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "document root must be an object"),
+    ({"name": "x", "dimension": 0}, "missing or malformed field: 'simplices'"),
+    ({"name": "x", "dimension": 0, "simplices": [[[0]]]},
+     "'simplices' must map degree -> list"),
+    ({"name": "x", "dimension": 0, "simplices": {"0": [[0]]},
+      "weights": ["1"]}, "'weights' must map degree -> list"),
+    ({"name": "x", "dimension": 0,
+      "simplices": {"0": [[0], [1]], "1": [[0, 1]]}},
+     "simplices listed beyond declared dimension: degree 1"),
+], ids=["root", "missing", "simplices", "weights", "beyond"])
+def test_malformed_documents_are_one_line_errors(doc, message):
+    with pytest.raises(ComplexFormatError) as exc:
+        complex_from_json(doc)
+    assert str(exc.value) == message
+
+
+def test_out_of_range_arguments_are_refused(tc):
+    with pytest.raises(ComplexFormatError) as exc:
+        tc.index_of(1, (0, 9))
+    assert str(exc.value) == \
+        "no degree-1 simplex [0, 9] in complex 'triangle-circle'"
+    for make in (lambda: Chain.make(tc, 2, INT, {}),
+                 lambda: Cochain.make(tc, 2, [])):
+        with pytest.raises(ValueError, match=r"^degree 2 out of range 0\.\.1$"):
+            make()
+    with pytest.raises(ValueError, match=r"^cochain value count does not "
+                                         r"match simplex count$"):
+        Cochain.make(tc, 1, [Fraction(1)] * 2)
+    other = load_complex(TRIANGLE_DOC)
+    with pytest.raises(ValueError,
+                       match=r"^chain does not live on this complex$"):
+        mass(tc, Chain.make(other, 1, INT, {0: 1}))

@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import io
+import json
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -12,8 +14,9 @@ from conftest import torus_grid
 from oracles import lift_chain, reduce_chain
 
 from homnorm import hasse, homology, optimize
-from homnorm.complexes import dump_complex, load_complex
-from homnorm.fixtures import SUITE, mobius_band, mobius_boundary_indices
+from homnorm.complexes import Chain, dump_complex, load_complex
+from homnorm.fixtures import (SUITE, mobius_band, mobius_boundary_indices,
+                              torus7)
 from homnorm.hasse import (EnumerationInexactError, GapRow, ScanRow,
                            bijection_check, empirical_threshold,
                            federer_rows_to_csv, federer_sequence,
@@ -752,3 +755,107 @@ def test_row_json_keys_follow_fields_and_ascending_moduli():
                    False).to_json() == {
         "n": 7, "value_mod": "1/1", "value_int": "1/1", "equal": True,
         "tau_divides": True, "bijection": None, "lift_all_cycles": False}
+
+
+@dataclasses.dataclass
+class _OptionalRow(hasse._Row):
+    n: int
+    bound: Optional[Fraction]
+    holds: dict[int, Optional[bool]]
+    gap: dict[int, Optional[Fraction]]
+
+
+def test_optional_fields_write_the_same_values_to_json_and_csv():
+    """An ``Optional[X]`` field is written as an X, or null when absent,
+    and each CSV cell is the JSON value of its field, with null empty and
+    booleans spelled out."""
+    rows = [_OptionalRow(2, Fraction(3), {3: None, 2: True},
+                         {2: Fraction(1, 2), 3: None}),
+            _OptionalRow(3, None, {2: False, 3: None},
+                         {2: None, 3: Fraction(-4, 6)})]
+    docs = [row.to_json() for row in rows]
+    assert docs == [
+        {"n": 2, "bound": "3/1", "holds": {"2": True, "3": None},
+         "gap": {"2": "1/2", "3": None}},
+        {"n": 3, "bound": None, "holds": {"2": False, "3": None},
+         "gap": {"2": None, "3": "-2/3"}}]
+    assert json.loads(json.dumps(docs)) == docs
+
+    def cell(v):
+        return "" if v is None else {True: "true", False: "false"}.get(v, str(v))
+
+    header, *records = csv.reader(io.StringIO(
+        hasse._rows_to_csv(_OptionalRow, rows, [3, 2])))
+    assert header == ["n", "bound", "holds_2", "holds_3", "gap_2", "gap_3"]
+    assert records == [
+        [cell(doc["n"]), cell(doc["bound"]),
+         *(cell(doc[name][str(n)]) for name in ("holds", "gap")
+           for n in (2, 3))]
+        for doc in docs]
+    assert records[0] == ["2", "3/1", "true", "", "1/2", ""]
+
+
+class _CountingMemo(dict):
+    """A complex's memo that lists the key of each table it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = []
+
+    def __setitem__(self, key, value):
+        self.builds.append(key)
+        super().__setitem__(key, value)
+
+
+def test_searches_reuse_the_row_order_and_level_families(monkeypatch):
+    """A modulus scan and a Federer sequence build the row order once per
+    (complex, degree, seed faces) and the level family once per free
+    index; a reweighted sibling builds its own."""
+    calls = []
+    row_order = optimize._row_order
+
+    def counted(K, d, wnum, z0):
+        calls.append(K)
+        return row_order(K, d, wnum, z0)
+
+    monkeypatch.setattr(optimize, "_row_order", counted)
+    tables = [("weights", 1), ("order", 1), ("levels", 0)]
+    K = torus7()
+    K._memo = memo = _CountingMemo()
+    scan_moduli(K, 1, _gen(homology_decomposition(K, 1)), 2, 8)
+    assert len(calls) == 8 and memo.builds == tables
+
+    M = mobius_band()
+    M._memo = mobius_memo = _CountingMemo()
+    federer_sequence(M, 1, _gen(homology_decomposition(M, 1)), 4)
+    assert len(calls) == 10 and mobius_memo.builds == tables[:2]
+
+    K2 = K.with_scaled_weights(1, [0], Fraction(1, 2))
+    assert not K2._memo
+    K2._memo = sibling_memo = _CountingMemo()
+    scan_moduli(K2, 1, _gen(homology_decomposition(K2, 1)), 2, 8)
+    assert sibling_memo.builds == tables and memo.builds == tables
+
+
+def test_harness_refuses_bad_arguments(tc, torus):
+    c = _gen(homology_decomposition(tc, 1))
+    with pytest.raises(ValueError, match=r"^modulus scan starts at n >= 2$"):
+        scan_moduli(tc, 1, c, 1, 4)
+    with pytest.raises(ValueError, match=r"^k_max must be >= 1$"):
+        federer_sequence(tc, 1, c, 0)
+    # The torus's class (1, 1) has 7 integral minimizers and 63 mod 3.
+    dec = homology_decomposition(torus, 1)
+    both = dec.class_coords(INT, (1, 1))
+    with pytest.raises(EnumerationInexactError,
+                       match=r"^mod-n minimizer enumeration hit the cap; "
+                             r"raise it to decide$"):
+        bijection_check(torus, 1, both, 3, cap=7)
+
+
+def test_lift_minimizer_refuses_what_is_not_a_mod_n_cycle(tc):
+    with pytest.raises(ValueError,
+                       match=r"^lift_minimizer expects a mod-n chain$"):
+        lift_minimizer(Chain.make(tc, 1, INT, {0: 1}))
+    with pytest.raises(ValueError,
+                       match=r"^lift_minimizer expects a mod-n cycle$"):
+        lift_minimizer(Chain.make(tc, 1, mod_ring(3), {0: 1}))

@@ -682,3 +682,23 @@ def test_dual_cocycles_are_dual_to_the_free_basis():
         with pytest.raises(IndexError):
             dec.dual_cocycle(dec.betti)
     assert seen >= 40
+
+
+def test_decomposition_arguments_are_checked(tc, rp2):
+    with pytest.raises(ValueError, match=r"^degree 2 out of range 0\.\.1$"):
+        HomologyDecomposition(tc, 2)
+    dec = homology_decomposition(rp2, 1)
+    with pytest.raises(InfeasibleClassError,
+                       match=r"^expected 1 torsion coordinates, got 0$"):
+        dec.class_coords(INT, (), ())
+    # H_2(RP^2; Z/2) is all cotorsion: one coordinate of order 2.
+    top = homology_decomposition(rp2, 2)
+    with pytest.raises(InfeasibleClassError,
+                       match=r"^expected 1 cotorsion coordinates mod 2, "
+                             r"got 0$"):
+        top.class_coords(mod_ring(2), (), (), ())
+    with pytest.raises(ValueError, match=r"^modulus must be >= 2$"):
+        dec.mod(1)
+    with pytest.raises(ValueError, match=r"^reduce_class expects integral "
+                                         r"class coordinates$"):
+        reduce_class(dec.class_coords(mod_ring(2), (), (1,)), RAT)

@@ -48,7 +48,7 @@ def test_min_real_triangle_circle(tc):
     assert mass(tc, rep.minimizers[0]) == 3
     assert verify_certificate(tc, 1, c, rep.certificate, rep.value)
     zero = min_real(tc, 1, c.scale(0))
-    assert zero.value == 0 and zero.minimizers[0].is_zero()
+    assert zero.value == 0 and not zero.minimizers[0].coeffs
     assert zero.minimizer_count_exact
 
 
@@ -70,7 +70,7 @@ def test_min_int_examples(tc):
     rep2 = min_int(tc, 1, g.scale(2))
     assert rep2.value == 6
     zero = min_int(tc, 1, g.scale(0))
-    assert zero.value == 0 and zero.minimizers[0].is_zero()
+    assert zero.value == 0 and not zero.minimizers[0].coeffs
 
 
 def test_min_int_mobius_gap(mobius):
@@ -348,7 +348,7 @@ def test_lift_minimizer_examples(tc, rp2):
     assert rep2.mass_preserved
 
     zrep = lift_minimizer(Chain.zero(tc, 1, mod_ring(7)))
-    assert zrep.is_cycle and zrep.lifted.is_zero()
+    assert zrep.is_cycle and not zrep.lifted.coeffs
 
 
 def test_lift_round_trip_random(torus):
@@ -2087,3 +2087,24 @@ def test_min_int_searches_modulo_a_multiple_of_tau_past_twice_s1(
                 assert (rep.minimizers, rep.minimizer_count_exact) == \
                     (minimizers, exact)
     assert {(2, 0), (6, 0), (1, 1)} <= seen
+
+
+def test_real_report_of_another_class_is_refused(torus):
+    dec = homology_decomposition(torus, 1)
+    a, b = dec.class_coords(INT, (1, 0)), dec.class_coords(INT, (0, 1))
+    real = min_real(torus, 1, reduce_class(b, RAT))
+    with pytest.raises(ValueError,
+                       match=r"^the real report is not that of the class$"):
+        min_int(torus, 1, a, real=real)
+
+
+def test_certificate_of_another_complex_or_degree_fails(tc, torus):
+    g = _gen(homology_decomposition(tc, 1))
+    c = reduce_class(g, RAT)
+    rep = min_real(tc, 1, c)
+    assert not verify_certificate(tc, 1, c, Cochain.zero(torus, 1), rep.value)
+    assert not verify_certificate(tc, 1, c, Cochain.zero(tc, 0), rep.value)
+    assert verify_certificate(tc, 1, c, rep.certificate, rep.value)
+    with pytest.raises(InfeasibleClassError,
+                       match=r"^certificates verify rational classes$"):
+        verify_certificate(tc, 1, g, rep.certificate, rep.value)

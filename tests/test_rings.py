@@ -131,3 +131,13 @@ def test_factorize():
     assert factorize(1) == []
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(97) == [(97, 1)]
+
+
+def test_ring_helpers_refuse_bad_arguments():
+    with pytest.raises(ValueError, match=r"^unknown ring kind: 'R'$"):
+        RingSpec("R")
+    with pytest.raises(ValueError, match=r"^modulus must be >= 2$"):
+        canonical_lift(0, 1)
+    with pytest.raises(ValueError,
+                       match=r"^factorize expects a positive integer$"):
+        factorize(0)
