@@ -123,8 +123,8 @@ class GapRow(_Row):
     value_int: Fraction
     value_real: Fraction
     value_mod: dict[int, Fraction]
-    gap_ratio_real: Fraction
-    gap_ratio_mod: dict[int, Fraction]
+    gap_ratio_real: Optional[Fraction]
+    gap_ratio_mod: dict[int, Optional[Fraction]]
     in_lavrentiev_real: bool
     in_lavrentiev_mod: dict[int, bool]
 
@@ -269,6 +269,11 @@ def min_federer_ratio(rows: Sequence[FedererRow]) -> Fraction:
     return min(row.ratio for row in rows)
 
 
+def _gap_ratio(vi: Fraction, v: Fraction) -> Optional[Fraction]:
+    """vi / v, 1 for 0/0, and None where only the denominator is 0."""
+    return vi / v if v else (None if vi else Fraction(1))
+
+
 def gap_sweep(K: WeightedComplex, d: int, c: ClassCoords,
               shrink_simplices: Sequence[int], factors: Sequence[Fraction],
               moduli: Sequence[int],
@@ -277,8 +282,9 @@ def gap_sweep(K: WeightedComplex, d: int, c: ClassCoords,
 
     Gap ratios compare the integral value against the real and mod-n
     values on the reweighted complex; the 0/0 case of the zero class is 1
-    by convention so the row invariants stay total.  The real LP of each
-    factor is solved once and handed to ``min_int``.
+    by convention, and a positive integral value over a zero value has no
+    ratio, written null.  The real LP of each factor is solved once and
+    handed to ``min_int``.
     """
     if not shrink_simplices:
         raise ValueError("shrink set must be nonempty")
@@ -297,11 +303,10 @@ def gap_sweep(K: WeightedComplex, d: int, c: ClassCoords,
         vr = real.value
         vm = {n: min_mod(K2, d, reduce_class(c2, mod_ring(n)), cap, True).value
               for n in moduli}
-        ratio_real = vi / vr if vr else Fraction(1)
-        ratio_mod = {n: (vi / v if v else Fraction(1)) for n, v in vm.items()}
         rows.append(GapRow(
             shrink_factor=Fraction(factor), value_int=vi, value_real=vr,
-            value_mod=vm, gap_ratio_real=ratio_real, gap_ratio_mod=ratio_mod,
+            value_mod=vm, gap_ratio_real=_gap_ratio(vi, vr),
+            gap_ratio_mod={n: _gap_ratio(vi, v) for n, v in vm.items()},
             in_lavrentiev_real=vi > vr,
             in_lavrentiev_mod={n: vi > v for n, v in vm.items()}))
     return rows

@@ -19,8 +19,10 @@ matrix K' only the columns that name classes are formed.  Neither form
 keeps the inverse lines of its unit invariant factors, and nothing here
 reads them: a cycle is told from a non-cycle by its boundary.  A class is
 read from its chain: one walk over the faces of the chain's support tests
-the boundary, and each row of V_A^-1 read is paired with the chain's
-nonzero coefficients, with no dense vector.
+the boundary, and the chain's nonzero coefficients are paired with one
+cached row of U_C V_A^-1 per free or torsion coordinate (the free ones are
+the dual cocycles eta_i) and with the cotorsion rows of V_A^-1, with no
+dense vector.
 
 Mod-n homology is represented concretely as integer-lifted cycles modulo
 (boundaries + n * chains) and read off the same two Smith normal forms, so
@@ -39,9 +41,8 @@ import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .complexes import (Chain, NotACycleError, WeightedComplex,
                         _at_integer_scale, _is_cycle)
@@ -179,9 +180,9 @@ class HomologyDecomposition:
         for tf in factors:
             self.torsion_number *= tf.order
         self._mod_cache: dict[int, ModDecomposition] = {}
-        # eta_i by free index, built on first use; they depend only on the
-        # simplices, so rebound siblings share this list.
-        self._duals: list[Optional[dict[int, int]]] = [None] * self.betti
+        # Rows of U_C V_A^-1[r_A:] by U_C row, built on first use; they
+        # depend only on the simplices, so rebound siblings share them.
+        self._cocycles: dict[int, dict[int, int]] = {}
 
     # -- coordinates of cycles, representatives of classes ------------------
 
@@ -192,14 +193,14 @@ class HomologyDecomposition:
         non-cycle by its boundary (taken mod n over Z/nZ), in one walk over
         the faces of its support.  The coefficients, an integer lift over
         Z/nZ and over Q taken at the integer scale of their denominators,
-        form x; with y = V_A^-1 x, U_A A x = D_A y, and U_A is
-        unimodular, so a cycle has y_j = 0 for every j < r_A, and over Z/nZ
-        a lift has n/g_j | y_j; y_j/(n/g_j) is the cotorsion coordinate of
-        each j with g_j > 1.  Then sp = U_C y[r_A:] holds the free
-        coordinates past r_C and the torsion coordinates at the torsion
-        columns; :meth:`class_coords` reduces all three.  Each row of
-        V_A^-1 read is paired with the nonzero coefficients only, and all
-        the arithmetic is in integers.
+        form x; with y = V_A^-1 x, U_A A x = D_A y, and U_A is unimodular,
+        so a cycle has y_j = 0 for every j < r_A, and over Z/nZ a lift has
+        n/g_j | y_j; y_j/(n/g_j) is the cotorsion coordinate of each j with
+        g_j > 1.  Row j of U_C V_A^-1[r_A:] pairs x to coordinate j of
+        U_C y[r_A:]: row r_C + i, eta_i, gives free coordinate i, and row
+        ``tf.column``, a cocycle mod its order, the torsion one of ``tf``.
+        Only those cached rows and the cotorsion rows of V_A^-1 are paired
+        with x, in integers; :meth:`class_coords` reduces all three parts.
         """
         K, d, ring = self.complex, self.degree, z.ring
         if z.complex is not K or z.degree != d:
@@ -212,27 +213,23 @@ class HomologyDecomposition:
         n = ring.modulus
         if not _is_cycle(K, d, x.items(), n):
             raise NotACycleError(f"chain has nonzero boundary over {ring.tag}")
-        rA = self._rankA
-        cot = self.mod(n)._cotorsion_pairs if n else ()
-        # y_j = (V_A^-1 x)_j on the rows read: cotorsion, then kernel.
-        v_inv = self._snfA.v_inv_rows
         get = x.get
-        y: dict[int, RingElem] = {}
-        for j in chain((j for j, _ in cot), range(rA, len(v_inv))):
+
+        def pair(row: dict[int, int]) -> int:
             s = 0
-            for k, v in v_inv[j].items():
+            for k, v in row.items():
                 s += v * get(k, 0)
-            y[j] = s
-        cotorsion = [y[j] // (n // g) for j, g in cot]
-        yk = {j - rA: v for j, v in y.items() if j >= rA and v}
-        u_rows = self._snfC.u_rows
+            return s
 
-        def sp(j: int) -> RingElem:
-            return sum(v * yk[k] for k, v in u_rows[j].items() if k in yk)
-
-        free = [Fraction(sp(j), scale) if scale > 1 else sp(j)
-                for j in range(self._rankC, len(u_rows))]
-        torsion = () if ring.is_rat else [sp(tf.column) for tf in self.torsion]
+        v_inv = self._snfA.v_inv_rows
+        cotorsion = [pair(v_inv[j]) // (n // g)
+                     for j, g in (self.mod(n)._cotorsion_pairs if n else ())]
+        rC = self._rankC
+        free = [pair(self._cocycle(j)) for j in range(rC, rC + self.betti)]
+        if scale > 1:
+            free = [Fraction(a, scale) for a in free]
+        torsion = () if ring.is_rat else [pair(self._cocycle(tf.column))
+                                          for tf in self.torsion]
         return self.class_coords(ring, free, torsion, cotorsion)
 
     def dual_cocycle(self, i: int) -> dict[int, int]:
@@ -241,17 +238,20 @@ class HomologyDecomposition:
         eta_i is row r_C + i of U_C times the kernel rows V_A^-1[r_A:], so
         eta_i(z) is free coordinate i of [z] for every integral cycle z: it
         vanishes on boundaries and on the torsion basis, and eta_i(b_j) is
-        1 if i == j, else 0.  Built once per index and shared: the caller
-        must not change it.
+        1 if i == j, else 0.  It is the row ``coords_of_cycle`` reads, built
+        once and shared: the caller must not change it.
         """
         if not 0 <= i < self.betti:
             raise IndexError(f"free index {i} out of range 0..{self.betti - 1}")
-        eta = self._duals[i]
-        if eta is None:
-            eta = self._duals[i] = _combination(
-                self._snfC.u_rows[self._rankC + i],
-                self._snfA.v_inv_rows[self._rankA:])
-        return eta
+        return self._cocycle(self._rankC + i)
+
+    def _cocycle(self, j: int) -> dict[int, int]:
+        """Row j of U_C V_A^-1[r_A:], sparse, built on first use."""
+        row = self._cocycles.get(j)
+        if row is None:
+            row = self._cocycles[j] = _combination(
+                self._snfC.u_rows[j], self._snfA.v_inv_rows[self._rankA:])
+        return row
 
     def representative_vector(self, c: "ClassCoords") -> list:
         """Chain vector of the reference representative of ``c``.

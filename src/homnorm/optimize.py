@@ -11,8 +11,8 @@
   class, as integer lifts x = z0 + boundary + n*u, i.e. over the
   full-rank lattice spanned by the boundaries and n times the standard
   basis, restricted to canonical residue ranges, organized as a DFS over
-  an echelonized basis of that lattice with per-simplex boxes derived
-  from the initial feasible mass.
+  an echelonized basis of that lattice with the mass of the class
+  representative z0 as the first budget.
 * min_int: the same search at a modulus N that it picks.  It first solves
   the real LP and also prunes on its dual certificate, a calibration phi:
   mass(x) >= phi(z0) + sum of w_s|x_s| - phi_s x_s over the simplices
@@ -22,7 +22,8 @@ The search modulo N is exact over Z.  With m0 = mass(z0) and the weights
 at one integer scale, a coset point x of mass <= m0 has |x|_1 <= s1 =
 m0 // min w.  N = tau * (B // tau + 1), with tau the torsion number and B
 the larger of 2*s1 and every |c_i| + s1 * max|eta_i|, eta_i the cocycle
-dual to free basis cycle i.  So s1 < N/2 and the box needs no cut; each
+dual to free basis cycle i.  So s1 < N/2 and the residue range
+(-N/2, N/2] holds every coefficient of such an x; each
 |boundary(x)_t| <= s1 < N while boundary(x) = 0 mod N, so x is an integral
 cycle; x - z0 = boundary(y) + N*u with u a cycle, so [x] = c + N[u], where
 tau | N kills the torsion of N[u] and |eta_i(x)| < N - |c_i| forces
@@ -30,13 +31,13 @@ eta_i(u) = 0.  So x lies in class c: the coset points of mass <= m0, the
 value and the minimizers are those of the integral search, and phi, which
 needs only that x lies in class c, stays a calibration.
 
-Every box contains 0, so the candidates at a pivot row are merged outward
-from 0, cheapest first, with no per-node sort; each move touches only the
-nonzeros of its pivot column.  The search also prunes on the face
-residuals: every coset point is a cycle mod n, so once some simplices are
-assigned, each (d-1)-face t with residual a_t, the signed sum of its
-assigned simplices, needs unassigned simplices of total |coefficient|
->= dist(a_t, nZ), and the rest of the mass is at least
+The residue range contains 0, so the candidates at a pivot row are
+merged outward from 0, cheapest first, with no per-node sort; each move
+touches only the nonzeros of its pivot column.  The search also prunes
+on the face residuals: every coset point is a cycle mod n, so once some
+simplices are assigned, each (d-1)-face t with residual a_t, the signed
+sum of its assigned simplices, needs unassigned simplices of total
+|coefficient| >= dist(a_t, nZ), and the rest of the mass is at least
 sum_t m_t dist_t / (d+1), m_t the least weight on t.  The rows go by
 decreasing weight, then outward from the support of z0 over the faces
 (``_row_order``), so the faces close early whatever the labelling of the
@@ -226,11 +227,11 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
     return result
 
 
-def _row_order(K: WeightedComplex, d: int, wnum: Sequence[int],
-               z0: Sequence[int]) -> list[int]:
-    """The rows by decreasing weight, then by the ascending tuple of the
-    breadth-first ranks of their (d-1)-faces; ``wnum`` holds the weights
-    of ``K`` at one integer scale.
+def _row_order(K: WeightedComplex, d: int, z0: Sequence[int]) -> list[int]:
+    """The rows by decreasing weight, read from ``K.integer_weights(d)``,
+    then by the ascending tuple of the breadth-first ranks of their
+    (d-1)-faces.  A search may take the weights at any multiple of that
+    scale: the order is the same.
 
     The breadth-first search runs over the faces, two being adjacent when
     they share a d-simplex, as the rows of the degree-d boundary tell.  It
@@ -239,12 +240,13 @@ def _row_order(K: WeightedComplex, d: int, wnum: Sequence[int],
     one, by index.  So the rows near z0 come first and the rows on a face
     follow each other: the faces close early, and the face bound prunes
     from the first levels.  Any order gives the same values and minimizers
-    and moves only the node count.  The order depends on the weights of
-    ``K`` and on the seed faces alone; the last one of each degree is kept
-    in ``K``'s memo, so the searches of one class across moduli or
+    and moves only the node count.  The order depends on ``K`` and on the
+    seed faces alone, so the last one of each degree is kept in ``K``'s
+    memo beside its seeds, and the searches of one class across moduli or
     multiples build it once.
     """
     faces = K.faces(d)
+    wnum, _ = K.integer_weights(d)
     seeds = list(dict.fromkeys(t for fs in compress(faces, z0)
                                for t, _ in fs))
     cached = K._memo.get(("order", d))
@@ -286,28 +288,30 @@ def _row_order(K: WeightedComplex, d: int, wnum: Sequence[int],
 
 def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     pivots: Sequence[tuple[int, Mapping[int, int]]],
-                    lo: Sequence[int], hi: Sequence[int],
-                    cap_mass: int, cap_count: int, *,
+                    cap_count: int, *,
                     faces: Sequence[Sequence[tuple[int, int]]], modulus: int,
                     phi: Optional[Sequence[int]] = None,
                     value_only: bool = False,
                     cocycles: Optional[tuple[Sequence[Sequence[tuple[int, int]]],
-                                             Sequence[int], int]] = None):
-    """Enumerate all lattice-coset points of minimal weighted l1 mass.
+                                             int]] = None):
+    """Enumerate all lattice-coset points of minimal weighted l1 mass that
+    are no heavier than z0, each coefficient in the residue range
+    (-n/2, n/2] of n = ``modulus``.
 
     The coset is z0 + span(pivot columns), with a pivot at every row, as
-    in the echelon of a lattice that holds ``modulus`` * e_r for every row
-    r (``_echelon_columns``); it is searched depth first over the pivots.
-    Every box must contain 0 (lo[r] <= 0 <= hi[r]); the candidates at a
-    pivot row, its congruence class inside [lo, hi], are then merged
-    outward from 0 by two cursors, cheapest first with t before -t, so
-    incumbents improve fast and the first candidate over budget ends the
-    row.  A move and its undo touch only the (row, coeff) nonzeros of the
-    pivot column.
+    in the echelon of a lattice that holds n * e_r for every row r
+    (``_echelon_columns``); it is searched depth first over the pivots.
+    The residue range contains 0, so the candidates at a pivot row, its
+    congruence class in the range, are merged outward from 0 by two
+    cursors, cheapest first with t before -t, so incumbents improve fast
+    and the first candidate over budget ends the row.  The budget starts
+    at mass(z0), so the range needs no cut by mass: a candidate v with
+    wnum[r] * |v| > mass(z0) is over budget.  A move and its undo touch
+    only the (row, coeff) nonzeros of the pivot column.
 
     ``phi``, if given, is a calibration of the class on the scale of
     ``wnum``: |phi[s]| <= wnum[s], and phi(x) = phi(z0) at every coset
-    point x of mass at most ``cap_mass``.  Such an x has
+    point x of mass at most mass(z0).  Such an x has
     mass(x) = phi(z0) + sum_s (wnum[s] |x_s| - phi[s] x_s) with no negative
     term, so the terms of the rows assigned so far plus phi(z0) bound the
     mass of every completion within budget from below, and a candidate
@@ -332,12 +336,12 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     mass, bound every later candidate of the row too, whose mass is no
     less: once they fail the test, the row ends.
 
-    ``cocycles``, if given, is (incidences, targets, mu): the (level,
-    coeff) incidences of each row on integral cocycles h_m with
-    h_m(x) = targets[m] (mod ``modulus``) at every coset point x, and
+    ``cocycles``, if given, is (incidences, mu): the (level, coeff)
+    incidences of each row on integral cocycles h_m with
+    h_m(x) = h_m(z0) (mod ``modulus``) at every coset point x, and
     mu * sum_m |h_m(s)| <= wnum[s] for every row s.  Once the rows up to a
     level are assigned, the unassigned rows of h_m must make up the
-    distance dist_m from targets[m] - h_m(assigned rows) to nZ, so they
+    distance dist_m from h_m(z0) - h_m(assigned rows) to nZ, so they
     have mass >= mu * sum_m dist_m, and a candidate is dropped when its
     mass plus that exceeds best (ties are kept).  The terms of the levels
     the pivot row is not on do not change with the candidate, so they join
@@ -351,8 +355,6 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     best - 1.  The search then keeps one minimizer and reports the count
     as not exact.  It visits no node the full search does not.
     """
-    if max(lo, default=0) > 0 or min(hi, default=0) < 0:
-        raise ValueError("every search box must contain 0")
     depth = len(pivots)
     calibrated = phi is not None
     fvec = phi if calibrated else [0] * len(wnum)
@@ -365,30 +367,31 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 m[t] = w
     arity = max(map(len, faces), default=0) or 1
     n = modulus
+    lo, hi = -((n - 1) // 2), n // 2
     # res holds the residual a_t of each face t, then that of each level m
-    # at n_faces + m: h_m of the assigned rows minus targets[m].
+    # at n_faces + m: h_m of the assigned rows minus h_m(z0).
     n_faces = 1 + max(m, default=-1)
-    incidences, targets, mu = cocycles or ([()] * len(wnum), (), 0)
+    incidences, mu = cocycles or ([()] * len(wnum), 0)
+    n_levels = 1 + max((lv for on in incidences for lv, _ in on), default=-1)
+    res = [0] * (n_faces + n_levels)
+    for on, v in zip(incidences, z0):
+        for lv, hv in on if v else ():
+            res[n_faces + lv] -= hv * v
     levels = []
     for r, col in pivots:
         on = incidences[r]
         on = [(n_faces + lv, hv) for lv, hv in on] if on else ()
-        levels.append((r, col[r], wnum[r], lo[r], hi[r], fvec[r],
-                       list(col.items()),
+        levels.append((r, col[r], wnum[r], fvec[r], list(col.items()),
                        [(t, sign, m[t]) for t, sign in faces[r]], on))
 
     cur = list(z0)
-    best = limit = cap_mass  # candidates with a bound above limit drop
+    # Candidates with a bound above limit drop.
+    best = limit = sum(w * abs(v) for w, v in zip(wnum, z0))
     slack = 1 if value_only else 0
     sols: list[tuple[int, ...]] = []
     exact = True
     nodes = 0
-    res = [0] * n_faces + [-t for t in targets]
-    leveled = 0
-    for x in res[n_faces:]:
-        x %= n
-        leveled += x if x + x <= n else n - x
-    leveled *= mu
+    leveled = mu * sum(min(x % n, -x % n) for x in res[n_faces:])
 
     def record(total: int) -> None:
         nonlocal best, limit, sols, exact
@@ -409,7 +412,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
         if k == depth:
             record(acc)
             return
-        r, g, w, lo_r, hi_r, f_r, move, level_faces, on_levels = levels[k]
+        r, g, w, f_r, move, level_faces, on_levels = levels[k]
         # The residual bound without the faces of row r.
         rest = residual
         for t, _, mt in level_faces:
@@ -425,11 +428,11 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
         p = base % g  # smallest nonnegative candidate
         q = p - g     # largest negative candidate
         while True:
-            if p <= hi_r and (q < lo_r or p <= -q):
+            if p <= hi and (q < lo or p <= -q):
                 v = p
                 p += g
                 total = acc + w * v
-            elif q >= lo_r:
+            elif q >= lo:
                 v = q
                 q -= g
                 total = acc - w * v
@@ -441,9 +444,9 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                 fv = f + f_r * v
                 if total - fv > limit:
                     if v >= 0:
-                        p = hi_r + 1
+                        p = hi + 1
                     else:
-                        q = lo_r - 1
+                        q = lo - 1
                     continue
             else:
                 fv = 0
@@ -735,13 +738,13 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
     integral class representative, over Z/n with each coefficient taken
     to its canonical lift.
 
-    Any optimal chain obeys |x_s| * w_s <= mass(z0), which bounds the search
-    box, and the box is cut to the residue range (-n/2, n/2].  Over Z the
-    search runs at a modulus N that it picks from z0's mass m0, the dual
-    cocycles of the free basis and the torsion number tau, so that the
-    coset points of mass <= m0 are the integral cycles of the class (see
-    the module docstring).  The search takes the rows in ``_row_order``
-    and prunes on the face residuals of its cycles.  Over Z it also prunes
+    The search derives its box, the residue range (-n/2, n/2], and its
+    budget, mass(z0), from its modulus and z0.  Over Z it runs at a
+    modulus N that it picks from z0's mass m0, the dual cocycles of the
+    free basis and the torsion number tau, so that the coset points of
+    mass <= m0 are the integral cycles of the class (see the module
+    docstring).  The search takes the rows in ``_row_order`` and prunes on
+    the face residuals of its cycles.  Over Z it also prunes
     on the dual certificate of ``min_real``, a calibration of the class;
     over Z/n phi(x) changes along x + n*e_s, so in degree 1 it prunes
     instead on the level cocycles of the first free index whose coordinate
@@ -786,17 +789,9 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
             z = _integral_vertex(K, d, c, real)
             if z is not None:
                 return OptReport(c, real.value, (z,), False, None, 0)
-    else:
-        if d == 1:
-            family = next(filter(None, (_level_cocycles(K, dec, i)
-                                        for i, a in enumerate(c.free_part)
-                                        if a % n)), None)
-        scale = lcm(w_scale, family[0]) if family else w_scale
-        wnum = [w * (scale // w_scale) for w in wnum]
-    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
-    if n is None:
         # N = tau * (B // tau + 1) with B the larger of 2*s1 and every
         # |c_i| + s1 * max|eta_i|, s1 = m0 // min(wnum) bounding |x|_1.
+        m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         s1 = m0 // min(wnum)
         bound = 2 * s1
         for i, a in enumerate(c.free_part):
@@ -804,24 +799,20 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
             bound = max(bound, abs(a) + s1 * max(map(abs, eta)))
         tau = dec.torsion_number
         n = tau * (bound // tau + 1)
+    else:
+        if d == 1:
+            family = next(filter(None, (_level_cocycles(K, dec, i)
+                                        for i, a in enumerate(c.free_part)
+                                        if a % n)), None)
+        scale = lcm(w_scale, family[0]) if family else w_scale
+        wnum = [w * (scale // w_scale) for w in wnum]
     # Rows by decreasing weight, then outward from z0 over the faces; the
     # echelon of the boundary lattice plus n*Z^m along them.
-    row_order = _row_order(K, d, wnum, z0)
-    pivots = _echelon_columns(K.faces(d + 1), row_order, n)
-    cocycles = None
-    if family:
-        D, incidences = family
-        targets = [0] * (1 + max(lv for row in incidences for lv, _ in row))
-        for s, v in enumerate(z0):
-            if v:
-                for lv, hv in incidences[s]:
-                    targets[lv] += hv * v
-        cocycles = incidences, targets, scale // D
-    lo = [max(-(m0 // w), -((n - 1) // 2)) for w in wnum]
-    hi = [min(m0 // w, n // 2) for w in wnum]
+    pivots = _echelon_columns(K.faces(d + 1), _row_order(K, d, z0), n)
     best, sols, exact, nodes = _search_lattice(
-        wnum, z0, pivots, lo, hi, m0, cap, faces=K.faces(d), modulus=n,
-        phi=phi, value_only=value_only, cocycles=cocycles)
+        wnum, z0, pivots, cap, faces=K.faces(d), modulus=n, phi=phi,
+        value_only=value_only,
+        cocycles=(family[1], scale // family[0]) if family else None)
     return OptReport(c, Fraction(best, scale),
                      _sorted_chains(K, d, c.ring, sols), exact, None, nodes)
 

@@ -180,6 +180,32 @@ def test_gap_sweep_zero_class_convention(tc):
         assert not row.in_lavrentiev_real
 
 
+def test_gap_sweep_writes_no_ratio_over_a_zero_value(rp2, mobius):
+    """A positive integral value over a zero real or mod-n value has no
+    gap ratio: the row holds None, null in JSON and an empty CSV cell,
+    beside a true Lavrentiev flag, and only 0/0 reads 1.  The torsion
+    class of rp2-6 is zero over Q and over Z/3 but not over Z/2, and
+    twice the Moebius core is zero over Z/2."""
+    dec = homology_decomposition(rp2, 1)
+    rows = gap_sweep(rp2, 1, dec.class_coords(INT, (), (1,)), [0, 1],
+                     [Fraction(1), Fraction(1, 2)], [2, 3])
+    for row in rows:
+        assert row.value_real == row.value_mod[3] == 0 < row.value_int
+        assert row.gap_ratio_real is None and row.in_lavrentiev_real
+        assert row.gap_ratio_mod[3] is None and row.in_lavrentiev_mod[3]
+        assert row.gap_ratio_mod[2] == 1 and not row.in_lavrentiev_mod[2]
+    doc = rows[0].to_json()
+    assert doc["gap_ratio_real"] is None
+    assert doc["gap_ratio_mod"] == {"2": "1/1", "3": None}
+    assert gap_rows_to_csv(rows[:1], [2, 3]).splitlines()[1] == \
+        "1/1,3/1,0/1,3/1,0/1,,1/1,,true,false,true"
+
+    core = _gen(homology_decomposition(mobius, 1)).scale(2)
+    (row,) = gap_sweep(mobius, 1, core, [0], [Fraction(1)], [2])
+    assert row.value_mod[2] == 0 < row.value_int
+    assert row.gap_ratio_mod[2] is None and row.in_lavrentiev_mod[2]
+
+
 def test_gap_sweep_validation(tc):
     dec = homology_decomposition(tc, 1)
     with pytest.raises(ValueError):
@@ -623,6 +649,9 @@ HARNESS_RUNS = {
                           gap_rows_to_csv(gap_sweep(
                               K, d, c, [2, 3], [Fraction(1, 4)], [2, 4]),
                               [2, 4])),
+    "gap-rp2-torsion": ("rp2", 1, (), (1,), lambda K, d, c: gap_rows_to_csv(
+        gap_sweep(K, d, c, [0, 1], [Fraction(1), Fraction(1, 2)], [2, 3]),
+        [2, 3])),
 }
 
 # CSV column (without its "_<n>" modulus suffix) -> field syntax
@@ -630,7 +659,8 @@ _SYNTAX = {
     "n": "int", "k": "int",
     "value_mod": "rational", "value_int": "rational", "value_real": "rational",
     "ratio": "rational", "shrink_factor": "rational",
-    "gap_ratio_real": "rational", "gap_ratio_mod": "rational",
+    "gap_ratio_real": "optional rational",
+    "gap_ratio_mod": "optional rational",
     "equal": "bool", "tau_divides": "bool", "in_lavrentiev_real": "bool",
     "in_lavrentiev_mod": "bool",
     "bijection": "optional bool", "lift_all_cycles": "optional bool",
@@ -649,7 +679,9 @@ def _strict_field(column, text):
     if syntax == "int":
         assert text == str(int(text)), (column, text)
         return int(text)
-    if syntax == "rational":
+    if syntax == "optional rational" and text == "":
+        return None
+    if syntax.endswith("rational"):
         num, sep, den = text.partition("/")
         v = parse_rational(text)
         assert sep and (str(v.numerator), str(v.denominator)) == (num, den), \
@@ -678,16 +710,19 @@ def _check_federer_record(r, k_prev):
 
 
 def _check_gap_record(r, moduli):
-    vi, vr = r["value_int"], r["value_real"]
+    """Each gap ratio is value_int over its value, at least 1; 1 for 0/0
+    and empty over a zero value below a positive value_int."""
+    vi = r["value_int"]
     assert r["shrink_factor"] > 0
-    assert vr <= vi and r["gap_ratio_real"] >= 1
-    assert r["gap_ratio_real"] == (vi / vr if vr else 1)
-    assert r["in_lavrentiev_real"] == (vi > vr)
-    for n in moduli:
-        vm = r[f"value_mod_{n}"]
-        assert vm <= vi and r[f"gap_ratio_mod_{n}"] >= 1
-        assert r[f"gap_ratio_mod_{n}"] == (vi / vm if vm else 1)
-        assert r[f"in_lavrentiev_mod_{n}"] == (vi > vm)
+    for v, ratio, flag in [
+            (r["value_real"], r["gap_ratio_real"], r["in_lavrentiev_real"])] + [
+            (r[f"value_mod_{n}"], r[f"gap_ratio_mod_{n}"],
+             r[f"in_lavrentiev_mod_{n}"]) for n in moduli]:
+        assert v <= vi and flag == (vi > v)
+        if v:
+            assert ratio == vi / v >= 1
+        else:
+            assert ratio == (None if vi else 1)
 
 
 @pytest.mark.parametrize("case", HARNESS_RUNS)
@@ -814,9 +849,9 @@ def test_searches_reuse_the_row_order_and_level_families(monkeypatch):
     calls = []
     row_order = optimize._row_order
 
-    def counted(K, d, wnum, z0):
+    def counted(K, d, z0):
         calls.append(K)
-        return row_order(K, d, wnum, z0)
+        return row_order(K, d, z0)
 
     monkeypatch.setattr(optimize, "_row_order", counted)
     tables = [("weights", 1), ("order", 1), ("levels", 0)]

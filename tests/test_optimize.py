@@ -604,20 +604,31 @@ def _assert_same_answers(got, want, value_only):
         assert got[:3] == want[:3]
 
 
+def _engine_box(wnum, z0, n: int):
+    """The box and budget the search derives, as the reference takes them:
+    |x_s| w_s <= mass(z0) cut to the residue range (-n/2, n/2], and
+    mass(z0)."""
+    m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
+    lo = [max(-(m0 // w), -((n - 1) // 2)) for w in wnum]
+    hi = [min(m0 // w, n // 2) for w in wnum]
+    return lo, hi, m0
+
+
 def _both_searches(*args, faces, modulus, phi=None, value_only=False,
                    cocycles=None):
     """Run the search and its reference, which takes the pivot rows in
-    their order; they must agree on the optimum, the minimizer vectors in
-    order and exactness.  Without a bound to prune on (a calibration, face
+    their order and the box and budget of ``_engine_box``; they must agree
+    on the optimum, the minimizer vectors in order and exactness.  Without a bound to prune on (a calibration, face
     incidences or cocycles) they also visit the same nodes; with one the
     search visits no more.  A value-only search must find the optimum,
     keep one of the reference's minimizers, report the count as not exact
     and visit no more nodes than the full search."""
     kw = dict(faces=faces, modulus=modulus, phi=phi, cocycles=cocycles)
     got = _search_lattice(*args, value_only=value_only, **kw)
-    wnum, z0, pivots, *rest = args
+    wnum, z0, pivots, cap_count = args
     want = reference_search_lattice(wnum, z0, _dense(pivots, len(wnum)),
-                                    [r for r, _ in pivots], *rest)
+                                    [r for r, _ in pivots],
+                                    *_engine_box(wnum, z0, modulus), cap_count)
     _assert_same_answers(got, want, value_only)
     if value_only:
         assert got[3] <= _search_lattice(*args, **kw)[3]
@@ -641,37 +652,25 @@ def _random_lattice(rng: random.Random):
     return columns, order, wnum, z0
 
 
-def _search_boxes(rng: random.Random, wnum, m0: int, n: int, clip_zero: bool):
-    """The engines' boxes, |x_s| w_s <= m0 cut to the residue range
-    (-n/2, n/2], and with ``clip_zero`` some random rows clipped to 0."""
-    lo = [max(-(m0 // w), -((n - 1) // 2)) for w in wnum]
-    hi = [min(m0 // w, n // 2) for w in wnum]
-    if clip_zero:
-        for r in rng.sample(range(len(wnum)), rng.randint(1, len(wnum))):
-            lo[r] = hi[r] = 0
-    return lo, hi
-
-
 def test_search_matches_reference_on_random_lattices():
     """On random lattices plus n*Z^m, for n from 2 to 5 and for an n past
     twice the mass box (which the residue range then does not cut), the
     search with no bound to prune on visits the reference's nodes and
-    finds its minimizers, full, capped and value-only.  Some pivot entries
-    lie strictly between 1 and n, some boxes are clipped, some searches
-    find minimizers and some are capped."""
+    finds its minimizers, full, capped and value-only: the residue range
+    and the budget mass(z0) the search derives end each row where the
+    engines' box |x_s| w_s <= mass(z0) does.  Some pivot entries lie
+    strictly between 1 and n, some searches find minimizers and some are
+    capped."""
     rng = random.Random("search-differential")
-    seen = {"g>1": 0, "clipped": 0, "wide": 0, "found": 0, "capped": 0}
-    for trial in range(300):
-        clip = trial % 3 == 0
+    seen = {"g>1": 0, "wide": 0, "found": 0, "capped": 0}
+    for _ in range(300):
         columns, order, wnum, z0 = _random_lattice(rng)
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         n = rng.choice((2, 3, 4, 5, 2 * m0 + 3))
         pivots = _echelon_columns(_sparse(columns), order, n)
-        lo, hi = _search_boxes(rng, wnum, m0, n, clip)
-        args = (wnum, z0, pivots, lo, hi, m0)
+        args = (wnum, z0, pivots)
         kw = dict(faces=[()] * len(wnum), modulus=n)
         seen["g>1"] += any(1 < col[r] < n for r, col in pivots)
-        seen["clipped"] += clip
         seen["wide"] += n > 2 * m0
         (best, sols, exact, _), _ = _both_searches(*args, 10_000, **kw)
         seen["found"] += bool(sols)
@@ -719,14 +718,13 @@ def test_calibrated_search_matches_reference_on_random_lattices():
     lattice holds N*Z^m, N from ``_calibrated_modulus``."""
     rng = random.Random("search-calibrated")
     pruned = 0
-    for trial in range(150):
+    for _ in range(150):
         columns, order, wnum, z0 = _random_lattice(rng)
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         wnum, phi, m0 = _random_calibration(rng, wnum, columns, m0)
         n = _calibrated_modulus(wnum, phi, m0, rng.randint(1, 4))
         pivots = _echelon_columns(_sparse(columns), order, n)
-        lo, hi = _search_boxes(rng, wnum, m0, n, trial % 3 == 0)
-        args = (wnum, z0, pivots, lo, hi, m0)
+        args = (wnum, z0, pivots)
         kw = dict(faces=[()] * len(wnum), modulus=n)
         nodes = _both_searches(*args, 10_000, phi=phi, **kw)[0][3]
         pruned += nodes < _search_lattice(*args, 10_000, **kw)[3]
@@ -738,24 +736,15 @@ def test_calibrated_search_matches_reference_on_random_lattices():
 
 def test_search_without_boundary_columns_matches_reference():
     """With no columns but the n*e_r the coset is z0 + n*Z^m, every row a
-    pivot of entry n: the search checks z0's box and mass against the cap,
-    as the reference does, inside and outside the box and the budget."""
+    pivot of entry n: the search finds z0 alone, within its residue range
+    and at the budget mass(z0), as the reference does."""
     wnum, z0 = [2, 1, 3], [1, -2, 0]
     for n in (5, 13):
         pivots = _echelon_columns([], [2, 0, 1], n)
         assert pivots == [(2, {2: n}), (0, {0: n}), (1, {1: n})]
-        for lo, hi in (([-3, -6, -2], [3, 6, 2]), ([0, 0, 0], [0, 0, 0])):
-            lo = [max(v, -((n - 1) // 2)) for v in lo]
-            hi = [min(v, n // 2) for v in hi]
-            for cap_mass in (4, 3):
-                _both_searches(wnum, z0, pivots, lo, hi, cap_mass, 5,
-                               faces=[()] * 3, modulus=n)
-
-
-def test_search_rejects_boxes_without_zero():
-    with pytest.raises(ValueError):
-        _search_lattice([1], [1], [(0, {0: 3})], [1], [2], 1, 5,
-                        faces=[()], modulus=3)
+        got, _ = _both_searches(wnum, z0, pivots, 5, faces=[()] * 3,
+                                modulus=n)
+        assert got[:3] == (4, [tuple(z0)], True)
 
 
 def _loop_class(K, k: int, seed):
@@ -798,9 +787,11 @@ def _checked_search(monkeypatch):
                                    phi=phi, value_only=value_only,
                                    cocycles=cocycles)
         if phi is not None:
-            wnum, z0, _, *rest = args
+            wnum, z0, _, cap_count = args
             _assert_same_answers(
-                got, _reference_z_search(*built[-1], wnum, z0, *rest),
+                got, _reference_z_search(*built[-1], wnum, z0,
+                                         *_engine_box(wnum, z0, modulus),
+                                         cap_count),
                 value_only)
         calls.append((phi is not None, any(faces), got[3], want[3],
                       cocycles is not None))
@@ -1135,14 +1126,13 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
             bases = [pivots, _reference_basis(columns, order, n_rows, modulus),
                      _other_basis(rng, pivots)]
             differ += len({repr(b) for b in bases}) > 1
-            scales = [(wnum, None, m0)]
+            scales = [(wnum, None)]
             if modulus == wide:
-                scales.append(calibrated)
-            for w, phi, m in scales:
-                lo, hi = _search_boxes(rng, w, m, modulus, False)
+                scales.append(calibrated[:2])
+            for w, phi in scales:
                 for cap, value_only in ((1, False), (10_000, False),
                                         (10_000, True)):
-                    _same_search(bases, w, z0, lo, hi, m, cap,
+                    _same_search(bases, w, z0, cap,
                                  faces=[()] * n_rows, modulus=modulus,
                                  phi=phi, value_only=value_only)
     assert differ
@@ -1179,10 +1169,11 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
     assert {(True, True, False), (False, True, True)} <= kinds
 
 
-def _weight_then_index(K, d, wnum, z0):
+def _weight_then_index(K, d, z0):
     """The row order of the search before the face ranks: decreasing
     weight, then index."""
-    return sorted(range(len(wnum)), key=lambda r: -wnum[r])
+    w = K.weights[d]
+    return sorted(range(len(w)), key=lambda r: -w[r])
 
 
 def test_row_order_moves_only_the_node_count(monkeypatch):
@@ -1898,7 +1889,6 @@ def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
             for t, _ in fs:
                 least[t] = min(ws, least.get(t, ws))
         plain = sorted(range(len(w)), key=lambda r: (-w[r], r))
-        wnum, _ = _at_integer_scale(w)
         families = list(filter(None, (optimize._level_cocycles(K, dec, i)
                                       for i in range(dec.betti))))
         for D, incidences in families:
@@ -1930,7 +1920,7 @@ def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
                 x = [lift(v) for v in chain_vector(T)]
                 total = sum(ws * abs(v) for ws, v in zip(w, x))
                 assert total == rep.value
-                for order in (plain, optimize._row_order(K, 1, wnum, z0)):
+                for order in (plain, optimize._row_order(K, 1, z0)):
                     for p in range(len(order) + 1):
                         assigned = order[:p]
                         done = sum(w[s] * abs(x[s]) for s in assigned)
@@ -2015,7 +2005,7 @@ def _reference_min_int(K, d, c, cap):
     wnum, scale = _at_integer_scale(K.weights[d])
     m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
     best, sols, exact, _ = _reference_z_search(
-        K.faces(d + 1), optimize._row_order(K, d, wnum, z0), wnum, z0,
+        K.faces(d + 1), optimize._row_order(K, d, z0), wnum, z0,
         [-(m0 // w) for w in wnum], [m0 // w for w in wnum], m0, cap)
     chains = sorted({Chain.from_vector(K, d, INT, x) for x in sols},
                     key=lambda T: T.coeffs)
