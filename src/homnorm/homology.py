@@ -9,11 +9,15 @@ is fixed, so identical complexes always report identical bases.  In degree
 1 the first form is that of the incidence matrix of the 1-skeleton, and
 ``incidence_smith_normal_form`` replays its reduction on groups of
 vertices: its kernel lines, the fundamental cycles of the forest of pivot
-edges, are those of the sparse form.  The other forms reduce sparse rows
-built from ``WeightedComplex.faces``, and every
-change of basis (into kernel coordinates, to class coordinates and back to
-chains) walks only the nonzero entries of their sparse transforms.  The
-next boundary in kernel coordinates is built row by row, each row a
+edges, are those of the sparse form.  Where each row of the second holds
+at most two entries of +-1, as in degree 1 on a surface (one per triangle
+on a non-forest edge), ``signed_graph_smith_normal_form`` replays its
+reduction on a dual spanning forest, and the sparse form runs only where
+that returns None, for a factor 2 as on rp2 and the Klein bottle.  The
+other forms reduce sparse rows built from ``WeightedComplex.faces``, and
+every change of basis (into kernel coordinates, to class coordinates and
+back to chains) walks only the nonzero entries of their sparse transforms.
+The next boundary in kernel coordinates is built row by row, each row a
 combination of coface rows named by one kernel row of V_A^-1; of the basis
 matrix K' only the columns that name classes are formed.  Neither form
 keeps the inverse lines of its unit invariant factors, and nothing here
@@ -47,6 +51,7 @@ from typing import Sequence
 from .complexes import (Chain, NotACycleError, WeightedComplex,
                         _at_integer_scale, _is_cycle)
 from .intlinalg import (SNFResult, incidence_smith_normal_form,
+                        signed_graph_smith_normal_form,
                         sparse_smith_normal_form)
 from .rings import INT, RAT, RingElem, RingSpec, factorize, format_element
 
@@ -124,8 +129,10 @@ class HomologyDecomposition:
         self.complex = K
         self.degree = degree
         n_simp = K.n_simplices(degree)
-        # Only V_A, V_A^-1, U_C and U_C^-1 are read below, and of V_A and
-        # V_A^-1 only the kernel lines when every pivot is a unit.
+        # Only V_A, V_A^-1, U_C and U_C^-1 are read below, and of each
+        # only the kernel lines when every pivot is a unit: the incidence
+        # and signed-graph paths form no others, and the incidence path
+        # forms a kernel column of V_A only when K' reads it.
         self._snfA: SNFResult = (
             incidence_smith_normal_form(K.faces(1), K.n_simplices(0))
             if degree == 1 else sparse_smith_normal_form(
@@ -137,22 +144,25 @@ class HomologyDecomposition:
         # row: row i combines the rows of B named by kernel row r_A + i of
         # V_A^-1.  The rows before r_A would be zero, as boundaries are
         # cycles.  A unit kernel row gives its row of B itself, which the
-        # reduction of C then changes; nothing reads B afterwards.
+        # sparse form of C, where it runs, then changes; nothing reads B
+        # afterwards.
         b_rows = _boundary_rows(K, degree + 1)
         v_inv = self._snfA.v_inv_rows
         c_rows = [_combination(v_inv[i], b_rows) for i in range(rA, n_simp)]
-        self._snfC: SNFResult = sparse_smith_normal_form(
-            c_rows, K.n_simplices(degree + 1), _track="u")
+        m = K.n_simplices(degree + 1)
+        self._snfC: SNFResult = (
+            signed_graph_smith_normal_form(c_rows, m)
+            or sparse_smith_normal_form(c_rows, m, _track="u"))
         rC = self._snfC.rank
         self._rankC = rC
         self._invariant_factors = tuple(self._snfC.diag[:rC])
         # Columns of K' = (kernel columns of V_A) U_C^-1 that name classes:
         # the free ones past r_C and the torsion ones.
-        kernel = self._snfA.v_cols[rA:]
         named = [i for i, d in enumerate(self._invariant_factors) if d > 1]
         named += range(rC, z)
         self._kprime: dict[int, dict[int, int]] = {
-            j: _combination(self._snfC.u_inv_cols[j], kernel) for j in named}
+            j: _combination(self._snfC.u_inv_cols[j], self._snfA.v_cols, rA)
+            for j in named}
         self.betti = z - rC
         # Lines of nonzero entries on the complex's own indices: no chain
         # built from them needs Chain.make's checks.
@@ -250,7 +260,7 @@ class HomologyDecomposition:
         row = self._cocycles.get(j)
         if row is None:
             row = self._cocycles[j] = _combination(
-                self._snfC.u_rows[j], self._snfA.v_inv_rows[self._rankA:])
+                self._snfC.u_rows[j], self._snfA.v_inv_rows, self._rankA)
         return row
 
     def representative_vector(self, c: "ClassCoords") -> list:
@@ -399,9 +409,9 @@ def _boundary_rows(K: WeightedComplex, d: int) -> list[dict[int, int]]:
     return rows
 
 
-def _combination(coeffs: dict[int, int], lines: Sequence[dict[int, int]]
-                 ) -> dict[int, int]:
-    """The nonzero entries of sum_k coeffs[k] * lines[k].
+def _combination(coeffs: dict[int, int], lines: Sequence[dict[int, int]],
+                 start: int = 0) -> dict[int, int]:
+    """The nonzero entries of sum_k coeffs[k] * lines[start + k].
 
     A lone coefficient 1 names one line, and that line itself is returned,
     not a copy: after an all-unit reduction, as on every grid and fixture,
@@ -411,10 +421,10 @@ def _combination(coeffs: dict[int, int], lines: Sequence[dict[int, int]]
     if len(coeffs) == 1:
         ((k, a),) = coeffs.items()
         if a == 1:
-            return lines[k]
+            return lines[start + k]
     out: dict[int, int] = {}
     for k, a in coeffs.items():
-        for i, v in lines[k].items():
+        for i, v in lines[start + k].items():
             out[i] = out.get(i, 0) + a * v
     return {i: v for i, v in out.items() if v}
 

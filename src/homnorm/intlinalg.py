@@ -39,15 +39,20 @@ it as the reference).
 An incidence matrix, the degree-1 boundary, has all its pivots units, and
 ``incidence_smith_normal_form`` replays the same reduction on sets of
 edges, one per group of vertices, to the same kernel lines of V and V^-1.
+Rows of at most two entries of +-1, such as the next boundary of a surface
+in kernel coordinates, are a signed graph on the columns, and
+``signed_graph_smith_normal_form`` replays their reduction, tracking U, as
+Kruskal's forest with a signed union-find, to the same kernel lines of U
+and U^-1, or returns None where the sparse form has a factor 2.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 SparseLine = dict[int, int]
-Lines = Optional[list[Optional[SparseLine]]]
+Lines = Optional[Sequence[Optional[SparseLine]]]
 
 
 class SNFResult:
@@ -63,7 +68,10 @@ class SNFResult:
     is None.  Of the inverses, line j is None where j < rank and
     diag[j] = 1; every other line, and all of U and V, is kept, except
     that ``incidence_smith_normal_form`` leaves the pivot columns of V
-    (j < rank) unformed, None, as it has no reader for them.
+    (j < rank) unformed, None, and ``signed_graph_smith_normal_form`` the
+    pivot rows of U, as neither has a reader for them.  The kernel columns
+    of V from ``incidence_smith_normal_form`` are each built on first
+    read.
     """
 
     def __init__(self, diag: tuple[int, ...], u_rows: Lines,
@@ -310,6 +318,100 @@ def sparse_smith_normal_form(rows: list[SparseLine], cols: int, *,
     return SNFResult(diag, u, ui, v, vi)
 
 
+def _forest_kernel(ends: Sequence[Sequence[tuple[int, int]]],
+                   pivots: Sequence[int], cols: int
+                   ) -> Callable[[int], SparseLine]:
+    """The kernel line of a row r that is not a pivot, as a function of r:
+    the one y with y_r = 1, supported on r and the rows ``pivots``, whose
+    combination of the rows is 0 on every column.
+
+    Row r has entries sa on column a and sb on column b, ((a, sa), (b, sb))
+    = ``ends[r]``, with a ground node ``cols`` and sign 0 in place of a
+    missing entry.  The pivot rows are a spanning forest of this graph,
+    and each of r's ends reaches the other or the ground in it.  Each tree
+    is rooted, the ground's at the ground, and every other node x points at
+    its parent par[x] through the pivot row up[x], in which x has sign s
+    and the parent s' (0 for the ground).  y is built going up from r's two
+    ends: each step cancels the combination's entry at a node with the row
+    up from there, and what is left where the two paths meet goes on up to
+    the ground, which takes any entry.  An entry e at x leaves -e s s' at
+    the parent, so along a path the entry at x is c sig[x] for a constant
+    c, sig[x] the product of those factors from the root (or the ground's
+    child) down to x, and the row up from x gets -e s = c w[x], with
+    w[x] = -sig[x] s.
+    """
+    adj: list[list[tuple[int, int, int, int]]] = [
+        [] for _ in range(cols + 1)]
+    for r in pivots:
+        (a, sa), (b, sb) = ends[r]
+        adj[a].append((b, sb, sa, r))
+        adj[b].append((a, sa, sb, r))
+    depth = [-1] * (cols + 1)
+    par = [-1] * (cols + 1)
+    up = [-1] * (cols + 1)
+    sig = [1] * (cols + 1)
+    w = [0] * (cols + 1)
+    for root in (cols, *range(cols)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            dy = depth[x] + 1
+            for y, sy, sx, r in adj[x]:
+                if depth[y] < 0:
+                    depth[y] = dy
+                    par[y] = x
+                    up[y] = r
+                    if sx:
+                        sig[y] = -sig[x] * sy * sx
+                    w[y] = -sig[y] * sy
+                    stack.append(y)
+
+    def line(r: int) -> SparseLine:
+        y = {r: 1}
+        (a, ca), (b, cb) = ends[r]
+        ca *= sig[a]
+        cb *= sig[b]
+        while a != b:
+            if depth[a] >= depth[b]:
+                y[up[a]] = ca * w[a]
+                a = par[a]
+            else:
+                y[up[b]] = cb * w[b]
+                b = par[b]
+        if ca + cb:
+            while a != cols:
+                y[up[a]] = (ca + cb) * w[a]
+                a = par[a]
+        return y
+
+    return line
+
+
+class _KernelLines:
+    """n lines of a transform, read as a list (from index 0): line j is
+    None where j < rank, and otherwise ``build(j)``, built on its first
+    read."""
+
+    def __init__(self, n: int, rank: int, build: Callable[[int], SparseLine]):
+        self._lines: list[Optional[SparseLine]] = [None] * n
+        self._rank = rank
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self._lines)))]
+        line = self._lines[j]
+        if line is None and j >= self._rank:
+            line = self._lines[j] = self._build(j)
+        return line
+
+
 def incidence_smith_normal_form(faces: Sequence[Sequence[tuple[int, int]]],
                                 n_vertices: int) -> SNFResult:
     """``sparse_smith_normal_form(rows, len(faces), _track="v")`` of the
@@ -331,9 +433,11 @@ def incidence_smith_normal_form(faces: Sequence[Sequence[tuple[int, int]]],
     the unit row of the edge f at label j.  Column j of V is e_f plus a
     combination of pivot columns, and it is a cycle, so it is the
     fundamental cycle of f in the forest of pivot edges, with +1 on f,
-    built from parent pointers; only the order of its keys differs.  The
-    lines before the rank, which nothing reads for a unit pivot, are None
-    in V as in V^-1, and U is not tracked.
+    which ``_forest_kernel`` builds when the column is first read (a
+    degree-1 decomposition reads only those that name classes); only the
+    order of its keys differs.  The lines before the rank, which nothing
+    reads for a unit pivot, are None in V as in V^-1, and U is not
+    tracked.
     """
     n_edges = len(faces)
     ends = [(fs[0][0], fs[1][0]) for fs in faces]
@@ -393,51 +497,104 @@ def incidence_smith_normal_form(faces: Sequence[Sequence[tuple[int, int]]],
 
     rank = t
     diag = (1,) * rank + (0,) * (limit - rank)
-    # The pivot edges form a spanning forest: root each tree and point
-    # every other vertex at its parent (par), through the edge (up) on
-    # which it has sign up_sign.
-    adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    for e in edge_at[:rank]:
-        a, b = ends[e]
-        adj[a].append(e)
-        adj[b].append(e)
-    depth = [-1] * n_vertices
-    par = [-1] * n_vertices
-    up = [-1] * n_vertices
-    up_sign = [0] * n_vertices
-    for root in range(n_vertices):
-        if depth[root] >= 0:
+    cycle = _forest_kernel(faces, edge_at[:rank], n_vertices)
+    vi: list[Optional[SparseLine]] = [None] * rank
+    vi += ({f: 1} for f in edge_at[rank:])
+    return SNFResult(diag, None, None,
+                     _KernelLines(n_edges, rank, lambda j: cycle(edge_at[j])),
+                     vi)
+
+
+def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int
+                                   ) -> Optional[SNFResult]:
+    """``sparse_smith_normal_form(rows, cols, _track="u")`` of rows that
+    each hold at most two entries of +-1, on the lines its readers use, or
+    None where that form has a factor 2 or a row has another shape.
+
+    Such rows are the edges of a signed graph on the columns (Zaslavsky,
+    *Signed graphs*, 1982), a one-entry row an edge to a ground node G.
+    Clearing a unit pivot folds the group of its column into the group of
+    its row's other entry, with a sign, or grounds it, so every later row
+    is on the columns of its ends' groups: it has a unit entry while its
+    ends lie in different groups, and is otherwise 0, or +-2 where it
+    closes an unbalanced cycle in a group that is not grounded.  So the
+    pivots are Kruskal's forest in row order, found with a signed
+    union-find over the columns and G; the row swaps move only dead rows
+    forward, and are replayed on positions.  Column labels are not: they
+    only decide which group is folded into which.  A +-2 left at the end,
+    in a group never grounded, would make the sparse form reduce a pivot
+    that is not a unit, and then None is returned.
+
+    With all pivots units, ``diag`` is that of the sparse form, U^-1
+    changes only by the swaps, so its kernel column j is the unit column
+    of the row r at position j, and row j of U is the one y with y_r = 1,
+    supported on r and the pivot rows, whose combination of the rows is
+    0, which ``_forest_kernel`` builds.  The pivot lines of U and U^-1 are
+    None, and V is not tracked.
+    """
+    n_rows = len(rows)
+    ground = cols
+    # sign[x] takes an entry on column x to the group of parent[x]; G is
+    # always the root of its group, whose signs are never read.
+    parent = list(range(cols + 1))
+    sign = [1] * (cols + 1)
+
+    def find(x: int) -> tuple[int, int]:
+        # The root of x and the sign of x's entry there, halving the path.
+        s = 1
+        while (p := parent[x]) != x:
+            g = parent[p]
+            if g != p:
+                sign[x] *= sign[p]
+                parent[x] = p = g
+            s *= sign[x]
+            x = p
+        return x, s
+
+    # ((a, sa), (b, sb)) per row, an end on G with sign 0: G takes any
+    # entry.
+    ends: list[Sequence[tuple[int, int]]] = []
+    at = list(range(n_rows))  # position -> row
+    # The group of each row that closes an unbalanced cycle: the row is
+    # left +-2 unless the group is grounded later.
+    odd = []
+    t = 0
+    for r, row in enumerate(rows):
+        if len(row) == 2:
+            end = (a, sa), (b, sb) = tuple(row.items())
+            if sb * sb != 1:
+                return None
+        elif len(row) == 1:
+            ((a, sa),) = row.items()
+            b, sb = ground, 0
+            end = (a, sa), (b, sb)
+        elif row:
+            return None
+        else:
+            ends.append(((ground, 0), (ground, 0)))
             continue
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for e in adj[x]:
-                (a, sa), (b, sb) = faces[e]
-                y, sy = (b, sb) if a == x else (a, sa)
-                if depth[y] < 0:
-                    depth[y] = depth[x] + 1
-                    par[y] = x
-                    up[y] = e
-                    up_sign[y] = sy
-                    stack.append(y)
-    # With P(x) the path chain from x to its root, coefficient -s on each
-    # edge whose end farther from the root has sign s, dP(x) = root - x.  For f with
-    # faces (a, sa), (b, sb): e_f + sa P(a) + sb P(b) is a cycle, and the
-    # two paths cancel above their meeting vertex.
-    v: list[Optional[SparseLine]] = [None] * n_edges
-    vi: list[Optional[SparseLine]] = [None] * n_edges
-    for j in range(rank, n_edges):
-        f = edge_at[j]
-        vi[j] = {f: 1}
-        z = {f: 1}
-        (a, sa), (b, sb) = faces[f]
-        while a != b:
-            if depth[a] >= depth[b]:
-                z[up[a]] = -sa * up_sign[a]
-                a = par[a]
-            else:
-                z[up[b]] = -sb * up_sign[b]
-                b = par[b]
-        v[j] = z
-    return SNFResult(diag, None, None, v, vi)
+        if sa * sa != 1:
+            return None
+        ends.append(end)
+        ra, xa = find(a)
+        rb, xb = find(b)
+        if ra == rb:
+            if ra != ground and sa * xa == sb * xb:
+                odd.append(ra)
+            continue
+        if ra == ground:
+            ra, rb = rb, ra
+        parent[ra] = rb
+        sign[ra] = -sa * xa * sb * xb
+        at[t], at[r] = r, at[t]
+        t += 1
+    if any(find(x)[0] != ground for x in odd):
+        return None
+    rank = t
+    line = _forest_kernel(ends, at[:rank], cols)
+    u: list[Optional[SparseLine]] = [None] * rank
+    ui: list[Optional[SparseLine]] = [None] * rank
+    u += map(line, at[rank:])
+    ui += ({r: 1} for r in at[rank:])
+    diag = (1,) * rank + (0,) * (min(n_rows, cols) - rank)
+    return SNFResult(diag, u, ui, None, None)

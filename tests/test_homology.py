@@ -7,7 +7,8 @@ from math import gcd, lcm
 import pytest
 
 from homnorm.complexes import Chain, NotACycleError, WeightedComplex
-from homnorm.fixtures import SUITE, MOBIUS_CORE_EDGES, rp2_6, torus7
+from homnorm.fixtures import (SUITE, MOBIUS_CORE_EDGES, klein8, rp2_6,
+                              torus7)
 from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
                               reduce_class)
@@ -243,22 +244,57 @@ def test_mod_decomposition_runs_no_smith_normal_form(monkeypatch):
         assert calls == []
 
 
-def test_degree_one_decomposition_reduces_only_the_next_boundary(
-        monkeypatch):
-    """In degree 1 the incidence path gives the form of the boundary, and
-    the sparse form runs only for the next boundary in kernel coordinates
-    (tracking U); other degrees run it for both."""
+def test_decomposition_runs_the_form_each_boundary_allows(monkeypatch):
+    """Per degree, the forms that run: in degree 1 the incidence path for
+    the boundary, else the sparse form (tracking V); for the next boundary
+    in kernel coordinates the signed-graph path, and the sparse form
+    (tracking U) where it returns None, for a factor 2 (rp2, klein) or a
+    row of more than two entries (the vertex rows of degree 0)."""
     import homnorm.homology as homology
-    tracks = []
+    runs = []
+
+    def spy(name, form):
+        def run(*args, **kw):
+            res = form(*args, **kw)
+            runs.append(name + ("" if res else " None"))
+            return res
+        monkeypatch.setattr(homology, form.__name__, run)
+
+    spy("incidence", homology.incidence_smith_normal_form)
+    spy("signed", homology.signed_graph_smith_normal_form)
     real_snf = homology.sparse_smith_normal_form
     monkeypatch.setattr(homology, "sparse_smith_normal_form",
-                        lambda *A, **kw:
-                        tracks.append(kw["_track"]) or real_snf(*A, **kw))
-    for K in (torus7(), rp2_6(), torus_grid(4, "degree-one")):
+                        lambda *A, **kw: runs.append(
+                            "sparse " + kw["_track"]) or real_snf(*A, **kw))
+    forest = ["incidence", "signed"]
+    factor_two = ["incidence", "signed None", "sparse u"]
+    other = [["sparse v", "signed None", "sparse u"], None,
+             ["sparse v", "signed"]]
+    for K, one in ((torus7(), forest), (rp2_6(), factor_two),
+                   (klein8(), factor_two),
+                   (torus_grid(4, "degree-one"), forest)):
         for d in range(K.dim + 1):
-            tracks.clear()
+            runs.clear()
             HomologyDecomposition(K, d)
-            assert tracks == (["u"] if d == 1 else ["v", "u"])
+            assert runs == (one if d == 1 else other[d]), (K.name, d)
+
+
+def test_degree_one_builds_only_the_cycles_that_name_classes():
+    """Of the fundamental cycles, the kernel columns of V_A, the degree-1
+    decomposition builds only those that K' combines: one per free class
+    on the forest path (torus, grid), those of U_C^-1's columns on the
+    sparse one (klein)."""
+    for K in (torus7(), klein8(), torus_grid(5, "named-cycles")):
+        dec = HomologyDecomposition(K, 1)
+        rA = dec._rankA
+        read = sorted({rA + k for j in dec._kprime
+                       for k in dec._snfC.u_inv_cols[j]})
+        built = [j for j, line in enumerate(dec._snfA.v_cols._lines)
+                 if line is not None]
+        assert built == read
+        assert len(built) < K.n_simplices(1) - rA
+        if K.name != "klein-8":
+            assert len(built) == dec.betti
 
 
 def test_mod_decomposition_group_order_matches_uct(tc, torus, rp2, klein, mobius):

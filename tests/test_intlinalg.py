@@ -10,7 +10,9 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from homnorm.fixtures import SUITE
+from homnorm.homology import _boundary_rows, _combination
 from homnorm.intlinalg import (incidence_smith_normal_form,
+                               signed_graph_smith_normal_form,
                                sparse_smith_normal_form)
 
 from conftest import moore_space, small_corpus, torus_grid
@@ -165,13 +167,16 @@ def test_snf_matches_reference_on_grid_boundaries(k):
 
 def _assert_same_incidence_form(faces, n_vertices):
     """The incidence path gives the sparse form's rank, diagonal and
-    kernel lines of V and V^-1, and None for the pivot lines."""
+    kernel lines of V and V^-1, and None for the pivot lines; no column of
+    V is built before it is read."""
     rows = [{} for _ in range(n_vertices)]
     for j, fs in enumerate(faces):
         for i, sign in fs:
             rows[i][j] = sign
     ref = sparse_smith_normal_form(rows, len(faces), _track="v")
     got = incidence_smith_normal_form(faces, n_vertices)
+    # The cycles are built as they are read.
+    assert got.v_cols._lines == [None] * len(faces)
     r = ref.rank
     assert got.rank == r
     assert got.diag == ref.diag
@@ -232,6 +237,120 @@ def test_incidence_form_matches_the_sparse_form_on_random_graphs():
     _assert_same_incidence_form(faces, 12)
     _assert_same_incidence_form([], 0)
     assert all((kind, True) in seen for kind, _ in seen)
+
+
+def _assert_same_signed_form(rows, cols):
+    """The signed-graph path gives the sparse form's diagonal and kernel
+    lines of U and U^-1, None for the pivot lines, and leaves the rows as
+    they were; it gives None exactly where the sparse form has a factor 2
+    or a row is not at most two entries of +-1.  Returns the form."""
+    before = [dict(row) for row in rows]
+    ref = sparse_smith_normal_form([dict(row) for row in rows], cols,
+                                   _track="u")
+    got = signed_graph_smith_normal_form(rows, cols)
+    assert rows == before
+    signed = all(len(row) <= 2 and all(x in (1, -1) for x in row.values())
+                 for row in rows)
+    if not signed or 2 in ref.diag:
+        assert got is None
+        return None
+    assert set(ref.diag) <= {0, 1}
+    r = ref.rank
+    assert got.rank == r
+    assert got.diag == ref.diag
+    assert got.u_rows[r:] == ref.u_rows[r:]
+    assert got.u_inv_cols[r:] == ref.u_inv_cols[r:]
+    assert got.u_rows[:r] == got.u_inv_cols[:r] == [None] * r
+    assert got.v_cols is None and got.v_inv_rows is None
+    return got
+
+
+def _next_boundaries(K):
+    """Of each degree d of K: the next boundary in kernel coordinates, as
+    ``HomologyDecomposition`` forms it, and the boundary of degree d + 1,
+    each as (rows, cols)."""
+    for d in range(K.dim + 1):
+        n = K.n_simplices(d)
+        A = (incidence_smith_normal_form(K.faces(1), K.n_simplices(0))
+             if d == 1 else sparse_smith_normal_form(_boundary_rows(K, d), n,
+                                                     _track="v"))
+        B = _boundary_rows(K, d + 1)
+        m = K.n_simplices(d + 1)
+        yield [_combination(A.v_inv_rows[i], B)
+               for i in range(A.rank, n)], m
+        yield B, m
+
+
+@pytest.mark.parametrize("K", _incidence_fixtures(), ids=lambda K: K.name)
+def test_signed_form_matches_the_sparse_form_on_fixtures(K):
+    for rows, cols in _next_boundaries(K):
+        _assert_same_signed_form(rows, cols)
+
+
+def test_signed_form_covers_both_branches_on_fixtures():
+    """In degree 1 the forest answers C of every fixture but those with a
+    factor 2 (rp2, klein, M_2) or more than two triangles on an edge (M_4,
+    M_6), which C sends to the sparse form."""
+    fallback = {"rp2-6", "klein-8", "moore-2", "moore-4-6"}
+    for K in _incidence_fixtures():
+        if K.dim == 2:
+            rows, cols = next(itertools.islice(_next_boundaries(K), 2, 3))
+            answered = signed_graph_smith_normal_form(rows, cols) is not None
+            assert answered == (K.name not in fallback), K.name
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_signed_form_matches_the_sparse_form_on_grids(k):
+    for weights in ((1, 1, 1), (1, 2, Fraction(3, 2))):
+        for seed in (None, "signed-1", "signed-2", "signed-3"):
+            for rows, cols in _next_boundaries(torus_grid(k, seed, weights)):
+                _assert_same_signed_form(rows, cols)
+
+
+def _random_signed_rows(rng, cols, n_rows):
+    """Rows of zero, one or two entries of +-1 on ``cols`` columns."""
+    rows = []
+    for _ in range(n_rows):
+        k = min(cols, rng.choice([0, 1, 1, 2, 2, 2, 2]))
+        rows.append({c: rng.choice((1, -1))
+                     for c in rng.sample(range(cols), k)})
+    return rows
+
+
+def test_signed_form_matches_the_sparse_form_on_random_rows():
+    rng = random.Random("signed")
+    seen = set()
+    for _ in range(1500):
+        cols = rng.randint(0, 9)
+        rows = _random_signed_rows(rng, cols, rng.randint(0, 13))
+        got = _assert_same_signed_form(rows, cols)
+        seen.add(("factor 2", got is None))
+        seen.add(("empty row", any(not row for row in rows)))
+        seen.add(("one-entry row", any(len(row) == 1 for row in rows)))
+        seen.add(("zero column",
+                  len({c for row in rows for c in row}) < cols))
+        if got is not None:
+            kernel = [v for line in got.u_rows[got.rank:]
+                      for v in line.values()]
+            # A balanced cycle closes with a residual 0, an unbalanced one
+            # in a grounded group with 2, pushed up to the ground.
+            seen.add(("balanced cycle", any(abs(v) == 1 for v in kernel[1:])))
+            seen.add(("grounded unbalanced cycle",
+                      any(abs(v) == 2 for v in kernel)))
+    assert all((kind, True) in seen for kind, _ in seen)
+    # Other shapes go to the sparse form.
+    for rows, cols in [([{0: 1, 1: 1, 2: -1}], 3), ([{0: 2}], 1),
+                       ([{0: 1, 1: -3}], 2), ([{0: 1}, {0: -1, 1: 2}], 2)]:
+        assert _assert_same_signed_form(rows, cols) is None
+    # An unbalanced triangle is 2 until a one-entry row grounds its group;
+    # then row 2, swapped to position 3, closes with a residual 2 on column
+    # 2, which the grounding row takes with coefficient -2.
+    odd = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: -1, 2: -1}]
+    assert _assert_same_signed_form(odd, 3) is None
+    assert _assert_same_signed_form(odd + [{2: -1}], 3).u_rows[3] == \
+        {2: 1, 0: 1, 1: -1, 3: -2}
+    _assert_same_signed_form([], 0)
+    _assert_same_signed_form([{}, {}], 0)
 
 
 def test_mul_vec_matches_dense_product():
