@@ -14,6 +14,9 @@ at most two entries of +-1, as in degree 1 on a surface (one per triangle
 on a non-forest edge), ``signed_graph_smith_normal_form`` replays its
 reduction on a dual spanning forest, and the sparse form runs only where
 that returns None, for a factor 2 as on rp2 and the Klein bottle.  The
+first form of the top degree goes the same way, tracking V, where each
+(d-1)-simplex lies on at most two d-simplices; it returns None on the
+closed non-orientable tops.  The
 other forms reduce sparse rows built from ``WeightedComplex.faces``, and
 every change of basis (into kernel coordinates, to class coordinates and
 back to chains) walks only the nonzero entries of their sparse transforms.
@@ -132,12 +135,19 @@ class HomologyDecomposition:
         # Only V_A, V_A^-1, U_C and U_C^-1 are read below, and of each
         # only the kernel lines when every pivot is a unit: the incidence
         # and signed-graph paths form no others, and the incidence path
-        # forms a kernel column of V_A only when K' reads it.
-        self._snfA: SNFResult = (
-            incidence_smith_normal_form(K.faces(1), K.n_simplices(0))
-            if degree == 1 else sparse_smith_normal_form(
-                _boundary_rows(K, degree), n_simp, _track="v"))
-        rA = self._snfA.rank
+        # forms a kernel column of V_A only when K' reads it.  The top
+        # boundary is a signed graph on the top simplices where each
+        # (d-1)-simplex lies on at most two of them.
+        if degree == 1:
+            snfA = incidence_smith_normal_form(K.faces(1), K.n_simplices(0))
+        else:
+            a_rows = _boundary_rows(K, degree)
+            snfA = degree == K.dim and signed_graph_smith_normal_form(
+                a_rows, n_simp, _track="v")
+            snfA = snfA or sparse_smith_normal_form(a_rows, n_simp,
+                                                    _track="v")
+        self._snfA: SNFResult = snfA
+        rA = snfA.rank
         self._rankA = rA
         z = n_simp - rA
         # Boundaries in kernel coordinates, C = (V_A^-1 B)[r_A:], row by
@@ -193,6 +203,13 @@ class HomologyDecomposition:
         # Rows of U_C V_A^-1[r_A:] by U_C row, built on first use; they
         # depend only on the simplices, so rebound siblings share them.
         self._cocycles: dict[int, dict[int, int]] = {}
+
+    @cached_property
+    def _torsion_diag(self) -> tuple[tuple[int, int], ...]:
+        """(j, D_jj) of each invariant factor of A above 1, which every
+        modulus reads for its cotorsion, made on the first modulus."""
+        diag = self._snfA.diag[:self._rankA]
+        return tuple((j, e) for j, e in enumerate(diag) if e != 1)
 
     # -- coordinates of cycles, representatives of classes ------------------
 
@@ -372,11 +389,10 @@ class ModDecomposition:
     """
 
     def __init__(self, dec: HomologyDecomposition, n: int):
-        diag = dec._snfA.diag
         # (j, g_j) of each summand Z/g_j with g_j > 1, one per cotorsion
-        # generator; a lift has n/g_j | y_j.
+        # generator; a lift has n/g_j | y_j.  A unit D_jj gives g_j = 1.
         self._cotorsion_pairs = tuple(
-            (j, g) for j in range(dec._rankA) if (g := gcd(diag[j], n)) > 1)
+            (j, g) for j, e in dec._torsion_diag if (g := gcd(e, n)) > 1)
         # Each cotorsion generator's order, all that a class reads of it.
         self.cotorsion_orders = tuple(g for _, g in self._cotorsion_pairs)
         # The generators' nonzero entries; ``cotorsion`` lists them densely.

@@ -40,10 +40,11 @@ An incidence matrix, the degree-1 boundary, has all its pivots units, and
 ``incidence_smith_normal_form`` replays the same reduction on sets of
 edges, one per group of vertices, to the same kernel lines of V and V^-1.
 Rows of at most two entries of +-1, such as the next boundary of a surface
-in kernel coordinates, are a signed graph on the columns, and
-``signed_graph_smith_normal_form`` replays their reduction, tracking U, as
-Kruskal's forest with a signed union-find, to the same kernel lines of U
-and U^-1, or returns None where the sparse form has a factor 2.
+in kernel coordinates or the top boundary of a pseudomanifold, are a
+signed graph on the columns, and ``signed_graph_smith_normal_form``
+replays their reduction as Kruskal's forest with a signed union-find, to
+the same kernel lines of U and U^-1, of V and V^-1, or of both, or returns
+None where the sparse form has a factor 2.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class SNFResult:
     diag[j] = 1; every other line, and all of U and V, is kept, except
     that ``incidence_smith_normal_form`` leaves the pivot columns of V
     (j < rank) unformed, None, and ``signed_graph_smith_normal_form`` the
-    pivot rows of U, as neither has a reader for them.  The kernel columns
-    of V from ``incidence_smith_normal_form`` are each built on first
-    read.
+    pivot rows of U and columns of V, as neither has a reader for them.
+    The kernel columns of V from ``incidence_smith_normal_form`` are each
+    built on first read.
     """
 
     def __init__(self, diag: tuple[int, ...], u_rows: Lines,
@@ -505,9 +506,9 @@ def incidence_smith_normal_form(faces: Sequence[Sequence[tuple[int, int]]],
                      vi)
 
 
-def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int
-                                   ) -> Optional[SNFResult]:
-    """``sparse_smith_normal_form(rows, cols, _track="u")`` of rows that
+def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int, *,
+                                   _track: str = "u") -> Optional[SNFResult]:
+    """``sparse_smith_normal_form(rows, cols, _track=_track)`` of rows that
     each hold at most two entries of +-1, on the lines its readers use, or
     None where that form has a factor 2 or a row has another shape.
 
@@ -520,20 +521,29 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int
     closes an unbalanced cycle in a group that is not grounded.  So the
     pivots are Kruskal's forest in row order, found with a signed
     union-find over the columns and G; the row swaps move only dead rows
-    forward, and are replayed on positions.  Column labels are not: they
-    only decide which group is folded into which.  A +-2 left at the end,
-    in a group never grounded, would make the sparse form reduce a pivot
-    that is not a unit, and then None is returned.
+    forward, and are replayed on positions.  Each group keeps one column
+    outside the pivots, its root, and the pivot column of a row is the
+    root of lower position among its entries, which is folded into the
+    other root or G; where V is formed, the column swaps are replayed on
+    positions too (U needs only the pivot rows).  A +-2
+    left at the end, in a group never grounded, would make the sparse form
+    reduce a pivot that is not a unit, and then None is returned.
 
-    With all pivots units, ``diag`` is that of the sparse form, U^-1
-    changes only by the swaps, so its kernel column j is the unit column
-    of the row r at position j, and row j of U is the one y with y_r = 1,
-    supported on r and the pivot rows, whose combination of the rows is
-    0, which ``_forest_kernel`` builds.  The pivot lines of U and U^-1 are
-    None, and V is not tracked.
+    With all pivots units, ``diag`` is that of the sparse form.  U^-1
+    changes only by the row swaps, so its kernel column j is the unit
+    column of the row r at position j, and row j of U is the one y with
+    y_r = 1, supported on r and the pivot rows, whose combination of the
+    rows is 0, which ``_forest_kernel`` builds.  Likewise V^-1 changes only
+    by the column swaps, so its kernel row j is the unit row of the column
+    c at position j, the root of a group never grounded; column j of V is
+    the one x with x_c = 1, supported on c and the pivot columns, with
+    rows x = 0: the group of c with the sign of each column's entry at c.
+    ``_track`` names the pairs to form, as in the sparse form; the pivot
+    lines of a formed pair are None.
     """
     n_rows = len(rows)
     ground = cols
+    track_v = "v" in _track
     # sign[x] takes an entry on column x to the group of parent[x]; G is
     # always the root of its group, whose signs are never read.
     parent = list(range(cols + 1))
@@ -555,6 +565,9 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int
     # entry.
     ends: list[Sequence[tuple[int, int]]] = []
     at = list(range(n_rows))  # position -> row
+    if track_v:
+        col_at = list(range(cols))  # position -> column
+        label = list(range(cols + 1))  # column -> position, G past the last
     # The group of each row that closes an unbalanced cycle: the row is
     # left +-2 unless the group is grounded later.
     odd = []
@@ -582,7 +595,16 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int
             if ra != ground and sa * xa == sb * xb:
                 odd.append(ra)
             continue
-        if ra == ground:
+        if track_v:
+            # The pivot column, of lower position, folds into the other
+            # root, and swaps to position t; G is past every column.
+            if label[rb] < label[ra]:
+                ra, rb = rb, ra
+            p, c = label[ra], col_at[t]
+            col_at[t], col_at[p] = ra, c
+            label[ra], label[c] = t, p
+        elif ra == ground:
+            # U needs only that G stays a root.
             ra, rb = rb, ra
         parent[ra] = rb
         sign[ra] = -sa * xa * sb * xb
@@ -591,10 +613,20 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int
     if any(find(x)[0] != ground for x in odd):
         return None
     rank = t
-    line = _forest_kernel(ends, at[:rank], cols)
-    u: list[Optional[SparseLine]] = [None] * rank
-    ui: list[Optional[SparseLine]] = [None] * rank
-    u += map(line, at[rank:])
-    ui += ({r: 1} for r in at[rank:])
+    u = ui = v = vi = None
+    if "u" in _track:
+        line = _forest_kernel(ends, at[:rank], cols)
+        u = [None] * rank
+        u += map(line, at[rank:])
+        ui = [None] * rank
+        ui += ({r: 1} for r in at[rank:])
+    if track_v:
+        groups: dict[int, SparseLine] = {c: {} for c in col_at[rank:]}
+        for x in range(cols):
+            root, s = find(x)
+            if root != ground:
+                groups[root][x] = s
+        v = [None] * rank + [groups[c] for c in col_at[rank:]]
+        vi = [None] * rank + [{c: 1} for c in col_at[rank:]]
     diag = (1,) * rank + (0,) * (min(n_rows, cols) - rank)
-    return SNFResult(diag, u, ui, None, None)
+    return SNFResult(diag, u, ui, v, vi)

@@ -45,7 +45,12 @@ complex; any order gives the same values and minimizers.  Each call
 echelonizes its lattice from the faces of the (d+1)-simplices
 (``_echelon_columns``): each row reduces only the columns whose first
 nonzero row it is, and the entries stay in (-n, n), so the n*e_r columns
-past a unit pivot vanish and the pivot columns stay short.  Every row is a
+past a unit pivot vanish and the pivot columns stay short.  The rows
+before the first one where the reduction could depend on n take the same
+operations at every modulus, so that prefix is reduced once per row order
+and kept in the complex's memo beside it (``_echelon_prefix``); each call
+resumes from it.  On an orientable surface the boundaries are totally
+unimodular and the prefix is the whole order.  Every row is a
 pivot row, a node fixes the rows up to its pivot, and the lattice alone
 fixes the pivot entries and the congruence class of the candidates, so the
 values, minimizers and node counts are those of any echelon basis.  Each
@@ -165,8 +170,72 @@ def _zero_report(K: WeightedComplex, d: int, c: ClassCoords,
                      (Chain.zero(K, d, c.ring),), True, cert, 0)
 
 
+def _unit_cleared(b: dict[int, int], a: dict[int, int], q: int
+                  ) -> Optional[dict[int, int]]:
+    """b - q*a as ``_echelon_columns`` forms it in place, keys in the same
+    order, but on a copy, so that a row of the prefix can stop with its
+    columns as they were: None where an entry would leave {-1, 0, 1}."""
+    b = dict(b)
+    for i, v in a.items():
+        if x := b.get(i, 0) - q * v:
+            if x * x > 1:
+                return None
+            b[i] = x
+        else:
+            del b[i]  # q*v != 0, so b held q*v at i
+    return b
+
+
+# The pivot column of each row of an echelon prefix, and the buckets of the
+# rows after it.
+_Prefix = tuple[list[Optional[dict[int, int]]], list[list[dict[int, int]]]]
+
+
+def _echelon_prefix(columns: Sequence[Iterable[tuple[int, int]]],
+                    row_order: Sequence[int]) -> _Prefix:
+    """The part of ``_echelon_columns`` along ``row_order`` that is the same
+    for every modulus: the rows up to the first one whose least leading
+    |entry| is not 1, or where a column operation would leave an entry
+    outside {-1, 0, 1}.
+
+    Before that row the n*e_r column never becomes a pivot nor joins a
+    later bucket, and no entry is reduced mod n, so every modulus takes
+    the same operations.  Returns the pivot column of each row before it
+    (None for a row that no column starts at, whose pivot is n*e_r) and
+    the buckets from it on, to resume from.
+    """
+    pos = {r: k for k, r in enumerate(row_order)}.__getitem__
+    buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
+    for col in columns:
+        if col:
+            col = dict(col)
+            buckets[min(map(pos, col))].append(col)
+    shared: list[Optional[dict[int, int]]] = []
+    for k, r in enumerate(row_order):
+        nz = sorted(buckets[k], key=lambda col: (abs(col[r]), len(col)))
+        if not nz:
+            shared.append(None)
+            continue
+        a = nz[0]
+        s = a[r]
+        if s * s != 1:
+            break
+        cleared = [_unit_cleared(b, a, b[r] * s) for b in nz[1:]]
+        if None in cleared:
+            break
+        for b in cleared:
+            if b:
+                buckets[min(map(pos, b))].append(b)
+        if s < 0:
+            for i in a:
+                a[i] = -a[i]
+        shared.append(a)
+    return shared, buckets[len(shared):]
+
+
 def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
-                     row_order: Sequence[int], modulus: int
+                     row_order: Sequence[int], modulus: int,
+                     prefix: Optional[_Prefix] = None
                      ) -> list[tuple[int, dict[int, int]]]:
     """Unimodular column reduction to echelon form along ``row_order`` of
     the lattice spanned by ``columns`` and n*e_r for every row r, n the
@@ -187,20 +256,28 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
     becomes zero mod n, such as the n*e_r column past a unit pivot, leaves
     the reduction.
 
+    The rows up to the first one where the reduction could depend on n are
+    reduced by ``_echelon_prefix``, whose result ``prefix`` may carry in
+    from an earlier call on the same columns and order: its pivot columns
+    are shared, not copied, and the reduction resumes on copies of its
+    remaining columns.  On an orientable surface, whose boundaries are
+    totally unimodular, it covers every row.
+
     Returns (pivot_row, column) pairs; each pivot column has a positive
     entry at its pivot row and zeros at all earlier rows of the order.
     Column operations preserve the spanned lattice, so the pivot rows and
     entries are those of any echelon basis of it along the order.
     """
-    pos = {r: k for k, r in enumerate(row_order)}.__getitem__
+    shared, rest = prefix or _echelon_prefix(columns, row_order)
     n = modulus
-    buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
-    for col in columns:
-        if col:
-            col = dict(col)
-            buckets[min(map(pos, col))].append(col)
-    result: list[tuple[int, dict[int, int]]] = []
-    for k, r in enumerate(row_order):
+    result = [(r, col or {r: n}) for r, col in zip(row_order, shared)]
+    if not rest:
+        return result
+    # The remaining columns are zero on the rows of the prefix.
+    rows = row_order[len(shared):]
+    pos = {r: k for k, r in enumerate(rows)}.__getitem__
+    buckets = [[dict(col) for col in bucket] for bucket in rest]
+    for k, r in enumerate(rows):
         nz = buckets[k]
         nz.append({r: n})
         while len(nz) > 1:
@@ -807,8 +884,15 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         scale = lcm(w_scale, family[0]) if family else w_scale
         wnum = [w * (scale // w_scale) for w in wnum]
     # Rows by decreasing weight, then outward from z0 over the faces; the
-    # echelon of the boundary lattice plus n*Z^m along them.
-    pivots = _echelon_columns(K.faces(d + 1), _row_order(K, d, z0), n)
+    # echelon of the boundary lattice plus n*Z^m along them, resumed from
+    # its modulus-free prefix, which K's memo keeps beside the row order
+    # for the searches of every modulus along it.
+    columns, order = K.faces(d + 1), _row_order(K, d, z0)
+    cached = K._memo.get(("echelon", d))
+    if cached is None or cached[0] is not order:
+        cached = K._memo["echelon", d] = (
+            order, _echelon_prefix(columns, order))
+    pivots = _echelon_columns(columns, order, n, cached[1])
     best, sols, exact, nodes = _search_lattice(
         wnum, z0, pivots, cap, faces=K.faces(d), modulus=n, phi=phi,
         value_only=value_only,

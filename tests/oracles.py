@@ -14,7 +14,9 @@ nodes, minimizers and order the engines' search must reproduce (and whose
 minimizers and order it must keep when it prunes on a bound),
 ``reference_echelon_columns`` the dense column echelon, with every n * e_r
 column listed up front, whose pivot rows, pivot entries and lattice the
-sparse one must reproduce,
+sparse one must reproduce, ``reference_bucket_echelon`` the sparse bucket
+reduction run afresh for each modulus, whose pairs the one that resumes
+from a modulus-free prefix must reproduce exactly,
 ``ReferenceModDecomposition`` the mod-n decomposition that presents the
 lifted cycle lattice modulo boundaries and n * chains and runs Smith normal
 forms of its own for each n, against which the closed-form one is checked,
@@ -682,6 +684,48 @@ def reference_echelon_columns(columns: list[list[int]],
             for i in range(len(piv)):
                 piv[i] = -piv[i]
         active.remove(piv)
+        result.append((r, piv))
+    return result
+
+
+def reference_bucket_echelon(columns, row_order: Sequence[int],
+                             modulus: int) -> list[tuple[int, dict[int, int]]]:
+    """The bucket reduction of ``homnorm.optimize._echelon_columns`` run
+    afresh from the first row for one modulus, with no prefix shared
+    across moduli: the reference whose pairs, pivot columns with their key
+    order included, the engine's resumed reduction must reproduce at every
+    modulus."""
+    pos = {r: k for k, r in enumerate(row_order)}.__getitem__
+    n = modulus
+    buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
+    for col in columns:
+        if col:
+            col = dict(col)
+            buckets[min(map(pos, col))].append(col)
+    result: list[tuple[int, dict[int, int]]] = []
+    for k, r in enumerate(row_order):
+        nz = buckets[k]
+        nz.append({r: n})
+        while len(nz) > 1:
+            nz.sort(key=lambda col: (abs(col[r]), len(col)))
+            a = nz[0]
+            for b in nz[1:]:
+                q = b[r] // a[r]
+                for i, v in a.items():
+                    x = b.get(i, 0) - q * v
+                    if not -n < x < n:
+                        x %= n
+                    if x:
+                        b[i] = x
+                    elif i in b:
+                        del b[i]
+                if b and r not in b:
+                    buckets[min(map(pos, b))].append(b)
+            nz = [col for col in nz if r in col]
+        piv = nz[0]
+        if piv[r] < 0:
+            for i in piv:
+                piv[i] = -piv[i]
         result.append((r, piv))
     return result
 

@@ -11,9 +11,11 @@ rule, arithmetic, row or column order).
 ``homology`` in every degree, ``norm`` over Z, Z/2, Z/3, Z/4 and Z/6
 (cotorsion classes included, twice the rp2 fundamental chain, which is a
 mod-4 cycle in the cotorsion class, and the horizontal loop of a relabelled
-grid, both given as chains), ``scan``, ``federer`` (one on a relabelled
-weighted grid) and ``sweep`` in both formats (a sweep with an unsorted,
-repeated modulus list included), ``bijection`` and ``lift``.  Every
+grid, both given as chains), ``scan`` (in degree 2 on the identity-labelled
+grid4a and on two relabelled grids, whose ``homology`` in degree 2 is
+pinned too), ``federer`` (one on a relabelled weighted grid) and ``sweep``
+in both formats (a sweep with an unsorted, repeated modulus list
+included), ``bijection`` and ``lift``.  Every
 reported basis cycle, cotorsion generator and minimizer is read off Smith
 normal form transforms, so any change to the SNF that moves a transform
 shows up here.  ``record_golden.py`` re-records the ``nodes_explored``
@@ -70,6 +72,10 @@ SEEDED_GRIDS = {
         ("grid5sa", 5, 13, (1, 2, Fraction(3, 2))),
     ]}
 
+# A unit and an anisotropic relabelled grid whose top degree, as in the
+# benchmark's degree-2 scans, is pinned beside the identity-labelled grid4a.
+RELABELLED_TOPS = ("grid4s", "grid5sa")
+
 GRID3R_LOOP = horizontal_loop(grid3r(), 3, seed=7)
 MOBIUS_RIM = ",".join(str(i) for i in mobius_boundary_indices(mobius_band()))
 RP2_FUNDAMENTAL = ",".join(f"{i}=1" for i in range(10))
@@ -117,6 +123,7 @@ INTEGRAL = (
      for name, top in (("tc", 1), ("torus", 2), ("rp2", 2), ("klein", 2),
                        ("mobius", 2), ("grid4a", 2))
      for d in range(top + 1)]
+    + [f"homology {name} --dim 2" for name in RELABELLED_TOPS]
     + [f"norm {name} --dim {d} {payload} --ring {ring}"
        for name, d, payload, rings in [
            ("tc", 1, "--class f:1", ("Z", "Z/2", "Z/3")),
@@ -147,6 +154,7 @@ INTEGRAL = (
            ("rp2", 1, "t:1", "2..6"),
            ("klein", 1, "f:1;t:0", "2..6"),
            ("grid4a", 2, "f:1", "2..4"),
+           *((name, 2, "f:1", "2..4") for name in RELABELLED_TOPS),
        ]
        for fmt in ("", " --format report")]
     + [f"bijection {name} --dim 1 --class {klass} --n {n}"

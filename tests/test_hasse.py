@@ -843,9 +843,10 @@ class _CountingMemo(dict):
 
 
 def test_searches_reuse_the_row_order_and_level_families(monkeypatch):
-    """A modulus scan and a Federer sequence build the row order once per
-    (complex, degree, seed faces) and the level family once per free
-    index; a reweighted sibling builds its own."""
+    """A modulus scan and a Federer sequence build the row order and the
+    modulus-free prefix of its echelon once per (complex, degree, seed
+    faces) and the level family once per free index; a reweighted sibling
+    builds its own."""
     calls = []
     row_order = optimize._row_order
 
@@ -854,7 +855,7 @@ def test_searches_reuse_the_row_order_and_level_families(monkeypatch):
         return row_order(K, d, z0)
 
     monkeypatch.setattr(optimize, "_row_order", counted)
-    tables = [("weights", 1), ("order", 1), ("levels", 0)]
+    tables = [("weights", 1), ("order", 1), ("echelon", 1), ("levels", 0)]
     K = torus7()
     K._memo = memo = _CountingMemo()
     scan_moduli(K, 1, _gen(homology_decomposition(K, 1)), 2, 8)
@@ -863,7 +864,7 @@ def test_searches_reuse_the_row_order_and_level_families(monkeypatch):
     M = mobius_band()
     M._memo = mobius_memo = _CountingMemo()
     federer_sequence(M, 1, _gen(homology_decomposition(M, 1)), 4)
-    assert len(calls) == 10 and mobius_memo.builds == tables[:2]
+    assert len(calls) == 10 and mobius_memo.builds == tables[:3]
 
     K2 = K.with_scaled_weights(1, [0], Fraction(1, 2))
     assert not K2._memo

@@ -1,5 +1,6 @@
 """Homology decompositions, class coordinates, reductions and the kernel lemma."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,8 +8,8 @@ from math import gcd, lcm
 import pytest
 
 from homnorm.complexes import Chain, NotACycleError, WeightedComplex
-from homnorm.fixtures import (SUITE, MOBIUS_CORE_EDGES, klein8, rp2_6,
-                              torus7)
+from homnorm.fixtures import (SUITE, MOBIUS_CORE_EDGES, klein8, mobius_band,
+                              rp2_6, torus7)
 from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
                               reduce_class)
@@ -245,38 +246,54 @@ def test_mod_decomposition_runs_no_smith_normal_form(monkeypatch):
 
 
 def test_decomposition_runs_the_form_each_boundary_allows(monkeypatch):
-    """Per degree, the forms that run: in degree 1 the incidence path for
-    the boundary, else the sparse form (tracking V); for the next boundary
-    in kernel coordinates the signed-graph path, and the sparse form
-    (tracking U) where it returns None, for a factor 2 (rp2, klein) or a
-    row of more than two entries (the vertex rows of degree 0)."""
+    """Per degree, the forms that run.  For the boundary: in degree 1 the
+    incidence path; in the top degree the signed-graph path tracking V,
+    and the sparse form (tracking V) where it returns None, for a factor 2
+    (the closed non-orientable rp2 and klein, M_2) or an edge on more than
+    two triangles (M_3); in any other degree the sparse form.  For the
+    next boundary in kernel coordinates the signed-graph path tracking U,
+    and the sparse form (tracking U) where it returns None, for a factor 2
+    (rp2, klein, M_2 in degree 1) or a row of more than two entries (M_3
+    in degree 1, the vertex rows of degree 0)."""
     import homnorm.homology as homology
     runs = []
 
-    def spy(name, form):
+    def spy(name, form, track=False):
         def run(*args, **kw):
             res = form(*args, **kw)
-            runs.append(name + ("" if res else " None"))
+            runs.append(name + (" " + kw.get("_track", "u") if track else "")
+                        + ("" if res else " None"))
             return res
         monkeypatch.setattr(homology, form.__name__, run)
 
     spy("incidence", homology.incidence_smith_normal_form)
-    spy("signed", homology.signed_graph_smith_normal_form)
+    spy("signed", homology.signed_graph_smith_normal_form, track=True)
     real_snf = homology.sparse_smith_normal_form
     monkeypatch.setattr(homology, "sparse_smith_normal_form",
                         lambda *A, **kw: runs.append(
                             "sparse " + kw["_track"]) or real_snf(*A, **kw))
-    forest = ["incidence", "signed"]
-    factor_two = ["incidence", "signed None", "sparse u"]
-    other = [["sparse v", "signed None", "sparse u"], None,
-             ["sparse v", "signed"]]
-    for K, one in ((torus7(), forest), (rp2_6(), factor_two),
-                   (klein8(), factor_two),
-                   (torus_grid(4, "degree-one"), forest)):
-        for d in range(K.dim + 1):
+    forest = ["incidence", "signed u"]
+    factor_two = ["incidence", "signed u None", "sparse u"]
+    zero = ["sparse v", "signed u None", "sparse u"]
+    top = ["signed v", "signed u"]
+    top_factor_two = ["signed v None", "sparse v", "signed u"]
+    for K, one, two in ((torus7(), forest, top),
+                        (rp2_6(), factor_two, top_factor_two),
+                        (klein8(), factor_two, top_factor_two),
+                        (mobius_band(), forest, top),
+                        (moore_space(2), factor_two, top_factor_two),
+                        (moore_space(3), factor_two, top_factor_two),
+                        (torus_grid(4, "degree-one"), forest, top)):
+        for d, want in enumerate((zero, one, two)):
             runs.clear()
             HomologyDecomposition(K, d)
-            assert runs == (one if d == 1 else other[d]), (K.name, d)
+            assert runs == want, (K.name, d)
+    # Below the top degree the boundary goes to the sparse form.
+    solid = WeightedComplex("solid", [list(itertools.combinations(
+        range(4), k)) for k in range(1, 5)])
+    runs.clear()
+    HomologyDecomposition(solid, 2)
+    assert runs == ["sparse v", "signed u"]
 
 
 def test_degree_one_builds_only_the_cycles_that_name_classes():

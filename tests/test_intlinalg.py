@@ -241,28 +241,44 @@ def test_incidence_form_matches_the_sparse_form_on_random_graphs():
 
 def _assert_same_signed_form(rows, cols):
     """The signed-graph path gives the sparse form's diagonal and kernel
-    lines of U and U^-1, None for the pivot lines, and leaves the rows as
-    they were; it gives None exactly where the sparse form has a factor 2
-    or a row is not at most two entries of +-1.  Returns the form."""
+    lines of U and U^-1 (tracking U), of V and V^-1 (tracking V), or of
+    all four from one replay, None for the pivot lines of each pair it
+    forms and None for a pair it does not, and leaves the rows as they
+    were; it gives None exactly where the sparse form has a factor 2 or a
+    row is not at most two entries of +-1.  Returns the form tracking
+    U."""
     before = [dict(row) for row in rows]
     ref = sparse_smith_normal_form([dict(row) for row in rows], cols,
-                                   _track="u")
-    got = signed_graph_smith_normal_form(rows, cols)
+                                   _track="uv")
+    # Tracking U by default.
+    forms = [("u", signed_graph_smith_normal_form(rows, cols))]
+    forms += [(track, signed_graph_smith_normal_form(rows, cols,
+                                                     _track=track))
+              for track in ("v", "uv")]
     assert rows == before
     signed = all(len(row) <= 2 and all(x in (1, -1) for x in row.values())
                  for row in rows)
     if not signed or 2 in ref.diag:
-        assert got is None
+        assert all(got is None for _, got in forms)
         return None
     assert set(ref.diag) <= {0, 1}
     r = ref.rank
-    assert got.rank == r
-    assert got.diag == ref.diag
-    assert got.u_rows[r:] == ref.u_rows[r:]
-    assert got.u_inv_cols[r:] == ref.u_inv_cols[r:]
-    assert got.u_rows[:r] == got.u_inv_cols[:r] == [None] * r
-    assert got.v_cols is None and got.v_inv_rows is None
-    return got
+    for track, got in forms:
+        assert got.rank == r
+        assert got.diag == ref.diag
+        if "u" in track:
+            assert got.u_rows[r:] == ref.u_rows[r:]
+            assert got.u_inv_cols[r:] == ref.u_inv_cols[r:]
+            assert got.u_rows[:r] == got.u_inv_cols[:r] == [None] * r
+        else:
+            assert got.u_rows is None and got.u_inv_cols is None
+        if "v" in track:
+            assert got.v_cols[r:] == ref.v_cols[r:]
+            assert got.v_inv_rows[r:] == ref.v_inv_rows[r:]
+            assert got.v_cols[:r] == got.v_inv_rows[:r] == [None] * r
+        else:
+            assert got.v_cols is None and got.v_inv_rows is None
+    return forms[0][1]
 
 
 def _next_boundaries(K):
@@ -307,6 +323,30 @@ def test_signed_form_matches_the_sparse_form_on_grids(k):
                 _assert_same_signed_form(rows, cols)
 
 
+def test_signed_form_tracks_v_on_tops():
+    """On the top boundary, read off a dual forest tracking V: the lines
+    match the sparse form's on every fixture (mobius-gap has one-entry
+    rows), on Moore spaces and on identity and relabelled T3-T8 grids, and
+    the forest answers all but the closed non-orientable tops (rp2, klein
+    and M_2 have a factor 2) and M_3, M_4 and M_6, which have an edge on
+    more than two triangles."""
+    complexes = [make() for make in SUITE.values()]
+    complexes += [moore_space(2), moore_space(3), moore_space(4, 6)]
+    complexes += [torus_grid(k, seed) for k in range(3, 9)
+                  for seed in (None, f"top-{k}-1", f"top-{k}-2")]
+    fallback = {"rp2-6", "klein-8", "moore-2", "moore-3", "moore-4-6"}
+    for K in complexes:
+        rows, cols = _boundary_rows(K, K.dim), K.n_simplices(K.dim)
+        got = _assert_same_signed_form(rows, cols)
+        assert (got is None) == (K.name in fallback), K.name
+        if got is not None and K.name != "mobius-gap":
+            # A closed orientable surface: one kernel column, every
+            # triangle with the sign of its orientation.
+            v = signed_graph_smith_normal_form(rows, cols, _track="v")
+            assert len(v.v_cols) - v.rank == 1
+            assert sorted(v.v_cols[v.rank]) == list(range(cols))
+
+
 def _random_signed_rows(rng, cols, n_rows):
     """Rows of zero, one or two entries of +-1 on ``cols`` columns."""
     rows = []
@@ -337,6 +377,13 @@ def test_signed_form_matches_the_sparse_form_on_random_rows():
             seen.add(("balanced cycle", any(abs(v) == 1 for v in kernel[1:])))
             seen.add(("grounded unbalanced cycle",
                       any(abs(v) == 2 for v in kernel)))
+            v = signed_graph_smith_normal_form(rows, cols, _track="v")
+            cycles = v.v_cols[v.rank:]
+            seen.add(("lone column", any(len(x) == 1 for x in cycles)))
+            seen.add(("balanced group", any(-1 in x.values() and len(x) > 2
+                                            for x in cycles)))
+            seen.add(("several groups", len(cycles) > 1))
+            seen.add(("every group grounded", 0 < v.rank == cols))
     assert all((kind, True) in seen for kind, _ in seen)
     # Other shapes go to the sparse form.
     for rows, cols in [([{0: 1, 1: 1, 2: -1}], 3), ([{0: 2}], 1),

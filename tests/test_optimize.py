@@ -14,7 +14,8 @@ from conftest import (graph_complex, horizontal_loop, moore_space,
 from oracles import (IntMatrix, boundary_matrix, brute_force_min_int,
                      brute_force_min_mod, brute_force_min_real,
                      chain_vector, reduce_chain, reference_comass,
-                     reference_echelon_columns, reference_is_closed,
+                     reference_bucket_echelon, reference_echelon_columns,
+                     reference_is_closed,
                      reference_pairing, reference_search_lattice,
                      reference_split_lp, smith_normal_form)
 
@@ -22,7 +23,7 @@ from homnorm import homology, optimize
 from homnorm.complexes import (Chain, Cochain, WeightedComplex,
                                _at_integer_scale, _is_calibration,
                                dump_complex, mass)
-from homnorm.fixtures import SUITE, mobius_band, torus7
+from homnorm.fixtures import SUITE, mobius_band, rp2_6, torus7
 from homnorm.hasse import lift_minimizer
 from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
@@ -776,10 +777,10 @@ def _checked_search(monkeypatch):
     incidences, nodes, reference nodes, has cocycles) per search."""
     calls, built = [], []
 
-    def echelon(columns, row_order, modulus):
+    def echelon(columns, row_order, modulus, *prefix):
         columns = list(columns)
         built.append((columns, row_order))
-        return _echelon_columns(columns, row_order, modulus)
+        return _echelon_columns(columns, row_order, modulus, *prefix)
 
     def search(*args, faces, modulus, phi=None, value_only=False,
                cocycles=None):
@@ -1038,6 +1039,138 @@ def test_lazy_echelon_matches_dense_build():
                 assert all(_in_lattice(col, got) for _, col in want)
 
 
+def _pairs(pivots):
+    """Echelon pairs with each column's keys in order, for exact equality."""
+    return [(r, list(col.items())) for r, col in pivots]
+
+
+def _prefix_cases():
+    """Complexes and degrees with boundary moves: the fixtures, unit and
+    anisotropic relabelled T3-T5 grids and ``small_corpus``."""
+    for make in SUITE.values():
+        K = make()
+        yield from ((K, d) for d in range(K.dim))
+    yield from ((K, 1) for K, _ in _relabelled_grids([3, 4, 5]))
+    yield from ((K, d) for K, d, _ in small_corpus() if K.n_simplices(d + 1))
+
+
+def test_echelon_prefix_resumes_to_the_pairs_of_a_fresh_reduction(
+        monkeypatch):
+    """Along the row order of ``min_int``'s search, interleaved calls at
+    n = 5, 2, 16, min_int's own N and 3 from the one prefix it keeps in the
+    complex's memo give exactly the pairs of a fresh reduction at each
+    modulus, pivot columns with their key order included, and leave the
+    prefix as it was built.  The prefix covers the whole order on
+    torus-7 and the grids, whose boundaries are totally unimodular, and
+    stops early on rp2, klein and mobius-gap."""
+    built = []
+
+    def echelon(columns, row_order, modulus, *prefix):
+        built.append((columns, row_order, modulus, *prefix))
+        return _echelon_columns(columns, row_order, modulus, *prefix)
+
+    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
+    monkeypatch.setattr(optimize, "_search_lattice",
+                        lambda *args, **kw: (0, [], True, 0))
+    early = set()
+    for K, d in _prefix_cases():
+        dec = homology_decomposition(K, d)
+        c = dec.class_coords(INT, (1,) * dec.betti, (1,) * len(dec.torsion))
+        if c.is_zero():
+            continue
+        built.clear()
+        min_int(K, d, c)
+        ((columns, order, N, prefix),) = built
+        assert K._memo["order", d][1] is order
+        assert K._memo["echelon", d] == (order, prefix)
+        snapshot = repr(prefix)
+        assert snapshot == repr(optimize._echelon_prefix(columns, order))
+        for n in (5, 2, 16, N, 3):
+            got = _echelon_columns(columns, order, n, prefix)
+            assert _pairs(got) == \
+                _pairs(reference_bucket_echelon(columns, order, n)), \
+                (K.name, d, n)
+        assert repr(prefix) == snapshot
+        if d == 1 and len(prefix[0]) < len(order):
+            early.add(K.name)
+    assert early == {"rp2-6", "klein-8", "mobius-gap"}
+
+
+def test_echelon_prefix_matches_a_fresh_reduction_on_random_columns():
+    """On random sparse columns of +-1 entries, with some +-2, along a
+    random order, one prefix serves n = 2..6 and 17 with exactly the
+    pairs of a fresh reduction at each; the prefixes end at a row whose
+    least leading |entry| is 2, at one where an operation would leave a
+    +-2, and past the last row."""
+    rng = random.Random("echelon-prefix")
+    ends = set()
+    for _ in range(400):
+        n_rows = rng.randint(1, 8)
+        columns = [[(i, rng.choice((1, -1, 1, -1, 1, -1, 2, -2)))
+                    for i in rng.sample(range(n_rows),
+                                        min(n_rows, rng.randint(1, 3)))]
+                   for _ in range(rng.randint(0, n_rows + 2))]
+        order = rng.sample(range(n_rows), n_rows)
+        prefix = optimize._echelon_prefix(columns, order)
+        snapshot = repr(prefix)
+        for n in (2, 3, 4, 5, 6, 17):
+            got = _echelon_columns(columns, order, n, prefix)
+            assert _pairs(got) == \
+                _pairs(reference_bucket_echelon(columns, order, n))
+        assert repr(prefix) == snapshot
+        shared, rest = prefix
+        if not rest:
+            ends.add("whole order")
+        elif any(abs(col[order[len(shared)]]) == 1 for col in rest[0]):
+            ends.add("operation")
+        else:
+            ends.add("leading entry")
+    assert ends == {"whole order", "operation", "leading entry"}
+
+
+def test_echelon_prefix_is_never_read_stale(monkeypatch):
+    """Every echelon the engines build, over Z and Z/2, Z/3, Z/5 for
+    classes with different seed faces on torus-7, rp2 and mobius-gap and
+    on a reweighted sibling of each, has the pairs of a fresh reduction
+    along its own order at its modulus.  A prefix is built once per row
+    order: the searches along one order share one, a new order (other
+    seed faces, or the sibling's weights) gets its own, and the sibling
+    starts from an empty memo."""
+    seen = []
+
+    def echelon(columns, row_order, modulus, *prefix):
+        got = _echelon_columns(columns, row_order, modulus, *prefix)
+        assert _pairs(got) == \
+            _pairs(reference_bucket_echelon(columns, row_order, modulus))
+        seen.append((row_order, *prefix))
+        return got
+
+    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
+    for make in (torus7, rp2_6, mobius_band):
+        K = make()
+        siblings = [K, K.with_scaled_weights(1, [0, 2], Fraction(1, 3))]
+        assert not siblings[1]._memo
+        for L in siblings:
+            dec = homology_decomposition(L, 1)
+            classes = {dec.class_coords(INT, free, torsion)
+                       for free in ((1,) * dec.betti, (2,) * dec.betti,
+                                    tuple(range(dec.betti)))
+                       for torsion in ((0,) * len(dec.torsion),
+                                       (1,) * len(dec.torsion))}
+            for c in sorted(classes, key=lambda c: c.to_json()["free"]):
+                if c.is_zero():
+                    continue
+                min_int(L, 1, c, 50)
+                for n in (2, 3, 5):
+                    min_mod(L, 1, reduce_class(c, mod_ring(n)), 50)
+            assert L._memo["echelon", 1][0] is L._memo["order", 1][1]
+    orders = {id(order): order for order, _ in seen}
+    prefixes = {id(order): prefix for order, prefix in seen}
+    assert len({id(p) for p in prefixes.values()}) == len(orders)
+    assert all(prefixes[id(order)] is prefix for order, prefix in seen)
+    assert len(orders) > 6
+
+
 def test_sorted_chains_match_from_vector():
     """``_sorted_chains`` builds each chain once from its canonical
     coefficients and gives the chains ``Chain.from_vector`` builds, without
@@ -1139,10 +1272,10 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
 
     built, kinds = [], set()
 
-    def echelon(columns, row_order, modulus):
+    def echelon(columns, row_order, modulus, *prefix):
         columns = list(columns)
         built.append((columns, row_order, modulus))
-        return _echelon_columns(columns, row_order, modulus)
+        return _echelon_columns(columns, row_order, modulus, *prefix)
 
     def search(wnum, z0, pivots, *rest, **kw):
         columns, row_order, modulus = built[-1]
@@ -2049,9 +2182,9 @@ def test_min_int_searches_modulo_a_multiple_of_tau_past_twice_s1(
     t:1 would hold the zero chain."""
     moduli = []
 
-    def echelon(columns, row_order, modulus):
+    def echelon(columns, row_order, modulus, *prefix):
         moduli.append(modulus)
-        return _echelon_columns(columns, row_order, modulus)
+        return _echelon_columns(columns, row_order, modulus, *prefix)
 
     monkeypatch.setattr(optimize, "_echelon_columns", echelon)
     seen = set()
