@@ -53,8 +53,11 @@ resumes from it.  On an orientable surface the boundaries are totally
 unimodular and the prefix is the whole order.  Every row is a
 pivot row, a node fixes the rows up to its pivot, and the lattice alone
 fixes the pivot entries and the congruence class of the candidates, so the
-values, minimizers and node counts are those of any echelon basis.  Each
-reported chain is built once, from its sorted canonical coefficients.
+values and minimizers are those of any echelon basis.  A row whose pivot
+column is the lone n*e_r is a forced level, with one candidate, which the
+search takes where its value is fixed (``_level_order`` says why only
+the node count moves).  Each reported chain is built once, from its
+sorted canonical coefficients.
 
 Over Z/n the coset points within budget lie in many integral classes, on
 which phi(x) is not constant, so min_mod cannot prune on the real
@@ -186,9 +189,9 @@ def _unit_cleared(b: dict[int, int], a: dict[int, int], q: int
     return b
 
 
-# The pivot column of each row of an echelon prefix, and the buckets of the
-# rows after it.
-_Prefix = tuple[list[Optional[dict[int, int]]], list[list[dict[int, int]]]]
+# The pivot column of each row of an echelon prefix, and the columns left
+# after it, by leading row.
+_Prefix = tuple[list[Optional[dict[int, int]]], list[dict[int, int]]]
 
 
 def _echelon_prefix(columns: Sequence[Iterable[tuple[int, int]]],
@@ -196,20 +199,23 @@ def _echelon_prefix(columns: Sequence[Iterable[tuple[int, int]]],
     """The part of ``_echelon_columns`` along ``row_order`` that is the same
     for every modulus: the rows up to the first one whose least leading
     |entry| is not 1, or where a column operation would leave an entry
+    outside {-1, 0, 1}; no row at all if an entry of ``columns`` is
     outside {-1, 0, 1}.
 
     Before that row the n*e_r column never becomes a pivot nor joins a
-    later bucket, and no entry is reduced mod n, so every modulus takes
-    the same operations.  Returns the pivot column of each row before it
-    (None for a row that no column starts at, whose pivot is n*e_r) and
-    the buckets from it on, to resume from.
+    later bucket, and every entry is in {-1, 0, 1}, which no modulus
+    reduces, so every modulus takes the same operations.
+    Returns the pivot column of each row before it (None for a row that no
+    column starts at, whose pivot is n*e_r) and the remaining columns, to
+    resume from.
     """
+    columns = [dict(col) for col in columns if col]
+    if any(v * v > 1 for col in columns for v in col.values()):
+        return [], columns
     pos = {r: k for k, r in enumerate(row_order)}.__getitem__
     buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
     for col in columns:
-        if col:
-            col = dict(col)
-            buckets[min(map(pos, col))].append(col)
+        buckets[min(map(pos, col))].append(col)
     shared: list[Optional[dict[int, int]]] = []
     for k, r in enumerate(row_order):
         nz = sorted(buckets[k], key=lambda col: (abs(col[r]), len(col)))
@@ -230,7 +236,7 @@ def _echelon_prefix(columns: Sequence[Iterable[tuple[int, int]]],
             for i in a:
                 a[i] = -a[i]
         shared.append(a)
-    return shared, buckets[len(shared):]
+    return shared, [col for bucket in buckets[len(shared):] for col in bucket]
 
 
 def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
@@ -260,23 +266,30 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
     reduced by ``_echelon_prefix``, whose result ``prefix`` may carry in
     from an earlier call on the same columns and order: its pivot columns
     are shared, not copied, and the reduction resumes on copies of its
-    remaining columns.  On an orientable surface, whose boundaries are
-    totally unimodular, it covers every row.
+    remaining columns, each entry reduced into (-n, n).  On an orientable
+    surface, whose boundaries are totally unimodular, it covers every row.
 
     Returns (pivot_row, column) pairs; each pivot column has a positive
-    entry at its pivot row and zeros at all earlier rows of the order.
-    Column operations preserve the spanned lattice, so the pivot rows and
-    entries are those of any echelon basis of it along the order.
+    entry at its pivot row, zeros at all earlier rows of the order, and
+    no entry that is 0 mod n, so a column changes a row mod n wherever it
+    has an entry there.  Column operations preserve the spanned lattice,
+    so the pivot rows and entries are those of any echelon basis of it
+    along the order.
     """
     shared, rest = prefix or _echelon_prefix(columns, row_order)
     n = modulus
     result = [(r, col or {r: n}) for r, col in zip(row_order, shared)]
-    if not rest:
-        return result
-    # The remaining columns are zero on the rows of the prefix.
     rows = row_order[len(shared):]
+    if not rows:
+        return result
+    # The remaining columns are zero on the rows of the prefix; each goes to
+    # the bucket of its leading row with its entries in (-n, n).
     pos = {r: k for k, r in enumerate(rows)}.__getitem__
-    buckets = [[dict(col) for col in bucket] for bucket in rest]
+    buckets: list[list[dict[int, int]]] = [[] for _ in rows]
+    for col in rest:
+        col = {i: v if -n < v < n else v % n for i, v in col.items() if v % n}
+        if col:
+            buckets[min(map(pos, col))].append(col)
     for k, r in enumerate(rows):
         nz = buckets[k]
         nz.append({r: n})
@@ -363,6 +376,55 @@ def _row_order(K: WeightedComplex, d: int, z0: Sequence[int]) -> list[int]:
     return order
 
 
+def _level_order(pivots: Sequence[tuple[int, Mapping[int, int]]],
+                 modulus: int) -> Sequence[tuple[int, Mapping[int, int]]]:
+    """The ``pivots`` in the order the search takes them.
+
+    A forced level, whose column is the lone n*e_r, has one candidate,
+    since its congruence class meets (-n/2, n/2] once, and its value is
+    fixed once every level whose column has an entry at row r is
+    assigned.  So it goes just after the last of those levels, or first
+    where there is none.  The forced levels placed at one point keep their
+    order, and so do all the other levels.
+
+    This moves only the node count.  The levels a forced level jumps leave
+    its row alone, and its column touches no other row, so each column
+    still has zeros at the rows of the levels before it and every coset
+    point is reached by the same moves.  The branching levels keep their
+    order, so the leaves come in the same order.  Every bound of
+    ``_search_lattice`` only grows as a row is assigned, so a branching
+    level that finds a forced row assigned earlier visits none of its
+    nodes that it did not visit before.  So the values, minimizers and
+    their order, exactness and the value-only minimizer are those of the
+    row order.  The count falls at the branching levels, but a forced
+    level may be counted on a path that a branching level it jumped cuts,
+    so the count of one search can rise.  With no entry that is 0 mod n,
+    as ``_echelon_columns`` leaves them, the last level touching a row is
+    the same in every echelon basis whose forced columns are lone, and so
+    is the count.
+
+    One pass over the column nonzeros places every level; the rows are
+    those of the pivots.
+    """
+    after: dict[int, list] = {}  # forced levels by the level they follow
+    last = [-1] * len(pivots)  # the last level so far touching each row
+    order = []
+    for k, (r, col) in enumerate(pivots):
+        if col[r] == modulus and len(col) == 1:
+            after.setdefault(last[r], []).append((r, col))
+        else:
+            order.append(k)
+            for i in col:
+                last[i] = k
+    if not after:
+        return pivots
+    placed = after.get(-1, [])
+    for k in order:
+        placed.append(pivots[k])
+        placed += after.get(k, ())
+    return placed
+
+
 def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
                     pivots: Sequence[tuple[int, Mapping[int, int]]],
                     cap_count: int, *,
@@ -385,6 +447,9 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
     at mass(z0), so the range needs no cut by mass: a candidate v with
     wnum[r] * |v| > mass(z0) is over budget.  A move and its undo touch
     only the (row, coeff) nonzeros of the pivot column.
+
+    The levels go in the order of ``_level_order``, which takes each
+    forced level where its value is fixed; only the node count moves.
 
     ``phi``, if given, is a calibration of the class on the scale of
     ``wnum``: |phi[s]| <= wnum[s], and phi(x) = phi(z0) at every coset
@@ -455,7 +520,7 @@ def _search_lattice(wnum: Sequence[int], z0: Sequence[int],
         for lv, hv in on if v else ():
             res[n_faces + lv] -= hv * v
     levels = []
-    for r, col in pivots:
+    for r, col in _level_order(pivots, n):
         on = incidences[r]
         on = [(n_faces + lv, hv) for lv, hv in on] if on else ()
         levels.append((r, col[r], wnum[r], fvec[r], list(col.items()),

@@ -694,13 +694,14 @@ def reference_bucket_echelon(columns, row_order: Sequence[int],
     afresh from the first row for one modulus, with no prefix shared
     across moduli: the reference whose pairs, pivot columns with their key
     order included, the engine's resumed reduction must reproduce at every
-    modulus."""
+    modulus.  Each column enters with its entries in (-n, n), those that
+    are 0 mod n dropped."""
     pos = {r: k for k, r in enumerate(row_order)}.__getitem__
     n = modulus
     buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
     for col in columns:
+        col = {i: v if -n < v < n else v % n for i, v in col if v % n}
         if col:
-            col = dict(col)
             buckets[min(map(pos, col))].append(col)
     result: list[tuple[int, dict[int, int]]] = []
     for k, r in enumerate(row_order):

@@ -145,6 +145,11 @@ INTEGRAL = (
            ("grid3r", 1, f"--chain {GRID3R_LOOP}", ("Z", "Z/3", "Z/4")),
        ]
        for ring in rings]
+    # The searches of the most tied minimizers, full and capped.
+    + ["norm torus --dim 1 --class f:2,0 --ring Z/4",
+       "norm torus --dim 1 --class f:2,0 --ring Z/4 --cap 5",
+       "norm torus --dim 1 --class f:1,1 --ring Z/3 --cap 3",
+       "norm klein --dim 1 --class f:2;t:0 --ring Z/4"]
     + [f"scan {name} --dim {d} --class {klass} --n {n}{fmt}"
        for name, d, klass, n in [
            ("tc", 1, "f:1", "2..5"),

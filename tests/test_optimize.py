@@ -615,20 +615,29 @@ def _engine_box(wnum, z0, n: int):
     return lo, hi, m0
 
 
+def _in_row_order(pivots, modulus):
+    """The search's level order with the forced levels left in place."""
+    return pivots
+
+
 def _both_searches(*args, faces, modulus, phi=None, value_only=False,
                    cocycles=None):
-    """Run the search and its reference, which takes the pivot rows in
-    their order and the box and budget of ``_engine_box``; they must agree
-    on the optimum, the minimizer vectors in order and exactness.  Without a bound to prune on (a calibration, face
-    incidences or cocycles) they also visit the same nodes; with one the
-    search visits no more.  A value-only search must find the optimum,
-    keep one of the reference's minimizers, report the count as not exact
-    and visit no more nodes than the full search."""
+    """Run the search and its reference, which takes the pivots in the
+    search's level order (``_level_order``) and the box and budget of
+    ``_engine_box``; they must agree on the optimum, the minimizer vectors
+    in order and exactness.  Without a bound to prune on (a calibration,
+    face incidences or cocycles) they also visit the same nodes; with one
+    the search visits no more.  A value-only search must find the
+    optimum, keep one of the reference's minimizers, report the count as
+    not exact and visit no more nodes than the full search.  With face
+    incidences, as every engine search has, it must also give the answers
+    it gives with each forced level left at its row."""
     kw = dict(faces=faces, modulus=modulus, phi=phi, cocycles=cocycles)
     got = _search_lattice(*args, value_only=value_only, **kw)
     wnum, z0, pivots, cap_count = args
-    want = reference_search_lattice(wnum, z0, _dense(pivots, len(wnum)),
-                                    [r for r, _ in pivots],
+    ordered = optimize._level_order(pivots, modulus)
+    want = reference_search_lattice(wnum, z0, _dense(ordered, len(wnum)),
+                                    [r for r, _ in ordered],
                                     *_engine_box(wnum, z0, modulus), cap_count)
     _assert_same_answers(got, want, value_only)
     if value_only:
@@ -637,6 +646,11 @@ def _both_searches(*args, faces, modulus, phi=None, value_only=False,
         assert got[3] == want[3]
     else:
         assert got[3] <= want[3]
+    if any(faces):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_level_order", _in_row_order)
+            unplaced = _search_lattice(*args, value_only=value_only, **kw)
+        assert got[:3] == unplaced[:3]
     return got, want
 
 
@@ -1099,9 +1113,9 @@ def test_echelon_prefix_resumes_to_the_pairs_of_a_fresh_reduction(
 def test_echelon_prefix_matches_a_fresh_reduction_on_random_columns():
     """On random sparse columns of +-1 entries, with some +-2, along a
     random order, one prefix serves n = 2..6 and 17 with exactly the
-    pairs of a fresh reduction at each; the prefixes end at a row whose
-    least leading |entry| is 2, at one where an operation would leave a
-    +-2, and past the last row."""
+    pairs of a fresh reduction at each; the prefixes end at a row where
+    an operation would leave a +-2 and past the last row, and hold no row
+    where an input column has a +-2."""
     rng = random.Random("echelon-prefix")
     ends = set()
     for _ in range(400):
@@ -1119,13 +1133,14 @@ def test_echelon_prefix_matches_a_fresh_reduction_on_random_columns():
                 _pairs(reference_bucket_echelon(columns, order, n))
         assert repr(prefix) == snapshot
         shared, rest = prefix
-        if not rest:
+        if any(v * v > 1 for col in columns for _, v in col):
+            assert not shared
+            ends.add("input entry")
+        elif len(shared) == n_rows:
             ends.add("whole order")
-        elif any(abs(col[order[len(shared)]]) == 1 for col in rest[0]):
-            ends.add("operation")
         else:
-            ends.add("leading entry")
-    assert ends == {"whole order", "operation", "leading entry"}
+            ends.add("operation")
+    assert ends == {"whole order", "operation", "input entry"}
 
 
 def test_echelon_prefix_is_never_read_stale(monkeypatch):
@@ -1200,48 +1215,74 @@ def test_sorted_chains_match_from_vector():
     assert halves
 
 
-def _other_basis(rng: random.Random, pivots):
+def _other_basis(rng: random.Random, pivots, modulus=None):
     """Another echelon basis of the lattice of ``pivots``: each column plus
     random multiples of the later ones, which vanish at its pivot row and
-    at every row before it."""
+    at every row before it.  Given the ``modulus``, the forced columns, the
+    lone n*e_r, stay as they are and join no other column, and the entries
+    past each pivot row are taken mod n, as adding n*e_i allows, so each
+    forced level keeps the last column before it that touches its row."""
     out = []
     for k, (r, col) in enumerate(pivots):
         new = dict(col)
-        for _, later in pivots[k + 1:]:
-            a = rng.randint(-2, 2)
-            for i, v in later.items():
-                new[i] = new.get(i, 0) + a * v
+        for s, later in pivots[k + 1:] if col[r] != modulus else ():
+            if later[s] != modulus:
+                a = rng.randint(-2, 2)
+                for i, v in later.items():
+                    new[i] = new.get(i, 0) + a * v
+        if modulus is not None:
+            new = {i: v if i == r else v % modulus for i, v in new.items()}
         out.append((r, {i: v for i, v in new.items() if v}))
     return out
 
 
 def _reference_basis(columns, order, n_rows: int, modulus: int):
-    """The dense echelon of ``columns``, every n*e_r listed up front."""
+    """The dense echelon of ``columns``, every n*e_r listed up front, then
+    each column past its pivot row taken mod n and each column of pivot
+    entry n taken to n*e_r, as adding n*e_i past the pivot row allows: so
+    a column touches a forced row exactly where its entry there is
+    nonzero mod n."""
     dense = _dense_columns(columns, n_rows)
     dense += [[modulus * (i == r) for i in range(n_rows)]
               for r in range(n_rows)]
-    return [(r, {i: v for i, v in enumerate(col) if v})
-            for r, col in reference_echelon_columns(dense, order)]
+    out = []
+    for r, col in reference_echelon_columns(dense, order):
+        if col[r] == modulus:
+            out.append((r, {r: modulus}))
+        else:
+            out.append((r, {i: v if i == r else v % modulus
+                            for i, v in enumerate(col) if v % modulus}))
+    return out
 
 
-def _same_search(bases, wnum, z0, *rest, **kw):
-    """``_search_lattice`` on each echelon basis in turn; all must agree."""
+def _same_search(bases, others, wnum, z0, *rest, **kw):
+    """``_search_lattice`` on each echelon basis in turn; all must agree.
+    On each of ``others``, bases on which the forced levels may be placed
+    elsewhere, only (best, sols, exact) must agree."""
     runs = [_search_lattice(wnum, z0, basis, *rest, **kw) for basis in bases]
     assert all(run == runs[0] for run in runs), kw
+    for basis in others:
+        assert _search_lattice(wnum, z0, basis, *rest, **kw)[:3] == \
+            runs[0][:3], kw
     return runs[0]
 
 
 def test_search_is_independent_of_the_echelon_basis(monkeypatch):
     """``_search_lattice`` returns the same (best, sols, exact, nodes) from
     the columns of ``_echelon_columns``, of ``reference_echelon_columns``
-    and of a random other echelon basis of the same lattice: on random
-    lattices plus n*Z^m for n from 2 to 6, and plus N*Z^m with and without
-    a calibration, N from ``_calibrated_modulus``; and for every search
-    ``min_int`` and ``min_mod`` make, full and value-only, on random
-    complexes in degrees 1 and 2 and on relabelled T3 grids over Z and
-    Z/2..Z/6, with their calibrations, faces and level cocycles."""
+    (``_reference_basis``) and of a random other echelon basis of the same
+    lattice that keeps the forced columns (``_other_basis``), and the same
+    (best, sols, exact) from one whose forced columns carry other entries:
+    on random lattices plus n*Z^m for n from 2 to 6, and plus N*Z^m with
+    and without a calibration, N from ``_calibrated_modulus``; and for
+    every search ``min_int`` and ``min_mod`` make, full and value-only, on
+    random complexes in degrees 1 and 2 and on relabelled T3 grids over Z
+    and Z/2..Z/6, with their calibrations, faces and level cocycles.
+
+    The forced levels of the mixed basis are not lone n*e_r columns and
+    stay at their rows."""
     rng = random.Random("basis-independence")
-    differ = 0
+    differ = mixes = 0
     for _ in range(100):
         n_rows = rng.randint(2, 6)
         columns = [[(i, rng.choice((1, -1, 2, -3)) * rng.choice((1, 2, 3)))
@@ -1257,18 +1298,21 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
         for modulus in (2, 3, 4, 5, 6, wide):
             pivots = _echelon_columns(columns, order, modulus)
             bases = [pivots, _reference_basis(columns, order, n_rows, modulus),
-                     _other_basis(rng, pivots)]
+                     _other_basis(rng, pivots, modulus)]
+            mixed = _other_basis(rng, pivots)
             differ += len({repr(b) for b in bases}) > 1
+            mixes += any(col[r] == modulus and len(col) > 1
+                         for r, col in mixed)
             scales = [(wnum, None)]
             if modulus == wide:
                 scales.append(calibrated[:2])
             for w, phi in scales:
                 for cap, value_only in ((1, False), (10_000, False),
                                         (10_000, True)):
-                    _same_search(bases, w, z0, cap,
+                    _same_search(bases, [mixed], w, z0, cap,
                                  faces=[()] * n_rows, modulus=modulus,
                                  phi=phi, value_only=value_only)
-    assert differ
+    assert differ and mixes
 
     built, kinds = [], set()
 
@@ -1283,8 +1327,9 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
                    kw["cocycles"] is not None))
         bases = [pivots, _reference_basis(columns, row_order, len(wnum),
                                           modulus),
-                 _other_basis(rng, pivots)]
-        return _same_search(bases, wnum, z0, *rest, **kw)
+                 _other_basis(rng, pivots, modulus)]
+        return _same_search(bases, [_other_basis(rng, pivots)], wnum, z0,
+                            *rest, **kw)
 
     monkeypatch.setattr(optimize, "_echelon_columns", echelon)
     monkeypatch.setattr(optimize, "_search_lattice", search)
@@ -1362,6 +1407,62 @@ def test_row_order_moves_only_the_node_count(monkeypatch):
             assert rep.minimizers[0] in full.minimizers
     assert any(a.nodes_explored != b.nodes_explored
                for a, b in zip(shipped, plain))
+
+
+def test_forced_levels_move_only_the_node_count(monkeypatch):
+    """Every search ``min_int`` and ``min_mod`` make over Z and Z/2..Z/6,
+    full, capped at 1 and 2 and value-only, on the fixtures, on relabelled
+    unit and anisotropic T3-T5 grids and on random complexes in degrees 1
+    and 2, run again with each forced level left at its row
+    (``_in_row_order``): the optimum, the minimizer vectors in order and
+    exactness are the same.  The count of one search may rise
+    (``test_a_forced_level_can_cost_a_node``), but their total falls."""
+    runs = []
+
+    def search(*args, **kw):
+        got = _search_lattice(*args, **kw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_level_order", _in_row_order)
+            runs.append((got, _search_lattice(*args, **kw)))
+        return got
+
+    monkeypatch.setattr(optimize, "_search_lattice", search)
+    rng = random.Random("forced-levels")
+    cases = list(_fixture_classes())
+    cases += [(K, 1, c) for K, c in _relabelled_grids([3, 4, 5])]
+    for d in (1, 2):
+        for _ in range(6):
+            K = _random_complex_with_moves(rng, d)
+            cases.append((K, d, random_class(rng,
+                                             homology_decomposition(K, d))))
+    for K, d, c in cases:
+        for cap, value_only in ((10_000, False), (1, False), (2, False),
+                                (10_000, True)):
+            min_int(K, d, c, cap, value_only)
+            for n in range(2, 7):
+                min_mod(K, d, reduce_class(c, mod_ring(n)), cap, value_only)
+    assert len(runs) > 500
+    for got, unplaced in runs:
+        assert got[:3] == unplaced[:3]
+    assert sum(got[3] for got, _ in runs) < \
+        sum(unplaced[3] for _, unplaced in runs)
+
+
+def test_a_forced_level_can_cost_a_node(monkeypatch):
+    """The loop of the anisotropic ``torus_grid(3, seed=0)`` over Z/3,
+    whose search prunes on level cocycles, takes 49 nodes with each forced
+    level left at its row and 50 with the levels placed, for the same
+    answers: a forced level taken early is counted on a path that a
+    branching level it jumped cuts (``_level_order``)."""
+    K = torus_grid(3, seed=0, weights=(1, 2, Fraction(3, 2)))
+    c = reduce_class(_loop_class(K, 3, 0), mod_ring(3))
+    placed = min_mod(K, 1, c)
+    monkeypatch.setattr(optimize, "_level_order", _in_row_order)
+    unplaced = min_mod(K, 1, c)
+    assert (placed.value, placed.minimizers, placed.minimizer_count_exact) \
+        == (unplaced.value, unplaced.minimizers,
+            unplaced.minimizer_count_exact)
+    assert (unplaced.nodes_explored, placed.nodes_explored) == (49, 50)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
@@ -1748,15 +1849,16 @@ def test_level_cap_builds_no_family_for_a_tiny_weight(monkeypatch, torus):
 
 def test_levels_cut_the_t6_ladder_case_tenfold(monkeypatch):
     """The loop of ``torus_grid(6, seed=1)`` over Z/3: the search without
-    levels takes 734,431 nodes; with them it takes at least 10x fewer
-    and reports the same value and minimizers, the six grid rows."""
+    levels takes 553,624 nodes (734,431 with each forced level at its
+    row); with them it takes at least 10x fewer and reports the same value
+    and minimizers, the six grid rows."""
     K = torus_grid(6, seed=1)
     c = reduce_class(_loop_class(K, 6, 1), mod_ring(3))
     rep = min_mod(K, 1, c)
     assert rep.value == 6 and len(rep.minimizers) == 6
     _without_levels(monkeypatch)
     plain = min_mod(K, 1, c)
-    assert plain.nodes_explored == 734_431
+    assert plain.nodes_explored == 553_624
     assert rep.nodes_explored * 10 <= plain.nodes_explored
     assert (rep.value, rep.minimizers, rep.minimizer_count_exact) == \
         (plain.value, plain.minimizers, plain.minimizer_count_exact)
