@@ -656,7 +656,7 @@ def reference_echelon_columns(columns: list[list[int]],
                               row_order: Sequence[int]) -> list[tuple[int, list[int]]]:
     """Unimodular column reduction to echelon form along ``row_order``.
 
-    Reference for ``homnorm.optimize._echelon_columns``, which works on
+    Reference for ``homnorm.search._echelon_columns``, which works on
     sparse columns and adds each n * e_r column only when row r is reached;
     here the columns are dense and every column is listed up front.
 
@@ -690,7 +690,7 @@ def reference_echelon_columns(columns: list[list[int]],
 
 def reference_bucket_echelon(columns, row_order: Sequence[int],
                              modulus: int) -> list[tuple[int, dict[int, int]]]:
-    """The bucket reduction of ``homnorm.optimize._echelon_columns`` run
+    """The bucket reduction of ``homnorm.search._echelon_columns`` run
     afresh from the first row for one modulus, with no prefix shared
     across moduli: the reference whose pairs, pivot columns with their key
     order included, the engine's resumed reduction must reproduce at every
@@ -738,7 +738,7 @@ def reference_search_lattice(wnum: Sequence[int], z0: Sequence[int],
                               cap_mass: int, cap_count: int):
     """Enumerate all lattice-coset points of minimal weighted l1 mass.
 
-    Reference for ``homnorm.optimize._search_lattice``, which must visit the
+    Reference for ``homnorm.search._search_lattice``, which must visit the
     same nodes in the same order and return the same (best, sols, exact,
     nodes).  Candidates at each pivot row are built as a list and sorted,
     and every move walks the whole dense pivot column.

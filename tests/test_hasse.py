@@ -25,6 +25,7 @@ from homnorm.hasse import (EnumerationInexactError, GapRow, ScanRow,
 from homnorm.homology import homology_decomposition, reduce_class
 from homnorm.optimize import DEFAULT_MINIMIZER_CAP, min_int, min_mod, min_real
 from homnorm.rings import INT, RAT, mod_ring, parse_rational
+from homnorm.search import _row_order
 
 
 def _gen(dec):
@@ -848,12 +849,12 @@ def test_searches_reuse_the_row_order_and_level_families(monkeypatch):
     faces) and the level family once per free index; a reweighted sibling
     builds its own."""
     calls = []
-    row_order = optimize._row_order
 
     def counted(K, d, z0):
         calls.append(K)
-        return row_order(K, d, z0)
+        return _row_order(K, d, z0)
 
+    # _coset_minimize reads the row order from optimize's globals.
     monkeypatch.setattr(optimize, "_row_order", counted)
     tables = [("weights", 1), ("order", 1), ("echelon", 1), ("levels", 0)]
     K = torus7()

@@ -1,5 +1,7 @@
 """Minimizer engines against spec examples, brute-force oracles and norms axioms."""
 
+import ast
+import inspect
 import json
 import random
 import sys
@@ -29,10 +31,11 @@ from homnorm.homology import (HomologyDecomposition, InfeasibleClassError,
                               class_of_cycle, homology_decomposition,
                               reduce_class)
 from homnorm.lp import solve_cycle_lp
-from homnorm.optimize import (OptReport, _echelon_columns, _search_lattice,
-                              _sorted_chains, min_int, min_mod, min_real,
-                              verify_certificate)
+from homnorm.optimize import (OptReport, _sorted_chains, min_int, min_mod,
+                              min_real, verify_certificate)
 from homnorm.rings import INT, RAT, canonical_lift, mod_ring
+from homnorm.search import (_echelon_columns, _echelon_prefix, _level_order,
+                            _row_order, _search_lattice)
 
 
 def _gen(dec):
@@ -631,11 +634,12 @@ def _both_searches(*args, faces, modulus, phi=None, value_only=False,
     optimum, keep one of the reference's minimizers, report the count as
     not exact and visit no more nodes than the full search.  With face
     incidences, as every engine search has, it must also give the answers
-    it gives with each forced level left at its row."""
+    it gives with each forced level left at its row, and the search must
+    have read that stand-in for its level order."""
     kw = dict(faces=faces, modulus=modulus, phi=phi, cocycles=cocycles)
     got = _search_lattice(*args, value_only=value_only, **kw)
     wnum, z0, pivots, cap_count = args
-    ordered = optimize._level_order(pivots, modulus)
+    ordered = _level_order(pivots, modulus)
     want = reference_search_lattice(wnum, z0, _dense(ordered, len(wnum)),
                                     [r for r, _ in ordered],
                                     *_engine_box(wnum, z0, modulus), cap_count)
@@ -647,10 +651,12 @@ def _both_searches(*args, faces, modulus, phi=None, value_only=False,
     else:
         assert got[3] <= want[3]
     if any(faces):
+        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimize, "_level_order", _in_row_order)
+            mp.setattr("homnorm.search._level_order",
+                       lambda *a: calls.append(a) or _in_row_order(*a))
             unplaced = _search_lattice(*args, value_only=value_only, **kw)
-        assert got[:3] == unplaced[:3]
+        assert calls and got[:3] == unplaced[:3]
     return got, want
 
 
@@ -1098,7 +1104,7 @@ def test_echelon_prefix_resumes_to_the_pairs_of_a_fresh_reduction(
         assert K._memo["order", d][1] is order
         assert K._memo["echelon", d] == (order, prefix)
         snapshot = repr(prefix)
-        assert snapshot == repr(optimize._echelon_prefix(columns, order))
+        assert snapshot == repr(_echelon_prefix(columns, order))
         for n in (5, 2, 16, N, 3):
             got = _echelon_columns(columns, order, n, prefix)
             assert _pairs(got) == \
@@ -1125,7 +1131,7 @@ def test_echelon_prefix_matches_a_fresh_reduction_on_random_columns():
                                         min(n_rows, rng.randint(1, 3)))]
                    for _ in range(rng.randint(0, n_rows + 2))]
         order = rng.sample(range(n_rows), n_rows)
-        prefix = optimize._echelon_prefix(columns, order)
+        prefix = _echelon_prefix(columns, order)
         snapshot = repr(prefix)
         for n in (2, 3, 4, 5, 6, 17):
             got = _echelon_columns(columns, order, n, prefix)
@@ -1422,7 +1428,7 @@ def test_forced_levels_move_only_the_node_count(monkeypatch):
     def search(*args, **kw):
         got = _search_lattice(*args, **kw)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimize, "_level_order", _in_row_order)
+            mp.setattr("homnorm.search._level_order", _in_row_order)
             runs.append((got, _search_lattice(*args, **kw)))
         return got
 
@@ -1457,7 +1463,7 @@ def test_a_forced_level_can_cost_a_node(monkeypatch):
     K = torus_grid(3, seed=0, weights=(1, 2, Fraction(3, 2)))
     c = reduce_class(_loop_class(K, 3, 0), mod_ring(3))
     placed = min_mod(K, 1, c)
-    monkeypatch.setattr(optimize, "_level_order", _in_row_order)
+    monkeypatch.setattr("homnorm.search._level_order", _in_row_order)
     unplaced = min_mod(K, 1, c)
     assert (placed.value, placed.minimizers, placed.minimizer_count_exact) \
         == (unplaced.value, unplaced.minimizers,
@@ -2155,7 +2161,7 @@ def test_face_and_level_bounds_never_exceed_the_mass_of_a_minimizer():
                 x = [lift(v) for v in chain_vector(T)]
                 total = sum(ws * abs(v) for ws, v in zip(w, x))
                 assert total == rep.value
-                for order in (plain, optimize._row_order(K, 1, z0)):
+                for order in (plain, _row_order(K, 1, z0)):
                     for p in range(len(order) + 1):
                         assigned = order[:p]
                         done = sum(w[s] * abs(x[s]) for s in assigned)
@@ -2240,7 +2246,7 @@ def _reference_min_int(K, d, c, cap):
     wnum, scale = _at_integer_scale(K.weights[d])
     m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
     best, sols, exact, _ = _reference_z_search(
-        K.faces(d + 1), optimize._row_order(K, d, z0), wnum, z0,
+        K.faces(d + 1), _row_order(K, d, z0), wnum, z0,
         [-(m0 // w) for w in wnum], [m0 // w for w in wnum], m0, cap)
     chains = sorted({Chain.from_vector(K, d, INT, x) for x in sols},
                     key=lambda T: T.coeffs)
@@ -2333,3 +2339,23 @@ def test_certificate_of_another_complex_or_degree_fails(tc, torus):
     with pytest.raises(InfeasibleClassError,
                        match=r"^certificates verify rational classes$"):
         verify_certificate(tc, 1, g, rep.certificate, rep.value)
+
+
+def test_the_search_imports_no_lp_engine_or_harness():
+    """``homnorm.search`` runs without an LP: it imports none of
+    ``homnorm.lp``, ``homnorm.optimize`` or ``homnorm.hasse``, which pass
+    it what it prunes on."""
+    import homnorm.search
+    tree = ast.parse(inspect.getsource(homnorm.search))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the homnorm package
+                base = "homnorm" + ("." + base if base else "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert "homnorm.homology" in imported
+    assert not imported & {"homnorm.lp", "homnorm.optimize", "homnorm.hasse"}
