@@ -82,8 +82,7 @@ from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        class_of_cycle, homology_decomposition, reduce_class)
 from .lp import solve_cycle_lp
 from .rings import RAT, RingSpec, canonical_lift, format_rational
-from .search import (_echelon_columns, _echelon_prefix, _row_order,
-                     _search_lattice)
+from .search import _echelon_columns, _row_order, _search_lattice
 
 DEFAULT_MINIMIZER_CAP = 10_000
 
@@ -452,15 +451,18 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
         scale = lcm(w_scale, family[0]) if family else w_scale
         wnum = [w * (scale // w_scale) for w in wnum]
     # Rows by decreasing weight, then outward from z0 over the faces; the
-    # echelon of the boundary lattice plus n*Z^m along them, resumed from
-    # its modulus-free prefix, which K's memo keeps beside the row order
-    # for the searches of every modulus along it.
-    columns, order = K.faces(d + 1), _row_order(K, d, z0)
+    # echelon of the boundary lattice plus n*Z^m along them.  K's memo
+    # keeps a modulus-free echelon beside its row order, each lone n*e_r
+    # as None, for the searches of every modulus along it.
+    order = _row_order(K, d, z0)
     cached = K._memo.get(("echelon", d))
-    if cached is None or cached[0] is not order:
-        cached = K._memo["echelon", d] = (
-            order, _echelon_prefix(columns, order))
-    pivots = _echelon_columns(columns, order, n, cached[1])
+    if cached is not None and cached[0] is order:
+        pivots = [(r, col or {r: n}) for r, col in cached[1]]
+    else:
+        pivots, free = _echelon_columns(K.faces(d + 1), order, n)
+        if free:
+            K._memo["echelon", d] = (order, [(r, col if col[r] == 1 else None)
+                                            for r, col in pivots])
     best, sols, exact, nodes = _search_lattice(
         wnum, z0, pivots, cap, faces=K.faces(d), modulus=n, phi=phi,
         value_only=value_only,

@@ -11,16 +11,16 @@ sum of its assigned simplices, needs unassigned simplices of total
 sum_t m_t dist_t / (d+1), m_t the least weight on t.  The rows go by
 decreasing weight, then outward from the support of z0 over the faces
 (``_row_order``), so the faces close early whatever the labelling of the
-complex; any order gives the same values and minimizers.  Each call
+complex; any order gives the same values and minimizers.  The search
 echelonizes its lattice from the faces of the (d+1)-simplices
 (``_echelon_columns``): each row reduces only the columns whose first
 nonzero row it is, and the entries stay in (-n, n), so the n*e_r columns
-past a unit pivot vanish and the pivot columns stay short.  The rows
-before the first one where the reduction could depend on n take the same
-operations at every modulus, so that prefix is reduced once per row order
-and kept in the complex's memo beside it (``_echelon_prefix``); each call
-resumes from it.  On an orientable surface the boundaries are totally
-unimodular and the prefix is the whole order.  Every row is a
+past a unit pivot vanish and the pivot columns stay short.  A reduction
+whose entries never leave {-1, 0, 1} takes the same operations at every
+modulus and says so; its echelon is then kept in the complex's memo beside
+its row order and serves the searches of every modulus along it, and any
+other reduction is made afresh by each call.  On an orientable surface the
+boundaries are totally unimodular and the echelon is kept.  Every row is a
 pivot row, a node fixes the rows up to its pivot, and the lattice alone
 fixes the pivot entries and the congruence class of the candidates, so the
 values and minimizers are those of any echelon basis.  A row whose pivot
@@ -34,85 +34,18 @@ from __future__ import annotations
 import sys
 from itertools import compress
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .complexes import WeightedComplex
 from .homology import _boundary_rows
 
 
-def _unit_cleared(b: dict[int, int], a: dict[int, int], q: int
-                  ) -> Optional[dict[int, int]]:
-    """b - q*a as ``_echelon_columns`` forms it in place, keys in the same
-    order, but on a copy, so that a row of the prefix can stop with its
-    columns as they were: None where an entry would leave {-1, 0, 1}."""
-    b = dict(b)
-    for i, v in a.items():
-        if x := b.get(i, 0) - q * v:
-            if x * x > 1:
-                return None
-            b[i] = x
-        else:
-            del b[i]  # q*v != 0, so b held q*v at i
-    return b
-
-
-# The pivot column of each row of an echelon prefix, and the columns left
-# after it, by leading row.
-_Prefix = tuple[list[Optional[dict[int, int]]], list[dict[int, int]]]
-
-
-def _echelon_prefix(columns: Sequence[Iterable[tuple[int, int]]],
-                    row_order: Sequence[int]) -> _Prefix:
-    """The part of ``_echelon_columns`` along ``row_order`` that is the same
-    for every modulus: the rows up to the first one whose least leading
-    |entry| is not 1, or where a column operation would leave an entry
-    outside {-1, 0, 1}; no row at all if an entry of ``columns`` is
-    outside {-1, 0, 1}.
-
-    Before that row the n*e_r column never becomes a pivot nor joins a
-    later bucket, and every entry is in {-1, 0, 1}, which no modulus
-    reduces, so every modulus takes the same operations.
-    Returns the pivot column of each row before it (None for a row that no
-    column starts at, whose pivot is n*e_r) and the remaining columns, to
-    resume from.
-    """
-    columns = [dict(col) for col in columns if col]
-    if any(v * v > 1 for col in columns for v in col.values()):
-        return [], columns
-    pos = {r: k for k, r in enumerate(row_order)}.__getitem__
-    buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
-    for col in columns:
-        buckets[min(map(pos, col))].append(col)
-    shared: list[Optional[dict[int, int]]] = []
-    for k, r in enumerate(row_order):
-        nz = sorted(buckets[k], key=lambda col: (abs(col[r]), len(col)))
-        if not nz:
-            shared.append(None)
-            continue
-        a = nz[0]
-        s = a[r]
-        if s * s != 1:
-            break
-        cleared = [_unit_cleared(b, a, b[r] * s) for b in nz[1:]]
-        if None in cleared:
-            break
-        for b in cleared:
-            if b:
-                buckets[min(map(pos, b))].append(b)
-        if s < 0:
-            for i in a:
-                a[i] = -a[i]
-        shared.append(a)
-    return shared, [col for bucket in buckets[len(shared):] for col in bucket]
-
-
-def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
-                     row_order: Sequence[int], modulus: int,
-                     prefix: Optional[_Prefix] = None
-                     ) -> list[tuple[int, dict[int, int]]]:
+def _echelon_columns(columns: Sequence[Sequence[tuple[int, int]]],
+                     row_order: Sequence[int], modulus: int
+                     ) -> tuple[list[tuple[int, dict[int, int]]], bool]:
     """Unimodular column reduction to echelon form along ``row_order`` of
     the lattice spanned by ``columns`` and n*e_r for every row r, n the
-    ``modulus``.
+    ``modulus``, n >= 2.
 
     Columns are sparse, as (row, coeff) pairs.  Each active column waits
     in the bucket of its leading row, its first nonzero row in the order,
@@ -129,37 +62,36 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
     becomes zero mod n, such as the n*e_r column past a unit pivot, leaves
     the reduction.
 
-    The rows up to the first one where the reduction could depend on n are
-    reduced by ``_echelon_prefix``, whose result ``prefix`` may carry in
-    from an earlier call on the same columns and order: its pivot columns
-    are shared, not copied, and the reduction resumes on copies of its
-    remaining columns, each entry reduced into (-n, n).  On an orientable
-    surface, whose boundaries are totally unimodular, it covers every row.
+    Returns the (pivot_row, column) pairs and whether the reduction was
+    modulus-free: no entry of ``columns`` outside {-1, 0, 1} and no column
+    operation that leaves one there, the n*e_r columns aside.  Then every
+    pivot is a unit or the lone n*e_r, and every modulus takes the same
+    operations: the n*e_r column sorts after every unit, so it becomes a
+    pivot only at a row that no column starts at, and a unit pivot clears
+    it at every n without its joining a later bucket; every other entry is
+    in {-1, 0, 1}, which no modulus reduces.  So the pairs at any other
+    modulus are these, with each lone n*e_r at that modulus.  On an
+    orientable surface, whose boundaries are totally unimodular, the
+    reduction is modulus-free.
 
-    Returns (pivot_row, column) pairs; each pivot column has a positive
-    entry at its pivot row, zeros at all earlier rows of the order, and
-    no entry that is 0 mod n, so a column changes a row mod n wherever it
-    has an entry there.  Column operations preserve the spanned lattice,
-    so the pivot rows and entries are those of any echelon basis of it
-    along the order.
+    Each pivot column has a positive entry at its pivot row, zeros at all
+    earlier rows of the order, and no entry that is 0 mod n, so a column
+    changes a row mod n wherever it has an entry there.  Column operations
+    preserve the spanned lattice, so the pivot rows and entries are those
+    of any echelon basis of it along the order.
     """
-    shared, rest = prefix or _echelon_prefix(columns, row_order)
     n = modulus
-    result = [(r, col or {r: n}) for r, col in zip(row_order, shared)]
-    rows = row_order[len(shared):]
-    if not rows:
-        return result
-    # The remaining columns are zero on the rows of the prefix; each goes to
-    # the bucket of its leading row with its entries in (-n, n).
-    pos = {r: k for k, r in enumerate(rows)}.__getitem__
-    buckets: list[list[dict[int, int]]] = [[] for _ in rows]
-    for col in rest:
-        col = {i: v if -n < v < n else v % n for i, v in col.items() if v % n}
+    free = all(-2 < v < 2 for col in columns for _, v in col)
+    pos = {r: k for k, r in enumerate(row_order)}.__getitem__
+    buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
+    for col in columns:
+        col = {i: v if -n < v < n else v % n for i, v in col if v % n}
         if col:
             buckets[min(map(pos, col))].append(col)
-    for k, r in enumerate(rows):
+    result = []
+    for k, r in enumerate(row_order):
         nz = buckets[k]
-        nz.append({r: n})
+        nz.append(e := {r: n})
         while len(nz) > 1:
             nz.sort(key=lambda col: (abs(col[r]), len(col)))
             a = nz[0]
@@ -167,8 +99,10 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
                 q = b[r] // a[r]  # nonzero, as |a[r]| <= |b[r]|
                 for i, v in a.items():
                     x = b.get(i, 0) - q * v
-                    if not -n < x < n:
-                        x %= n
+                    if not -2 < x < 2:  # (-n, n) holds {-1, 0, 1}
+                        free = free and b is e
+                        if not -n < x < n:
+                            x %= n
                     if x:
                         b[i] = x
                     elif i in b:  # q*v may be 0 mod n
@@ -181,7 +115,7 @@ def _echelon_columns(columns: Sequence[Iterable[tuple[int, int]]],
             for i in piv:
                 piv[i] = -piv[i]
         result.append((r, piv))
-    return result
+    return result, free
 
 
 def _row_order(K: WeightedComplex, d: int, z0: Sequence[int]) -> list[int]:

@@ -34,8 +34,8 @@ from homnorm.lp import solve_cycle_lp
 from homnorm.optimize import (OptReport, _sorted_chains, min_int, min_mod,
                               min_real, verify_certificate)
 from homnorm.rings import INT, RAT, canonical_lift, mod_ring
-from homnorm.search import (_echelon_columns, _echelon_prefix, _level_order,
-                            _row_order, _search_lattice)
+from homnorm.search import (_echelon_columns, _level_order, _row_order,
+                            _search_lattice)
 
 
 def _gen(dec):
@@ -688,7 +688,7 @@ def test_search_matches_reference_on_random_lattices():
         columns, order, wnum, z0 = _random_lattice(rng)
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         n = rng.choice((2, 3, 4, 5, 2 * m0 + 3))
-        pivots = _echelon_columns(_sparse(columns), order, n)
+        pivots, _ = _echelon_columns(_sparse(columns), order, n)
         args = (wnum, z0, pivots)
         kw = dict(faces=[()] * len(wnum), modulus=n)
         seen["g>1"] += any(1 < col[r] < n for r, col in pivots)
@@ -744,7 +744,7 @@ def test_calibrated_search_matches_reference_on_random_lattices():
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         wnum, phi, m0 = _random_calibration(rng, wnum, columns, m0)
         n = _calibrated_modulus(wnum, phi, m0, rng.randint(1, 4))
-        pivots = _echelon_columns(_sparse(columns), order, n)
+        pivots, _ = _echelon_columns(_sparse(columns), order, n)
         args = (wnum, z0, pivots)
         kw = dict(faces=[()] * len(wnum), modulus=n)
         nodes = _both_searches(*args, 10_000, phi=phi, **kw)[0][3]
@@ -761,7 +761,7 @@ def test_search_without_boundary_columns_matches_reference():
     and at the budget mass(z0), as the reference does."""
     wnum, z0 = [2, 1, 3], [1, -2, 0]
     for n in (5, 13):
-        pivots = _echelon_columns([], [2, 0, 1], n)
+        pivots, _ = _echelon_columns([], [2, 0, 1], n)
         assert pivots == [(2, {2: n}), (0, {0: n}), (1, {1: n})]
         got, _ = _both_searches(wnum, z0, pivots, 5, faces=[()] * 3,
                                 modulus=n)
@@ -785,8 +785,9 @@ def _reference_z_search(columns, order, wnum, z0, *rest):
 
 
 def _checked_search(monkeypatch):
-    """Swap the engines' echelon and search for ones that run the
-    references beside them.
+    """Swap the engines' search for one that runs the references beside
+    it, and their row order for one that records the columns and order
+    of each search, whether its echelon is reduced or kept.
 
     Every search is checked against the reference at its modulus.  The
     searches of ``min_int``, the calibrated ones, run at their modulus N
@@ -797,10 +798,10 @@ def _checked_search(monkeypatch):
     incidences, nodes, reference nodes, has cocycles) per search."""
     calls, built = [], []
 
-    def echelon(columns, row_order, modulus, *prefix):
-        columns = list(columns)
-        built.append((columns, row_order))
-        return _echelon_columns(columns, row_order, modulus, *prefix)
+    def order(K, d, z0):
+        got = _row_order(K, d, z0)
+        built.append((K.faces(d + 1), got))
+        return got
 
     def search(*args, faces, modulus, phi=None, value_only=False,
                cocycles=None):
@@ -818,7 +819,7 @@ def _checked_search(monkeypatch):
                       cocycles is not None))
         return got
 
-    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
+    monkeypatch.setattr(optimize, "_row_order", order)
     monkeypatch.setattr(optimize, "_search_lattice", search)
     return calls
 
@@ -1045,7 +1046,7 @@ def test_lazy_echelon_matches_dense_build():
             for n in (2, 3, 4, 5, 6, 12, 10**12):
                 dense = [B.column(j) for j in range(B.cols)]
                 dense += [[n * (i == r) for i in range(N)] for r in range(N)]
-                pivots = _echelon_columns(K.faces(d + 1), order, n)
+                pivots, _ = _echelon_columns(K.faces(d + 1), order, n)
                 got = _dense(pivots, N)
                 want = reference_echelon_columns(dense, order)
                 assert [(r, col[r]) for r, col in got] == \
@@ -1064,7 +1065,7 @@ def _pairs(pivots):
     return [(r, list(col.items())) for r, col in pivots]
 
 
-def _prefix_cases():
+def _engine_cases():
     """Complexes and degrees with boundary moves: the fixtures, unit and
     anisotropic relabelled T3-T5 grids and ``small_corpus``."""
     for make in SUITE.values():
@@ -1074,99 +1075,148 @@ def _prefix_cases():
     yield from ((K, d) for K, d, _ in small_corpus() if K.n_simplices(d + 1))
 
 
-def test_echelon_prefix_resumes_to_the_pairs_of_a_fresh_reduction(
-        monkeypatch):
-    """Along the row order of ``min_int``'s search, interleaved calls at
-    n = 5, 2, 16, min_int's own N and 3 from the one prefix it keeps in the
-    complex's memo give exactly the pairs of a fresh reduction at each
-    modulus, pivot columns with their key order included, and leave the
-    prefix as it was built.  The prefix covers the whole order on
-    torus-7 and the grids, whose boundaries are totally unimodular, and
-    stops early on rp2, klein and mobius-gap."""
-    built = []
-
-    def echelon(columns, row_order, modulus, *prefix):
-        built.append((columns, row_order, modulus, *prefix))
-        return _echelon_columns(columns, row_order, modulus, *prefix)
-
-    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
-    monkeypatch.setattr(optimize, "_search_lattice",
-                        lambda *args, **kw: (0, [], True, 0))
-    early = set()
-    for K, d in _prefix_cases():
-        dec = homology_decomposition(K, d)
-        c = dec.class_coords(INT, (1,) * dec.betti, (1,) * len(dec.torsion))
-        if c.is_zero():
-            continue
-        built.clear()
-        min_int(K, d, c)
-        ((columns, order, N, prefix),) = built
-        assert K._memo["order", d][1] is order
-        assert K._memo["echelon", d] == (order, prefix)
-        snapshot = repr(prefix)
-        assert snapshot == repr(_echelon_prefix(columns, order))
-        for n in (5, 2, 16, N, 3):
-            got = _echelon_columns(columns, order, n, prefix)
-            assert _pairs(got) == \
-                _pairs(reference_bucket_echelon(columns, order, n)), \
-                (K.name, d, n)
-        assert repr(prefix) == snapshot
-        if d == 1 and len(prefix[0]) < len(order):
-            early.add(K.name)
-    assert early == {"rp2-6", "klein-8", "mobius-gap"}
+_MODULI = (2, 3, 4, 5, 6, 16, 17)
 
 
-def test_echelon_prefix_matches_a_fresh_reduction_on_random_columns():
-    """On random sparse columns of +-1 entries, with some +-2, along a
-    random order, one prefix serves n = 2..6 and 17 with exactly the
-    pairs of a fresh reduction at each; the prefixes end at a row where
-    an operation would leave a +-2 and past the last row, and hold no row
-    where an input column has a +-2."""
-    rng = random.Random("echelon-prefix")
-    ends = set()
+def _kept(pivots):
+    """A modulus-free echelon as the engines keep it, each lone n*e_r as
+    None."""
+    return [(r, col if col[r] == 1 else None) for r, col in pivots]
+
+
+def test_a_modulus_free_echelon_serves_every_modulus():
+    """On random sparse columns of +-1 entries, some sets with +-2, along
+    a random order, each reduction has the pairs of a fresh reduction at
+    its modulus, and one that reports itself modulus-free gives, with each
+    lone n*e_r read as {r: n}, exactly the pairs of a fresh reduction at
+    every n in 2..6, 16 and 17, pivot columns with their key order
+    included.  The flag fails wherever an input column has a +-2, and
+    some reductions of +-1 columns fail it by an operation that would
+    leave a +-2."""
+    rng = random.Random("modulus-free-echelon")
+    kinds = set()
     for _ in range(400):
         n_rows = rng.randint(1, 8)
-        columns = [[(i, rng.choice((1, -1, 1, -1, 1, -1, 2, -2)))
+        entries = (1, -1) if rng.random() < 0.7 else (1, -1, 1, -1, 2, -2)
+        columns = [[(i, rng.choice(entries))
                     for i in rng.sample(range(n_rows),
                                         min(n_rows, rng.randint(1, 3)))]
                    for _ in range(rng.randint(0, n_rows + 2))]
         order = rng.sample(range(n_rows), n_rows)
-        prefix = _echelon_prefix(columns, order)
-        snapshot = repr(prefix)
-        for n in (2, 3, 4, 5, 6, 17):
-            got = _echelon_columns(columns, order, n, prefix)
-            assert _pairs(got) == \
-                _pairs(reference_bucket_echelon(columns, order, n))
-        assert repr(prefix) == snapshot
-        shared, rest = prefix
+        at = rng.choice(_MODULI)
+        pivots, free = _echelon_columns(columns, order, at)
+        assert _pairs(pivots) == \
+            _pairs(reference_bucket_echelon(columns, order, at))
         if any(v * v > 1 for col in columns for _, v in col):
-            assert not shared
-            ends.add("input entry")
-        elif len(shared) == n_rows:
-            ends.add("whole order")
+            assert not free
+            kinds.add("input entry")
+        elif free:
+            kept = _kept(pivots)
+            for n in _MODULI:
+                assert _pairs((r, col or {r: n}) for r, col in kept) == \
+                    _pairs(reference_bucket_echelon(columns, order, n)), n
+            kinds.add("modulus-free")
         else:
-            ends.add("operation")
-    assert ends == {"whole order", "operation", "input entry"}
+            kinds.add("operation")
+    assert kinds == {"modulus-free", "operation", "input entry"}
 
 
-def test_echelon_prefix_is_never_read_stale(monkeypatch):
-    """Every echelon the engines build, over Z and Z/2, Z/3, Z/5 for
-    classes with different seed faces on torus-7, rp2 and mobius-gap and
-    on a reweighted sibling of each, has the pairs of a fresh reduction
-    along its own order at its modulus.  A prefix is built once per row
-    order: the searches along one order share one, a new order (other
-    seed faces, or the sibling's weights) gets its own, and the sibling
-    starts from an empty memo."""
-    seen = []
+def _logged_searches(monkeypatch, searching=True):
+    """Swap the engines' row order, echelon and search for ones that log
+    each search as [complex, degree, row order, flags of its reductions]
+    and check that it searches the pairs of a fresh reduction along its
+    order at its modulus; the search itself runs only when ``searching``.
+    Returns the log, filled as the engines search."""
+    log = []
 
-    def echelon(columns, row_order, modulus, *prefix):
-        got = _echelon_columns(columns, row_order, modulus, *prefix)
-        assert _pairs(got) == \
-            _pairs(reference_bucket_echelon(columns, row_order, modulus))
-        seen.append((row_order, *prefix))
+    def order(K, d, z0):
+        got = _row_order(K, d, z0)
+        log.append((K, d, got, []))
         return got
 
+    def echelon(columns, row_order, modulus):
+        got = _echelon_columns(columns, row_order, modulus)
+        log[-1][3].append(got[1])
+        return got
+
+    def search(wnum, z0, pivots, *rest, modulus, **kw):
+        K, d, row_order, _ = log[-1]
+        assert _pairs(pivots) == _pairs(reference_bucket_echelon(
+            K.faces(d + 1), row_order, modulus)), (K.name, d, modulus)
+        if not searching:
+            return 0, [], True, 0
+        return _search_lattice(wnum, z0, pivots, *rest, modulus=modulus,
+                               **kw)
+
+    monkeypatch.setattr(optimize, "_row_order", order)
     monkeypatch.setattr(optimize, "_echelon_columns", echelon)
+    monkeypatch.setattr(optimize, "_search_lattice", search)
+    return log
+
+
+def _reads_of_kept_echelons(log) -> int:
+    """Check that each logged search reduced once, unless its order is
+    that of the last modulus-free reduction on its complex and degree,
+    and that each complex's memo holds that echelon, unchanged, and no
+    other; returns the count of searches that reduced nothing."""
+    kept, reads = {}, 0
+    for K, d, row_order, flags in log:
+        if kept.get((K, d)) is row_order:
+            assert not flags
+            reads += 1
+        else:
+            (free,) = flags
+            if free:
+                kept[K, d] = row_order
+    for K, d, _, _ in log:
+        if (K, d) in kept:
+            row_order, pivots = K._memo["echelon", d]
+            assert row_order is kept[K, d]
+            assert repr(pivots) == repr(_kept(reference_bucket_echelon(
+                K.faces(d + 1), row_order, 5)))
+        else:
+            assert ("echelon", d) not in K._memo
+    return reads
+
+
+def test_the_engines_keep_only_a_modulus_free_echelon(monkeypatch):
+    """The echelon of ``min_int``'s search is modulus-free, and kept in
+    the complex's memo, on torus-7 and on the unit and anisotropic
+    relabelled T3-T5 grids, and in degree 1 on every case but rp2-6,
+    klein-8 and mobius-gap.  ``min_mod`` of the class at n = 5, 2, 16 and
+    3 then searches the pairs of a fresh reduction at its modulus, and
+    reduces nothing where its order is the kept one
+    (``_reads_of_kept_echelons``)."""
+    log = _logged_searches(monkeypatch, searching=False)
+    fresh, kept = set(), set()
+    for K, d in _engine_cases():
+        dec = homology_decomposition(K, d)
+        c = dec.class_coords(INT, (1,) * dec.betti, (1,) * len(dec.torsion))
+        if c.is_zero():
+            continue
+        min_int(K, d, c)
+        (kept if log[-1][3] == [True] else fresh).add((K.name, d))
+        for n in (5, 2, 16, 3):
+            c_n = reduce_class(c, mod_ring(n))
+            if not c_n.is_zero():
+                min_mod(K, d, c_n)
+    assert _reads_of_kept_echelons(log)
+    assert {name for name, d in fresh if d == 1} == \
+        {"rp2-6", "klein-8", "mobius-gap"}
+    grids = {K.name for K, _ in _relabelled_grids([3, 4, 5])}
+    assert {(name, 1) for name in grids | {"torus-7"}} <= kept
+
+
+def test_a_kept_echelon_is_never_read_stale(monkeypatch):
+    """Every search ``min_int`` and ``min_mod`` make over Z and Z/2, Z/3,
+    Z/5 for classes with different seed faces on torus-7, rp2 and
+    mobius-gap and on a reweighted sibling of each has the pairs of a
+    fresh reduction along its own order at its modulus.  Torus-7 and its
+    sibling reduce once per row order: the searches along one order share
+    its echelon, a new order (other seed faces, or the sibling's weights)
+    is reduced again, and the sibling starts from an empty memo.  rp2 and
+    mobius-gap keep no echelon and reduce in every search."""
+    log = _logged_searches(monkeypatch)
     for make in (torus7, rp2_6, mobius_band):
         K = make()
         siblings = [K, K.with_scaled_weights(1, [0, 2], Fraction(1, 3))]
@@ -1184,12 +1234,13 @@ def test_echelon_prefix_is_never_read_stale(monkeypatch):
                 min_int(L, 1, c, 50)
                 for n in (2, 3, 5):
                     min_mod(L, 1, reduce_class(c, mod_ring(n)), 50)
-            assert L._memo["echelon", 1][0] is L._memo["order", 1][1]
-    orders = {id(order): order for order, _ in seen}
-    prefixes = {id(order): prefix for order, prefix in seen}
-    assert len({id(p) for p in prefixes.values()}) == len(orders)
-    assert all(prefixes[id(order)] is prefix for order, prefix in seen)
-    assert len(orders) > 6
+    assert _reads_of_kept_echelons(log)
+    flags = {}
+    for K, _, row_order, got in log:
+        flags.setdefault(K.name, set()).update(got)
+    assert flags == {"torus-7": {True}, "rp2-6": {False},
+                     "mobius-gap": {False}}
+    assert len({id(row_order) for _, _, row_order, _ in log}) > 6
 
 
 def test_sorted_chains_match_from_vector():
@@ -1302,7 +1353,7 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
             rng, wnum, _dense_columns(columns, n_rows), m0)
         wide = _calibrated_modulus(*calibrated, 1)
         for modulus in (2, 3, 4, 5, 6, wide):
-            pivots = _echelon_columns(columns, order, modulus)
+            pivots, _ = _echelon_columns(columns, order, modulus)
             bases = [pivots, _reference_basis(columns, order, n_rows, modulus),
                      _other_basis(rng, pivots, modulus)]
             mixed = _other_basis(rng, pivots)
@@ -1322,13 +1373,14 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
 
     built, kinds = [], set()
 
-    def echelon(columns, row_order, modulus, *prefix):
-        columns = list(columns)
-        built.append((columns, row_order, modulus))
-        return _echelon_columns(columns, row_order, modulus, *prefix)
+    def order(K, d, z0):
+        got = _row_order(K, d, z0)
+        built.append((K.faces(d + 1), got))
+        return got
 
     def search(wnum, z0, pivots, *rest, **kw):
-        columns, row_order, modulus = built[-1]
+        columns, row_order = built[-1]
+        modulus = kw["modulus"]
         kinds.add((kw["phi"] is not None, any(kw["faces"]),
                    kw["cocycles"] is not None))
         bases = [pivots, _reference_basis(columns, row_order, len(wnum),
@@ -1337,7 +1389,7 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
         return _same_search(bases, [_other_basis(rng, pivots)], wnum, z0,
                             *rest, **kw)
 
-    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
+    monkeypatch.setattr(optimize, "_row_order", order)
     monkeypatch.setattr(optimize, "_search_lattice", search)
     cases = []
     for d in (1, 2):
@@ -2290,11 +2342,11 @@ def test_min_int_searches_modulo_a_multiple_of_tau_past_twice_s1(
     t:1 would hold the zero chain."""
     moduli = []
 
-    def echelon(columns, row_order, modulus, *prefix):
+    def search(*args, modulus, **kw):
         moduli.append(modulus)
-        return _echelon_columns(columns, row_order, modulus, *prefix)
+        return _search_lattice(*args, modulus=modulus, **kw)
 
-    monkeypatch.setattr(optimize, "_echelon_columns", echelon)
+    monkeypatch.setattr(optimize, "_search_lattice", search)
     seen = set()
     for K, d, c in _reduction_cases():
         dec = homology_decomposition(K, d)
