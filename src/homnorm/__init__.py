@@ -16,7 +16,6 @@ from .hasse import (BijectionReport, EnumerationInexactError, FedererRow,
 from .homology import (ClassCoords, HomologyDecomposition, InfeasibleClassError,
                        ModDecomposition, TorsionFactor, class_of_cycle,
                        homology_decomposition, reduce_class)
-from .intlinalg import SNFResult
 from .optimize import (OptReport, min_int, min_mod, min_real, minimize,
                        verify_certificate)
 from .rings import (INT, RAT, RingSpec, canonical_lift, mod_ring, norm,
@@ -32,7 +31,6 @@ __all__ = [
     "ClassCoords", "HomologyDecomposition", "InfeasibleClassError",
     "ModDecomposition", "TorsionFactor", "class_of_cycle",
     "homology_decomposition", "reduce_class",
-    "SNFResult",
     "OptReport", "min_int", "min_mod", "min_real", "minimize",
     "verify_certificate",
     "INT", "RAT", "RingSpec", "canonical_lift", "mod_ring", "norm",

@@ -9,17 +9,16 @@ is fixed, so identical complexes always report identical bases.  In degree
 1 the first form is that of the incidence matrix of the 1-skeleton, and
 ``incidence_smith_normal_form`` replays its reduction on groups of
 vertices: its kernel lines, the fundamental cycles of the forest of pivot
-edges, are those of the sparse form.  Where each row of the second holds
-at most two entries of +-1, as in degree 1 on a surface (one per triangle
-on a non-forest edge), ``signed_graph_smith_normal_form`` replays its
-reduction on a dual spanning forest, and the sparse form runs only where
-that returns None, for a factor 2 as on rp2 and the Klein bottle.  The
-first form of the top degree goes the same way, tracking V, where each
-(d-1)-simplex lies on at most two d-simplices; it returns None on the
-closed non-orientable tops.  The
-other forms reduce sparse rows built from ``WeightedComplex.faces``, and
-every change of basis (into kernel coordinates, to class coordinates and
-back to chains) walks only the nonzero entries of their sparse transforms.
+edges, are those of the sparse form.  Every other form goes first to
+``signed_graph_smith_normal_form``, which replays the reduction on a
+spanning forest wherever each row holds at most two entries of +-1 (the
+next boundary of a surface in degree 1, the top boundary of a
+pseudomanifold), and the sparse form runs only where that returns None:
+for a factor 2, as on the closed non-orientable surfaces, or a row of
+another shape.  Both reduce sparse rows built from
+``WeightedComplex.faces``, and every change of basis (into kernel
+coordinates, to class coordinates and back to chains) walks only the
+nonzero entries of their sparse transforms.
 The next boundary in kernel coordinates is built row by row, each row a
 combination of coface rows named by one kernel row of V_A^-1; of the basis
 matrix K' only the columns that name classes are formed.  Neither form
@@ -135,17 +134,13 @@ class HomologyDecomposition:
         # Only V_A, V_A^-1, U_C and U_C^-1 are read below, and of each
         # only the kernel lines when every pivot is a unit: the incidence
         # and signed-graph paths form no others, and the incidence path
-        # forms a kernel column of V_A only when K' reads it.  The top
-        # boundary is a signed graph on the top simplices where each
-        # (d-1)-simplex lies on at most two of them.
+        # forms a kernel column of V_A only when K' reads it.
         if degree == 1:
             snfA = incidence_smith_normal_form(K.faces(1), K.n_simplices(0))
         else:
             a_rows = _boundary_rows(K, degree)
-            snfA = degree == K.dim and signed_graph_smith_normal_form(
-                a_rows, n_simp, _track="v")
-            snfA = snfA or sparse_smith_normal_form(a_rows, n_simp,
-                                                    _track="v")
+            snfA = (signed_graph_smith_normal_form(a_rows, n_simp, _track="v")
+                    or sparse_smith_normal_form(a_rows, n_simp, _track="v"))
         self._snfA: SNFResult = snfA
         rA = snfA.rank
         self._rankA = rA

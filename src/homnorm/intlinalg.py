@@ -18,21 +18,19 @@ operation, swap or negation touches it.
 The inverses keep only the lines a reader of the form can use.  Step t
 writes column t of U^-1 and row t of V^-1 from lines past t, and no later
 step reads them, so they are final when step t ends.  Where D_tt = 1 they
-are dropped: such a line only converts the coordinate of a summand Z/1,
-which carries nothing, whereas the kernel and cokernel lines (past the
-rank) and the lines of invariant factors above 1 are kept.  At a unit
-pivot the reduction does not write them at all, which is half the
-transform updates of a boundary operator, whose pivots are all units.
+are dropped at the end: such a line only converts the coordinate of a
+summand Z/1, which carries nothing, whereas the kernel and cokernel lines
+(past the rank) and the lines of invariant factors above 1 are kept.
 
 The pivot rule is fixed (smallest nonzero absolute value, ties broken by
 lowest row then column index) so that every basis derived downstream is
 reproducible run to run.  The search stops at the first unit entry, which
-is already the minimum.  A unit pivot divides every entry, so it clears
-its column and then its row in one pass each, with no swap and no
-divisibility fix-up; the operations of a pass each change a different row
-(column) and read only the pivot's, so they commute.  Other pivots clear
-rows and columns in ascending index order, each entry read when its turn
-comes.  So the operations, and all five matrices (the inverses where
+is already the minimum.  Every pivot takes one step: it clears its column
+and then its row in ascending index order, each entry read when its turn
+comes and a nonzero remainder swapped in as the new pivot, negates a
+negative pivot with its row, and makes the pivot divide the rest of its
+block.  A unit pivot divides every entry, so its step makes no swap and no
+fix-up.  So the operations, and all five matrices (the inverses where
 kept), are those of the plain dense reduction (``tests/oracles.py`` keeps
 it as the reference).
 
@@ -44,7 +42,7 @@ in kernel coordinates or the top boundary of a pseudomanifold, are a
 signed graph on the columns, and ``signed_graph_smith_normal_form``
 replays their reduction as Kruskal's forest with a signed union-find, to
 the same kernel lines of U and U^-1, of V and V^-1, or of both, or returns
-None where the sparse form has a factor 2.
+None where the sparse form has a factor 2 or a row has another shape.
 """
 
 from __future__ import annotations
@@ -223,38 +221,6 @@ def sparse_smith_normal_form(rows: list[SparseLine], cols: int, *,
                     break
         return best
 
-    def clear_unit(t: int, p: int) -> None:
-        # Column t below the pivot, then row t, each in one pass: every
-        # quotient is exact, so each operation leaves a zero and no swap
-        # follows.  Column t of U^-1 and row t of V^-1 are not written.
-        prow = d[t]
-        rest = [(j, x) for j, x in prow.items() if j != t]
-        for i in rows_of[t]:
-            if i == t:
-                continue
-            row = d[i]
-            q = -p * row.pop(t)
-            for c, x in rest:
-                y = row.get(c)
-                if y is None:
-                    row[c] = q * x
-                    rows_of[c].add(i)
-                elif y := y + q * x:
-                    row[c] = y
-                else:
-                    del row[c]
-                    rows_of[c].remove(i)
-            if track_u:
-                _axpy(u[i], u[t], q)
-        for j, x in rest:
-            rows_of[j].remove(t)
-            if track_v:
-                _axpy(v[j], v[t], -p * x)
-        d[t] = {t: 1}
-        rows_of[t] = {t}
-        if p < 0 and track_u:
-            u[t] = {c: -x for c, x in u[t].items()}
-
     t = 0
     limit = min(n_rows, cols)
     while t < limit:
@@ -263,11 +229,6 @@ def sparse_smith_normal_form(rows: list[SparseLine], cols: int, *,
             break
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
-        p = d[t][t]
-        if p == 1 or p == -1:
-            clear_unit(t, p)
-            t += 1
-            continue
         while True:
             # Clear column t below the pivot (gcd descent via floor
             # division).  Each step changes only row t and row i, so the
@@ -524,10 +485,9 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int, *,
     forward, and are replayed on positions.  Each group keeps one column
     outside the pivots, its root, and the pivot column of a row is the
     root of lower position among its entries, which is folded into the
-    other root or G; where V is formed, the column swaps are replayed on
-    positions too (U needs only the pivot rows).  A +-2
-    left at the end, in a group never grounded, would make the sparse form
-    reduce a pivot that is not a unit, and then None is returned.
+    other root or G, and the column swaps are replayed on positions too.
+    A +-2 left at the end, in a group never grounded, would make the sparse
+    form reduce a pivot that is not a unit, and then None is returned.
 
     With all pivots units, ``diag`` is that of the sparse form.  U^-1
     changes only by the row swaps, so its kernel column j is the unit
@@ -538,12 +498,11 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int, *,
     c at position j, the root of a group never grounded; column j of V is
     the one x with x_c = 1, supported on c and the pivot columns, with
     rows x = 0: the group of c with the sign of each column's entry at c.
-    ``_track`` names the pairs to form, as in the sparse form; the pivot
-    lines of a formed pair are None.
+    ``_track`` names the pairs to form at the end, as in the sparse form;
+    the pivot lines of a formed pair are None.
     """
     n_rows = len(rows)
     ground = cols
-    track_v = "v" in _track
     # sign[x] takes an entry on column x to the group of parent[x]; G is
     # always the root of its group, whose signs are never read.
     parent = list(range(cols + 1))
@@ -565,9 +524,8 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int, *,
     # entry.
     ends: list[Sequence[tuple[int, int]]] = []
     at = list(range(n_rows))  # position -> row
-    if track_v:
-        col_at = list(range(cols))  # position -> column
-        label = list(range(cols + 1))  # column -> position, G past the last
+    col_at = list(range(cols))  # position -> column
+    label = list(range(cols + 1))  # column -> position, G past the last
     # The group of each row that closes an unbalanced cycle: the row is
     # left +-2 unless the group is grounded later.
     odd = []
@@ -595,17 +553,13 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int, *,
             if ra != ground and sa * xa == sb * xb:
                 odd.append(ra)
             continue
-        if track_v:
-            # The pivot column, of lower position, folds into the other
-            # root, and swaps to position t; G is past every column.
-            if label[rb] < label[ra]:
-                ra, rb = rb, ra
-            p, c = label[ra], col_at[t]
-            col_at[t], col_at[p] = ra, c
-            label[ra], label[c] = t, p
-        elif ra == ground:
-            # U needs only that G stays a root.
+        # The pivot column, of lower position, folds into the other root,
+        # and swaps to position t; G is past every column.
+        if label[rb] < label[ra]:
             ra, rb = rb, ra
+        p, c = label[ra], col_at[t]
+        col_at[t], col_at[p] = ra, c
+        label[ra], label[c] = t, p
         parent[ra] = rb
         sign[ra] = -sa * xa * sb * xb
         at[t], at[r] = r, at[t]
@@ -620,7 +574,7 @@ def signed_graph_smith_normal_form(rows: Sequence[SparseLine], cols: int, *,
         u += map(line, at[rank:])
         ui = [None] * rank
         ui += ({r: 1} for r in at[rank:])
-    if track_v:
+    if "v" in _track:
         groups: dict[int, SparseLine] = {c: {} for c in col_at[rank:]}
         for x in range(cols):
             root, s = find(x)

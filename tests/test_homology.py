@@ -247,14 +247,16 @@ def test_mod_decomposition_runs_no_smith_normal_form(monkeypatch):
 
 def test_decomposition_runs_the_form_each_boundary_allows(monkeypatch):
     """Per degree, the forms that run.  For the boundary: in degree 1 the
-    incidence path; in the top degree the signed-graph path tracking V,
+    incidence path; in any other degree the signed-graph path tracking V,
     and the sparse form (tracking V) where it returns None, for a factor 2
-    (the closed non-orientable rp2 and klein, M_2) or an edge on more than
-    two triangles (M_3); in any other degree the sparse form.  For the
-    next boundary in kernel coordinates the signed-graph path tracking U,
-    and the sparse form (tracking U) where it returns None, for a factor 2
-    (rp2, klein, M_2 in degree 1) or a row of more than two entries (M_3
-    in degree 1, the vertex rows of degree 0)."""
+    (the closed non-orientable rp2 and klein, M_2) or a row of more than
+    two entries (M_3, an edge on three triangles).  For the next boundary
+    in kernel coordinates the signed-graph path tracking U, and the sparse
+    form (tracking U) where it returns None, for a factor 2 (rp2, klein,
+    M_2 in degree 1) or a row of more than two entries (M_3 in degree 1,
+    the vertex rows of degree 0).  The shape of the rows decides, not the
+    degree: the empty boundary of degree 0 and the boundary of a solid
+    tetrahedron in degree 2 are signed graphs."""
     import homnorm.homology as homology
     runs = []
 
@@ -274,7 +276,7 @@ def test_decomposition_runs_the_form_each_boundary_allows(monkeypatch):
                             "sparse " + kw["_track"]) or real_snf(*A, **kw))
     forest = ["incidence", "signed u"]
     factor_two = ["incidence", "signed u None", "sparse u"]
-    zero = ["sparse v", "signed u None", "sparse u"]
+    zero = ["signed v", "signed u None", "sparse u"]
     top = ["signed v", "signed u"]
     top_factor_two = ["signed v None", "sparse v", "signed u"]
     for K, one, two in ((torus7(), forest, top),
@@ -288,12 +290,17 @@ def test_decomposition_runs_the_form_each_boundary_allows(monkeypatch):
             runs.clear()
             HomologyDecomposition(K, d)
             assert runs == want, (K.name, d)
-    # Below the top degree the boundary goes to the sparse form.
-    solid = WeightedComplex("solid", [list(itertools.combinations(
-        range(4), k)) for k in range(1, 5)])
-    runs.clear()
-    HomologyDecomposition(solid, 2)
-    assert runs == ["sparse v", "signed u"]
+    # Below the top degree the boundary goes to the signed-graph path too:
+    # each edge of a solid tetrahedron lies on two triangles, and the
+    # replay runs; each edge of a solid 4-simplex lies on three, and the
+    # replay declines for the sparse form.
+    for n, want in ((4, ["signed v", "signed u"]),
+                    (5, ["signed v None", "sparse v", "signed u"])):
+        solid = WeightedComplex("solid", [list(itertools.combinations(
+            range(n), k)) for k in range(1, n + 1)])
+        runs.clear()
+        HomologyDecomposition(solid, 2)
+        assert runs == want, n
 
 
 def test_degree_one_builds_only_the_cycles_that_name_classes():

@@ -123,13 +123,21 @@ TRACKED = [("u", ("u_rows", "u_inv_cols"), ("v_cols", "v_inv_rows")),
 
 
 # Pivots that are not units, pivots that fail to divide the rest of their
-# block (the divisibility fix-up) and empty shapes, on fixed inputs.
+# block (the divisibility fix-up), unit pivots and empty shapes, on fixed
+# inputs.  The unit pivots: a -1 pivot; a unit reached by the fix-up of a
+# pivot 2 at the same step; a -1 at step 1 after a pivot 2 and its fix-up
+# at step 0; and a 1 whose row and column hold entries of magnitude 2 and
+# more.
 FIXED_CASES = [IntMatrix.from_rows(rows) for rows in [
     [[2, 0], [0, 3]],
     [[4, 0, 0], [0, 6, 0], [0, 0, 9]],
     [[2, 4], [6, 8]],
     [[6, 10, 15], [10, 15, 6]],
     [[0, 0], [0, 0], [0, 5]],
+    [[-1, 2], [3, 4]],
+    [[2, 2], [2, 3]],
+    [[2, 2, 6], [0, -3, -2], [2, 6, -3]],
+    [[1, 2, -3], [4, 5, 6], [-2, 7, 9]],
 ]] + [IntMatrix.zeros(0, 4), IntMatrix.zeros(4, 0), IntMatrix.zeros(0, 0)]
 
 
