@@ -199,13 +199,6 @@ class HomologyDecomposition:
         # depend only on the simplices, so rebound siblings share them.
         self._cocycles: dict[int, dict[int, int]] = {}
 
-    @cached_property
-    def _torsion_diag(self) -> tuple[tuple[int, int], ...]:
-        """(j, D_jj) of each invariant factor of A above 1, which every
-        modulus reads for its cotorsion, made on the first modulus."""
-        diag = self._snfA.diag[:self._rankA]
-        return tuple((j, e) for j, e in enumerate(diag) if e != 1)
-
     # -- coordinates of cycles, representatives of classes ------------------
 
     def coords_of_cycle(self, z: Chain) -> ClassCoords:
@@ -387,7 +380,8 @@ class ModDecomposition:
         # (j, g_j) of each summand Z/g_j with g_j > 1, one per cotorsion
         # generator; a lift has n/g_j | y_j.  A unit D_jj gives g_j = 1.
         self._cotorsion_pairs = tuple(
-            (j, g) for j, e in dec._torsion_diag if (g := gcd(e, n)) > 1)
+            (j, g) for j, e in enumerate(dec._snfA.diag[:dec._rankA])
+            if e != 1 and (g := gcd(e, n)) > 1)
         # Each cotorsion generator's order, all that a class reads of it.
         self.cotorsion_orders = tuple(g for _, g in self._cotorsion_pairs)
         # The generators' nonzero entries; ``cotorsion`` lists them densely.

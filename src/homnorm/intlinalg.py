@@ -362,9 +362,6 @@ class _KernelLines:
         self._rank = rank
         self._build = build
 
-    def __len__(self) -> int:
-        return len(self._lines)
-
     def __getitem__(self, j):
         if isinstance(j, slice):
             return [self[i] for i in range(*j.indices(len(self._lines)))]

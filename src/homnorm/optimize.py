@@ -450,19 +450,10 @@ def _coset_minimize(K: WeightedComplex, d: int, c: ClassCoords, kind: str,
                                         if a % n)), None)
         scale = lcm(w_scale, family[0]) if family else w_scale
         wnum = [w * (scale // w_scale) for w in wnum]
-    # Rows by decreasing weight, then outward from z0 over the faces; the
-    # echelon of the boundary lattice plus n*Z^m along them.  K's memo
-    # keeps a modulus-free echelon beside its row order, each lone n*e_r
-    # as None, for the searches of every modulus along it.
-    order = _row_order(K, d, z0)
-    cached = K._memo.get(("echelon", d))
-    if cached is not None and cached[0] is order:
-        pivots = [(r, col or {r: n}) for r, col in cached[1]]
-    else:
-        pivots, free = _echelon_columns(K.faces(d + 1), order, n)
-        if free:
-            K._memo["echelon", d] = (order, [(r, col if col[r] == 1 else None)
-                                            for r, col in pivots])
+    # Rows by decreasing weight, then outward from z0 over the faces, and
+    # the echelon of the boundary lattice plus n*Z^m along them, which each
+    # search reduces afresh at its own modulus.
+    pivots = _echelon_columns(K.faces(d + 1), _row_order(K, d, z0), n)
     best, sols, exact, nodes = _search_lattice(
         wnum, z0, pivots, cap, faces=K.faces(d), modulus=n, phi=phi,
         value_only=value_only,

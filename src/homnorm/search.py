@@ -15,18 +15,14 @@ complex; any order gives the same values and minimizers.  The search
 echelonizes its lattice from the faces of the (d+1)-simplices
 (``_echelon_columns``): each row reduces only the columns whose first
 nonzero row it is, and the entries stay in (-n, n), so the n*e_r columns
-past a unit pivot vanish and the pivot columns stay short.  A reduction
-whose entries never leave {-1, 0, 1} takes the same operations at every
-modulus and says so; its echelon is then kept in the complex's memo beside
-its row order and serves the searches of every modulus along it, and any
-other reduction is made afresh by each call.  On an orientable surface the
-boundaries are totally unimodular and the echelon is kept.  Every row is a
-pivot row, a node fixes the rows up to its pivot, and the lattice alone
-fixes the pivot entries and the congruence class of the candidates, so the
-values and minimizers are those of any echelon basis.  A row whose pivot
-column is the lone n*e_r is a forced level, with one candidate, which the
-search takes where its value is fixed (``_level_order`` says why only
-the node count moves).
+past a unit pivot vanish and the pivot columns stay short.  Each search
+reduces its own lattice, along its own order and at its own modulus.
+Every row is a pivot row, a node fixes the rows up to its pivot, and the
+lattice alone fixes the pivot entries and the congruence class of the
+candidates, so the values and minimizers are those of any echelon basis.
+A row whose pivot column is the lone n*e_r is a forced level, with one
+candidate, which the search takes where its value is fixed
+(``_level_order`` says why only the node count moves).
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from .homology import _boundary_rows
 
 def _echelon_columns(columns: Sequence[Sequence[tuple[int, int]]],
                      row_order: Sequence[int], modulus: int
-                     ) -> tuple[list[tuple[int, dict[int, int]]], bool]:
+                     ) -> list[tuple[int, dict[int, int]]]:
     """Unimodular column reduction to echelon form along ``row_order`` of
     the lattice spanned by ``columns`` and n*e_r for every row r, n the
     ``modulus``, n >= 2.
@@ -62,26 +58,14 @@ def _echelon_columns(columns: Sequence[Sequence[tuple[int, int]]],
     becomes zero mod n, such as the n*e_r column past a unit pivot, leaves
     the reduction.
 
-    Returns the (pivot_row, column) pairs and whether the reduction was
-    modulus-free: no entry of ``columns`` outside {-1, 0, 1} and no column
-    operation that leaves one there, the n*e_r columns aside.  Then every
-    pivot is a unit or the lone n*e_r, and every modulus takes the same
-    operations: the n*e_r column sorts after every unit, so it becomes a
-    pivot only at a row that no column starts at, and a unit pivot clears
-    it at every n without its joining a later bucket; every other entry is
-    in {-1, 0, 1}, which no modulus reduces.  So the pairs at any other
-    modulus are these, with each lone n*e_r at that modulus.  On an
-    orientable surface, whose boundaries are totally unimodular, the
-    reduction is modulus-free.
-
-    Each pivot column has a positive entry at its pivot row, zeros at all
-    earlier rows of the order, and no entry that is 0 mod n, so a column
-    changes a row mod n wherever it has an entry there.  Column operations
-    preserve the spanned lattice, so the pivot rows and entries are those
-    of any echelon basis of it along the order.
+    Returns the (pivot_row, column) pairs.  Each pivot column has a
+    positive entry at its pivot row, zeros at all earlier rows of the
+    order, and no entry that is 0 mod n, so a column changes a row mod n
+    wherever it has an entry there.  Column operations preserve the
+    spanned lattice, so the pivot rows and entries are those of any
+    echelon basis of it along the order.
     """
     n = modulus
-    free = all(-2 < v < 2 for col in columns for _, v in col)
     pos = {r: k for k, r in enumerate(row_order)}.__getitem__
     buckets: list[list[dict[int, int]]] = [[] for _ in row_order]
     for col in columns:
@@ -91,7 +75,7 @@ def _echelon_columns(columns: Sequence[Sequence[tuple[int, int]]],
     result = []
     for k, r in enumerate(row_order):
         nz = buckets[k]
-        nz.append(e := {r: n})
+        nz.append({r: n})
         while len(nz) > 1:
             nz.sort(key=lambda col: (abs(col[r]), len(col)))
             a = nz[0]
@@ -99,10 +83,8 @@ def _echelon_columns(columns: Sequence[Sequence[tuple[int, int]]],
                 q = b[r] // a[r]  # nonzero, as |a[r]| <= |b[r]|
                 for i, v in a.items():
                     x = b.get(i, 0) - q * v
-                    if not -2 < x < 2:  # (-n, n) holds {-1, 0, 1}
-                        free = free and b is e
-                        if not -n < x < n:
-                            x %= n
+                    if not -n < x < n:
+                        x %= n
                     if x:
                         b[i] = x
                     elif i in b:  # q*v may be 0 mod n
@@ -115,7 +97,7 @@ def _echelon_columns(columns: Sequence[Sequence[tuple[int, int]]],
             for i in piv:
                 piv[i] = -piv[i]
         result.append((r, piv))
-    return result, free
+    return result
 
 
 def _row_order(K: WeightedComplex, d: int, z0: Sequence[int]) -> list[int]:

@@ -15,8 +15,8 @@ minimizers and order it must keep when it prunes on a bound),
 ``reference_echelon_columns`` the dense column echelon, with every n * e_r
 column listed up front, whose pivot rows, pivot entries and lattice the
 sparse one must reproduce, ``reference_bucket_echelon`` the sparse bucket
-reduction run afresh for each modulus, whose pairs a modulus-free echelon
-kept from another modulus must reproduce exactly,
+reduction run for one modulus, whose pairs each search's own reduction
+must reproduce exactly,
 ``ReferenceModDecomposition`` the mod-n decomposition that presents the
 lifted cycle lattice modulo boundaries and n * chains and runs Smith normal
 forms of its own for each n, against which the closed-form one is checked,
@@ -691,11 +691,10 @@ def reference_echelon_columns(columns: list[list[int]],
 def reference_bucket_echelon(columns, row_order: Sequence[int],
                              modulus: int) -> list[tuple[int, dict[int, int]]]:
     """The bucket reduction of ``homnorm.search._echelon_columns`` run
-    for one modulus, with no flag and nothing kept across moduli: the
-    reference whose pairs, pivot columns with their key order included,
-    the engine's reduction and a modulus-free echelon the engines keep
-    from another modulus must reproduce at every modulus.  Each column
-    enters with its entries in (-n, n), those that are 0 mod n dropped."""
+    for one modulus: the reference whose pairs, pivot columns with their
+    key order included, the reduction each search makes at its modulus
+    must reproduce.  Each column enters with its entries in (-n, n), those
+    that are 0 mod n dropped."""
     pos = {r: k for k, r in enumerate(row_order)}.__getitem__
     n = modulus
     buckets: list[list[dict[int, int]]] = [[] for _ in row_order]

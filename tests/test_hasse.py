@@ -845,10 +845,8 @@ class _CountingMemo(dict):
 
 def test_searches_reuse_the_row_order_and_level_families(monkeypatch):
     """A modulus scan and a Federer sequence build the row order once per
-    (complex, degree, seed faces), keep its echelon once where that is
-    modulus-free (torus-7 and its sibling, not mobius-gap) and build the
-    level family once per free index; a reweighted sibling builds its
-    own."""
+    (complex, degree, seed faces) and the level family once per free
+    index, and keep no echelon; a reweighted sibling builds its own."""
     calls = []
 
     def counted(K, d, z0):
@@ -857,7 +855,7 @@ def test_searches_reuse_the_row_order_and_level_families(monkeypatch):
 
     # _coset_minimize reads the row order from optimize's globals.
     monkeypatch.setattr(optimize, "_row_order", counted)
-    tables = [("weights", 1), ("order", 1), ("echelon", 1), ("levels", 0)]
+    tables = [("weights", 1), ("order", 1), ("levels", 0)]
     K = torus7()
     K._memo = memo = _CountingMemo()
     scan_moduli(K, 1, _gen(homology_decomposition(K, 1)), 2, 8)

@@ -688,7 +688,7 @@ def test_search_matches_reference_on_random_lattices():
         columns, order, wnum, z0 = _random_lattice(rng)
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         n = rng.choice((2, 3, 4, 5, 2 * m0 + 3))
-        pivots, _ = _echelon_columns(_sparse(columns), order, n)
+        pivots = _echelon_columns(_sparse(columns), order, n)
         args = (wnum, z0, pivots)
         kw = dict(faces=[()] * len(wnum), modulus=n)
         seen["g>1"] += any(1 < col[r] < n for r, col in pivots)
@@ -744,7 +744,7 @@ def test_calibrated_search_matches_reference_on_random_lattices():
         m0 = sum(w * abs(v) for w, v in zip(wnum, z0))
         wnum, phi, m0 = _random_calibration(rng, wnum, columns, m0)
         n = _calibrated_modulus(wnum, phi, m0, rng.randint(1, 4))
-        pivots, _ = _echelon_columns(_sparse(columns), order, n)
+        pivots = _echelon_columns(_sparse(columns), order, n)
         args = (wnum, z0, pivots)
         kw = dict(faces=[()] * len(wnum), modulus=n)
         nodes = _both_searches(*args, 10_000, phi=phi, **kw)[0][3]
@@ -761,7 +761,7 @@ def test_search_without_boundary_columns_matches_reference():
     and at the budget mass(z0), as the reference does."""
     wnum, z0 = [2, 1, 3], [1, -2, 0]
     for n in (5, 13):
-        pivots, _ = _echelon_columns([], [2, 0, 1], n)
+        pivots = _echelon_columns([], [2, 0, 1], n)
         assert pivots == [(2, {2: n}), (0, {0: n}), (1, {1: n})]
         got, _ = _both_searches(wnum, z0, pivots, 5, faces=[()] * 3,
                                 modulus=n)
@@ -1046,7 +1046,7 @@ def test_lazy_echelon_matches_dense_build():
             for n in (2, 3, 4, 5, 6, 12, 10**12):
                 dense = [B.column(j) for j in range(B.cols)]
                 dense += [[n * (i == r) for i in range(N)] for r in range(N)]
-                pivots, _ = _echelon_columns(K.faces(d + 1), order, n)
+                pivots = _echelon_columns(K.faces(d + 1), order, n)
                 got = _dense(pivots, N)
                 want = reference_echelon_columns(dense, order)
                 assert [(r, col[r]) for r, col in got] == \
@@ -1065,36 +1065,15 @@ def _pairs(pivots):
     return [(r, list(col.items())) for r, col in pivots]
 
 
-def _engine_cases():
-    """Complexes and degrees with boundary moves: the fixtures, unit and
-    anisotropic relabelled T3-T5 grids and ``small_corpus``."""
-    for make in SUITE.values():
-        K = make()
-        yield from ((K, d) for d in range(K.dim))
-    yield from ((K, 1) for K, _ in _relabelled_grids([3, 4, 5]))
-    yield from ((K, d) for K, d, _ in small_corpus() if K.n_simplices(d + 1))
-
-
 _MODULI = (2, 3, 4, 5, 6, 16, 17)
 
 
-def _kept(pivots):
-    """A modulus-free echelon as the engines keep it, each lone n*e_r as
-    None."""
-    return [(r, col if col[r] == 1 else None) for r, col in pivots]
-
-
-def test_a_modulus_free_echelon_serves_every_modulus():
+def test_each_reduction_matches_a_fresh_bucket_reduction():
     """On random sparse columns of +-1 entries, some sets with +-2, along
-    a random order, each reduction has the pairs of a fresh reduction at
-    its modulus, and one that reports itself modulus-free gives, with each
-    lone n*e_r read as {r: n}, exactly the pairs of a fresh reduction at
-    every n in 2..6, 16 and 17, pivot columns with their key order
-    included.  The flag fails wherever an input column has a +-2, and
-    some reductions of +-1 columns fail it by an operation that would
-    leave a +-2."""
+    a random order, each reduction at a modulus in 2..6, 16 and 17 has
+    exactly the pairs of ``reference_bucket_echelon`` at that modulus,
+    pivot columns with their key order included."""
     rng = random.Random("modulus-free-echelon")
-    kinds = set()
     for _ in range(400):
         n_rows = rng.randint(1, 8)
         entries = (1, -1) if rng.random() < 0.7 else (1, -1, 1, -1, 2, -2)
@@ -1104,47 +1083,29 @@ def test_a_modulus_free_echelon_serves_every_modulus():
                    for _ in range(rng.randint(0, n_rows + 2))]
         order = rng.sample(range(n_rows), n_rows)
         at = rng.choice(_MODULI)
-        pivots, free = _echelon_columns(columns, order, at)
-        assert _pairs(pivots) == \
+        assert _pairs(_echelon_columns(columns, order, at)) == \
             _pairs(reference_bucket_echelon(columns, order, at))
-        if any(v * v > 1 for col in columns for _, v in col):
-            assert not free
-            kinds.add("input entry")
-        elif free:
-            kept = _kept(pivots)
-            for n in _MODULI:
-                assert _pairs((r, col or {r: n}) for r, col in kept) == \
-                    _pairs(reference_bucket_echelon(columns, order, n)), n
-            kinds.add("modulus-free")
-        else:
-            kinds.add("operation")
-    assert kinds == {"modulus-free", "operation", "input entry"}
 
 
-def _logged_searches(monkeypatch, searching=True):
+def _logged_searches(monkeypatch):
     """Swap the engines' row order, echelon and search for ones that log
-    each search as [complex, degree, row order, flags of its reductions]
-    and check that it searches the pairs of a fresh reduction along its
-    order at its modulus; the search itself runs only when ``searching``.
+    each search as [complex, degree, row order, its reductions as
+    (row order, modulus, pairs), its searches as (pairs, modulus)].
     Returns the log, filled as the engines search."""
     log = []
 
     def order(K, d, z0):
         got = _row_order(K, d, z0)
-        log.append((K, d, got, []))
+        log.append((K, d, got, [], []))
         return got
 
     def echelon(columns, row_order, modulus):
         got = _echelon_columns(columns, row_order, modulus)
-        log[-1][3].append(got[1])
+        log[-1][3].append((row_order, modulus, got))
         return got
 
     def search(wnum, z0, pivots, *rest, modulus, **kw):
-        K, d, row_order, _ = log[-1]
-        assert _pairs(pivots) == _pairs(reference_bucket_echelon(
-            K.faces(d + 1), row_order, modulus)), (K.name, d, modulus)
-        if not searching:
-            return 0, [], True, 0
+        log[-1][4].append((pivots, modulus))
         return _search_lattice(wnum, z0, pivots, *rest, modulus=modulus,
                                **kw)
 
@@ -1154,68 +1115,30 @@ def _logged_searches(monkeypatch, searching=True):
     return log
 
 
-def _reads_of_kept_echelons(log) -> int:
-    """Check that each logged search reduced once, unless its order is
-    that of the last modulus-free reduction on its complex and degree,
-    and that each complex's memo holds that echelon, unchanged, and no
-    other; returns the count of searches that reduced nothing."""
-    kept, reads = {}, 0
-    for K, d, row_order, flags in log:
-        if kept.get((K, d)) is row_order:
-            assert not flags
-            reads += 1
-        else:
-            (free,) = flags
-            if free:
-                kept[K, d] = row_order
-    for K, d, _, _ in log:
-        if (K, d) in kept:
-            row_order, pivots = K._memo["echelon", d]
-            assert row_order is kept[K, d]
-            assert repr(pivots) == repr(_kept(reference_bucket_echelon(
-                K.faces(d + 1), row_order, 5)))
-        else:
-            assert ("echelon", d) not in K._memo
-    return reads
+def _one_reduction_each(log) -> None:
+    """Check that each logged search reduced its lattice exactly once,
+    along its own row order and at the modulus it searched, that it
+    searched the pairs of that reduction, that they are the pairs of
+    ``reference_bucket_echelon`` at its modulus, and that no complex's
+    memo holds an echelon."""
+    for K, d, row_order, reductions, searches in log:
+        (order, n, pivots), = reductions
+        (searched, modulus), = searches
+        assert order is row_order and searched is pivots and modulus == n
+        assert _pairs(pivots) == _pairs(reference_bucket_echelon(
+            K.faces(d + 1), row_order, n)), (K.name, d, n)
+        assert ("echelon", d) not in K._memo
 
 
-def test_the_engines_keep_only_a_modulus_free_echelon(monkeypatch):
-    """The echelon of ``min_int``'s search is modulus-free, and kept in
-    the complex's memo, on torus-7 and on the unit and anisotropic
-    relabelled T3-T5 grids, and in degree 1 on every case but rp2-6,
-    klein-8 and mobius-gap.  ``min_mod`` of the class at n = 5, 2, 16 and
-    3 then searches the pairs of a fresh reduction at its modulus, and
-    reduces nothing where its order is the kept one
-    (``_reads_of_kept_echelons``)."""
-    log = _logged_searches(monkeypatch, searching=False)
-    fresh, kept = set(), set()
-    for K, d in _engine_cases():
-        dec = homology_decomposition(K, d)
-        c = dec.class_coords(INT, (1,) * dec.betti, (1,) * len(dec.torsion))
-        if c.is_zero():
-            continue
-        min_int(K, d, c)
-        (kept if log[-1][3] == [True] else fresh).add((K.name, d))
-        for n in (5, 2, 16, 3):
-            c_n = reduce_class(c, mod_ring(n))
-            if not c_n.is_zero():
-                min_mod(K, d, c_n)
-    assert _reads_of_kept_echelons(log)
-    assert {name for name, d in fresh if d == 1} == \
-        {"rp2-6", "klein-8", "mobius-gap"}
-    grids = {K.name for K, _ in _relabelled_grids([3, 4, 5])}
-    assert {(name, 1) for name in grids | {"torus-7"}} <= kept
-
-
-def test_a_kept_echelon_is_never_read_stale(monkeypatch):
+def test_every_search_reduces_its_own_lattice(monkeypatch):
     """Every search ``min_int`` and ``min_mod`` make over Z and Z/2, Z/3,
     Z/5 for classes with different seed faces on torus-7, rp2 and
-    mobius-gap and on a reweighted sibling of each has the pairs of a
-    fresh reduction along its own order at its modulus.  Torus-7 and its
-    sibling reduce once per row order: the searches along one order share
-    its echelon, a new order (other seed faces, or the sibling's weights)
-    is reduced again, and the sibling starts from an empty memo.  rp2 and
-    mobius-gap keep no echelon and reduce in every search."""
+    mobius-gap and on a reweighted sibling of each reduces its lattice
+    once, along its own order and at its own modulus, to the pairs of a
+    fresh reduction (``_one_reduction_each``).  The searches of a class
+    across moduli share its row order, never an echelon, and on torus-7,
+    whose boundaries are totally unimodular, they too reduce at every
+    modulus."""
     log = _logged_searches(monkeypatch)
     for make in (torus7, rp2_6, mobius_band):
         K = make()
@@ -1234,13 +1157,14 @@ def test_a_kept_echelon_is_never_read_stale(monkeypatch):
                 min_int(L, 1, c, 50)
                 for n in (2, 3, 5):
                     min_mod(L, 1, reduce_class(c, mod_ring(n)), 50)
-    assert _reads_of_kept_echelons(log)
-    flags = {}
-    for K, _, row_order, got in log:
-        flags.setdefault(K.name, set()).update(got)
-    assert flags == {"torus-7": {True}, "rp2-6": {False},
-                     "mobius-gap": {False}}
-    assert len({id(row_order) for _, _, row_order, _ in log}) > 6
+    _one_reduction_each(log)
+    moduli = {}
+    for K, _, row_order, reductions, _ in log:
+        moduli.setdefault((K.name, id(row_order)), set()).add(
+            reductions[0][1])
+    assert {name for (name, _), ns in moduli.items() if len(ns) > 1} == \
+        {"torus-7", "rp2-6", "mobius-gap"}
+    assert len(moduli) > 6
 
 
 def test_sorted_chains_match_from_vector():
@@ -1353,7 +1277,7 @@ def test_search_is_independent_of_the_echelon_basis(monkeypatch):
             rng, wnum, _dense_columns(columns, n_rows), m0)
         wide = _calibrated_modulus(*calibrated, 1)
         for modulus in (2, 3, 4, 5, 6, wide):
-            pivots, _ = _echelon_columns(columns, order, modulus)
+            pivots = _echelon_columns(columns, order, modulus)
             bases = [pivots, _reference_basis(columns, order, n_rows, modulus),
                      _other_basis(rng, pivots, modulus)]
             mixed = _other_basis(rng, pivots)
