@@ -1087,11 +1087,12 @@ def test_each_reduction_matches_a_fresh_bucket_reduction():
             _pairs(reference_bucket_echelon(columns, order, at))
 
 
-def _logged_searches(monkeypatch):
+def _logged_searches(monkeypatch, searching=True):
     """Swap the engines' row order, echelon and search for ones that log
     each search as [complex, degree, row order, its reductions as
-    (row order, modulus, pairs), its searches as (pairs, modulus)].
-    Returns the log, filled as the engines search."""
+    (row order, modulus, pairs), its searches as (pairs, modulus)]; the
+    search itself runs only when ``searching``.  Returns the log, filled
+    as the engines search."""
     log = []
 
     def order(K, d, z0):
@@ -1106,6 +1107,8 @@ def _logged_searches(monkeypatch):
 
     def search(wnum, z0, pivots, *rest, modulus, **kw):
         log[-1][4].append((pivots, modulus))
+        if not searching:
+            return 0, [], True, 0
         return _search_lattice(wnum, z0, pivots, *rest, modulus=modulus,
                                **kw)
 
@@ -1165,6 +1168,45 @@ def test_every_search_reduces_its_own_lattice(monkeypatch):
     assert {name for (name, _), ns in moduli.items() if len(ns) > 1} == \
         {"torus-7", "rp2-6", "mobius-gap"}
     assert len(moduli) > 6
+
+
+def _engine_cases():
+    """Complexes and degrees with boundary moves: the fixtures, unit and
+    anisotropic relabelled T3-T5 grids and ``small_corpus``."""
+    for make in SUITE.values():
+        K = make()
+        yield from ((K, d) for d in range(K.dim))
+    yield from ((K, 1) for K, _ in _relabelled_grids([3, 4, 5]))
+    yield from ((K, d) for K, d, _ in small_corpus() if K.n_simplices(d + 1))
+
+
+def test_the_engines_reduce_afresh_on_every_case(monkeypatch):
+    """On every fixture degree, the relabelled T3-T5 grids and
+    ``small_corpus``, ``min_int`` of the class with every coordinate 1
+    and ``min_mod`` of it at n = 5, 2, 16 and 3 each reduce their lattice
+    once, at their own modulus, to the pairs of a fresh reduction
+    (``_one_reduction_each``), whether or not the boundaries are totally
+    unimodular (torus-7 and the grids are, rp2-6, klein-8 and mobius-gap
+    are not).  The searches themselves do not run."""
+    log = _logged_searches(monkeypatch, searching=False)
+    cases = set()
+    for K, d in _engine_cases():
+        dec = homology_decomposition(K, d)
+        c = dec.class_coords(INT, (1,) * dec.betti, (1,) * len(dec.torsion))
+        if c.is_zero():
+            continue
+        min_int(K, d, c)
+        for n in (5, 2, 16, 3):
+            c_n = reduce_class(c, mod_ring(n))
+            if not c_n.is_zero():
+                min_mod(K, d, c_n)
+        cases.add((K.name, d))
+    _one_reduction_each(log)
+    grids = {K.name for K, _ in _relabelled_grids([3, 4, 5])}
+    names = {"torus-7", "rp2-6", "klein-8", "mobius-gap"} | grids
+    assert {(name, 1) for name in names} <= cases
+    assert {n for *_, reductions, _ in log for _, n, _ in reductions} >= \
+        {5, 2, 16, 3}
 
 
 def test_sorted_chains_match_from_vector():
